@@ -14,6 +14,17 @@ conjunction:
   through per-level entry tables, so the nodes it expands all lie inside the
   query's rank window (the span-times-width visit bound).
 
+Both bisect to the constituents whose rank ranges meet the query's rank
+window and traverse only those.  The constituents are independent, so every
+constituent outside the window contributes the same factor, its root
+probability, to P0(Q and not-W) and to P0(not-W).  P(Q) is therefore
+normalized over the window alone: each window constituent's entry is scaled
+by the inverse of its root probability, and neither the global P0(not-W) nor
+the window's product is ever formed, so neither can underflow.  The global
+P0(Q and not-W) is rebuilt in O(1) from prefix and suffix products.
+`InconsistentConstraintsError` means that one constituent's root probability
+is exactly 0.0, i.e. one block is contradictory on its own.
+
 The index is immutable after build; every query owns its own memo table, so
 concurrent evaluation is safe.
 """
@@ -24,11 +35,12 @@ import math
 import struct
 import time
 import zlib
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import (Fact, Indb, Instance, IndexFormatError, MvdbError,
-                   OrderMismatchError)
+from .core import (Fact, InconsistentConstraintsError, Indb, Instance,
+                   IndexFormatError, MvdbError, OrderMismatchError)
 from . import ucq as U
 from .obdd import (NodeTable, Obdd, PermutationSet, VariableOrder, con_obdd,
                    choose_pi, from_lineage, tuple_order)
@@ -160,10 +172,21 @@ class MvIndex:
         self.probs = list(probs)
         self.pi = pi
         self.schema_digest = schema_digest
-        self.suffix = [1.0] * (len(self.constituents) + 1)
-        for k in range(len(self.constituents) - 1, -1, -1):
-            self.suffix[k] = (self.constituents[k].prob_root
-                              * self.suffix[k + 1])
+        roots = [c.prob_root for c in self.constituents]
+        m = len(roots)
+        # Sorted and disjoint, so the query's window is found by bisection.
+        self.rank_lo = [c.rank_lo for c in self.constituents]
+        self.rank_hi = [c.rank_hi for c in self.constituents]
+        self.prefix = [1.0] * (m + 1)
+        for k in range(m):
+            self.prefix[k + 1] = self.prefix[k] * roots[k]
+        self.suffix = [1.0] * (m + 1)
+        for k in range(m - 1, -1, -1):
+            self.suffix[k] = roots[k] * self.suffix[k + 1]
+        # A block whose root probability is exactly 0.0 admits no world.
+        self.zero_block = 0.0 in roots
+        # Per-constituent normalization; a zero block is left unscaled.
+        self.inv_root = [1.0 / r if r else 1.0 for r in roots]
         self.p0_not_w = self.suffix[0]
         self.p0_w = 1.0 - self.p0_not_w
         self._rank_to_k: dict[int, int] = {}
@@ -252,9 +275,7 @@ def build_index(tr: TranslationResult,
         c.compute_annotations(probs)
         c.derive(probs)
         constituents.append(c)
-    index = MvIndex(constituents, order, probs, pi, digest)
-    tr.p0_w_cache.setdefault("index", index.p0_w)
-    return index
+    return MvIndex(constituents, order, probs, pi, digest)
 
 
 # ---------------------------------------------------------------------------
@@ -283,13 +304,43 @@ def _query_tail(gq: Obdd, probs) -> dict[int, float]:
     return tail
 
 
+def _window(gq: Obdd, index: MvIndex) -> tuple[int, int]:
+    """Constituents k_lo..k_end-1: those whose rank ranges meet the query's.
+
+    A sink query has no ranks and an empty window."""
+    if gq.root <= 1:
+        return 0, 0
+    var = gq.table.var
+    qlo = var[gq.root]  # ranks increase along every path of an OBDD
+    qhi = max(map(var.__getitem__, gq.reachable()))
+    return bisect_left(index.rank_hi, qlo), bisect_right(index.rank_lo, qhi)
+
+
 def _intersect(gq: Obdd, index: MvIndex, cache_conscious: bool,
-               stats: Optional[IntersectStats]) -> float:
+               stats: Optional[IntersectStats]) -> tuple[float, float]:
+    """Co-traverse the query with the window's constituents only.
+
+    Returns ``(ratio, global)``.  Without a zero block, ``ratio`` is
+    P(Q) = P0(Q and not-W_win) / P0(not-W_win); ``global`` is always
+    P0(Q and not-W).  Every task value is normalized by the root
+    probabilities of the window constituents it has not left yet, so
+    entering constituent k multiplies by ``inv_root[k]`` and nothing else
+    changes scale."""
     if gq.order != index.order:
         raise OrderMismatchError("query OBDD does not follow the index order")
     cons = index.constituents
-    m = len(cons)
-    suffix = index.suffix
+    k_lo, k_end = _window(gq, index)
+    inv_root = index.inv_root
+    # unit[k - k_lo]: normalized P0(not-W) of constituents k..k_end-1, which
+    # is 1.0 unless one of them is a zero block; scale is the product of the
+    # window's non-zero root probabilities, so ratio * scale is
+    # P0(Q and not-W_win).
+    unit = [1.0] * (k_end - k_lo + 1)
+    scale = 1.0
+    for k in range(k_end - 1, k_lo - 1, -1):
+        root = cons[k].prob_root
+        unit[k - k_lo] = unit[k - k_lo + 1] if root else 0.0
+        scale *= root or 1.0
     probs = index.probs
     qtab = gq.table
     tail = _query_tail(gq, probs)
@@ -301,31 +352,33 @@ def _intersect(gq: Obdd, index: MvIndex, cache_conscious: bool,
             if v == 0:
                 return 0.0
             if v == 1:
-                return suffix[k]
-            if k == m:
+                return unit[k - k_lo]
+            if k == k_end:
                 return tail[v]
             c = cons[k]
             rv = qtab.var[v]
             if rv > c.rank_hi:
-                return (0.0, ((c.prob_root, ("E", k + 1, v)),))
+                return (0.0, ((1.0 if c.prob_root else 0.0,
+                               ("E", k + 1, v)),))
             if rv < c.rank_lo:
                 p = probs[rv]
                 return (0.0, ((1.0 - p, ("E", k, qtab.lo[v])),
                               (p, ("E", k, qtab.hi[v]))))
+            inv = inv_root[k]
             if not cache_conscious:
-                return (0.0, ((1.0, _xtask(k, c.root_code, v)),))
+                return (0.0, ((inv, _xtask(k, c.root_code, v)),))
             terms = []
             for code, mass in c.entry[rv]:
                 if code == SINK0:
                     continue
-                terms.append((mass, _xtask(k, code, v)))
+                terms.append((mass * inv, _xtask(k, code, v)))
             return (0.0, tuple(terms))
         _, k, pos, v = task
         c = cons[k]
         if v == 0:
             return 0.0
         if v == 1:
-            return c.prob_under[pos] * suffix[k + 1]
+            return c.prob_under[pos] * unit[k + 1 - k_lo]
         ru = c.rank[pos]
         rv = qtab.var[v]
         if ru > rv:
@@ -343,13 +396,13 @@ def _intersect(gq: Obdd, index: MvIndex, cache_conscious: bool,
 
     def _xtask(k, code, v):
         if code == SINK0:
-            return ("E", 0, 0)  # constant-zero task: any v==0 task works
+            return ("E", k_lo, 0)  # constant-zero task: any v==0 task works
         if code == SINK1:
             return ("E", k + 1, v)
         return ("X", k, code, v)
 
     memo: dict = {}
-    root = ("E", 0, gq.root)
+    root = ("E", k_lo, gq.root)
     stack = [root]
     while stack:
         task = stack[-1]
@@ -370,13 +423,15 @@ def _intersect(gq: Obdd, index: MvIndex, cache_conscious: bool,
         stack.pop()
     if stats is not None:
         stats.memo_entries = len(memo)
-    return memo[root]
+    ratio = memo[root]
+    return ratio, (index.prefix[k_lo] * ratio * scale
+                   * index.suffix[k_end])
 
 
 def mv_intersect(gq: Obdd, index: MvIndex,
                  stats: Optional[IntersectStats] = None) -> float:
     """P0(Q and not-W): top-down co-traversal guided by the query OBDD."""
-    return _intersect(gq, index, cache_conscious=False, stats=stats)
+    return _intersect(gq, index, False, stats)[1]
 
 
 def cc_mv_intersect(gq: Obdd, index: MvIndex,
@@ -384,7 +439,7 @@ def cc_mv_intersect(gq: Obdd, index: MvIndex,
     """Same value as `mv_intersect`; the scan enters each constituent at the
     query's first rank via entry tables, so expanded nodes stay inside the
     query's rank window."""
-    return _intersect(gq, index, cache_conscious=True, stats=stats)
+    return _intersect(gq, index, True, stats)[1]
 
 
 def rank_span(gq: Obdd) -> int:
@@ -413,11 +468,7 @@ def point_probability(fact: Fact, index: MvIndex) -> float:
     total = 0.0
     for pos in c.levels[r]:
         total += c.reach[pos] * c.pu(c.hi[pos])
-    others = 1.0
-    for j, other in enumerate(index.constituents):
-        if j != k:
-            others *= other.prob_root
-    return p * total * others
+    return p * total * index.prefix[k] * index.suffix[k + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -433,27 +484,34 @@ class IndexEvaluator:
         self.index = index
         self.instance = instance
         self.mode = mode
-        self.p_not_w = index.p0_not_w
         self.last_timing: dict[str, int] = {}
         self.last_stats: Optional[IntersectStats] = None
 
-    def prob_q_and_not_w(self, q: U.Ucq) -> float:
+    def _evaluate(self, q: U.Ucq) -> tuple[float, float]:
         t0 = time.perf_counter_ns()
         phi = U.lineage(q, self.instance)
         t1 = time.perf_counter_ns()
         gq = from_lineage(phi, self.index.order)
         t2 = time.perf_counter_ns()
         stats = IntersectStats()
-        if self.mode == "cc":
-            value = cc_mv_intersect(gq, self.index, stats)
-        else:
-            value = mv_intersect(gq, self.index, stats)
+        result = _intersect(gq, self.index, self.mode == "cc", stats)
         t3 = time.perf_counter_ns()
         self.last_timing = {"lineage_us": (t1 - t0) // 1000,
                             "build_us": (t2 - t1) // 1000,
                             "intersect_us": (t3 - t2) // 1000}
         self.last_stats = stats
-        return value
+        return result
+
+    def prob_q_and_not_w(self, q: U.Ucq) -> float:
+        return self._evaluate(q)[1]
+
+    def probability(self, q: U.Ucq) -> float:
+        """P(Q), normalized over the constituents in the query's window."""
+        if self.index.zero_block:
+            raise InconsistentConstraintsError(
+                "no world satisfies the hard constraints: a constraint "
+                "block has P0(not W) exactly 0")
+        return self._evaluate(q)[0]
 
 
 # ---------------------------------------------------------------------------

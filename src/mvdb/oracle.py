@@ -5,17 +5,24 @@ weight is the product of the weights of all present tuples and of all
 satisfied view features, and the signed product measure of a translated
 tuple-independent database, where per-tuple probabilities may be negative.
 Both are exact up to float arithmetic and capped at 2**20 worlds.
+
+numpy is imported by the enumerating functions themselves, so a process
+that loads mvdb but never enumerates (every CLI command except the oracle
+engine) does not load it.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import (Fact, InconsistentConstraintsError, Indb, Mvdb,
                    MvdbError, World, WorldCapError)
 from . import ucq as U
 from .obdd import Obdd
 from .translate import TranslationResult, build_indb, materialize_view
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_WORLD_CAP = 1 << 20
 
@@ -60,6 +67,7 @@ def _clause_masks(phi: U.Lineage, bits: dict[Fact, int]) -> list[int]:
 
 
 def _sat_array(masks: list[int], n: int) -> np.ndarray:
+    import numpy as np
     idx = np.arange(1 << n, dtype=np.int64)
     sat = np.zeros(1 << n, dtype=bool)
     for m in masks:
@@ -71,6 +79,7 @@ def _sat_array(masks: list[int], n: int) -> np.ndarray:
 
 
 def _obdd_sat_array(g: Obdd, bits: dict[Fact, int], n: int) -> np.ndarray:
+    import numpy as np
     idx = np.arange(1 << n, dtype=np.int64)
     memo = {0: np.zeros(1 << n, dtype=bool), 1: np.ones(1 << n, dtype=bool)}
     table = g.table
@@ -131,6 +140,7 @@ def indb_world_trace(db: Indb):
 
 
 def _world_weight_array(db: Mvdb, features, bits, n) -> np.ndarray:
+    import numpy as np
     idx = np.arange(1 << n, dtype=np.int64)
     weights = np.ones(1 << n, dtype=float)
     for f, i in bits.items():
@@ -262,6 +272,7 @@ def mln_probability(db: Mvdb, q: U.Ucq, world_cap: int = DEFAULT_WORLD_CAP,
 
 
 def _probability_array(db: Indb, prob_facts, n) -> np.ndarray:
+    import numpy as np
     idx = np.arange(1 << n, dtype=np.int64)
     weights = np.ones(1 << n, dtype=float)
     for i, f in enumerate(prob_facts):
@@ -327,19 +338,22 @@ class EnumerationEvaluator:
         _check_cap(self._n, world_cap)
         self._bits = _bit_map(prob_facts)
         self._weights = _probability_array(tr.indb, prob_facts, self._n)
-        if tr.w_query is None:
-            self._sat_w = np.zeros(1 << self._n, dtype=bool)
-        else:
-            phi_w = U.lineage(tr.w_query, self.instance)
-            self._sat_w = _sat_array(_clause_masks(phi_w, self._bits), self._n)
+        w_masks = ([] if tr.w_query is None else _clause_masks(
+            U.lineage(tr.w_query, self.instance), self._bits))
+        self._sat_w = _sat_array(w_masks, self._n)
         self.p_not_w = float(self._weights[~self._sat_w].sum())
-        self.p_w = float(self._weights[self._sat_w].sum())
-        tr.p0_w_cache.setdefault("enumeration", self.p_w)
 
     def prob_q_and_not_w(self, q: U.Ucq) -> float:
         phi_q = U.lineage(q, self.instance)
         sat_q = _sat_array(_clause_masks(phi_q, self._bits), self._n)
         return float(self._weights[sat_q & ~self._sat_w].sum())
+
+    def probability(self, q: U.Ucq) -> float:
+        """P(Q) = P0(Q and not-W) / P0(not-W) over the whole database."""
+        if self.p_not_w == 0.0:
+            raise InconsistentConstraintsError(
+                "no world satisfies the hard constraints")
+        return self.prob_q_and_not_w(q) / self.p_not_w
 
 
 def translation_check(db: Mvdb, q: U.Ucq,

@@ -16,13 +16,13 @@ frozen evaluator is safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Protocol
 
 from .core import (INF, VIEW_AUX, Attribute, Fact, HardConstraintError,
-                   InconsistentConstraintsError, InvalidViewError, Indb,
-                   Mvdb, MvdbError, QueryParseError, Relation, Schema)
+                   InvalidViewError, Indb, Mvdb, MvdbError, QueryParseError,
+                   Relation, Schema)
 from . import ucq as U
 
 
@@ -89,14 +89,6 @@ class TranslationResult:
     w_query: Optional[U.Ucq]  # disjunction of the components; None if no views
     materializations: tuple
     source: Mvdb
-    p0_w_cache: dict = field(default_factory=dict, compare=False)
-
-    @property
-    def p0_w(self) -> Optional[float]:
-        """P0(W) as cached by whichever evaluator computed it first."""
-        for value in self.p0_w_cache.values():
-            return value
-        return None
 
 
 def _head_types(view: U.MarkoView, schema: Schema) -> list[str]:
@@ -179,11 +171,11 @@ def build_indb(db: Mvdb, denial_shortcut: bool = True) -> TranslationResult:
 
 
 class Evaluator(Protocol):
-    """Anything that can compute P0(Q and not-W) against a translation."""
+    """Anything that can compute P(Q) for a Boolean query against a
+    translation, raising `InconsistentConstraintsError` when no world
+    satisfies the hard constraints."""
 
-    p_not_w: float
-
-    def prob_q_and_not_w(self, q: U.Ucq) -> float: ...
+    def probability(self, q: U.Ucq) -> float: ...
 
 
 def check_query_relations(q: U.Ucq, schema: Schema):
@@ -199,11 +191,7 @@ def query_probability(q: U.Ucq, tr: TranslationResult,
     if not q.is_boolean():
         raise MvdbError("query_probability expects a Boolean query")
     check_query_relations(q, tr.indb.schema)
-    p_not_w = evaluator.p_not_w
-    if p_not_w == 0.0:
-        raise InconsistentConstraintsError(
-            "no world satisfies the hard constraints")
-    return evaluator.prob_q_and_not_w(q) / p_not_w
+    return evaluator.probability(q)
 
 
 def answer_query(q: U.Ucq, tr: TranslationResult,

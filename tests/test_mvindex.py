@@ -10,9 +10,9 @@ from mvdb import (EnumerationEvaluator, Fact, IndexEvaluator, IndexFormatError,
                   IntersectStats, Lineage, Mvdb, OrderMismatchError,
                   build_indb, build_index, cc_mv_intersect, deserialize,
                   from_lineage, lineage, mv_intersect, parse_query,
-                  parse_view, point_probability, query_probability, rank_span,
-                  serialize)
-from mvdb.mvindex import Constituent
+                  parse_schema, parse_view, point_probability,
+                  query_probability, rank_span, serialize)
+from mvdb.mvindex import Constituent, MvIndex
 from mvdb.obdd import PermutationSet, con_obdd
 
 from helpers import (EX1_SCHEMA, RAND_SCHEMA, TWO_TABLE_SCHEMA, example1,
@@ -350,3 +350,110 @@ def test_cc_selective_query_visits_only_its_window():
     assert got == pytest.approx(ev.prob_q_and_not_w(q), abs=1e-12)
     assert stats.visited <= 1 * max(1, idx.max_width())
     assert stats.visited < sum(c.n for c in idx.constituents)
+
+
+# -- window-local intersection --------------------------------------------------
+
+BLOCK_SCHEMA = parse_schema("""
+relation R(x:int) key(x) probabilistic
+relation S(x:int) key(x) probabilistic
+""")
+N_BLOCKS = 400
+
+
+def _many_blocks(w):
+    """N_BLOCKS independent denial blocks ``V(x)[0] :- R(x), S(x)``, every
+    tuple at weight *w*: P(R(i)) = w / (1 + 2w) in each block."""
+    facts = [(Fact(rel, (i,)), w) for i in range(N_BLOCKS)
+             for rel in ("R", "S")]
+    db = Mvdb(BLOCK_SCHEMA, facts,
+              [parse_view("V(x) [0] :- R(x), S(x)", BLOCK_SCHEMA)])
+    tr = build_indb(db)
+    return tr, build_index(tr)
+
+
+@pytest.fixture(scope="module")
+def blocks_1e3():
+    return _many_blocks(1e3)
+
+
+def test_window_normalization_survives_p0_not_w_underflow(blocks_1e3):
+    tr, idx = blocks_1e3
+    w = 1e3
+    assert len(idx.constituents) == N_BLOCKS
+    assert idx.p0_not_w == 0.0 and not idx.zero_block
+    one = w / (1 + 2 * w)
+    cases = {f"Q() :- R({N_BLOCKS - 1})": one,
+             "Q() :- R(0)": one,
+             # windows spanning every block: their own product underflows too
+             f"Q() :- R(0), R({N_BLOCKS - 1})": one * one,
+             "Q() :- R(x)": 1 - ((1 + w) / (1 + 2 * w)) ** N_BLOCKS}
+    inst = tr.indb.possible_instance()
+    for mode in ("cc", "mv"):
+        ev = IndexEvaluator(idx, inst, mode)
+        for text, want in cases.items():
+            got = query_probability(parse_query(text, BLOCK_SCHEMA), tr, ev)
+            assert got == pytest.approx(want, abs=1e-9), (mode, text)
+
+
+def test_zero_block_inside_the_window():
+    # Signed probabilities with P0(R(1) and S(1)) = 1 make block 1's root
+    # probability exactly 0.0; the global P0(Q and not-W) must still match
+    # the world sum whether the query reaches block 1 or only spans it.
+    facts = [(Fact(rel, (i,)), 1.0) for i in range(3) for rel in ("R", "S")]
+    db = Mvdb(BLOCK_SCHEMA, facts,
+              [parse_view("V(x) [0] :- R(x), S(x)", BLOCK_SCHEMA)])
+    tr = build_indb(db)
+    base = build_index(tr)
+    signed = {Fact("R", (1,)): 2.0, Fact("S", (1,)): 0.5}
+    probs = [signed.get(f, 0.3) for f in base.order.facts]
+    cons = []
+    for c in base.constituents:
+        fresh = Constituent(c.key, c.root_code, c.rank, c.lo, c.hi)
+        fresh.compute_annotations(probs)
+        fresh.derive(probs)
+        cons.append(fresh)
+    idx = MvIndex(cons, base.order, probs, base.pi, base.schema_digest)
+    assert idx.zero_block and idx.p0_not_w == 0.0
+    bit = {f: 1 << r for r, f in enumerate(idx.order.facts)}
+    blocks = [bit[Fact("R", (i,))] | bit[Fact("S", (i,))] for i in range(3)]
+    inst = tr.indb.possible_instance()
+    for text in ("Q() :- R(0)", "Q() :- R(1)", "Q() :- R(0) ; R(2)",
+                 "Q() :- R(0), S(2)", "Q() :- S(x)"):
+        phi = lineage(parse_query(text, BLOCK_SCHEMA), inst)
+        clauses = [sum(bit[f] for f in cl) for cl in phi.clauses]
+        want = signed_world_sum(probs, lambda m: (
+            any(m & cl == cl for cl in clauses)
+            and not any(m & b == b for b in blocks)))
+        gq = from_lineage(phi, idx.order)
+        for fn in (mv_intersect, cc_mv_intersect):
+            assert fn(gq, idx) == pytest.approx(want, abs=1e-12), (fn, text)
+
+
+def test_point_query_cost_independent_of_position(blocks_1e3):
+    tr, idx = blocks_1e3
+    inst = tr.indb.possible_instance()
+    for fn in (mv_intersect, cc_mv_intersect):
+        counts = []
+        for i in (0, N_BLOCKS // 2, N_BLOCKS - 1):
+            q = parse_query(f"Q() :- R({i})", BLOCK_SCHEMA)
+            gq = from_lineage(lineage(q, inst), idx.order)
+            stats = IntersectStats()
+            fn(gq, idx, stats)
+            counts.append(stats.memo_entries)
+            assert stats.visited <= rank_span(gq) * idx.max_width()
+        assert counts[0] == counts[1] == counts[2], fn.__name__
+
+
+def test_point_probability_matches_cc_on_many_blocks():
+    # weight 2 keeps P0(not W) = (5/9)^400 representable, so the global
+    # values compared here are not both underflowed to 0.0
+    tr, idx = _many_blocks(2.0)
+    assert idx.p0_not_w > 0.0
+    inst = tr.indb.possible_instance()
+    for i in (0, N_BLOCKS // 2, N_BLOCKS - 1):
+        fact = Fact("R", (i,))
+        q = parse_query(f"Q() :- R({i})", BLOCK_SCHEMA)
+        want = cc_mv_intersect(from_lineage(lineage(q, inst), idx.order), idx)
+        assert point_probability(fact, idx) == pytest.approx(
+            want, rel=1e-12, abs=1e-12)

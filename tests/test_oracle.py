@@ -1,6 +1,9 @@
 """Enumeration oracles: world traces, signed measures, translation checks."""
 
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +11,7 @@ from mvdb import (Fact, Indb, Lineage, Mvdb, WorldCapError, build_indb,
                   indb_probability, indb_world_trace, lineage,
                   mln_probability, mln_world_trace, parse_query,
                   translation_check)
+import mvdb
 from mvdb.core import INF
 from mvdb.oracle import KahanSum
 
@@ -212,3 +216,11 @@ def test_mln_probability_valid_query_is_one():
     db = Mvdb(RAND_SCHEMA, facts, [])
     q = parse_query("Q() :- D('a0')", RAND_SCHEMA)
     assert mln_probability(db, q) == 1.0
+
+
+def test_loading_mvdb_does_not_import_numpy():
+    # only enumeration needs numpy; the engine and the CLI must not pay for it
+    src = str(Path(mvdb.__file__).resolve().parent.parent)
+    code = ("import sys; import mvdb, mvdb.cli, mvdb.oracle; "
+            "sys.exit('numpy' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code], cwd=src).returncode == 0
