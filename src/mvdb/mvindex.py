@@ -43,7 +43,7 @@ from .core import (Fact, InconsistentConstraintsError, Indb, Instance,
                    IndexFormatError, MvdbError, OrderMismatchError)
 from . import ucq as U
 from .obdd import (NodeTable, Obdd, PermutationSet, VariableOrder, con_obdd,
-                   choose_pi, from_lineage, tuple_order)
+                   choose_pi, from_lineage, shannon_values, tuple_order)
 from .translate import TranslationResult
 
 SINK0 = -1
@@ -123,7 +123,20 @@ class Constituent:
                     self.reach[self.hi[pos]] += self.reach[pos] * p
 
     def derive(self, probs):
-        """Per-level node lists, entry tables, and cut levels."""
+        """Per-level node lists, entry tables, and cut levels.
+
+        ``entry[r]`` lists, sorted by code, every node or sink that an edge
+        from a rank below r reaches at rank r or later, with the signed mass
+        of those edges; at the root's rank it is the root alone.  One
+        top-down sweep builds them: entry(r) is entry(r-1) minus the
+        level-(r-1) nodes, plus their children, each child carrying
+        ``reach[pos]`` times 1-p (low edge) or p (high edge); sink entries
+        carry forward.  The cost is O(n + sum of |entry|) plus one sort per
+        entry table, not a rescan of every node per rank.  It relies on the
+        root holding the lowest rank and on every edge pointing to a
+        strictly greater rank, which `deserialize` checks.  A rank is a cut
+        rank when its entry holds only nodes of that rank.
+        """
         self.prob_root = self.pu(self.root_code)
         self.levels = {}
         for pos in range(self.n):
@@ -132,27 +145,19 @@ class Constituent:
         self.cut_ranks = set()
         if not self.n:
             return
-        root_rank = self.rank[0]
+        frontier: dict[int, float] = {0: 1.0}
         for r in range(self.rank_lo, self.rank_hi + 1):
-            if root_rank >= r:
-                table = [(0, 1.0)]
-            else:
-                masses: dict[int, float] = {}
-                for pos in range(self.n):
-                    if self.rank[pos] >= r:
-                        continue
-                    p = probs[self.rank[pos]]
-                    for child, factor in ((self.lo[pos], 1.0 - p),
-                                          (self.hi[pos], p)):
-                        child_rank = (self.rank[child] if child >= 0
-                                      else math.inf)
-                        if child_rank >= r:
-                            masses[child] = (masses.get(child, 0.0)
-                                             + self.reach[pos] * factor)
-                table = sorted(masses.items())
+            table = sorted(frontier.items())
             self.entry[r] = table
             if all(c >= 0 and self.rank[c] == r for c, _ in table):
                 self.cut_ranks.add(r)
+            p = probs[r]
+            for pos in self.levels.get(r, ()):
+                frontier.pop(pos, None)
+                for child, factor in ((self.lo[pos], 1.0 - p),
+                                      (self.hi[pos], p)):
+                    frontier[child] = (frontier.get(child, 0.0)
+                                       + self.reach[pos] * factor)
 
     def size(self) -> int:
         return self.n + 2
@@ -294,16 +299,6 @@ class IntersectStats:
             self.visited += 1
 
 
-def _query_tail(gq: Obdd, probs) -> dict[int, float]:
-    """Plain probability of every query sub-diagram (for chain tails)."""
-    table = gq.table
-    tail = {0: 0.0, 1: 1.0}
-    for u in sorted(gq.reachable(), key=lambda v: table.var[v], reverse=True):
-        p = probs[table.var[u]]
-        tail[u] = (1.0 - p) * tail[table.lo[u]] + p * tail[table.hi[u]]
-    return tail
-
-
 def _window(gq: Obdd, index: MvIndex) -> tuple[int, int]:
     """Constituents k_lo..k_end-1: those whose rank ranges meet the query's.
 
@@ -343,7 +338,7 @@ def _intersect(gq: Obdd, index: MvIndex, cache_conscious: bool,
         scale *= root or 1.0
     probs = index.probs
     qtab = gq.table
-    tail = _query_tail(gq, probs)
+    tail = shannon_values(gq, probs)
 
     def expand(task):
         kind = task[0]
@@ -639,6 +634,31 @@ def serialize(index: MvIndex) -> bytes:
     return body + struct.pack("<I", zlib.crc32(body))
 
 
+def _check_layout(c: Constituent, n_ranks: int):
+    """Reject a constituent the traversals cannot walk: the root must be
+    position 0 and hold the lowest rank (or be a sink when there are no
+    nodes), every rank must lie in the order, and every child must be a
+    sink or a position of a strictly greater rank."""
+    if not c.n:
+        if c.root_code not in (SINK0, SINK1):
+            raise IndexFormatError("empty constituent without a sink root")
+        return
+    if c.root_code != 0:
+        raise IndexFormatError(f"root position {c.root_code} is not 0")
+    if c.rank_lo < 0 or c.rank_hi >= n_ranks:
+        raise IndexFormatError("rank outside the variable order")
+    if c.rank[0] != c.rank_lo:
+        raise IndexFormatError("root does not hold the lowest rank")
+    rank = c.rank
+    for pos in range(c.n):
+        for child in (c.lo[pos], c.hi[pos]):
+            if child != SINK0 and child != SINK1 and not (
+                    0 <= child < c.n and rank[child] > rank[pos]):
+                raise IndexFormatError(
+                    f"child code {child} of position {pos} is neither a "
+                    "sink nor a later position")
+
+
 def deserialize(buf: bytes) -> MvIndex:
     if len(buf) < 8:
         raise IndexFormatError("truncated index file")
@@ -677,8 +697,12 @@ def deserialize(buf: bytes) -> MvIndex:
         pu = [r.f64() for _ in range(n)]
         reach = [r.f64() for _ in range(n)]
         c = Constituent(key, root_code, rank, lo, hi, pu, reach)
+        _check_layout(c, len(order))
         c.derive(probs)
         constituents.append(c)
+    spans = sorted((c.rank_lo, c.rank_hi) for c in constituents if c.n)
+    if any(a[1] >= b[0] for a, b in zip(spans, spans[1:])):
+        raise IndexFormatError("constituent rank ranges overlap")
     for _ in range(r.u32()):  # inter index entries (derivable; format keeps them)
         r.u32()
         r.u32()

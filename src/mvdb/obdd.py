@@ -8,6 +8,12 @@ the recursive query compiler `con_obdd` chooses between them: independent
 parts whose variable ranges are consecutive in the order are concatenated,
 everything else is synthesized.
 
+Query lineage goes through `from_lineage`, which ORs one chain per clause
+into the result from the highest first rank down.  Every apply then stops
+where that clause's path resolves, so a lineage costs about the result's
+size plus the clause lengths; ORing the clauses in ascending order walked
+the whole accumulator once per clause.
+
 Finished OBDDs are immutable and shareable; construction is single-threaded.
 """
 
@@ -318,28 +324,50 @@ def concatenate(op: str, g1: Obdd, g2: Obdd) -> Obdd:
 
 def from_lineage(phi: U.Lineage, order: VariableOrder,
                  table: Optional[NodeTable] = None) -> Obdd:
-    """Reduced OBDD of a monotone DNF under a fixed order."""
+    """Reduced OBDD of a monotone DNF under a fixed order.
+
+    Each clause becomes a chain of nodes, ORed into the result with
+    `synthesize`.  The clauses go in by their ascending rank lists in
+    descending lexicographic order, so by first rank from the highest down.
+    Everything already folded in then starts at or after the new clause's
+    first rank, so the apply stops where the clause's path resolves and
+    never walks the accumulator past it; among clauses with the same first
+    rank, the one whose next rank is later goes in first, which leaves less
+    of the accumulator to rebuild.  The cost is about the result's size plus
+    the clause lengths, not a full apply per clause.
+    """
     t = table if table is not None else NodeTable(order)
-    root = 0
+    clauses = []
     for clause in phi.clauses:
-        ranks = sorted((order.rank_of(f) for f in clause), reverse=True)
-        acc = 1
-        for r in ranks:
-            acc = t.make(r, 0, acc)
-        root = synthesize("or", Obdd(t, root), Obdd(t, acc)).root
-        if root == 1:
-            break
+        if not clause:
+            return Obdd(t, 1)
+        clauses.append(sorted(order.rank_of(f) for f in clause))
+    clauses.sort(reverse=True)
+    root = 0
+    for ranks in clauses:
+        chain = 1
+        for r in reversed(ranks):
+            chain = t.make(r, 0, chain)
+        root = synthesize("or", Obdd(t, chain), Obdd(t, root)).root
     return Obdd(t, root)
 
 
-def shannon_probability(g: Obdd, probs) -> float:
-    """Bottom-up Shannon expansion; probabilities may be negative."""
+def shannon_values(g: Obdd, probs) -> dict[int, float]:
+    """Bottom-up Shannon expansion: the probability of every sub-diagram
+    reachable from the root, keyed by node (sinks included).  Probabilities
+    may be negative."""
     p_of = probs.__getitem__ if not callable(probs) else probs
+    var, lo, hi = g.table.var, g.table.lo, g.table.hi
     values = {0: 0.0, 1: 1.0}
-    for u in sorted(g.reachable(), key=lambda n: g.table.var[n], reverse=True):
-        p = p_of(g.table.var[u])
-        values[u] = (1.0 - p) * values[g.table.lo[u]] + p * values[g.table.hi[u]]
-    return values[g.root]
+    for u in sorted(g.reachable(), key=var.__getitem__, reverse=True):
+        p = p_of(var[u])
+        values[u] = (1.0 - p) * values[lo[u]] + p * values[hi[u]]
+    return values
+
+
+def shannon_probability(g: Obdd, probs) -> float:
+    """Probability of the root under `shannon_values`."""
+    return shannon_values(g, probs)[g.root]
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,19 @@
 """Shared builders and independent brute-force checkers for the tests.
 
 Everything here is deliberately naive: truth tables, explicit world sums,
-plain subset enumeration.  The engine must agree with these, never the
-other way around.
+plain subset enumeration, and the direct, slower forms of layers the engine
+computes faster.  The engine must agree with these, never the other way
+around.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
-from mvdb import (Fact, Mvdb, parse_schema, parse_query, parse_view)
+from mvdb import (Fact, Mvdb, NodeTable, Obdd, parse_schema, parse_query,
+                  parse_view, synthesize)
 
 EX1_SCHEMA = parse_schema("""
 relation R(x:string) key(x) probabilistic
@@ -20,6 +23,12 @@ relation S(x:string) key(x) probabilistic
 TWO_TABLE_SCHEMA = parse_schema("""
 relation R(x:string) key(x) probabilistic
 relation S(x:string, y:string) key(x,y) probabilistic
+""")
+
+CHAIN_SCHEMA = parse_schema("""
+relation R(x:string) key(x) probabilistic
+relation S(x:string, y:string) key(x,y) probabilistic
+relation T(y:string) key(y) probabilistic
 """)
 
 RAND_SCHEMA = parse_schema("""
@@ -44,6 +53,77 @@ def two_table_db(weight=1.0) -> Mvdb:
              (Fact("S", ("a1", "b1")), weight), (Fact("S", ("a1", "b2")), weight),
              (Fact("S", ("a2", "b3")), weight), (Fact("S", ("a2", "b4")), weight)]
     return Mvdb(TWO_TABLE_SCHEMA, facts, [])
+
+
+def chain_mvdb(n: int, seed: int = 7) -> Mvdb:
+    """R(k_i), S(k_i, k_i), S(k_i, k_{i+1}), T(k_j) for i < n, j <= n, with
+    the soft view V(x, y) [0.5] :- R(x), S(x, y), T(y).  Neighbours share a
+    T tuple, so W has no separator and compiles to one constituent."""
+    rng = random.Random(seed)
+    weights = (0.5, 1.0, 2.0)
+    k = [f"k{i:04d}" for i in range(n + 1)]
+    facts = []
+    for i in range(n):
+        facts.append((Fact("R", (k[i],)), rng.choice(weights)))
+        for j in (i, i + 1):
+            facts.append((Fact("S", (k[i], k[j])), rng.choice(weights)))
+    facts += [(Fact("T", (c,)), rng.choice(weights)) for c in k]
+    view = parse_view("V(x, y) [0.5] :- R(x), S(x, y), T(y)", CHAIN_SCHEMA)
+    return Mvdb(CHAIN_SCHEMA, facts, [view])
+
+
+def chain_window(lo: int, hi: int):
+    """Boolean chain query over positions lo <= i < hi."""
+    return parse_query(f"Q() :- R(x), S(x, y), T(y), x >= 'k{lo:04d}', "
+                       f"x < 'k{hi:04d}'", CHAIN_SCHEMA)
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations of layers the engine computes faster
+# ---------------------------------------------------------------------------
+
+def from_lineage_clausewise(phi, order, table=None) -> Obdd:
+    """OR the clause chains into the result one at a time, in the lineage's
+    order, with the accumulator on the left: one full apply per clause."""
+    t = table if table is not None else NodeTable(order)
+    root = 0
+    for clause in phi.clauses:
+        ranks = sorted((order.rank_of(f) for f in clause), reverse=True)
+        acc = 1
+        for r in ranks:
+            acc = t.make(r, 0, acc)
+        root = synthesize("or", Obdd(t, root), Obdd(t, acc)).root
+        if root == 1:
+            break
+    return Obdd(t, root)
+
+
+def entry_tables_rescan(c, probs):
+    """Entry tables and cut ranks of constituent *c* by rescanning every node
+    once per rank: entry[r] sums, per child at rank >= r, the mass
+    reach[pos] * (1-p or p) of every edge from a node of rank < r."""
+    entry, cut = {}, set()
+    if not c.n:
+        return entry, cut
+    for r in range(c.rank_lo, c.rank_hi + 1):
+        if c.rank[0] >= r:
+            table = [(0, 1.0)]
+        else:
+            masses = {}
+            for pos in range(c.n):
+                if c.rank[pos] >= r:
+                    continue
+                p = probs[c.rank[pos]]
+                for child, factor in ((c.lo[pos], 1.0 - p), (c.hi[pos], p)):
+                    child_rank = c.rank[child] if child >= 0 else math.inf
+                    if child_rank >= r:
+                        masses[child] = (masses.get(child, 0.0)
+                                         + c.reach[pos] * factor)
+            table = sorted(masses.items())
+        entry[r] = table
+        if all(code >= 0 and c.rank[code] == r for code, _ in table):
+            cut.add(r)
+    return entry, cut
 
 
 def obdd_models(g, n_vars: int) -> set[int]:

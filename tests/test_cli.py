@@ -177,6 +177,20 @@ def test_stale_index_detected(project):
     assert rc == EXIT_INPUT
 
 
+def test_malformed_index_structure_exit_code(project, capsys):
+    from mvdb import load_index, serialize
+    run(["compile", "--project", str(project)])
+    path = project / "index.mvx"
+    index = load_index(path)
+    index.constituents[0].lo[0] = 10000
+    path.write_bytes(serialize(index))
+    capsys.readouterr()
+    rc, _ = run(["query", "--project", str(project), "Q() :- Student(1, y)"])
+    assert rc == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "child code 10000" in err
+
+
 def test_oracle_command(project):
     rc, text = run(["oracle", "--project", str(project), "--tsv",
                     "Q() :- Advisor(1, a), Student(1, y)"])

@@ -15,9 +15,9 @@ from mvdb import (EnumerationEvaluator, Fact, IndexEvaluator, IndexFormatError,
 from mvdb.mvindex import Constituent, MvIndex
 from mvdb.obdd import PermutationSet, con_obdd
 
-from helpers import (EX1_SCHEMA, RAND_SCHEMA, TWO_TABLE_SCHEMA, example1,
-                     random_boolean_query, signed_world_sum,
-                     two_table_db, viable_random_mvdb)
+from helpers import (EX1_SCHEMA, RAND_SCHEMA, TWO_TABLE_SCHEMA, chain_mvdb,
+                     entry_tables_rescan, example1, random_boolean_query,
+                     signed_world_sum, two_table_db, viable_random_mvdb)
 
 
 def _ex1_index(w=0.5):
@@ -126,6 +126,23 @@ def test_frontier_identities():
                 total = sum(c.reach[pos] * c.prob_under[pos]
                             for pos in c.levels[r])
                 assert total == pytest.approx(c.prob_root, abs=1e-12)
+
+
+def test_derive_sweep_matches_rescan_reference():
+    indices = [build_index(build_indb(chain_mvdb(n))) for n in (20, 40)]
+    indices += [build_index(viable_random_mvdb(seed)[1])
+                for seed in (0, 3, 5, 8, 11)]
+    assert any(len(idx.constituents) > 1 for idx in indices)
+    for idx in indices:
+        for c in idx.constituents:
+            entry, cut = entry_tables_rescan(c, idx.probs)
+            assert c.entry.keys() == entry.keys()
+            for r, table in entry.items():
+                assert [code for code, _ in c.entry[r]] == \
+                    [code for code, _ in table], f"codes at rank {r}"
+                for (_, got), (_, want) in zip(c.entry[r], table):
+                    assert got == pytest.approx(want, abs=1e-12)
+            assert c.cut_ranks == cut
 
 
 # -- point probability ---------------------------------------------------------------
@@ -308,6 +325,76 @@ def test_deserialize_truncation():
     blob = serialize(_ex1_index()[2])
     with pytest.raises(IndexFormatError):
         deserialize(blob[: len(blob) // 2])
+
+
+def _denial_index():
+    facts = [(Fact("S", ("a1", "b1")), 1.0), (Fact("S", ("a1", "b2")), 1.0),
+             (Fact("S", ("a2", "b1")), 2.0), (Fact("S", ("a2", "b2")), 0.5),
+             (Fact("S", ("a2", "b3")), 1.0)]
+    db = Mvdb(TWO_TABLE_SCHEMA, facts,
+              [parse_view("V(x, y, z) [0] :- S(x, y), S(x, z), y != z",
+                          TWO_TABLE_SCHEMA)])
+    return build_index(build_indb(db))
+
+
+def _tampered(index, edit) -> bytes:
+    """The index's file with *edit* applied to a fresh copy of its
+    constituents; `serialize` writes a valid checksum over the change."""
+    copy = deserialize(serialize(index))
+    edit(copy.constituents, len(copy.order))
+    return serialize(copy)
+
+
+def _child_out_of_range(cons, n_ranks):
+    cons[0].lo[0] = 10000
+
+
+def _backward_edge(cons, n_ranks):
+    c = cons[0]
+    c.hi[c.n - 1] = 0
+
+
+def _rank_outside_order(cons, n_ranks):
+    c = cons[-1]
+    c.rank[c.n - 1] = n_ranks
+
+
+def _root_not_position_zero(cons, n_ranks):
+    cons[0].root_code = 1
+
+
+def _root_not_lowest_rank(cons, n_ranks):
+    c = cons[1]
+    c.rank[c.n - 1] = c.rank_lo - 1
+
+
+def _empty_with_node_root(cons, n_ranks):
+    c = cons[0]
+    c.rank = c.lo = c.hi = c.prob_under = c.reach = []
+    c.n = 0
+
+
+def _overlapping_ranges(cons, n_ranks):
+    shift = cons[1].rank_lo - cons[0].rank_lo
+    cons[1].rank = [r - shift for r in cons[1].rank]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_child_out_of_range, "child code 10000"),
+    (_backward_edge, "child code 0"),
+    (_rank_outside_order, "outside the variable order"),
+    (_root_not_position_zero, "root position 1"),
+    (_root_not_lowest_rank, "lowest rank"),
+    (_empty_with_node_root, "without a sink root"),
+    (_overlapping_ranges, "overlap"),
+])
+def test_deserialize_rejects_malformed_structure(edit, message):
+    idx = _denial_index()
+    assert len(idx.constituents) == 2
+    assert all(c.n > 1 for c in idx.constituents)
+    deserialize(_tampered(idx, lambda cons, n: None))  # an unedited copy loads
+    with pytest.raises(IndexFormatError, match=message):
+        deserialize(_tampered(idx, edit))
 
 
 def test_deserialized_index_answers_queries():

@@ -11,9 +11,10 @@ from mvdb import (Fact, Mvdb, NodeTable, Obdd, OrderMismatchError,
                   tuple_order)
 from mvdb.ucq import Lineage
 
-from helpers import (RAND_SCHEMA, TWO_TABLE_SCHEMA, lineage_models,
-                     obdd_models, random_boolean_query, random_mvdb,
-                     signed_world_sum, two_table_db)
+from helpers import (RAND_SCHEMA, TWO_TABLE_SCHEMA, chain_mvdb, chain_window,
+                     from_lineage_clausewise, lineage_models, obdd_models,
+                     random_boolean_query, random_mvdb, signed_world_sum,
+                     two_table_db)
 
 
 def _assert_ordered_reduced(g: Obdd):
@@ -77,6 +78,47 @@ def test_from_lineage_two_table_semantics():
     # (X1 and (Y1 or Y2)) or (X2 and (Y3 or Y4)): six internal nodes
     assert g.size() == 8
     assert g.width() == 1
+
+
+def test_from_lineage_matches_clausewise_reference_on_random_dnfs():
+    rng = random.Random(41)
+    order = VariableOrder([Fact("R", (f"c{i}",)) for i in range(8)])
+    t = NodeTable(order)
+    for _ in range(200):
+        phi = Lineage.normalize(
+            frozenset(Fact("R", (f"c{i}",))
+                      for i in rng.sample(range(8), rng.randint(0, 4)))
+            for _ in range(rng.randint(0, 6)))
+        g = from_lineage(phi, order, t)
+        assert g.root == from_lineage_clausewise(phi, order, t).root
+        _assert_ordered_reduced(g)
+
+
+def _chain_index(n):
+    from mvdb import build_index, build_indb
+    tr = build_indb(chain_mvdb(n))
+    return tr, build_index(tr)
+
+
+def test_from_lineage_matches_clausewise_reference_on_chain_windows():
+    tr, idx = _chain_index(20)
+    inst = tr.indb.possible_instance()
+    t = NodeTable(idx.order)
+    for lo, hi in ((0, 1), (3, 9), (12, 20), (0, 20)):
+        phi = lineage(chain_window(lo, hi), inst)
+        g = from_lineage(phi, idx.order, t)
+        assert g.root == from_lineage_clausewise(phi, idx.order, t).root
+
+
+def test_from_lineage_table_growth_is_linear_in_the_result():
+    # ORing 320 clauses one full apply at a time left 178,886 nodes in the
+    # table for this 1,120-node result
+    tr, idx = _chain_index(160)
+    phi = lineage(chain_window(0, 160), tr.indb.possible_instance())
+    assert len(phi.clauses) == 320
+    t = NodeTable(idx.order)
+    g = from_lineage(phi, idx.order, t)
+    assert len(t) <= 2 * g.size() + 16
 
 
 # -- synthesize ----------------------------------------------------------------
