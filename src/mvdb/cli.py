@@ -4,6 +4,15 @@ Project layout: a directory holding ``schema.txt``, ``views.txt`` and
 ``data/<Relation>.tsv`` (one TSV per relation).  The compiled index lives in
 ``index.mvx`` inside the project unless ``--index`` says otherwise.
 
+``compile`` pays for the translation and the compilation of W once.  The
+online path of ``query --engine {ccmv,mv}`` does neither: it loads the
+project and the index, compares the index's source digest with the
+project's (`Mvdb.digest`; any change to schema, views or data means
+recompile), and answers against the base possible instance.  Queries are
+parsed against the base schema, so they cannot name an auxiliary relation
+and need none of its tuples.  ``--engine oracle`` translates and
+enumerates.
+
 Exit codes: 0 success, 1 usage, 2 input error, 3 inconsistent constraints,
 4 world cap exceeded.
 """
@@ -20,7 +29,7 @@ from .core import (DataError, InconsistentConstraintsError, IndexFormatError,
                    QueryParseError, SchemaError, WorldCapError, load_data,
                    load_schema)
 from . import ucq as U
-from .translate import answer_query, build_indb, load_views
+from .translate import answer_query, answer_rows, build_indb, load_views
 from .oracle import DEFAULT_WORLD_CAP, EnumerationEvaluator, translation_check
 from .mvindex import (IndexEvaluator, build_index, load_index, save_index,
                       SINK0, SINK1)
@@ -101,30 +110,20 @@ def cmd_compile(args, out) -> int:
     return EXIT_OK
 
 
-def _check_index_matches(index, tr):
-    facts = tr.indb.probabilistic_facts()
-    if len(facts) != len(index.order):
-        raise DataError("index does not match the project data; recompile")
-    for f in facts:
-        r = index.order.rank.get(f)
-        if r is None or index.probs[r] != tr.indb.probability(f):
-            raise DataError("index does not match the project data; recompile")
-
-
 def cmd_query(args, out) -> int:
     db = _load_project(args.project)
-    tr = build_indb(db)
     q = U.parse_query(args.query, db.schema)
     if args.engine == "oracle":
+        tr = build_indb(db)
         evaluator = EnumerationEvaluator(tr, world_cap=args.world_cap)
+        results = answer_query(q, tr, evaluator)
     else:
         index = load_index(_index_path(args))
-        if index.schema_digest != db.schema.digest():
-            raise DataError("index was compiled for a different schema")
-        _check_index_matches(index, tr)
+        if index.source_digest != db.digest():
+            raise DataError("index does not match the project; recompile")
         mode = "cc" if args.engine == "ccmv" else "mv"
-        evaluator = IndexEvaluator(index, tr.indb.possible_instance(), mode)
-    results = answer_query(q, tr, evaluator)
+        evaluator = IndexEvaluator(index, db.possible_instance(), mode)
+        results = answer_rows(q, evaluator.instance, evaluator)
     for _, p in results:
         if not (-args.tolerance <= p <= 1.0 + args.tolerance):
             raise MvdbError(f"probability {p!r} outside [0, 1] beyond "

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 import re
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple
@@ -321,6 +322,18 @@ class Mvdb(_Database):
         kind = self.schema.relation(fact.relation).kind
         if kind == DETERMINISTIC and w != INF:
             raise DataError(f"{fact}: deterministic relation requires weight inf")
+
+    def digest(self) -> str:
+        """sha256 over the schema, the views and every (fact, weight) in
+        load order.  Load order counts: it fixes the active-domain order
+        and so the tuple order of a compiled index."""
+        h = hashlib.sha256(self.schema.canonical_text().encode())
+        h.update(repr(self.views).encode())
+        # Plain tuples and raw float64 bytes: half the cost of a repr of
+        # the Fact records and their weights.
+        h.update(repr([tuple(f) for f in self.weights]).encode())
+        h.update(array("d", self.weights.values()).tobytes())
+        return h.hexdigest()
 
 
 class Indb(_Database):

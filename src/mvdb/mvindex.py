@@ -27,14 +27,37 @@ is exactly 0.0, i.e. one block is contradictory on its own.
 
 The index is immutable after build; every query owns its own memo table, so
 concurrent evaluation is safe.
+
+The ``.mvx`` file (format version 2, `serialize` and `deserialize`) is:
+
+* a header: the magic ``MVIX``, the u32 version, the 32-byte sha256 source
+  digest (`Mvdb.digest`) and the u32 length of the JSON section;
+* one compact JSON section with sorted keys: ``pi`` (the permutations),
+  ``relations`` (names), ``facts`` (the tuple order, one
+  ``[relation index, value, ...]`` row per tuple) and ``constituents`` (one
+  ``[key, root code, node count]`` head each).  Ints of any size and strings
+  round-trip exactly;
+* little-endian typed blocks: ``probs`` (f64 per tuple), then ``rank``,
+  ``lo``, ``hi`` (i32) and ``prob_under``, ``reach`` (f64), each the
+  concatenation over the constituents in index order;
+* a CRC-32 of everything before it.
+
+Nothing derivable is stored: the loader rebuilds root probabilities, entry
+tables and the tuple-to-constituent index.  It checks every count against
+the bytes present before decoding a block, and every constituent's structure
+before deriving from it; any defect is an `IndexFormatError`.  Compiles are
+byte-reproducible.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import struct
+import sys
 import time
 import zlib
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Optional
@@ -50,7 +73,12 @@ SINK0 = -1
 SINK1 = -2
 
 _MAGIC = b"MVIX"
-_VERSION = 1
+_VERSION = 2
+_HEADER = "<I32sI"  # version, sha256 source digest, JSON section length
+# The per-node blocks after ``probs``, in file order, with their array
+# type codes; the order is also `Constituent`'s argument order.
+_BLOCKS = {"rank": "i", "lo": "i", "hi": "i", "prob_under": "d",
+           "reach": "d"}
 
 
 class Constituent:
@@ -170,13 +198,13 @@ class MvIndex:
     """Keyed augmented constituents plus the two tuple-variable indices."""
 
     def __init__(self, constituents, order: VariableOrder, probs,
-                 pi: PermutationSet, schema_digest: str):
+                 pi: PermutationSet, source_digest: str):
         self.constituents: list[Constituent] = sorted(
             constituents, key=lambda c: (c.rank_lo, c.rank_hi))
         self.order = order
         self.probs = list(probs)
         self.pi = pi
-        self.schema_digest = schema_digest
+        self.source_digest = source_digest
         roots = [c.prob_root for c in self.constituents]
         m = len(roots)
         # Sorted and disjoint, so the query's window is found by bisection.
@@ -235,7 +263,7 @@ def build_index(tr: TranslationResult,
     if instance is None:
         instance = indb.possible_instance()
     prob_facts = indb.probabilistic_facts()
-    digest = tr.source.schema.digest()
+    digest = tr.source.digest()
     if tr.w_query is None:
         pi = PermutationSet.identity()
         order = tuple_order(pi, prob_facts, indb.domain, indb.schema)
@@ -513,124 +541,43 @@ class IndexEvaluator:
 # Serialization
 # ---------------------------------------------------------------------------
 
-class _Writer:
-    def __init__(self):
-        self.parts: list[bytes] = []
-
-    def raw(self, b: bytes):
-        self.parts.append(b)
-
-    def u32(self, v: int):
-        self.raw(struct.pack("<I", v))
-
-    def i32(self, v: int):
-        self.raw(struct.pack("<i", v))
-
-    def f64(self, v: float):
-        self.raw(struct.pack("<d", v))
-
-    def text(self, s: str):
-        b = s.encode()
-        self.u32(len(b))
-        self.raw(b)
-
-    def value(self, v):
-        if v is None:
-            self.raw(b"\x02")
-        elif isinstance(v, int):
-            self.raw(b"\x00")
-            self.raw(struct.pack("<q", v))
-        elif isinstance(v, str):
-            self.raw(b"\x01")
-            self.text(v)
-        else:
-            raise IndexFormatError(f"unserializable constant {v!r}")
-
-    def bytes(self) -> bytes:
-        return b"".join(self.parts)
+def _block(code: str, values) -> bytes:
+    a = array(code, values)
+    if sys.byteorder == "big":
+        a.byteswap()
+    return a.tobytes()
 
 
-class _Reader:
-    def __init__(self, buf: bytes):
-        self.buf = buf
-        self.pos = 0
-
-    def raw(self, n: int) -> bytes:
-        if self.pos + n > len(self.buf):
-            raise IndexFormatError("truncated index file")
-        out = self.buf[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.raw(4))[0]
-
-    def i32(self) -> int:
-        return struct.unpack("<i", self.raw(4))[0]
-
-    def f64(self) -> float:
-        return struct.unpack("<d", self.raw(8))[0]
-
-    def text(self) -> str:
-        return self.raw(self.u32()).decode()
-
-    def value(self):
-        tag = self.raw(1)
-        if tag == b"\x02":
-            return None
-        if tag == b"\x00":
-            return struct.unpack("<q", self.raw(8))[0]
-        if tag == b"\x01":
-            return self.text()
-        raise IndexFormatError(f"bad constant tag {tag!r}")
+def _unblock(code: str, buf) -> list:
+    a = array(code)
+    a.frombytes(buf)
+    if sys.byteorder == "big":
+        a.byteswap()
+    return a.tolist()
 
 
 def serialize(index: MvIndex) -> bytes:
-    """Little-endian binary form with a trailing checksum; byte-stable."""
-    w = _Writer()
-    w.raw(_MAGIC)
-    w.u32(_VERSION)
-    w.u32(len(index.pi.perms))
-    for rel in sorted(index.pi.perms):
-        w.text(rel)
-        perm = index.pi.perms[rel]
-        w.u32(len(perm))
-        for p in perm:
-            w.u32(p)
-    w.u32(len(index.order))
-    for fact, prob in zip(index.order.facts, index.probs):
-        w.text(fact.relation)
-        w.u32(len(fact.values))
-        for v in fact.values:
-            w.value(v)
-        w.f64(prob)
-    w.f64(index.p0_w)
-    w.f64(index.p0_not_w)
-    w.text(index.schema_digest)
-    w.u32(len(index.constituents))
-    for c in index.constituents:
-        w.value(c.key)
-        w.i32(c.root_code)
-        w.u32(c.n)
-        for arr, pack in ((c.rank, w.i32), (c.lo, w.i32), (c.hi, w.i32)):
-            for x in arr:
-                pack(x)
-        for arr in (c.prob_under, c.reach):
-            for x in arr:
-                w.f64(x)
-    inter_pairs = sorted(index._rank_to_k.items())
-    w.u32(len(inter_pairs))
-    for r, k in inter_pairs:
-        w.u32(r)
-        w.u32(k)
-    for c in index.constituents:
-        w.u32(len(c.levels))
-        for r in sorted(c.levels):
-            w.u32(r)
-            w.u32(len(c.levels[r]))
-            for pos in c.levels[r]:
-                w.u32(pos)
-    body = w.bytes()
+    """The v2 file: header, JSON metadata, typed blocks, CRC-32; byte-stable.
+
+    The blocks are ``probs`` (f64 per tuple), then ``rank``, ``lo``, ``hi``
+    (i32) and ``prob_under``, ``reach`` (f64), each the concatenation over
+    the constituents in index order."""
+    cons = index.constituents
+    relations: dict[str, int] = {}
+    facts = [[relations.setdefault(f.relation, len(relations)), *f.values]
+             for f in index.order.facts]
+    meta = json.dumps({"pi": index.pi.perms, "relations": list(relations),
+                       "facts": facts,
+                       "constituents": [[c.key, c.root_code, c.n]
+                                        for c in cons]},
+                      sort_keys=True, separators=(",", ":")).encode()
+    parts = [_MAGIC, struct.pack(_HEADER, _VERSION,
+                                 bytes.fromhex(index.source_digest),
+                                 len(meta)),
+             meta, _block("d", index.probs)]
+    for name, code in _BLOCKS.items():
+        parts.append(_block(code, [x for c in cons for x in getattr(c, name)]))
+    body = b"".join(parts)
     return body + struct.pack("<I", zlib.crc32(body))
 
 
@@ -659,64 +606,91 @@ def _check_layout(c: Constituent, n_ranks: int):
                     "sink nor a later position")
 
 
+def _kinds(values) -> set:
+    return {type(v) for v in values}
+
+
+def _decode_meta(raw) -> tuple:
+    """Permutations, facts and constituent heads ``(key, root_code, n)``
+    from the JSON section, each checked for shape and type."""
+    try:
+        meta = json.loads(str(raw, "utf-8"))
+        perms, relations = meta["pi"], meta["relations"]
+        facts, heads = meta["facts"], meta["constituents"]
+    except (ValueError, TypeError, KeyError) as exc:
+        raise IndexFormatError(f"bad index metadata: {exc}") from None
+    if not (type(perms) is dict and type(relations) is list
+            and type(facts) is list and type(heads) is list
+            and _kinds(perms.values()) <= {list}
+            and _kinds(i for p in perms.values() for i in p) <= {int}
+            and _kinds(relations) <= {str}
+            and _kinds(facts) <= {list} and all(facts)
+            and _kinds(f[0] for f in facts) <= {int}
+            and _kinds(v for f in facts for v in f[1:]) <= {int, str}
+            and _kinds(heads) <= {list}
+            and all(len(h) == 3 for h in heads)
+            and _kinds(h[0] for h in heads) <= {int, str, type(None)}
+            and _kinds(x for h in heads for x in h[1:]) <= {int}
+            and all(h[2] >= 0 for h in heads)):
+        raise IndexFormatError("bad index metadata layout")
+    if facts and not 0 <= min(f[0] for f in facts) <= max(
+            f[0] for f in facts) < len(relations):
+        raise IndexFormatError("fact names an unknown relation")
+    try:
+        pi = PermutationSet({r: tuple(p) for r, p in perms.items()})
+        order = VariableOrder(Fact(relations[f[0]], tuple(f[1:]))
+                              for f in facts)
+    except MvdbError as exc:
+        raise IndexFormatError(str(exc)) from None
+    return pi, order, heads
+
+
 def deserialize(buf: bytes) -> MvIndex:
-    if len(buf) < 8:
+    if len(buf) < 12:
         raise IndexFormatError("truncated index file")
-    body, (crc,) = buf[:-4], struct.unpack("<I", buf[-4:])
-    if zlib.crc32(body) != crc:
+    body = memoryview(buf)[:-4]
+    if zlib.crc32(body) != struct.unpack("<I", buf[-4:])[0]:
         raise IndexFormatError("checksum mismatch")
-    r = _Reader(body)
-    if r.raw(4) != _MAGIC:
+    if body[:4] != _MAGIC:
         raise IndexFormatError("not an index file")
-    version = r.u32()
+    version = struct.unpack_from("<I", body, 4)[0]
     if version != _VERSION:
-        raise IndexFormatError(f"unsupported format version {version}")
-    perms = {}
-    for _ in range(r.u32()):
-        rel = r.text()
-        perms[rel] = tuple(r.u32() for _ in range(r.u32()))
-    pi = PermutationSet(perms)
-    facts, probs = [], []
-    for _ in range(r.u32()):
-        rel = r.text()
-        values = tuple(r.value() for _ in range(r.u32()))
-        facts.append(Fact(rel, values))
-        probs.append(r.f64())
-    order = VariableOrder(facts)
-    p0_w = r.f64()
-    p0_not_w = r.f64()
-    digest = r.text()
+        raise IndexFormatError(
+            f"unsupported format version {version}; recompile")
+    start = 4 + struct.calcsize(_HEADER)
+    if len(body) < start:
+        raise IndexFormatError("truncated index file")
+    _, digest, meta_len = struct.unpack_from(_HEADER, body, 4)
+    if meta_len > len(body) - start:
+        raise IndexFormatError("truncated index file")
+    pi, order, heads = _decode_meta(body[start:start + meta_len])
+    # Every block's length follows from the counts; check them all against
+    # the bytes left before allocating any.
+    blocks = body[start + meta_len:]
+    n_nodes = sum(h[2] for h in heads)
+    sizes = [(code, array(code).itemsize * n_nodes)
+             for code in _BLOCKS.values()]
+    at = 8 * len(order)
+    if len(blocks) != at + sum(size for _, size in sizes):
+        raise IndexFormatError("index blocks do not match their counts")
+    probs = _unblock("d", blocks[:at])
+    columns = []
+    for code, size in sizes:
+        columns.append(_unblock(code, blocks[at:at + size]))
+        at += size
     constituents = []
-    for _ in range(r.u32()):
-        key = r.value()
-        root_code = r.i32()
-        n = r.u32()
-        rank = [r.i32() for _ in range(n)]
-        lo = [r.i32() for _ in range(n)]
-        hi = [r.i32() for _ in range(n)]
-        pu = [r.f64() for _ in range(n)]
-        reach = [r.f64() for _ in range(n)]
-        c = Constituent(key, root_code, rank, lo, hi, pu, reach)
+    at = 0
+    for key, root_code, n in heads:
+        c = Constituent(key, root_code,
+                        *(column[at:at + n] for column in columns))
+        at += n
         _check_layout(c, len(order))
         c.derive(probs)
         constituents.append(c)
     spans = sorted((c.rank_lo, c.rank_hi) for c in constituents if c.n)
     if any(a[1] >= b[0] for a, b in zip(spans, spans[1:])):
         raise IndexFormatError("constituent rank ranges overlap")
-    for _ in range(r.u32()):  # inter index entries (derivable; format keeps them)
-        r.u32()
-        r.u32()
-    for c in constituents:  # intra index sections, likewise derivable
-        for _ in range(r.u32()):
-            r.u32()
-            for _ in range(r.u32()):
-                r.u32()
-    if r.pos != len(body):
-        raise IndexFormatError("trailing bytes after index payload")
-    index = MvIndex(constituents, order, probs, pi, digest)
-    if abs(index.p0_w - p0_w) > 1e-9 or abs(index.p0_not_w - p0_not_w) > 1e-9:
-        raise IndexFormatError("cached probabilities disagree with payload")
-    return index
+    return MvIndex(constituents, order, probs, pi, digest.hex())
 
 
 def save_index(index: MvIndex, path):

@@ -21,8 +21,8 @@ from pathlib import Path
 from typing import Optional, Protocol
 
 from .core import (INF, VIEW_AUX, Attribute, Fact, HardConstraintError,
-                   InvalidViewError, Indb, Mvdb, MvdbError, QueryParseError,
-                   Relation, Schema)
+                   InvalidViewError, Indb, Instance, Mvdb, MvdbError,
+                   QueryParseError, Relation, Schema)
 from . import ucq as U
 
 
@@ -196,15 +196,19 @@ def query_probability(q: U.Ucq, tr: TranslationResult,
 
 def answer_query(q: U.Ucq, tr: TranslationResult,
                  evaluator: Evaluator) -> list[tuple[tuple, float]]:
-    """Per-answer probabilities: candidates over the possible instance, then
-    one Boolean evaluation per substituted head binding."""
+    """Per-answer probabilities over the translation's possible instance."""
     check_query_relations(q, tr.indb.schema)
-    instance = tr.indb.possible_instance()
-    out = []
-    for answer in U.answer_tuples(q, instance):
-        p = query_probability(U.substitute(q, answer), tr, evaluator)
-        out.append((answer, p))
-    return out
+    return answer_rows(q, tr.indb.possible_instance(), evaluator)
+
+
+def answer_rows(q: U.Ucq, instance: Instance,
+                evaluator: Evaluator) -> list[tuple[tuple, float]]:
+    """Candidates over *instance*, then one Boolean evaluation per
+    substituted head binding.  The caller has checked that *q* names no
+    auxiliary relation, so the base possible instance serves as well as
+    the translated one."""
+    return [(answer, evaluator.probability(U.substitute(q, answer)))
+            for answer in U.answer_tuples(q, instance)]
 
 
 def parse_views(text: str, schema: Schema) -> list[U.MarkoView]:

@@ -231,3 +231,108 @@ def test_generated_denial_view_zeroes_multi_advisor_worlds(tmp_path):
             saw_multi += 1
             assert weight == 0.0
     assert saw_multi > 0
+
+
+def _rows(text):
+    return [line.split("\t") for line in text.strip().splitlines()]
+
+
+def _edit_view_weight(project):
+    views = project / "views.txt"
+    views.write_text(views.read_text().replace("[cnt / 2]", "[cnt / 3]"))
+
+
+def _add_data_row(project):
+    with open(project / "data" / "Student.tsv", "a") as fh:
+        fh.write("3\t2003\t1.5\n")
+
+
+def _change_schema(project):
+    with open(project / "schema.txt", "a") as fh:
+        fh.write("relation Extra(x:int) key(x) probabilistic\n")
+
+
+def _index_version_1(project):
+    import struct
+    import zlib
+    path = project / "index.mvx"
+    body = bytearray(path.read_bytes()[:-4])
+    body[4:8] = struct.pack("<I", 1)
+    path.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(body)))
+
+
+@pytest.mark.parametrize("edit", [_edit_view_weight, _add_data_row,
+                                  _change_schema, _index_version_1])
+def test_stale_index_needs_recompile(project, capsys, edit):
+    run(["compile", "--project", str(project)])
+    edit(project)
+    capsys.readouterr()
+    rc, _ = run(["query", "--project", str(project), "Q() :- Student(1, y)"])
+    assert rc == EXIT_INPUT
+    assert "recompile" in capsys.readouterr().err
+
+
+def test_digest_does_not_depend_on_hash_seed(project):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    import mvdb
+    code = ("import sys; from mvdb.cli import main; "
+            "sys.exit(main(sys.argv[1:]))")
+    src = str(Path(mvdb.__file__).resolve().parents[1])
+    q = demo_query(project)
+
+    def cli(seed, *argv):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        return subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    assert cli("1", "compile", "--project", str(project)).returncode == 0
+    done = cli("2", "query", "--project", str(project), "--tsv", q)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == run(["query", "--project", str(project), "--tsv",
+                               q])[1]
+
+
+def test_query_does_not_translate(project, monkeypatch):
+    run(["compile", "--project", str(project)])
+    q = demo_query(project)
+    argv = {engine: ["query", "--project", str(project), "--engine", engine,
+                     "--tsv", q] for engine in ("ccmv", "mv", "oracle")}
+    before = {engine: run(argv[engine]) for engine in ("ccmv", "mv")}
+
+    def translate(*args, **kwargs):
+        raise RuntimeError("translated")
+
+    monkeypatch.setattr("mvdb.cli.build_indb", translate)
+    monkeypatch.setattr("mvdb.translate.materialize_view", translate)
+    for engine, (rc, text) in before.items():
+        assert rc == EXIT_OK and _rows(text)
+        assert run(argv[engine]) == (rc, text)
+    with pytest.raises(RuntimeError, match="translated"):
+        run(argv["oracle"])
+
+
+def test_int_constants_beyond_64_bits(tmp_path):
+    big = 2 ** 70
+    proj = tmp_path / "bigint"
+    (proj / "data").mkdir(parents=True)
+    (proj / "schema.txt").write_text(
+        "relation R(x:int) key(x) probabilistic\n"
+        "relation S(x:int) key(x) probabilistic\n")
+    (proj / "views.txt").write_text("V(x) [0.5] :- R(x), S(x)\n")
+    (proj / "data" / "R.tsv").write_text(f"{big}\t2.0\n{-big}\t1.0\n5\t3.0\n")
+    (proj / "data" / "S.tsv").write_text(f"{big}\t1.5\n{-big}\t0.5\n")
+    assert run(["compile", "--project", str(proj)])[0] == EXIT_OK
+    rows = {}
+    for engine in ("ccmv", "mv", "oracle"):
+        rc, text = run(["query", "--project", str(proj), "--engine", engine,
+                        "--tsv", "Q(x) :- R(x), S(x)"])
+        assert rc == EXIT_OK
+        rows[engine] = _rows(text)
+    assert [r[0] for r in rows["ccmv"]] == [str(-big), str(big)]
+    for engine in ("mv", "oracle"):
+        assert [r[0] for r in rows[engine]] == [r[0] for r in rows["ccmv"]]
+        for got, want in zip(rows[engine], rows["ccmv"]):
+            assert float(got[1]) == pytest.approx(float(want[1]), abs=1e-9)

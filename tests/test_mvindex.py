@@ -1,5 +1,6 @@
 """Index construction, augmented annotations, intersection, serialization."""
 
+import json
 import random
 import struct
 import zlib
@@ -397,6 +398,91 @@ def test_deserialize_rejects_malformed_structure(edit, message):
         deserialize(_tampered(idx, edit))
 
 
+def _with_meta(blob: bytes, edit) -> bytes:
+    """*blob* with *edit* applied to its decoded JSON section, re-encoded
+    with a valid checksum."""
+    length = struct.unpack_from("<I", blob, 40)[0]
+    meta = edit(json.loads(blob[44:44 + length]))
+    text = json.dumps(meta).encode()
+    body = (blob[:40] + struct.pack("<I", len(text)) + text
+            + blob[44 + length:-4])
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def _set(path, value):
+    def edit(meta):
+        target = meta
+        for step in path[:-1]:
+            target = target[step]
+        target[path[-1]] = value
+        return meta
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda meta: [], "bad index metadata"),
+    (lambda meta: {k: v for k, v in meta.items() if k != "pi"},
+     "bad index metadata"),
+    (_set(("constituents", 0), {"0": "a1", "1": 0, "2": 2}), "layout"),
+    (_set(("constituents", 0, 2), -1), "layout"),
+    (_set(("constituents", 0, 0), 1.5), "layout"),
+    (_set(("facts", 0, 2), 1.5), "layout"),
+    (_set(("facts", 0, 2), True), "layout"),
+    (_set(("facts", 0), []), "layout"),
+    (_set(("facts", 0, 0), 1), "unknown relation"),
+    (_set(("facts", 1), [0, "a1", "b1"]), "duplicate tuple"),
+    (_set(("pi", "S"), [0, 0]), "not a permutation"),
+])
+def test_deserialize_rejects_malformed_metadata(edit, message):
+    blob = serialize(_denial_index())
+    deserialize(_with_meta(blob, lambda meta: meta))  # a re-encoding loads
+    with pytest.raises(IndexFormatError, match=message):
+        deserialize(_with_meta(blob, edit))
+
+
+_JSON_BYTES = b'[]{},:"-.0123456789eEtrufalsn \\'
+
+
+def _mutations(blob: bytes, rng: random.Random, count: int):
+    """*count* seeded mutations of *blob*'s body, each with a valid CRC:
+    byte replacements, bit flips, deletions and insertions anywhere, and
+    JSON punctuation or digits written into the JSON section."""
+    body = blob[:-4]
+    meta_end = 44 + struct.unpack_from("<I", body, 40)[0]
+    for i in range(count):
+        b = bytearray(body)
+        kind = i % 5
+        pos = rng.randrange(len(b))
+        if kind == 0:
+            b[pos] = rng.randrange(256)
+        elif kind == 1:
+            b[pos] ^= 1 << rng.randrange(8)
+        elif kind == 2:
+            del b[pos:pos + rng.randint(1, 8)]
+        elif kind == 3:
+            b[pos:pos] = bytes(rng.randrange(256)
+                               for _ in range(rng.randint(1, 8)))
+        else:
+            for _ in range(rng.randint(1, 3)):
+                b[rng.randrange(44, meta_end)] = rng.choice(_JSON_BYTES)
+        yield bytes(b) + struct.pack("<I", zlib.crc32(b))
+
+
+def test_deserialize_fuzz_raises_only_index_format_errors():
+    rng = random.Random(20120801)
+    outcomes = {"loaded": 0, "rejected": 0}
+    for index in (_denial_index(), _ex1_index()[2],
+                  build_index(build_indb(chain_mvdb(3)))):
+        for mutated in _mutations(serialize(index), rng, 400):
+            try:
+                deserialize(mutated)
+            except IndexFormatError:
+                outcomes["rejected"] += 1
+            else:
+                outcomes["loaded"] += 1
+    assert outcomes["rejected"] > 0 and outcomes["loaded"] > 0, outcomes
+
+
 def test_deserialized_index_answers_queries():
     db, tr, idx = _ex1_index()
     idx2 = deserialize(serialize(idx))
@@ -500,7 +586,7 @@ def test_zero_block_inside_the_window():
         fresh.compute_annotations(probs)
         fresh.derive(probs)
         cons.append(fresh)
-    idx = MvIndex(cons, base.order, probs, base.pi, base.schema_digest)
+    idx = MvIndex(cons, base.order, probs, base.pi, base.source_digest)
     assert idx.zero_block and idx.p0_not_w == 0.0
     bit = {f: 1 << r for r, f in enumerate(idx.order.facts)}
     blocks = [bit[Fact("R", (i,))] | bit[Fact("S", (i,))] for i in range(3)]
