@@ -23,6 +23,7 @@ import argparse
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 from .core import (DataError, InconsistentConstraintsError, IndexFormatError,
                    InvalidViewError, Mvdb, MvdbError, OrderMismatchError,
@@ -113,6 +114,7 @@ def cmd_compile(args, out) -> int:
 def cmd_query(args, out) -> int:
     db = _load_project(args.project)
     q = U.parse_query(args.query, db.schema)
+    timings = []  # one per row: the timing of that row's own evaluation
     if args.engine == "oracle":
         tr = build_indb(db)
         evaluator = EnumerationEvaluator(tr, world_cap=args.world_cap)
@@ -123,7 +125,14 @@ def cmd_query(args, out) -> int:
             raise DataError("index does not match the project; recompile")
         mode = "cc" if args.engine == "ccmv" else "mv"
         evaluator = IndexEvaluator(index, db.possible_instance(), mode)
-        results = answer_rows(q, evaluator.instance, evaluator)
+
+        def timed(bq):
+            p = evaluator.probability(bq)
+            timings.append(evaluator.last_timing)
+            return p
+
+        results = answer_rows(q, evaluator.instance,
+                              SimpleNamespace(probability=timed))
     for _, p in results:
         if not (-args.tolerance <= p <= 1.0 + args.tolerance):
             raise MvdbError(f"probability {p!r} outside [0, 1] beyond "
@@ -133,12 +142,11 @@ def cmd_query(args, out) -> int:
     if timing:
         columns += ["lineage_us", "build_us", "intersect_us"]
     rows = []
-    for answer, p in results:
+    for i, (answer, p) in enumerate(results):
         row = list(answer) + [repr(p)]
         if timing:
-            row += [evaluator.last_timing.get("lineage_us", 0),
-                    evaluator.last_timing.get("build_us", 0),
-                    evaluator.last_timing.get("intersect_us", 0)]
+            row += [timings[i][k]
+                    for k in ("lineage_us", "build_us", "intersect_us")]
         rows.append(row)
     _emit(out, columns, rows, args.tsv)
     return EXIT_OK

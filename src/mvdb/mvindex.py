@@ -2,8 +2,10 @@
 
 The constraint query W is compiled offline into negated, augmented OBDD
 constituents over pairwise-disjoint variable ranges (one per separator
-constant when W has a separator).  Every node carries the probability of its
-sub-diagram (probUnder) and the signed mass of all root paths reaching it
+constant when W has a separator): W is grounded once, its lineage clauses
+are grouped by separator constant, and each group compiles on its own with
+`from_lineage`.  Every node carries the probability of its sub-diagram
+(probUnder) and the signed mass of all root paths reaching it
 (reachability).  Online, a query OBDD ordered by the same tuple order is
 intersected against the chain of constituents without materializing the
 conjunction:
@@ -51,6 +53,7 @@ byte-reproducible.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import struct
@@ -65,8 +68,8 @@ from typing import Optional
 from .core import (Fact, InconsistentConstraintsError, Indb, Instance,
                    IndexFormatError, MvdbError, OrderMismatchError)
 from . import ucq as U
-from .obdd import (NodeTable, Obdd, PermutationSet, VariableOrder, con_obdd,
-                   choose_pi, from_lineage, shannon_values, tuple_order)
+from .obdd import (NodeTable, Obdd, PermutationSet, VariableOrder, choose_pi,
+                   from_lineage, shannon_values, tuple_order)
 from .translate import TranslationResult
 
 SINK0 = -1
@@ -255,9 +258,16 @@ def build_index(tr: TranslationResult,
                 instance: Optional[Instance] = None) -> MvIndex:
     """Compile the constraint query of a translation into an index.
 
-    With a separator, one constituent is built per separator constant
-    (keyed by it); otherwise a single unkeyed constituent.  Constituents are
-    negated by swapping sinks, then augmented.
+    W is grounded once (`ucq.grouped_lineage`).  With a separator, its
+    clauses are grouped by the separator constant and each group compiles
+    with `from_lineage` into one constituent keyed by that constant;
+    otherwise all clauses form a single unkeyed constituent.  Each block
+    gets a fresh node table that is dropped once the block is laid out:
+    the blocks cover disjoint ranks, so a shared table would hold nothing
+    another block reuses.  The cost is linear in W's lineage plus the
+    constituents' size.  When the blocks' rank ranges interleave in the
+    tuple order, W compiles as one unkeyed constituent instead.
+    Constituents are negated by swapping sinks, then augmented.
     """
     indb = tr.indb
     if instance is None:
@@ -273,42 +283,38 @@ def build_index(tr: TranslationResult,
     pi = choose_pi(tr.w_query, indb.schema, var_rels)
     order = tuple_order(pi, prob_facts, indb.domain, indb.schema)
     probs = [indb.probability(f) for f in order.facts]
-    table = NodeTable(order)
-    blocks: list[tuple[object, Obdd]] = []
     sep = U.find_separator(tr.w_query, indb.schema, var_rels)
+    constituents = None
     if sep is not None:
-        from .obdd import _Builder
-        builder = _Builder(pi, instance, indb.domain, table, var_rels)
-        by_constant: dict = {}
-        for i, (d, var) in enumerate(zip(tr.w_query.disjuncts,
-                                         sep.variables)):
-            for c in builder._candidates(d.atoms, var):
-                by_constant.setdefault(c, []).append(i)
-        for c in sorted(by_constant, key=indb.domain.rank):
-            residual = tuple(U._subst_cq(tr.w_query.disjuncts[i],
-                                         {sep.variables[i]: c})
-                             for i in by_constant[c])
-            g = con_obdd(pi, U.Ucq(residual), instance, indb.domain,
-                         order=order, table=table, var_rels=var_rels)
-            if g.root != 0:
-                blocks.append((c, g))
-        spans = sorted((g.table.span(g.root) for _, g in blocks
-                        if g.root > 1))
-        contiguous = all(a[1] < b[0] for a, b in zip(spans, spans[1:]))
-        if not contiguous:
-            blocks = []
-            sep = None
-    if sep is None:
-        g = con_obdd(pi, tr.w_query, instance, indb.domain, order=order,
-                     table=table, var_rels=var_rels)
-        blocks = [] if g.root == 0 else [(None, g)]
-    constituents = []
-    for key, g in blocks:
-        c = Constituent.from_obdd(g, key, negate=True)
+        groups = U.grouped_lineage(tr.w_query, instance, sep.variables)
+        constituents = _compile_blocks(
+            groups, sorted(groups, key=indb.domain.rank), order)
+        if _overlapping(constituents):
+            constituents = None
+    if constituents is None:
+        groups = U.grouped_lineage(tr.w_query, instance)
+        constituents = _compile_blocks(groups, list(groups), order)
+    for c in constituents:
         c.compute_annotations(probs)
         c.derive(probs)
-        constituents.append(c)
     return MvIndex(constituents, order, probs, pi, digest)
+
+
+def _compile_blocks(groups: dict, keys, order: VariableOrder) -> list:
+    """One negated constituent per key, popping its clauses from *groups*
+    so that a block's clauses and node table are freed before the next."""
+    out = []
+    for key in keys:
+        phi = U.Lineage.normalize(groups.pop(key))
+        g = from_lineage(phi, order, NodeTable(order))
+        out.append(Constituent.from_obdd(g, key, negate=True))
+    return out
+
+
+def _overlapping(constituents) -> bool:
+    """True when two non-empty constituents' rank ranges overlap."""
+    spans = sorted((c.rank_lo, c.rank_hi) for c in constituents if c.n)
+    return any(a[1] >= b[0] for a, b in zip(spans, spans[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -646,6 +652,21 @@ def _decode_meta(raw) -> tuple:
 
 
 def deserialize(buf: bytes) -> MvIndex:
+    """Load a v2 index, with the cyclic garbage collector paused.
+
+    Everything the loader allocates stays live, so the collections its
+    allocations would trigger find nothing to free; the caller's collector
+    state is restored however the load ends."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _deserialize(buf)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _deserialize(buf: bytes) -> MvIndex:
     if len(buf) < 12:
         raise IndexFormatError("truncated index file")
     body = memoryview(buf)[:-4]
@@ -687,8 +708,7 @@ def deserialize(buf: bytes) -> MvIndex:
         _check_layout(c, len(order))
         c.derive(probs)
         constituents.append(c)
-    spans = sorted((c.rank_lo, c.rank_hi) for c in constituents if c.n)
-    if any(a[1] >= b[0] for a, b in zip(spans, spans[1:])):
+    if _overlapping(constituents):
         raise IndexFormatError("constituent rank ranges overlap")
     return MvIndex(constituents, order, probs, pi, digest.hex())
 

@@ -4,15 +4,20 @@ Nodes live in a shared, hash-consed arena (`NodeTable`), so every OBDD built
 against the same table is reduced and canonical for its variable order.  Two
 combination strategies are provided: `synthesize` (pairwise apply, product
 cost) and `concatenate` (sink redirection, linear in the left operand), and
-the recursive query compiler `con_obdd` chooses between them: independent
-parts whose variable ranges are consecutive in the order are concatenated,
-everything else is synthesized.
+the paper's recursive query compiler `con_obdd` chooses between them:
+independent parts whose variable ranges are consecutive in the order are
+concatenated, everything else is synthesized.
 
-Query lineage goes through `from_lineage`, which ORs one chain per clause
-into the result from the highest first rank down.  Every apply then stops
-where that clause's path resolves, so a lineage costs about the result's
-size plus the clause lengths; ORing the clauses in ascending order walked
-the whole accumulator once per clause.
+The engine compiles every OBDD it uses with `from_lineage`: query lineage
+online, and each block of the constraint query W's lineage offline
+(`mvindex.build_index`).  It ORs one chain per clause into the result from
+the highest first rank down.  Every apply then stops where that clause's
+path resolves, so a lineage costs about the result's size plus the clause
+lengths; ORing the clauses in ascending order walked the whole accumulator
+once per clause.  A reduced OBDD is canonical for its function and order,
+so `from_lineage` and `con_obdd` give the same diagram for the same query;
+`con_obdd` stays as the public form of the paper's compiler and as the
+tests' cross-check, off the compile path.
 
 Finished OBDDs are immutable and shareable; construction is single-threaded.
 """
@@ -667,6 +672,12 @@ def con_obdd(pi: PermutationSet, q: U.Ucq, instance: Instance, domain: Domain,
     concatenate; conjunctive components expand on a dominating variable when
     one exists; everything else falls back to synthesis.  Ground atoms over
     deterministic tuples reduce to sinks.
+
+    This is the paper's compiler (concatenate versus synthesize).  The
+    engine itself compiles through `from_lineage`, which builds the same
+    reduced OBDD from the query's lineage: on a non-separable W such as the
+    chain, the synthesis fallback here grows faster than linearly in the
+    data, and the candidate matching ignores predicates.
     """
     if not q.is_boolean():
         raise MvdbError("con_obdd expects a Boolean query")

@@ -589,20 +589,34 @@ def _clause_key(clause):
     return (len(clause), sorted((f.relation, f.values) for f in clause))
 
 
-def lineage(q: Ucq, instance: Instance) -> Lineage:
-    """Lineage of a Boolean UCQ: one clause per homomorphism.
+def grouped_lineage(q: Ucq, instance: Instance,
+                    variables: Optional[tuple] = None) -> dict:
+    """Lineage clauses of a Boolean UCQ in one grounding pass, grouped.
 
-    Deterministic facts are always present, so they are dropped from the
-    clauses; a clause that becomes empty makes the lineage valid.
+    One clause per homomorphism.  With *variables* (one name per disjunct,
+    e.g. a separator's), each clause goes under the constant its disjunct's
+    variable is bound to; without, every clause goes under None.  The
+    groups are plain lists for `Lineage.normalize`.  Deterministic facts are
+    always present, so they are dropped from the clauses; a clause that
+    becomes empty makes its group valid.
     """
     if not q.is_boolean():
         raise MvdbError("lineage is defined for Boolean queries")
-    clauses = []
-    for d in q.disjuncts:
-        for _, used in iter_matches(d, instance):
-            clauses.append(frozenset(
-                f for f in used if f not in instance.deterministic))
-    return Lineage.normalize(clauses)
+    deterministic = instance.deterministic
+    groups: dict = {}
+    for i, d in enumerate(q.disjuncts):
+        var = variables[i] if variables is not None else None
+        for bnd, used in iter_matches(d, instance):
+            key = bnd[var] if var is not None else None
+            groups.setdefault(key, []).append(frozenset(
+                f for f in used if f not in deterministic))
+    return groups
+
+
+def lineage(q: Ucq, instance: Instance) -> Lineage:
+    """Lineage of a Boolean UCQ: one clause per homomorphism, without the
+    deterministic facts (`grouped_lineage` with a single group)."""
+    return Lineage.normalize(grouped_lineage(q, instance).get(None, ()))
 
 
 def answer_tuples(q: Ucq, instance: Instance) -> list[tuple]:

@@ -98,6 +98,61 @@ def from_lineage_clausewise(phi, order, table=None) -> Obdd:
     return Obdd(t, root)
 
 
+def build_index_per_block(tr):
+    """`build_index` with one `con_obdd` call per separator constant, every
+    block in one shared node table, and the contiguity check on
+    `NodeTable.span`; on interleaved blocks, one `con_obdd` over all of W."""
+    from mvdb import ucq as U
+    from mvdb.mvindex import (Constituent, MvIndex, _variable_relations)
+    from mvdb.obdd import (PermutationSet, _Builder, choose_pi, con_obdd,
+                           tuple_order)
+    indb = tr.indb
+    instance = indb.possible_instance()
+    prob_facts = indb.probabilistic_facts()
+    if tr.w_query is None:
+        pi = PermutationSet.identity()
+        order = tuple_order(pi, prob_facts, indb.domain, indb.schema)
+        probs = [indb.probability(f) for f in order.facts]
+        return MvIndex([], order, probs, pi, tr.source.digest())
+    var_rels = _variable_relations(indb)
+    pi = choose_pi(tr.w_query, indb.schema, var_rels)
+    order = tuple_order(pi, prob_facts, indb.domain, indb.schema)
+    probs = [indb.probability(f) for f in order.facts]
+    table = NodeTable(order)
+    blocks = []
+    sep = U.find_separator(tr.w_query, indb.schema, var_rels)
+    if sep is not None:
+        builder = _Builder(pi, instance, indb.domain, table, var_rels)
+        by_constant = {}
+        for i, (d, var) in enumerate(zip(tr.w_query.disjuncts,
+                                         sep.variables)):
+            for c in builder._candidates(d.atoms, var):
+                by_constant.setdefault(c, []).append(i)
+        for c in sorted(by_constant, key=indb.domain.rank):
+            residual = tuple(U._subst_cq(tr.w_query.disjuncts[i],
+                                         {sep.variables[i]: c})
+                             for i in by_constant[c])
+            g = con_obdd(pi, U.Ucq(residual), instance, indb.domain,
+                         order=order, table=table, var_rels=var_rels)
+            if g.root != 0:
+                blocks.append((c, g))
+        spans = sorted(table.span(g.root) for _, g in blocks if g.root > 1)
+        if any(a[1] >= b[0] for a, b in zip(spans, spans[1:])):
+            blocks = []
+            sep = None
+    if sep is None:
+        g = con_obdd(pi, tr.w_query, instance, indb.domain, order=order,
+                     table=table, var_rels=var_rels)
+        blocks = [] if g.root == 0 else [(None, g)]
+    constituents = []
+    for key, g in blocks:
+        c = Constituent.from_obdd(g, key, negate=True)
+        c.compute_annotations(probs)
+        c.derive(probs)
+        constituents.append(c)
+    return MvIndex(constituents, order, probs, pi, tr.source.digest())
+
+
 def entry_tables_rescan(c, probs):
     """Entry tables and cut ranks of constituent *c* by rescanning every node
     once per rank: entry[r] sums, per child at rank >= r, the mass

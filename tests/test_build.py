@@ -1,0 +1,155 @@
+"""Compiling W: one grouped grounding pass, one `from_lineage` per block.
+
+`build_index` must write the same bytes as the per-block `con_obdd`
+reference in `helpers.py`, fall back to one unkeyed constituent when the
+separator's blocks interleave in the tuple order, and keep its node tables
+linear in the constituents it produces.
+"""
+
+import io
+import math
+
+import pytest
+
+import mvdb
+from mvdb import (EnumerationEvaluator, Fact, IndexEvaluator, Mvdb,
+                  NodeTable, build_indb, build_index, find_separator,
+                  parse_query, parse_schema, parse_view, query_probability,
+                  serialize)
+from mvdb import mvindex, obdd
+from mvdb.cli import main
+from mvdb.core import load_data, load_schema
+from mvdb.gendata import generate_project
+from mvdb.mvindex import SINK0
+from mvdb.translate import load_views
+
+from helpers import (EX1_SCHEMA, build_index_per_block, chain_mvdb,
+                     viable_random_mvdb)
+
+FLIP_SCHEMA = parse_schema("""
+relation A(x:string, y:string) key(x,y) probabilistic
+""")
+
+
+def _project_tr(path):
+    schema = load_schema(path / "schema.txt")
+    db = Mvdb(schema, load_data(schema, path / "data"),
+              load_views(path / "views.txt", schema))
+    return build_indb(db)
+
+
+def _same_bytes(tr):
+    idx = build_index(tr)
+    assert serialize(idx) == serialize(build_index_per_block(tr))
+    return idx
+
+
+# -- equivalence with the per-block con_obdd reference --------------------------
+
+def test_dblp_matches_per_block_reference(tmp_path):
+    tr = _project_tr(generate_project(tmp_path / "p", seed=1, scale=60))
+    idx = _same_bytes(tr)
+    assert len(idx.constituents) == 60
+
+
+@pytest.mark.parametrize("n", [20, 40])
+def test_chain_matches_per_block_reference(n):
+    idx = _same_bytes(build_indb(chain_mvdb(n)))
+    assert [c.key for c in idx.constituents] == [None]
+
+
+def test_random_databases_match_per_block_reference():
+    keyed = 0
+    for seed in range(12):
+        idx = _same_bytes(viable_random_mvdb(seed)[1])
+        keyed += sum(c.key is not None for c in idx.constituents)
+    assert keyed
+
+
+def test_constant_true_blocks_match_per_block_reference():
+    # R(a0) and R(a1) are certain, so the denial's clauses for them lose
+    # every fact and W holds in those blocks whatever the other tuples are.
+    # S(a1) comes first, so the active domain (a1, a0, a2) orders the empty
+    # blocks differently from the grounding of R (a0, a1, a2).
+    db = Mvdb(EX1_SCHEMA,
+              [(Fact("S", ("a1",)), 1.0), (Fact("R", ("a0",)), math.inf),
+               (Fact("R", ("a1",)), math.inf), (Fact("R", ("a2",)), 2.0)],
+              [parse_view("V(x) [0] :- R(x)", EX1_SCHEMA)])
+    idx = _same_bytes(build_indb(db))
+    assert [c.key for c in idx.constituents] == ["a1", "a0", "a2"]
+    for empty in idx.constituents[:2]:
+        assert (empty.n, empty.root_code) == (0, SINK0)
+    assert idx.zero_block
+
+
+def test_compile_does_not_reach_con_obdd(tmp_path, monkeypatch):
+    proj = generate_project(tmp_path / "p", seed=1, scale=3)
+    want = serialize(build_index_per_block(_project_tr(proj)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("con_obdd is not on the compile path")
+
+    monkeypatch.setattr(obdd, "con_obdd", refuse)
+    monkeypatch.setattr(obdd, "_Builder", refuse)
+    monkeypatch.setattr(mvdb, "con_obdd", refuse)
+    assert main(["compile", "--project", str(proj)], out=io.StringIO()) == 0
+    assert (proj / "index.mvx").read_bytes() == want
+
+
+# -- fallback --------------------------------------------------------------------
+
+def test_interleaved_blocks_compile_to_one_constituent():
+    # W = NV(x, y), A(y, x) has the separator x.  The permutation search
+    # tries A's identity first (A sorts before NV) and finds that y-first
+    # orders are inversion-free, so the tuple order groups A by y and the
+    # x-blocks interleave: A(a, b) sits between A(a, a) and A(b, a).
+    facts = [(Fact("A", (x, y)), w) for (x, y), w in zip(
+        [("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")],
+        [0.5, 2.0, 1.0, 3.0])]
+    db = Mvdb(FLIP_SCHEMA, facts,
+              [parse_view("V(x, y) [0.5] :- A(y, x)", FLIP_SCHEMA)])
+    tr = build_indb(db)
+    var_rels = mvindex._variable_relations(tr.indb)
+    assert find_separator(tr.w_query, tr.indb.schema, var_rels) is not None
+    idx = _same_bytes(tr)
+    assert [c.key for c in idx.constituents] == [None]
+    oracle = EnumerationEvaluator(tr)
+    for text in ("Q() :- A('a', 'b')", "Q() :- A(x, 'a')",
+                 "Q() :- A(x, y), A(y, x)", "Q() :- A('b', x) ; A(x, 'b')"):
+        q = parse_query(text, FLIP_SCHEMA)
+        want = query_probability(q, tr, oracle)
+        for mode in ("cc", "mv"):
+            ev = IndexEvaluator(idx, tr.indb.possible_instance(), mode)
+            assert abs(query_probability(q, tr, ev) - want) <= 1e-9, text
+
+
+# -- growth ----------------------------------------------------------------------
+
+@pytest.fixture
+def tables(monkeypatch):
+    """Every node table `build_index` creates."""
+    made = []
+
+    class CountingTable(NodeTable):
+        def __init__(self, order):
+            super().__init__(order)
+            made.append(self)
+
+    monkeypatch.setattr(mvindex, "NodeTable", CountingTable)
+    return made
+
+
+@pytest.mark.parametrize("n", [40, 80, 160, 320])
+def test_compile_tables_stay_linear_on_chain(n, tables):
+    idx = build_index(build_indb(chain_mvdb(n)))
+    nodes = sum(c.n for c in idx.constituents)
+    assert tables
+    assert sum(len(t) for t in tables) <= 2 * nodes + 16
+
+
+def test_compile_uses_one_table_per_block(tmp_path, tables):
+    tr = _project_tr(generate_project(tmp_path / "p", seed=1, scale=60))
+    idx = build_index(tr)
+    assert len(tables) == len(idx.constituents) == 60
+    for t, c in zip(tables, idx.constituents):
+        assert len(t) <= 2 * c.n + 16

@@ -1,12 +1,14 @@
 """Command-line driver: compile, query, oracle, stats, gen-dblp."""
 
 import io
+import itertools
 
 import pytest
 
 from mvdb.cli import (EXIT_CAP, EXIT_INCONSISTENT, EXIT_INPUT, EXIT_OK,
                       EXIT_USAGE, main)
 from mvdb.gendata import demo_query, generate_project
+from mvdb.mvindex import IndexEvaluator
 
 
 def run(argv):
@@ -87,6 +89,27 @@ def test_query_timing_columns(project):
     first = text.strip().splitlines()[0].split("\t")
     assert len(first) == 5  # answer, probability, three timing columns
     assert all(int(c) >= 0 for c in first[2:])
+
+
+def test_query_timing_is_per_row(project, monkeypatch):
+    run(["compile", "--project", str(project)])
+    original = IndexEvaluator._evaluate
+    stamps = itertools.count()
+
+    def stamped(self, q):
+        result = original(self, q)
+        n = next(stamps)
+        self.last_timing = {"lineage_us": n, "build_us": n,
+                            "intersect_us": n}
+        return result
+
+    monkeypatch.setattr(IndexEvaluator, "_evaluate", stamped)
+    rc, text = run(["query", "--project", str(project), "--timing", "--tsv",
+                    "Q(s) :- Advisor(s, a)"])
+    assert rc == EXIT_OK
+    rows = [line.split("\t") for line in text.strip().splitlines()]
+    assert len(rows) >= 2
+    assert [r[-3:] for r in rows] == [[str(i)] * 3 for i in range(len(rows))]
 
 
 def test_query_parse_error_exit_code(project):

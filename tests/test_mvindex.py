@@ -1,5 +1,6 @@
 """Index construction, augmented annotations, intersection, serialization."""
 
+import gc
 import json
 import random
 import struct
@@ -13,6 +14,7 @@ from mvdb import (EnumerationEvaluator, Fact, IndexEvaluator, IndexFormatError,
                   from_lineage, lineage, mv_intersect, parse_query,
                   parse_schema, parse_view, point_probability,
                   query_probability, rank_span, serialize)
+from mvdb import mvindex
 from mvdb.mvindex import Constituent, MvIndex
 from mvdb.obdd import PermutationSet, con_obdd
 
@@ -304,6 +306,34 @@ def test_serialize_deterministic_across_builds():
     b1 = serialize(build_index(build_indb(example1())))
     b2 = serialize(build_index(build_indb(example1())))
     assert b1 == b2
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_deserialize_pauses_the_collector_and_restores_it(enabled,
+                                                          monkeypatch):
+    blob = serialize(_ex1_index()[2])
+    bad = bytearray(blob)
+    bad[4:8] = struct.pack("<I", 99)
+    bad[-4:] = struct.pack("<I", zlib.crc32(bytes(bad[:-4])))
+    seen = []
+    decode = mvindex._decode_meta
+
+    def spy(raw):
+        seen.append(gc.isenabled())
+        return decode(raw)
+
+    monkeypatch.setattr(mvindex, "_decode_meta", spy)
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        deserialize(blob)
+        assert seen == [False]
+        assert gc.isenabled() is enabled
+        with pytest.raises(IndexFormatError, match="version"):
+            deserialize(bytes(bad))
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_deserialize_checksum_failure():
