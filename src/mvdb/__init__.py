@@ -19,9 +19,9 @@ from .ucq import (Atom, ConjunctiveQuery, Const, Lineage, MarkoView,
                   find_separator, lineage, parse_query, parse_view,
                   root_variables, specialize_separator, substitute)
 from .obdd import (NodeTable, Obdd, ObddMetrics, PermutationSet,
-                   VariableOrder, choose_pi, con_obdd, concatenate,
-                   from_lineage, is_inversion_free, obdd_metrics,
-                   shannon_probability, synthesize, tuple_order)
+                   VariableOrder, choose_pi, con_obdd, from_lineage,
+                   is_inversion_free, obdd_metrics, shannon_probability,
+                   synthesize, tuple_order)
 from .translate import (TranslationResult, ViewMaterialization, answer_query,
                         build_indb, load_views, materialize_view,
                         parse_views, query_probability)

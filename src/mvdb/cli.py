@@ -4,7 +4,8 @@ Project layout: a directory holding ``schema.txt``, ``views.txt`` and
 ``data/<Relation>.tsv`` (one TSV per relation).  The compiled index lives in
 ``index.mvx`` inside the project unless ``--index`` says otherwise.
 
-``compile`` pays for the translation and the compilation of W once.  The
+``compile`` pays for the translation and the compilation of W once and
+prints a summary; ``stats`` lists the constituents one per line.  The
 online path of ``query --engine {ccmv,mv}`` does neither: it loads the
 project and the index, compares the index's source digest with the
 project's (`Mvdb.digest`; any change to schema, views or data means
@@ -98,15 +99,15 @@ def cmd_compile(args, out) -> int:
     if not db.views:
         print("warning: no views; index has zero constituents",
               file=sys.stderr)
-    rows = [(repr(c.key), c.size(), c.width(), c.rank_lo, c.rank_hi)
-            for c in index.constituents]
-    _emit(out, ["key", "size", "width", "rank_lo", "rank_hi"], rows, args.tsv)
+    count = len(index.constituents)
     total = sum(c.size() for c in index.constituents)
     if args.tsv:
+        print(f"constituents\t{count}", file=out)
         print(f"total\t{total}", file=out)
         print(f"p0_w\t{index.p0_w!r}", file=out)
     else:
-        print(f"total size {total}, P0(W) = {index.p0_w!r}", file=out)
+        print(f"{count} constituents, total size {total}, "
+              f"P0(W) = {index.p0_w!r}", file=out)
         print(f"wrote {path} in {elapsed * 1e3:.1f} ms", file=out)
     return EXIT_OK
 

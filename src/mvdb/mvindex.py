@@ -226,11 +226,9 @@ class MvIndex:
         self.p0_not_w = self.suffix[0]
         self.p0_w = 1.0 - self.p0_not_w
         self._rank_to_k: dict[int, int] = {}
-        self.inter: dict[Fact, object] = {}
         for k, c in enumerate(self.constituents):
             for r in c.levels:
                 self._rank_to_k[r] = k
-                self.inter[self.order.facts[r]] = c.key
 
     def constituent_of(self, fact: Fact) -> Optional[int]:
         return self._rank_to_k.get(self.order.rank_of(fact))
@@ -514,7 +512,6 @@ class IndexEvaluator:
         self.instance = instance
         self.mode = mode
         self.last_timing: dict[str, int] = {}
-        self.last_stats: Optional[IntersectStats] = None
 
     def _evaluate(self, q: U.Ucq) -> tuple[float, float]:
         t0 = time.perf_counter_ns()
@@ -522,13 +519,11 @@ class IndexEvaluator:
         t1 = time.perf_counter_ns()
         gq = from_lineage(phi, self.index.order)
         t2 = time.perf_counter_ns()
-        stats = IntersectStats()
-        result = _intersect(gq, self.index, self.mode == "cc", stats)
+        result = _intersect(gq, self.index, self.mode == "cc", None)
         t3 = time.perf_counter_ns()
         self.last_timing = {"lineage_us": (t1 - t0) // 1000,
                             "build_us": (t2 - t1) // 1000,
                             "intersect_us": (t3 - t2) // 1000}
-        self.last_stats = stats
         return result
 
     def prob_q_and_not_w(self, q: U.Ucq) -> float:

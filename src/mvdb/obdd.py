@@ -1,12 +1,9 @@
 """Reduced ordered binary decision diagrams over tuple variables.
 
 Nodes live in a shared, hash-consed arena (`NodeTable`), so every OBDD built
-against the same table is reduced and canonical for its variable order.  Two
-combination strategies are provided: `synthesize` (pairwise apply, product
-cost) and `concatenate` (sink redirection, linear in the left operand), and
-the paper's recursive query compiler `con_obdd` chooses between them:
-independent parts whose variable ranges are consecutive in the order are
-concatenated, everything else is synthesized.
+against the same table is reduced and canonical for its variable order.
+`synthesize` is the pairwise apply; `from_lineage` is the one compiler built
+on it.
 
 The engine compiles every OBDD it uses with `from_lineage`: query lineage
 online, and each block of the constraint query W's lineage offline
@@ -14,10 +11,14 @@ online, and each block of the constraint query W's lineage offline
 the highest first rank down.  Every apply then stops where that clause's
 path resolves, so a lineage costs about the result's size plus the clause
 lengths; ORing the clauses in ascending order walked the whole accumulator
-once per clause.  A reduced OBDD is canonical for its function and order,
-so `from_lineage` and `con_obdd` give the same diagram for the same query;
-`con_obdd` stays as the public form of the paper's compiler and as the
-tests' cross-check, off the compile path.
+once per clause.  `con_obdd`, the paper's query compiler, is `from_lineage`
+of the query's lineage under the tuple order of a permutation set.  A
+reduced OBDD is canonical for its function and order, so this is the
+diagram the paper's structural compiler builds as well (it joins
+independent parts whose ranks are consecutive by redirecting a sink, and
+synthesizes the rest); that compiler lives in the test suite as an
+independent reference.  The permutation choice (`choose_pi`,
+`is_inversion_free`) still simulates it, because it fixes the order.
 
 Finished OBDDs are immutable and shareable; construction is single-threaded.
 """
@@ -32,8 +33,6 @@ from typing import Iterable, Optional
 from .core import (Domain, Fact, Instance, MvdbError, OrderMismatchError,
                    Schema)
 from . import ucq as U
-
-_INF_RANK = math.inf
 
 
 @dataclass(frozen=True)
@@ -130,7 +129,6 @@ class NodeTable:
         self.lo: list[int] = [0, 1]
         self.hi: list[int] = [0, 1]
         self._unique: dict = {}
-        self._span: dict[int, Optional[tuple]] = {0: None, 1: None}
 
     def __len__(self):
         return len(self.var)
@@ -147,28 +145,6 @@ class NodeTable:
             self.hi.append(hi)
             self._unique[key] = node
         return node
-
-    def span(self, node: int) -> Optional[tuple]:
-        """(min rank, max rank) over the sub-DAG, or None for sinks."""
-        missing = [node]
-        while missing:
-            u = missing[-1]
-            if u in self._span:
-                missing.pop()
-                continue
-            deps = [c for c in (self.lo[u], self.hi[u]) if c not in self._span]
-            if deps:
-                missing.extend(deps)
-                continue
-            missing.pop()
-            lo_s = self._span[self.lo[u]]
-            hi_s = self._span[self.hi[u]]
-            mn = min(s[0] for s in (lo_s, hi_s) if s) if (lo_s or hi_s) \
-                else self.var[u]
-            mx = max(s[1] for s in (lo_s, hi_s) if s) if (lo_s or hi_s) \
-                else self.var[u]
-            self._span[u] = (min(self.var[u], mn), max(self.var[u], mx))
-        return self._span[node]
 
 
 class Obdd:
@@ -241,10 +217,6 @@ def obdd_metrics(g: Obdd) -> ObddMetrics:
     return ObddMetrics(g.size(), g.width())
 
 
-def _rank_of(table: NodeTable, u: int):
-    return _INF_RANK if u <= 1 else table.var[u]
-
-
 def synthesize(op: str, g1: Obdd, g2: Obdd) -> Obdd:
     """Pairwise apply; memoized on node pairs, at most |g1|*|g2| visits."""
     if op not in ("and", "or"):
@@ -288,43 +260,6 @@ def synthesize(op: str, g1: Obdd, g2: Obdd) -> Obdd:
             memo[pair] = t.make(top, memo[lo_pair], memo[hi_pair])
             stack.pop()
     return Obdd(t, memo[(g1.root, g2.root)])
-
-
-def concatenate(op: str, g1: Obdd, g2: Obdd) -> Obdd:
-    """Combine independent OBDDs by redirecting one sink of g1 to g2's root.
-
-    Requires every variable of g1 to precede every variable of g2 in the
-    shared order; refused otherwise so the caller can fall back to
-    `synthesize`.  The redirect is a memoized copy-on-write substitution in
-    the shared table; unchanged sub-DAGs are reused via hash-consing.
-    """
-    if op not in ("and", "or"):
-        raise MvdbError(f"unknown operation {op!r}")
-    t = g1.table
-    if g2.table is not t:
-        raise OrderMismatchError("operands use different node tables")
-    s1, s2 = t.span(g1.root), t.span(g2.root)
-    if s1 and s2 and s1[1] >= s2[0]:
-        raise OrderMismatchError(
-            "refused: left operand does not precede right operand")
-    target = 0 if op == "or" else 1
-    sub = {target: g2.root, 1 - target: 1 - target}
-    stack = [g1.root]
-    while stack:
-        u = stack[-1]
-        if u in sub:
-            stack.pop()
-            continue
-        lo, hi = t.lo[u], t.hi[u]
-        ready = True
-        for child in (lo, hi):
-            if child not in sub:
-                stack.append(child)
-                ready = False
-        if ready:
-            sub[u] = t.make(t.var[u], sub[lo], sub[hi])
-            stack.pop()
-    return Obdd(t, sub[g1.root])
 
 
 def from_lineage(phi: U.Lineage, order: VariableOrder,
@@ -434,7 +369,7 @@ def _split_components(atoms, preds):
 
 def _sim_never_synthesizes(disjuncts, pi: PermutationSet, schema: Schema,
                            var_rels, counter) -> bool:
-    """Structural check: would existential expansion always concatenate?"""
+    """Structural check: would existential expansion never synthesize?"""
     live = [d for d in disjuncts if d.variables()]
     if not live:
         return True
@@ -534,162 +469,25 @@ def choose_pi(q: U.Ucq, schema: Schema, var_rels=None) -> PermutationSet:
 # Query compilation
 # ---------------------------------------------------------------------------
 
-class _Builder:
-    def __init__(self, pi: PermutationSet, instance: Instance, domain: Domain,
-                 table: NodeTable, var_rels):
-        self.pi = pi
-        self.instance = instance
-        self.domain = domain
-        self.table = table
-        self.schema = instance.schema
-        self.var_rels = var_rels
-        self.order = table.order
-
-    # combining ------------------------------------------------------------
-
-    def _combine(self, op: str, roots: list[int]) -> int:
-        absorbing = 1 if op == "or" else 0
-        neutral = 1 - absorbing
-        pieces = []
-        for r in roots:
-            if r == absorbing:
-                return absorbing
-            if r != neutral:
-                pieces.append(r)
-        if not pieces:
-            return neutral
-        pieces.sort(key=lambda r: self.table.span(r)[0])
-        acc = pieces[-1]
-        for r in reversed(pieces[:-1]):
-            left, right = Obdd(self.table, r), Obdd(self.table, acc)
-            try:
-                acc = concatenate(op, left, right).root
-            except OrderMismatchError:
-                acc = synthesize(op, left, right).root
-        return acc
-
-    # candidate enumeration --------------------------------------------------
-
-    def _candidates(self, atoms, var: str) -> list:
-        values = None
-        for atom in atoms:
-            if var not in atom.variables():
-                continue
-            here = set()
-            for bnd, _ in U._match_atom(atom, self.instance, {}):
-                here.add(bnd[var])
-            values = here if values is None else values & here
-            if not values:
-                return []
-        return sorted(values or (), key=self.domain.rank)
-
-    # recursion --------------------------------------------------------------
-
-    def build_ucq(self, disjuncts) -> int:
-        disjuncts = tuple(disjuncts)
-        if len(disjuncts) > 1:
-            sep = U.find_separator(U.Ucq(disjuncts), self.schema,
-                                   self.var_rels)
-            if sep is not None:
-                by_constant: dict = {}
-                for i, (d, var) in enumerate(zip(disjuncts, sep.variables)):
-                    for c in self._candidates(d.atoms, var):
-                        by_constant.setdefault(c, []).append(i)
-                pieces = []
-                for c in sorted(by_constant, key=self.domain.rank):
-                    residual = [U._subst_cq(disjuncts[i],
-                                            {sep.variables[i]: c})
-                                for i in by_constant[c]]
-                    pieces.append(self.build_ucq(residual))
-                return self._combine("or", pieces)
-            return self._combine("or", [self.build_cq(d) for d in disjuncts])
-        return self.build_cq(disjuncts[0])
-
-    def build_cq(self, d: U.ConjunctiveQuery) -> int:
-        pieces = []
-        open_preds = []
-        for p in d.predicates:
-            if p.variables():
-                open_preds.append(p)
-            elif not U.eval_predicate(p, {}):
-                return 0
-        ground, open_atoms = [], []
-        for a in d.atoms:
-            (open_atoms if a.variables() else ground).append(a)
-        for a in ground:
-            g = self._ground_atom(a)
-            if g == 0:
-                return 0
-            pieces.append(g)
-        for catoms, cpreds, cvars in _split_components(open_atoms, open_preds):
-            pieces.append(self._build_component(catoms, cpreds, cvars))
-        return self._combine("and", pieces)
-
-    def _ground_atom(self, a: U.Atom) -> int:
-        fact = Fact(a.relation, tuple(t.value for t in a.terms))
-        if fact in self.instance.deterministic:
-            return 1
-        if fact in self.instance:
-            return self.table.make(self.order.rank_of(fact), 0, 1)
-        return 0
-
-    def _build_component(self, atoms, preds, cvars) -> int:
-        if not any(a.relation in self.var_rels for a in atoms):
-            # no Boolean variables here: a pure filter, true iff satisfiable
-            probe = U.ConjunctiveQuery((), tuple(atoms), tuple(preds))
-            for _ in U.iter_matches(probe, self.instance):
-                return 1
-            return 0
-        dominant = None
-        ranked = []
-        for x in sorted(cvars):
-            cands = self._candidates(atoms, x)
-            ranked.append((len(cands), x, cands))
-            if dominant is None and _dominates(x, atoms, self.pi,
-                                               self.var_rels):
-                dominant = (x, cands)
-        if dominant is None:
-            # no safe grouping variable: expand the cheapest one and let the
-            # combiner fall back to synthesis where ranges overlap
-            ranked.sort()
-            _, x, cands = ranked[0]
-        else:
-            x, cands = dominant
-        pieces = []
-        for c in cands:
-            sub = U._subst_cq(U.ConjunctiveQuery((), tuple(atoms),
-                                                 tuple(preds)), {x: c})
-            pieces.append(self.build_cq(sub))
-        return self._combine("or", pieces)
-
-
 def con_obdd(pi: PermutationSet, q: U.Ucq, instance: Instance, domain: Domain,
              order: Optional[VariableOrder] = None,
-             table: Optional[NodeTable] = None, var_rels=None) -> Obdd:
+             table: Optional[NodeTable] = None) -> Obdd:
     """Compile a Boolean UCQ to a reduced OBDD under the tuple order of *pi*.
 
-    Disjunctions with a separator expand over the active domain and
-    concatenate; conjunctive components expand on a dominating variable when
-    one exists; everything else falls back to synthesis.  Ground atoms over
-    deterministic tuples reduce to sinks.
-
-    This is the paper's compiler (concatenate versus synthesize).  The
-    engine itself compiles through `from_lineage`, which builds the same
-    reduced OBDD from the query's lineage: on a non-separable W such as the
-    chain, the synthesis fallback here grows faster than linearly in the
-    data, and the candidate matching ignores predicates.
+    The OBDD is `from_lineage` of the query's lineage over *instance*, so
+    deterministic tuples drop out of it.  Without *order*, the table's order
+    is used, or else the tuple order of *pi* over the instance's
+    probabilistic tuples.  The paper's structural compiler gives the same
+    diagram; the tests keep it as the reference this is checked against.
     """
     if not q.is_boolean():
         raise MvdbError("con_obdd expects a Boolean query")
-    if var_rels is None:
-        var_rels = U.variable_relations(instance.schema)
+    if order is None and table is not None:
+        order = table.order
     if order is None:
-        prob_facts = [f for f in instance.facts
-                      if f not in instance.deterministic]
         # instance.facts is a frozenset; rebuild a deterministic ordering
-        prob_facts.sort(key=lambda f: (f.relation, f.values))
+        prob_facts = sorted((f for f in instance.facts
+                             if f not in instance.deterministic),
+                            key=lambda f: (f.relation, f.values))
         order = tuple_order(pi, prob_facts, domain, instance.schema)
-    if table is None:
-        table = NodeTable(order)
-    builder = _Builder(pi, instance, domain, table, var_rels)
-    return Obdd(table, builder.build_ucq(q.disjuncts))
+    return from_lineage(U.lineage(q, instance), order, table)

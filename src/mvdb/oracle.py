@@ -4,7 +4,9 @@ Two measures are enumerated: the correlated-database measure, whose world
 weight is the product of the weights of all present tuples and of all
 satisfied view features, and the signed product measure of a translated
 tuple-independent database, where per-tuple probabilities may be negative.
-Both are exact up to float arithmetic and capped at 2**20 worlds.
+Both are exact up to float arithmetic and capped at 2**20 worlds.  Each
+has one path: numpy arrays of world weights over all 2**n assignments,
+summed where the formula holds.
 
 numpy is imported by the enumerating functions themselves, so a process
 that loads mvdb but never enumerates (every CLI command except the oracle
@@ -25,24 +27,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 DEFAULT_WORLD_CAP = 1 << 20
-
-
-class KahanSum:
-    """Compensated accumulation, exact to one rounding of the total."""
-
-    def __init__(self):
-        self.total = 0.0
-        self._c = 0.0
-
-    def add(self, x: float):
-        y = x - self._c
-        t = self.total + y
-        self._c = (t - self.total) - y
-        self.total = t
-
-    @property
-    def value(self) -> float:
-        return self.total
 
 
 def _check_cap(n_tuples: int, world_cap: int):
@@ -151,103 +135,8 @@ def _world_weight_array(db: Mvdb, features, bits, n) -> np.ndarray:
     return weights
 
 
-class _ZeroTrackedProduct:
-    """Multiplicative state that survives zero factors exactly."""
-
-    def __init__(self):
-        self.nonzero = 1.0
-        self.zeros = 0
-
-    def multiply(self, x: float):
-        if x == 0.0:
-            self.zeros += 1
-        else:
-            self.nonzero *= x
-
-    def divide(self, x: float):
-        if x == 0.0:
-            self.zeros -= 1
-        else:
-            self.nonzero /= x
-
-    @property
-    def value(self) -> float:
-        return 0.0 if self.zeros else self.nonzero
-
-
-def _mln_gray(db: Mvdb, q_masks, features, bits, n):
-    """Gray-code sweep: one tuple factor changes per step; Kahan-summed."""
-    tup = _ZeroTrackedProduct()
-    feat = _ZeroTrackedProduct()
-    feature_masks = []
-    for phi, w in features:
-        feature_masks.append(([m for m in _clause_masks(phi, bits)], w))
-    feat_missing = [[bin(m).count("1") for m in masks]
-                    for masks, _ in feature_masks]
-    feat_satisfied = [sum(1 for miss in row if miss == 0)
-                      for row in feat_missing]
-    for (masks, w), nsat in zip(feature_masks, feat_satisfied):
-        if nsat:
-            feat.multiply(w)
-    q_missing = [bin(m).count("1") for m in q_masks]
-    q_satisfied = sum(1 for miss in q_missing if miss == 0)
-    weights = [db.weights[f] for f in bits]
-    by_bit: dict[int, list] = {i: [] for i in range(n)}
-    for fi, (masks, _) in enumerate(feature_masks):
-        for ci, m in enumerate(masks):
-            for i in range(n):
-                if (m >> i) & 1:
-                    by_bit[i].append(("f", fi, ci))
-    for ci, m in enumerate(q_masks):
-        for i in range(n):
-            if (m >> i) & 1:
-                by_bit[i].append(("q", ci))
-
-    z = KahanSum()
-    zq = KahanSum()
-
-    def record():
-        w = tup.value * feat.value
-        z.add(w)
-        if q_satisfied:
-            zq.add(w)
-
-    record()
-    state = 0
-    for j in range(1, 1 << n):
-        bit = (j & -j).bit_length() - 1
-        adding = not (state >> bit) & 1
-        state ^= 1 << bit
-        delta = 1 if adding else -1
-        if adding:
-            tup.multiply(weights[bit])
-        else:
-            tup.divide(weights[bit])
-        for entry in by_bit[bit]:
-            if entry[0] == "f":
-                _, fi, ci = entry
-                feat_missing[fi][ci] -= delta
-                if feat_missing[fi][ci] == 0 and delta == 1:
-                    feat_satisfied[fi] += 1
-                    if feat_satisfied[fi] == 1:
-                        feat.multiply(feature_masks[fi][1])
-                elif feat_missing[fi][ci] == 1 and delta == -1:
-                    feat_satisfied[fi] -= 1
-                    if feat_satisfied[fi] == 0:
-                        feat.divide(feature_masks[fi][1])
-            else:
-                _, ci = entry
-                q_missing[ci] -= delta
-                if q_missing[ci] == 0 and delta == 1:
-                    q_satisfied += 1
-                elif q_missing[ci] == 1 and delta == -1:
-                    q_satisfied -= 1
-        record()
-    return zq.value, z.value
-
-
-def mln_probability(db: Mvdb, q: U.Ucq, world_cap: int = DEFAULT_WORLD_CAP,
-                    method: str = "fast") -> float:
+def mln_probability(db: Mvdb, q: U.Ucq,
+                    world_cap: int = DEFAULT_WORLD_CAP) -> float:
     """P(Q) by enumerating all worlds of the correlated database."""
     if not q.is_boolean():
         raise MvdbError("mln_probability expects a Boolean query")
@@ -258,14 +147,9 @@ def mln_probability(db: Mvdb, q: U.Ucq, world_cap: int = DEFAULT_WORLD_CAP,
     instance = db.possible_instance()
     features = view_features(db)
     q_masks = _clause_masks(U.lineage(q, instance), bits)
-    if method == "gray":
-        zq, z = _mln_gray(db, q_masks, features, bits, n)
-    elif method == "fast":
-        weights = _world_weight_array(db, features, bits, n)
-        z = float(weights.sum())
-        zq = float(weights[_sat_array(q_masks, n)].sum())
-    else:
-        raise MvdbError(f"unknown method {method!r}")
+    weights = _world_weight_array(db, features, bits, n)
+    z = float(weights.sum())
+    zq = float(weights[_sat_array(q_masks, n)].sum())
     if z == 0.0:
         raise InconsistentConstraintsError("partition function is zero")
     return zq / z
@@ -291,38 +175,15 @@ def _phi_sat(db: Indb, phi, prob_facts, bits, n) -> np.ndarray:
     raise MvdbError(f"unsupported formula {type(phi).__name__}")
 
 
-def indb_probability(db: Indb, phi, world_cap: int = DEFAULT_WORLD_CAP,
-                     method: str = "fast") -> float:
+def indb_probability(db: Indb, phi,
+                     world_cap: int = DEFAULT_WORLD_CAP) -> float:
     """Signed measure of a formula over an independent database."""
     prob_facts = db.probabilistic_facts()
     n = len(prob_facts)
     _check_cap(n, world_cap)
     bits = _bit_map(prob_facts)
     sat = _phi_sat(db, phi, prob_facts, bits, n)
-    if method == "fast":
-        return float(_probability_array(db, prob_facts, n)[sat].sum())
-    if method != "kahan":
-        raise MvdbError(f"unknown method {method!r}")
-    # Gray-code sweep: each step swaps one tuple's factor
-    probs = [db.probability(f) for f in prob_facts]
-    product = _ZeroTrackedProduct()
-    for p in probs:
-        product.multiply(1.0 - p)
-    acc = KahanSum()
-    state = 0
-    if sat[0]:
-        acc.add(product.value)
-    for j in range(1, 1 << n):
-        bit = (j & -j).bit_length() - 1
-        adding = not (state >> bit) & 1
-        state ^= 1 << bit
-        old, new = ((1.0 - probs[bit], probs[bit]) if adding
-                    else (probs[bit], 1.0 - probs[bit]))
-        product.divide(old)
-        product.multiply(new)
-        if sat[state]:
-            acc.add(product.value)
-    return acc.value
+    return float(_probability_array(db, prob_facts, n)[sat].sum())
 
 
 class EnumerationEvaluator:

@@ -33,12 +33,6 @@ class ViewMaterialization:
     view: U.MarkoView
     tuples: tuple  # ((values, weight), ...) sorted by values
 
-    def weight_of(self, values: tuple) -> float:
-        for v, w in self.tuples:
-            if v == values:
-                return w
-        raise KeyError(values)
-
 
 def materialize_view(view: U.MarkoView, db: Mvdb) -> ViewMaterialization:
     """Evaluate the view body over all possible tuples and attach weights.

@@ -714,9 +714,6 @@ class Separator:
     variables: tuple[str, ...]
     positions: dict
 
-    def position_of(self, relation: str) -> int:
-        return self.positions[relation]
-
 
 def variable_relations(schema: Schema) -> set[str]:
     """Relations whose atoms may bind Boolean variables."""

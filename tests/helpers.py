@@ -12,8 +12,11 @@ import itertools
 import math
 import random
 
-from mvdb import (Fact, Mvdb, NodeTable, Obdd, parse_schema, parse_query,
-                  parse_view, synthesize)
+from mvdb import (Fact, Mvdb, MvdbError, NodeTable, Obdd, OrderMismatchError,
+                  parse_schema, parse_query, parse_view, synthesize,
+                  tuple_order)
+from mvdb import ucq as U
+from mvdb.obdd import _dominates, _split_components
 
 EX1_SCHEMA = parse_schema("""
 relation R(x:string) key(x) probabilistic
@@ -98,14 +101,219 @@ def from_lineage_clausewise(phi, order, table=None) -> Obdd:
     return Obdd(t, root)
 
 
+def node_span(table, node: int, memo: dict):
+    """(first rank, last rank) over the sub-DAG of *node*, or None for a
+    sink.  *memo* caches the spans of *table*'s nodes for the caller."""
+    stack = [node]
+    while stack:
+        u = stack[-1]
+        if u <= 1 or u in memo:
+            stack.pop()
+            continue
+        kids = [c for c in (table.lo[u], table.hi[u]) if c > 1]
+        missing = [c for c in kids if c not in memo]
+        if missing:
+            stack.extend(missing)
+            continue
+        stack.pop()
+        # ranks increase along every path, so the node's own rank is first
+        memo[u] = (table.var[u],
+                   max([table.var[u]] + [memo[c][1] for c in kids]))
+    return memo.get(node)
+
+
+def concatenate(op: str, g1: Obdd, g2: Obdd, memo=None) -> Obdd:
+    """Combine independent OBDDs by redirecting one sink of g1 to g2's root.
+
+    Requires every variable of g1 to precede every variable of g2 in the
+    shared order; refused otherwise so the caller can fall back to
+    `synthesize`.  The redirect is a memoized copy-on-write substitution in
+    the shared table; unchanged sub-DAGs are reused via hash-consing.
+    *memo* is the table's `node_span` cache, if the caller keeps one.
+    """
+    if op not in ("and", "or"):
+        raise MvdbError(f"unknown operation {op!r}")
+    t = g1.table
+    if g2.table is not t:
+        raise OrderMismatchError("operands use different node tables")
+    memo = {} if memo is None else memo
+    s1, s2 = node_span(t, g1.root, memo), node_span(t, g2.root, memo)
+    if s1 and s2 and s1[1] >= s2[0]:
+        raise OrderMismatchError(
+            "refused: left operand does not precede right operand")
+    target = 0 if op == "or" else 1
+    sub = {target: g2.root, 1 - target: 1 - target}
+    stack = [g1.root]
+    while stack:
+        u = stack[-1]
+        if u in sub:
+            stack.pop()
+            continue
+        lo, hi = t.lo[u], t.hi[u]
+        ready = True
+        for child in (lo, hi):
+            if child not in sub:
+                stack.append(child)
+                ready = False
+        if ready:
+            sub[u] = t.make(t.var[u], sub[lo], sub[hi])
+            stack.pop()
+    return Obdd(t, sub[g1.root])
+
+
+class _StructuralBuilder:
+    """The paper's recursive compiler: disjunctions with a separator expand
+    over the active domain, conjunctive components on a dominating
+    variable; independent parts whose ranks are consecutive concatenate,
+    everything else synthesizes."""
+
+    def __init__(self, pi, instance, domain, table: NodeTable, var_rels):
+        self.pi = pi
+        self.instance = instance
+        self.domain = domain
+        self.table = table
+        self.schema = instance.schema
+        self.var_rels = var_rels
+        self.order = table.order
+        self.spans: dict = {}
+
+    def _combine(self, op: str, roots: list[int]) -> int:
+        absorbing = 1 if op == "or" else 0
+        neutral = 1 - absorbing
+        pieces = []
+        for r in roots:
+            if r == absorbing:
+                return absorbing
+            if r != neutral:
+                pieces.append(r)
+        if not pieces:
+            return neutral
+        pieces.sort(key=lambda r: node_span(self.table, r, self.spans)[0])
+        acc = pieces[-1]
+        for r in reversed(pieces[:-1]):
+            left, right = Obdd(self.table, r), Obdd(self.table, acc)
+            try:
+                acc = concatenate(op, left, right, self.spans).root
+            except OrderMismatchError:
+                acc = synthesize(op, left, right).root
+        return acc
+
+    def candidates(self, atoms, var: str) -> list:
+        values = None
+        for atom in atoms:
+            if var not in atom.variables():
+                continue
+            here = set()
+            for bnd, _ in U._match_atom(atom, self.instance, {}):
+                here.add(bnd[var])
+            values = here if values is None else values & here
+            if not values:
+                return []
+        return sorted(values or (), key=self.domain.rank)
+
+    def build_ucq(self, disjuncts) -> int:
+        disjuncts = tuple(disjuncts)
+        if len(disjuncts) > 1:
+            sep = U.find_separator(U.Ucq(disjuncts), self.schema,
+                                   self.var_rels)
+            if sep is not None:
+                by_constant: dict = {}
+                for i, (d, var) in enumerate(zip(disjuncts, sep.variables)):
+                    for c in self.candidates(d.atoms, var):
+                        by_constant.setdefault(c, []).append(i)
+                pieces = []
+                for c in sorted(by_constant, key=self.domain.rank):
+                    residual = [U._subst_cq(disjuncts[i],
+                                            {sep.variables[i]: c})
+                                for i in by_constant[c]]
+                    pieces.append(self.build_ucq(residual))
+                return self._combine("or", pieces)
+            return self._combine("or", [self.build_cq(d) for d in disjuncts])
+        return self.build_cq(disjuncts[0])
+
+    def build_cq(self, d) -> int:
+        pieces = []
+        open_preds = []
+        for p in d.predicates:
+            if p.variables():
+                open_preds.append(p)
+            elif not U.eval_predicate(p, {}):
+                return 0
+        ground, open_atoms = [], []
+        for a in d.atoms:
+            (open_atoms if a.variables() else ground).append(a)
+        for a in ground:
+            g = self._ground_atom(a)
+            if g == 0:
+                return 0
+            pieces.append(g)
+        for catoms, cpreds, cvars in _split_components(open_atoms, open_preds):
+            pieces.append(self._build_component(catoms, cpreds, cvars))
+        return self._combine("and", pieces)
+
+    def _ground_atom(self, a) -> int:
+        fact = Fact(a.relation, tuple(t.value for t in a.terms))
+        if fact in self.instance.deterministic:
+            return 1
+        if fact in self.instance:
+            return self.table.make(self.order.rank_of(fact), 0, 1)
+        return 0
+
+    def _build_component(self, atoms, preds, cvars) -> int:
+        if not any(a.relation in self.var_rels for a in atoms):
+            # no Boolean variables here: a pure filter, true iff satisfiable
+            probe = U.ConjunctiveQuery((), tuple(atoms), tuple(preds))
+            for _ in U.iter_matches(probe, self.instance):
+                return 1
+            return 0
+        dominant = None
+        ranked = []
+        for x in sorted(cvars):
+            cands = self.candidates(atoms, x)
+            ranked.append((len(cands), x, cands))
+            if dominant is None and _dominates(x, atoms, self.pi,
+                                               self.var_rels):
+                dominant = (x, cands)
+        if dominant is None:
+            # no safe grouping variable: expand the cheapest one and let the
+            # combiner fall back to synthesis where ranges overlap
+            ranked.sort()
+            _, x, cands = ranked[0]
+        else:
+            x, cands = dominant
+        pieces = []
+        for c in cands:
+            sub = U._subst_cq(U.ConjunctiveQuery((), tuple(atoms),
+                                                 tuple(preds)), {x: c})
+            pieces.append(self.build_cq(sub))
+        return self._combine("or", pieces)
+
+
+def con_obdd_structural(pi, q, instance, domain, order=None, table=None,
+                        var_rels=None) -> Obdd:
+    """`mvdb.con_obdd` built by the paper's structural compiler instead of
+    from the query's lineage; the same reduced OBDD, by a different route."""
+    if not q.is_boolean():
+        raise MvdbError("con_obdd expects a Boolean query")
+    if var_rels is None:
+        var_rels = U.variable_relations(instance.schema)
+    if order is None:
+        prob_facts = sorted((f for f in instance.facts
+                             if f not in instance.deterministic),
+                            key=lambda f: (f.relation, f.values))
+        order = tuple_order(pi, prob_facts, domain, instance.schema)
+    if table is None:
+        table = NodeTable(order)
+    builder = _StructuralBuilder(pi, instance, domain, table, var_rels)
+    return Obdd(table, builder.build_ucq(q.disjuncts))
+
+
 def build_index_per_block(tr):
-    """`build_index` with one `con_obdd` call per separator constant, every
-    block in one shared node table, and the contiguity check on
-    `NodeTable.span`; on interleaved blocks, one `con_obdd` over all of W."""
-    from mvdb import ucq as U
+    """`build_index` with one `con_obdd_structural` call per separator
+    constant, every block in one shared node table, and the contiguity check
+    on `node_span`; on interleaved blocks, one call over all of W."""
     from mvdb.mvindex import (Constituent, MvIndex, _variable_relations)
-    from mvdb.obdd import (PermutationSet, _Builder, choose_pi, con_obdd,
-                           tuple_order)
+    from mvdb.obdd import PermutationSet, choose_pi
     indb = tr.indb
     instance = indb.possible_instance()
     prob_facts = indb.probabilistic_facts()
@@ -122,27 +330,31 @@ def build_index_per_block(tr):
     blocks = []
     sep = U.find_separator(tr.w_query, indb.schema, var_rels)
     if sep is not None:
-        builder = _Builder(pi, instance, indb.domain, table, var_rels)
+        builder = _StructuralBuilder(pi, instance, indb.domain, table,
+                                     var_rels)
         by_constant = {}
         for i, (d, var) in enumerate(zip(tr.w_query.disjuncts,
                                          sep.variables)):
-            for c in builder._candidates(d.atoms, var):
+            for c in builder.candidates(d.atoms, var):
                 by_constant.setdefault(c, []).append(i)
         for c in sorted(by_constant, key=indb.domain.rank):
             residual = tuple(U._subst_cq(tr.w_query.disjuncts[i],
                                          {sep.variables[i]: c})
                              for i in by_constant[c])
-            g = con_obdd(pi, U.Ucq(residual), instance, indb.domain,
-                         order=order, table=table, var_rels=var_rels)
+            g = con_obdd_structural(pi, U.Ucq(residual), instance,
+                                    indb.domain, order=order, table=table,
+                                    var_rels=var_rels)
             if g.root != 0:
                 blocks.append((c, g))
-        spans = sorted(table.span(g.root) for _, g in blocks if g.root > 1)
+        memo = {}
+        spans = sorted(node_span(table, g.root, memo)
+                       for _, g in blocks if g.root > 1)
         if any(a[1] >= b[0] for a, b in zip(spans, spans[1:])):
             blocks = []
             sep = None
     if sep is None:
-        g = con_obdd(pi, tr.w_query, instance, indb.domain, order=order,
-                     table=table, var_rels=var_rels)
+        g = con_obdd_structural(pi, tr.w_query, instance, indb.domain,
+                                order=order, table=table, var_rels=var_rels)
         blocks = [] if g.root == 0 else [(None, g)]
     constituents = []
     for key, g in blocks:

@@ -89,8 +89,8 @@ def test_compile_does_not_reach_con_obdd(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("con_obdd is not on the compile path")
 
+    assert not hasattr(obdd, "_Builder")
     monkeypatch.setattr(obdd, "con_obdd", refuse)
-    monkeypatch.setattr(obdd, "_Builder", refuse)
     monkeypatch.setattr(mvdb, "con_obdd", refuse)
     assert main(["compile", "--project", str(proj)], out=io.StringIO()) == 0
     assert (proj / "index.mvx").read_bytes() == want

@@ -74,11 +74,11 @@ def test_build_index_no_views():
 def test_inter_and_intra_indices():
     db, tr, idx = _ex1_index()
     r = Fact("R", ("a",))
-    assert idx.inter[r] == "a"
+    assert idx.constituents[idx.constituent_of(r)].key == "a"
     positions = idx.intra("a", r)
     assert len(positions) == 1
     assert idx.constituents[0].rank[positions[0]] == idx.order.rank_of(r)
-    assert Fact("NV", ("a",)) in idx.inter
+    assert idx.constituent_of(Fact("NV", ("a",))) is not None
 
 
 # -- annotations ------------------------------------------------------------------
@@ -161,7 +161,7 @@ def test_point_probability_absent_variable():
     tr2 = build_indb(db2)
     idx2 = build_index(tr2)
     t = Fact("T", ("t",))
-    assert t not in idx2.inter
+    assert idx2.constituent_of(t) is None
     want = tr2.indb.probability(t) * idx2.p0_not_w
     assert point_probability(t, idx2) == pytest.approx(want, abs=1e-12)
 

@@ -4,14 +4,15 @@ import random
 
 import pytest
 
+import mvdb
 from mvdb import (Fact, Mvdb, NodeTable, Obdd, OrderMismatchError,
-                  PermutationSet, VariableOrder, choose_pi, con_obdd,
-                  concatenate, from_lineage, is_inversion_free, lineage,
-                  obdd_metrics, parse_query, shannon_probability, synthesize,
-                  tuple_order)
+                  PermutationSet, VariableOrder, choose_pi, from_lineage,
+                  is_inversion_free, lineage, obdd_metrics, parse_query,
+                  shannon_probability, synthesize, tuple_order)
 from mvdb.ucq import Lineage
 
 from helpers import (RAND_SCHEMA, TWO_TABLE_SCHEMA, chain_mvdb, chain_window,
+                     con_obdd_structural as con_obdd, concatenate,
                      from_lineage_clausewise, lineage_models, obdd_models,
                      random_boolean_query, random_mvdb, signed_world_sum,
                      two_table_db)
@@ -297,6 +298,29 @@ def test_con_obdd_random_queries_match_lineage():
         n = len(g.order)
         assert obdd_models(g, n) == lineage_models(phi, g.order, n)
         assert from_lineage(phi, g.order, g.table).root == g.root
+
+
+def test_con_obdd_is_from_lineage_of_lineage():
+    # mvdb.con_obdd compiles the lineage; the structural reference never
+    # forms it.  Canonicity puts both on the same root of a shared table.
+    rng = random.Random(17)
+    for _ in range(200):
+        db = random_mvdb(rng, max_tuples=10)
+        inst = db.possible_instance()
+        q = random_boolean_query(rng)
+        pi = choose_pi(q, db.schema)
+        want = con_obdd(pi, q, inst, db.domain)
+        got = mvdb.con_obdd(pi, q, inst, db.domain, table=want.table)
+        assert got.root == want.root
+        assert mvdb.con_obdd(pi, q, inst, db.domain).order == want.order
+    tr, idx = _chain_index(20)
+    inst = tr.indb.possible_instance()
+    t = NodeTable(idx.order)
+    for lo, hi in ((0, 1), (3, 9), (12, 20), (0, 20)):
+        q = chain_window(lo, hi)
+        want = con_obdd(idx.pi, q, inst, tr.indb.domain, idx.order, t)
+        got = mvdb.con_obdd(idx.pi, q, inst, tr.indb.domain, idx.order, t)
+        assert got.root == want.root and got.root > 1
 
 
 def _chain_db(n):
