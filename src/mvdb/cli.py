@@ -107,7 +107,8 @@ def cmd_compile(args, out) -> int:
         print(f"p0_w\t{index.p0_w!r}", file=out)
     else:
         print(f"{count} constituents, total size {total}, "
-              f"P0(W) = {index.p0_w!r}", file=out)
+              f"P0(W) = {index.p0_w!r}, "
+              f"log10 P0(not W) = {index.log10_p0_not_w!r}", file=out)
         print(f"wrote {path} in {elapsed * 1e3:.1f} ms", file=out)
     return EXIT_OK
 
@@ -181,8 +182,8 @@ def cmd_stats(args, out) -> int:
         print(f"p0_w\t{index.p0_w!r}", file=out)
         print(f"p0_not_w\t{index.p0_not_w!r}", file=out)
     else:
-        print(f"P0(W) = {index.p0_w!r}, P0(not W) = {index.p0_not_w!r}",
-              file=out)
+        print(f"P0(W) = {index.p0_w!r}, P0(not W) = {index.p0_not_w!r}, "
+              f"log10 P0(not W) = {index.log10_p0_not_w!r}", file=out)
     if args.dump:
         for c in index.constituents:
             print(f"constituent {c.key!r}", file=out)

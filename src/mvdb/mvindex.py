@@ -62,6 +62,7 @@ import time
 import zlib
 from array import array
 from bisect import bisect_left, bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -230,6 +231,16 @@ class MvIndex:
             for r in c.levels:
                 self._rank_to_k[r] = k
 
+    @property
+    def log10_p0_not_w(self) -> float:
+        """log10 |P0(not W)| as a sum over the constituents' root
+        probabilities, finite where the product `p0_not_w` underflows to
+        0.0; -inf when a block's root probability is exactly 0.0."""
+        if self.zero_block:
+            return -math.inf
+        return math.fsum(math.log10(abs(c.prob_root))
+                         for c in self.constituents)
+
     def constituent_of(self, fact: Fact) -> Optional[int]:
         return self._rank_to_k.get(self.order.rank_of(fact))
 
@@ -252,6 +263,22 @@ def _variable_relations(indb: Indb) -> set[str]:
     return out
 
 
+@contextmanager
+def _collector_paused():
+    """Run a block with the cyclic garbage collector off, then restore the
+    caller's collector state however the block ends.  For a block whose
+    allocations all stay live or are freed by reference counting, the
+    collections they would trigger find nothing to free."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@_collector_paused()
 def build_index(tr: TranslationResult,
                 instance: Optional[Instance] = None) -> MvIndex:
     """Compile the constraint query of a translation into an index.
@@ -265,7 +292,9 @@ def build_index(tr: TranslationResult,
     another block reuses.  The cost is linear in W's lineage plus the
     constituents' size.  When the blocks' rank ranges interleave in the
     tuple order, W compiles as one unkeyed constituent instead.
-    Constituents are negated by swapping sinks, then augmented.
+    Constituents are negated by swapping sinks, then augmented.  The
+    build runs with the cyclic collector paused (`_collector_paused`):
+    grounding and compilation leave no reference cycles.
     """
     indb = tr.indb
     if instance is None:
@@ -352,8 +381,9 @@ def _intersect(gq: Obdd, index: MvIndex, cache_conscious: bool,
     P0(Q and not-W).  Every task value is normalized by the root
     probabilities of the window constituents it has not left yet, so
     entering constituent k multiplies by ``inv_root[k]`` and nothing else
-    changes scale."""
-    if gq.order != index.order:
+    changes scale.  A query OBDD built on ``index.order`` itself passes the
+    order check without reading a fact."""
+    if gq.order is not index.order and gq.order != index.order:
         raise OrderMismatchError("query OBDD does not follow the index order")
     cons = index.constituents
     k_lo, k_end = _window(gq, index)
@@ -646,22 +676,10 @@ def _decode_meta(raw) -> tuple:
     return pi, order, heads
 
 
+@_collector_paused()
 def deserialize(buf: bytes) -> MvIndex:
-    """Load a v2 index, with the cyclic garbage collector paused.
-
-    Everything the loader allocates stays live, so the collections its
-    allocations would trigger find nothing to free; the caller's collector
-    state is restored however the load ends."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _deserialize(buf)
-    finally:
-        if enabled:
-            gc.enable()
-
-
-def _deserialize(buf: bytes) -> MvIndex:
+    """Load a v2 index, with the cyclic garbage collector paused
+    (`_collector_paused`): everything the loader allocates stays live."""
     if len(buf) < 12:
         raise IndexFormatError("truncated index file")
     body = memoryview(buf)[:-4]

@@ -67,6 +67,7 @@ class VariableOrder:
         self.rank: dict[Fact, int] = {f: i for i, f in enumerate(self.facts)}
         if len(self.rank) != len(self.facts):
             raise MvdbError("duplicate tuple in variable order")
+        self._hash: Optional[int] = None
 
     def __len__(self):
         return len(self.facts)
@@ -78,10 +79,19 @@ class VariableOrder:
             raise OrderMismatchError(f"{fact} is not ranked") from None
 
     def __eq__(self, other):
-        return isinstance(other, VariableOrder) and self.facts == other.facts
+        """Equal fact sequences.  Distinct orders compare lengths, then
+        their cached hashes, and read the facts only when both agree."""
+        if self is other:
+            return True
+        return (isinstance(other, VariableOrder)
+                and len(self.facts) == len(other.facts)
+                and hash(self) == hash(other)
+                and self.facts == other.facts)
 
     def __hash__(self):
-        return hash(self.facts)
+        if self._hash is None:
+            self._hash = hash(self.facts)
+        return self._hash
 
 
 def tuple_order(pi: PermutationSet, facts: Iterable[Fact], domain: Domain,
@@ -100,20 +110,22 @@ def tuple_order(pi: PermutationSet, facts: Iterable[Fact], domain: Domain,
         items.append((f, tuple(f.values[p] for p in perm)))
 
     ordered: list[Fact] = []
-
-    def emit(block):
-        finished = [(f, pv) for f, pv in block if not pv]
-        finished.sort(key=lambda t: rel_key[t[0].relation])
-        ordered.extend(f for f, _ in finished)
-        rest = [t for t in block if t[1]]
-        groups: dict = {}
-        for f, pv in rest:
-            groups.setdefault(pv[0], []).append((f, pv[1:]))
-        for value in sorted(groups, key=domain.rank):
-            emit(groups[value])
-
-    emit(items)
+    _emit(items, rel_key, domain, ordered)
     return VariableOrder(ordered)
+
+
+def _emit(block, rel_key: dict, domain: Domain, ordered: list):
+    """Append *block*'s facts to *ordered* in `tuple_order`'s order.  A
+    module-level function, so the recursion leaves no reference cycle."""
+    finished = [(f, pv) for f, pv in block if not pv]
+    finished.sort(key=lambda t: rel_key[t[0].relation])
+    ordered.extend(f for f, _ in finished)
+    groups: dict = {}
+    for f, pv in block:
+        if pv:
+            groups.setdefault(pv[0], []).append((f, pv[1:]))
+    for value in sorted(groups, key=domain.rank):
+        _emit(groups[value], rel_key, domain, ordered)
 
 
 # ---------------------------------------------------------------------------

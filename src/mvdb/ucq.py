@@ -7,6 +7,11 @@ Surface syntax is datalog-style, one query per string::
 Disjuncts are separated by ``;``.  Variables are lowercase identifiers,
 constants are quoted strings or integer literals.  Parsed queries and
 lineages are immutable values and safe to share across threads.
+
+Grounding (`iter_matches`) runs each conjunctive query through a join plan
+computed once per call, so a query costs the rows its atoms probe, not a
+rescoring of every remaining atom at every step, and leaves no reference
+cycles for the garbage collector.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .core import (DETERMINISTIC, Fact, Instance, MvdbError, QueryParseError,
@@ -466,86 +472,143 @@ def parse_view(text: str, schema: Schema) -> MarkoView:
 # Grounding
 # ---------------------------------------------------------------------------
 
-def _bound_positions(atom: Atom, binding: dict):
-    out = []
-    for i, t in enumerate(atom.terms):
-        if isinstance(t, Const):
-            out.append((i, t.value))
-        elif t.name in binding:
-            out.append((i, binding[t.name]))
-    return out
+class _Step(NamedTuple):
+    """One atom of a join plan, resolved against the variables bound before
+    it runs.  Every position holds a constant or a variable bound earlier
+    (*probe* and *checked*), or a variable the atom binds (its first
+    occurrence in *binds*, any later one in *repeated*)."""
+
+    relation: str
+    probe: int  # position looked up in the positional index; -1: scan
+    probe_term: object  # the Const or bound Var at *probe*
+    checked: Optional[itemgetter]  # the other such positions of a row
+    checks: tuple  # the Const or bound Var at each of them
+    repeated: Optional[itemgetter]  # later occurrences of new variables
+    first_of: Optional[itemgetter]  # the first occurrence of each
+    binds: tuple  # (variable, position) of each new variable
+    predicates: tuple  # predicates whose variables are all bound here
 
 
-def _match_atom(atom: Atom, instance: Instance, binding: dict):
-    """Yield (extended binding, fact) for rows matching *atom*."""
-    bound = _bound_positions(atom, binding)
-    if bound:
-        pos, value = bound[0]
-        rows = instance.rows_with_value(atom.relation, pos, value)
-    else:
-        rows = instance.rows_of(atom.relation)
-    for row in rows:
-        new = None
-        ok = True
-        local = binding
+def _take_ready(preds: list, bound) -> tuple:
+    """Remove from *preds*, in order, those whose variables are all bound."""
+    if not preds:
+        return ()
+    ready = tuple(p for p in preds if p.variables() <= bound)
+    preds[:] = [p for p in preds if not p.variables() <= bound]
+    return ready
+
+
+def _plan(cq: ConjunctiveQuery, instance: Instance, bound) -> tuple:
+    """Join plan: the predicates to test before any atom, then the steps.
+
+    Atoms go most constrained first: most positions holding a constant or a
+    bound variable, then fewest rows, then query order.  Which variables are
+    bound depends only on the atoms already placed, so the order is fixed
+    before any row is read.  A predicate runs at the first step that binds
+    all its variables; one whose variables no atom binds runs at the end,
+    where `eval_expr` rejects it."""
+    bound = set(bound)
+    preds = list(cq.predicates)
+    atoms = list(cq.atoms)
+    first = _take_ready(preds, bound) if atoms else tuple(preds)
+    steps = []
+    while atoms:
+        best_i, best_score = 0, (-1, 0)  # a lone atom needs no scoring
+        for i, a in enumerate(atoms if len(atoms) > 1 else ()):
+            score = (sum(isinstance(t, Const) or t.name in bound
+                         for t in a.terms),
+                     -len(instance.rows_of(a.relation)))
+            if score > best_score:
+                best_i, best_score = i, score
+        atom = atoms.pop(best_i)
+        probe, probe_term = -1, None
+        checks, repeats, new = {}, {}, {}
         for i, t in enumerate(atom.terms):
-            if isinstance(t, Const):
-                if row[i] != t.value:
-                    ok = False
-                    break
+            if isinstance(t, Const) or t.name in bound:
+                if probe < 0:
+                    probe, probe_term = i, t
+                else:
+                    checks[i] = t
+            elif t.name in new:
+                repeats[i] = new[t.name]
             else:
-                v = local.get(t.name, _MISSING) if new is None else \
-                    new.get(t.name, binding.get(t.name, _MISSING))
-                if v is _MISSING:
-                    if new is None:
-                        new = dict(binding)
-                        local = new
-                    new[t.name] = row[i]
-                elif v != row[i]:
-                    ok = False
-                    break
-        if ok:
-            yield (new if new is not None else binding,
-                   Fact(atom.relation, row))
+                new[t.name] = i
+        bound.update(new)
+        ready = _take_ready(preds, bound)
+        if not atoms:
+            ready += tuple(preds)
+        steps.append(_Step(atom.relation, probe, probe_term, _getter(checks),
+                           tuple(checks.values()), _getter(repeats),
+                           _getter(repeats.values()), tuple(new.items()),
+                           ready))
+    return first, tuple(steps)
 
 
-_MISSING = object()
+def _getter(positions) -> Optional[itemgetter]:
+    """Reads *positions* of a row: one value, or a tuple of several."""
+    return itemgetter(*positions) if positions else None
+
+
+def _value(term, binding: dict):
+    return term.value if isinstance(term, Const) else binding[term.name]
+
+
+def _run(steps: tuple, k: int, instance: Instance, binding: dict,
+         used: tuple):
+    """Matches of steps k.. extending *binding*.  A module-level generator,
+    so a run leaves no reference cycle behind for the collector."""
+    (relation, probe, probe_term, checked, checks, repeated, first_of,
+     binds, preds) = steps[k]
+    if probe < 0:
+        rows = instance.rows_of(relation)
+    else:
+        rows = instance.rows_with_value(relation, probe,
+                                        _value(probe_term, binding))
+    if checked is not None:
+        # the values *checked* reads off a matching row: same shape
+        want = tuple(_value(t, binding) for t in checks)
+        if len(want) == 1:
+            want = want[0]
+    last = k + 1 == len(steps)
+    for row in rows:
+        if checked is not None and checked(row) != want:
+            continue
+        if repeated is not None and repeated(row) != first_of(row):
+            continue
+        bnd = binding
+        if binds:
+            bnd = binding.copy()
+            for name, i in binds:
+                bnd[name] = row[i]
+        if preds and not all(eval_predicate(p, bnd) for p in preds):
+            continue
+        facts = used + (Fact(relation, row),)
+        if last:
+            yield bnd, facts
+        else:
+            yield from _run(steps, k + 1, instance, bnd, facts)
 
 
 def iter_matches(cq: ConjunctiveQuery, instance: Instance,
                  binding: Optional[dict] = None):
     """Enumerate homomorphisms of *cq* into *instance*.
 
-    Yields (binding, used facts).  Predicates are applied as soon as their
-    variables are bound.  Atoms are matched most-constrained first.
+    Yields (binding, used facts), the facts as a tuple in plan order.  A
+    join plan is computed once per call (`_plan`): atoms go most
+    constrained first, each probes the positional index on its first
+    constant or bound position, and each predicate is tested as soon as its
+    variables are bound.  Variables already in *binding* count as bound.
+    Every grounding (query lineage, answers, view materialization, W and
+    per-world evaluation) runs through here.
     """
     binding = dict(binding) if binding else {}
-    pending_atoms = list(cq.atoms)
-    pending_preds = list(cq.predicates)
-
-    def rec(atoms, preds, bnd, used):
-        keep = []
-        for p in preds:
-            if p.variables() <= bnd.keys():
-                if not eval_predicate(p, bnd):
-                    return
-            else:
-                keep.append(p)
-        if not atoms:
-            yield bnd, used
-            return
-        best_i, best_score = 0, (-1, 0)
-        for i, a in enumerate(atoms):
-            score = (len(_bound_positions(a, bnd)),
-                     -len(instance.rows_of(a.relation)))
-            if score > best_score:
-                best_i, best_score = i, score
-        atom = atoms[best_i]
-        rest = atoms[:best_i] + atoms[best_i + 1:]
-        for bnd2, fact in _match_atom(atom, instance, bnd):
-            yield from rec(rest, keep, bnd2, used + [fact])
-
-    yield from rec(pending_atoms, pending_preds, binding, [])
+    first, steps = _plan(cq, instance, binding)
+    if first and not all(eval_predicate(p, binding) for p in first):
+        return
+    if not steps:
+        yield binding, ()
+        return
+    yield from _run(steps, 0, instance, binding, ())
 
 
 @dataclass(frozen=True)

@@ -204,7 +204,8 @@ class _StructuralBuilder:
             if var not in atom.variables():
                 continue
             here = set()
-            for bnd, _ in U._match_atom(atom, self.instance, {}):
+            for bnd, _ in U.iter_matches(U.ConjunctiveQuery((), (atom,)),
+                                         self.instance):
                 here.add(bnd[var])
             values = here if values is None else values & here
             if not values:

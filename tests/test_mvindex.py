@@ -2,6 +2,7 @@
 
 import gc
 import json
+import math
 import random
 import struct
 import zlib
@@ -9,14 +10,17 @@ import zlib
 import pytest
 
 from mvdb import (EnumerationEvaluator, Fact, IndexEvaluator, IndexFormatError,
-                  IntersectStats, Lineage, Mvdb, OrderMismatchError,
+                  IntersectStats, Lineage, Mvdb, MvdbError, OrderMismatchError,
                   build_indb, build_index, cc_mv_intersect, deserialize,
                   from_lineage, lineage, mv_intersect, parse_query,
                   parse_schema, parse_view, point_probability,
                   query_probability, rank_span, serialize)
 from mvdb import mvindex
+from mvdb.cli import _load_project
+from mvdb.gendata import generate_project
 from mvdb.mvindex import Constituent, MvIndex
-from mvdb.obdd import PermutationSet, con_obdd
+from mvdb.obdd import PermutationSet, VariableOrder, con_obdd
+from mvdb.translate import answer_rows
 
 from helpers import (EX1_SCHEMA, RAND_SCHEMA, TWO_TABLE_SCHEMA, chain_mvdb,
                      entry_tables_rescan, example1, random_boolean_query,
@@ -267,11 +271,61 @@ def test_cc_visited_bound():
 
 def test_intersect_order_mismatch():
     db, tr, idx = _ex1_index()
-    from mvdb.obdd import VariableOrder
     other = VariableOrder(tuple(reversed(idx.order.facts)))
     gq = from_lineage(Lineage((frozenset(),)), other)
     with pytest.raises(OrderMismatchError):
         mv_intersect(gq, idx)
+
+
+@pytest.fixture(scope="module")
+def dblp_60(tmp_path_factory):
+    project = generate_project(tmp_path_factory.mktemp("dblp"), seed=1,
+                               scale=60)
+    db = _load_project(str(project))
+    tr = build_indb(db)
+    return db, tr, IndexEvaluator(build_index(tr), db.possible_instance())
+
+
+def test_query_path_never_compares_orders(dblp_60, monkeypatch):
+    db, _, ev = dblp_60
+    s, a = ev.instance.rows_of("Advisor")[0]
+    point = parse_query(f"Q() :- Advisor({s}, {a})", db.schema)
+    answers = parse_query(f"Q(s) :- Advisor(s, {a}), Student(s, y)",
+                          db.schema)
+    want = (ev.probability(point), answer_rows(answers, ev.instance, ev))
+
+    def boom(*args):
+        raise AssertionError("variable orders compared")
+
+    monkeypatch.setattr(VariableOrder, "__eq__", boom)
+    monkeypatch.setattr(VariableOrder, "__hash__", boom)
+    for mode in ("cc", "mv"):
+        fresh = IndexEvaluator(ev.index, ev.instance, mode)
+        got = (fresh.probability(point),
+               answer_rows(answers, fresh.instance, fresh))
+        assert got[0] == pytest.approx(want[0], abs=1e-12)
+        assert [r for r, _ in got[1]] == [r for r, _ in want[1]]
+        assert [p for _, p in got[1]] == pytest.approx(
+            [p for _, p in want[1]], abs=1e-12)
+
+
+def test_equal_distinct_order_accepted_reversed_rejected(dblp_60):
+    db, _, ev = dblp_60
+    idx = ev.index
+    phi = lineage(parse_query("Q() :- Advisor(s, a), Student(s, y)",
+                              db.schema), ev.instance)
+    want = cc_mv_intersect(from_lineage(phi, idx.order), idx)
+    same = VariableOrder(idx.order.facts)
+    assert same is not idx.order and same == idx.order
+    assert hash(same) == hash(idx.order)
+    for fn in (mv_intersect, cc_mv_intersect):
+        assert fn(from_lineage(phi, same), idx) == pytest.approx(
+            want, abs=1e-12)
+    flipped = VariableOrder(reversed(idx.order.facts))
+    assert flipped != idx.order
+    for fn in (mv_intersect, cc_mv_intersect):
+        with pytest.raises(OrderMismatchError):
+            fn(from_lineage(phi, flipped), idx)
 
 
 def test_index_evaluator_modes_agree(two_table=None):
@@ -332,6 +386,36 @@ def test_deserialize_pauses_the_collector_and_restores_it(enabled,
         with pytest.raises(IndexFormatError, match="version"):
             deserialize(bytes(bad))
         assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_build_index_pauses_the_collector_and_restores_it(enabled,
+                                                          monkeypatch):
+    tr = build_indb(example1())
+    seen = []
+    compile_blocks = mvindex._compile_blocks
+
+    def spy(*args):
+        seen.append(gc.isenabled())
+        return compile_blocks(*args)
+
+    def fail(*args):
+        seen.append(gc.isenabled())
+        raise MvdbError("block failed")
+
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        monkeypatch.setattr(mvindex, "_compile_blocks", spy)
+        build_index(tr)
+        assert gc.isenabled() is enabled
+        monkeypatch.setattr(mvindex, "_compile_blocks", fail)
+        with pytest.raises(MvdbError, match="block failed"):
+            build_index(tr)
+        assert gc.isenabled() is enabled
+        assert seen == [False, False]
     finally:
         (gc.enable if was else gc.disable)()
 
@@ -599,6 +683,17 @@ def test_window_normalization_survives_p0_not_w_underflow(blocks_1e3):
             assert got == pytest.approx(want, abs=1e-9), (mode, text)
 
 
+def test_log10_p0_not_w_survives_underflow(blocks_1e3):
+    _, idx = blocks_1e3
+    assert idx.p0_not_w == 0.0
+    assert math.isfinite(idx.log10_p0_not_w)
+    assert idx.log10_p0_not_w == pytest.approx(
+        sum(math.log10(c.prob_root) for c in idx.constituents), abs=1e-9)
+    p = 1e3 / (1 + 1e3)
+    assert idx.log10_p0_not_w == pytest.approx(
+        N_BLOCKS * math.log10(1 - p * p), rel=1e-9)
+
+
 def test_zero_block_inside_the_window():
     # Signed probabilities with P0(R(1) and S(1)) = 1 make block 1's root
     # probability exactly 0.0; the global P0(Q and not-W) must still match
@@ -618,6 +713,7 @@ def test_zero_block_inside_the_window():
         cons.append(fresh)
     idx = MvIndex(cons, base.order, probs, base.pi, base.source_digest)
     assert idx.zero_block and idx.p0_not_w == 0.0
+    assert idx.log10_p0_not_w == -math.inf
     bit = {f: 1 << r for r, f in enumerate(idx.order.facts)}
     blocks = [bit[Fact("R", (i,))] | bit[Fact("S", (i,))] for i in range(3)]
     inst = tr.indb.possible_instance()
