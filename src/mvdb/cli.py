@@ -171,6 +171,12 @@ def cmd_oracle(args, out) -> int:
     return EXIT_OK
 
 
+def _node_id(code: int) -> int:
+    """The dump's id of a constituent code: 0 and 1 for the sinks, then the
+    positions from 2."""
+    return {SINK0: 0, SINK1: 1}.get(code, code + 2)
+
+
 def cmd_stats(args, out) -> int:
     index = load_index(_index_path(args))
     rows = [(repr(c.key), c.size(), c.width(), c.rank_lo, c.rank_hi,
@@ -187,22 +193,12 @@ def cmd_stats(args, out) -> int:
     if args.dump:
         for c in index.constituents:
             print(f"constituent {c.key!r}", file=out)
-            root = 0 if c.root_code == SINK0 else \
-                (1 if c.root_code == SINK1 else c.root_code + 2)
-            print(f"root {root}", file=out)
+            print(f"root {_node_id(c.root_code)}", file=out)
             print("order " + " ".join(str(f) for f in index.order.facts),
                   file=out)
-
-            def node_id(code):
-                if code == SINK0:
-                    return 0
-                if code == SINK1:
-                    return 1
-                return code + 2
-
             for pos in range(c.n):
-                print(f"{pos + 2} {c.rank[pos]} {node_id(c.lo[pos])} "
-                      f"{node_id(c.hi[pos])}", file=out)
+                print(f"{pos + 2} {c.rank[pos]} {_node_id(c.lo[pos])} "
+                      f"{_node_id(c.hi[pos])}", file=out)
     return EXIT_OK
 
 

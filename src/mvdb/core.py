@@ -156,12 +156,6 @@ class Schema:
     def has(self, name: str) -> bool:
         return name in self._by_name
 
-    def index_of(self, name: str) -> int:
-        for i, rel in enumerate(self.relations):
-            if rel.name == name:
-                return i
-        raise SchemaError(f"unknown relation {name!r}")
-
     def extended(self, extra: Iterable[Relation]) -> "Schema":
         """New schema with additional (view-auxiliary) relations appended."""
         return Schema(self.relations + tuple(extra))
@@ -173,9 +167,6 @@ class Schema:
             key = ",".join(rel.key)
             lines.append(f"relation {rel.name}({attrs}) key({key}) {rel.kind}")
         return "\n".join(lines) + "\n"
-
-    def digest(self) -> str:
-        return hashlib.sha256(self.canonical_text().encode()).hexdigest()
 
 
 class Domain:

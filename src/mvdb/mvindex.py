@@ -4,11 +4,12 @@ The constraint query W is compiled offline into negated, augmented OBDD
 constituents over pairwise-disjoint variable ranges (one per separator
 constant when W has a separator): W is grounded once, its lineage clauses
 are grouped by separator constant, and each group compiles on its own with
-`from_lineage`.  Every node carries the probability of its sub-diagram
-(probUnder) and the signed mass of all root paths reaching it
-(reachability).  Online, a query OBDD ordered by the same tuple order is
-intersected against the chain of constituents without materializing the
-conjunction:
+`from_lineage`.  Every node is annotated with the probability of its
+sub-diagram (probUnder) and the signed mass of all root paths reaching it
+(reachability), both derived from the structure and the tuple
+probabilities by `Constituent.augment`.  Online, a query OBDD ordered by
+the same tuple order is intersected against the chain of constituents
+without materializing the conjunction:
 
 * `mv_intersect` descends from each constituent root, guided by the query;
 * `cc_mv_intersect` stores each constituent as a DFS-ordered vector with
@@ -30,7 +31,7 @@ is exactly 0.0, i.e. one block is contradictory on its own.
 The index is immutable after build; every query owns its own memo table, so
 concurrent evaluation is safe.
 
-The ``.mvx`` file (format version 2, `serialize` and `deserialize`) is:
+The ``.mvx`` file (format version 3, `serialize` and `deserialize`) is:
 
 * a header: the magic ``MVIX``, the u32 version, the 32-byte sha256 source
   digest (`Mvdb.digest`) and the u32 length of the JSON section;
@@ -40,15 +41,16 @@ The ``.mvx`` file (format version 2, `serialize` and `deserialize`) is:
   ``[key, root code, node count]`` head each).  Ints of any size and strings
   round-trip exactly;
 * little-endian typed blocks: ``probs`` (f64 per tuple), then ``rank``,
-  ``lo``, ``hi`` (i32) and ``prob_under``, ``reach`` (f64), each the
-  concatenation over the constituents in index order;
+  ``lo``, ``hi`` (i32 per node), each the concatenation over the
+  constituents in index order;
 * a CRC-32 of everything before it.
 
-Nothing derivable is stored: the loader rebuilds root probabilities, entry
-tables and the tuple-to-constituent index.  It checks every count against
-the bytes present before decoding a block, and every constituent's structure
-before deriving from it; any defect is an `IndexFormatError`.  Compiles are
-byte-reproducible.
+Nothing derivable is stored: the loader rebuilds probUnder, reachability,
+root probabilities, entry tables and the tuple-to-constituent index through
+the same `Constituent.augment` call the compiler makes.  It checks every
+count against the bytes present before decoding a block, and every
+constituent's structure before deriving from it; any defect is an
+`IndexFormatError`.  Compiles are byte-reproducible.
 """
 
 from __future__ import annotations
@@ -77,49 +79,48 @@ SINK0 = -1
 SINK1 = -2
 
 _MAGIC = b"MVIX"
-_VERSION = 2
+_VERSION = 3
 _HEADER = "<I32sI"  # version, sha256 source digest, JSON section length
 # The per-node blocks after ``probs``, in file order, with their array
 # type codes; the order is also `Constituent`'s argument order.
-_BLOCKS = {"rank": "i", "lo": "i", "hi": "i", "prob_under": "d",
-           "reach": "d"}
+_BLOCKS = {"rank": "i", "lo": "i", "hi": "i"}
 
 
 class Constituent:
     """One negated, augmented OBDD in a DFS-ordered vector layout."""
 
-    def __init__(self, key, root_code: int, rank, lo, hi,
-                 prob_under=None, reach=None):
+    def __init__(self, key, root_code: int, rank, lo, hi):
         self.key = key
         self.root_code = root_code
         self.rank = list(rank)
         self.lo = list(lo)
         self.hi = list(hi)
         self.n = len(self.rank)
-        self.prob_under = list(prob_under) if prob_under is not None else None
-        self.reach = list(reach) if reach is not None else None
         self.rank_lo = min(self.rank) if self.rank else -1
         self.rank_hi = max(self.rank) if self.rank else -1
         self.levels: dict[int, list[int]] = {}
+        for pos in range(self.n):
+            self.levels.setdefault(self.rank[pos], []).append(pos)
+        self.prob_under: list[float] = []
+        self.prob_root = 0.0
         self.entry: dict[int, list] = {}
         self.cut_ranks: set[int] = set()
-        self.prob_root = 0.0
 
     @staticmethod
-    def from_obdd(g: Obdd, key, negate: bool = True) -> "Constituent":
-        """Lay out *g* (sink-swapped when *negate*) in DFS preorder."""
+    def from_obdd(g: Obdd, key) -> "Constituent":
+        """Lay out the negation of *g* (its sinks swapped) in DFS preorder."""
         table = g.table
-        s0, s1 = (SINK1, SINK0) if negate else (SINK0, SINK1)
         if g.root <= 1:
-            return Constituent(key, s1 if g.root == 1 else s0, [], [], [])
+            return Constituent(key, SINK0 if g.root == 1 else SINK1,
+                               [], [], [])
         nodes = g.reachable()
         pos_of = {u: i for i, u in enumerate(nodes)}
 
         def code(child):
             if child == 0:
-                return s0
+                return SINK1
             if child == 1:
-                return s1
+                return SINK0
             return pos_of[child]
 
         rank = [table.var[u] for u in nodes]
@@ -136,60 +137,63 @@ class Constituent:
             return 1.0
         return self.prob_under[code]
 
+    def augment(self, probs):
+        """All annotations from the structure and the tuple probabilities:
+        probUnder, then the entry tables that carry the reachability."""
+        self.compute_annotations(probs)
+        self.derive(probs)
+
     def compute_annotations(self, probs):
-        """Bottom-up probUnder and top-down reachability (signed)."""
-        self.prob_under = [0.0] * self.n
-        for pos in sorted(range(self.n), key=self.rank.__getitem__,
-                          reverse=True):
-            p = probs[self.rank[pos]]
-            self.prob_under[pos] = ((1.0 - p) * self.pu(self.lo[pos])
-                                    + p * self.pu(self.hi[pos]))
-        self.reach = [0.0] * self.n
-        if self.n:
-            self.reach[0] = 1.0
-            for pos in sorted(range(self.n), key=self.rank.__getitem__):
-                p = probs[self.rank[pos]]
-                if self.lo[pos] >= 0:
-                    self.reach[self.lo[pos]] += self.reach[pos] * (1.0 - p)
-                if self.hi[pos] >= 0:
-                    self.reach[self.hi[pos]] += self.reach[pos] * p
+        """probUnder of every node and of the root, level by level from the
+        last rank up."""
+        # Two trailing slots hold the sinks' values, so that
+        # values[SINK1] is 1.0 and values[SINK0] is 0.0.
+        values = [0.0] * self.n + [1.0, 0.0]
+        lo, hi = self.lo, self.hi
+        for r in sorted(self.levels, reverse=True):
+            p = probs[r]
+            for pos in self.levels[r]:
+                values[pos] = ((1.0 - p) * values[lo[pos]]
+                               + p * values[hi[pos]])
+        self.prob_root = values[self.root_code]
+        del values[self.n:]
+        self.prob_under = values
 
     def derive(self, probs):
-        """Per-level node lists, entry tables, and cut levels.
+        """Entry tables and cut levels, carrying the reachability.
 
         ``entry[r]`` lists, sorted by code, every node or sink that an edge
         from a rank below r reaches at rank r or later, with the signed mass
         of those edges; at the root's rank it is the root alone.  One
         top-down sweep builds them: entry(r) is entry(r-1) minus the
-        level-(r-1) nodes, plus their children, each child carrying
-        ``reach[pos]`` times 1-p (low edge) or p (high edge); sink entries
-        carry forward.  The cost is O(n + sum of |entry|) plus one sort per
-        entry table, not a rescan of every node per rank.  It relies on the
-        root holding the lowest rank and on every edge pointing to a
-        strictly greater rank, which `deserialize` checks.  A rank is a cut
-        rank when its entry holds only nodes of that rank.
+        level-(r-1) nodes, plus their children; sink entries carry forward.
+        A node's mass when it leaves the frontier is its reachability (the
+        signed mass of all root paths reaching it, 0.0 if none does), and
+        each child gains that mass times 1-p (low edge) or p (high edge).
+        The cost is O(n + sum of |entry|) plus one sort per entry table, not
+        a rescan of every node per rank.  It relies on the root holding the
+        lowest rank and on every edge pointing to a strictly greater rank,
+        which `deserialize` checks.  A rank is a cut rank when its entry
+        holds only nodes of that rank, each with its reachability.
         """
-        self.prob_root = self.pu(self.root_code)
-        self.levels = {}
-        for pos in range(self.n):
-            self.levels.setdefault(self.rank[pos], []).append(pos)
         self.entry = {}
         self.cut_ranks = set()
         if not self.n:
             return
+        rank, lo, hi = self.rank, self.lo, self.hi
         frontier: dict[int, float] = {0: 1.0}
         for r in range(self.rank_lo, self.rank_hi + 1):
             table = sorted(frontier.items())
             self.entry[r] = table
-            if all(c >= 0 and self.rank[c] == r for c, _ in table):
+            if all(c >= 0 and rank[c] == r for c, _ in table):
                 self.cut_ranks.add(r)
             p = probs[r]
             for pos in self.levels.get(r, ()):
-                frontier.pop(pos, None)
-                for child, factor in ((self.lo[pos], 1.0 - p),
-                                      (self.hi[pos], p)):
-                    frontier[child] = (frontier.get(child, 0.0)
-                                       + self.reach[pos] * factor)
+                reach = frontier.pop(pos, 0.0)
+                child = lo[pos]
+                frontier[child] = frontier.get(child, 0.0) + reach * (1.0 - p)
+                child = hi[pos]
+                frontier[child] = frontier.get(child, 0.0) + reach * p
 
     def size(self) -> int:
         return self.n + 2
@@ -322,8 +326,7 @@ def build_index(tr: TranslationResult,
         groups = U.grouped_lineage(tr.w_query, instance)
         constituents = _compile_blocks(groups, list(groups), order)
     for c in constituents:
-        c.compute_annotations(probs)
-        c.derive(probs)
+        c.augment(probs)
     return MvIndex(constituents, order, probs, pi, digest)
 
 
@@ -334,7 +337,7 @@ def _compile_blocks(groups: dict, keys, order: VariableOrder) -> list:
     for key in keys:
         phi = U.Lineage.normalize(groups.pop(key))
         g = from_lineage(phi, order, NodeTable(order))
-        out.append(Constituent.from_obdd(g, key, negate=True))
+        out.append(Constituent.from_obdd(g, key))
     return out
 
 
@@ -509,9 +512,9 @@ def rank_span(gq: Obdd) -> int:
 def point_probability(fact: Fact, index: MvIndex) -> float:
     """P0(X and not-W) for a single tuple variable.
 
-    Uses the per-level reachability/probUnder sum when the variable's level
-    cuts every path of its constituent; falls back to the general
-    intersection otherwise.
+    When the variable's level cuts every path of its constituent, sums
+    reachability times the high child's probUnder over that level's entry
+    table; falls back to the general intersection otherwise.
     """
     r = index.order.rank_of(fact)
     p = index.probs[r]
@@ -523,8 +526,8 @@ def point_probability(fact: Fact, index: MvIndex) -> float:
         phi = U.Lineage((frozenset([fact]),))
         return mv_intersect(from_lineage(phi, index.order), index)
     total = 0.0
-    for pos in c.levels[r]:
-        total += c.reach[pos] * c.pu(c.hi[pos])
+    for pos, mass in c.entry[r]:
+        total += mass * c.pu(c.hi[pos])
     return p * total * index.prefix[k] * index.suffix[k + 1]
 
 
@@ -588,11 +591,11 @@ def _unblock(code: str, buf) -> list:
 
 
 def serialize(index: MvIndex) -> bytes:
-    """The v2 file: header, JSON metadata, typed blocks, CRC-32; byte-stable.
+    """The v3 file: header, JSON metadata, typed blocks, CRC-32; byte-stable.
 
     The blocks are ``probs`` (f64 per tuple), then ``rank``, ``lo``, ``hi``
-    (i32) and ``prob_under``, ``reach`` (f64), each the concatenation over
-    the constituents in index order."""
+    (i32 per node), each the concatenation over the constituents in index
+    order: structure only, no annotation."""
     cons = index.constituents
     relations: dict[str, int] = {}
     facts = [[relations.setdefault(f.relation, len(relations)), *f.values]
@@ -678,7 +681,7 @@ def _decode_meta(raw) -> tuple:
 
 @_collector_paused()
 def deserialize(buf: bytes) -> MvIndex:
-    """Load a v2 index, with the cyclic garbage collector paused
+    """Load a v3 index, with the cyclic garbage collector paused
     (`_collector_paused`): everything the loader allocates stays live."""
     if len(buf) < 12:
         raise IndexFormatError("truncated index file")
@@ -719,7 +722,7 @@ def deserialize(buf: bytes) -> MvIndex:
                         *(column[at:at + n] for column in columns))
         at += n
         _check_layout(c, len(order))
-        c.derive(probs)
+        c.augment(probs)
         constituents.append(c)
     if _overlapping(constituents):
         raise IndexFormatError("constituent rank ranges overlap")

@@ -186,9 +186,6 @@ class Obdd:
             self._reachable = out
         return self._reachable
 
-    def is_sink(self) -> bool:
-        return self.root <= 1
-
     def var_ranks(self) -> set[int]:
         return {self.table.var[u] for u in self.reachable()}
 

@@ -359,20 +359,37 @@ def build_index_per_block(tr):
         blocks = [] if g.root == 0 else [(None, g)]
     constituents = []
     for key, g in blocks:
-        c = Constituent.from_obdd(g, key, negate=True)
-        c.compute_annotations(probs)
-        c.derive(probs)
+        c = Constituent.from_obdd(g, key)
+        c.augment(probs)
         constituents.append(c)
     return MvIndex(constituents, order, probs, pi, tr.source.digest())
+
+
+def reachability(c, probs) -> list[float]:
+    """Per-node reachability of constituent *c*, top-down over every
+    position sorted by rank: the signed mass of all root paths reaching
+    each node, the root's being 1.0."""
+    reach = [0.0] * c.n
+    if c.n:
+        reach[0] = 1.0
+        for pos in sorted(range(c.n), key=c.rank.__getitem__):
+            p = probs[c.rank[pos]]
+            if c.lo[pos] >= 0:
+                reach[c.lo[pos]] += reach[pos] * (1.0 - p)
+            if c.hi[pos] >= 0:
+                reach[c.hi[pos]] += reach[pos] * p
+    return reach
 
 
 def entry_tables_rescan(c, probs):
     """Entry tables and cut ranks of constituent *c* by rescanning every node
     once per rank: entry[r] sums, per child at rank >= r, the mass
-    reach[pos] * (1-p or p) of every edge from a node of rank < r."""
+    reach[pos] * (1-p or p) of every edge from a node of rank < r, with
+    reach from `reachability`."""
     entry, cut = {}, set()
     if not c.n:
         return entry, cut
+    reach = reachability(c, probs)
     for r in range(c.rank_lo, c.rank_hi + 1):
         if c.rank[0] >= r:
             table = [(0, 1.0)]
@@ -386,7 +403,7 @@ def entry_tables_rescan(c, probs):
                     child_rank = c.rank[child] if child >= 0 else math.inf
                     if child_rank >= r:
                         masses[child] = (masses.get(child, 0.0)
-                                         + c.reach[pos] * factor)
+                                         + reach[pos] * factor)
             table = sorted(masses.items())
         entry[r] = table
         if all(code >= 0 and c.rank[code] == r for code, _ in table):

@@ -183,8 +183,21 @@ def test_stats_dump(project):
     run(["compile", "--project", str(project)])
     rc, text = run(["stats", "--project", str(project), "--dump"])
     assert rc == EXIT_OK
-    assert "root " in text
-    assert "order " in text
+    sections = text.split("\nconstituent ")[1:]
+    assert sections
+    for section in sections:
+        lines = section.splitlines()
+        root = int(lines[1].removeprefix("root "))
+        assert lines[2].startswith("order ")
+        n_ranks = len(lines[2].split()) - 1
+        nodes = [tuple(map(int, line.split())) for line in lines[3:]]
+        assert all(len(node) == 4 for node in nodes)
+        ids = {0, 1} | {node[0] for node in nodes}
+        assert [node[0] for node in nodes] == list(range(2, len(nodes) + 2))
+        assert root in ids
+        for _, rank, lo, hi in nodes:
+            assert 0 <= rank < n_ranks
+            assert lo in ids and hi in ids
 
 
 def test_stale_index_detected(project):

@@ -143,9 +143,3 @@ def test_data_file_parsing():
         parse_data_file(rel, "x\tfoo\t1.0\n")
     with pytest.raises(DataError):
         parse_data_file(rel, "1\tfoo\tnot-a-weight\n")
-
-
-def test_schema_digest_stable():
-    s1 = parse_schema("relation R(x:int) key(x) probabilistic")
-    s2 = parse_schema("relation  R( x:int )  key( x ) probabilistic")
-    assert s1.digest() == s2.digest()

@@ -18,7 +18,7 @@ from mvdb import (EnumerationEvaluator, Fact, IndexEvaluator, IndexFormatError,
 from mvdb import mvindex
 from mvdb.cli import _load_project
 from mvdb.gendata import generate_project
-from mvdb.mvindex import Constituent, MvIndex
+from mvdb.mvindex import SINK0, SINK1, Constituent, MvIndex
 from mvdb.obdd import PermutationSet, VariableOrder, con_obdd
 from mvdb.translate import answer_rows
 
@@ -87,33 +87,20 @@ def test_inter_and_intra_indices():
 
 # -- annotations ------------------------------------------------------------------
 
-def test_negation_by_sink_swap():
-    db = two_table_db()
-    inst = db.possible_instance()
-    q = parse_query("Q() :- R(x), S(x, y)", TWO_TABLE_SCHEMA)
-    pi = PermutationSet({"R": (0,), "S": (0, 1)})
-    g = con_obdd(pi, q, inst, db.domain)
-    probs = [0.5, 0.25, -1.0, 2.0, 0.5, 0.75]
-    pos = Constituent.from_obdd(g, None, negate=False)
-    neg = Constituent.from_obdd(g, None, negate=True)
-    pos.compute_annotations(probs)
-    neg.compute_annotations(probs)
-    assert neg.pu(neg.root_code) == pytest.approx(
-        1.0 - pos.pu(pos.root_code), abs=1e-12)
-
-
-def test_prob_under_root_matches_shannon():
+def test_negated_root_prob_under_matches_shannon():
     from mvdb import shannon_probability
     db = two_table_db()
     inst = db.possible_instance()
     q = parse_query("Q() :- R(x), S(x, y)", TWO_TABLE_SCHEMA)
     pi = PermutationSet({"R": (0,), "S": (0, 1)})
     g = con_obdd(pi, q, inst, db.domain)
-    probs = [0.3, -0.5, 0.25, 0.8, 2.0, 0.1]
-    pos = Constituent.from_obdd(g, None, negate=False)
-    pos.compute_annotations(probs)
-    assert pos.pu(pos.root_code) == pytest.approx(
-        shannon_probability(g, probs), abs=1e-12)
+    for probs in ([0.5, 0.25, -1.0, 2.0, 0.5, 0.75],
+                  [0.3, -0.5, 0.25, 0.8, 2.0, 0.1]):
+        neg = Constituent.from_obdd(g, None)
+        neg.compute_annotations(probs)
+        assert neg.pu(neg.root_code) == neg.prob_root
+        assert neg.prob_root == pytest.approx(
+            1.0 - shannon_probability(g, probs), abs=1e-12)
 
 
 def test_frontier_identities():
@@ -130,17 +117,23 @@ def test_frontier_identities():
                 assert total == pytest.approx(c.prob_root, abs=1e-12), \
                     f"entry frontier at rank {r}"
             for r in c.cut_ranks:
-                total = sum(c.reach[pos] * c.prob_under[pos]
-                            for pos in c.levels[r])
+                assert [pos for pos, _ in c.entry[r]] == c.levels[r]
+                total = sum(mass * c.prob_under[pos]
+                            for pos, mass in c.entry[r])
                 assert total == pytest.approx(c.prob_root, abs=1e-12)
 
 
-def test_derive_sweep_matches_rescan_reference():
+@pytest.fixture(scope="module")
+def annotated_indices():
     indices = [build_index(build_indb(chain_mvdb(n))) for n in (20, 40)]
     indices += [build_index(viable_random_mvdb(seed)[1])
-                for seed in (0, 3, 5, 8, 11)]
-    assert any(len(idx.constituents) > 1 for idx in indices)
-    for idx in indices:
+                for seed in range(12)]
+    return indices
+
+
+def test_derive_sweep_matches_rescan_reference(annotated_indices):
+    assert any(len(idx.constituents) > 1 for idx in annotated_indices)
+    for idx in annotated_indices:
         for c in idx.constituents:
             entry, cut = entry_tables_rescan(c, idx.probs)
             assert c.entry.keys() == entry.keys()
@@ -436,6 +429,59 @@ def test_deserialize_version_mismatch():
         deserialize(patched)
 
 
+def test_deserialize_rejects_format_version_2():
+    blob = bytearray(serialize(_ex1_index()[2]))
+    blob[4:8] = struct.pack("<I", 2)
+    body = bytes(blob[:-4])
+    with pytest.raises(IndexFormatError,
+                       match="unsupported format version 2; recompile"):
+        deserialize(body + struct.pack("<I", zlib.crc32(body)))
+
+
+def test_file_holds_structure_only(annotated_indices):
+    # header, JSON section, one f64 per tuple, three i32 per node, CRC-32
+    for idx in annotated_indices:
+        blob = serialize(idx)
+        meta_len = struct.unpack_from("<I", blob, 40)[0]
+        n_nodes = sum(c.n for c in idx.constituents)
+        assert len(blob) == 44 + meta_len + 8 * len(idx.order) \
+            + 12 * n_nodes + 4
+
+
+def test_load_derives_the_build_annotations(annotated_indices):
+    for idx in annotated_indices:
+        loaded = deserialize(serialize(idx))
+        assert len(loaded.constituents) == len(idx.constituents)
+        for built, got in zip(idx.constituents, loaded.constituents):
+            assert got.prob_under == built.prob_under
+            assert got.prob_root == built.prob_root
+            assert got.entry == built.entry
+            assert got.cut_ranks == built.cut_ranks
+
+
+@pytest.mark.parametrize("where", ["rank_lo", "rank_hi"])
+def test_deserialize_position_no_edge_reaches(where):
+    # An extra node that no edge reaches passes the layout check; the
+    # frontier sweep must give it reachability 0.0, not fail on it.
+    idx = _denial_index()
+
+    def add_orphan(cons, n_ranks):
+        c = cons[0]
+        c.rank.append(getattr(c, where))
+        c.lo.append(SINK0)
+        c.hi.append(SINK1)
+        c.n += 1
+
+    try:
+        loaded = deserialize(_tampered(idx, add_orphan))
+    except IndexFormatError:
+        return
+    c = loaded.constituents[0]
+    assert c.prob_root == idx.constituents[0].prob_root
+    assert all(code != c.n - 1 for table in c.entry.values()
+               for code, _ in table)
+
+
 def test_deserialize_truncation():
     blob = serialize(_ex1_index()[2])
     with pytest.raises(IndexFormatError):
@@ -485,7 +531,7 @@ def _root_not_lowest_rank(cons, n_ranks):
 
 def _empty_with_node_root(cons, n_ranks):
     c = cons[0]
-    c.rank = c.lo = c.hi = c.prob_under = c.reach = []
+    c.rank = c.lo = c.hi = []
     c.n = 0
 
 
@@ -708,8 +754,7 @@ def test_zero_block_inside_the_window():
     cons = []
     for c in base.constituents:
         fresh = Constituent(c.key, c.root_code, c.rank, c.lo, c.hi)
-        fresh.compute_annotations(probs)
-        fresh.derive(probs)
+        fresh.augment(probs)
         cons.append(fresh)
     idx = MvIndex(cons, base.order, probs, base.pi, base.source_digest)
     assert idx.zero_block and idx.p0_not_w == 0.0
