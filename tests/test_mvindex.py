@@ -87,20 +87,42 @@ def test_inter_and_intra_indices():
 
 # -- annotations ------------------------------------------------------------------
 
-def test_negated_root_prob_under_matches_shannon():
-    from mvdb import shannon_probability
+def _two_table_obdd():
     db = two_table_db()
     inst = db.possible_instance()
     q = parse_query("Q() :- R(x), S(x, y)", TWO_TABLE_SCHEMA)
     pi = PermutationSet({"R": (0,), "S": (0, 1)})
-    g = con_obdd(pi, q, inst, db.domain)
-    for probs in ([0.5, 0.25, -1.0, 2.0, 0.5, 0.75],
-                  [0.3, -0.5, 0.25, 0.8, 2.0, 0.1]):
-        neg = Constituent.from_obdd(g, None)
-        neg.compute_annotations(probs)
-        assert neg.pu(neg.root_code) == neg.prob_root
-        assert neg.prob_root == pytest.approx(
-            1.0 - shannon_probability(g, probs), abs=1e-12)
+    return con_obdd(pi, q, inst, db.domain)
+
+
+def test_negation_by_sink_swap():
+    from mvdb import shannon_probability
+    g = _two_table_obdd()
+    probs = [0.5, 0.25, -1.0, 2.0, 0.5, 0.75]
+    neg = Constituent.from_obdd(g, None)
+    # same nodes in the same order, every edge into a sink sent to the other
+    nodes = g.reachable()
+    swap = {0: SINK1, 1: SINK0}
+    for i, u in enumerate(nodes):
+        assert neg.rank[i] == g.table.var[u]
+        for child, code in ((g.table.lo[u], neg.lo[i]),
+                            (g.table.hi[u], neg.hi[i])):
+            want = swap[child] if child <= 1 else nodes.index(child)
+            assert code == want
+    neg.compute_annotations(probs)
+    assert neg.pu(neg.root_code) == pytest.approx(
+        1.0 - shannon_probability(g, probs), abs=1e-12)
+
+
+def test_prob_under_root_matches_shannon():
+    from mvdb import shannon_probability
+    g = _two_table_obdd()
+    probs = [0.3, -0.5, 0.25, 0.8, 2.0, 0.1]
+    neg = Constituent.from_obdd(g, None)
+    neg.compute_annotations(probs)
+    assert neg.pu(neg.root_code) == neg.prob_root
+    assert neg.prob_root == pytest.approx(
+        1.0 - shannon_probability(g, probs), abs=1e-12)
 
 
 def test_frontier_identities():
