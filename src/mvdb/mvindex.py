@@ -46,11 +46,11 @@ The ``.mvx`` file (format version 3, `serialize` and `deserialize`) is:
 * a CRC-32 of everything before it.
 
 Nothing derivable is stored: the loader rebuilds probUnder, reachability,
-root probabilities, entry tables and the tuple-to-constituent index through
-the same `Constituent.augment` call the compiler makes.  It checks every
-count against the bytes present before decoding a block, and every
-constituent's structure before deriving from it; any defect is an
-`IndexFormatError`.  Compiles are byte-reproducible.
+root probabilities and entry tables through the same `Constituent.augment`
+call the compiler makes.  It checks every count against the bytes present
+before decoding a block, and every constituent's structure before deriving
+from it; any defect is an `IndexFormatError`.  Compiles are
+byte-reproducible.
 """
 
 from __future__ import annotations
@@ -65,14 +65,14 @@ import zlib
 from array import array
 from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .core import (Fact, InconsistentConstraintsError, Indb, Instance,
                    IndexFormatError, MvdbError, OrderMismatchError)
 from . import ucq as U
 from .obdd import (NodeTable, Obdd, PermutationSet, VariableOrder, choose_pi,
-                   from_lineage, shannon_values, tuple_order)
+                   from_lineage, tuple_order)
 from .translate import TranslationResult
 
 SINK0 = -1
@@ -92,9 +92,9 @@ class Constituent:
     def __init__(self, key, root_code: int, rank, lo, hi):
         self.key = key
         self.root_code = root_code
-        self.rank = list(rank)
-        self.lo = list(lo)
-        self.hi = list(hi)
+        self.rank = rank
+        self.lo = lo
+        self.hi = hi
         self.n = len(self.rank)
         self.rank_lo = min(self.rank) if self.rank else -1
         self.rank_hi = max(self.rank) if self.rank else -1
@@ -104,7 +104,6 @@ class Constituent:
         self.prob_under: list[float] = []
         self.prob_root = 0.0
         self.entry: dict[int, list] = {}
-        self.cut_ranks: set[int] = set()
 
     @staticmethod
     def from_obdd(g: Obdd, key) -> "Constituent":
@@ -130,13 +129,6 @@ class Constituent:
 
     # -- augmentation -----------------------------------------------------
 
-    def pu(self, code: int) -> float:
-        if code == SINK0:
-            return 0.0
-        if code == SINK1:
-            return 1.0
-        return self.prob_under[code]
-
     def augment(self, probs):
         """All annotations from the structure and the tuple probabilities:
         probUnder, then the entry tables that carry the reachability."""
@@ -160,7 +152,7 @@ class Constituent:
         self.prob_under = values
 
     def derive(self, probs):
-        """Entry tables and cut levels, carrying the reachability.
+        """Entry tables, carrying the reachability.
 
         ``entry[r]`` lists, sorted by code, every node or sink that an edge
         from a rank below r reaches at rank r or later, with the signed mass
@@ -168,16 +160,14 @@ class Constituent:
         top-down sweep builds them: entry(r) is entry(r-1) minus the
         level-(r-1) nodes, plus their children; sink entries carry forward.
         A node's mass when it leaves the frontier is its reachability (the
-        signed mass of all root paths reaching it, 0.0 if none does), and
-        each child gains that mass times 1-p (low edge) or p (high edge).
-        The cost is O(n + sum of |entry|) plus one sort per entry table, not
-        a rescan of every node per rank.  It relies on the root holding the
-        lowest rank and on every edge pointing to a strictly greater rank,
-        which `deserialize` checks.  A rank is a cut rank when its entry
-        holds only nodes of that rank, each with its reachability.
+        signed mass of all root paths reaching it), and each child gains
+        that mass times 1-p (low edge) or p (high edge).  The cost is
+        O(n + sum of |entry|) plus one sort per entry table, not a rescan of
+        every node per rank.  It relies on the root holding the lowest rank,
+        on every edge pointing to a strictly greater rank and on every other
+        position being some edge's child, which `deserialize` checks.
         """
         self.entry = {}
-        self.cut_ranks = set()
         if not self.n:
             return
         rank, lo, hi = self.rank, self.lo, self.hi
@@ -185,11 +175,9 @@ class Constituent:
         for r in range(self.rank_lo, self.rank_hi + 1):
             table = sorted(frontier.items())
             self.entry[r] = table
-            if all(c >= 0 and rank[c] == r for c, _ in table):
-                self.cut_ranks.add(r)
             p = probs[r]
             for pos in self.levels.get(r, ()):
-                reach = frontier.pop(pos, 0.0)
+                reach = frontier.pop(pos)
                 child = lo[pos]
                 frontier[child] = frontier.get(child, 0.0) + reach * (1.0 - p)
                 child = hi[pos]
@@ -230,10 +218,6 @@ class MvIndex:
         self.inv_root = [1.0 / r if r else 1.0 for r in roots]
         self.p0_not_w = self.suffix[0]
         self.p0_w = 1.0 - self.p0_not_w
-        self._rank_to_k: dict[int, int] = {}
-        for k, c in enumerate(self.constituents):
-            for r in c.levels:
-                self._rank_to_k[r] = k
 
     @property
     def log10_p0_not_w(self) -> float:
@@ -246,7 +230,12 @@ class MvIndex:
                          for c in self.constituents)
 
     def constituent_of(self, fact: Fact) -> Optional[int]:
-        return self._rank_to_k.get(self.order.rank_of(fact))
+        """The constituent labelling a node with *fact*, or None."""
+        r = self.order.rank_of(fact)
+        k = bisect_left(self.rank_hi, r)
+        if k < len(self.constituents) and r in self.constituents[k].levels:
+            return k
+        return None
 
     def intra(self, key, fact: Fact) -> list[int]:
         """Positions of the nodes labelled with *fact* in the keyed OBDD."""
@@ -283,8 +272,7 @@ def _collector_paused():
 
 
 @_collector_paused()
-def build_index(tr: TranslationResult,
-                instance: Optional[Instance] = None) -> MvIndex:
+def build_index(tr: TranslationResult) -> MvIndex:
     """Compile the constraint query of a translation into an index.
 
     W is grounded once (`ucq.grouped_lineage`).  With a separator, its
@@ -301,8 +289,7 @@ def build_index(tr: TranslationResult,
     grounding and compilation leave no reference cycles.
     """
     indb = tr.indb
-    if instance is None:
-        instance = indb.possible_instance()
+    instance = indb.possible_instance()
     prob_facts = indb.probabilistic_facts()
     digest = tr.source.digest()
     if tr.w_query is None:
@@ -353,14 +340,13 @@ def _overlapping(constituents) -> bool:
 
 @dataclass
 class IntersectStats:
+    """Counters of the one intersection call a stats object is passed to,
+    filled from its memo after the traversal: ``memo_entries`` is the
+    number of tasks it evaluated, ``visited`` the number of distinct
+    constituent nodes it expanded against a query node (the quantity the
+    span-times-width bound limits)."""
     visited: int = 0
     memo_entries: int = 0
-    _seen: set = field(default_factory=set)
-
-    def mark(self, k, pos):
-        if (k, pos) not in self._seen:
-            self._seen.add((k, pos))
-            self.visited += 1
 
 
 def _window(gq: Obdd, index: MvIndex) -> tuple[int, int]:
@@ -384,8 +370,12 @@ def _intersect(gq: Obdd, index: MvIndex, cache_conscious: bool,
     P0(Q and not-W).  Every task value is normalized by the root
     probabilities of the window constituents it has not left yet, so
     entering constituent k multiplies by ``inv_root[k]`` and nothing else
-    changes scale.  A query OBDD built on ``index.order`` itself passes the
-    order check without reading a fact."""
+    changes scale.  A query node before constituent k's ranks, or past the
+    window (k == k_end), is split by Shannon expansion within the same
+    memo, so the query's tail costs only the nodes the traversal reaches.
+    A query OBDD built on ``index.order`` itself passes the order check
+    without reading a fact.  *stats*, if given, is filled from the memo
+    once the traversal ends."""
     if gq.order is not index.order and gq.order != index.order:
         raise OrderMismatchError("query OBDD does not follow the index order")
     cons = index.constituents
@@ -403,9 +393,10 @@ def _intersect(gq: Obdd, index: MvIndex, cache_conscious: bool,
         scale *= root or 1.0
     probs = index.probs
     qtab = gq.table
-    tail = shannon_values(gq, probs)
 
     def expand(task):
+        """The task's value, or the ``(coefficient, task)`` terms whose
+        weighted sum it is."""
         kind = task[0]
         if kind == "E":
             _, k, v = task
@@ -413,26 +404,23 @@ def _intersect(gq: Obdd, index: MvIndex, cache_conscious: bool,
                 return 0.0
             if v == 1:
                 return unit[k - k_lo]
-            if k == k_end:
-                return tail[v]
-            c = cons[k]
             rv = qtab.var[v]
-            if rv > c.rank_hi:
-                return (0.0, ((1.0 if c.prob_root else 0.0,
-                               ("E", k + 1, v)),))
-            if rv < c.rank_lo:
+            if k == k_end or rv < cons[k].rank_lo:
                 p = probs[rv]
-                return (0.0, ((1.0 - p, ("E", k, qtab.lo[v])),
-                              (p, ("E", k, qtab.hi[v]))))
+                return ((1.0 - p, ("E", k, qtab.lo[v])),
+                        (p, ("E", k, qtab.hi[v])))
+            c = cons[k]
+            if rv > c.rank_hi:
+                return ((1.0 if c.prob_root else 0.0, ("E", k + 1, v)),)
             inv = inv_root[k]
             if not cache_conscious:
-                return (0.0, ((inv, _xtask(k, c.root_code, v)),))
+                return ((inv, _xtask(k, c.root_code, v)),)
             terms = []
             for code, mass in c.entry[rv]:
                 if code == SINK0:
                     continue
                 terms.append((mass * inv, _xtask(k, code, v)))
-            return (0.0, tuple(terms))
+            return tuple(terms)
         _, k, pos, v = task
         c = cons[k]
         if v == 0:
@@ -443,16 +431,14 @@ def _intersect(gq: Obdd, index: MvIndex, cache_conscious: bool,
         rv = qtab.var[v]
         if ru > rv:
             p = probs[rv]
-            return (0.0, ((1.0 - p, _xtask(k, pos, qtab.lo[v])),
-                          (p, _xtask(k, pos, qtab.hi[v]))))
-        if stats is not None:
-            stats.mark(k, pos)
+            return ((1.0 - p, _xtask(k, pos, qtab.lo[v])),
+                    (p, _xtask(k, pos, qtab.hi[v])))
         p = probs[ru]
         if ru < rv:
-            return (0.0, ((1.0 - p, _xtask(k, c.lo[pos], v)),
-                          (p, _xtask(k, c.hi[pos], v))))
-        return (0.0, ((1.0 - p, _xtask(k, c.lo[pos], qtab.lo[v])),
-                      (p, _xtask(k, c.hi[pos], qtab.hi[v]))))
+            return ((1.0 - p, _xtask(k, c.lo[pos], v)),
+                    (p, _xtask(k, c.hi[pos], v)))
+        return ((1.0 - p, _xtask(k, c.lo[pos], qtab.lo[v])),
+                (p, _xtask(k, c.hi[pos], qtab.hi[v])))
 
     def _xtask(k, code, v):
         if code == SINK0:
@@ -474,15 +460,19 @@ def _intersect(gq: Obdd, index: MvIndex, cache_conscious: bool,
             memo[task] = res
             stack.pop()
             continue
-        const, terms = res
-        missing = [t for _, t in terms if t not in memo]
+        missing = [t for _, t in res if t not in memo]
         if missing:
             stack.extend(missing)
             continue
-        memo[task] = const + sum(coef * memo[t] for coef, t in terms)
+        memo[task] = sum(coef * memo[t] for coef, t in res)
         stack.pop()
     if stats is not None:
+        # A constituent node is visited when an X task pairs it with a
+        # query node of the same or a later rank.
+        var = qtab.var
         stats.memo_entries = len(memo)
+        stats.visited = len({t[1:3] for t in memo if t[0] == "X" and t[3] > 1
+                             and cons[t[1]].rank[t[2]] <= var[t[3]]})
     ratio = memo[root]
     return ratio, (index.prefix[k_lo] * ratio * scale
                    * index.suffix[k_end])
@@ -510,25 +500,10 @@ def rank_span(gq: Obdd) -> int:
 
 
 def point_probability(fact: Fact, index: MvIndex) -> float:
-    """P0(X and not-W) for a single tuple variable.
-
-    When the variable's level cuts every path of its constituent, sums
-    reachability times the high child's probUnder over that level's entry
-    table; falls back to the general intersection otherwise.
-    """
-    r = index.order.rank_of(fact)
-    p = index.probs[r]
-    k = index._rank_to_k.get(r)
-    if k is None:
-        return p * index.p0_not_w
-    c = index.constituents[k]
-    if r not in c.cut_ranks:
-        phi = U.Lineage((frozenset([fact]),))
-        return mv_intersect(from_lineage(phi, index.order), index)
-    total = 0.0
-    for pos, mass in c.entry[r]:
-        total += mass * c.pu(c.hi[pos])
-    return p * total * index.prefix[k] * index.suffix[k + 1]
+    """P0(X and not-W) for a single tuple variable: the general
+    intersection of the fact's one-node OBDD."""
+    phi = U.Lineage((frozenset([fact]),))
+    return cc_mv_intersect(from_lineage(phi, index.order), index)
 
 
 # ---------------------------------------------------------------------------
@@ -618,8 +593,10 @@ def serialize(index: MvIndex) -> bytes:
 def _check_layout(c: Constituent, n_ranks: int):
     """Reject a constituent the traversals cannot walk: the root must be
     position 0 and hold the lowest rank (or be a sink when there are no
-    nodes), every rank must lie in the order, and every child must be a
-    sink or a position of a strictly greater rank."""
+    nodes), every rank must lie in the order, every child must be a sink
+    or a position of a strictly greater rank, and every position but the
+    root must be some edge's child (no child is the root, whose rank is
+    the lowest)."""
     if not c.n:
         if c.root_code not in (SINK0, SINK1):
             raise IndexFormatError("empty constituent without a sink root")
@@ -638,6 +615,12 @@ def _check_layout(c: Constituent, n_ranks: int):
                 raise IndexFormatError(
                     f"child code {child} of position {pos} is neither a "
                     "sink nor a later position")
+    children = set(c.lo)
+    children.update(c.hi)
+    children.difference_update((SINK0, SINK1))
+    if len(children) != c.n - 1:
+        raise IndexFormatError(
+            f"{c.n - 1 - len(children)} position(s) are no edge's child")
 
 
 def _kinds(values) -> set:

@@ -301,22 +301,16 @@ def from_lineage(phi: U.Lineage, order: VariableOrder,
     return Obdd(t, root)
 
 
-def shannon_values(g: Obdd, probs) -> dict[int, float]:
-    """Bottom-up Shannon expansion: the probability of every sub-diagram
-    reachable from the root, keyed by node (sinks included).  Probabilities
-    may be negative."""
+def shannon_probability(g: Obdd, probs) -> float:
+    """Probability of the root by bottom-up Shannon expansion over every
+    node reachable from it.  Probabilities may be negative."""
     p_of = probs.__getitem__ if not callable(probs) else probs
     var, lo, hi = g.table.var, g.table.lo, g.table.hi
     values = {0: 0.0, 1: 1.0}
     for u in sorted(g.reachable(), key=var.__getitem__, reverse=True):
         p = p_of(var[u])
         values[u] = (1.0 - p) * values[lo[u]] + p * values[hi[u]]
-    return values
-
-
-def shannon_probability(g: Obdd, probs) -> float:
-    """Probability of the root under `shannon_values`."""
-    return shannon_values(g, probs)[g.root]
+    return values[g.root]
 
 
 # ---------------------------------------------------------------------------

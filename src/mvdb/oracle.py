@@ -74,13 +74,12 @@ def _obdd_sat_array(g: Obdd, bits: dict[Fact, int], n: int) -> np.ndarray:
     return memo[g.root]
 
 
-def view_features(db: Mvdb, materializations=None):
+def view_features(db: Mvdb):
     """Grounded features of the views: (lineage, weight) per output tuple."""
     instance = db.possible_instance()
-    if materializations is None:
-        materializations = [materialize_view(v, db) for v in db.views]
     features = []
-    for view, mat in zip(db.views, materializations):
+    for view in db.views:
+        mat = materialize_view(view, db)
         for values, w in mat.tuples:
             boolean = U.substitute(
                 U.Ucq(tuple(U.ConjunctiveQuery(d.head, d.atoms, d.predicates)

@@ -76,12 +76,10 @@ def materialize_view(view: U.MarkoView, db: Mvdb) -> ViewMaterialization:
 
 @dataclass(frozen=True)
 class TranslationResult:
-    """The independent database, the constraint query W, and its pieces."""
+    """The independent database, the constraint query W and its source."""
 
     indb: Indb
-    w_components: tuple  # one Boolean Ucq per view
-    w_query: Optional[U.Ucq]  # disjunction of the components; None if no views
-    materializations: tuple
+    w_query: Optional[U.Ucq]  # the views' constraint bodies; None if none
     source: Mvdb
 
 
@@ -161,7 +159,7 @@ def build_indb(db: Mvdb, denial_shortcut: bool = True) -> TranslationResult:
     w_query = None
     if components:
         w_query = U.Ucq(tuple(d for c in components for d in c.disjuncts))
-    return TranslationResult(indb, tuple(components), w_query, tuple(mats), db)
+    return TranslationResult(indb, w_query, db)
 
 
 class Evaluator(Protocol):

@@ -16,6 +16,7 @@ from mvdb import (Fact, Mvdb, MvdbError, NodeTable, Obdd, OrderMismatchError,
                   parse_schema, parse_query, parse_view, synthesize,
                   tuple_order)
 from mvdb import ucq as U
+from mvdb.mvindex import SINK0, SINK1
 from mvdb.obdd import _dominates, _split_components
 
 EX1_SCHEMA = parse_schema("""
@@ -379,6 +380,22 @@ def reachability(c, probs) -> list[float]:
             if c.hi[pos] >= 0:
                 reach[c.hi[pos]] += reach[pos] * p
     return reach
+
+
+def prob_under(c, code: int) -> float:
+    """probUnder of constituent *c*'s node or sink *code*: 0.0 for the
+    0-sink, 1.0 for the 1-sink."""
+    if code == SINK0:
+        return 0.0
+    if code == SINK1:
+        return 1.0
+    return c.prob_under[code]
+
+
+def cut_ranks(c) -> set[int]:
+    """The ranks whose entry table holds only nodes of that rank."""
+    return {r for r, table in c.entry.items()
+            if all(code >= 0 and c.rank[code] == r for code, _ in table)}
 
 
 def entry_tables_rescan(c, probs):

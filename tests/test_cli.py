@@ -227,6 +227,28 @@ def test_malformed_index_structure_exit_code(project, capsys):
     assert err.startswith("error: ") and "child code 10000" in err
 
 
+def test_orphan_position_exit_code(project, capsys):
+    # a node that no edge reaches, at the root's rank of the first block
+    from mvdb import load_index, serialize
+    from mvdb.mvindex import SINK0, SINK1
+    run(["compile", "--project", str(project)])
+    path = project / "index.mvx"
+    index = load_index(path)
+    c = index.constituents[0]
+    c.rank.append(c.rank_lo)
+    c.lo.append(SINK0)
+    c.hi.append(SINK1)
+    c.n += 1
+    path.write_bytes(serialize(index))
+    for argv in (["query", "--project", str(project), "Q() :- Student(1, y)"],
+                 ["stats", "--project", str(project)]):
+        capsys.readouterr()
+        rc, _ = run(argv)
+        assert rc == EXIT_INPUT, argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "no edge's child" in err
+
+
 def test_oracle_command(project):
     rc, text = run(["oracle", "--project", str(project), "--tsv",
                     "Q() :- Advisor(1, a), Student(1, y)"])

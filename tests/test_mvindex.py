@@ -23,8 +23,9 @@ from mvdb.obdd import PermutationSet, VariableOrder, con_obdd
 from mvdb.translate import answer_rows
 
 from helpers import (EX1_SCHEMA, RAND_SCHEMA, TWO_TABLE_SCHEMA, chain_mvdb,
-                     entry_tables_rescan, example1, random_boolean_query,
-                     signed_world_sum, two_table_db, viable_random_mvdb)
+                     cut_ranks, entry_tables_rescan, example1, prob_under,
+                     random_boolean_query, signed_world_sum, two_table_db,
+                     viable_random_mvdb)
 
 
 def _ex1_index(w=0.5):
@@ -110,7 +111,7 @@ def test_negation_by_sink_swap():
             want = swap[child] if child <= 1 else nodes.index(child)
             assert code == want
     neg.compute_annotations(probs)
-    assert neg.pu(neg.root_code) == pytest.approx(
+    assert prob_under(neg, neg.root_code) == pytest.approx(
         1.0 - shannon_probability(g, probs), abs=1e-12)
 
 
@@ -120,7 +121,7 @@ def test_prob_under_root_matches_shannon():
     probs = [0.3, -0.5, 0.25, 0.8, 2.0, 0.1]
     neg = Constituent.from_obdd(g, None)
     neg.compute_annotations(probs)
-    assert neg.pu(neg.root_code) == neg.prob_root
+    assert prob_under(neg, neg.root_code) == neg.prob_root
     assert neg.prob_root == pytest.approx(
         1.0 - shannon_probability(g, probs), abs=1e-12)
 
@@ -135,10 +136,10 @@ def test_frontier_identities():
                 continue
             c.derive(idx.probs)
             for r, table in c.entry.items():
-                total = sum(mass * c.pu(code) for code, mass in table)
+                total = sum(mass * prob_under(c, code) for code, mass in table)
                 assert total == pytest.approx(c.prob_root, abs=1e-12), \
                     f"entry frontier at rank {r}"
-            for r in c.cut_ranks:
+            for r in cut_ranks(c):
                 assert [pos for pos, _ in c.entry[r]] == c.levels[r]
                 total = sum(mass * c.prob_under[pos]
                             for pos, mass in c.entry[r])
@@ -164,7 +165,7 @@ def test_derive_sweep_matches_rescan_reference(annotated_indices):
                     [code for code, _ in table], f"codes at rank {r}"
                 for (_, got), (_, want) in zip(c.entry[r], table):
                     assert got == pytest.approx(want, abs=1e-12)
-            assert c.cut_ranks == cut
+            assert cut_ranks(c) == cut
 
 
 # -- point probability ---------------------------------------------------------------
@@ -202,7 +203,7 @@ def test_point_probability_root_variable_formula():
     c = idx.constituents[0]
     root_fact = idx.order.facts[c.rank[0]]
     p = idx.probs[c.rank[0]]
-    want = p * c.pu(c.hi[0])
+    want = p * prob_under(c, c.hi[0])
     assert point_probability(root_fact, idx) == pytest.approx(want, abs=1e-12)
 
 
@@ -215,8 +216,9 @@ def test_point_probability_fallback_on_level_skips():
     idx = build_index(tr)
     ev = EnumerationEvaluator(tr)
     skipped = Fact("S", ("a0", "b1"))
+    # some path of the constituent skips the tuple's level
     c = idx.constituents[idx.constituent_of(skipped)]
-    assert idx.order.rank_of(skipped) not in c.cut_ranks
+    assert idx.order.rank_of(skipped) not in cut_ranks(c)
     q = parse_query("Q() :- S('a0', 'b1')", RAND_SCHEMA)
     assert point_probability(skipped, idx) == pytest.approx(
         ev.prob_q_and_not_w(q), abs=1e-12)
@@ -282,6 +284,26 @@ def test_cc_visited_bound():
             cc_mv_intersect(gq, idx, stats)
             m = rank_span(gq)
             assert stats.visited <= m * max(1, idx.max_width())
+
+
+def test_stats_describe_only_the_call_they_are_passed_to(blocks_1e3):
+    # a stats object passed to a second, different query reports exactly
+    # what a fresh object reports for that query
+    tr, idx = blocks_1e3
+    inst = tr.indb.possible_instance()
+    wide, point = (
+        from_lineage(lineage(parse_query(text, BLOCK_SCHEMA), inst),
+                     idx.order)
+        for text in ("Q() :- R(x), S(x)", "Q() :- R(7)"))
+    for fn in (mv_intersect, cc_mv_intersect):
+        reused, fresh = IntersectStats(), IntersectStats()
+        fn(wide, idx, reused)
+        first = (reused.visited, reused.memo_entries)
+        fn(point, idx, reused)
+        fn(point, idx, fresh)
+        assert reused == fresh, fn.__name__
+        assert (fresh.visited, fresh.memo_entries) != first
+        assert 0 < fresh.visited < first[0]
 
 
 def test_intersect_order_mismatch():
@@ -478,13 +500,13 @@ def test_load_derives_the_build_annotations(annotated_indices):
             assert got.prob_under == built.prob_under
             assert got.prob_root == built.prob_root
             assert got.entry == built.entry
-            assert got.cut_ranks == built.cut_ranks
+            assert cut_ranks(got) == cut_ranks(built)
 
 
 @pytest.mark.parametrize("where", ["rank_lo", "rank_hi"])
 def test_deserialize_position_no_edge_reaches(where):
-    # An extra node that no edge reaches passes the layout check; the
-    # frontier sweep must give it reachability 0.0, not fail on it.
+    # A compile never writes a node that no edge reaches; on load such a
+    # node would inflate size() and width(), so the layout check rejects it.
     idx = _denial_index()
 
     def add_orphan(cons, n_ranks):
@@ -494,14 +516,8 @@ def test_deserialize_position_no_edge_reaches(where):
         c.hi.append(SINK1)
         c.n += 1
 
-    try:
-        loaded = deserialize(_tampered(idx, add_orphan))
-    except IndexFormatError:
-        return
-    c = loaded.constituents[0]
-    assert c.prob_root == idx.constituents[0].prob_root
-    assert all(code != c.n - 1 for table in c.entry.values()
-               for code, _ in table)
+    with pytest.raises(IndexFormatError, match="no edge's child"):
+        deserialize(_tampered(idx, add_orphan))
 
 
 def test_deserialize_truncation():
