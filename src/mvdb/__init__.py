@@ -18,19 +18,17 @@ from .ucq import (Atom, ConjunctiveQuery, Const, Lineage, MarkoView,
                   Predicate, Separator, Ucq, Var, answer_tuples,
                   find_separator, lineage, parse_query, parse_view,
                   root_variables, specialize_separator, substitute)
-from .obdd import (NodeTable, Obdd, ObddMetrics, PermutationSet,
-                   VariableOrder, choose_pi, con_obdd, from_lineage,
-                   is_inversion_free, obdd_metrics, shannon_probability,
-                   synthesize, tuple_order)
-from .translate import (TranslationResult, ViewMaterialization, answer_query,
-                        build_indb, load_views, materialize_view,
-                        parse_views, query_probability)
+from .obdd import (NodeTable, Obdd, PermutationSet, VariableOrder, choose_pi,
+                   con_obdd, from_lineage, is_inversion_free,
+                   shannon_probability, synthesize, tuple_order)
+from .translate import (TranslationResult, answer_query, build_indb,
+                        load_views, materialize_view, parse_views,
+                        query_probability)
 from .oracle import (EnumerationEvaluator, indb_probability, indb_world_trace,
                      mln_probability, mln_world_trace, translation_check)
 from .mvindex import (Constituent, IndexEvaluator, IntersectStats, MvIndex,
                       build_index, cc_mv_intersect, deserialize, load_index,
-                      mv_intersect, point_probability, rank_span, save_index,
-                      serialize)
+                      mv_intersect, rank_span, save_index, serialize)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

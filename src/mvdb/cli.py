@@ -56,13 +56,13 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _load_project(project: str, with_views: bool = True) -> Mvdb:
+def _load_project(project: str) -> Mvdb:
     root = Path(project)
     schema = load_schema(root / "schema.txt")
     data = load_data(schema, root / "data")
     views = []
     views_path = root / "views.txt"
-    if with_views and views_path.exists():
+    if views_path.exists():
         views = load_views(views_path, schema)
     return Mvdb(schema, data, views)
 
@@ -217,21 +217,22 @@ def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(prog="mvdb")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, project=True):
-        if project:
-            p.add_argument("--project", required=True)
-        p.add_argument("--index", default=None)
-        p.add_argument("--tsv", action="store_true")
-        p.add_argument("--tolerance", type=float, default=1e-9)
+    def world_cap(p):
         p.add_argument("--world-cap", dest="world_cap", type=int,
                        default=DEFAULT_WORLD_CAP)
 
     p = sub.add_parser("compile")
-    common(p)
+    p.add_argument("--project", required=True)
+    p.add_argument("--index", default=None)
+    p.add_argument("--tsv", action="store_true")
     p.set_defaults(func=cmd_compile)
 
     p = sub.add_parser("query")
-    common(p)
+    p.add_argument("--project", required=True)
+    p.add_argument("--index", default=None)
+    p.add_argument("--tsv", action="store_true")
+    p.add_argument("--tolerance", type=float, default=1e-9)
+    world_cap(p)
     p.add_argument("--engine", choices=["mv", "ccmv", "oracle"],
                    default="ccmv")
     p.add_argument("--timing", action="store_true")
@@ -239,7 +240,9 @@ def _build_parser() -> _ArgumentParser:
     p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("oracle")
-    common(p)
+    p.add_argument("--project", required=True)
+    p.add_argument("--tsv", action="store_true")
+    world_cap(p)
     p.add_argument("query")
     p.set_defaults(func=cmd_oracle)
 

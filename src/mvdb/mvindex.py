@@ -191,7 +191,10 @@ class Constituent:
 
 
 class MvIndex:
-    """Keyed augmented constituents plus the two tuple-variable indices."""
+    """The augmented constituents, sorted by rank range, with the tuple
+    order and probabilities they were built on.  A query finds the
+    constituents it meets by bisecting their rank ranges (`_window`);
+    `cc_mv_intersect` then enters each through its entry tables."""
 
     def __init__(self, constituents, order: VariableOrder, probs,
                  pi: PermutationSet, source_digest: str):
@@ -228,21 +231,6 @@ class MvIndex:
             return -math.inf
         return math.fsum(math.log10(abs(c.prob_root))
                          for c in self.constituents)
-
-    def constituent_of(self, fact: Fact) -> Optional[int]:
-        """The constituent labelling a node with *fact*, or None."""
-        r = self.order.rank_of(fact)
-        k = bisect_left(self.rank_hi, r)
-        if k < len(self.constituents) and r in self.constituents[k].levels:
-            return k
-        return None
-
-    def intra(self, key, fact: Fact) -> list[int]:
-        """Positions of the nodes labelled with *fact* in the keyed OBDD."""
-        for c in self.constituents:
-            if c.key == key:
-                return list(c.levels.get(self.order.rank_of(fact), ()))
-        raise MvdbError(f"no constituent with key {key!r}")
 
     def max_width(self) -> int:
         return max((c.width() for c in self.constituents), default=0)
@@ -497,13 +485,6 @@ def rank_span(gq: Obdd) -> int:
     if not ranks:
         return 0
     return max(ranks) - min(ranks) + 1
-
-
-def point_probability(fact: Fact, index: MvIndex) -> float:
-    """P0(X and not-W) for a single tuple variable: the general
-    intersection of the fact's one-node OBDD."""
-    phi = U.Lineage((frozenset([fact]),))
-    return cc_mv_intersect(from_lineage(phi, index.order), index)
 
 
 # ---------------------------------------------------------------------------

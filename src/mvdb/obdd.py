@@ -207,24 +207,6 @@ class Obdd:
                 else self.table.lo[u]
         return u == 1
 
-    def dump(self) -> str:
-        lines = [f"root {self.root}",
-                 "order " + " ".join(str(f) for f in self.order.facts)]
-        for u in sorted(self.reachable()):
-            lines.append(f"{u} {self.table.var[u]} "
-                         f"{self.table.lo[u]} {self.table.hi[u]}")
-        return "\n".join(lines) + "\n"
-
-
-@dataclass(frozen=True)
-class ObddMetrics:
-    size: int
-    width: int
-
-
-def obdd_metrics(g: Obdd) -> ObddMetrics:
-    return ObddMetrics(g.size(), g.width())
-
 
 def synthesize(op: str, g1: Obdd, g2: Obdd) -> Obdd:
     """Pairwise apply; memoized on node pairs, at most |g1|*|g2| visits."""
@@ -411,10 +393,14 @@ def _sim_never_synthesizes(disjuncts, pi: PermutationSet, schema: Schema,
     return True
 
 
-def is_inversion_free(q: U.Ucq, schema: Schema, var_rels=None,
-                      search_cap: int = 100_000) -> Optional[PermutationSet]:
+_SEARCH_CAP = 100_000
+
+
+def is_inversion_free(q: U.Ucq, schema: Schema,
+                      var_rels=None) -> Optional[PermutationSet]:
     """Search for a permutation set under which the query compiler never
-    synthesizes at an existential step; None when no such set exists."""
+    synthesizes at an existential step; None when no such set exists or
+    there are more than `_SEARCH_CAP` candidate sets."""
     if var_rels is None:
         var_rels = U.variable_relations(schema)
     rels = sorted({a.relation for d in q.disjuncts for a in d.atoms
@@ -423,7 +409,7 @@ def is_inversion_free(q: U.Ucq, schema: Schema, var_rels=None,
     total = 1
     for a in arities:
         total *= math.factorial(a)
-        if total > search_cap:
+        if total > _SEARCH_CAP:
             return None
     for combo in itertools.product(
             *[itertools.permutations(range(a)) for a in arities]):

@@ -20,7 +20,6 @@ from typing import TYPE_CHECKING
 from .core import (Fact, InconsistentConstraintsError, Indb, Mvdb,
                    MvdbError, World, WorldCapError)
 from . import ucq as U
-from .obdd import Obdd
 from .translate import TranslationResult, build_indb, materialize_view
 
 if TYPE_CHECKING:
@@ -62,25 +61,12 @@ def _sat_array(masks: list[int], n: int) -> np.ndarray:
     return sat
 
 
-def _obdd_sat_array(g: Obdd, bits: dict[Fact, int], n: int) -> np.ndarray:
-    import numpy as np
-    idx = np.arange(1 << n, dtype=np.int64)
-    memo = {0: np.zeros(1 << n, dtype=bool), 1: np.ones(1 << n, dtype=bool)}
-    table = g.table
-    for u in sorted(g.reachable(), key=lambda v: table.var[v], reverse=True):
-        fact = g.order.facts[table.var[u]]
-        take = ((idx >> bits[fact]) & 1) == 1
-        memo[u] = np.where(take, memo[table.hi[u]], memo[table.lo[u]])
-    return memo[g.root]
-
-
 def view_features(db: Mvdb):
     """Grounded features of the views: (lineage, weight) per output tuple."""
     instance = db.possible_instance()
     features = []
     for view in db.views:
-        mat = materialize_view(view, db)
-        for values, w in mat.tuples:
+        for values, w in materialize_view(view, instance):
             boolean = U.substitute(
                 U.Ucq(tuple(U.ConjunctiveQuery(d.head, d.atoms, d.predicates)
                             for d in view.body.disjuncts)), values)
@@ -166,22 +152,14 @@ def _probability_array(db: Indb, prob_facts, n) -> np.ndarray:
     return weights
 
 
-def _phi_sat(db: Indb, phi, prob_facts, bits, n) -> np.ndarray:
-    if isinstance(phi, U.Lineage):
-        return _sat_array(_clause_masks(phi, bits), n)
-    if isinstance(phi, Obdd):
-        return _obdd_sat_array(phi, bits, n)
-    raise MvdbError(f"unsupported formula {type(phi).__name__}")
-
-
-def indb_probability(db: Indb, phi,
+def indb_probability(db: Indb, phi: U.Lineage,
                      world_cap: int = DEFAULT_WORLD_CAP) -> float:
-    """Signed measure of a formula over an independent database."""
+    """Signed measure of the worlds of an independent database where the
+    lineage *phi* holds."""
     prob_facts = db.probabilistic_facts()
     n = len(prob_facts)
     _check_cap(n, world_cap)
-    bits = _bit_map(prob_facts)
-    sat = _phi_sat(db, phi, prob_facts, bits, n)
+    sat = _sat_array(_clause_masks(phi, _bit_map(prob_facts)), n)
     return float(_probability_array(db, prob_facts, n)[sat].sum())
 
 
@@ -217,25 +195,14 @@ class EnumerationEvaluator:
 
 
 def translation_check(db: Mvdb, q: U.Ucq,
-                   world_cap: int = DEFAULT_WORLD_CAP):
+                      world_cap: int = DEFAULT_WORLD_CAP):
     """Compare direct world enumeration with the translated evaluation.
 
     Returns (lhs, rhs, |lhs - rhs|) where lhs enumerates the correlated
-    measure and rhs evaluates (P0(Q or W) - P0(W)) / (1 - P0(W)) on the
-    translated independent database.
+    measure and rhs is P0(Q and not-W) / P0(not-W) enumerated on the
+    translated independent database, the value ``query --engine oracle``
+    prints.
     """
     lhs = mln_probability(db, q, world_cap)
-    tr = build_indb(db)
-    instance = tr.indb.possible_instance()
-    phi_q = U.lineage(q, instance)
-    if tr.w_query is None:
-        phi_w = U.Lineage(())
-    else:
-        phi_w = U.lineage(tr.w_query, instance)
-    p_qw = indb_probability(tr.indb, phi_q.union(phi_w), world_cap)
-    p_w = indb_probability(tr.indb, phi_w, world_cap)
-    if 1.0 - p_w == 0.0:
-        raise InconsistentConstraintsError(
-            "no world satisfies the hard constraints")
-    rhs = (p_qw - p_w) / (1.0 - p_w)
+    rhs = EnumerationEvaluator(build_indb(db), world_cap).probability(q)
     return lhs, rhs, abs(lhs - rhs)

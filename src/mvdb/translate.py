@@ -26,21 +26,13 @@ from .core import (INF, VIEW_AUX, Attribute, Fact, HardConstraintError,
 from . import ucq as U
 
 
-@dataclass(frozen=True)
-class ViewMaterialization:
-    """The output tuples of one view over the possible-tuple instance."""
-
-    view: U.MarkoView
-    tuples: tuple  # ((values, weight), ...) sorted by values
-
-
-def materialize_view(view: U.MarkoView, db: Mvdb) -> ViewMaterialization:
-    """Evaluate the view body over all possible tuples and attach weights.
+def materialize_view(view: U.MarkoView, instance: Instance) -> tuple:
+    """The view's output tuples over *instance* (the base possible-tuple
+    instance), as ``((values, weight), ...)`` sorted by values.
 
     The weight expression must evaluate to the same finite non-negative
     value under every witnessing binding of an output tuple.
     """
-    instance = db.possible_instance()
     weights: dict[tuple, float] = {}
     for d in view.body.disjuncts:
         for bnd, _ in U.iter_matches(d, instance):
@@ -68,10 +60,9 @@ def materialize_view(view: U.MarkoView, db: Mvdb) -> ViewMaterialization:
                 raise InvalidViewError(
                     f"view {view.name}: weight for {values!r} differs "
                     f"across witnessing bindings ({prev!r} vs {w!r})")
-    ordered = tuple(sorted(weights.items(),
-                           key=lambda kv: tuple((isinstance(v, str), v)
-                                                for v in kv[0])))
-    return ViewMaterialization(view, ordered)
+    return tuple(sorted(weights.items(),
+                        key=lambda kv: tuple((isinstance(v, str), v)
+                                             for v in kv[0])))
 
 
 @dataclass(frozen=True)
@@ -124,15 +115,17 @@ def build_indb(db: Mvdb, denial_shortcut: bool = True) -> TranslationResult:
     auxiliary tuple of weight (1 - w) / w; weight-0 outputs become
     deterministic auxiliary tuples.  With *denial_shortcut* (default), a view
     whose outputs are all denials contributes its bare body as the
-    constraint disjunct and no auxiliary tuples at all.
+    constraint disjunct and no auxiliary tuples at all.  The views are
+    materialized over one base possible instance.
     """
-    mats = [materialize_view(v, db) for v in db.views]
+    instance = db.possible_instance()
+    mats = [materialize_view(v, instance) for v in db.views]
     aux_relations: list[Relation] = []
     aux_facts: list[tuple[Fact, float]] = []
     components: list[U.Ucq] = []
     taken: set[str] = set()
-    for view, mat in zip(db.views, mats):
-        all_denial = all(w == 0 for _, w in mat.tuples)
+    for view, outputs in zip(db.views, mats):
+        all_denial = all(w == 0 for _, w in outputs)
         if denial_shortcut and all_denial:
             closed = tuple(U.ConjunctiveQuery((), d.atoms, d.predicates)
                            for d in view.body.disjuncts)
@@ -144,7 +137,7 @@ def build_indb(db: Mvdb, denial_shortcut: bool = True) -> TranslationResult:
         attrs = tuple(Attribute(f"a{i + 1}", t) for i, t in enumerate(types))
         aux_relations.append(Relation(nv, attrs,
                                       tuple(a.name for a in attrs), VIEW_AUX))
-        for values, w in mat.tuples:
+        for values, w in outputs:
             w0 = INF if w == 0 else (1.0 - w) / w
             aux_facts.append((Fact(nv, values), w0))
         disjuncts = []
@@ -196,9 +189,12 @@ def answer_query(q: U.Ucq, tr: TranslationResult,
 def answer_rows(q: U.Ucq, instance: Instance,
                 evaluator: Evaluator) -> list[tuple[tuple, float]]:
     """Candidates over *instance*, then one Boolean evaluation per
-    substituted head binding.  The caller has checked that *q* names no
-    auxiliary relation, so the base possible instance serves as well as
-    the translated one."""
+    substituted head binding.  A Boolean query has exactly one row, the
+    empty answer with P(Q), even when nothing matches it.  The caller has
+    checked that *q* names no auxiliary relation, so the base possible
+    instance serves as well as the translated one."""
+    if q.is_boolean():
+        return [((), evaluator.probability(q))]
     return [(answer, evaluator.probability(U.substitute(q, answer)))
             for answer in U.answer_tuples(q, instance)]
 

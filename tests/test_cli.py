@@ -129,6 +129,24 @@ def test_usage_error_exit_code():
     assert rc == EXIT_USAGE
 
 
+@pytest.mark.parametrize("command, option, value", [
+    ("compile", "--tolerance", "1"), ("compile", "--world-cap", "8"),
+    ("oracle", "--index", "x"), ("oracle", "--tolerance", "1")])
+def test_option_the_command_does_not_read_is_a_usage_error(
+        project, command, option, value):
+    query = ["Q() :- Student(1, y)"] if command == "oracle" else []
+    rc, _ = run([command, "--project", str(project), option, value, *query])
+    assert rc == EXIT_USAGE
+
+
+@pytest.mark.parametrize("engine", ["ccmv", "mv", "oracle"])
+def test_boolean_query_without_match_prints_one_row(project, engine):
+    run(["compile", "--project", str(project)])
+    rc, text = run(["query", "--project", str(project), "--engine", engine,
+                    "--tsv", "Q() :- Student(99, y)"])
+    assert (rc, text) == (EXIT_OK, "0.0\n")
+
+
 def test_malformed_view_reports_line(tmp_path, capsys):
     proj = tmp_path / "broken"
     generate_project(proj, seed=1, scale=2)

@@ -13,8 +13,8 @@ from mvdb import (EnumerationEvaluator, Fact, IndexEvaluator, IndexFormatError,
                   IntersectStats, Lineage, Mvdb, MvdbError, OrderMismatchError,
                   build_indb, build_index, cc_mv_intersect, deserialize,
                   from_lineage, lineage, mv_intersect, parse_query,
-                  parse_schema, parse_view, point_probability,
-                  query_probability, rank_span, serialize)
+                  parse_schema, parse_view, query_probability, rank_span,
+                  serialize)
 from mvdb import mvindex
 from mvdb.cli import _load_project
 from mvdb.gendata import generate_project
@@ -74,16 +74,6 @@ def test_build_index_no_views():
     ev = IndexEvaluator(idx, tr.indb.possible_instance())
     q = parse_query("Q() :- R('a')", EX1_SCHEMA)
     assert query_probability(q, tr, ev) == pytest.approx(0.5, abs=1e-15)
-
-
-def test_inter_and_intra_indices():
-    db, tr, idx = _ex1_index()
-    r = Fact("R", ("a",))
-    assert idx.constituents[idx.constituent_of(r)].key == "a"
-    positions = idx.intra("a", r)
-    assert len(positions) == 1
-    assert idx.constituents[0].rank[positions[0]] == idx.order.rank_of(r)
-    assert idx.constituent_of(Fact("NV", ("a",))) is not None
 
 
 # -- annotations ------------------------------------------------------------------
@@ -170,6 +160,13 @@ def test_derive_sweep_matches_rescan_reference(annotated_indices):
 
 # -- point probability ---------------------------------------------------------------
 
+def _point_probability(fact, idx):
+    """P0(X and not-W) for one tuple variable: the intersection of the
+    fact's one-node OBDD."""
+    g = from_lineage(Lineage((frozenset([fact]),)), idx.order)
+    return cc_mv_intersect(g, idx)
+
+
 def test_point_probability_absent_variable():
     db, tr, idx = _ex1_index()
     schema2 = EX1_SCHEMA
@@ -181,9 +178,10 @@ def test_point_probability_absent_variable():
     tr2 = build_indb(db2)
     idx2 = build_index(tr2)
     t = Fact("T", ("t",))
-    assert idx2.constituent_of(t) is None
+    r = idx2.order.rank_of(t)
+    assert not any(c.rank_lo <= r <= c.rank_hi for c in idx2.constituents)
     want = tr2.indb.probability(t) * idx2.p0_not_w
-    assert point_probability(t, idx2) == pytest.approx(want, abs=1e-12)
+    assert _point_probability(t, idx2) == pytest.approx(want, abs=1e-12)
 
 
 def test_point_probability_against_enumeration():
@@ -195,7 +193,7 @@ def test_point_probability_against_enumeration():
         q = parse_query(f"Q() :- {fact.relation}('{fact.values[0]}')",
                         EX1_SCHEMA)
         want = ev.prob_q_and_not_w(q)
-        assert point_probability(fact, idx) == pytest.approx(want, abs=1e-12)
+        assert _point_probability(fact, idx) == pytest.approx(want, abs=1e-12)
 
 
 def test_point_probability_root_variable_formula():
@@ -204,7 +202,7 @@ def test_point_probability_root_variable_formula():
     root_fact = idx.order.facts[c.rank[0]]
     p = idx.probs[c.rank[0]]
     want = p * prob_under(c, c.hi[0])
-    assert point_probability(root_fact, idx) == pytest.approx(want, abs=1e-12)
+    assert _point_probability(root_fact, idx) == pytest.approx(want, abs=1e-12)
 
 
 def test_point_probability_fallback_on_level_skips():
@@ -217,10 +215,11 @@ def test_point_probability_fallback_on_level_skips():
     ev = EnumerationEvaluator(tr)
     skipped = Fact("S", ("a0", "b1"))
     # some path of the constituent skips the tuple's level
-    c = idx.constituents[idx.constituent_of(skipped)]
-    assert idx.order.rank_of(skipped) not in cut_ranks(c)
+    r = idx.order.rank_of(skipped)
+    [c] = [c for c in idx.constituents if c.rank_lo <= r <= c.rank_hi]
+    assert r in c.levels and r not in cut_ranks(c)
     q = parse_query("Q() :- S('a0', 'b1')", RAND_SCHEMA)
-    assert point_probability(skipped, idx) == pytest.approx(
+    assert _point_probability(skipped, idx) == pytest.approx(
         ev.prob_q_and_not_w(q), abs=1e-12)
 
 
@@ -825,17 +824,3 @@ def test_point_query_cost_independent_of_position(blocks_1e3):
             counts.append(stats.memo_entries)
             assert stats.visited <= rank_span(gq) * idx.max_width()
         assert counts[0] == counts[1] == counts[2], fn.__name__
-
-
-def test_point_probability_matches_cc_on_many_blocks():
-    # weight 2 keeps P0(not W) = (5/9)^400 representable, so the global
-    # values compared here are not both underflowed to 0.0
-    tr, idx = _many_blocks(2.0)
-    assert idx.p0_not_w > 0.0
-    inst = tr.indb.possible_instance()
-    for i in (0, N_BLOCKS // 2, N_BLOCKS - 1):
-        fact = Fact("R", (i,))
-        q = parse_query(f"Q() :- R({i})", BLOCK_SCHEMA)
-        want = cc_mv_intersect(from_lineage(lineage(q, inst), idx.order), idx)
-        assert point_probability(fact, idx) == pytest.approx(
-            want, rel=1e-12, abs=1e-12)

@@ -7,7 +7,7 @@ import pytest
 import mvdb
 from mvdb import (Fact, Mvdb, NodeTable, Obdd, OrderMismatchError,
                   PermutationSet, VariableOrder, choose_pi, from_lineage,
-                  is_inversion_free, lineage, obdd_metrics, parse_query,
+                  is_inversion_free, lineage, parse_query,
                   shannon_probability, synthesize, tuple_order)
 from mvdb.ucq import Lineage
 
@@ -353,9 +353,8 @@ def test_obdd_metrics_bound():
         q = random_boolean_query(rng)
         pi = choose_pi(q, db.schema)
         g = con_obdd(pi, q, db.possible_instance(), db.domain)
-        m = obdd_metrics(g)
-        if m.width:
-            assert m.size - 2 <= m.width * len(g.order)
+        if g.width():
+            assert g.size() - 2 <= g.width() * len(g.order)
 
 
 # -- permutation choice ----------------------------------------------------------
@@ -452,14 +451,3 @@ def test_reduction_canonicity_random_formulas():
         g2 = from_lineage(Lineage.normalize(shuffled), order, t)
         assert g1.root == g2.root
         _assert_ordered_reduced(g1)
-
-
-def test_dump_format():
-    order = VariableOrder([Fact("R", ("a",)), Fact("R", ("b",))])
-    t = NodeTable(order)
-    g = synthesize("and", _single(t, 0), _single(t, 1))
-    text = g.dump()
-    lines = text.strip().splitlines()
-    assert lines[0].startswith("root ")
-    assert lines[1].startswith("order R('a') R('b')")
-    assert all(len(line.split()) == 4 for line in lines[2:])

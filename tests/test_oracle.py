@@ -7,10 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from mvdb import (Fact, Indb, Lineage, Mvdb, WorldCapError, build_indb,
-                  indb_probability, indb_world_trace, lineage,
-                  mln_probability, mln_world_trace, parse_query,
-                  translation_check)
+from mvdb import (EnumerationEvaluator, Fact, Indb, Lineage, Mvdb,
+                  WorldCapError, build_indb, indb_probability,
+                  indb_world_trace, mln_probability, mln_world_trace,
+                  parse_query, translation_check)
 import mvdb
 from mvdb.core import INF
 from mvdb.ucq import evaluate_on_world
@@ -102,19 +102,6 @@ def test_indb_inclusion_exclusion():
     assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
-def test_indb_probability_accepts_obdd():
-    from mvdb import con_obdd
-    db, tr, ev, rng = viable_random_mvdb(5)
-    q = random_boolean_query(rng)
-    inst = tr.indb.possible_instance()
-    phi = lineage(q, inst)
-    from mvdb import choose_pi
-    pi = choose_pi(q, tr.indb.schema)
-    g = con_obdd(pi, q, inst, tr.indb.domain)
-    assert indb_probability(tr.indb, g) == pytest.approx(
-        indb_probability(tr.indb, phi), abs=1e-12)
-
-
 def test_world_cap_enforced():
     facts = [(Fact("R", (f"c{i}",)), 1.0) for i in range(6)]
     db = Indb(EX1_SCHEMA, facts)
@@ -197,6 +184,15 @@ def test_translation_check_randomized():
         q = random_boolean_query(rng)
         lhs, rhs, delta = translation_check(db, q)
         assert delta <= 1e-12
+
+
+def test_translation_check_rhs_is_the_oracle_engine():
+    rng = random.Random(17)
+    for seed in range(10):
+        db, _, _, _ = viable_random_mvdb(seed)
+        q = random_boolean_query(rng)
+        _, rhs, _ = translation_check(db, q)
+        assert rhs == EnumerationEvaluator(build_indb(db)).probability(q)
 
 
 def test_mln_probability_valid_query_is_one():

@@ -5,10 +5,13 @@ import random
 import pytest
 
 from mvdb import (EnumerationEvaluator, Fact, HardConstraintError,
-                  InconsistentConstraintsError, InvalidViewError, Mvdb,
-                  answer_query, build_indb, materialize_view, mln_probability,
-                  parse_query, parse_view, query_probability, substitute)
+                  InconsistentConstraintsError, IndexEvaluator,
+                  InvalidViewError, Mvdb, answer_query, build_indb,
+                  build_index, materialize_view, mln_probability, parse_query,
+                  parse_view, query_probability, substitute)
+from mvdb.cli import _load_project
 from mvdb.core import INF
+from mvdb.gendata import generate_project
 
 from helpers import (EX1_SCHEMA, RAND_SCHEMA, example1, random_boolean_query,
                      viable_random_mvdb)
@@ -16,14 +19,14 @@ from helpers import (EX1_SCHEMA, RAND_SCHEMA, example1, random_boolean_query,
 
 def test_materialize_example1():
     db = example1(w=0.5)
-    mat = materialize_view(db.views[0], db)
-    assert mat.tuples == ((("a",), 0.5),)
+    assert materialize_view(db.views[0], db.possible_instance()) == (
+        (("a",), 0.5),)
 
 
 def test_materialize_unsatisfiable_body_is_empty():
     db = Mvdb(EX1_SCHEMA, [(Fact("R", ("a",)), 1.0)], [])
     view = parse_view("V(x) [2] :- R(x), S(x)", EX1_SCHEMA)
-    assert materialize_view(view, db).tuples == ()
+    assert materialize_view(view, db.possible_instance()) == ()
 
 
 def test_materialize_denial_weights():
@@ -33,9 +36,9 @@ def test_materialize_denial_weights():
     db = Mvdb(TWO_TABLE_SCHEMA, facts, [])
     view = parse_view("V(x, y, z) [0] :- S(x, y), S(x, z), y != z",
                       TWO_TABLE_SCHEMA)
-    mat = materialize_view(view, db)
-    assert len(mat.tuples) == 6  # ordered pairs of distinct partners
-    assert all(w == 0.0 for _, w in mat.tuples)
+    outputs = materialize_view(view, db.possible_instance())
+    assert len(outputs) == 6  # ordered pairs of distinct partners
+    assert all(w == 0.0 for _, w in outputs)
 
 
 def test_materialize_weight_expr_from_body_variable():
@@ -45,8 +48,7 @@ def test_materialize_weight_expr_from_body_variable():
     db = Mvdb(schema, [(Fact("C", ("a", 4)), INF), (Fact("R", ("a",)), 1.0)],
               [])
     view = parse_view("V(x) [n / 2] :- R(x), C(x, n)", schema)
-    mat = materialize_view(view, db)
-    assert mat.tuples == ((("a",), 2.0),)
+    assert materialize_view(view, db.possible_instance()) == ((("a",), 2.0),)
 
 
 def test_materialize_rejects_inconsistent_weights():
@@ -57,17 +59,17 @@ def test_materialize_rejects_inconsistent_weights():
                        (Fact("R", ("a",)), 1.0)], [])
     view = parse_view("V(x) [n] :- R(x), C(x, n)", schema)
     with pytest.raises(InvalidViewError):
-        materialize_view(view, db)
+        materialize_view(view, db.possible_instance())
 
 
 def test_materialize_rejects_negative_and_infinite_weights():
     db = example1()
     bad = parse_view("V(x) [0 - 1] :- R(x), S(x)", EX1_SCHEMA)
     with pytest.raises(InvalidViewError):
-        materialize_view(bad, db)
+        materialize_view(bad, db.possible_instance())
     hard = parse_view("V(x) [exp(9999)] :- R(x), S(x)", EX1_SCHEMA)
     with pytest.raises(HardConstraintError):
-        materialize_view(hard, db)
+        materialize_view(hard, db.possible_instance())
 
 
 # -- build_indb ---------------------------------------------------------------
@@ -118,6 +120,21 @@ def test_denial_shortcut_equivalence():
             q = random_boolean_query(rng)
             assert query_probability(q, tr, ev) == pytest.approx(
                 query_probability(q, tr2, ev2), abs=1e-12)
+
+
+def test_build_indb_builds_one_possible_instance(tmp_path, monkeypatch):
+    db = _load_project(generate_project(tmp_path / "proj", seed=1, scale=2))
+    assert len(db.views) == 2
+    calls = []
+    original = Mvdb.possible_instance
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Mvdb, "possible_instance", counted)
+    build_indb(db)
+    assert calls == [db]
 
 
 def test_build_indb_rejects_infinite_view_weight():
@@ -189,6 +206,18 @@ def test_answer_query_boolean_singleton():
     q = parse_query("Q() :- R('a')", EX1_SCHEMA)
     rows = answer_query(q, tr, ev)
     assert len(rows) == 1 and rows[0][0] == ()
+
+
+def test_answer_query_boolean_without_match_is_one_zero_row():
+    tr = build_indb(example1())
+    evaluators = (EnumerationEvaluator(tr),
+                  IndexEvaluator(build_index(tr), tr.indb.possible_instance()))
+    absent = parse_query("Q() :- R('zzz')", EX1_SCHEMA)
+    present = parse_query("Q() :- R('a')", EX1_SCHEMA)
+    for ev in evaluators:
+        assert answer_query(absent, tr, ev) == [((), 0.0)]
+        assert answer_query(present, tr, ev) == [
+            ((), query_probability(present, tr, ev))]
 
 
 def test_answer_query_empty_candidates():
