@@ -12,15 +12,14 @@ from .core import (INF, Attribute, DataError, DegenerateWeightError, Domain,
                    Indb, IndexFormatError, Instance, InvalidViewError, Mvdb,
                    MvdbError, OrderMismatchError, QueryParseError, Relation,
                    Schema, SchemaError, World, WorldCapError, load_data,
-                   load_schema, parse_schema, probability_to_weight,
-                   weight_to_probability)
+                   load_schema, parse_schema, weight_to_probability)
 from .ucq import (Atom, ConjunctiveQuery, Const, Lineage, MarkoView,
                   Predicate, Separator, Ucq, Var, answer_tuples,
                   find_separator, lineage, parse_query, parse_view,
                   root_variables, specialize_separator, substitute)
 from .obdd import (NodeTable, Obdd, PermutationSet, VariableOrder, choose_pi,
-                   con_obdd, from_lineage, is_inversion_free,
-                   shannon_probability, synthesize, tuple_order)
+                   con_obdd, from_lineage, is_inversion_free, synthesize,
+                   tuple_order)
 from .translate import (TranslationResult, answer_query, build_indb,
                         load_views, materialize_view, parse_views,
                         query_probability)

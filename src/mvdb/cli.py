@@ -162,8 +162,9 @@ def cmd_oracle(args, out) -> int:
     bool_queries = ([(tuple(), q)] if q.is_boolean() else
                     [(a, U.substitute(q, a))
                      for a in U.answer_tuples(q, instance)])
-    for answer, bq in bool_queries:
-        lhs, rhs, delta = translation_check(db, bq, world_cap=args.world_cap)
+    checks = translation_check(db, [bq for _, bq in bool_queries],
+                               world_cap=args.world_cap)
+    for (answer, _), (lhs, rhs, delta) in zip(bool_queries, checks):
         label = args.query if not answer else \
             args.query + " @ " + ",".join(str(v) for v in answer)
         rows.append((label, repr(lhs), repr(rhs), repr(delta)))

@@ -88,13 +88,6 @@ def weight_to_probability(w: float) -> float:
     return w / (1.0 + w)
 
 
-def probability_to_weight(p: float) -> float:
-    """Inverse of :func:`weight_to_probability`; p = 1 maps to infinity."""
-    if p == 1.0:
-        return INF
-    return p / (1.0 - p)
-
-
 class Fact(NamedTuple):
     """A ground tuple.  Identity is the pair (relation, values)."""
 

@@ -9,16 +9,18 @@ sub-diagram (probUnder) and the signed mass of all root paths reaching it
 (reachability), both derived from the structure and the tuple
 probabilities by `Constituent.augment`.  Online, a query OBDD ordered by
 the same tuple order is intersected against the chain of constituents
-without materializing the conjunction:
+without materializing the conjunction, by one forward sweep of signed
+probability mass over ranks (`_intersect`).  The two modes differ only in
+where a query node enters a constituent:
 
-* `mv_intersect` descends from each constituent root, guided by the query;
-* `cc_mv_intersect` stores each constituent as a DFS-ordered vector with
-  per-node neighbour offsets and jumps straight to the query's first rank
-  through per-level entry tables, so the nodes it expands all lie inside the
-  query's rank window (the span-times-width visit bound).
+* `mv_intersect` enters at the constituent's root, so the sweep walks each
+  constituent down from its first rank, guided by the query;
+* `cc_mv_intersect` enters at the query node's own rank through the
+  constituent's per-level entry table, so the nodes it expands all lie
+  inside the query's rank window (the span-times-width visit bound).
 
 Both bisect to the constituents whose rank ranges meet the query's rank
-window and traverse only those.  The constituents are independent, so every
+window and sweep only those.  The constituents are independent, so every
 constituent outside the window contributes the same factor, its root
 probability, to P0(Q and not-W) and to P0(not-W).  P(Q) is therefore
 normalized over the window alone: each window constituent's entry is scaled
@@ -28,8 +30,8 @@ P0(Q and not-W) is rebuilt in O(1) from prefix and suffix products.
 `InconsistentConstraintsError` means that one constituent's root probability
 is exactly 0.0, i.e. one block is contradictory on its own.
 
-The index is immutable after build; every query owns its own memo table, so
-concurrent evaluation is safe.
+The index is immutable after build; every query owns its own rank buckets,
+so concurrent evaluation is safe.
 
 The ``.mvx`` file (format version 3, `serialize` and `deserialize`) is:
 
@@ -66,6 +68,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Optional
 
 from .core import (Fact, InconsistentConstraintsError, Indb, Instance,
@@ -329,10 +332,10 @@ def _overlapping(constituents) -> bool:
 @dataclass
 class IntersectStats:
     """Counters of the one intersection call a stats object is passed to,
-    filled from its memo after the traversal: ``memo_entries`` is the
-    number of tasks it evaluated, ``visited`` the number of distinct
-    constituent nodes it expanded against a query node (the quantity the
-    span-times-width bound limits)."""
+    counted during the sweep: ``memo_entries`` is the number of states it
+    expanded, ``visited`` the number of distinct constituent nodes it
+    expanded against a query node of the same or a later rank (the quantity
+    the span-times-width bound limits)."""
     visited: int = 0
     memo_entries: int = 0
 
@@ -351,19 +354,32 @@ def _window(gq: Obdd, index: MvIndex) -> tuple[int, int]:
 
 def _intersect(gq: Obdd, index: MvIndex, cache_conscious: bool,
                stats: Optional[IntersectStats]) -> tuple[float, float]:
-    """Co-traverse the query with the window's constituents only.
+    """Sweep the query's probability mass forward over the window's
+    constituents, one rank at a time.
 
     Returns ``(ratio, global)``.  Without a zero block, ``ratio`` is
     P(Q) = P0(Q and not-W_win) / P0(not-W_win); ``global`` is always
-    P0(Q and not-W).  Every task value is normalized by the root
-    probabilities of the window constituents it has not left yet, so
-    entering constituent k multiplies by ``inv_root[k]`` and nothing else
-    changes scale.  A query node before constituent k's ranks, or past the
-    window (k == k_end), is split by Shannon expansion within the same
-    memo, so the query's tail costs only the nodes the traversal reaches.
-    A query OBDD built on ``index.order`` itself passes the order check
-    without reading a fact.  *stats*, if given, is filled from the memo
-    once the traversal ends."""
+    P0(Q and not-W).  A state carries the signed mass of the paths that
+    reach it: an entry state ``(k, v)`` holds query node v in front of
+    window constituent k (k == k_end: past the window), a pair state
+    ``(k, pos, v)`` holds v against node pos of constituent k.  Expanding a
+    state splits its mass by the tuple at its rank, 1 - p to the low
+    children and p to the high ones; a query node before constituent k's
+    ranks, or past the window, splits alone.  A state that reaches the
+    query's 1-sink adds its mass times the normalized P0(not-W) of the
+    constituents it has not left (times the pair's probUnder) to the total;
+    one that reaches a 0-sink is dropped.  Entering constituent k scales by
+    ``inv_root[k]`` and nothing else changes scale.
+
+    A pair state is kept at rank min(rank[pos], var[v]) and only moves to
+    later ranks.  An entry state is kept at var[v] (in ``mv`` mode at
+    constituent k's first rank if that is earlier, where it enters at the
+    root; in ``cc`` mode it enters through the entry table at var[v]).
+    Passing a constituent, or entering it straight onto the 1-sink of its
+    entry table, stays at the same rank with k + 1, so each rank expands
+    its entry states in increasing k before its pair states.  A query OBDD
+    built on ``index.order`` itself passes the order check without reading
+    a fact.  *stats*, if given, is filled during the sweep."""
     if gq.order is not index.order and gq.order != index.order:
         raise OrderMismatchError("query OBDD does not follow the index order")
     cons = index.constituents
@@ -380,102 +396,103 @@ def _intersect(gq: Obdd, index: MvIndex, cache_conscious: bool,
         unit[k - k_lo] = unit[k - k_lo + 1] if root else 0.0
         scale *= root or 1.0
     probs = index.probs
-    qtab = gq.table
+    qvar, qlo, qhi = gq.table.var, gq.table.lo, gq.table.hi
+    # rank -> (entry states {k: {v: mass}}, pair states {(k, pos, v): mass})
+    buckets: dict[int, tuple[dict, dict]] = {}
+    ranks: list[int] = []  # heap of the ranks holding a bucket
+    total = 0.0
 
-    def expand(task):
-        """The task's value, or the ``(coefficient, task)`` terms whose
-        weighted sum it is."""
-        kind = task[0]
-        if kind == "E":
-            _, k, v = task
-            if v == 0:
-                return 0.0
-            if v == 1:
-                return unit[k - k_lo]
-            rv = qtab.var[v]
-            if k == k_end or rv < cons[k].rank_lo:
-                p = probs[rv]
-                return ((1.0 - p, ("E", k, qtab.lo[v])),
-                        (p, ("E", k, qtab.hi[v])))
+    def push_entry(k, v, mass):
+        nonlocal total
+        if v <= 1:
+            if v:
+                total += mass * unit[k - k_lo]
+            return
+        r = qvar[v]
+        if not cache_conscious and k < k_end and cons[k].rank_lo < r:
+            r = cons[k].rank_lo
+        b = buckets.get(r)
+        if b is None:
+            buckets[r] = b = ({}, {})
+            heappush(ranks, r)
+        states = b[0].setdefault(k, {})
+        states[v] = states.get(v, 0.0) + mass
+
+    def push_pair(k, code, v, mass):
+        nonlocal total
+        if code < 0:
+            if code == SINK1:
+                push_entry(k + 1, v, mass)
+            return
+        if v <= 1:
+            if v:
+                total += mass * cons[k].prob_under[code] * unit[k + 1 - k_lo]
+            return
+        r = cons[k].rank[code]
+        if qvar[v] < r:
+            r = qvar[v]
+        b = buckets.get(r)
+        if b is None:
+            buckets[r] = b = ({}, {})
+            heappush(ranks, r)
+        key = (k, code, v)
+        b[1][key] = b[1].get(key, 0.0) + mass
+
+    expanded = 0
+    seen: set = set()
+    push_entry(k_lo, gq.root, 1.0)
+    while ranks:
+        r = heappop(ranks)
+        entries, pairs = buckets[r]
+        p = probs[r]
+        q = 1.0 - p
+        while entries:
+            k = min(entries)
+            states = entries.pop(k)
+            if stats is not None:
+                expanded += len(states)
+            c = cons[k] if k < k_end else None
+            for v, mass in states.items():
+                rv = qvar[v]
+                if c is None or rv < c.rank_lo:  # rv == r: split the query
+                    push_entry(k, qlo[v], mass * q)
+                    push_entry(k, qhi[v], mass * p)
+                elif rv > c.rank_hi:
+                    push_entry(k + 1, v, mass if c.prob_root else 0.0)
+                elif cache_conscious:
+                    mass *= inv_root[k]
+                    for code, reach in c.entry[rv]:
+                        push_pair(k, code, v, mass * reach)
+                else:
+                    push_pair(k, c.root_code, v, mass * inv_root[k])
+        if stats is not None:
+            expanded += len(pairs)
+            seen.update((k, pos) for k, pos, _ in pairs
+                        if cons[k].rank[pos] == r)
+        for (k, pos, v), mass in pairs.items():
             c = cons[k]
-            if rv > c.rank_hi:
-                return ((1.0 if c.prob_root else 0.0, ("E", k + 1, v)),)
-            inv = inv_root[k]
-            if not cache_conscious:
-                return ((inv, _xtask(k, c.root_code, v)),)
-            terms = []
-            for code, mass in c.entry[rv]:
-                if code == SINK0:
-                    continue
-                terms.append((mass * inv, _xtask(k, code, v)))
-            return tuple(terms)
-        _, k, pos, v = task
-        c = cons[k]
-        if v == 0:
-            return 0.0
-        if v == 1:
-            return c.prob_under[pos] * unit[k + 1 - k_lo]
-        ru = c.rank[pos]
-        rv = qtab.var[v]
-        if ru > rv:
-            p = probs[rv]
-            return ((1.0 - p, _xtask(k, pos, qtab.lo[v])),
-                    (p, _xtask(k, pos, qtab.hi[v])))
-        p = probs[ru]
-        if ru < rv:
-            return ((1.0 - p, _xtask(k, c.lo[pos], v)),
-                    (p, _xtask(k, c.hi[pos], v)))
-        return ((1.0 - p, _xtask(k, c.lo[pos], qtab.lo[v])),
-                (p, _xtask(k, c.hi[pos], qtab.hi[v])))
-
-    def _xtask(k, code, v):
-        if code == SINK0:
-            return ("E", k_lo, 0)  # constant-zero task: any v==0 task works
-        if code == SINK1:
-            return ("E", k + 1, v)
-        return ("X", k, code, v)
-
-    memo: dict = {}
-    root = ("E", k_lo, gq.root)
-    stack = [root]
-    while stack:
-        task = stack[-1]
-        if task in memo:
-            stack.pop()
-            continue
-        res = expand(task)
-        if isinstance(res, float):
-            memo[task] = res
-            stack.pop()
-            continue
-        missing = [t for _, t in res if t not in memo]
-        if missing:
-            stack.extend(missing)
-            continue
-        memo[task] = sum(coef * memo[t] for coef, t in res)
-        stack.pop()
+            lo, hi = (c.lo[pos], c.hi[pos]) if c.rank[pos] == r else (pos, pos)
+            vlo, vhi = (qlo[v], qhi[v]) if qvar[v] == r else (v, v)
+            push_pair(k, lo, vlo, mass * q)
+            push_pair(k, hi, vhi, mass * p)
+        del buckets[r]
     if stats is not None:
-        # A constituent node is visited when an X task pairs it with a
-        # query node of the same or a later rank.
-        var = qtab.var
-        stats.memo_entries = len(memo)
-        stats.visited = len({t[1:3] for t in memo if t[0] == "X" and t[3] > 1
-                             and cons[t[1]].rank[t[2]] <= var[t[3]]})
-    ratio = memo[root]
-    return ratio, (index.prefix[k_lo] * ratio * scale
-                   * index.suffix[k_end])
+        stats.memo_entries = expanded
+        stats.visited = len(seen)
+    return total, (index.prefix[k_lo] * total * scale * index.suffix[k_end])
 
 
 def mv_intersect(gq: Obdd, index: MvIndex,
                  stats: Optional[IntersectStats] = None) -> float:
-    """P0(Q and not-W): top-down co-traversal guided by the query OBDD."""
+    """P0(Q and not-W): the sweep enters each constituent at its root and
+    walks it down, guided by the query OBDD."""
     return _intersect(gq, index, False, stats)[1]
 
 
 def cc_mv_intersect(gq: Obdd, index: MvIndex,
                     stats: Optional[IntersectStats] = None) -> float:
-    """Same value as `mv_intersect`; the scan enters each constituent at the
-    query's first rank via entry tables, so expanded nodes stay inside the
+    """Same value as `mv_intersect`; the sweep enters each constituent at the
+    query node's rank via entry tables, so expanded nodes stay inside the
     query's rank window."""
     return _intersect(gq, index, True, stats)[1]
 

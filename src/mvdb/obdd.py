@@ -283,18 +283,6 @@ def from_lineage(phi: U.Lineage, order: VariableOrder,
     return Obdd(t, root)
 
 
-def shannon_probability(g: Obdd, probs) -> float:
-    """Probability of the root by bottom-up Shannon expansion over every
-    node reachable from it.  Probabilities may be negative."""
-    p_of = probs.__getitem__ if not callable(probs) else probs
-    var, lo, hi = g.table.var, g.table.lo, g.table.hi
-    values = {0: 0.0, 1: 1.0}
-    for u in sorted(g.reachable(), key=var.__getitem__, reverse=True):
-        p = p_of(var[u])
-        values[u] = (1.0 - p) * values[lo[u]] + p * values[hi[u]]
-    return values[g.root]
-
-
 # ---------------------------------------------------------------------------
 # Permutation choice
 # ---------------------------------------------------------------------------

@@ -120,24 +120,35 @@ def _world_weight_array(db: Mvdb, features, bits, n) -> np.ndarray:
     return weights
 
 
+class MlnEvaluator:
+    """P(Q) by enumerating all worlds of the correlated database; the world
+    weights and the partition function are computed once, on construction.
+    """
+
+    def __init__(self, db: Mvdb, world_cap: int = DEFAULT_WORLD_CAP):
+        prob = db.probabilistic_facts()
+        self._n = len(prob)
+        _check_cap(self._n, world_cap)
+        self._bits = _bit_map(prob)
+        self.instance = db.possible_instance()
+        self._weights = _world_weight_array(db, view_features(db),
+                                            self._bits, self._n)
+        self._z = float(self._weights.sum())
+        if self._z == 0.0:
+            raise InconsistentConstraintsError("partition function is zero")
+
+    def probability(self, q: U.Ucq) -> float:
+        q_masks = _clause_masks(U.lineage(q, self.instance), self._bits)
+        return float(self._weights[_sat_array(q_masks, self._n)].sum()) \
+            / self._z
+
+
 def mln_probability(db: Mvdb, q: U.Ucq,
                     world_cap: int = DEFAULT_WORLD_CAP) -> float:
     """P(Q) by enumerating all worlds of the correlated database."""
     if not q.is_boolean():
         raise MvdbError("mln_probability expects a Boolean query")
-    prob = db.probabilistic_facts()
-    n = len(prob)
-    _check_cap(n, world_cap)
-    bits = _bit_map(prob)
-    instance = db.possible_instance()
-    features = view_features(db)
-    q_masks = _clause_masks(U.lineage(q, instance), bits)
-    weights = _world_weight_array(db, features, bits, n)
-    z = float(weights.sum())
-    zq = float(weights[_sat_array(q_masks, n)].sum())
-    if z == 0.0:
-        raise InconsistentConstraintsError("partition function is zero")
-    return zq / z
+    return MlnEvaluator(db, world_cap).probability(q)
 
 
 def _probability_array(db: Indb, prob_facts, n) -> np.ndarray:
@@ -194,15 +205,23 @@ class EnumerationEvaluator:
         return self.prob_q_and_not_w(q) / self.p_not_w
 
 
-def translation_check(db: Mvdb, q: U.Ucq,
-                      world_cap: int = DEFAULT_WORLD_CAP):
+def translation_check(db: Mvdb, queries,
+                      world_cap: int = DEFAULT_WORLD_CAP) -> list[tuple]:
     """Compare direct world enumeration with the translated evaluation.
 
-    Returns (lhs, rhs, |lhs - rhs|) where lhs enumerates the correlated
-    measure and rhs is P0(Q and not-W) / P0(not-W) enumerated on the
-    translated independent database, the value ``query --engine oracle``
-    prints.
+    Returns one (lhs, rhs, |lhs - rhs|) per Boolean query in *queries*,
+    where lhs enumerates the correlated measure and rhs is
+    P0(Q and not-W) / P0(not-W) enumerated on the translated independent
+    database, the value ``query --engine oracle`` prints.  Both measures'
+    world weights are computed once for all the queries, and not at all
+    for none.
     """
-    lhs = mln_probability(db, q, world_cap)
-    rhs = EnumerationEvaluator(build_indb(db), world_cap).probability(q)
-    return lhs, rhs, abs(lhs - rhs)
+    if not queries:
+        return []
+    mln = MlnEvaluator(db, world_cap)
+    translated = EnumerationEvaluator(build_indb(db), world_cap)
+    out = []
+    for q in queries:
+        lhs, rhs = mln.probability(q), translated.probability(q)
+        out.append((lhs, rhs, abs(lhs - rhs)))
+    return out

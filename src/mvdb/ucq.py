@@ -131,10 +131,6 @@ class MarkoView:
     weight_expr: object
     body: Ucq
 
-    def is_denial(self) -> bool:
-        """True when the weight is the constant 0 (a hard constraint)."""
-        return isinstance(self.weight_expr, Const) and self.weight_expr.value == 0
-
 
 def expr_variables(expr) -> set[str]:
     if isinstance(expr, Var):
@@ -629,20 +625,11 @@ class Lineage:
         out.sort(key=_clause_key)
         return Lineage(tuple(out))
 
-    def is_false(self) -> bool:
-        return not self.clauses
-
-    def is_true(self) -> bool:
-        return any(not c for c in self.clauses)
-
     def variables(self) -> set[Fact]:
         out = set()
         for c in self.clauses:
             out |= c
         return out
-
-    def union(self, other: "Lineage") -> "Lineage":
-        return Lineage.normalize(self.clauses + other.clauses)
 
     def holds(self, present) -> bool:
         return any(c <= present for c in self.clauses)
@@ -689,16 +676,6 @@ def answer_tuples(q: Ucq, instance: Instance) -> list[tuple]:
         for bnd, _ in iter_matches(d, instance):
             out.add(tuple(bnd[v.name] for v in d.head))
     return sorted(out, key=lambda t: tuple((isinstance(v, str), v) for v in t))
-
-
-def evaluate_on_world(q: Ucq, instance: Instance, present) -> bool:
-    """Direct query evaluation on one world (deterministic facts implied)."""
-    allowed = set(present) | instance.deterministic
-    world = Instance(instance.schema, allowed, instance.deterministic)
-    for d in q.disjuncts:
-        for _ in iter_matches(d, world):
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------

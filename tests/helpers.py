@@ -12,11 +12,11 @@ import itertools
 import math
 import random
 
-from mvdb import (Fact, Mvdb, MvdbError, NodeTable, Obdd, OrderMismatchError,
-                  parse_schema, parse_query, parse_view, synthesize,
-                  tuple_order)
+from mvdb import (INF, Fact, Instance, Mvdb, MvdbError, NodeTable, Obdd,
+                  OrderMismatchError, parse_schema, parse_query, parse_view,
+                  synthesize, tuple_order)
 from mvdb import ucq as U
-from mvdb.mvindex import SINK0, SINK1
+from mvdb.mvindex import SINK0, SINK1, _window
 from mvdb.obdd import _dominates, _split_components
 
 EX1_SCHEMA = parse_schema("""
@@ -85,6 +85,35 @@ def chain_window(lo: int, hi: int):
 # ---------------------------------------------------------------------------
 # Reference implementations of layers the engine computes faster
 # ---------------------------------------------------------------------------
+
+def probability_to_weight(p: float) -> float:
+    """Inverse of `mvdb.weight_to_probability`; p = 1 maps to infinity."""
+    if p == 1.0:
+        return INF
+    return p / (1.0 - p)
+
+
+def shannon_probability(g: Obdd, probs) -> float:
+    """Probability of the root by bottom-up Shannon expansion over every
+    node reachable from it.  Probabilities may be negative."""
+    p_of = probs.__getitem__ if not callable(probs) else probs
+    var, lo, hi = g.table.var, g.table.lo, g.table.hi
+    values = {0: 0.0, 1: 1.0}
+    for u in sorted(g.reachable(), key=var.__getitem__, reverse=True):
+        p = p_of(var[u])
+        values[u] = (1.0 - p) * values[lo[u]] + p * values[hi[u]]
+    return values[g.root]
+
+
+def evaluate_on_world(q, instance: Instance, present) -> bool:
+    """Direct query evaluation on one world (deterministic facts implied)."""
+    allowed = set(present) | instance.deterministic
+    world = Instance(instance.schema, allowed, instance.deterministic)
+    for d in q.disjuncts:
+        for _ in U.iter_matches(d, world):
+            return True
+    return False
+
 
 def from_lineage_clausewise(phi, order, table=None) -> Obdd:
     """OR the clause chains into the result one at a time, in the lineage's
@@ -426,6 +455,125 @@ def entry_tables_rescan(c, probs):
         if all(code >= 0 and c.rank[code] == r for code, _ in table):
             cut.add(r)
     return entry, cut
+
+
+def intersect_memo(gq, index, cache_conscious: bool, stats=None):
+    """`mvdb.mvindex._intersect`'s value by a memo of tuple-keyed tasks on
+    an explicit stack: the reference the forward sweep is checked against.
+
+    Returns ``(ratio, global)``.  Without a zero block, ``ratio`` is
+    P(Q) = P0(Q and not-W_win) / P0(not-W_win); ``global`` is always
+    P0(Q and not-W).  Every task value is normalized by the root
+    probabilities of the window constituents it has not left yet, so
+    entering constituent k multiplies by ``inv_root[k]`` and nothing else
+    changes scale.  A query node before constituent k's ranks, or past the
+    window (k == k_end), is split by Shannon expansion within the same
+    memo, so the query's tail costs only the nodes the traversal reaches.
+    A query OBDD built on ``index.order`` itself passes the order check
+    without reading a fact.  *stats*, if given, is filled from the memo
+    once the traversal ends: ``memo_entries`` is the number of tasks whose
+    query node is not a sink, which are the states the sweep expands, each
+    once; ``visited`` has the sweep's definition."""
+    if gq.order is not index.order and gq.order != index.order:
+        raise OrderMismatchError("query OBDD does not follow the index order")
+    cons = index.constituents
+    k_lo, k_end = _window(gq, index)
+    inv_root = index.inv_root
+    # unit[k - k_lo]: normalized P0(not-W) of constituents k..k_end-1, which
+    # is 1.0 unless one of them is a zero block; scale is the product of the
+    # window's non-zero root probabilities, so ratio * scale is
+    # P0(Q and not-W_win).
+    unit = [1.0] * (k_end - k_lo + 1)
+    scale = 1.0
+    for k in range(k_end - 1, k_lo - 1, -1):
+        root = cons[k].prob_root
+        unit[k - k_lo] = unit[k - k_lo + 1] if root else 0.0
+        scale *= root or 1.0
+    probs = index.probs
+    qtab = gq.table
+
+    def expand(task):
+        """The task's value, or the ``(coefficient, task)`` terms whose
+        weighted sum it is."""
+        kind = task[0]
+        if kind == "E":
+            _, k, v = task
+            if v == 0:
+                return 0.0
+            if v == 1:
+                return unit[k - k_lo]
+            rv = qtab.var[v]
+            if k == k_end or rv < cons[k].rank_lo:
+                p = probs[rv]
+                return ((1.0 - p, ("E", k, qtab.lo[v])),
+                        (p, ("E", k, qtab.hi[v])))
+            c = cons[k]
+            if rv > c.rank_hi:
+                return ((1.0 if c.prob_root else 0.0, ("E", k + 1, v)),)
+            inv = inv_root[k]
+            if not cache_conscious:
+                return ((inv, _xtask(k, c.root_code, v)),)
+            terms = []
+            for code, mass in c.entry[rv]:
+                if code == SINK0:
+                    continue
+                terms.append((mass * inv, _xtask(k, code, v)))
+            return tuple(terms)
+        _, k, pos, v = task
+        c = cons[k]
+        if v == 0:
+            return 0.0
+        if v == 1:
+            return c.prob_under[pos] * unit[k + 1 - k_lo]
+        ru = c.rank[pos]
+        rv = qtab.var[v]
+        if ru > rv:
+            p = probs[rv]
+            return ((1.0 - p, _xtask(k, pos, qtab.lo[v])),
+                    (p, _xtask(k, pos, qtab.hi[v])))
+        p = probs[ru]
+        if ru < rv:
+            return ((1.0 - p, _xtask(k, c.lo[pos], v)),
+                    (p, _xtask(k, c.hi[pos], v)))
+        return ((1.0 - p, _xtask(k, c.lo[pos], qtab.lo[v])),
+                (p, _xtask(k, c.hi[pos], qtab.hi[v])))
+
+    def _xtask(k, code, v):
+        if code == SINK0:
+            return ("E", k_lo, 0)  # constant-zero task: any v==0 task works
+        if code == SINK1:
+            return ("E", k + 1, v)
+        return ("X", k, code, v)
+
+    memo: dict = {}
+    root = ("E", k_lo, gq.root)
+    stack = [root]
+    while stack:
+        task = stack[-1]
+        if task in memo:
+            stack.pop()
+            continue
+        res = expand(task)
+        if isinstance(res, float):
+            memo[task] = res
+            stack.pop()
+            continue
+        missing = [t for _, t in res if t not in memo]
+        if missing:
+            stack.extend(missing)
+            continue
+        memo[task] = sum(coef * memo[t] for coef, t in res)
+        stack.pop()
+    if stats is not None:
+        # A constituent node is visited when an X task pairs it with a
+        # query node of the same or a later rank.
+        var = qtab.var
+        stats.memo_entries = sum(1 for t in memo if t[-1] > 1)
+        stats.visited = len({t[1:3] for t in memo if t[0] == "X" and t[3] > 1
+                             and cons[t[1]].rank[t[2]] <= var[t[3]]})
+    ratio = memo[root]
+    return ratio, (index.prefix[k_lo] * ratio * scale
+                   * index.suffix[k_end])
 
 
 def obdd_models(g, n_vars: int) -> set[int]:

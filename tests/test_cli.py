@@ -276,6 +276,28 @@ def test_oracle_command(project):
     assert float(row[3]) <= 1e-12
 
 
+def test_oracle_translates_once_for_all_answers(project, monkeypatch):
+    # the translation and both world-weight arrays do not depend on the
+    # answer, so one command builds them once
+    from mvdb import cli, oracle, translate
+    build_indb = translate.build_indb
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build_indb(*args, **kwargs)
+
+    for module in (translate, oracle, cli):
+        monkeypatch.setattr(module, "build_indb", counted)
+    rc, text = run(["oracle", "--project", str(project), "--tsv",
+                    "Q(s, a) :- Advisor(s, a)"])
+    assert rc == EXIT_OK
+    rows = [line.split("\t") for line in text.strip().splitlines()]
+    assert len(rows) > 1
+    assert all(float(row[3]) <= 1e-12 for row in rows)
+    assert len(calls) == 1
+
+
 def test_gen_scale_series_sizes(tmp_path):
     sizes = {}
     for n in (20, 40):

@@ -5,11 +5,10 @@ import random
 import pytest
 
 from mvdb import (DataError, DegenerateWeightError, Fact, Indb, Mvdb, Schema,
-                  SchemaError, parse_schema, probability_to_weight,
-                  weight_to_probability)
+                  SchemaError, parse_schema, weight_to_probability)
 from mvdb.core import parse_data_file, INF
 
-from helpers import signed_world_sum, EX1_SCHEMA
+from helpers import probability_to_weight, signed_world_sum, EX1_SCHEMA
 
 
 def test_weight_to_probability_reference_points():

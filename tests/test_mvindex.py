@@ -23,8 +23,9 @@ from mvdb.obdd import PermutationSet, VariableOrder, con_obdd
 from mvdb.translate import answer_rows
 
 from helpers import (EX1_SCHEMA, RAND_SCHEMA, TWO_TABLE_SCHEMA, chain_mvdb,
-                     cut_ranks, entry_tables_rescan, example1, prob_under,
-                     random_boolean_query, signed_world_sum, two_table_db,
+                     chain_window, cut_ranks, entry_tables_rescan, example1,
+                     intersect_memo, prob_under, random_boolean_query,
+                     shannon_probability, signed_world_sum, two_table_db,
                      viable_random_mvdb)
 
 
@@ -87,7 +88,6 @@ def _two_table_obdd():
 
 
 def test_negation_by_sink_swap():
-    from mvdb import shannon_probability
     g = _two_table_obdd()
     probs = [0.5, 0.25, -1.0, 2.0, 0.5, 0.75]
     neg = Constituent.from_obdd(g, None)
@@ -106,7 +106,6 @@ def test_negation_by_sink_swap():
 
 
 def test_prob_under_root_matches_shannon():
-    from mvdb import shannon_probability
     g = _two_table_obdd()
     probs = [0.3, -0.5, 0.25, 0.8, 2.0, 0.1]
     neg = Constituent.from_obdd(g, None)
@@ -777,10 +776,13 @@ def test_log10_p0_not_w_survives_underflow(blocks_1e3):
         N_BLOCKS * math.log10(1 - p * p), rel=1e-9)
 
 
-def test_zero_block_inside_the_window():
-    # Signed probabilities with P0(R(1) and S(1)) = 1 make block 1's root
-    # probability exactly 0.0; the global P0(Q and not-W) must still match
-    # the world sum whether the query reaches block 1 or only spans it.
+ZERO_BLOCK_QUERIES = ("Q() :- R(0)", "Q() :- R(1)", "Q() :- R(0) ; R(2)",
+                      "Q() :- R(0), S(2)", "Q() :- S(x)")
+
+
+def _zero_block_index():
+    """Three denial blocks whose signed probabilities make block 1's root
+    probability exactly 0.0: P0(R(1) and S(1)) = 1."""
     facts = [(Fact(rel, (i,)), 1.0) for i in range(3) for rel in ("R", "S")]
     db = Mvdb(BLOCK_SCHEMA, facts,
               [parse_view("V(x) [0] :- R(x), S(x)", BLOCK_SCHEMA)])
@@ -793,14 +795,20 @@ def test_zero_block_inside_the_window():
         fresh = Constituent(c.key, c.root_code, c.rank, c.lo, c.hi)
         fresh.augment(probs)
         cons.append(fresh)
-    idx = MvIndex(cons, base.order, probs, base.pi, base.source_digest)
+    return tr, MvIndex(cons, base.order, probs, base.pi, base.source_digest)
+
+
+def test_zero_block_inside_the_window():
+    # The global P0(Q and not-W) must still match the world sum whether the
+    # query reaches the zero block or only spans it.
+    tr, idx = _zero_block_index()
+    probs = idx.probs
     assert idx.zero_block and idx.p0_not_w == 0.0
     assert idx.log10_p0_not_w == -math.inf
     bit = {f: 1 << r for r, f in enumerate(idx.order.facts)}
     blocks = [bit[Fact("R", (i,))] | bit[Fact("S", (i,))] for i in range(3)]
     inst = tr.indb.possible_instance()
-    for text in ("Q() :- R(0)", "Q() :- R(1)", "Q() :- R(0) ; R(2)",
-                 "Q() :- R(0), S(2)", "Q() :- S(x)"):
+    for text in ZERO_BLOCK_QUERIES:
         phi = lineage(parse_query(text, BLOCK_SCHEMA), inst)
         clauses = [sum(bit[f] for f in cl) for cl in phi.clauses]
         want = signed_world_sum(probs, lambda m: (
@@ -824,3 +832,133 @@ def test_point_query_cost_independent_of_position(blocks_1e3):
             counts.append(stats.memo_entries)
             assert stats.visited <= rank_span(gq) * idx.max_width()
         assert counts[0] == counts[1] == counts[2], fn.__name__
+
+
+# -- the forward sweep against the memo reference --------------------------------
+
+def _assert_sweep_matches_memo(gq, idx):
+    """Both modes: ratio and global within 1e-12 relative of the memo, the
+    same nodes visited, and every state expanded exactly once (the memo's
+    tasks with a non-sink query node)."""
+    for cc in (True, False):
+        got_stats, want_stats = IntersectStats(), IntersectStats()
+        got = mvindex._intersect(gq, idx, cc, got_stats)
+        want = intersect_memo(gq, idx, cc, want_stats)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-12 * max(abs(g), abs(w)), (cc, got, want)
+        assert got_stats == want_stats, cc
+
+
+def _query_obdd(text, schema, instance, idx):
+    return from_lineage(lineage(parse_query(text, schema), instance),
+                        idx.order)
+
+
+def test_sweep_matches_memo_on_dblp(dblp_60):
+    db, _, ev = dblp_60
+    texts = [f"Q() :- Advisor({s}, {a})"
+             for s, a in ev.instance.rows_of("Advisor")]
+    texts += ["Q() :- Advisor(s, a)", "Q() :- Advisor(s, a), Student(s, y)"]
+    for text in texts:
+        _assert_sweep_matches_memo(
+            _query_obdd(text, db.schema, ev.instance, ev.index), ev.index)
+
+
+@pytest.mark.parametrize("n", [20, 40])
+def test_sweep_matches_memo_on_every_chain_window(n):
+    db = chain_mvdb(n)
+    idx = build_index(build_indb(db))
+    inst = db.possible_instance()
+    for lo in range(n):
+        for hi in range(lo + 1, n + 1):
+            gq = from_lineage(lineage(chain_window(lo, hi), inst), idx.order)
+            _assert_sweep_matches_memo(gq, idx)
+
+
+def test_sweep_matches_memo_on_random_databases():
+    rng = random.Random(61)
+    for seed in range(60):
+        _, tr, _, _ = viable_random_mvdb(seed)
+        idx = build_index(tr)
+        inst = tr.indb.possible_instance()
+        for _ in range(4):
+            gq = from_lineage(lineage(random_boolean_query(rng), inst),
+                              idx.order)
+            _assert_sweep_matches_memo(gq, idx)
+
+
+def test_sweep_matches_memo_on_underflow_and_zero_blocks(blocks_1e3):
+    tr, idx = blocks_1e3
+    inst = tr.indb.possible_instance()
+    for text in (f"Q() :- R({N_BLOCKS - 1})", "Q() :- R(0)",
+                 f"Q() :- R(0), R({N_BLOCKS - 1})", "Q() :- R(x)",
+                 "Q() :- R(x), S(x)"):
+        _assert_sweep_matches_memo(
+            _query_obdd(text, BLOCK_SCHEMA, inst, idx), idx)
+    tr, idx = _zero_block_index()
+    inst = tr.indb.possible_instance()
+    for text in ZERO_BLOCK_QUERIES:
+        _assert_sweep_matches_memo(
+            _query_obdd(text, BLOCK_SCHEMA, inst, idx), idx)
+
+
+def test_sweep_matches_memo_on_sink_queries(blocks_1e3):
+    for idx in (_ex1_index()[2], blocks_1e3[1], _zero_block_index()[1]):
+        for phi in (Lineage((frozenset(),)), Lineage(())):
+            _assert_sweep_matches_memo(from_lineage(phi, idx.order), idx)
+
+
+def test_sweep_passes_and_enters_at_one_rank_in_increasing_k():
+    # Denial blocks 1, 2 and 3 (R(x), S(x)) after the block-free tuple R(0).
+    # For Q = (R(0) and S(3)) or (S(2) and S(3)), the query node S(3) waits
+    # at its rank in front of block 1 (split from R(0)) and in front of
+    # block 3 (split from S(2) after block 2 is left through its 1-sink).
+    # In cc mode the first passes blocks 1 and 2 at that rank and joins the
+    # second before block 3 is entered, so each of the ten states is
+    # expanded once: R(0) in front of block 1; S(2) in front of blocks 1, 2
+    # and 3; S(3) in front of blocks 1, 2 and 3 and past the window; S(2)
+    # against block 2's S(2) node and S(3) against block 3's S(3) node.
+    facts = [(Fact("R", (0,)), 2.0)]
+    facts += [(Fact(rel, (i,)), 1.0 + i) for i in (1, 2, 3)
+              for rel in ("R", "S")]
+    db = Mvdb(BLOCK_SCHEMA, facts,
+              [parse_view("V(x) [0] :- R(x), S(x)", BLOCK_SCHEMA)])
+    tr = build_indb(db)
+    idx = build_index(tr)
+    rank = idx.order.rank_of
+    assert [(c.rank_lo, c.rank_hi) for c in idx.constituents] == \
+        [(rank(Fact("R", (i,))), rank(Fact("S", (i,)))) for i in (1, 2, 3)]
+    assert rank(Fact("R", (0,))) < idx.constituents[0].rank_lo
+    q = parse_query("Q() :- R(0), S(3) ; S(2), S(3)", BLOCK_SCHEMA)
+    gq = from_lineage(lineage(q, tr.indb.possible_instance()), idx.order)
+    _assert_sweep_matches_memo(gq, idx)
+    stats = IntersectStats()
+    got = cc_mv_intersect(gq, idx, stats)
+    assert stats.memo_entries == 10
+    want = EnumerationEvaluator(tr).prob_q_and_not_w(q)
+    assert got == pytest.approx(want, abs=1e-12)
+
+
+def test_point_query_counts_do_not_grow_with_the_database(tmp_path):
+    # Online cost does not grow with the database: the same point query
+    # expands the same states and visits the same nodes at four times the
+    # size, the index keeps its width and its bytes per tuple.
+    seen = []
+    for scale in (100, 400):
+        db = _load_project(str(generate_project(tmp_path / str(scale),
+                                                seed=1, scale=scale)))
+        idx = build_index(build_indb(db))
+        gq = _query_obdd("Q() :- Advisor(7, a)", db.schema,
+                         db.possible_instance(), idx)
+        counts = []
+        for fn in (mv_intersect, cc_mv_intersect):
+            stats = IntersectStats()
+            fn(gq, idx, stats)
+            counts.append((stats.visited, stats.memo_entries))
+        seen.append((counts, idx.max_width(),
+                     len(serialize(idx)) / len(idx.order)))
+    (counts_100, width_100, bpt_100), (counts_400, width_400, bpt_400) = seen
+    assert counts_100 == counts_400
+    assert all(visited > 0 for visited, _ in counts_100)
+    assert width_100 == width_400
+    assert abs(bpt_400 - bpt_100) <= 0.05 * bpt_100

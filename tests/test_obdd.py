@@ -7,15 +7,15 @@ import pytest
 import mvdb
 from mvdb import (Fact, Mvdb, NodeTable, Obdd, OrderMismatchError,
                   PermutationSet, VariableOrder, choose_pi, from_lineage,
-                  is_inversion_free, lineage, parse_query,
-                  shannon_probability, synthesize, tuple_order)
+                  is_inversion_free, lineage, parse_query, synthesize,
+                  tuple_order)
 from mvdb.ucq import Lineage
 
 from helpers import (RAND_SCHEMA, TWO_TABLE_SCHEMA, chain_mvdb, chain_window,
                      con_obdd_structural as con_obdd, concatenate,
                      from_lineage_clausewise, lineage_models, obdd_models,
-                     random_boolean_query, random_mvdb, signed_world_sum,
-                     two_table_db)
+                     random_boolean_query, random_mvdb, shannon_probability,
+                     signed_world_sum, two_table_db)
 
 
 def _assert_ordered_reduced(g: Obdd):

@@ -13,10 +13,9 @@ from mvdb import (EnumerationEvaluator, Fact, Indb, Lineage, Mvdb,
                   parse_query, translation_check)
 import mvdb
 from mvdb.core import INF
-from mvdb.ucq import evaluate_on_world
 
-from helpers import (EX1_SCHEMA, example1, random_boolean_query, random_mvdb,
-                     viable_random_mvdb)
+from helpers import (EX1_SCHEMA, evaluate_on_world, example1,
+                     random_boolean_query, random_mvdb, viable_random_mvdb)
 
 
 def test_example1_world_weights():
@@ -94,7 +93,7 @@ def test_indb_inclusion_exclusion():
     db = Indb(EX1_SCHEMA, [(facts[0], -0.5), (facts[1], 4.0)])
     q1 = Lineage((frozenset([facts[0]]),))
     q2 = Lineage((frozenset([facts[1]]),))
-    q_or = q1.union(q2)
+    q_or = Lineage.normalize(q1.clauses + q2.clauses)
     q_and = Lineage((frozenset(facts),))
     lhs = indb_probability(db, q_or)
     rhs = (indb_probability(db, q1) + indb_probability(db, q2)
@@ -162,16 +161,24 @@ def test_sixteen_world_subset_queries_agree(w):
 def test_translation_check_example1():
     db = example1(2.0, 3.0, 0.5)
     q = parse_query("Q() :- R('a') ; S('a')", EX1_SCHEMA)
-    lhs, rhs, delta = translation_check(db, q)
+    [(lhs, rhs, delta)] = translation_check(db, [q])
     assert lhs == pytest.approx(8 / 9, abs=1e-12)
     assert delta <= 1e-12
+
+
+def test_translation_check_enumerates_only_for_queries():
+    db = example1()
+    assert translation_check(db, [], world_cap=1) == []
+    q = parse_query("Q() :- R('a')", EX1_SCHEMA)
+    with pytest.raises(WorldCapError):
+        translation_check(db, [q], world_cap=1)
 
 
 def test_translation_check_denial_and_positive():
     for w in (0.0, 2.0):
         db = example1(2.0, 3.0, w)
         q = parse_query("Q() :- R('a'), S('a')", EX1_SCHEMA)
-        lhs, rhs, delta = translation_check(db, q)
+        [(lhs, rhs, delta)] = translation_check(db, [q])
         assert delta <= 1e-12
         if w == 0.0:
             assert lhs == pytest.approx(0.0, abs=1e-12)
@@ -182,7 +189,7 @@ def test_translation_check_randomized():
     for seed in range(20):
         db, _, _, _ = viable_random_mvdb(seed)
         q = random_boolean_query(rng)
-        lhs, rhs, delta = translation_check(db, q)
+        [(lhs, rhs, delta)] = translation_check(db, [q])
         assert delta <= 1e-12
 
 
@@ -191,7 +198,7 @@ def test_translation_check_rhs_is_the_oracle_engine():
     for seed in range(10):
         db, _, _, _ = viable_random_mvdb(seed)
         q = random_boolean_query(rng)
-        _, rhs, _ = translation_check(db, q)
+        [(_, rhs, _)] = translation_check(db, [q])
         assert rhs == EnumerationEvaluator(build_indb(db)).probability(q)
 
 
