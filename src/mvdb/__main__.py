@@ -1,0 +1,6 @@
+"""`python -m mvdb`: the `mvdb` command."""
+
+from .cli import entry
+
+if __name__ == "__main__":
+    entry()

@@ -14,6 +14,11 @@ parsed against the base schema, so they cannot name an auxiliary relation
 and need none of its tuples.  ``--engine oracle`` translates and
 enumerates.
 
+Every command runs with the cyclic garbage collector paused (`main`): a
+command leaves no reference cycles that grow with the data, so the
+collections its allocations would start, over the loaded project and index
+or over the caller's heap, would find nothing to free.
+
 Exit codes: 0 success, 1 usage, 2 input error, 3 inconsistent constraints,
 4 world cap exceeded.
 """
@@ -33,8 +38,8 @@ from .core import (DataError, InconsistentConstraintsError, IndexFormatError,
 from . import ucq as U
 from .translate import answer_query, answer_rows, build_indb, load_views
 from .oracle import DEFAULT_WORLD_CAP, EnumerationEvaluator, translation_check
-from .mvindex import (IndexEvaluator, build_index, load_index, save_index,
-                      SINK0, SINK1)
+from .mvindex import (IndexEvaluator, _collector_paused, build_index,
+                      load_index, save_index, SINK0, SINK1)
 from .gendata import generate_project
 
 EXIT_OK = 0
@@ -263,6 +268,7 @@ def _build_parser() -> _ArgumentParser:
     return parser
 
 
+@_collector_paused()
 def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
     parser = _build_parser()
@@ -291,3 +297,7 @@ def main(argv=None, out=None) -> int:
 
 def entry():
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

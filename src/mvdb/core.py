@@ -24,7 +24,7 @@ PROBABILISTIC = "probabilistic"
 VIEW_AUX = "view-aux"
 
 _KINDS = (DETERMINISTIC, PROBABILISTIC, VIEW_AUX)
-_TYPES = ("int", "string")
+_TYPES = {"int": int, "string": str}  # declared type -> Python type
 
 
 class MvdbError(Exception):
@@ -252,18 +252,6 @@ class Instance:
         return idx.get(value, [])
 
 
-def _check_fact(schema: Schema, fact: Fact):
-    rel = schema.relation(fact.relation)
-    if len(fact.values) != rel.arity:
-        raise DataError(f"{fact} has arity {len(fact.values)}, "
-                        f"expected {rel.arity}")
-    for v, attr in zip(fact.values, rel.attributes):
-        if attr.type == "int" and not isinstance(v, int):
-            raise DataError(f"{fact}: attribute {attr.name} expects int")
-        if attr.type == "string" and not isinstance(v, str):
-            raise DataError(f"{fact}: attribute {attr.name} expects string")
-
-
 class _Database:
     """Shared container logic for weighted-tuple databases."""
 
@@ -272,16 +260,30 @@ class _Database:
         self.views = tuple(views)
         self.weights: dict[Fact, float] = {}
         self.domain = Domain()
+        intern = self.domain.intern
+        rel = None
         for fact, w in weighted_facts:
-            _check_fact(schema, fact)
+            # Facts arrive in runs of one relation: resolve it once per run.
+            if rel is None or fact.relation != rel.name:
+                rel = schema.relation(fact.relation)
+                types = tuple(_TYPES[a.type] for a in rel.attributes)
+            values = fact.values
+            if len(values) != len(types):
+                raise DataError(f"{fact} has arity {len(values)}, "
+                                f"expected {rel.arity}")
+            if not all(map(isinstance, values, types)):
+                attr = next(a for v, t, a in zip(values, types, rel.attributes)
+                            if not isinstance(v, t))
+                raise DataError(f"{fact}: attribute {attr.name} expects "
+                                f"{attr.type}")
             if fact in self.weights:
                 raise DataError(f"duplicate possible tuple {fact}")
-            self._check_weight(fact, w)
+            self._check_weight(rel, fact, w)
             self.weights[fact] = w
-            for v in fact.values:
-                self.domain.intern(v)
+            for v in values:
+                intern(v)
 
-    def _check_weight(self, fact, w):
+    def _check_weight(self, rel: Relation, fact: Fact, w: float):
         raise NotImplementedError
 
     def probabilistic_facts(self) -> list[Fact]:
@@ -300,11 +302,10 @@ class _Database:
 class Mvdb(_Database):
     """Possible tuples with weights in [0, inf] plus correlation views."""
 
-    def _check_weight(self, fact, w):
+    def _check_weight(self, rel, fact, w):
         if math.isnan(w) or w < 0:
             raise DataError(f"{fact}: weight must be in [0, inf], got {w!r}")
-        kind = self.schema.relation(fact.relation).kind
-        if kind == DETERMINISTIC and w != INF:
+        if rel.kind == DETERMINISTIC and w != INF:
             raise DataError(f"{fact}: deterministic relation requires weight inf")
 
     def digest(self) -> str:
@@ -323,7 +324,7 @@ class Mvdb(_Database):
 class Indb(_Database):
     """Tuple-independent database with signed weights; p = w/(1+w)."""
 
-    def _check_weight(self, fact, w):
+    def _check_weight(self, rel, fact, w):
         if math.isnan(w):
             raise DataError(f"{fact}: weight is NaN")
         if w == -1.0:
@@ -367,28 +368,33 @@ def load_schema(path: Path | str) -> Schema:
     return parse_schema(Path(path).read_text())
 
 
-def _parse_value(token: str, attr: Attribute, where: str):
-    if attr.type == "int":
-        try:
-            return int(token)
-        except ValueError:
-            raise DataError(f"{where}: expected int for {attr.name}, "
-                            f"got {token!r}") from None
-    return token
+def _bad_int(rel: Relation, cols: list[str]) -> str:
+    """Describe the first int column whose token `int` rejects."""
+    for attr, tok in zip(rel.attributes, cols):
+        if attr.type == "int":
+            try:
+                int(tok)
+            except ValueError:
+                return f"expected int for {attr.name}, got {tok!r}"
 
 
 def parse_data_file(rel: Relation, text: str, where: str = "<data>"):
     """Parse a TSV data file: constant columns then a final weight column."""
+    convert = [_TYPES[a.type] for a in rel.attributes]
+    ncols = rel.arity + 1
     out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip() or raw.startswith("#"):
             continue
-        cols = raw.rstrip("\n").split("\t")
-        if len(cols) != rel.arity + 1:
+        cols = raw.split("\t")
+        if len(cols) != ncols:
             raise DataError(f"{where} line {lineno}: expected "
-                            f"{rel.arity + 1} columns, got {len(cols)}")
-        values = tuple(_parse_value(c, a, f"{where} line {lineno}")
-                       for c, a in zip(cols, rel.attributes))
+                            f"{ncols} columns, got {len(cols)}")
+        try:
+            values = tuple([f(c) for f, c in zip(convert, cols)])
+        except ValueError:
+            raise DataError(f"{where} line {lineno}: "
+                            + _bad_int(rel, cols)) from None
         wtok = cols[-1].strip()
         if wtok == "inf":
             w = INF

@@ -1,10 +1,16 @@
 """Command-line driver: compile, query, oracle, stats, gen-dblp."""
 
+import gc
 import io
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mvdb
 from mvdb.cli import (EXIT_CAP, EXIT_INCONSISTENT, EXIT_INPUT, EXIT_OK,
                       EXIT_USAGE, main)
 from mvdb.gendata import demo_query, generate_project
@@ -371,11 +377,6 @@ def test_stale_index_needs_recompile(project, capsys, edit):
 
 
 def test_digest_does_not_depend_on_hash_seed(project):
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-    import mvdb
     code = ("import sys; from mvdb.cli import main; "
             "sys.exit(main(sys.argv[1:]))")
     src = str(Path(mvdb.__file__).resolve().parents[1])
@@ -434,3 +435,92 @@ def test_int_constants_beyond_64_bits(tmp_path):
         assert [r[0] for r in rows[engine]] == [r[0] for r in rows["ccmv"]]
         for got, want in zip(rows[engine], rows["ccmv"]):
             assert float(got[1]) == pytest.approx(float(want[1]), abs=1e-9)
+
+
+def test_python_dash_m_mvdb_runs_the_cli(project):
+    run(["compile", "--project", str(project)])
+    index = str(project / "index.mvx")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(mvdb.__file__).resolve().parents[1]))
+
+    def cli(*argv):
+        return subprocess.run([sys.executable, "-m", "mvdb", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    done = cli("stats", "--index", index, "--tsv")
+    assert done.returncode == EXIT_OK, done.stderr
+    assert done.stdout == run(["stats", "--index", index, "--tsv"])[1]
+    assert done.stdout.count("\n") > 2
+    done = cli("stats", "--tsv")
+    assert done.returncode == EXIT_USAGE
+    assert done.stderr.startswith("usage error: ")
+
+
+def _commands(project):
+    return [["compile", "--project", str(project), "--tsv"],
+            ["query", "--project", str(project), "--tsv",
+             "Q() :- Advisor(1, a)"],
+            ["query", "--project", str(project), "--tsv",
+             "Q(a) :- Advisor(s, a)"],
+            ["stats", "--project", str(project), "--tsv"]]
+
+
+def test_commands_leave_cyclic_garbage_independent_of_scale(tmp_path):
+    # `main` pauses the collector on the premise that a command leaves no
+    # cyclic garbage growing with the data: only argparse's constant amount
+    def garbage(argv):
+        gc.collect()
+        gc.disable()
+        try:
+            assert run(argv)[0] == EXIT_OK, argv
+            return gc.collect()
+        finally:
+            gc.enable()
+
+    counts = {}
+    for scale in (20, 80):
+        project = generate_project(tmp_path / str(scale), seed=1, scale=scale)
+        counts[scale] = [garbage(argv) for argv in _commands(project)]
+    assert counts[20] == counts[80]
+
+
+def test_query_starts_no_collection(tmp_path):
+    project = generate_project(tmp_path / "proj", seed=1, scale=20)
+    compile_argv, query_argv = _commands(project)[:2]
+    assert run(compile_argv)[0] == EXIT_OK
+    # A young pass may start as `main` re-enables the collector, after the
+    # command's frame is gone; none may start while that frame runs.
+    body = getattr(main, "__wrapped__", main).__code__
+    starts = []
+
+    def record(phase, info):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not body:
+            frame = frame.f_back
+        if phase == "start" and frame is not None:
+            starts.append(info["generation"])
+
+    gc.callbacks.append(record)
+    try:
+        assert gc.isenabled()
+        assert run(query_argv)[0] == EXIT_OK
+    finally:
+        gc.callbacks.remove(record)
+    assert starts == []
+
+
+def test_main_restores_the_callers_collector_state(project):
+    run(["compile", "--project", str(project)])
+    ok = ["query", "--project", str(project), "Q() :- Student(1, y)"]
+    bad = ["query", "--project", str(project), "Q() :- Student(1"]
+    assert gc.isenabled()
+    assert run(ok)[0] == EXIT_OK
+    assert gc.isenabled()
+    assert run(bad)[0] == EXIT_INPUT
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        assert run(ok)[0] == EXIT_OK
+        assert not gc.isenabled()
+    finally:
+        gc.enable()

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from mvdb import (DataError, DegenerateWeightError, Fact, Indb, Mvdb, Schema,
-                  SchemaError, parse_schema, weight_to_probability)
+from mvdb import (DataError, DegenerateWeightError, Fact, Indb, Mvdb,
+                  MvdbError, Schema, SchemaError, parse_schema,
+                  weight_to_probability)
 from mvdb.core import parse_data_file, INF
 
 from helpers import probability_to_weight, signed_world_sum, EX1_SCHEMA
@@ -142,3 +143,63 @@ def test_data_file_parsing():
         parse_data_file(rel, "x\tfoo\t1.0\n")
     with pytest.raises(DataError):
         parse_data_file(rel, "1\tfoo\tnot-a-weight\n")
+
+
+LOADER_SCHEMA = parse_schema("relation P(x:int, y:string) key(x) probabilistic\n"
+                             "relation D(x:string) key(x) deterministic\n")
+
+
+@pytest.mark.parametrize("load, error, message", [
+    (lambda rel: parse_data_file(rel, "1\tfoo\t1.0\n1\tfoo\n", "P.tsv"),
+     DataError, "P.tsv line 2: expected 3 columns, got 2"),
+    (lambda rel: parse_data_file(rel, "# c\n\n1\tfoo\t1.0\nx\tfoo\t1.0\n",
+                                 "P.tsv"),
+     DataError, "P.tsv line 4: expected int for x, got 'x'"),
+    (lambda rel: parse_data_file(rel, "1\tfoo\tnot-a-weight\n"),
+     DataError, "<data> line 1: bad weight 'not-a-weight'"),
+    (lambda rel: Mvdb(LOADER_SCHEMA, parse_data_file(rel, "1\tfoo\tnan\n"),
+                      []),
+     DataError, "P(1,'foo'): weight must be in [0, inf], got nan"),
+    (lambda rel: Mvdb(LOADER_SCHEMA, [(Fact("P", (1, "a")), -0.5)], []),
+     DataError, "P(1,'a'): weight must be in [0, inf], got -0.5"),
+    (lambda rel: Mvdb(LOADER_SCHEMA, [(Fact("D", ("a",)), 2.0)], []),
+     DataError, "D('a'): deterministic relation requires weight inf"),
+    (lambda rel: Mvdb(LOADER_SCHEMA, [(Fact("P", (1, "a")), 1.0),
+                                      (Fact("P", (1, "a")), 2.0)], []),
+     DataError, "duplicate possible tuple P(1,'a')"),
+    (lambda rel: Mvdb(LOADER_SCHEMA, [(Fact("P", (1, "a")), 1.0),
+                                      (Fact("X", (1,)), 2.0)], []),
+     SchemaError, "unknown relation 'X'"),
+    (lambda rel: Mvdb(LOADER_SCHEMA, [(Fact("P", (1,)), 1.0)], []),
+     DataError, "P(1) has arity 1, expected 2"),
+    (lambda rel: Mvdb(LOADER_SCHEMA, [(Fact("P", ("1", "a")), 1.0)], []),
+     DataError, "P('1','a'): attribute x expects int"),
+    (lambda rel: Mvdb(LOADER_SCHEMA, [(Fact("P", (1, 2)), 1.0)], []),
+     DataError, "P(1,2): attribute y expects string"),
+    (lambda rel: Indb(LOADER_SCHEMA, [(Fact("P", (1, "a")), float("nan"))]),
+     DataError, "P(1,'a'): weight is NaN"),
+], ids=["columns", "int-token", "weight-token", "nan-weight",
+        "negative-weight", "finite-deterministic", "duplicate",
+        "unknown-relation", "arity", "int-value", "string-value",
+        "indb-nan-weight"])
+def test_loader_errors_keep_class_and_message(load, error, message):
+    with pytest.raises(MvdbError) as info:
+        load(LOADER_SCHEMA.relation("P"))
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_loaded_project_digest_and_domain_order(tmp_path):
+    from mvdb.core import load_data, load_schema
+    from mvdb.gendata import generate_project
+    from mvdb.translate import load_views
+    project = generate_project(tmp_path / "proj", seed=1, scale=60)
+    schema = load_schema(project / "schema.txt")
+    db = Mvdb(schema, load_data(schema, project / "data"),
+              load_views(project / "views.txt", schema))
+    assert db.digest() == ("323659a7e609c00a654bcf5acd26301b"
+                           "92e08de04ca6e2cda6e77769bb4d1679")
+    assert db.domain.constants[:20] == [
+        1001, "a. stone", 1002, "b. rivera", 1003, "c. okafor", 1004,
+        "d. madsen", 1005, "e. liu", 1006, "f. haines", 1007, "g. brandt",
+        1008, "h. suzuki", 1009, "i. ferrara", 1, 4]
