@@ -269,12 +269,12 @@ def build_index(tr: TranslationResult) -> MvIndex:
     W is grounded once (`ucq.grouped_lineage`).  With a separator, its
     clauses are grouped by the separator constant and each group compiles
     with `from_lineage` into one constituent keyed by that constant;
-    otherwise all clauses form a single unkeyed constituent.  Each block
-    gets a fresh node table that is dropped once the block is laid out:
-    the blocks cover disjoint ranks, so a shared table would hold nothing
-    another block reuses.  The cost is linear in W's lineage plus the
-    constituents' size.  When the blocks' rank ranges interleave in the
-    tuple order, W compiles as one unkeyed constituent instead.
+    otherwise all clauses form a single unkeyed constituent.  `choose_pi`
+    puts every separator position first, so the blocks cover disjoint rank
+    ranges; interleaved blocks are an internal `MvdbError`.  Each block gets
+    a fresh node table that is dropped once the block is laid out, since a
+    shared table would hold nothing another block reuses.  The cost is
+    linear in W's lineage plus the constituents' size.
     Constituents are negated by swapping sinks, then augmented.  The
     build runs with the cyclic collector paused (`_collector_paused`):
     grounding and compilation leave no reference cycles.
@@ -293,16 +293,12 @@ def build_index(tr: TranslationResult) -> MvIndex:
     order = tuple_order(pi, prob_facts, indb.domain, indb.schema)
     probs = [indb.probability(f) for f in order.facts]
     sep = U.find_separator(tr.w_query, indb.schema, var_rels)
-    constituents = None
-    if sep is not None:
-        groups = U.grouped_lineage(tr.w_query, instance, sep.variables)
-        constituents = _compile_blocks(
-            groups, sorted(groups, key=indb.domain.rank), order)
-        if _overlapping(constituents):
-            constituents = None
-    if constituents is None:
-        groups = U.grouped_lineage(tr.w_query, instance)
-        constituents = _compile_blocks(groups, list(groups), order)
+    groups = U.grouped_lineage(tr.w_query, instance, sep and sep.variables)
+    keys = sorted(groups, key=indb.domain.rank) if sep else list(groups)
+    constituents = _compile_blocks(groups, keys, order)
+    if _overlapping(constituents):
+        raise MvdbError("internal error: W's separator blocks interleave "
+                        "in the tuple order")
     for c in constituents:
         c.augment(probs)
     return MvIndex(constituents, order, probs, pi, digest)

@@ -17,8 +17,8 @@ reduced OBDD is canonical for its function and order, so this is the
 diagram the paper's structural compiler builds as well (it joins
 independent parts whose ranks are consecutive by redirecting a sink, and
 synthesizes the rest); that compiler lives in the test suite as an
-independent reference.  The permutation choice (`choose_pi`,
-`is_inversion_free`) still simulates it, because it fixes the order.
+independent reference.  The order's permutations come from the separator
+rule alone (`choose_pi`).
 
 Finished OBDDs are immutable and shareable; construction is single-threaded.
 """
@@ -26,7 +26,6 @@ Finished OBDDs are immutable and shareable; construction is single-threaded.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -287,139 +286,14 @@ def from_lineage(phi: U.Lineage, order: VariableOrder,
 # Permutation choice
 # ---------------------------------------------------------------------------
 
-def _positions_of(atom: U.Atom, var: str) -> list[int]:
-    return [i for i, term in enumerate(atom.terms)
-            if isinstance(term, U.Var) and term.name == var]
-
-
-def _dominates(x: str, atoms, pi: PermutationSet, var_rels) -> bool:
-    """True when x sits before every other variable in each variable-bearing
-    atom (so grouping on x yields tuple-disjoint, order-contiguous blocks)."""
-    for atom in atoms:
-        if atom.relation not in var_rels:
-            continue
-        avars = atom.variables()
-        if not avars:
-            continue
-        if x not in avars:
-            return False
-        perm = pi.perm(atom.relation, len(atom.terms))
-        pi_index = {pos: k for k, pos in enumerate(perm)}
-        x_first = min(pi_index[p] for p in _positions_of(atom, x))
-        for y in avars:
-            if y == x:
-                continue
-            y_first = min(pi_index[p] for p in _positions_of(atom, y))
-            if x_first >= y_first:
-                return False
-    return True
-
-
-def _split_components(atoms, preds):
-    """Group non-ground atoms and predicates connected by shared variables."""
-    items = [(a.variables(), a, True) for a in atoms if a.variables()]
-    items += [(p.variables(), p, False) for p in preds if p.variables()]
-    comps = []
-    unused = list(range(len(items)))
-    while unused:
-        seed = unused.pop(0)
-        comp_vars = set(items[seed][0])
-        members = [seed]
-        changed = True
-        while changed:
-            changed = False
-            for i in list(unused):
-                if items[i][0] & comp_vars:
-                    comp_vars |= items[i][0]
-                    members.append(i)
-                    unused.remove(i)
-                    changed = True
-        catoms = [items[i][1] for i in members if items[i][2]]
-        cpreds = [items[i][1] for i in members if not items[i][2]]
-        comps.append((catoms, cpreds, comp_vars))
-    return comps
-
-
-def _sim_never_synthesizes(disjuncts, pi: PermutationSet, schema: Schema,
-                           var_rels, counter) -> bool:
-    """Structural check: would existential expansion never synthesize?"""
-    live = [d for d in disjuncts if d.variables()]
-    if not live:
-        return True
-    if len(live) > 1:
-        q = U.Ucq(tuple(live))
-        sep = U.find_separator(q, schema, var_rels)
-        if sep is not None:
-            # the compiler will expand on the separator, so its positions
-            # must come first under pi in every disjunct for the blocks to
-            # stay contiguous
-            if not all(_dominates(var, d.atoms, pi, var_rels)
-                       for d, var in zip(live, sep.variables)):
-                return False
-            marker = f"\x00sep{next(counter)}"
-            residual = U.specialize_separator(q, sep, marker)
-            return _sim_never_synthesizes(residual.disjuncts, pi, schema,
-                                          var_rels, counter)
-        return all(_sim_never_synthesizes((d,), pi, schema, var_rels, counter)
-                   for d in live)
-    d = live[0]
-    for catoms, cpreds, cvars in _split_components(d.atoms, d.predicates):
-        if not any(a.relation in var_rels for a in catoms):
-            continue
-        x = None
-        for cand in sorted(cvars):
-            if _dominates(cand, catoms, pi, var_rels):
-                x = cand
-                break
-        if x is None:
-            return False
-        marker = f"\x00var{next(counter)}"
-        sub = U._subst_cq(U.ConjunctiveQuery((), tuple(catoms), tuple(cpreds)),
-                          {x: marker})
-        if not _sim_never_synthesizes((sub,), pi, schema, var_rels, counter):
-            return False
-    return True
-
-
-_SEARCH_CAP = 100_000
-
-
-def is_inversion_free(q: U.Ucq, schema: Schema,
-                      var_rels=None) -> Optional[PermutationSet]:
-    """Search for a permutation set under which the query compiler never
-    synthesizes at an existential step; None when no such set exists or
-    there are more than `_SEARCH_CAP` candidate sets."""
-    if var_rels is None:
-        var_rels = U.variable_relations(schema)
-    rels = sorted({a.relation for d in q.disjuncts for a in d.atoms
-                   if a.relation in var_rels})
-    arities = [schema.relation(r).arity for r in rels]
-    total = 1
-    for a in arities:
-        total *= math.factorial(a)
-        if total > _SEARCH_CAP:
-            return None
-    for combo in itertools.product(
-            *[itertools.permutations(range(a)) for a in arities]):
-        pi = PermutationSet(dict(zip(rels, combo)))
-        if _sim_never_synthesizes(q.disjuncts, pi, schema, var_rels,
-                                  itertools.count()):
-            return pi
-    return None
-
-
 def choose_pi(q: U.Ucq, schema: Schema, var_rels=None) -> PermutationSet:
-    """Pick attribute permutations that favour concatenation.
-
-    Inversion-free witness when one exists; otherwise separator attribute
-    positions are placed first, greedily repeating on the residual query;
-    identity permutations as a last resort.
+    """Pick attribute permutations by the separator rule: separator
+    positions first, greedily repeating on the residual query; identity
+    permutations without a separator.  Under the resulting `tuple_order`
+    each separator constant's tuples are contiguous.
     """
     if var_rels is None:
         var_rels = U.variable_relations(schema)
-    witness = is_inversion_free(q, schema, var_rels)
-    if witness is not None:
-        return witness
     prefix: dict[str, list[int]] = {}
     current = q
     counter = itertools.count()

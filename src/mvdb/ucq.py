@@ -764,13 +764,16 @@ def find_separator(q: Ucq, schema: Schema,
                    var_rels: Optional[set] = None) -> Optional[Separator]:
     """Search for a separator: a root variable per disjunct such that any two
     variable-bearing atoms with the same relation symbol carry it at the same
-    attribute position.  Returns the lexicographically first choice.
+    attribute position.  Returns the lexicographically first choice.  A
+    disjunct with no variable-bearing atom grounds only to empty clauses,
+    so it splits no block and takes its root variables over all its atoms.
     """
     if var_rels is None:
         var_rels = variable_relations(schema)
     per_disjunct = []
     for d in q.disjuncts:
-        roots = sorted(root_variables(d, considered=var_rels))
+        roots = sorted(root_variables(d, considered=var_rels)
+                       or root_variables(d))
         if not roots:
             return None
         per_disjunct.append(roots)

@@ -17,7 +17,6 @@ from mvdb import (INF, Fact, Instance, Mvdb, MvdbError, NodeTable, Obdd,
                   synthesize, tuple_order)
 from mvdb import ucq as U
 from mvdb.mvindex import SINK0, SINK1, _window
-from mvdb.obdd import _dominates, _split_components
 
 EX1_SCHEMA = parse_schema("""
 relation R(x:string) key(x) probabilistic
@@ -191,6 +190,59 @@ def concatenate(op: str, g1: Obdd, g2: Obdd, memo=None) -> Obdd:
     return Obdd(t, sub[g1.root])
 
 
+def _positions_of(atom, var: str) -> list[int]:
+    return [i for i, term in enumerate(atom.terms)
+            if isinstance(term, U.Var) and term.name == var]
+
+
+def _dominates(x: str, atoms, pi, var_rels) -> bool:
+    """True when x sits before every other variable in each variable-bearing
+    atom (so grouping on x yields tuple-disjoint, order-contiguous blocks)."""
+    for atom in atoms:
+        if atom.relation not in var_rels:
+            continue
+        avars = atom.variables()
+        if not avars:
+            continue
+        if x not in avars:
+            return False
+        perm = pi.perm(atom.relation, len(atom.terms))
+        pi_index = {pos: k for k, pos in enumerate(perm)}
+        x_first = min(pi_index[p] for p in _positions_of(atom, x))
+        for y in avars:
+            if y == x:
+                continue
+            y_first = min(pi_index[p] for p in _positions_of(atom, y))
+            if x_first >= y_first:
+                return False
+    return True
+
+
+def _split_components(atoms, preds):
+    """Group non-ground atoms and predicates connected by shared variables."""
+    items = [(a.variables(), a, True) for a in atoms if a.variables()]
+    items += [(p.variables(), p, False) for p in preds if p.variables()]
+    comps = []
+    unused = list(range(len(items)))
+    while unused:
+        seed = unused.pop(0)
+        comp_vars = set(items[seed][0])
+        members = [seed]
+        changed = True
+        while changed:
+            changed = False
+            for i in list(unused):
+                if items[i][0] & comp_vars:
+                    comp_vars |= items[i][0]
+                    members.append(i)
+                    unused.remove(i)
+                    changed = True
+        catoms = [items[i][1] for i in members if items[i][2]]
+        cpreds = [items[i][1] for i in members if not items[i][2]]
+        comps.append((catoms, cpreds, comp_vars))
+    return comps
+
+
 class _StructuralBuilder:
     """The paper's recursive compiler: disjunctions with a separator expand
     over the active domain, conjunctive components on a dominating
@@ -341,8 +393,9 @@ def con_obdd_structural(pi, q, instance, domain, order=None, table=None,
 
 def build_index_per_block(tr):
     """`build_index` with one `con_obdd_structural` call per separator
-    constant, every block in one shared node table, and the contiguity check
-    on `node_span`; on interleaved blocks, one call over all of W."""
+    constant, every block in one shared node table, and its own contiguity
+    assertion on `node_span`; without a separator, one call over all of
+    W."""
     from mvdb.mvindex import (Constituent, MvIndex, _variable_relations)
     from mvdb.obdd import PermutationSet, choose_pi
     indb = tr.indb
@@ -380,10 +433,9 @@ def build_index_per_block(tr):
         memo = {}
         spans = sorted(node_span(table, g.root, memo)
                        for _, g in blocks if g.root > 1)
-        if any(a[1] >= b[0] for a, b in zip(spans, spans[1:])):
-            blocks = []
-            sep = None
-    if sep is None:
+        assert all(a[1] < b[0] for a, b in zip(spans, spans[1:])), \
+            "separator blocks interleave in the tuple order"
+    else:
         g = con_obdd_structural(pi, tr.w_query, instance, indb.domain,
                                 order=order, table=table, var_rels=var_rels)
         blocks = [] if g.root == 0 else [(None, g)]

@@ -1,21 +1,24 @@
 """Compiling W: one grouped grounding pass, one `from_lineage` per block.
 
 `build_index` must write the same bytes as the per-block `con_obdd`
-reference in `helpers.py`, fall back to one unkeyed constituent when the
-separator's blocks interleave in the tuple order, and keep its node tables
-linear in the constituents it produces.
+reference in `helpers.py`, key one constituent per separator constant
+whenever W has a separator (also when a disjunct ranges only over
+relations without soft facts), refuse blocks that interleave in the tuple
+order with an internal error, and keep its node tables linear in the
+constituents it produces.
 """
 
 import io
 import math
+import random
 
 import pytest
 
 import mvdb
-from mvdb import (EnumerationEvaluator, Fact, IndexEvaluator, Mvdb,
-                  NodeTable, build_indb, build_index, find_separator,
-                  parse_query, parse_schema, parse_view, query_probability,
-                  serialize)
+from mvdb import (EnumerationEvaluator, Fact, IndexEvaluator, Mvdb, MvdbError,
+                  NodeTable, PermutationSet, build_indb, build_index,
+                  find_separator, parse_query, parse_schema, parse_view,
+                  query_probability, serialize)
 from mvdb import mvindex, obdd
 from mvdb.cli import main
 from mvdb.core import load_data, load_schema
@@ -23,8 +26,8 @@ from mvdb.gendata import generate_project
 from mvdb.mvindex import SINK0
 from mvdb.translate import load_views
 
-from helpers import (EX1_SCHEMA, build_index_per_block, chain_mvdb,
-                     viable_random_mvdb)
+from helpers import (EX1_SCHEMA, RAND_SCHEMA, build_index_per_block,
+                     chain_mvdb, random_boolean_query, viable_random_mvdb)
 
 FLIP_SCHEMA = parse_schema("""
 relation A(x:string, y:string) key(x,y) probabilistic
@@ -60,7 +63,7 @@ def test_chain_matches_per_block_reference(n):
 
 def test_random_databases_match_per_block_reference():
     keyed = 0
-    for seed in range(12):
+    for seed in range(200):
         idx = _same_bytes(viable_random_mvdb(seed)[1])
         keyed += sum(c.key is not None for c in idx.constituents)
     assert keyed
@@ -96,31 +99,77 @@ def test_compile_does_not_reach_con_obdd(tmp_path, monkeypatch):
     assert (proj / "index.mvx").read_bytes() == want
 
 
-# -- fallback --------------------------------------------------------------------
-
-def test_interleaved_blocks_compile_to_one_constituent():
-    # W = NV(x, y), A(y, x) has the separator x.  The permutation search
-    # tries A's identity first (A sorts before NV) and finds that y-first
-    # orders are inversion-free, so the tuple order groups A by y and the
-    # x-blocks interleave: A(a, b) sits between A(a, a) and A(b, a).
-    facts = [(Fact("A", (x, y)), w) for (x, y), w in zip(
-        [("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")],
-        [0.5, 2.0, 1.0, 3.0])]
-    db = Mvdb(FLIP_SCHEMA, facts,
-              [parse_view("V(x, y) [0.5] :- A(y, x)", FLIP_SCHEMA)])
-    tr = build_indb(db)
-    var_rels = mvindex._variable_relations(tr.indb)
-    assert find_separator(tr.w_query, tr.indb.schema, var_rels) is not None
-    idx = _same_bytes(tr)
-    assert [c.key for c in idx.constituents] == [None]
+def _agrees_with_oracle(tr, idx, queries):
     oracle = EnumerationEvaluator(tr)
-    for text in ("Q() :- A('a', 'b')", "Q() :- A(x, 'a')",
-                 "Q() :- A(x, y), A(y, x)", "Q() :- A('b', x) ; A(x, 'b')"):
-        q = parse_query(text, FLIP_SCHEMA)
+    for q in queries:
         want = query_probability(q, tr, oracle)
         for mode in ("cc", "mv"):
             ev = IndexEvaluator(idx, tr.indb.possible_instance(), mode)
-            assert abs(query_probability(q, tr, ev) - want) <= 1e-9, text
+            assert abs(query_probability(q, tr, ev) - want) <= 1e-9, q
+
+
+# -- separators ------------------------------------------------------------------
+
+def _hand_built_no_soft_r():
+    # R is empty and D certain, so the denial R(x), D(x) has no
+    # variable-bearing atom; S(x, y), T(y) is a hard denial per y.
+    facts = [(Fact("D", ("a0",)), math.inf), (Fact("S", ("a0", "b0")), 2.0),
+             (Fact("S", ("a1", "b0")), 0.5), (Fact("S", ("a0", "b1")), 3.0),
+             (Fact("T", ("b0",)), 1.0), (Fact("T", ("b1",)), 0.25)]
+    views = [parse_view("V0(x) [0.5] :- R(x), D(x)", RAND_SCHEMA),
+             parse_view("V1(y) [0] :- S(x, y), T(y)", RAND_SCHEMA)]
+    return build_indb(Mvdb(RAND_SCHEMA, facts, views))
+
+
+# A W disjunct over relations that hold no soft fact grounds only to empty
+# clauses.  It takes its separator variable over all its atoms, so W keeps
+# its separator; without that, W compiled to one unkeyed constituent of
+# width 1.
+@pytest.mark.parametrize("make", [lambda: viable_random_mvdb(7)[1],
+                                  _hand_built_no_soft_r],
+                         ids=["viable_random_7", "hand_built"])
+def test_disjunct_without_soft_facts_keeps_the_separator(make):
+    tr = make()
+    var_rels = mvindex._variable_relations(tr.indb)
+    assert find_separator(tr.w_query, tr.indb.schema, var_rels) is not None
+    idx = _same_bytes(tr)
+    assert [c.key for c in idx.constituents] == ["b0", "b1"]
+    assert idx.max_width() <= 1
+    rng = random.Random(13)
+    queries = [random_boolean_query(rng) for _ in range(15)]
+    queries.append(parse_query("Q() :- S(x, 'b0')", RAND_SCHEMA))
+    _agrees_with_oracle(tr, idx, queries)
+
+
+def _flip_tr():
+    # W = NV(x, y), A(y, x) has the separator x, at A's second position.
+    facts = [(Fact("A", (x, y)), w) for (x, y), w in zip(
+        [("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")],
+        [0.5, 2.0, 1.0, 3.0])]
+    return build_indb(Mvdb(FLIP_SCHEMA, facts,
+                           [parse_view("V(x, y) [0.5] :- A(y, x)",
+                                       FLIP_SCHEMA)]))
+
+
+def test_flipped_separator_compiles_to_keyed_blocks():
+    tr = _flip_tr()
+    idx = _same_bytes(tr)
+    assert idx.pi.perm("A", 2) == (1, 0)
+    assert [c.key for c in idx.constituents] == ["a", "b"]
+    _agrees_with_oracle(tr, idx, [
+        parse_query(text, FLIP_SCHEMA)
+        for text in ("Q() :- A('a', 'b')", "Q() :- A(x, 'a')",
+                     "Q() :- A(x, y), A(y, x)",
+                     "Q() :- A('b', x) ; A(x, 'b')")])
+
+
+def test_interleaved_blocks_are_an_internal_error(monkeypatch):
+    # Under A's identity the tuple order groups A by y, so the x-blocks
+    # interleave: A(a, b) sits between A(a, a) and A(b, a).
+    witness = PermutationSet({"A": (0, 1), "NV": (1, 0)})
+    monkeypatch.setattr(mvindex, "choose_pi", lambda *args: witness)
+    with pytest.raises(MvdbError, match="interleave"):
+        build_index(_flip_tr())
 
 
 # -- growth ----------------------------------------------------------------------

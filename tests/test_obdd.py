@@ -7,8 +7,7 @@ import pytest
 import mvdb
 from mvdb import (Fact, Mvdb, NodeTable, Obdd, OrderMismatchError,
                   PermutationSet, VariableOrder, choose_pi, from_lineage,
-                  is_inversion_free, lineage, parse_query, synthesize,
-                  tuple_order)
+                  lineage, parse_query, synthesize, tuple_order)
 from mvdb.ucq import Lineage
 
 from helpers import (RAND_SCHEMA, TWO_TABLE_SCHEMA, chain_mvdb, chain_window,
@@ -359,24 +358,6 @@ def test_obdd_metrics_bound():
 
 # -- permutation choice ----------------------------------------------------------
 
-def test_is_inversion_free_simple_join():
-    q = parse_query("Q() :- R(x), S(x, y)", TWO_TABLE_SCHEMA)
-    pi = is_inversion_free(q, TWO_TABLE_SCHEMA)
-    assert pi is not None
-    assert pi.perm("S", 2) == (0, 1)
-    assert pi.perm("R", 1) == (0,)
-
-
-def test_is_inversion_free_negative():
-    q = parse_query("Q() :- R(x1), S(x1, y1) ; S(x2, y2), T(y2)", RAND_SCHEMA)
-    assert is_inversion_free(q, RAND_SCHEMA) is None
-
-
-def test_is_inversion_free_single_relation():
-    q = parse_query("Q() :- R(x)", RAND_SCHEMA)
-    assert is_inversion_free(q, RAND_SCHEMA) is not None
-
-
 def test_choose_pi_places_separator_position_first():
     q = parse_query("Q() :- S(y1, x1), T(x1) ; S(y2, x2), T(x2)", RAND_SCHEMA)
     pi = choose_pi(q, RAND_SCHEMA)
@@ -392,7 +373,6 @@ def test_choose_pi_no_separator_identity():
 
 def test_choose_pi_denial_shape_uses_separator_rule():
     q = parse_query("Q() :- S(x, y), S(x, z), y != z", TWO_TABLE_SCHEMA)
-    assert is_inversion_free(q, TWO_TABLE_SCHEMA) is None
     pi = choose_pi(q, TWO_TABLE_SCHEMA)
     assert pi.perm("S", 2) == (0, 1)
 
