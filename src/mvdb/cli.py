@@ -5,7 +5,10 @@ Project layout: a directory holding ``schema.txt``, ``views.txt`` and
 ``index.mvx`` inside the project unless ``--index`` says otherwise.
 
 ``compile`` pays for the translation and the compilation of W once and
-prints a summary; ``stats`` lists the constituents one per line.  The
+prints a summary; ``stats`` lists the constituents one per line, and
+``stats --dump`` then prints the tuple order once and every constituent's
+root and nodes in rank order, one ``id rank low high`` line per node (ids 0
+and 1 are the sinks, positions count from 2).  The
 online path of ``query --engine {ccmv,mv}`` does neither: it loads the
 project and the index, compares the index's source digest with the
 project's (`Mvdb.digest`; any change to schema, views or data means
@@ -49,7 +52,7 @@ EXIT_INCONSISTENT = 3
 EXIT_CAP = 4
 
 _INPUT_ERRORS = (SchemaError, DataError, QueryParseError, InvalidViewError,
-                 IndexFormatError, OrderMismatchError, FileNotFoundError)
+                 IndexFormatError, OrderMismatchError, OSError)
 
 
 class _UsageError(Exception):
@@ -197,11 +200,11 @@ def cmd_stats(args, out) -> int:
         print(f"P0(W) = {index.p0_w!r}, P0(not W) = {index.p0_not_w!r}, "
               f"log10 P0(not W) = {index.log10_p0_not_w!r}", file=out)
     if args.dump:
+        print("order " + " ".join(str(f) for f in index.order.facts),
+              file=out)
         for c in index.constituents:
             print(f"constituent {c.key!r}", file=out)
             print(f"root {_node_id(c.root_code)}", file=out)
-            print("order " + " ".join(str(f) for f in index.order.facts),
-                  file=out)
             for pos in range(c.n):
                 print(f"{pos + 2} {c.rank[pos]} {_node_id(c.lo[pos])} "
                       f"{_node_id(c.hi[pos])}", file=out)

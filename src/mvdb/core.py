@@ -364,8 +364,17 @@ def parse_schema(text: str) -> Schema:
     return Schema(relations)
 
 
+def read_text(path: Path | str, error: type) -> str:
+    """The UTF-8 text of an input file; bad bytes raise *error* naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason} at byte "
+                    f"{exc.start})") from None
+
+
 def load_schema(path: Path | str) -> Schema:
-    return parse_schema(Path(path).read_text())
+    return parse_schema(read_text(path, SchemaError))
 
 
 def _bad_int(rel: Relation, cols: list[str]) -> str:
@@ -416,5 +425,6 @@ def load_data(schema: Schema, data_dir: Path | str):
         path = data_dir / f"{rel.name}.tsv"
         if not path.exists():
             continue
-        weighted.extend(parse_data_file(rel, path.read_text(), str(path)))
+        weighted.extend(parse_data_file(rel, read_text(path, DataError),
+                                        str(path)))
     return weighted

@@ -13,11 +13,12 @@ without materializing the conjunction, by one forward sweep of signed
 probability mass over ranks (`_intersect`).  The two modes differ only in
 where a query node enters a constituent:
 
-* `mv_intersect` enters at the constituent's root, so the sweep walks each
-  constituent down from its first rank, guided by the query;
-* `cc_mv_intersect` enters at the query node's own rank through the
-  constituent's per-level entry table, so the nodes it expands all lie
-  inside the query's rank window (the span-times-width visit bound).
+* `mv_intersect` enters at the constituent's first rank, whose entry table
+  is the root alone, so the sweep walks each constituent down from its
+  root, guided by the query;
+* `cc_mv_intersect` enters at the query node's own rank through that
+  rank's entry table, so the nodes it expands all lie inside the query's
+  rank window (the span-times-width visit bound).
 
 Both bisect to the constituents whose rank ranges meet the query's rank
 window and sweep only those.  The constituents are independent, so every
@@ -33,26 +34,27 @@ is exactly 0.0, i.e. one block is contradictory on its own.
 The index is immutable after build; every query owns its own rank buckets,
 so concurrent evaluation is safe.
 
-The ``.mvx`` file (format version 3, `serialize` and `deserialize`) is:
+The ``.mvx`` file (format version 4, `serialize` and `deserialize`) is:
 
 * a header: the magic ``MVIX``, the u32 version, the 32-byte sha256 source
   digest (`Mvdb.digest`) and the u32 length of the JSON section;
-* one compact JSON section with sorted keys: ``pi`` (the permutations),
-  ``relations`` (names), ``facts`` (the tuple order, one
-  ``[relation index, value, ...]`` row per tuple) and ``constituents`` (one
-  ``[key, root code, node count]`` head each).  Ints of any size and strings
-  round-trip exactly;
+* one compact JSON section with sorted keys: ``relations`` (names),
+  ``facts`` (the tuple order, one ``[relation index, value, ...]`` row per
+  tuple) and ``constituents`` (one ``[key, node count]`` head each).  Ints
+  of any size and strings round-trip exactly;
 * little-endian typed blocks: ``probs`` (f64 per tuple), then ``rank``,
-  ``lo``, ``hi`` (i32 per node), each the concatenation over the
-  constituents in index order;
+  ``lo``, ``hi`` (i32 per node, in rank order), each the concatenation over
+  the constituents in index order;
 * a CRC-32 of everything before it.
 
-Nothing derivable is stored: the loader rebuilds probUnder, reachability,
-root probabilities and entry tables through the same `Constituent.augment`
-call the compiler makes.  It checks every count against the bytes present
-before decoding a block, and every constituent's structure before deriving
-from it; any defect is an `IndexFormatError`.  Compiles are
-byte-reproducible.
+Nothing derivable is stored: not the permutations the tuple order was
+built from, not the root codes (position 0, or the 0-sink for an empty
+constituent), and no annotation.  The loader rebuilds probUnder,
+reachability, root probabilities and entry tables through the same
+`Constituent.augment` call the compiler makes.  It checks every count
+against the bytes present before decoding a block, and every constituent's
+layout (`_check_layout`) before deriving from it; any defect is an
+`IndexFormatError`.  Compiles are byte-reproducible.
 """
 
 from __future__ import annotations
@@ -66,6 +68,7 @@ import time
 import zlib
 from array import array
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -82,7 +85,7 @@ SINK0 = -1
 SINK1 = -2
 
 _MAGIC = b"MVIX"
-_VERSION = 3
+_VERSION = 4
 _HEADER = "<I32sI"  # version, sha256 source digest, JSON section length
 # The per-node blocks after ``probs``, in file order, with their array
 # type codes; the order is also `Constituent`'s argument order.
@@ -90,45 +93,39 @@ _BLOCKS = {"rank": "i", "lo": "i", "hi": "i"}
 
 
 class Constituent:
-    """One negated, augmented OBDD in a DFS-ordered vector layout."""
+    """One negated, augmented OBDD in a vector layout whose positions are in
+    rank order: position 0 is the root, alone at the lowest rank, every
+    child code is a later position or a sink, and the nodes of one rank are
+    contiguous.  An empty constituent is the negation of a block whose W is
+    valid, so its root is the 0-sink."""
 
-    def __init__(self, key, root_code: int, rank, lo, hi):
+    def __init__(self, key, rank, lo, hi):
         self.key = key
-        self.root_code = root_code
         self.rank = rank
         self.lo = lo
         self.hi = hi
-        self.n = len(self.rank)
-        self.rank_lo = min(self.rank) if self.rank else -1
-        self.rank_hi = max(self.rank) if self.rank else -1
-        self.levels: dict[int, list[int]] = {}
-        for pos in range(self.n):
-            self.levels.setdefault(self.rank[pos], []).append(pos)
+        self.n = len(rank)
+        self.root_code = 0 if rank else SINK0
+        self.rank_lo = rank[0] if rank else -1
+        self.rank_hi = rank[-1] if rank else -1
         self.prob_under: list[float] = []
         self.prob_root = 0.0
         self.entry: dict[int, list] = {}
 
     @staticmethod
     def from_obdd(g: Obdd, key) -> "Constituent":
-        """Lay out the negation of *g* (its sinks swapped) in DFS preorder."""
+        """Lay out the negation of *g* (its sinks swapped): its DFS preorder
+        stable-sorted by rank, so the root stays at position 0 and the nodes
+        of one rank keep their DFS order."""
+        if g.root == 0:
+            raise MvdbError("internal error: a block of W is unsatisfiable")
         table = g.table
-        if g.root <= 1:
-            return Constituent(key, SINK0 if g.root == 1 else SINK1,
-                               [], [], [])
-        nodes = g.reachable()
-        pos_of = {u: i for i, u in enumerate(nodes)}
-
-        def code(child):
-            if child == 0:
-                return SINK1
-            if child == 1:
-                return SINK0
-            return pos_of[child]
-
-        rank = [table.var[u] for u in nodes]
-        lo = [code(table.lo[u]) for u in nodes]
-        hi = [code(table.hi[u]) for u in nodes]
-        return Constituent(key, 0, rank, lo, hi)
+        nodes = sorted(g.reachable(), key=table.var.__getitem__)
+        code = {u: i for i, u in enumerate(nodes)}
+        code[0], code[1] = SINK1, SINK0
+        return Constituent(key, [table.var[u] for u in nodes],
+                           [code[table.lo[u]] for u in nodes],
+                           [code[table.hi[u]] for u in nodes])
 
     # -- augmentation -----------------------------------------------------
 
@@ -139,17 +136,15 @@ class Constituent:
         self.derive(probs)
 
     def compute_annotations(self, probs):
-        """probUnder of every node and of the root, level by level from the
-        last rank up."""
+        """probUnder of every node and of the root, in one scan from the
+        last position back."""
         # Two trailing slots hold the sinks' values, so that
         # values[SINK1] is 1.0 and values[SINK0] is 0.0.
         values = [0.0] * self.n + [1.0, 0.0]
-        lo, hi = self.lo, self.hi
-        for r in sorted(self.levels, reverse=True):
-            p = probs[r]
-            for pos in self.levels[r]:
-                values[pos] = ((1.0 - p) * values[lo[pos]]
-                               + p * values[hi[pos]])
+        rank, lo, hi = self.rank, self.lo, self.hi
+        for pos in range(self.n - 1, -1, -1):
+            p = probs[rank[pos]]
+            values[pos] = (1.0 - p) * values[lo[pos]] + p * values[hi[pos]]
         self.prob_root = values[self.root_code]
         del values[self.n:]
         self.prob_under = values
@@ -160,37 +155,38 @@ class Constituent:
         ``entry[r]`` lists, sorted by code, every node or sink that an edge
         from a rank below r reaches at rank r or later, with the signed mass
         of those edges; at the root's rank it is the root alone.  One
-        top-down sweep builds them: entry(r) is entry(r-1) minus the
-        level-(r-1) nodes, plus their children; sink entries carry forward.
-        A node's mass when it leaves the frontier is its reachability (the
-        signed mass of all root paths reaching it), and each child gains
-        that mass times 1-p (low edge) or p (high edge).  The cost is
-        O(n + sum of |entry|) plus one sort per entry table, not a rescan of
-        every node per rank.  It relies on the root holding the lowest rank,
-        on every edge pointing to a strictly greater rank and on every other
-        position being some edge's child, which `deserialize` checks.
+        forward scan over the positions builds them: entry(r) is entry(r-1)
+        minus the level-(r-1) nodes, plus their children; sink entries carry
+        forward.  A node's mass when it leaves the frontier is its
+        reachability (the signed mass of all root paths reaching it), and
+        each child gains that mass times 1-p (low edge) or p (high edge),
+        in position order.  The cost is O(n + sum of |entry|) plus one sort
+        per entry table.  It relies on the rank-order layout and on every
+        position but the root being some edge's child, which `deserialize`
+        checks.
         """
         self.entry = {}
         if not self.n:
             return
         rank, lo, hi = self.rank, self.lo, self.hi
         frontier: dict[int, float] = {0: 1.0}
+        pos = 0
         for r in range(self.rank_lo, self.rank_hi + 1):
-            table = sorted(frontier.items())
-            self.entry[r] = table
+            self.entry[r] = sorted(frontier.items())
             p = probs[r]
-            for pos in self.levels.get(r, ()):
+            while pos < self.n and rank[pos] == r:
                 reach = frontier.pop(pos)
                 child = lo[pos]
                 frontier[child] = frontier.get(child, 0.0) + reach * (1.0 - p)
                 child = hi[pos]
                 frontier[child] = frontier.get(child, 0.0) + reach * p
+                pos += 1
 
     def size(self) -> int:
         return self.n + 2
 
     def width(self) -> int:
-        return max((len(v) for v in self.levels.values()), default=0)
+        return max(Counter(self.rank).values(), default=0)
 
 
 class MvIndex:
@@ -200,12 +196,11 @@ class MvIndex:
     `cc_mv_intersect` then enters each through its entry tables."""
 
     def __init__(self, constituents, order: VariableOrder, probs,
-                 pi: PermutationSet, source_digest: str):
+                 source_digest: str):
         self.constituents: list[Constituent] = sorted(
             constituents, key=lambda c: (c.rank_lo, c.rank_hi))
         self.order = order
         self.probs = list(probs)
-        self.pi = pi
         self.source_digest = source_digest
         roots = [c.prob_root for c in self.constituents]
         m = len(roots)
@@ -287,7 +282,7 @@ def build_index(tr: TranslationResult) -> MvIndex:
         pi = PermutationSet.identity()
         order = tuple_order(pi, prob_facts, indb.domain, indb.schema)
         probs = [indb.probability(f) for f in order.facts]
-        return MvIndex([], order, probs, pi, digest)
+        return MvIndex([], order, probs, digest)
     var_rels = _variable_relations(indb)
     pi = choose_pi(tr.w_query, indb.schema, var_rels)
     order = tuple_order(pi, prob_facts, indb.domain, indb.schema)
@@ -301,7 +296,7 @@ def build_index(tr: TranslationResult) -> MvIndex:
                         "in the tuple order")
     for c in constituents:
         c.augment(probs)
-    return MvIndex(constituents, order, probs, pi, digest)
+    return MvIndex(constituents, order, probs, digest)
 
 
 def _compile_blocks(groups: dict, keys, order: VariableOrder) -> list:
@@ -368,12 +363,13 @@ def _intersect(gq: Obdd, index: MvIndex, cache_conscious: bool,
     ``inv_root[k]`` and nothing else changes scale.
 
     A pair state is kept at rank min(rank[pos], var[v]) and only moves to
-    later ranks.  An entry state is kept at var[v] (in ``mv`` mode at
-    constituent k's first rank if that is earlier, where it enters at the
-    root; in ``cc`` mode it enters through the entry table at var[v]).
-    Passing a constituent, or entering it straight onto the 1-sink of its
-    entry table, stays at the same rank with k + 1, so each rank expands
-    its entry states in increasing k before its pair states.  A query OBDD
+    later ranks.  An entry state is kept at var[v], in ``mv`` mode at
+    constituent k's first rank if that is earlier, and enters constituent k
+    through its entry table at the rank it is kept at; the table at the
+    first rank is the root alone, with mass 1.0.  Passing a constituent,
+    or entering it straight onto the 1-sink of its entry table, stays at
+    the same rank with k + 1, so each rank expands its entry states in
+    increasing k before its pair states.  A query OBDD
     built on ``index.order`` itself passes the order check without reading
     a fact.  *stats*, if given, is filled during the sweep."""
     if gq.order is not index.order and gq.order != index.order:
@@ -455,12 +451,10 @@ def _intersect(gq: Obdd, index: MvIndex, cache_conscious: bool,
                     push_entry(k, qhi[v], mass * p)
                 elif rv > c.rank_hi:
                     push_entry(k + 1, v, mass if c.prob_root else 0.0)
-                elif cache_conscious:
-                    mass *= inv_root[k]
-                    for code, reach in c.entry[rv]:
-                        push_pair(k, code, v, mass * reach)
                 else:
-                    push_pair(k, c.root_code, v, mass * inv_root[k])
+                    mass *= inv_root[k]
+                    for code, reach in c.entry[r]:
+                        push_pair(k, code, v, mass * reach)
         if stats is not None:
             expanded += len(pairs)
             seen.update((k, pos) for k, pos, _ in pairs
@@ -560,19 +554,17 @@ def _unblock(code: str, buf) -> list:
 
 
 def serialize(index: MvIndex) -> bytes:
-    """The v3 file: header, JSON metadata, typed blocks, CRC-32; byte-stable.
+    """The v4 file: header, JSON metadata, typed blocks, CRC-32; byte-stable.
 
     The blocks are ``probs`` (f64 per tuple), then ``rank``, ``lo``, ``hi``
-    (i32 per node), each the concatenation over the constituents in index
-    order: structure only, no annotation."""
+    (i32 per node, in rank order), each the concatenation over the
+    constituents in index order: structure only, no annotation."""
     cons = index.constituents
     relations: dict[str, int] = {}
     facts = [[relations.setdefault(f.relation, len(relations)), *f.values]
              for f in index.order.facts]
-    meta = json.dumps({"pi": index.pi.perms, "relations": list(relations),
-                       "facts": facts,
-                       "constituents": [[c.key, c.root_code, c.n]
-                                        for c in cons]},
+    meta = json.dumps({"relations": list(relations), "facts": facts,
+                       "constituents": [[c.key, c.n] for c in cons]},
                       sort_keys=True, separators=(",", ":")).encode()
     parts = [_MAGIC, struct.pack(_HEADER, _VERSION,
                                  bytes.fromhex(index.source_digest),
@@ -585,23 +577,18 @@ def serialize(index: MvIndex) -> bytes:
 
 
 def _check_layout(c: Constituent, n_ranks: int):
-    """Reject a constituent the traversals cannot walk: the root must be
-    position 0 and hold the lowest rank (or be a sink when there are no
-    nodes), every rank must lie in the order, every child must be a sink
-    or a position of a strictly greater rank, and every position but the
-    root must be some edge's child (no child is the root, whose rank is
-    the lowest)."""
+    """Reject a constituent the traversals cannot walk: the positions must
+    be in rank order, every rank must lie in the order, every child must be
+    a sink or a position of a strictly greater rank, and every position but
+    0 must be some edge's child.  Together these make position 0 the root,
+    alone at the lowest rank: no edge reaches a node of the lowest rank."""
     if not c.n:
-        if c.root_code not in (SINK0, SINK1):
-            raise IndexFormatError("empty constituent without a sink root")
         return
-    if c.root_code != 0:
-        raise IndexFormatError(f"root position {c.root_code} is not 0")
-    if c.rank_lo < 0 or c.rank_hi >= n_ranks:
-        raise IndexFormatError("rank outside the variable order")
-    if c.rank[0] != c.rank_lo:
-        raise IndexFormatError("root does not hold the lowest rank")
     rank = c.rank
+    if any(a > b for a, b in zip(rank, rank[1:])):
+        raise IndexFormatError("positions are not in rank order")
+    if rank[0] < 0 or rank[-1] >= n_ranks:
+        raise IndexFormatError("rank outside the variable order")
     for pos in range(c.n):
         for child in (c.lo[pos], c.hi[pos]):
             if child != SINK0 and child != SINK1 and not (
@@ -622,43 +609,39 @@ def _kinds(values) -> set:
 
 
 def _decode_meta(raw) -> tuple:
-    """Permutations, facts and constituent heads ``(key, root_code, n)``
-    from the JSON section, each checked for shape and type."""
+    """The tuple order and the constituent heads ``(key, n)`` from the JSON
+    section, each checked for shape and type."""
     try:
         meta = json.loads(str(raw, "utf-8"))
-        perms, relations = meta["pi"], meta["relations"]
-        facts, heads = meta["facts"], meta["constituents"]
+        relations, facts = meta["relations"], meta["facts"]
+        heads = meta["constituents"]
     except (ValueError, TypeError, KeyError) as exc:
         raise IndexFormatError(f"bad index metadata: {exc}") from None
-    if not (type(perms) is dict and type(relations) is list
-            and type(facts) is list and type(heads) is list
-            and _kinds(perms.values()) <= {list}
-            and _kinds(i for p in perms.values() for i in p) <= {int}
-            and _kinds(relations) <= {str}
+    if not (type(relations) is list and type(facts) is list
+            and type(heads) is list and _kinds(relations) <= {str}
             and _kinds(facts) <= {list} and all(facts)
             and _kinds(f[0] for f in facts) <= {int}
             and _kinds(v for f in facts for v in f[1:]) <= {int, str}
             and _kinds(heads) <= {list}
-            and all(len(h) == 3 for h in heads)
+            and all(len(h) == 2 for h in heads)
             and _kinds(h[0] for h in heads) <= {int, str, type(None)}
-            and _kinds(x for h in heads for x in h[1:]) <= {int}
-            and all(h[2] >= 0 for h in heads)):
+            and _kinds(h[1] for h in heads) <= {int}
+            and all(h[1] >= 0 for h in heads)):
         raise IndexFormatError("bad index metadata layout")
     if facts and not 0 <= min(f[0] for f in facts) <= max(
             f[0] for f in facts) < len(relations):
         raise IndexFormatError("fact names an unknown relation")
     try:
-        pi = PermutationSet({r: tuple(p) for r, p in perms.items()})
         order = VariableOrder(Fact(relations[f[0]], tuple(f[1:]))
                               for f in facts)
     except MvdbError as exc:
         raise IndexFormatError(str(exc)) from None
-    return pi, order, heads
+    return order, heads
 
 
 @_collector_paused()
 def deserialize(buf: bytes) -> MvIndex:
-    """Load a v3 index, with the cyclic garbage collector paused
+    """Load a v4 index, with the cyclic garbage collector paused
     (`_collector_paused`): everything the loader allocates stays live."""
     if len(buf) < 12:
         raise IndexFormatError("truncated index file")
@@ -677,11 +660,11 @@ def deserialize(buf: bytes) -> MvIndex:
     _, digest, meta_len = struct.unpack_from(_HEADER, body, 4)
     if meta_len > len(body) - start:
         raise IndexFormatError("truncated index file")
-    pi, order, heads = _decode_meta(body[start:start + meta_len])
+    order, heads = _decode_meta(body[start:start + meta_len])
     # Every block's length follows from the counts; check them all against
     # the bytes left before allocating any.
     blocks = body[start + meta_len:]
-    n_nodes = sum(h[2] for h in heads)
+    n_nodes = sum(n for _, n in heads)
     sizes = [(code, array(code).itemsize * n_nodes)
              for code in _BLOCKS.values()]
     at = 8 * len(order)
@@ -694,16 +677,15 @@ def deserialize(buf: bytes) -> MvIndex:
         at += size
     constituents = []
     at = 0
-    for key, root_code, n in heads:
-        c = Constituent(key, root_code,
-                        *(column[at:at + n] for column in columns))
+    for key, n in heads:
+        c = Constituent(key, *(column[at:at + n] for column in columns))
         at += n
         _check_layout(c, len(order))
         c.augment(probs)
         constituents.append(c)
     if _overlapping(constituents):
         raise IndexFormatError("constituent rank ranges overlap")
-    return MvIndex(constituents, order, probs, pi, digest.hex())
+    return MvIndex(constituents, order, probs, digest.hex())
 
 
 def save_index(index: MvIndex, path):

@@ -22,7 +22,7 @@ from typing import Optional, Protocol
 
 from .core import (INF, VIEW_AUX, Attribute, Fact, HardConstraintError,
                    InvalidViewError, Indb, Instance, Mvdb, MvdbError,
-                   QueryParseError, Relation, Schema)
+                   QueryParseError, Relation, Schema, read_text)
 from . import ucq as U
 
 
@@ -44,7 +44,12 @@ def materialize_view(view: U.MarkoView, instance: Instance) -> tuple:
             if not isinstance(w, (int, float)) or isinstance(w, bool):
                 raise InvalidViewError(
                     f"view {view.name}: weight is not a number: {w!r}")
-            w = float(w)
+            try:
+                w = float(w)
+            except OverflowError:
+                raise InvalidViewError(
+                    f"view {view.name}: weight for {values!r} is too large "
+                    "for a float") from None
             if math.isnan(w) or w < 0:
                 raise InvalidViewError(
                     f"view {view.name}: weight {w!r} for {values!r} "
@@ -219,4 +224,4 @@ def parse_views(text: str, schema: Schema) -> list[U.MarkoView]:
 
 
 def load_views(path: Path | str, schema: Schema) -> list[U.MarkoView]:
-    return parse_views(Path(path).read_text(), schema)
+    return parse_views(read_text(path, InvalidViewError), schema)

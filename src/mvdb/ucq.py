@@ -173,14 +173,18 @@ def eval_expr(expr, env: dict):
     if isinstance(expr, BinOp):
         a = _as_number(eval_expr(expr.lhs, env))
         b = _as_number(eval_expr(expr.rhs, env))
-        if expr.op == "+":
-            return a + b
-        if expr.op == "-":
-            return a - b
-        if expr.op == "*":
-            return a * b
-        if expr.op == "/":
-            return a / b
+        try:
+            if expr.op == "+":
+                return a + b
+            if expr.op == "-":
+                return a - b
+            if expr.op == "*":
+                return a * b
+            if expr.op == "/":
+                return a / b
+        except (ZeroDivisionError, OverflowError) as exc:
+            raise MvdbError(
+                f"cannot evaluate {_expr_str(expr)}: {exc}") from None
         raise MvdbError(f"unknown operator {expr.op!r}")
     raise MvdbError(f"not an expression: {expr!r}")
 

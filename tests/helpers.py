@@ -405,7 +405,7 @@ def build_index_per_block(tr):
         pi = PermutationSet.identity()
         order = tuple_order(pi, prob_facts, indb.domain, indb.schema)
         probs = [indb.probability(f) for f in order.facts]
-        return MvIndex([], order, probs, pi, tr.source.digest())
+        return MvIndex([], order, probs, tr.source.digest())
     var_rels = _variable_relations(indb)
     pi = choose_pi(tr.w_query, indb.schema, var_rels)
     order = tuple_order(pi, prob_facts, indb.domain, indb.schema)
@@ -444,7 +444,7 @@ def build_index_per_block(tr):
         c = Constituent.from_obdd(g, key)
         c.augment(probs)
         constituents.append(c)
-    return MvIndex(constituents, order, probs, pi, tr.source.digest())
+    return MvIndex(constituents, order, probs, tr.source.digest())
 
 
 def reachability(c, probs) -> list[float]:

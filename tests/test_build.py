@@ -154,7 +154,9 @@ def _flip_tr():
 def test_flipped_separator_compiles_to_keyed_blocks():
     tr = _flip_tr()
     idx = _same_bytes(tr)
-    assert idx.pi.perm("A", 2) == (1, 0)
+    pi = mvdb.choose_pi(tr.w_query, tr.indb.schema,
+                        mvindex._variable_relations(tr.indb))
+    assert pi.perm("A", 2) == (1, 0)
     assert [c.key for c in idx.constituents] == ["a", "b"]
     _agrees_with_oracle(tr, idx, [
         parse_query(text, FLIP_SCHEMA)

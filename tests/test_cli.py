@@ -207,18 +207,23 @@ def test_stats_dump(project):
     run(["compile", "--project", str(project)])
     rc, text = run(["stats", "--project", str(project), "--dump"])
     assert rc == EXIT_OK
-    sections = text.split("\nconstituent ")[1:]
+    head, *sections = text.split("\nconstituent ")
     assert sections
+    # the tuple order, once, before the first constituent
+    assert text.count("order ") == 1
+    order = head.splitlines()[-1]
+    assert order.startswith("order ")
+    n_ranks = len(order.split()) - 1
     for section in sections:
         lines = section.splitlines()
         root = int(lines[1].removeprefix("root "))
-        assert lines[2].startswith("order ")
-        n_ranks = len(lines[2].split()) - 1
-        nodes = [tuple(map(int, line.split())) for line in lines[3:]]
+        nodes = [tuple(map(int, line.split())) for line in lines[2:]]
         assert all(len(node) == 4 for node in nodes)
         ids = {0, 1} | {node[0] for node in nodes}
         assert [node[0] for node in nodes] == list(range(2, len(nodes) + 2))
         assert root in ids
+        ranks = [node[1] for node in nodes]
+        assert ranks == sorted(ranks)  # positions in rank order
         for _, rank, lo, hi in nodes:
             assert 0 <= rank < n_ranks
             assert lo in ids and hi in ids
@@ -252,16 +257,20 @@ def test_malformed_index_structure_exit_code(project, capsys):
 
 
 def test_orphan_position_exit_code(project, capsys):
-    # a node that no edge reaches, at the root's rank of the first block
+    # a node that no edge reaches, at the root's rank of the first block:
+    # position 1, so the positions stay in rank order, every child code
+    # from 1 up shifted by one
     from mvdb import load_index, serialize
     from mvdb.mvindex import SINK0, SINK1
     run(["compile", "--project", str(project)])
     path = project / "index.mvx"
     index = load_index(path)
     c = index.constituents[0]
-    c.rank.append(c.rank_lo)
-    c.lo.append(SINK0)
-    c.hi.append(SINK1)
+    c.lo[:] = [code + (code >= 1) for code in c.lo]
+    c.hi[:] = [code + (code >= 1) for code in c.hi]
+    c.rank.insert(1, c.rank_lo)
+    c.lo.insert(1, SINK0)
+    c.hi.insert(1, SINK1)
     c.n += 1
     path.write_bytes(serialize(index))
     for argv in (["query", "--project", str(project), "Q() :- Student(1, y)"],
@@ -271,6 +280,96 @@ def test_orphan_position_exit_code(project, capsys):
         assert rc == EXIT_INPUT, argv[0]
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "no edge's child" in err
+
+
+def test_v3_index_needs_recompile(project, capsys):
+    # the v3 layout: permutations in the JSON section and a root code in
+    # every constituent head
+    import json
+    import struct
+    import zlib
+    run(["compile", "--project", str(project)])
+    path = project / "index.mvx"
+    blob = path.read_bytes()
+    length = struct.unpack_from("<I", blob, 40)[0]
+    meta = json.loads(blob[44:44 + length])
+    meta["pi"] = {}
+    meta["constituents"] = [[key, 0, n] for key, n in meta["constituents"]]
+    text = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
+    body = (blob[:4] + struct.pack("<I", 3) + blob[8:40]
+            + struct.pack("<I", len(text)) + text + blob[44 + length:-4])
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    for argv in (["query", "--project", str(project), "Q() :- Student(1, y)"],
+                 ["stats", "--project", str(project)]):
+        _input_error(argv, capsys, "unsupported format version 3; recompile")
+
+
+def _input_error(argv, capsys, *words):
+    """Run *argv* and expect exit 2 with an ``error:`` line holding every
+    one of *words*."""
+    capsys.readouterr()
+    rc, _ = run(argv)
+    err = capsys.readouterr().err
+    assert rc == EXIT_INPUT, err
+    assert err.startswith("error: ") and all(w in err for w in words), err
+
+
+def _int_project(path, views: str):
+    (path / "data").mkdir(parents=True)
+    (path / "schema.txt").write_text(
+        "relation R(x:int) key(x) probabilistic\n")
+    (path / "views.txt").write_text(views)
+    (path / "data" / "R.tsv").write_text("1\t2.0\n2\t0.5\n")
+    return path
+
+
+@pytest.mark.parametrize("command", ["compile", "oracle"])
+def test_view_weight_division_by_zero_exit_code(tmp_path, capsys, command):
+    proj = _int_project(tmp_path / "p", "V(x) [x / 0] :- R(x)\n")
+    argv = [command, "--project", str(proj)]
+    if command == "oracle":
+        argv.append("Q() :- R(1)")
+    _input_error(argv, capsys, "view V", "division by zero")
+
+
+def test_view_weight_too_large_for_a_float_exit_code(tmp_path, capsys):
+    proj = _int_project(tmp_path / "p", f"V(x) [{10 ** 400}] :- R(x)\n")
+    _input_error(["compile", "--project", str(proj)], capsys,
+                 "view V", "too large for a float")
+
+
+def test_view_weight_sum_overflow_exit_code(tmp_path, capsys):
+    proj = _int_project(tmp_path / "p",
+                        f"V(x) [0.5 + {10 ** 400}] :- R(x)\n")
+    _input_error(["compile", "--project", str(proj)], capsys,
+                 "view V", "cannot evaluate")
+
+
+def test_query_predicate_division_by_zero_exit_code(tmp_path, capsys):
+    proj = _int_project(tmp_path / "p", "V(x) [0.5] :- R(x)\n")
+    assert run(["compile", "--project", str(proj)])[0] == EXIT_OK
+    for engine in ("ccmv", "mv", "oracle"):
+        _input_error(["query", "--project", str(proj), "--engine", engine,
+                      "Q() :- R(x), x / 0 > 1"], capsys, "division by zero")
+
+
+@pytest.mark.parametrize("name", ["schema.txt", "views.txt",
+                                  "data/Advisor.tsv"])
+def test_non_utf8_input_file_exit_code(project, capsys, name):
+    path = project / name
+    path.write_bytes(path.read_bytes() + b"\xff\xfe\n")
+    query = "Q() :- Student(1, y)"
+    for argv in (["compile", "--project", str(project)],
+                 ["oracle", "--project", str(project), query]):
+        _input_error(argv, capsys, str(path), "not UTF-8")
+
+
+def test_index_path_that_is_a_directory_exit_code(project, capsys):
+    run(["compile", "--project", str(project)])
+    for argv in (["stats", "--index", str(project)],
+                 ["query", "--project", str(project), "--index",
+                  str(project), "Q() :- Student(1, y)"]):
+        _input_error(argv, capsys, str(project))
 
 
 def test_oracle_command(project):

@@ -91,8 +91,10 @@ def test_negation_by_sink_swap():
     g = _two_table_obdd()
     probs = [0.5, 0.25, -1.0, 2.0, 0.5, 0.75]
     neg = Constituent.from_obdd(g, None)
-    # same nodes in the same order, every edge into a sink sent to the other
-    nodes = g.reachable()
+    # the DFS preorder stable-sorted by rank, every edge into a sink sent to
+    # the other
+    nodes = sorted(g.reachable(), key=lambda u: g.table.var[u])
+    assert nodes != g.reachable()
     swap = {0: SINK1, 1: SINK0}
     for i, u in enumerate(nodes):
         assert neg.rank[i] == g.table.var[u]
@@ -129,7 +131,8 @@ def test_frontier_identities():
                 assert total == pytest.approx(c.prob_root, abs=1e-12), \
                     f"entry frontier at rank {r}"
             for r in cut_ranks(c):
-                assert [pos for pos, _ in c.entry[r]] == c.levels[r]
+                level = [pos for pos in range(c.n) if c.rank[pos] == r]
+                assert [pos for pos, _ in c.entry[r]] == level
                 total = sum(mass * c.prob_under[pos]
                             for pos, mass in c.entry[r])
                 assert total == pytest.approx(c.prob_root, abs=1e-12)
@@ -216,7 +219,7 @@ def test_point_probability_fallback_on_level_skips():
     # some path of the constituent skips the tuple's level
     r = idx.order.rank_of(skipped)
     [c] = [c for c in idx.constituents if c.rank_lo <= r <= c.rank_hi]
-    assert r in c.levels and r not in cut_ranks(c)
+    assert r in c.rank and r not in cut_ranks(c)
     q = parse_query("Q() :- S('a0', 'b1')", RAND_SCHEMA)
     assert _point_probability(skipped, idx) == pytest.approx(
         ev.prob_q_and_not_w(q), abs=1e-12)
@@ -472,12 +475,14 @@ def test_deserialize_version_mismatch():
 
 
 def test_deserialize_rejects_format_version_2():
+    # versions 2 and 3 (DFS-ordered nodes with root codes and permutations)
     blob = bytearray(serialize(_ex1_index()[2]))
-    blob[4:8] = struct.pack("<I", 2)
-    body = bytes(blob[:-4])
-    with pytest.raises(IndexFormatError,
-                       match="unsupported format version 2; recompile"):
-        deserialize(body + struct.pack("<I", zlib.crc32(body)))
+    for version in (2, 3):
+        blob[4:8] = struct.pack("<I", version)
+        body = bytes(blob[:-4])
+        with pytest.raises(IndexFormatError, match=f"unsupported format "
+                           f"version {version}; recompile"):
+            deserialize(body + struct.pack("<I", zlib.crc32(body)))
 
 
 def test_file_holds_structure_only(annotated_indices):
@@ -501,6 +506,27 @@ def test_load_derives_the_build_annotations(annotated_indices):
             assert cut_ranks(got) == cut_ranks(built)
 
 
+def test_round_trip_answers_are_bit_identical():
+    # A loaded index derives its tables from the file alone and must answer
+    # exactly as the index it was written from, in both modes.
+    for seed in range(60):
+        tr = viable_random_mvdb(seed)[1]
+        built = build_index(tr)
+        loaded = deserialize(serialize(built))
+        assert [c.entry for c in loaded.constituents] == \
+            [c.entry for c in built.constituents]
+        inst = tr.indb.possible_instance()
+        rng = random.Random(seed)
+        for q in [random_boolean_query(rng) for _ in range(5)]:
+            for mode in ("cc", "mv"):
+                want, got = (IndexEvaluator(idx, inst, mode)
+                             for idx in (built, loaded))
+                assert repr(got.prob_q_and_not_w(q)) == \
+                    repr(want.prob_q_and_not_w(q)), (seed, q, mode)
+                assert repr(got.probability(q)) == \
+                    repr(want.probability(q)), (seed, q, mode)
+
+
 @pytest.mark.parametrize("where", ["rank_lo", "rank_hi"])
 def test_deserialize_position_no_edge_reaches(where):
     # A compile never writes a node that no edge reaches; on load such a
@@ -508,10 +534,15 @@ def test_deserialize_position_no_edge_reaches(where):
     idx = _denial_index()
 
     def add_orphan(cons, n_ranks):
+        # at the root's rank it goes in at position 1, after the root, so
+        # the positions stay in rank order and every child code shifts
         c = cons[0]
-        c.rank.append(getattr(c, where))
-        c.lo.append(SINK0)
-        c.hi.append(SINK1)
+        at = 1 if where == "rank_lo" else c.n
+        c.lo[:] = [code + (code >= at) for code in c.lo]
+        c.hi[:] = [code + (code >= at) for code in c.hi]
+        c.rank.insert(at, getattr(c, where))
+        c.lo.insert(at, SINK0)
+        c.hi.insert(at, SINK1)
         c.n += 1
 
     with pytest.raises(IndexFormatError, match="no edge's child"):
@@ -556,19 +587,9 @@ def _rank_outside_order(cons, n_ranks):
     c.rank[c.n - 1] = n_ranks
 
 
-def _root_not_position_zero(cons, n_ranks):
-    cons[0].root_code = 1
-
-
 def _root_not_lowest_rank(cons, n_ranks):
     c = cons[1]
     c.rank[c.n - 1] = c.rank_lo - 1
-
-
-def _empty_with_node_root(cons, n_ranks):
-    c = cons[0]
-    c.rank = c.lo = c.hi = []
-    c.n = 0
 
 
 def _overlapping_ranges(cons, n_ranks):
@@ -580,9 +601,7 @@ def _overlapping_ranges(cons, n_ranks):
     (_child_out_of_range, "child code 10000"),
     (_backward_edge, "child code 0"),
     (_rank_outside_order, "outside the variable order"),
-    (_root_not_position_zero, "root position 1"),
-    (_root_not_lowest_rank, "lowest rank"),
-    (_empty_with_node_root, "without a sink root"),
+    (_root_not_lowest_rank, "not in rank order"),
     (_overlapping_ranges, "overlap"),
 ])
 def test_deserialize_rejects_malformed_structure(edit, message):
@@ -617,17 +636,16 @@ def _set(path, value):
 
 @pytest.mark.parametrize("edit, message", [
     (lambda meta: [], "bad index metadata"),
-    (lambda meta: {k: v for k, v in meta.items() if k != "pi"},
+    (lambda meta: {k: v for k, v in meta.items() if k != "constituents"},
      "bad index metadata"),
-    (_set(("constituents", 0), {"0": "a1", "1": 0, "2": 2}), "layout"),
-    (_set(("constituents", 0, 2), -1), "layout"),
+    (_set(("constituents", 0), {"0": "a1", "1": 2}), "layout"),
+    (_set(("constituents", 0, 1), -1), "layout"),
     (_set(("constituents", 0, 0), 1.5), "layout"),
     (_set(("facts", 0, 2), 1.5), "layout"),
     (_set(("facts", 0, 2), True), "layout"),
     (_set(("facts", 0), []), "layout"),
     (_set(("facts", 0, 0), 1), "unknown relation"),
     (_set(("facts", 1), [0, "a1", "b1"]), "duplicate tuple"),
-    (_set(("pi", "S"), [0, 0]), "not a permutation"),
 ])
 def test_deserialize_rejects_malformed_metadata(edit, message):
     blob = serialize(_denial_index())
@@ -792,10 +810,10 @@ def _zero_block_index():
     probs = [signed.get(f, 0.3) for f in base.order.facts]
     cons = []
     for c in base.constituents:
-        fresh = Constituent(c.key, c.root_code, c.rank, c.lo, c.hi)
+        fresh = Constituent(c.key, c.rank, c.lo, c.hi)
         fresh.augment(probs)
         cons.append(fresh)
-    return tr, MvIndex(cons, base.order, probs, base.pi, base.source_digest)
+    return tr, MvIndex(cons, base.order, probs, base.source_digest)
 
 
 def test_zero_block_inside_the_window():

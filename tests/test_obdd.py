@@ -314,11 +314,13 @@ def test_con_obdd_is_from_lineage_of_lineage():
         assert mvdb.con_obdd(pi, q, inst, db.domain).order == want.order
     tr, idx = _chain_index(20)
     inst = tr.indb.possible_instance()
+    pi = choose_pi(tr.w_query, tr.indb.schema,
+                   mvdb.mvindex._variable_relations(tr.indb))
     t = NodeTable(idx.order)
     for lo, hi in ((0, 1), (3, 9), (12, 20), (0, 20)):
         q = chain_window(lo, hi)
-        want = con_obdd(idx.pi, q, inst, tr.indb.domain, idx.order, t)
-        got = mvdb.con_obdd(idx.pi, q, inst, tr.indb.domain, idx.order, t)
+        want = con_obdd(pi, q, inst, tr.indb.domain, idx.order, t)
+        got = mvdb.con_obdd(pi, q, inst, tr.indb.domain, idx.order, t)
         assert got.root == want.root and got.root > 1
 
 
