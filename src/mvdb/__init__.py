@@ -17,8 +17,8 @@ from .ucq import (Atom, ConjunctiveQuery, Const, Lineage, MarkoView,
                   Predicate, Separator, Ucq, Var, answer_tuples,
                   find_separator, lineage, parse_query, parse_view,
                   root_variables, specialize_separator, substitute)
-from .obdd import (NodeTable, Obdd, PermutationSet, VariableOrder, choose_pi,
-                   con_obdd, from_lineage, synthesize, tuple_order)
+from .obdd import (NodeTable, Obdd, VariableOrder, choose_pi, con_obdd,
+                   from_lineage, synthesize, tuple_order)
 from .translate import (TranslationResult, answer_query, build_indb,
                         load_views, materialize_view, parse_views,
                         query_probability)

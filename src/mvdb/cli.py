@@ -23,12 +23,14 @@ collections its allocations would start, over the loaded project and index
 or over the caller's heap, would find nothing to free.
 
 Exit codes: 0 success, 1 usage, 2 input error, 3 inconsistent constraints,
-4 world cap exceeded.
+4 world cap exceeded, 141 (128 + SIGPIPE, silently) when the reader closes
+stdout early, as ``mvdb stats --dump | head`` does.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from pathlib import Path
@@ -39,7 +41,7 @@ from .core import (DataError, InconsistentConstraintsError, IndexFormatError,
                    QueryParseError, SchemaError, WorldCapError, load_data,
                    load_schema)
 from . import ucq as U
-from .translate import answer_query, answer_rows, build_indb, load_views
+from .translate import answer_rows, build_indb, load_views
 from .oracle import DEFAULT_WORLD_CAP, EnumerationEvaluator, translation_check
 from .mvindex import (IndexEvaluator, _collector_paused, build_index,
                       load_index, save_index, SINK0, SINK1)
@@ -50,6 +52,7 @@ EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_INCONSISTENT = 3
 EXIT_CAP = 4
+EXIT_PIPE = 141
 
 _INPUT_ERRORS = (SchemaError, DataError, QueryParseError, InvalidViewError,
                  IndexFormatError, OrderMismatchError, OSError)
@@ -126,9 +129,9 @@ def cmd_query(args, out) -> int:
     q = U.parse_query(args.query, db.schema)
     timings = []  # one per row: the timing of that row's own evaluation
     if args.engine == "oracle":
-        tr = build_indb(db)
-        evaluator = EnumerationEvaluator(tr, world_cap=args.world_cap)
-        results = answer_query(q, tr, evaluator)
+        evaluator = EnumerationEvaluator(build_indb(db),
+                                         world_cap=args.world_cap)
+        probability = evaluator.probability
     else:
         index = load_index(_index_path(args))
         if index.source_digest != db.digest():
@@ -136,13 +139,13 @@ def cmd_query(args, out) -> int:
         mode = "cc" if args.engine == "ccmv" else "mv"
         evaluator = IndexEvaluator(index, db.possible_instance(), mode)
 
-        def timed(bq):
+        def probability(bq):
             p = evaluator.probability(bq)
             timings.append(evaluator.last_timing)
             return p
 
-        results = answer_rows(q, evaluator.instance,
-                              SimpleNamespace(probability=timed))
+    results = answer_rows(q, evaluator.instance,
+                          SimpleNamespace(probability=probability))
     for _, p in results:
         if not (-args.tolerance <= p <= 1.0 + args.tolerance):
             raise MvdbError(f"probability {p!r} outside [0, 1] beyond "
@@ -290,6 +293,11 @@ def main(argv=None, out=None) -> int:
     except WorldCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except BrokenPipeError:
+        # An OSError, but not an input error: the reader is gone.  Point
+        # stdout at the null device so the exit-time flush stays silent.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -77,8 +77,8 @@ from typing import Optional
 from .core import (Fact, InconsistentConstraintsError, Indb, Instance,
                    IndexFormatError, MvdbError, OrderMismatchError)
 from . import ucq as U
-from .obdd import (NodeTable, Obdd, PermutationSet, VariableOrder, choose_pi,
-                   from_lineage, tuple_order)
+from .obdd import (NodeTable, Obdd, VariableOrder, choose_pi, from_lineage,
+                   tuple_order)
 from .translate import TranslationResult
 
 SINK0 = -1
@@ -278,15 +278,13 @@ def build_index(tr: TranslationResult) -> MvIndex:
     instance = indb.possible_instance()
     prob_facts = indb.probabilistic_facts()
     digest = tr.source.digest()
-    if tr.w_query is None:
-        pi = PermutationSet.identity()
-        order = tuple_order(pi, prob_facts, indb.domain, indb.schema)
-        probs = [indb.probability(f) for f in order.facts]
-        return MvIndex([], order, probs, digest)
     var_rels = _variable_relations(indb)
-    pi = choose_pi(tr.w_query, indb.schema, var_rels)
+    pi = {} if tr.w_query is None else choose_pi(tr.w_query, indb.schema,
+                                                 var_rels)
     order = tuple_order(pi, prob_facts, indb.domain, indb.schema)
     probs = [indb.probability(f) for f in order.facts]
+    if tr.w_query is None:
+        return MvIndex([], order, probs, digest)
     sep = U.find_separator(tr.w_query, indb.schema, var_rels)
     groups = U.grouped_lineage(tr.w_query, instance, sep and sep.variables)
     keys = sorted(groups, key=indb.domain.rank) if sep else list(groups)

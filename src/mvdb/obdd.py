@@ -17,8 +17,9 @@ reduced OBDD is canonical for its function and order, so this is the
 diagram the paper's structural compiler builds as well (it joins
 independent parts whose ranks are consecutive by redirecting a sink, and
 synthesizes the rest); that compiler lives in the test suite as an
-independent reference.  The order's permutations come from the separator
-rule alone (`choose_pi`).
+independent reference.  The tuple order is one sort key (`tuple_order`)
+over the paper's permutation set, a ``{relation: positions}`` dict from
+the separator rule alone (`choose_pi`).
 
 Finished OBDDs are immutable and shareable; construction is single-threaded.
 """
@@ -26,36 +27,11 @@ Finished OBDDs are immutable and shareable; construction is single-threaded.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .core import (Domain, Fact, Instance, MvdbError, OrderMismatchError,
                    Schema)
 from . import ucq as U
-
-
-@dataclass(frozen=True)
-class PermutationSet:
-    """Per-relation permutations of attribute positions."""
-
-    perms: dict
-
-    def __post_init__(self):
-        for rel, perm in self.perms.items():
-            if sorted(perm) != list(range(len(perm))):
-                raise MvdbError(f"{rel}: {perm!r} is not a permutation")
-
-    def perm(self, relation: str, arity: int) -> tuple:
-        got = self.perms.get(relation)
-        if got is None:
-            return tuple(range(arity))
-        if len(got) != arity:
-            raise MvdbError(f"{relation}: permutation arity mismatch")
-        return tuple(got)
-
-    @staticmethod
-    def identity() -> "PermutationSet":
-        return PermutationSet({})
 
 
 class VariableOrder:
@@ -93,38 +69,24 @@ class VariableOrder:
         return self._hash
 
 
-def tuple_order(pi: PermutationSet, facts: Iterable[Fact], domain: Domain,
+def tuple_order(pi: dict, facts: Iterable[Fact], domain: Domain,
                 schema: Schema) -> VariableOrder:
-    """Order tuples by recursive grouping on permuted attributes.
-
-    Constants are visited in active-domain order; within a group the
-    examined attribute is projected out and the residue ordered recursively.
-    Tuples that run out of attributes are emitted first, relations sorted
-    smaller arity first (declaration order breaks ties).
+    """Order tuples by one sort key: the active-domain ranks of a tuple's
+    values read in its relation's permutation (*pi*, identity where
+    absent), then the relation's (arity, declaration index).  A tuple whose
+    ranks are a prefix of another's comes first, so each constant's tuples
+    are contiguous at every depth.  The key is total, so the order does not
+    depend on the order of *facts*.
     """
     rel_key = {r.name: (r.arity, i) for i, r in enumerate(schema.relations)}
-    items = []
-    for f in facts:
-        perm = pi.perm(f.relation, len(f.values))
-        items.append((f, tuple(f.values[p] for p in perm)))
+    rank = domain.rank
 
-    ordered: list[Fact] = []
-    _emit(items, rel_key, domain, ordered)
-    return VariableOrder(ordered)
+    def key(f: Fact):
+        perm = pi.get(f.relation)
+        values = f.values if perm is None else [f.values[p] for p in perm]
+        return tuple(map(rank, values)), rel_key[f.relation]
 
-
-def _emit(block, rel_key: dict, domain: Domain, ordered: list):
-    """Append *block*'s facts to *ordered* in `tuple_order`'s order.  A
-    module-level function, so the recursion leaves no reference cycle."""
-    finished = [(f, pv) for f, pv in block if not pv]
-    finished.sort(key=lambda t: rel_key[t[0].relation])
-    ordered.extend(f for f, _ in finished)
-    groups: dict = {}
-    for f, pv in block:
-        if pv:
-            groups.setdefault(pv[0], []).append((f, pv[1:]))
-    for value in sorted(groups, key=domain.rank):
-        _emit(groups[value], rel_key, domain, ordered)
+    return VariableOrder(sorted(facts, key=key))
 
 
 # ---------------------------------------------------------------------------
@@ -286,11 +248,12 @@ def from_lineage(phi: U.Lineage, order: VariableOrder,
 # Permutation choice
 # ---------------------------------------------------------------------------
 
-def choose_pi(q: U.Ucq, schema: Schema, var_rels=None) -> PermutationSet:
+def choose_pi(q: U.Ucq, schema: Schema, var_rels=None) -> dict:
     """Pick attribute permutations by the separator rule: separator
-    positions first, greedily repeating on the residual query; identity
-    permutations without a separator.  Under the resulting `tuple_order`
-    each separator constant's tuples are contiguous.
+    positions first, greedily repeating on the residual query.  Relations
+    absent from the returned ``{relation: positions}`` (all of them, ``{}``,
+    without a separator) keep the identity.  Under the resulting
+    `tuple_order` each separator constant's tuples are contiguous.
     """
     if var_rels is None:
         var_rels = U.variable_relations(schema)
@@ -313,21 +276,21 @@ def choose_pi(q: U.Ucq, schema: Schema, var_rels=None) -> PermutationSet:
         arity = schema.relation(rel).arity
         perms[rel] = tuple(front) + tuple(p for p in range(arity)
                                           if p not in front)
-    return PermutationSet(perms)
+    return perms
 
 
 # ---------------------------------------------------------------------------
 # Query compilation
 # ---------------------------------------------------------------------------
 
-def con_obdd(pi: PermutationSet, q: U.Ucq, instance: Instance, domain: Domain,
+def con_obdd(pi: dict, q: U.Ucq, instance: Instance, domain: Domain,
              order: Optional[VariableOrder] = None,
              table: Optional[NodeTable] = None) -> Obdd:
     """Compile a Boolean UCQ to a reduced OBDD under the tuple order of *pi*.
 
     The OBDD is `from_lineage` of the query's lineage over *instance*, so
     deterministic tuples drop out of it.  Without *order*, the table's order
-    is used, or else the tuple order of *pi* over the instance's
+    is used, or else `tuple_order` of *pi* over the instance's
     probabilistic tuples.  The paper's structural compiler gives the same
     diagram; the tests keep it as the reference this is checked against.
     """
@@ -336,9 +299,7 @@ def con_obdd(pi: PermutationSet, q: U.Ucq, instance: Instance, domain: Domain,
     if order is None and table is not None:
         order = table.order
     if order is None:
-        # instance.facts is a frozenset; rebuild a deterministic ordering
-        prob_facts = sorted((f for f in instance.facts
-                             if f not in instance.deterministic),
-                            key=lambda f: (f.relation, f.values))
-        order = tuple_order(pi, prob_facts, domain, instance.schema)
+        order = tuple_order(pi, (f for f in instance.facts
+                                 if f not in instance.deterministic),
+                            domain, instance.schema)
     return from_lineage(U.lineage(q, instance), order, table)

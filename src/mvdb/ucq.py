@@ -619,15 +619,9 @@ class Lineage:
 
     @staticmethod
     def normalize(clause_iter) -> "Lineage":
-        seen = set()
-        out = []
-        for c in clause_iter:
-            c = frozenset(c)
-            if c not in seen:
-                seen.add(c)
-                out.append(c)
-        out.sort(key=_clause_key)
-        return Lineage(tuple(out))
+        """Each distinct clause once, in first-seen order.  No reader needs
+        a canonical clause order: `obdd.from_lineage` sorts by rank."""
+        return Lineage(tuple(dict.fromkeys(map(frozenset, clause_iter))))
 
     def variables(self) -> set[Fact]:
         out = set()
@@ -637,10 +631,6 @@ class Lineage:
 
     def holds(self, present) -> bool:
         return any(c <= present for c in self.clauses)
-
-
-def _clause_key(clause):
-    return (len(clause), sorted((f.relation, f.values) for f in clause))
 
 
 def grouped_lineage(q: Ucq, instance: Instance,

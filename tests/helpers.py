@@ -13,8 +13,8 @@ import math
 import random
 
 from mvdb import (INF, Fact, Instance, Mvdb, MvdbError, NodeTable, Obdd,
-                  OrderMismatchError, parse_schema, parse_query, parse_view,
-                  synthesize, tuple_order)
+                  OrderMismatchError, VariableOrder, parse_schema,
+                  parse_query, parse_view, synthesize)
 from mvdb import ucq as U
 from mvdb.mvindex import SINK0, SINK1, _window
 
@@ -114,6 +114,33 @@ def evaluate_on_world(q, instance: Instance, present) -> bool:
     return False
 
 
+def tuple_order_grouped(pi: dict, facts, domain, schema) -> VariableOrder:
+    """`mvdb.tuple_order` by recursive grouping: group the tuples on the
+    constant of their first permuted attribute, groups in active-domain
+    order, and order each group's residues (that attribute projected out)
+    the same way.  Tuples that run out of attributes come first, smaller
+    arity first, declaration order breaking ties."""
+    rel_key = {r.name: (r.arity, i) for i, r in enumerate(schema.relations)}
+    items = [(f, tuple(f.values[p] for p in
+                       pi.get(f.relation, range(len(f.values)))))
+             for f in facts]
+    ordered = []
+    _emit_grouped(items, rel_key, domain, ordered)
+    return VariableOrder(ordered)
+
+
+def _emit_grouped(block, rel_key: dict, domain, ordered: list):
+    finished = [(f, pv) for f, pv in block if not pv]
+    finished.sort(key=lambda t: rel_key[t[0].relation])
+    ordered.extend(f for f, _ in finished)
+    groups: dict = {}
+    for f, pv in block:
+        if pv:
+            groups.setdefault(pv[0], []).append((f, pv[1:]))
+    for value in sorted(groups, key=domain.rank):
+        _emit_grouped(groups[value], rel_key, domain, ordered)
+
+
 def from_lineage_clausewise(phi, order, table=None) -> Obdd:
     """OR the clause chains into the result one at a time, in the lineage's
     order, with the accumulator on the left: one full apply per clause."""
@@ -206,7 +233,7 @@ def _dominates(x: str, atoms, pi, var_rels) -> bool:
             continue
         if x not in avars:
             return False
-        perm = pi.perm(atom.relation, len(atom.terms))
+        perm = pi.get(atom.relation, tuple(range(len(atom.terms))))
         pi_index = {pos: k for k, pos in enumerate(perm)}
         x_first = min(pi_index[p] for p in _positions_of(atom, x))
         for y in avars:
@@ -381,10 +408,9 @@ def con_obdd_structural(pi, q, instance, domain, order=None, table=None,
     if var_rels is None:
         var_rels = U.variable_relations(instance.schema)
     if order is None:
-        prob_facts = sorted((f for f in instance.facts
-                             if f not in instance.deterministic),
-                            key=lambda f: (f.relation, f.values))
-        order = tuple_order(pi, prob_facts, domain, instance.schema)
+        order = tuple_order_grouped(pi, (f for f in instance.facts
+                                         if f not in instance.deterministic),
+                                    domain, instance.schema)
     if table is None:
         table = NodeTable(order)
     builder = _StructuralBuilder(pi, instance, domain, table, var_rels)
@@ -397,19 +423,17 @@ def build_index_per_block(tr):
     assertion on `node_span`; without a separator, one call over all of
     W."""
     from mvdb.mvindex import (Constituent, MvIndex, _variable_relations)
-    from mvdb.obdd import PermutationSet, choose_pi
+    from mvdb.obdd import choose_pi
     indb = tr.indb
     instance = indb.possible_instance()
-    prob_facts = indb.probabilistic_facts()
-    if tr.w_query is None:
-        pi = PermutationSet.identity()
-        order = tuple_order(pi, prob_facts, indb.domain, indb.schema)
-        probs = [indb.probability(f) for f in order.facts]
-        return MvIndex([], order, probs, tr.source.digest())
     var_rels = _variable_relations(indb)
-    pi = choose_pi(tr.w_query, indb.schema, var_rels)
-    order = tuple_order(pi, prob_facts, indb.domain, indb.schema)
+    pi = {} if tr.w_query is None else choose_pi(tr.w_query, indb.schema,
+                                                 var_rels)
+    order = tuple_order_grouped(pi, indb.probabilistic_facts(), indb.domain,
+                                indb.schema)
     probs = [indb.probability(f) for f in order.facts]
+    if tr.w_query is None:
+        return MvIndex([], order, probs, tr.source.digest())
     table = NodeTable(order)
     blocks = []
     sep = U.find_separator(tr.w_query, indb.schema, var_rels)

@@ -17,7 +17,7 @@ from mvdb import (Fact, IndexEvaluator, IntersectStats, build_indb,
                   mv_intersect, parse_query, query_probability, rank_span)
 from mvdb.cli import main as cli_main
 from mvdb.gendata import demo_query, generate_project
-from mvdb.obdd import PermutationSet, con_obdd
+from mvdb.obdd import con_obdd
 from mvdb.oracle import _probability_array, _sat_array, _clause_masks, _bit_map
 from helpers import (TWO_TABLE_SCHEMA, example1, obdd_models,
                      random_boolean_query, two_table_db, viable_random_mvdb)
@@ -131,7 +131,7 @@ def test_criterion_4_two_table_obdd_fidelity():
     db = two_table_db()
     inst = db.possible_instance()
     q = parse_query("Q() :- R(x), S(x, y)", TWO_TABLE_SCHEMA)
-    pi = PermutationSet({"R": (0,), "S": (0, 1)})
+    pi = {"R": (0,), "S": (0, 1)}
     g = con_obdd(pi, q, inst, db.domain)
     got_order = [str(f) for f in g.order.facts]
     assert got_order == ["R('a1')", "S('a1','b1')", "S('a1','b2')",

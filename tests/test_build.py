@@ -16,9 +16,9 @@ import pytest
 
 import mvdb
 from mvdb import (EnumerationEvaluator, Fact, IndexEvaluator, Mvdb, MvdbError,
-                  NodeTable, PermutationSet, build_indb, build_index,
-                  find_separator, parse_query, parse_schema, parse_view,
-                  query_probability, serialize)
+                  NodeTable, build_indb, build_index, find_separator,
+                  parse_query, parse_schema, parse_view, query_probability,
+                  serialize)
 from mvdb import mvindex, obdd
 from mvdb.cli import main
 from mvdb.core import load_data, load_schema
@@ -156,7 +156,7 @@ def test_flipped_separator_compiles_to_keyed_blocks():
     idx = _same_bytes(tr)
     pi = mvdb.choose_pi(tr.w_query, tr.indb.schema,
                         mvindex._variable_relations(tr.indb))
-    assert pi.perm("A", 2) == (1, 0)
+    assert pi.get("A", tuple(range(2))) == (1, 0)
     assert [c.key for c in idx.constituents] == ["a", "b"]
     _agrees_with_oracle(tr, idx, [
         parse_query(text, FLIP_SCHEMA)
@@ -168,7 +168,7 @@ def test_flipped_separator_compiles_to_keyed_blocks():
 def test_interleaved_blocks_are_an_internal_error(monkeypatch):
     # Under A's identity the tuple order groups A by y, so the x-blocks
     # interleave: A(a, b) sits between A(a, a) and A(b, a).
-    witness = PermutationSet({"A": (0, 1), "NV": (1, 0)})
+    witness = {"A": (0, 1), "NV": (1, 0)}
     monkeypatch.setattr(mvindex, "choose_pi", lambda *args: witness)
     with pytest.raises(MvdbError, match="interleave"):
         build_index(_flip_tr())

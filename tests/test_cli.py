@@ -12,7 +12,7 @@ import pytest
 
 import mvdb
 from mvdb.cli import (EXIT_CAP, EXIT_INCONSISTENT, EXIT_INPUT, EXIT_OK,
-                      EXIT_USAGE, main)
+                      EXIT_PIPE, EXIT_USAGE, main)
 from mvdb.gendata import demo_query, generate_project
 from mvdb.mvindex import IndexEvaluator
 
@@ -553,6 +553,25 @@ def test_python_dash_m_mvdb_runs_the_cli(project):
     done = cli("stats", "--tsv")
     assert done.returncode == EXIT_USAGE
     assert done.stderr.startswith("usage error: ")
+
+
+def test_closed_stdout_exits_141_silently(tmp_path):
+    # `head -1` on a dump larger than a 64 KiB pipe buffer: the reader
+    # closes the pipe while the command still writes
+    project = generate_project(tmp_path / "proj", seed=1, scale=400)
+    assert run(["compile", "--project", str(project)])[0] == EXIT_OK
+    index = str(project / "index.mvx")
+    assert len(run(["stats", "--index", index, "--dump"])[1]) > 65536
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(mvdb.__file__).resolve().parents[1]))
+    proc = subprocess.Popen([sys.executable, "-m", "mvdb", "stats",
+                             "--index", index, "--dump"], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"key")
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=60) == EXIT_PIPE == 141
+    assert stderr == b""
 
 
 def _commands(project):

@@ -19,7 +19,7 @@ from mvdb import mvindex
 from mvdb.cli import _load_project
 from mvdb.gendata import generate_project
 from mvdb.mvindex import SINK0, SINK1, Constituent, MvIndex
-from mvdb.obdd import PermutationSet, VariableOrder, con_obdd
+from mvdb.obdd import VariableOrder, con_obdd
 from mvdb.translate import answer_rows
 
 from helpers import (EX1_SCHEMA, RAND_SCHEMA, TWO_TABLE_SCHEMA, chain_mvdb,
@@ -83,7 +83,7 @@ def _two_table_obdd():
     db = two_table_db()
     inst = db.possible_instance()
     q = parse_query("Q() :- R(x), S(x, y)", TWO_TABLE_SCHEMA)
-    pi = PermutationSet({"R": (0,), "S": (0, 1)})
+    pi = {"R": (0,), "S": (0, 1)}
     return con_obdd(pi, q, inst, db.domain)
 
 

@@ -5,16 +5,17 @@ import random
 import pytest
 
 import mvdb
-from mvdb import (Fact, Mvdb, NodeTable, Obdd, OrderMismatchError,
-                  PermutationSet, VariableOrder, choose_pi, from_lineage,
-                  lineage, parse_query, synthesize, tuple_order)
+from mvdb import (INF, Fact, Mvdb, NodeTable, Obdd, OrderMismatchError,
+                  VariableOrder, choose_pi, from_lineage, lineage,
+                  parse_query, synthesize, tuple_order)
 from mvdb.ucq import Lineage
 
-from helpers import (RAND_SCHEMA, TWO_TABLE_SCHEMA, chain_mvdb, chain_window,
-                     con_obdd_structural as con_obdd, concatenate,
-                     from_lineage_clausewise, lineage_models, obdd_models,
-                     random_boolean_query, random_mvdb, shannon_probability,
-                     signed_world_sum, two_table_db)
+from helpers import (RAND_SCHEMA, TWO_TABLE_SCHEMA, chain_mvdb,
+                     chain_window, con_obdd_structural as con_obdd,
+                     concatenate, from_lineage_clausewise, lineage_models,
+                     obdd_models, random_boolean_query, random_mvdb,
+                     shannon_probability, signed_world_sum,
+                     tuple_order_grouped, two_table_db)
 
 
 def _assert_ordered_reduced(g: Obdd):
@@ -33,7 +34,7 @@ def _assert_ordered_reduced(g: Obdd):
 
 def test_tuple_order_two_table():
     db = two_table_db()
-    pi = PermutationSet({"R": (0,), "S": (0, 1)})
+    pi = {"R": (0,), "S": (0, 1)}
     order = tuple_order(pi, db.probabilistic_facts(), db.domain, db.schema)
     assert [str(f) for f in order.facts] == [
         "R('a1')", "S('a1','b1')", "S('a1','b2')",
@@ -42,7 +43,7 @@ def test_tuple_order_two_table():
 
 def test_tuple_order_swapped_permutation_groups_by_second_attribute():
     db = two_table_db()
-    pi = PermutationSet({"R": (0,), "S": (1, 0)})
+    pi = {"R": (0,), "S": (1, 0)}
     order = tuple_order(pi, db.probabilistic_facts(), db.domain, db.schema)
     assert [str(f) for f in order.facts] == [
         "R('a1')", "R('a2')", "S('a1','b1')", "S('a1','b2')",
@@ -52,9 +53,57 @@ def test_tuple_order_swapped_permutation_groups_by_second_attribute():
 def test_tuple_order_single_unary_relation_is_domain_order():
     from helpers import EX1_SCHEMA
     db = Mvdb(EX1_SCHEMA, [(Fact("R", (c,)), 1.0) for c in "cab"], [])
-    order = tuple_order(PermutationSet.identity(), db.probabilistic_facts(),
-                        db.domain, db.schema)
+    order = tuple_order({}, db.probabilistic_facts(), db.domain, db.schema)
     assert [f.values[0] for f in order.facts] == ["c", "a", "b"]
+
+
+def _assert_grouped(pi, facts, domain, schema):
+    got = tuple_order(pi, facts, domain, schema)
+    assert got.facts == tuple_order_grouped(pi, facts, domain, schema).facts
+    return got
+
+
+def test_tuple_order_is_recursive_grouping_on_dblp(tmp_path):
+    from mvdb import build_indb
+    from mvdb.cli import _load_project
+    from mvdb.gendata import generate_project
+    from mvdb.mvindex import _variable_relations
+    tr = build_indb(_load_project(generate_project(tmp_path / "p", seed=1,
+                                                   scale=60)))
+    indb = tr.indb
+    pi = choose_pi(tr.w_query, indb.schema, _variable_relations(indb))
+    assert pi
+    _assert_grouped(pi, indb.probabilistic_facts(), indb.domain, indb.schema)
+
+
+def test_tuple_order_is_recursive_grouping_on_chain():
+    from mvdb import build_indb
+    from mvdb.mvindex import _variable_relations
+    tr = build_indb(chain_mvdb(20))
+    indb = tr.indb
+    pi = choose_pi(tr.w_query, indb.schema, _variable_relations(indb))
+    _assert_grouped(pi, indb.probabilistic_facts(), indb.domain, indb.schema)
+
+
+def test_tuple_order_is_recursive_grouping_on_random_facts():
+    # x and y share one pool of constants, so unary tuples of different
+    # relations tie on their values and S tuples extend unary ones
+    rng = random.Random(61)
+    consts = ["a0", "a1", "a2", "a3"]
+    pool = ([Fact(r, (c,)) for r in ("D", "R", "T") for c in consts]
+            + [Fact("S", (c, d)) for c in consts for d in consts])
+    for _ in range(200):
+        facts = rng.sample(pool, rng.randint(1, 14))
+        db = Mvdb(RAND_SCHEMA, [(f, INF if f.relation == "D" else 1.0)
+                                for f in facts], [])
+        pi = {r: tuple(rng.sample(range(n), n))
+              for r, n in (("D", 1), ("R", 1), ("S", 2), ("T", 1))
+              if rng.random() < 0.5}
+        order = _assert_grouped(pi, facts, db.domain, db.schema)
+        shuffled = list(facts)
+        rng.shuffle(shuffled)
+        assert tuple_order(pi, shuffled, db.domain, db.schema).facts == \
+            order.facts
 
 
 # -- from_lineage --------------------------------------------------------------
@@ -70,7 +119,7 @@ def test_from_lineage_two_table_semantics():
     inst = db.possible_instance()
     q = parse_query("Q() :- R(x), S(x, y)", TWO_TABLE_SCHEMA)
     phi = lineage(q, inst)
-    pi = PermutationSet({"R": (0,), "S": (0, 1)})
+    pi = {"R": (0,), "S": (0, 1)}
     order = tuple_order(pi, db.probabilistic_facts(), db.domain, db.schema)
     g = from_lineage(phi, order)
     _assert_ordered_reduced(g)
@@ -78,6 +127,20 @@ def test_from_lineage_two_table_semantics():
     # (X1 and (Y1 or Y2)) or (X2 and (Y3 or Y4)): six internal nodes
     assert g.size() == 8
     assert g.width() == 1
+
+
+def test_from_lineage_ignores_the_clause_order():
+    db = two_table_db()
+    q = parse_query("Q() :- R(x), S(x, y) ; S(x, y), x != 'a2'",
+                    TWO_TABLE_SCHEMA)
+    phi = lineage(q, db.possible_instance())
+    assert len(phi.clauses) > 2
+    order = tuple_order({}, db.probabilistic_facts(), db.domain, db.schema)
+    t = NodeTable(order)
+    g = from_lineage(phi, order, t)
+    size = len(t)
+    assert from_lineage(Lineage(phi.clauses[::-1]), order, t).root == g.root
+    assert len(t) == size
 
 
 def test_from_lineage_matches_clausewise_reference_on_random_dnfs():
@@ -189,7 +252,7 @@ def test_concatenate_identities():
 
 def test_concatenate_assembles_two_table_obdd():
     db = two_table_db()
-    pi = PermutationSet({"R": (0,), "S": (0, 1)})
+    pi = {"R": (0,), "S": (0, 1)}
     order = tuple_order(pi, db.probabilistic_facts(), db.domain, db.schema)
     t = NodeTable(order)
     # block for a1: X1 and (Y1 or Y2); block for a2: X2 and (Y3 or Y4)
@@ -242,7 +305,7 @@ def test_con_obdd_two_table_matches_canonical_form():
     db = two_table_db()
     inst = db.possible_instance()
     q = parse_query("Q() :- R(x), S(x, y)", TWO_TABLE_SCHEMA)
-    pi = PermutationSet({"R": (0,), "S": (0, 1)})
+    pi = {"R": (0,), "S": (0, 1)}
     g = con_obdd(pi, q, inst, db.domain)
     assert [str(f) for f in g.order.facts] == [
         "R('a1')", "S('a1','b1')", "S('a1','b2')",
@@ -258,7 +321,7 @@ def test_con_obdd_size_additivity_over_separator_blocks():
     db = two_table_db()
     inst = db.possible_instance()
     q = parse_query("Q() :- R(x), S(x, y)", TWO_TABLE_SCHEMA)
-    pi = PermutationSet({"R": (0,), "S": (0, 1)})
+    pi = {"R": (0,), "S": (0, 1)}
     whole = con_obdd(pi, q, inst, db.domain)
     sep = find_separator(q, db.schema)
     total_internal = 0
@@ -363,20 +426,20 @@ def test_obdd_metrics_bound():
 def test_choose_pi_places_separator_position_first():
     q = parse_query("Q() :- S(y1, x1), T(x1) ; S(y2, x2), T(x2)", RAND_SCHEMA)
     pi = choose_pi(q, RAND_SCHEMA)
-    assert pi.perm("S", 2)[0] == 1
+    assert pi.get("S", tuple(range(2)))[0] == 1
 
 
 def test_choose_pi_no_separator_identity():
     q = parse_query("Q() :- R(x1), S(x1, y1) ; S(x2, y2), T(y2)", RAND_SCHEMA)
     pi = choose_pi(q, RAND_SCHEMA)
-    assert pi.perm("S", 2) == (0, 1)
-    assert pi.perm("R", 1) == (0,)
+    assert pi.get("S", tuple(range(2))) == (0, 1)
+    assert pi.get("R", tuple(range(1))) == (0,)
 
 
 def test_choose_pi_denial_shape_uses_separator_rule():
     q = parse_query("Q() :- S(x, y), S(x, z), y != z", TWO_TABLE_SCHEMA)
     pi = choose_pi(q, TWO_TABLE_SCHEMA)
-    assert pi.perm("S", 2) == (0, 1)
+    assert pi.get("S", tuple(range(2))) == (0, 1)
 
 
 # -- Shannon expansion -------------------------------------------------------------
@@ -391,7 +454,7 @@ def test_shannon_two_table_uniform():
     db = two_table_db()
     inst = db.possible_instance()
     q = parse_query("Q() :- R(x), S(x, y)", TWO_TABLE_SCHEMA)
-    pi = PermutationSet({"R": (0,), "S": (0, 1)})
+    pi = {"R": (0,), "S": (0, 1)}
     g = con_obdd(pi, q, inst, db.domain)
     got = shannon_probability(g, [0.5] * 6)
     # brute force over all 64 assignments

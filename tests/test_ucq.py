@@ -148,6 +148,13 @@ def test_lineage_of_disjunction_is_clause_union():
                                   + lineage(q2, inst).clauses).clauses)
 
 
+def test_normalize_drops_duplicates_and_keeps_first_occurrences():
+    a, b, c = (Fact("R", (x,)) for x in ("a0", "a1", "a2"))
+    phi = Lineage.normalize([[b, c], {a}, (c, b), [a], [], {b}, set()])
+    assert phi.clauses == (frozenset({b, c}), frozenset({a}), frozenset(),
+                           frozenset({b}))
+
+
 def test_lineage_agrees_with_world_evaluation():
     rng = random.Random(23)
     checked = 0
