@@ -5,11 +5,12 @@ Project layout: a directory holding ``schema.txt``, ``views.txt`` and
 ``index.mvx`` inside the project unless ``--index`` says otherwise.
 
 ``compile`` pays for the translation and the compilation of W once and
-prints a summary; ``stats`` lists the constituents one per line, and
-``stats --dump`` then prints the tuple order once and every constituent's
-root and nodes in rank order, one ``id rank low high`` line per node (ids 0
-and 1 are the sinks, positions count from 2).  The
-online path of ``query --engine {ccmv,mv}`` does neither: it loads the
+prints a summary, with the number of distinct constituent shapes the index
+file stores; ``stats`` lists the constituents one per line, then that
+number, and ``stats --dump`` then prints the tuple order once and every
+constituent's root and nodes in rank order, one ``id rank low high`` line
+per node (ids 0 and 1 are the sinks, positions count from 2).  The online
+path of ``query --engine {ccmv,mv}`` does neither: it loads the
 project and the index, compares the index's source digest with the
 project's (`Mvdb.digest`; any change to schema, views or data means
 recompile), and answers against the base possible instance.  Queries are
@@ -111,13 +112,15 @@ def cmd_compile(args, out) -> int:
         print("warning: no views; index has zero constituents",
               file=sys.stderr)
     count = len(index.constituents)
+    shapes = index.shape_count()
     total = sum(c.size() for c in index.constituents)
     if args.tsv:
         print(f"constituents\t{count}", file=out)
+        print(f"shapes\t{shapes}", file=out)
         print(f"total\t{total}", file=out)
         print(f"p0_w\t{index.p0_w!r}", file=out)
     else:
-        print(f"{count} constituents, total size {total}, "
+        print(f"{count} constituents in {shapes} shapes, total size {total}, "
               f"P0(W) = {index.p0_w!r}, "
               f"log10 P0(not W) = {index.log10_p0_not_w!r}", file=out)
         print(f"wrote {path} in {elapsed * 1e3:.1f} ms", file=out)
@@ -197,10 +200,12 @@ def cmd_stats(args, out) -> int:
     _emit(out, ["key", "size", "width", "rank_lo", "rank_hi", "prob_root"],
           rows, args.tsv)
     if args.tsv:
+        print(f"shapes\t{index.shape_count()}", file=out)
         print(f"p0_w\t{index.p0_w!r}", file=out)
         print(f"p0_not_w\t{index.p0_not_w!r}", file=out)
     else:
-        print(f"P0(W) = {index.p0_w!r}, P0(not W) = {index.p0_not_w!r}, "
+        print(f"{len(rows)} constituents in {index.shape_count()} shapes, "
+              f"P0(W) = {index.p0_w!r}, P0(not W) = {index.p0_not_w!r}, "
               f"log10 P0(not W) = {index.log10_p0_not_w!r}", file=out)
     if args.dump:
         print("order " + " ".join(str(f) for f in index.order.facts),

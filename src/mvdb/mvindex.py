@@ -4,14 +4,16 @@ The constraint query W is compiled offline into negated, augmented OBDD
 constituents over pairwise-disjoint variable ranges (one per separator
 constant when W has a separator): W is grounded once, its lineage clauses
 are grouped by separator constant, and each group compiles on its own with
-`from_lineage`.  Every node is annotated with the probability of its
-sub-diagram (probUnder) and the signed mass of all root paths reaching it
-(reachability), both derived from the structure and the tuple
-probabilities by `Constituent.augment`.  Online, a query OBDD ordered by
-the same tuple order is intersected against the chain of constituents
-without materializing the conjunction, by one forward sweep of signed
-probability mass over ranks (`_intersect`).  The two modes differ only in
-where a query node enters a constituent:
+`from_ranks` (`from_lineage`'s compiler), once per shape: a group whose
+clauses have the ranks of an earlier group's, shifted, is that group's
+constituent shifted in rank (`_compile_blocks`).  Every node is annotated
+with the probability of its sub-diagram (probUnder) and the signed mass of
+all root paths reaching it (reachability), both derived from the structure
+and the tuple probabilities by `Constituent.augment`.  Online, a query OBDD
+ordered by the same tuple order is intersected against the chain of
+constituents without materializing the conjunction, by one forward sweep of
+signed probability mass over ranks (`_intersect`).  The two modes differ
+only in where a query node enters a constituent:
 
 * `mv_intersect` enters at the constituent's first rank, whose entry table
   is the root alone, so the sweep walks each constituent down from its
@@ -34,27 +36,38 @@ is exactly 0.0, i.e. one block is contradictory on its own.
 The index is immutable after build; every query owns its own rank buckets,
 so concurrent evaluation is safe.
 
-The ``.mvx`` file (format version 4, `serialize` and `deserialize`) is:
+The ``.mvx`` file (format version 5, `serialize` and `deserialize`) is:
 
 * a header: the magic ``MVIX``, the u32 version, the 32-byte sha256 source
   digest (`Mvdb.digest`) and the u32 length of the JSON section;
 * one compact JSON section with sorted keys: ``relations`` (names),
   ``facts`` (the tuple order, one ``[relation index, value, ...]`` row per
-  tuple) and ``constituents`` (one ``[key, node count]`` head each).  Ints
-  of any size and strings round-trip exactly;
+  tuple), ``shapes`` (one node count per shape) and ``constituents`` (one
+  ``[key, shape id, rank offset]`` head each).  Ints of any size and
+  strings round-trip exactly;
 * little-endian typed blocks: ``probs`` (f64 per tuple), then ``rank``,
   ``lo``, ``hi`` (i32 per node, in rank order), each the concatenation over
-  the constituents in index order;
+  the shapes in id order;
 * a CRC-32 of everything before it.
+
+A shape is a constituent's structure up to a shift in rank: its ranks
+relative to its first rank (so a non-empty shape's ranks start at 0), and
+its child codes.  Constituents of one shape are stored once; each adds its
+offset to the shape's ranks (0 for the empty shape).  `serialize` finds the
+shapes by content and numbers them in order of first use, so the bytes
+depend only on the index's content.  Files of version 4 or older ask for a
+recompile.
 
 Nothing derivable is stored: not the permutations the tuple order was
 built from, not the root codes (position 0, or the 0-sink for an empty
 constituent), and no annotation.  The loader rebuilds probUnder,
-reachability, root probabilities and entry tables through the same
-`Constituent.augment` call the compiler makes.  It checks every count
-against the bytes present before decoding a block, and every constituent's
-layout (`_check_layout`) before deriving from it; any defect is an
-`IndexFormatError`.  Compiles are byte-reproducible.
+reachability, root probabilities and entry tables per constituent, from its
+own probabilities, through the same `Constituent.augment` call the compiler
+makes; constituents of one shape share its ``lo`` and ``hi`` lists.  It
+checks every count against the bytes present before decoding a block, every
+shape's layout once (`_check_layout`) and every offset against the tuple
+order before deriving; any defect is an `IndexFormatError`, and so is a
+shape no constituent uses.  Compiles are byte-reproducible.
 """
 
 from __future__ import annotations
@@ -78,17 +91,18 @@ from .core import (Fact, InconsistentConstraintsError, Indb, Instance,
                    IndexFormatError, MvdbError, OrderMismatchError)
 from . import ucq as U
 from .obdd import (NodeTable, Obdd, VariableOrder, choose_pi, from_lineage,
-                   tuple_order)
+                   from_ranks, tuple_order)
 from .translate import TranslationResult
 
 SINK0 = -1
 SINK1 = -2
 
 _MAGIC = b"MVIX"
-_VERSION = 4
+_VERSION = 5
 _HEADER = "<I32sI"  # version, sha256 source digest, JSON section length
-# The per-node blocks after ``probs``, in file order, with their array
-# type codes; the order is also `Constituent`'s argument order.
+# The node blocks after ``probs`` (one value per node of each shape), in
+# file order, with their array type codes; the order is also
+# `Constituent`'s argument order.
 _BLOCKS = {"rank": "i", "lo": "i", "hi": "i"}
 
 
@@ -233,6 +247,11 @@ class MvIndex:
     def max_width(self) -> int:
         return max((c.width() for c in self.constituents), default=0)
 
+    def shape_count(self) -> int:
+        """The number of distinct constituent shapes, each stored once in
+        the file (`_shapes`)."""
+        return len(_shapes(self.constituents)[0])
+
 
 def _variable_relations(indb: Indb) -> set[str]:
     out = set()
@@ -262,15 +281,17 @@ def build_index(tr: TranslationResult) -> MvIndex:
     """Compile the constraint query of a translation into an index.
 
     W is grounded once (`ucq.grouped_lineage`).  With a separator, its
-    clauses are grouped by the separator constant and each group compiles
-    with `from_lineage` into one constituent keyed by that constant;
-    otherwise all clauses form a single unkeyed constituent.  `choose_pi`
+    clauses are grouped by the separator constant into one constituent
+    keyed by that constant; otherwise all clauses form a single unkeyed
+    constituent.  `_compile_blocks` runs `from_ranks` once per block
+    shape and shifts it for every other block of that shape.  `choose_pi`
     puts every separator position first, so the blocks cover disjoint rank
-    ranges; interleaved blocks are an internal `MvdbError`.  Each block gets
-    a fresh node table that is dropped once the block is laid out, since a
-    shared table would hold nothing another block reuses.  The cost is
-    linear in W's lineage plus the constituents' size.
-    Constituents are negated by swapping sinks, then augmented.  The
+    ranges; interleaved blocks are an internal `MvdbError`.  Each compiled
+    block gets a fresh node table that is dropped once the block is laid
+    out, since a shared table would hold nothing another block reuses.  The
+    cost is linear in W's lineage plus the distinct shapes' size.
+    Constituents are negated by swapping sinks, then each is augmented
+    from its own tuple probabilities.  The
     build runs with the cyclic collector paused (`_collector_paused`):
     grounding and compilation leave no reference cycles.
     """
@@ -299,12 +320,32 @@ def build_index(tr: TranslationResult) -> MvIndex:
 
 def _compile_blocks(groups: dict, keys, order: VariableOrder) -> list:
     """One negated constituent per key, popping its clauses from *groups*
-    so that a block's clauses and node table are freed before the next."""
+    so that a block's clauses and node table are freed before the next.
+
+    Each block's clauses become their distinct ascending rank lists, and
+    blocks are told apart by those lists relative to the block's first rank
+    (the least rank in any clause).  `from_ranks` and the layout compare
+    ranks only by order, so blocks with equal relative rank lists compile
+    to the same constituent up to a shift in rank: `from_ranks` runs for the
+    first of them only, and every later one shifts that constituent's ranks
+    and shares its ``lo`` and ``hi`` lists."""
     out = []
+    compiled: dict = {}  # relative rank lists -> (first rank, constituent)
+    rank_of = order.rank_of
     for key in keys:
-        phi = U.Lineage.normalize(groups.pop(key))
-        g = from_lineage(phi, order, NodeTable(order))
-        out.append(Constituent.from_obdd(g, key))
+        ranks = {tuple(sorted(map(rank_of, clause)))
+                 for clause in groups.pop(key)}
+        base = min((r[0] for r in ranks if r), default=0)
+        relative = frozenset(tuple(x - base for x in r) for r in ranks)
+        if relative in compiled:
+            first, c = compiled[relative]
+            c = Constituent(key, [x + base - first for x in c.rank], c.lo,
+                            c.hi)
+        else:
+            c = Constituent.from_obdd(
+                from_ranks(ranks, order, NodeTable(order)), key)
+            compiled[relative] = (base, c)
+        out.append(c)
     return out
 
 
@@ -551,42 +592,58 @@ def _unblock(code: str, buf) -> list:
     return a.tolist()
 
 
+def _shapes(constituents) -> tuple[list, list]:
+    """The distinct shapes of *constituents*, found by content and numbered
+    in order of first use, and each constituent's ``(shape id, offset)``.
+    A shape is ``(rank, lo, hi)`` with the ranks relative to the first; the
+    offset is that first rank, 0 for an empty constituent."""
+    ids: dict = {}
+    heads = []
+    for c in constituents:
+        offset = c.rank[0] if c.rank else 0
+        shape = (tuple(r - offset for r in c.rank), tuple(c.lo), tuple(c.hi))
+        heads.append((ids.setdefault(shape, len(ids)), offset))
+    return list(ids), heads
+
+
 def serialize(index: MvIndex) -> bytes:
-    """The v4 file: header, JSON metadata, typed blocks, CRC-32; byte-stable.
+    """The v5 file: header, JSON metadata, typed blocks, CRC-32; byte-stable.
 
     The blocks are ``probs`` (f64 per tuple), then ``rank``, ``lo``, ``hi``
-    (i32 per node, in rank order), each the concatenation over the
-    constituents in index order: structure only, no annotation."""
-    cons = index.constituents
+    (i32 per node, in rank order), each the concatenation over the shapes
+    in id order (`_shapes`): structure only, no annotation."""
+    shapes, heads = _shapes(index.constituents)
     relations: dict[str, int] = {}
     facts = [[relations.setdefault(f.relation, len(relations)), *f.values]
              for f in index.order.facts]
     meta = json.dumps({"relations": list(relations), "facts": facts,
-                       "constituents": [[c.key, c.n] for c in cons]},
+                       "shapes": [len(rank) for rank, _, _ in shapes],
+                       "constituents": [[c.key, *head] for c, head in
+                                        zip(index.constituents, heads)]},
                       sort_keys=True, separators=(",", ":")).encode()
     parts = [_MAGIC, struct.pack(_HEADER, _VERSION,
                                  bytes.fromhex(index.source_digest),
                                  len(meta)),
              meta, _block("d", index.probs)]
-    for name, code in _BLOCKS.items():
-        parts.append(_block(code, [x for c in cons for x in getattr(c, name)]))
+    for i, code in enumerate(_BLOCKS.values()):
+        parts.append(_block(code, [x for s in shapes for x in s[i]]))
     body = b"".join(parts)
     return body + struct.pack("<I", zlib.crc32(body))
 
 
-def _check_layout(c: Constituent, n_ranks: int):
-    """Reject a constituent the traversals cannot walk: the positions must
-    be in rank order, every rank must lie in the order, every child must be
-    a sink or a position of a strictly greater rank, and every position but
-    0 must be some edge's child.  Together these make position 0 the root,
-    alone at the lowest rank: no edge reaches a node of the lowest rank."""
+def _check_layout(c: Constituent):
+    """Reject a shape the traversals cannot walk: the positions must be in
+    rank order from rank 0, every child must be a sink or a position of a
+    strictly greater rank, and every position but 0 must be some edge's
+    child.  Together these make position 0 the root, alone at the lowest
+    rank: no edge reaches a node of the lowest rank."""
     if not c.n:
         return
     rank = c.rank
     if any(a > b for a, b in zip(rank, rank[1:])):
         raise IndexFormatError("positions are not in rank order")
-    if rank[0] < 0 or rank[-1] >= n_ranks:
-        raise IndexFormatError("rank outside the variable order")
+    if rank[0] != 0:
+        raise IndexFormatError("shape ranks do not start at 0")
     for pos in range(c.n):
         for child in (c.lo[pos], c.hi[pos]):
             if child != SINK0 and child != SINK1 and not (
@@ -607,24 +664,27 @@ def _kinds(values) -> set:
 
 
 def _decode_meta(raw) -> tuple:
-    """The tuple order and the constituent heads ``(key, n)`` from the JSON
-    section, each checked for shape and type."""
+    """The tuple order, the shapes' node counts and the constituent heads
+    ``(key, shape id, offset)`` from the JSON section, each checked for
+    shape and type."""
     try:
         meta = json.loads(str(raw, "utf-8"))
         relations, facts = meta["relations"], meta["facts"]
-        heads = meta["constituents"]
+        shapes, heads = meta["shapes"], meta["constituents"]
     except (ValueError, TypeError, KeyError) as exc:
         raise IndexFormatError(f"bad index metadata: {exc}") from None
     if not (type(relations) is list and type(facts) is list
-            and type(heads) is list and _kinds(relations) <= {str}
+            and type(shapes) is list and type(heads) is list
+            and _kinds(relations) <= {str}
             and _kinds(facts) <= {list} and all(facts)
             and _kinds(f[0] for f in facts) <= {int}
             and _kinds(v for f in facts for v in f[1:]) <= {int, str}
+            and _kinds(shapes) <= {int} and all(n >= 0 for n in shapes)
             and _kinds(heads) <= {list}
-            and all(len(h) == 2 for h in heads)
+            and all(len(h) == 3 for h in heads)
             and _kinds(h[0] for h in heads) <= {int, str, type(None)}
-            and _kinds(h[1] for h in heads) <= {int}
-            and all(h[1] >= 0 for h in heads)):
+            and _kinds(v for h in heads for v in h[1:]) <= {int}
+            and all(h[1] >= 0 and h[2] >= 0 for h in heads)):
         raise IndexFormatError("bad index metadata layout")
     if facts and not 0 <= min(f[0] for f in facts) <= max(
             f[0] for f in facts) < len(relations):
@@ -634,12 +694,12 @@ def _decode_meta(raw) -> tuple:
                               for f in facts)
     except MvdbError as exc:
         raise IndexFormatError(str(exc)) from None
-    return order, heads
+    return order, shapes, heads
 
 
 @_collector_paused()
 def deserialize(buf: bytes) -> MvIndex:
-    """Load a v4 index, with the cyclic garbage collector paused
+    """Load a v5 index, with the cyclic garbage collector paused
     (`_collector_paused`): everything the loader allocates stays live."""
     if len(buf) < 12:
         raise IndexFormatError("truncated index file")
@@ -658,11 +718,11 @@ def deserialize(buf: bytes) -> MvIndex:
     _, digest, meta_len = struct.unpack_from(_HEADER, body, 4)
     if meta_len > len(body) - start:
         raise IndexFormatError("truncated index file")
-    order, heads = _decode_meta(body[start:start + meta_len])
+    order, counts, heads = _decode_meta(body[start:start + meta_len])
     # Every block's length follows from the counts; check them all against
     # the bytes left before allocating any.
     blocks = body[start + meta_len:]
-    n_nodes = sum(n for _, n in heads)
+    n_nodes = sum(counts)
     sizes = [(code, array(code).itemsize * n_nodes)
              for code in _BLOCKS.values()]
     at = 8 * len(order)
@@ -673,16 +733,31 @@ def deserialize(buf: bytes) -> MvIndex:
     for code, size in sizes:
         columns.append(_unblock(code, blocks[at:at + size]))
         at += size
-    constituents = []
+    shapes = []
     at = 0
-    for key, n in heads:
-        c = Constituent(key, *(column[at:at + n] for column in columns))
+    for n in counts:
+        shape = Constituent(None, *(column[at:at + n] for column in columns))
         at += n
-        _check_layout(c, len(order))
-        c.augment(probs)
-        constituents.append(c)
+        _check_layout(shape)
+        shapes.append(shape)
+    used = {sid for _, sid, _ in heads}
+    if used and max(used) >= len(shapes):
+        raise IndexFormatError(f"shape id {max(used)} out of range")
+    if len(used) != len(shapes):
+        raise IndexFormatError("a shape no constituent uses")
+    constituents = []
+    for key, sid, offset in heads:
+        shape = shapes[sid]
+        if not shape.n and offset:
+            raise IndexFormatError("empty constituent with an offset")
+        if shape.n and offset + shape.rank_hi >= len(order):
+            raise IndexFormatError("rank outside the variable order")
+        constituents.append(Constituent(key, [r + offset for r in shape.rank],
+                                        shape.lo, shape.hi))
     if _overlapping(constituents):
         raise IndexFormatError("constituent rank ranges overlap")
+    for c in constituents:
+        c.augment(probs)
     return MvIndex(constituents, order, probs, digest.hex())
 
 

@@ -2,24 +2,24 @@
 
 Nodes live in a shared, hash-consed arena (`NodeTable`), so every OBDD built
 against the same table is reduced and canonical for its variable order.
-`synthesize` is the pairwise apply; `from_lineage` is the one compiler built
-on it.
+`synthesize` is the pairwise apply; `from_ranks` is the one compiler built
+on it, and `from_lineage` maps a lineage's tuples to ranks for it.
 
-The engine compiles every OBDD it uses with `from_lineage`: query lineage
-online, and each block of the constraint query W's lineage offline
-(`mvindex.build_index`).  It ORs one chain per clause into the result from
-the highest first rank down.  Every apply then stops where that clause's
-path resolves, so a lineage costs about the result's size plus the clause
-lengths; ORing the clauses in ascending order walked the whole accumulator
-once per clause.  `con_obdd`, the paper's query compiler, is `from_lineage`
-of the query's lineage under the tuple order of a permutation set.  A
-reduced OBDD is canonical for its function and order, so this is the
-diagram the paper's structural compiler builds as well (it joins
-independent parts whose ranks are consecutive by redirecting a sink, and
-synthesizes the rest); that compiler lives in the test suite as an
-independent reference.  The tuple order is one sort key (`tuple_order`)
-over the paper's permutation set, a ``{relation: positions}`` dict from
-the separator rule alone (`choose_pi`).
+The engine compiles every OBDD it uses with `from_ranks`: query lineage
+online through `from_lineage`, and each distinct block shape of the
+constraint query W's lineage offline (`mvindex.build_index`).  It ORs one
+chain per clause into the result from the highest first rank down.  Every
+apply then stops where that clause's path resolves, so a lineage costs about
+the result's size plus the clause lengths; ORing the clauses in ascending
+order walked the whole accumulator once per clause.  `con_obdd`, the paper's
+query compiler, is `from_lineage` of the query's lineage under the tuple
+order of a permutation set.  A reduced OBDD is canonical for its function
+and order, so this is the diagram the paper's structural compiler builds as
+well (it joins independent parts whose ranks are consecutive by redirecting
+a sink, and synthesizes the rest); that compiler lives in the test suite as
+an independent reference.  The tuple order is one sort key (`tuple_order`)
+over the paper's permutation set, a ``{relation: positions}`` dict from the
+separator rule alone (`choose_pi`).
 
 Finished OBDDs are immutable and shareable; construction is single-threaded.
 """
@@ -216,11 +216,20 @@ def synthesize(op: str, g1: Obdd, g2: Obdd) -> Obdd:
 
 def from_lineage(phi: U.Lineage, order: VariableOrder,
                  table: Optional[NodeTable] = None) -> Obdd:
-    """Reduced OBDD of a monotone DNF under a fixed order.
+    """Reduced OBDD of a monotone DNF under a fixed order: `from_ranks` of
+    its clauses' ascending rank lists."""
+    return from_ranks([sorted(map(order.rank_of, clause))
+                       for clause in phi.clauses], order, table)
+
+
+def from_ranks(clauses, order: VariableOrder,
+               table: Optional[NodeTable] = None) -> Obdd:
+    """Reduced OBDD of a monotone DNF given as one ascending rank list per
+    clause (lists or tuples, not both); an empty one makes it valid.
 
     Each clause becomes a chain of nodes, ORed into the result with
-    `synthesize`.  The clauses go in by their ascending rank lists in
-    descending lexicographic order, so by first rank from the highest down.
+    `synthesize`.  The clauses go in by their rank lists in descending
+    lexicographic order, so by first rank from the highest down.
     Everything already folded in then starts at or after the new clause's
     first rank, so the apply stops where the clause's path resolves and
     never walks the accumulator past it; among clauses with the same first
@@ -229,14 +238,10 @@ def from_lineage(phi: U.Lineage, order: VariableOrder,
     the clause lengths, not a full apply per clause.
     """
     t = table if table is not None else NodeTable(order)
-    clauses = []
-    for clause in phi.clauses:
-        if not clause:
-            return Obdd(t, 1)
-        clauses.append(sorted(order.rank_of(f) for f in clause))
-    clauses.sort(reverse=True)
+    if not all(clauses):
+        return Obdd(t, 1)
     root = 0
-    for ranks in clauses:
+    for ranks in sorted(clauses, reverse=True):
         chain = 1
         for r in reversed(ranks):
             chain = t.make(r, 0, chain)

@@ -471,6 +471,43 @@ def build_index_per_block(tr):
     return MvIndex(constituents, order, probs, tr.source.digest())
 
 
+def build_index_unshared(tr):
+    """`build_index` with `from_lineage` run on every block, so that no two
+    constituents share a shape's ``lo`` and ``hi`` lists."""
+    from unittest import mock
+    from mvdb import mvindex
+    from mvdb.mvindex import Constituent
+
+    def compile_every_block(groups, keys, order):
+        return [Constituent.from_obdd(
+            mvindex.from_lineage(U.Lineage.normalize(groups.pop(key)), order,
+                                 NodeTable(order)), key) for key in keys]
+
+    with mock.patch.object(mvindex, "_compile_blocks", compile_every_block):
+        return mvindex.build_index(tr)
+
+
+def shape_of(c) -> tuple:
+    """Constituent *c*'s structure up to a shift in rank: its ranks relative
+    to its first, and its child codes."""
+    first = c.rank[0] if c.rank else 0
+    return (tuple(r - first for r in c.rank), tuple(c.lo), tuple(c.hi))
+
+
+def with_meta(blob: bytes, edit) -> bytes:
+    """The ``.mvx`` *blob* with *edit* applied to its decoded JSON section,
+    re-encoded with a valid checksum."""
+    import json
+    import struct
+    import zlib
+    length = struct.unpack_from("<I", blob, 40)[0]
+    meta = edit(json.loads(blob[44:44 + length]))
+    text = json.dumps(meta).encode()
+    body = (blob[:40] + struct.pack("<I", len(text)) + text
+            + blob[44 + length:-4])
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
 def reachability(c, probs) -> list[float]:
     """Per-node reachability of constituent *c*, top-down over every
     position sorted by rank: the signed mass of all root paths reaching

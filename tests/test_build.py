@@ -1,4 +1,4 @@
-"""Compiling W: one grouped grounding pass, one `from_lineage` per block.
+"""Compiling W: one grouped grounding pass, one `from_lineage` per shape.
 
 `build_index` must write the same bytes as the per-block `con_obdd`
 reference in `helpers.py`, key one constituent per separator constant
@@ -16,9 +16,9 @@ import pytest
 
 import mvdb
 from mvdb import (EnumerationEvaluator, Fact, IndexEvaluator, Mvdb, MvdbError,
-                  NodeTable, build_indb, build_index, find_separator,
-                  parse_query, parse_schema, parse_view, query_probability,
-                  serialize)
+                  NodeTable, build_indb, build_index, deserialize,
+                  find_separator, parse_query, parse_schema, parse_view,
+                  query_probability, serialize)
 from mvdb import mvindex, obdd
 from mvdb.cli import main
 from mvdb.core import load_data, load_schema
@@ -27,7 +27,8 @@ from mvdb.mvindex import SINK0
 from mvdb.translate import load_views
 
 from helpers import (EX1_SCHEMA, RAND_SCHEMA, build_index_per_block,
-                     chain_mvdb, random_boolean_query, viable_random_mvdb)
+                     build_index_unshared, chain_mvdb, random_boolean_query,
+                     shape_of, viable_random_mvdb)
 
 FLIP_SCHEMA = parse_schema("""
 relation A(x:string, y:string) key(x,y) probabilistic
@@ -97,6 +98,92 @@ def test_compile_does_not_reach_con_obdd(tmp_path, monkeypatch):
     monkeypatch.setattr(mvdb, "con_obdd", refuse)
     assert main(["compile", "--project", str(proj)], out=io.StringIO()) == 0
     assert (proj / "index.mvx").read_bytes() == want
+
+
+# -- shapes ----------------------------------------------------------------------
+
+def _content(c):
+    """Everything a constituent holds, floats by `float.hex`."""
+    return (c.key, c.rank, c.lo, c.hi, c.prob_root.hex(),
+            [v.hex() for v in c.prob_under],
+            {r: [(code, m.hex()) for code, m in table]
+             for r, table in c.entry.items()})
+
+
+def _matches_unshared(tr):
+    """Build *tr*'s index with shared shapes and by the reference that runs
+    `from_lineage` on every block; both must hold the same constituents."""
+    idx, want = build_index(tr), build_index_unshared(tr)
+    assert [_content(c) for c in idx.constituents] == \
+        [_content(c) for c in want.constituents]
+    assert serialize(idx) == serialize(want)
+    return idx
+
+
+def test_dblp_shapes_match_compiling_every_block(tmp_path):
+    idx = _matches_unshared(
+        _project_tr(generate_project(tmp_path / "p", seed=1, scale=60)))
+    assert len(idx.constituents) == 60
+    for index in (idx, deserialize(serialize(idx))):
+        assert index.shape_count() == 2
+        assert len({id(c.lo) for c in index.constituents}) == 2
+        assert len({id(c.hi) for c in index.constituents}) == 2
+
+
+def test_chain_shapes_match_compiling_every_block():
+    idx = _matches_unshared(build_indb(chain_mvdb(20)))
+    assert idx.shape_count() == 1
+
+
+def test_random_shapes_match_compiling_every_block():
+    shared = 0
+    for seed in range(60):
+        idx = _matches_unshared(viable_random_mvdb(seed)[1])
+        shared += len(idx.constituents) - idx.shape_count()
+    assert shared
+
+
+SHAPE_SCHEMA = parse_schema("""
+relation R(x:int) key(x) probabilistic
+relation T(x:int) key(x) probabilistic
+relation S(x:int) key(x) probabilistic
+""")
+
+
+def _two_block_index(facts):
+    db = Mvdb(SHAPE_SCHEMA, facts,
+              [parse_view("V(x) [0] :- R(x), S(x)", SHAPE_SCHEMA)])
+    return _matches_unshared(build_indb(db))
+
+
+def test_one_shape_shares_structure_not_annotations():
+    # R(i), S(i) per i: one clause of two adjacent ranks in each block,
+    # with different weights
+    idx = _two_block_index([(Fact("R", (1,)), 1.0), (Fact("S", (1,)), 2.0),
+                            (Fact("R", (2,)), 3.0), (Fact("S", (2,)), 0.5)])
+    for index in (idx, deserialize(serialize(idx))):
+        one, two = index.constituents
+        assert one.lo is two.lo and one.hi is two.hi
+        assert [r - one.rank_lo for r in one.rank] == \
+            [r - two.rank_lo for r in two.rank]
+        assert one.rank_lo != two.rank_lo
+        assert one.prob_under != two.prob_under
+        assert one.prob_root != two.prob_root
+        assert one.entry != two.entry
+        assert index.shape_count() == 1
+
+
+def test_equal_clause_counts_at_other_relative_ranks_are_two_shapes(tables):
+    # T(2) sits between R(2) and S(2), so block 2's one clause spans ranks
+    # 0 and 2 from its first, block 1's spans 0 and 1
+    idx = _two_block_index([(Fact("R", (1,)), 1.0), (Fact("S", (1,)), 1.0),
+                            (Fact("R", (2,)), 1.0), (Fact("T", (2,)), 1.0),
+                            (Fact("S", (2,)), 1.0)])
+    one, two = idx.constituents
+    assert shape_of(one) != shape_of(two)
+    assert one.lo is not two.lo
+    assert idx.shape_count() == 2
+    assert len(tables) == 2  # build_index compiled both blocks
 
 
 def _agrees_with_oracle(tr, idx, queries):
@@ -198,9 +285,15 @@ def test_compile_tables_stay_linear_on_chain(n, tables):
     assert sum(len(t) for t in tables) <= 2 * nodes + 16
 
 
-def test_compile_uses_one_table_per_block(tmp_path, tables):
+def test_compile_uses_one_table_per_shape(tmp_path, tables):
+    # gen-dblp's 60 blocks come in two shapes: `from_lineage` runs, with a
+    # fresh table, for the first block of each shape only.
     tr = _project_tr(generate_project(tmp_path / "p", seed=1, scale=60))
     idx = build_index(tr)
-    assert len(tables) == len(idx.constituents) == 60
-    for t, c in zip(tables, idx.constituents):
+    firsts = {}
+    for c in idx.constituents:
+        firsts.setdefault(shape_of(c), c)
+    assert len(idx.constituents) == 60
+    assert len(tables) == len(firsts) == 2
+    for t, c in zip(tables, firsts.values()):
         assert len(t) <= 2 * c.n + 16

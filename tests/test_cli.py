@@ -16,6 +16,8 @@ from mvdb.cli import (EXIT_CAP, EXIT_INCONSISTENT, EXIT_INPUT, EXIT_OK,
 from mvdb.gendata import demo_query, generate_project
 from mvdb.mvindex import IndexEvaluator
 
+from helpers import with_meta
+
 
 def run(argv):
     out = io.StringIO()
@@ -46,6 +48,7 @@ def test_compile_writes_index_and_report(project):
     assert rc == EXIT_OK
     assert (project / "index.mvx").exists()
     lines = text.strip().splitlines()
+    assert lines[-4:-2] == ["constituents\t2", "shapes\t2"]
     assert lines[-2].startswith("total\t")
     assert lines[-1].startswith("p0_w\t")
 
@@ -183,8 +186,9 @@ def test_stats_report(project):
     rc, text = run(["stats", "--project", str(project), "--tsv"])
     assert rc == EXIT_OK
     lines = text.strip().splitlines()
+    assert lines[-3] == "shapes\t2"
     assert lines[-2].startswith("p0_w\t")
-    data_rows = [l for l in lines if not l.startswith("p0_")]
+    data_rows = lines[:-3]
     assert len(data_rows) == 2  # one constituent per student
     widths = [int(r.split("\t")[2]) for r in data_rows]
     assert all(w >= 1 for w in widths)
@@ -200,7 +204,7 @@ def test_stats_empty_index(tmp_path):
     rc, text = run(["stats", "--project", str(proj), "--tsv"])
     assert rc == EXIT_OK
     rows = [l for l in text.strip().splitlines() if not l.startswith("p0_")]
-    assert rows == []
+    assert rows == ["shapes\t0"]
 
 
 def test_stats_dump(project):
@@ -282,26 +286,47 @@ def test_orphan_position_exit_code(project, capsys):
         assert err.startswith("error: ") and "no edge's child" in err
 
 
-def test_v3_index_needs_recompile(project, capsys):
-    # the v3 layout: permutations in the JSON section and a root code in
-    # every constituent head
+def _pre_v5_file(blob: bytes, version: int) -> bytes:
+    """The index in *blob* in the layout of format 4 (every constituent's
+    node blocks, ``[key, node count]`` heads) or 3 (also permutations in
+    the JSON section and a root code in every head)."""
     import json
     import struct
     import zlib
+    from mvdb import deserialize
+    index = deserialize(blob)
+    cons = index.constituents
+    length = struct.unpack_from("<I", blob, 40)[0]
+    meta = json.loads(blob[44:44 + length])
+    del meta["shapes"]
+    meta["constituents"] = [[c.key, c.n] for c in cons]
+    if version == 3:
+        meta["pi"] = {}
+        meta["constituents"] = [[c.key, 0, c.n] for c in cons]
+    text = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
+    probs = blob[44 + length:44 + length + 8 * len(index.order)]
+    nodes = b"".join(struct.pack(f"<{len(values)}i", *values)
+                     for values in ([x for c in cons for x in c.rank],
+                                    [x for c in cons for x in c.lo],
+                                    [x for c in cons for x in c.hi]))
+    body = (blob[:4] + struct.pack("<I", version) + blob[8:40]
+            + struct.pack("<I", len(text)) + text + probs + nodes)
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def test_v3_index_needs_recompile(project, capsys):
+    # the v4 layout (node blocks per constituent) and the v3 one
+    # (permutations in the JSON section, a root code in every head)
     run(["compile", "--project", str(project)])
     path = project / "index.mvx"
     blob = path.read_bytes()
-    length = struct.unpack_from("<I", blob, 40)[0]
-    meta = json.loads(blob[44:44 + length])
-    meta["pi"] = {}
-    meta["constituents"] = [[key, 0, n] for key, n in meta["constituents"]]
-    text = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
-    body = (blob[:4] + struct.pack("<I", 3) + blob[8:40]
-            + struct.pack("<I", len(text)) + text + blob[44 + length:-4])
-    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
-    for argv in (["query", "--project", str(project), "Q() :- Student(1, y)"],
-                 ["stats", "--project", str(project)]):
-        _input_error(argv, capsys, "unsupported format version 3; recompile")
+    for version in (3, 4):
+        path.write_bytes(_pre_v5_file(blob, version))
+        for argv in (["query", "--project", str(project),
+                      "Q() :- Student(1, y)"],
+                     ["stats", "--project", str(project)]):
+            _input_error(argv, capsys,
+                         f"unsupported format version {version}; recompile")
 
 
 def _input_error(argv, capsys, *words):
@@ -312,6 +337,73 @@ def _input_error(argv, capsys, *words):
     err = capsys.readouterr().err
     assert rc == EXIT_INPUT, err
     assert err.startswith("error: ") and all(w in err for w in words), err
+
+
+def _assert_index_defect(project, capsys, edit, words,
+                         query="Q() :- Student(1, y)"):
+    """Compile *project*, apply *edit* to its index's JSON section, and
+    expect `deserialize` to raise and ``mvdb query`` to exit 2, both
+    naming *words*."""
+    run(["compile", "--project", str(project)])
+    path = project / "index.mvx"
+    blob = with_meta(path.read_bytes(), lambda meta: edit(meta) or meta)
+    with pytest.raises(mvdb.IndexFormatError, match=words):
+        mvdb.deserialize(blob)
+    path.write_bytes(blob)
+    _input_error(["query", "--project", str(project), query], capsys, words)
+
+
+def _shape_id_out_of_range(meta):
+    meta["constituents"][0][1] = len(meta["shapes"])
+
+
+def _offset_past_the_order(meta):
+    meta["constituents"][-1][2] = len(meta["facts"])
+
+
+def _overlapping_offsets(meta):
+    meta["constituents"][1][2] = meta["constituents"][0][2]
+
+
+def _unused_shape(meta):
+    meta["shapes"].append(0)
+
+
+def _shape_count_off_by_one(meta):
+    meta["shapes"][0] += 1
+
+
+@pytest.mark.parametrize("edit, words", [
+    (_shape_id_out_of_range, "shape id 2 out of range"),
+    (_offset_past_the_order, "rank outside the variable order"),
+    (_overlapping_offsets, "rank ranges overlap"),
+    (_unused_shape, "a shape no constituent uses"),
+    (_shape_count_off_by_one, "blocks do not match their counts"),
+])
+def test_shape_defects_exit_2(project, capsys, edit, words):
+    # the gen-dblp scale-2 index: two constituents, one per shape
+    _assert_index_defect(project, capsys, edit, words)
+
+
+def test_empty_constituent_with_an_offset_exits_2(tmp_path, capsys):
+    # a block whose W is valid compiles to an empty constituent, the empty
+    # shape at offset 0
+    proj = tmp_path / "valid_block"
+    (proj / "data").mkdir(parents=True)
+    (proj / "schema.txt").write_text(
+        "relation D(x:string) key(x) deterministic\n"
+        "relation R(x:string) key(x) probabilistic\n")
+    (proj / "views.txt").write_text("V(x) [0] :- D(x)\n")
+    (proj / "data" / "D.tsv").write_text("a\tinf\n")
+    (proj / "data" / "R.tsv").write_text("a\t1.0\n")
+
+    def offset_one(meta):
+        assert meta["shapes"] == [0]
+        assert [h[1:] for h in meta["constituents"]] == [[0, 0]]
+        meta["constituents"][0][2] = 1
+
+    _assert_index_defect(proj, capsys, offset_one,
+                         "empty constituent with an offset", "Q() :- R('a')")
 
 
 def _int_project(path, views: str):

@@ -1,7 +1,6 @@
 """Index construction, augmented annotations, intersection, serialization."""
 
 import gc
-import json
 import math
 import random
 import struct
@@ -25,8 +24,8 @@ from mvdb.translate import answer_rows
 from helpers import (EX1_SCHEMA, RAND_SCHEMA, TWO_TABLE_SCHEMA, chain_mvdb,
                      chain_window, cut_ranks, entry_tables_rescan, example1,
                      intersect_memo, prob_under, random_boolean_query,
-                     shannon_probability, signed_world_sum, two_table_db,
-                     viable_random_mvdb)
+                     shannon_probability, shape_of, signed_world_sum,
+                     two_table_db, viable_random_mvdb, with_meta)
 
 
 def _ex1_index(w=0.5):
@@ -476,8 +475,9 @@ def test_deserialize_version_mismatch():
 
 def test_deserialize_rejects_format_version_2():
     # versions 2 and 3 (DFS-ordered nodes with root codes and permutations)
+    # and 4 (every constituent's nodes stored, no shapes)
     blob = bytearray(serialize(_ex1_index()[2]))
-    for version in (2, 3):
+    for version in (2, 3, 4):
         blob[4:8] = struct.pack("<I", version)
         body = bytes(blob[:-4])
         with pytest.raises(IndexFormatError, match=f"unsupported format "
@@ -486,11 +486,13 @@ def test_deserialize_rejects_format_version_2():
 
 
 def test_file_holds_structure_only(annotated_indices):
-    # header, JSON section, one f64 per tuple, three i32 per node, CRC-32
+    # header, JSON section, one f64 per tuple, three i32 per node of each
+    # distinct shape, CRC-32
     for idx in annotated_indices:
         blob = serialize(idx)
         meta_len = struct.unpack_from("<I", blob, 40)[0]
-        n_nodes = sum(c.n for c in idx.constituents)
+        n_nodes = sum(len(rank) for rank, _, _ in
+                      {shape_of(c) for c in idx.constituents})
         assert len(blob) == 44 + meta_len + 8 * len(idx.order) \
             + 12 * n_nodes + 4
 
@@ -613,15 +615,21 @@ def test_deserialize_rejects_malformed_structure(edit, message):
         deserialize(_tampered(idx, edit))
 
 
-def _with_meta(blob: bytes, edit) -> bytes:
-    """*blob* with *edit* applied to its decoded JSON section, re-encoded
-    with a valid checksum."""
-    length = struct.unpack_from("<I", blob, 40)[0]
-    meta = edit(json.loads(blob[44:44 + length]))
-    text = json.dumps(meta).encode()
-    body = (blob[:40] + struct.pack("<I", len(text)) + text
-            + blob[44 + length:-4])
-    return body + struct.pack("<I", zlib.crc32(body))
+def test_deserialize_rejects_shape_ranks_not_starting_at_0():
+    # A shape's ranks are relative to its first.  Shifted by one either way
+    # the layout stays valid, but the file is no longer canonical, and below
+    # 0 a constituent would read probabilities before its own offset.
+    idx = _denial_index()
+    blob = serialize(idx)
+    n = idx.constituents[0].n  # shape 0 is the first constituent's
+    at = 44 + struct.unpack_from("<I", blob, 40)[0] + 8 * len(idx.order)
+    ranks = struct.unpack_from(f"<{n}i", blob, at)
+    assert ranks[0] == 0
+    for shift in (1, -1):
+        body = bytearray(blob[:-4])
+        struct.pack_into(f"<{n}i", body, at, *(r + shift for r in ranks))
+        with pytest.raises(IndexFormatError, match="do not start at 0"):
+            deserialize(bytes(body) + struct.pack("<I", zlib.crc32(body)))
 
 
 def _set(path, value):
@@ -649,9 +657,9 @@ def _set(path, value):
 ])
 def test_deserialize_rejects_malformed_metadata(edit, message):
     blob = serialize(_denial_index())
-    deserialize(_with_meta(blob, lambda meta: meta))  # a re-encoding loads
+    deserialize(with_meta(blob, lambda meta: meta))  # a re-encoding loads
     with pytest.raises(IndexFormatError, match=message):
-        deserialize(_with_meta(blob, edit))
+        deserialize(with_meta(blob, edit))
 
 
 _JSON_BYTES = b'[]{},:"-.0123456789eEtrufalsn \\'
@@ -980,3 +988,28 @@ def test_point_query_counts_do_not_grow_with_the_database(tmp_path):
     assert all(visited > 0 for visited, _ in counts_100)
     assert width_100 == width_400
     assert abs(bpt_400 - bpt_100) <= 0.05 * bpt_100
+
+
+def test_index_size_grows_linearly_with_the_database(tmp_path):
+    # gen-dblp's blocks come in a fixed set of shapes, so at four times the
+    # size the file holds the same shapes and node blocks, and its binary
+    # part (header, probabilities, node blocks, CRC) takes no more bytes per
+    # tuple.  The JSON section's decimal integers gain digits as the
+    # database grows, so the whole file's bytes per tuple stay within 5%.
+    seen = []
+    for scale in (100, 400):
+        db = _load_project(str(generate_project(tmp_path / str(scale),
+                                                seed=1, scale=scale)))
+        idx = build_index(build_indb(db))
+        blob = serialize(idx)
+        meta_len = struct.unpack_from("<I", blob, 40)[0]
+        n = len(idx.order)
+        node_bytes = len(blob) - 44 - meta_len - 8 * n - 4
+        seen.append((idx.shape_count(), node_bytes,
+                     (len(blob) - meta_len) / n, len(blob) / n))
+    (shapes_100, nodes_100, binary_100, bpt_100), \
+        (shapes_400, nodes_400, binary_400, bpt_400) = seen
+    assert shapes_100 == shapes_400 == 2
+    assert nodes_100 == nodes_400
+    assert binary_400 <= binary_100
+    assert bpt_400 <= 1.05 * bpt_100
