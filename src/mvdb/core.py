@@ -13,7 +13,9 @@ import hashlib
 import math
 import re
 from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -223,6 +225,7 @@ class Instance:
             self._rows[f.relation].append(f.values)
         self.deterministic: frozenset[Fact] = frozenset(deterministic)
         self._pos_index: dict[tuple[str, int], dict] = {}
+        self._sorted: dict[tuple[str, int], list] = {}
 
     def __contains__(self, fact: Fact) -> bool:
         return fact in self._facts
@@ -246,10 +249,27 @@ class Instance:
         idx = self._pos_index.get(key)
         if idx is None:
             idx = {}
-            for row in self._rows[relation]:
+            for row in self.rows_of(relation):
                 idx.setdefault(row[pos], []).append(row)
             self._pos_index[key] = idx
         return idx.get(value, [])
+
+    def rows_in_range(self, relation: str, pos: int, lo, lo_open: bool,
+                      hi, hi_open: bool) -> list[tuple]:
+        """Rows of *relation* whose attribute at *pos* lies between *lo* and
+        *hi*, each bound excluded when its flag is set and ignored when
+        None.  The bounds must compare with the column's values."""
+        key = (relation, pos)
+        rows = self._sorted.get(key)
+        if rows is None:
+            rows = sorted(self.rows_of(relation), key=itemgetter(pos))
+            self._sorted[key] = rows
+        at = itemgetter(pos)
+        start = 0 if lo is None else (bisect_right if lo_open else
+                                      bisect_left)(rows, lo, key=at)
+        stop = len(rows) if hi is None else (bisect_left if hi_open else
+                                             bisect_right)(rows, hi, key=at)
+        return rows[start:stop]
 
 
 class _Database:

@@ -32,6 +32,8 @@ VIEW_LINES = {
 def generate_project(out_dir, seed: int = 1, scale: int = 2,
                      views: tuple = ("v1", "v2")) -> Path:
     """Write schema.txt, views.txt and data/ under *out_dir*; returns it."""
+    if scale < 1:
+        raise ValueError("scale must be at least 1")
     for v in views:
         if v not in VIEW_LINES:
             raise ValueError(f"unknown view profile {v!r}")

@@ -11,7 +11,12 @@ lineages are immutable values and safe to share across threads.
 Grounding (`iter_matches`) runs each conjunctive query through a join plan
 computed once per call, so a query costs the rows its atoms probe, not a
 rescoring of every remaining atom at every step, and leaves no reference
-cycles for the garbage collector.
+cycles for the garbage collector.  An atom probes the positional index on a
+constant or bound position; an atom with neither probes one of its own
+variables that a predicate compares with a constant of the column's
+declared type (an int for an int column, a str for a string one): `=`
+through the positional index, `<`, `<=`, `>`, `>=` by bisecting a sorted
+column, so a window query reads only the rows in its window.
 """
 
 from __future__ import annotations
@@ -23,8 +28,8 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import NamedTuple, Optional
 
-from .core import (DETERMINISTIC, Fact, Instance, MvdbError, QueryParseError,
-                   Schema)
+from .core import (_TYPES, DETERMINISTIC, Fact, Instance, MvdbError,
+                   QueryParseError, Schema)
 
 COMPARISONS = ("=", "!=", "<", "<=", ">", ">=", "contains")
 
@@ -388,8 +393,7 @@ class _Parser:
                 pos=pos)
         for t, attr in zip(terms, rel.attributes):
             if isinstance(t, Const):
-                want = int if attr.type == "int" else str
-                if not isinstance(t.value, want):
+                if not isinstance(t.value, _TYPES[attr.type]):
                     raise QueryParseError(
                         f"{name}.{attr.name} expects {attr.type}, "
                         f"got {t.value!r}", pos=pos)
@@ -476,17 +480,24 @@ class _Step(NamedTuple):
     """One atom of a join plan, resolved against the variables bound before
     it runs.  Every position holds a constant or a variable bound earlier
     (*probe* and *checked*), or a variable the atom binds (its first
-    occurrence in *binds*, any later one in *repeated*)."""
+    occurrence in *binds*, any later one in *repeated*).  An atom with no
+    such position may still probe one of its own variables: an `=` on it
+    reads the positional index, bounds on it a sorted column (*window*)."""
 
     relation: str
     probe: int  # position looked up in the positional index; -1: scan
     probe_term: object  # the Const or bound Var at *probe*
+    window: Optional[tuple]  # (lo, lo_open, hi, hi_open) on *probe*
     checked: Optional[itemgetter]  # the other such positions of a row
     checks: tuple  # the Const or bound Var at each of them
     repeated: Optional[itemgetter]  # later occurrences of new variables
     first_of: Optional[itemgetter]  # the first occurrence of each
     binds: tuple  # (variable, position) of each new variable
     predicates: tuple  # predicates whose variables are all bound here
+
+
+# The comparisons a probe answers, each with its sides swapped.
+_SWAPPED = {"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
 def _take_ready(preds: list, bound) -> tuple:
@@ -498,30 +509,97 @@ def _take_ready(preds: list, bound) -> tuple:
     return ready
 
 
+def _comparisons(preds) -> dict:
+    """variable -> [(op, value, predicate)] of each `Var op Const` or
+    `Const op Var` comparison in *preds* that a probe could answer, the
+    constant put on the right."""
+    out: dict = {}
+    for p in preds:
+        op = p.op
+        if op not in _SWAPPED:
+            continue
+        if isinstance(p.lhs, Var) and isinstance(p.rhs, Const):
+            var, value = p.lhs, p.rhs.value
+        elif isinstance(p.lhs, Const) and isinstance(p.rhs, Var):
+            var, value, op = p.rhs, p.lhs.value, _SWAPPED[op]
+        else:
+            continue
+        out.setdefault(var.name, []).append((op, value, p))
+    return out
+
+
+def _probe_preds(atom: Atom, positions: dict, comparisons: dict,
+                 schema: Schema) -> list:
+    """(position, op, value, predicate) of each of *comparisons* on a
+    variable *atom* binds (*positions*: name -> first position) whose
+    constant has that column's declared type.  The type is exact (int or
+    str, never bool or float), so a sorted column or the positional index
+    answers the comparison as `eval_predicate` would."""
+    out = []
+    for name, pos in positions.items():
+        for op, value, p in comparisons.get(name, ()):
+            if type(value) is _TYPES[
+                    schema.relation(atom.relation).attributes[pos].type]:
+                out.append((pos, op, value, p))
+    return out
+
+
+def _probe(found: list) -> tuple:
+    """Position, equality term, window and answered predicates of the probe
+    `_probe_preds` found: the first `=`, else the first lower and the first
+    upper bound on the first position compared."""
+    for pos, op, value, p in found:
+        if op == "=":
+            return pos, Const(value), None, (p,)
+    pos = found[0][0]
+    bounds, answered = {}, []  # bounds: '>' or '<' -> (value, strict)
+    for at, op, value, p in found:
+        if at == pos and op[0] not in bounds:
+            bounds[op[0]] = (value, len(op) == 1)
+            answered.append(p)
+    unbounded = (None, False)
+    return (pos, None, bounds.get(">", unbounded) + bounds.get("<", unbounded),
+            tuple(answered))
+
+
+def _score(atom: Atom, bound, comparisons: dict, schema: Schema) -> int:
+    """Positions of *atom* holding a constant or a bound variable; 1 for an
+    atom with none that a comparison lets probe one of its variables."""
+    n = sum(isinstance(t, Const) or t.name in bound for t in atom.terms)
+    if n or not comparisons:
+        return n
+    positions = {}
+    for i, t in enumerate(atom.terms):
+        positions.setdefault(t.name, i)
+    return 1 if _probe_preds(atom, positions, comparisons, schema) else 0
+
+
 def _plan(cq: ConjunctiveQuery, instance: Instance, bound) -> tuple:
     """Join plan: the predicates to test before any atom, then the steps.
 
-    Atoms go most constrained first: most positions holding a constant or a
-    bound variable, then fewest rows, then query order.  Which variables are
-    bound depends only on the atoms already placed, so the order is fixed
-    before any row is read.  A predicate runs at the first step that binds
-    all its variables; one whose variables no atom binds runs at the end,
-    where `eval_expr` rejects it."""
+    Atoms go most constrained first (`_score`), then fewest rows, then
+    query order.  Which variables are bound depends only on the atoms
+    already placed, so the order is fixed before any row is read.  A
+    predicate runs at the first step that binds all its variables, unless
+    that step's probe answers it (`_probe_preds`); one whose variables no
+    atom binds runs at the end, where `eval_expr` rejects it.  A comparison
+    on a variable an atom binds is still pending at that atom's step."""
+    schema = instance.schema
     bound = set(bound)
     preds = list(cq.predicates)
     atoms = list(cq.atoms)
     first = _take_ready(preds, bound) if atoms else tuple(preds)
+    comparisons = _comparisons(preds)
     steps = []
     while atoms:
         best_i, best_score = 0, (-1, 0)  # a lone atom needs no scoring
         for i, a in enumerate(atoms if len(atoms) > 1 else ()):
-            score = (sum(isinstance(t, Const) or t.name in bound
-                         for t in a.terms),
+            score = (_score(a, bound, comparisons, schema),
                      -len(instance.rows_of(a.relation)))
             if score > best_score:
                 best_i, best_score = i, score
         atom = atoms.pop(best_i)
-        probe, probe_term = -1, None
+        probe, probe_term, window = -1, None, None
         checks, repeats, new = {}, {}, {}
         for i, t in enumerate(atom.terms):
             if isinstance(t, Const) or t.name in bound:
@@ -535,12 +613,16 @@ def _plan(cq: ConjunctiveQuery, instance: Instance, bound) -> tuple:
                 new[t.name] = i
         bound.update(new)
         ready = _take_ready(preds, bound)
+        found = probe < 0 and _probe_preds(atom, new, comparisons, schema)
+        if found:
+            probe, probe_term, window, answered = _probe(found)
+            ready = tuple(p for p in ready if p not in answered)
         if not atoms:
             ready += tuple(preds)
-        steps.append(_Step(atom.relation, probe, probe_term, _getter(checks),
-                           tuple(checks.values()), _getter(repeats),
-                           _getter(repeats.values()), tuple(new.items()),
-                           ready))
+        steps.append(_Step(atom.relation, probe, probe_term, window,
+                           _getter(checks), tuple(checks.values()),
+                           _getter(repeats), _getter(repeats.values()),
+                           tuple(new.items()), ready))
     return first, tuple(steps)
 
 
@@ -557,10 +639,12 @@ def _run(steps: tuple, k: int, instance: Instance, binding: dict,
          used: tuple):
     """Matches of steps k.. extending *binding*.  A module-level generator,
     so a run leaves no reference cycle behind for the collector."""
-    (relation, probe, probe_term, checked, checks, repeated, first_of,
-     binds, preds) = steps[k]
+    (relation, probe, probe_term, window, checked, checks, repeated,
+     first_of, binds, preds) = steps[k]
     if probe < 0:
         rows = instance.rows_of(relation)
+    elif window is not None:
+        rows = instance.rows_in_range(relation, probe, *window)
     else:
         rows = instance.rows_with_value(relation, probe,
                                         _value(probe_term, binding))
@@ -597,7 +681,14 @@ def iter_matches(cq: ConjunctiveQuery, instance: Instance,
     join plan is computed once per call (`_plan`): atoms go most
     constrained first, each probes the positional index on its first
     constant or bound position, and each predicate is tested as soon as its
-    variables are bound.  Variables already in *binding* count as bound.
+    variables are bound.  An atom with no such position probes instead a
+    variable it binds that a predicate compares with a constant of the
+    column's exact declared type (int or str; never bool or float): the
+    positional index for `=`, a bisected sorted column for a bound or a
+    window, and the predicates the probe answers are not tested again.
+    Every other predicate, a mistyped one included, is tested on each row,
+    so it raises as `eval_predicate` does.  Variables already in *binding*
+    count as bound.
     Every grounding (query lineage, answers, view materialization, W and
     per-world evaluation) runs through here.
     """

@@ -43,6 +43,15 @@ def test_gen_is_deterministic(tmp_path):
         (p3 / "data/Advisor.tsv").read_bytes()
 
 
+@pytest.mark.parametrize("scale", ["0", "-3"])
+def test_gen_scale_below_one_is_a_usage_error(tmp_path, capsys, scale):
+    out = tmp_path / "proj"
+    rc, _ = run(["gen-dblp", "--out", str(out), "--scale", scale])
+    assert rc == EXIT_USAGE
+    assert "scale must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_compile_writes_index_and_report(project):
     rc, text = run(["compile", "--project", str(project), "--tsv"])
     assert rc == EXIT_OK
