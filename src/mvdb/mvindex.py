@@ -20,16 +20,17 @@ only in where a query node enters a constituent:
   root, guided by the query;
 * `cc_mv_intersect` enters at the query node's own rank through that
   rank's entry table, so the nodes it expands all lie inside the query's
-  rank window (the span-times-width visit bound).
+  rank span (the span-times-width visit bound).
 
-Both bisect to the constituents whose rank ranges meet the query's rank
-window and sweep only those.  The constituents are independent, so every
-constituent outside the window contributes the same factor, its root
-probability, to P0(Q and not-W) and to P0(not-W).  P(Q) is therefore
-normalized over the window alone: each window constituent's entry is scaled
-by the inverse of its root probability, and neither the global P0(not-W) nor
-the window's product is ever formed, so neither can underflow.  The global
-P0(Q and not-W) is rebuilt in O(1) from prefix and suffix products.
+Both start in front of the first constituent.  The constituents are
+independent, and entering one scales the mass by the inverse of its root
+probability, so the sweep's total is P(Q) = P0(Q and not-W) / P0(not-W)
+without forming any product of root probabilities, which could underflow.
+Passing a constituent the query does not touch thus multiplies by 1.0, or
+by 0.0 for a zero block: a query node jumps over every constituent in front
+of its rank with one bisection, and a prefix count of zero blocks
+(`MvIndex.zeros`) says whether it jumped over one.  P0(Q and not-W) is the
+total times one product of the non-zero root probabilities.
 `InconsistentConstraintsError` means that one constituent's root probability
 is exactly 0.0, i.e. one block is contradictory on its own.
 
@@ -80,11 +81,12 @@ import sys
 import time
 import zlib
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import accumulate
 from typing import Optional
 
 from .core import (Fact, InconsistentConstraintsError, Indb, Instance,
@@ -205,9 +207,11 @@ class Constituent:
 
 class MvIndex:
     """The augmented constituents, sorted by rank range, with the tuple
-    order and probabilities they were built on.  A query finds the
-    constituents it meets by bisecting their rank ranges (`_window`);
-    `cc_mv_intersect` then enters each through its entry tables."""
+    order and probabilities they were built on.  A query node finds the
+    next constituent it meets by bisecting their last ranks (``rank_hi``),
+    and learns from the prefix count ``zeros`` whether it jumped over a
+    zero block; `cc_mv_intersect` then enters each constituent it meets
+    through its entry tables."""
 
     def __init__(self, constituents, order: VariableOrder, probs,
                  source_digest: str):
@@ -217,21 +221,20 @@ class MvIndex:
         self.probs = list(probs)
         self.source_digest = source_digest
         roots = [c.prob_root for c in self.constituents]
-        m = len(roots)
-        # Sorted and disjoint, so the query's window is found by bisection.
-        self.rank_lo = [c.rank_lo for c in self.constituents]
+        # Sorted and disjoint, so a query node finds the next constituent it
+        # meets by bisection.
         self.rank_hi = [c.rank_hi for c in self.constituents]
-        self.prefix = [1.0] * (m + 1)
-        for k in range(m):
-            self.prefix[k + 1] = self.prefix[k] * roots[k]
-        self.suffix = [1.0] * (m + 1)
-        for k in range(m - 1, -1, -1):
-            self.suffix[k] = roots[k] * self.suffix[k + 1]
-        # A block whose root probability is exactly 0.0 admits no world.
-        self.zero_block = 0.0 in roots
+        # zeros[k]: the zero blocks among constituents 0..k-1.  A block whose
+        # root probability is exactly 0.0 admits no world.
+        self.zeros = list(accumulate((not r for r in roots), initial=0))
+        self.zero_block = self.zeros[-1] > 0
         # Per-constituent normalization; a zero block is left unscaled.
         self.inv_root = [1.0 / r if r else 1.0 for r in roots]
-        self.p0_not_w = self.suffix[0]
+        # The product of the non-zero roots, from the last one back.
+        self.nonzero_roots = 1.0
+        for r in reversed(roots):
+            self.nonzero_roots = (r or 1.0) * self.nonzero_roots
+        self.p0_not_w = 0.0 if self.zero_block else self.nonzero_roots
         self.p0_w = 1.0 - self.p0_not_w
 
     @property
@@ -370,62 +373,42 @@ class IntersectStats:
     memo_entries: int = 0
 
 
-def _window(gq: Obdd, index: MvIndex) -> tuple[int, int]:
-    """Constituents k_lo..k_end-1: those whose rank ranges meet the query's.
-
-    A sink query has no ranks and an empty window."""
-    if gq.root <= 1:
-        return 0, 0
-    var = gq.table.var
-    qlo = var[gq.root]  # ranks increase along every path of an OBDD
-    qhi = max(map(var.__getitem__, gq.reachable()))
-    return bisect_left(index.rank_hi, qlo), bisect_right(index.rank_lo, qhi)
-
-
 def _intersect(gq: Obdd, index: MvIndex, cache_conscious: bool,
                stats: Optional[IntersectStats]) -> tuple[float, float]:
-    """Sweep the query's probability mass forward over the window's
-    constituents, one rank at a time.
+    """Sweep the query's probability mass forward over the constituents,
+    one rank at a time.
 
-    Returns ``(ratio, global)``.  Without a zero block, ``ratio`` is
-    P(Q) = P0(Q and not-W_win) / P0(not-W_win); ``global`` is always
-    P0(Q and not-W).  A state carries the signed mass of the paths that
-    reach it: an entry state ``(k, v)`` holds query node v in front of
-    window constituent k (k == k_end: past the window), a pair state
-    ``(k, pos, v)`` holds v against node pos of constituent k.  Expanding a
-    state splits its mass by the tuple at its rank, 1 - p to the low
-    children and p to the high ones; a query node before constituent k's
-    ranks, or past the window, splits alone.  A state that reaches the
-    query's 1-sink adds its mass times the normalized P0(not-W) of the
-    constituents it has not left (times the pair's probUnder) to the total;
-    one that reaches a 0-sink is dropped.  Entering constituent k scales by
-    ``inv_root[k]`` and nothing else changes scale.
+    Returns ``(ratio, global)``.  Without a zero block, ``ratio`` is P(Q);
+    ``global`` is always P0(Q and not-W), ``ratio`` times the non-zero root
+    probabilities.  A state carries the signed mass of the paths that reach
+    it: an entry state ``(k, v)`` holds query node v in front of constituent
+    k (k == m: past the last), a pair state ``(k, pos, v)`` holds v against
+    node pos of constituent k.  Expanding a state splits its mass by the
+    tuple at its rank, 1 - p to the low children and p to the high ones; a
+    query node before constituent k's ranks, or past the last, splits alone.
+    A state that reaches the query's 1-sink adds its mass (times the pair's
+    probUnder) to the total unless a constituent it has not left is a zero
+    block; one that reaches a 0-sink is dropped.  Entering constituent k
+    scales by ``inv_root[k]`` and nothing else changes scale, so an entry
+    state whose query node lies past constituent k jumps to the first later
+    constituent whose ranks reach it, dropping its mass if ``zeros`` says it
+    jumped over a zero block.
 
     A pair state is kept at rank min(rank[pos], var[v]) and only moves to
     later ranks.  An entry state is kept at var[v], in ``mv`` mode at
     constituent k's first rank if that is earlier, and enters constituent k
     through its entry table at the rank it is kept at; the table at the
-    first rank is the root alone, with mass 1.0.  Passing a constituent,
-    or entering it straight onto the 1-sink of its entry table, stays at
-    the same rank with k + 1, so each rank expands its entry states in
-    increasing k before its pair states.  A query OBDD
-    built on ``index.order`` itself passes the order check without reading
-    a fact.  *stats*, if given, is filled during the sweep."""
+    first rank is the root alone, with mass 1.0.  Entering a constituent
+    straight onto the 1-sink of its entry table moves on at the same rank,
+    so each rank expands its entry states in increasing k before its pair
+    states.  A query OBDD built on ``index.order`` itself passes the order
+    check without reading a fact.  *stats*, if given, is filled during the
+    sweep."""
     if gq.order is not index.order and gq.order != index.order:
         raise OrderMismatchError("query OBDD does not follow the index order")
     cons = index.constituents
-    k_lo, k_end = _window(gq, index)
-    inv_root = index.inv_root
-    # unit[k - k_lo]: normalized P0(not-W) of constituents k..k_end-1, which
-    # is 1.0 unless one of them is a zero block; scale is the product of the
-    # window's non-zero root probabilities, so ratio * scale is
-    # P0(Q and not-W_win).
-    unit = [1.0] * (k_end - k_lo + 1)
-    scale = 1.0
-    for k in range(k_end - 1, k_lo - 1, -1):
-        root = cons[k].prob_root
-        unit[k - k_lo] = unit[k - k_lo + 1] if root else 0.0
-        scale *= root or 1.0
+    m = len(cons)
+    rank_hi, zeros, inv_root = index.rank_hi, index.zeros, index.inv_root
     probs = index.probs
     qvar, qlo, qhi = gq.table.var, gq.table.lo, gq.table.hi
     # rank -> (entry states {k: {v: mass}}, pair states {(k, pos, v): mass})
@@ -436,11 +419,16 @@ def _intersect(gq: Obdd, index: MvIndex, cache_conscious: bool,
     def push_entry(k, v, mass):
         nonlocal total
         if v <= 1:
-            if v:
-                total += mass * unit[k - k_lo]
+            if v and zeros[k] == zeros[m]:
+                total += mass
             return
         r = qvar[v]
-        if not cache_conscious and k < k_end and cons[k].rank_lo < r:
+        if k < m and rank_hi[k] < r:
+            j = bisect_left(rank_hi, r, k + 1, m)
+            if zeros[j] != zeros[k]:
+                return
+            k = j
+        if not cache_conscious and k < m and cons[k].rank_lo < r:
             r = cons[k].rank_lo
         b = buckets.get(r)
         if b is None:
@@ -456,8 +444,8 @@ def _intersect(gq: Obdd, index: MvIndex, cache_conscious: bool,
                 push_entry(k + 1, v, mass)
             return
         if v <= 1:
-            if v:
-                total += mass * cons[k].prob_under[code] * unit[k + 1 - k_lo]
+            if v and zeros[k + 1] == zeros[m]:
+                total += mass * cons[k].prob_under[code]
             return
         r = cons[k].rank[code]
         if qvar[v] < r:
@@ -471,7 +459,7 @@ def _intersect(gq: Obdd, index: MvIndex, cache_conscious: bool,
 
     expanded = 0
     seen: set = set()
-    push_entry(k_lo, gq.root, 1.0)
+    push_entry(0, gq.root, 1.0)
     while ranks:
         r = heappop(ranks)
         entries, pairs = buckets[r]
@@ -482,14 +470,11 @@ def _intersect(gq: Obdd, index: MvIndex, cache_conscious: bool,
             states = entries.pop(k)
             if stats is not None:
                 expanded += len(states)
-            c = cons[k] if k < k_end else None
+            c = cons[k] if k < m else None
             for v, mass in states.items():
-                rv = qvar[v]
-                if c is None or rv < c.rank_lo:  # rv == r: split the query
+                if c is None or qvar[v] < c.rank_lo:  # var[v] == r
                     push_entry(k, qlo[v], mass * q)
                     push_entry(k, qhi[v], mass * p)
-                elif rv > c.rank_hi:
-                    push_entry(k + 1, v, mass if c.prob_root else 0.0)
                 else:
                     mass *= inv_root[k]
                     for code, reach in c.entry[r]:
@@ -508,21 +493,22 @@ def _intersect(gq: Obdd, index: MvIndex, cache_conscious: bool,
     if stats is not None:
         stats.memo_entries = expanded
         stats.visited = len(seen)
-    return total, (index.prefix[k_lo] * total * scale * index.suffix[k_end])
+    return total, total * index.nonzero_roots
 
 
 def mv_intersect(gq: Obdd, index: MvIndex,
                  stats: Optional[IntersectStats] = None) -> float:
-    """P0(Q and not-W): the sweep enters each constituent at its root and
-    walks it down, guided by the query OBDD."""
+    """P0(Q and not-W): the sweep jumps to each constituent the query
+    meets, enters it at its root and walks it down, guided by the query
+    OBDD."""
     return _intersect(gq, index, False, stats)[1]
 
 
 def cc_mv_intersect(gq: Obdd, index: MvIndex,
                     stats: Optional[IntersectStats] = None) -> float:
-    """Same value as `mv_intersect`; the sweep enters each constituent at the
-    query node's rank via entry tables, so expanded nodes stay inside the
-    query's rank window."""
+    """Same value as `mv_intersect`; the sweep jumps to each constituent the
+    query meets and enters it at the query node's rank via entry tables, so
+    expanded nodes stay inside the query's rank span."""
     return _intersect(gq, index, True, stats)[1]
 
 
@@ -565,7 +551,8 @@ class IndexEvaluator:
         return self._evaluate(q)[1]
 
     def probability(self, q: U.Ucq) -> float:
-        """P(Q), normalized over the constituents in the query's window."""
+        """P(Q): the sweep's total, normalized by every constituent's root
+        probability as it enters."""
         if self.index.zero_block:
             raise InconsistentConstraintsError(
                 "no world satisfies the hard constraints: a constraint "

@@ -501,12 +501,15 @@ _SWAPPED = {"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
 def _take_ready(preds: list, bound) -> tuple:
-    """Remove from *preds*, in order, those whose variables are all bound."""
+    """Remove from *preds*, in order, those whose variables are all bound,
+    in one pass over *preds*."""
     if not preds:
         return ()
-    ready = tuple(p for p in preds if p.variables() <= bound)
-    preds[:] = [p for p in preds if not p.variables() <= bound]
-    return ready
+    ready, waiting = [], []
+    for p in preds:
+        (ready if p.variables() <= bound else waiting).append(p)
+    preds[:] = waiting
+    return tuple(ready)
 
 
 def _comparisons(preds) -> dict:

@@ -1,0 +1,137 @@
+"""Dump the engine's answers on a fixed corpus, to compare two checkouts.
+
+Prints one tab-separated line per query and intersection mode (``cc``,
+``mv``): the corpus, the mode, the query, then ``float.hex`` of P(Q) and
+of P0(Q and not-W), or the class name of the `MvdbError` either raised.
+The corpus:
+
+* gen-dblp seed 1 scale 2000: 40 seeded point queries and the spanning
+  query ``Q() :- Advisor(1, a), Advisor(2000, b)``;
+* the chain at n = 160 (`helpers.chain_mvdb`): 40 seeded windows;
+* `helpers.viable_random_mvdb` seeds 0-199: 4 `random_boolean_query` each.
+
+It also prints the sha256 of the dblp and chain ``.mvx`` bytes.  Usage::
+
+    python tests/corpus_dump.py [ROOT] > out.txt
+    python tests/corpus_dump.py --compare before.txt after.txt
+
+The first form imports ``mvdb`` and the test helpers from the checkout at
+ROOT (default: the one holding this script), so one copy of the script
+dumps any checkout.  The second exits non-zero unless the two dumps hold
+the same lines, the same hashes, the same P(Q) bits and error classes, and
+P0(Q and not-W) values within 1e-12 relative; it prints each difference.
+The script is not a test module: pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import random
+import sys
+import tempfile
+from pathlib import Path
+
+REL_TOL = 1e-12
+
+
+def _value(fn, q) -> str:
+    from mvdb import MvdbError
+    try:
+        return float.hex(fn(q))
+    except MvdbError as exc:
+        return type(exc).__name__
+
+
+def _mvx(name, index, out):
+    from mvdb import serialize
+    digest = hashlib.sha256(serialize(index)).hexdigest()
+    print(f"{name}\tmvx\t{digest}", file=out)
+
+
+def _dump(name, tr, index, queries, out):
+    from mvdb import IndexEvaluator, query_probability
+    inst = tr.indb.possible_instance()
+    for mode in ("cc", "mv"):
+        ev = IndexEvaluator(index, inst, mode)
+        for q in queries:
+            p = _value(lambda q: query_probability(q, tr, ev), q)
+            p0 = _value(ev.prob_q_and_not_w, q)
+            print(f"{name}\t{mode}\t{q}\t{p}\t{p0}", file=out)
+
+
+def dump(out=sys.stdout):
+    from helpers import (chain_mvdb, chain_window, random_boolean_query,
+                         viable_random_mvdb)
+    from mvdb import build_index, build_indb, parse_query
+    from mvdb.cli import _load_project
+    from mvdb.gendata import generate_project
+
+    with tempfile.TemporaryDirectory() as tmp:
+        db = _load_project(str(generate_project(tmp, seed=1, scale=2000)))
+    tr = build_indb(db)
+    rng = random.Random(2000)
+    rows = rng.sample(sorted(db.possible_instance().rows_of("Advisor")), 40)
+    texts = [f"Q() :- Advisor({s}, {a})" for s, a in rows]
+    texts.append("Q() :- Advisor(1, a), Advisor(2000, b)")
+    index = build_index(tr)
+    _mvx("dblp", index, out)
+    _dump("dblp", tr, index, [parse_query(t, db.schema) for t in texts], out)
+
+    tr = build_indb(chain_mvdb(160))
+    rng = random.Random(160)
+    windows = []
+    for _ in range(40):
+        lo = rng.randrange(160)
+        windows.append(chain_window(lo, rng.randint(lo + 1, 160)))
+    index = build_index(tr)
+    _mvx("chain", index, out)
+    _dump("chain", tr, index, windows, out)
+
+    for seed in range(200):
+        _, tr, _, _ = viable_random_mvdb(seed)
+        rng = random.Random(seed)
+        _dump("random", tr, build_index(tr),
+              [random_boolean_query(rng) for _ in range(4)], out)
+
+
+def _close(a: str, b: str) -> bool:
+    if a == b:
+        return True
+    try:
+        x, y = float.fromhex(a), float.fromhex(b)
+    except ValueError:
+        return False
+    return abs(x - y) <= REL_TOL * max(abs(x), abs(y))
+
+
+def compare(before: Path, after: Path) -> int:
+    """Print every difference between two dumps; the number found."""
+    old = before.read_text().splitlines()
+    new = after.read_text().splitlines()
+    bad = 0
+    if len(old) != len(new):
+        print(f"line counts differ: {len(old)} vs {len(new)}")
+        bad += 1
+    for a, b in zip(old, new):
+        fa, fb = a.split("\t"), b.split("\t")
+        if fa[:3] != fb[:3] or fa[3:4] != fb[3:4] or (
+                len(fa) > 4 and not _close(fa[4], fb[4])):
+            print(f"- {a}\n+ {b}")
+            bad += 1
+    return bad
+
+
+def main(argv) -> int:
+    if argv[:1] == ["--compare"] and len(argv) == 3:
+        return 1 if compare(Path(argv[1]), Path(argv[2])) else 0
+    if len(argv) > 1 or argv[:1] == ["--compare"]:
+        print(__doc__, file=sys.stderr)
+        return 2
+    root = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent
+    sys.path[:0] = [str(root / "src"), str(root / "tests")]
+    dump()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -16,7 +16,7 @@ from mvdb import (INF, Fact, Instance, Mvdb, MvdbError, NodeTable, Obdd,
                   OrderMismatchError, VariableOrder, parse_schema,
                   parse_query, parse_view, synthesize)
 from mvdb import ucq as U
-from mvdb.mvindex import SINK0, SINK1, _window
+from mvdb.mvindex import SINK0, SINK1
 
 EX1_SCHEMA = parse_schema("""
 relation R(x:string) key(x) probabilistic
@@ -574,36 +574,46 @@ def intersect_memo(gq, index, cache_conscious: bool, stats=None):
     """`mvdb.mvindex._intersect`'s value by a memo of tuple-keyed tasks on
     an explicit stack: the reference the forward sweep is checked against.
 
-    Returns ``(ratio, global)``.  Without a zero block, ``ratio`` is
-    P(Q) = P0(Q and not-W_win) / P0(not-W_win); ``global`` is always
-    P0(Q and not-W).  Every task value is normalized by the root
-    probabilities of the window constituents it has not left yet, so
+    Returns ``(ratio, global)``.  Without a zero block, ``ratio`` is P(Q);
+    ``global`` is always P0(Q and not-W).  Every task value is normalized
+    by the root probabilities of the constituents it has not left yet, so
     entering constituent k multiplies by ``inv_root[k]`` and nothing else
-    changes scale.  A query node before constituent k's ranks, or past the
-    window (k == k_end), is split by Shannon expansion within the same
-    memo, so the query's tail costs only the nodes the traversal reaches.
-    A query OBDD built on ``index.order`` itself passes the order check
-    without reading a fact.  *stats*, if given, is filled from the memo
-    once the traversal ends: ``memo_entries`` is the number of tasks whose
-    query node is not a sink, which are the states the sweep expands, each
-    once; ``visited`` has the sweep's definition."""
+    changes scale, and ``global`` is ``ratio`` times the product of the
+    non-zero root probabilities.  The traversal starts in front of
+    constituent 0.  An entry task for query node v from constituent k on
+    is created in front of the first constituent at or after k whose last
+    rank reaches v's (`_etask`, a linear walk), or is the zero task if the
+    walk passes a zero block.  A query node before constituent
+    k's ranks, or past the last constituent (k == m), is split by Shannon
+    expansion within the same memo, so the query's tail costs only the
+    nodes the traversal reaches.  A query OBDD built on ``index.order``
+    itself passes the order check without reading a fact.  *stats*, if
+    given, is filled from the memo once the traversal ends:
+    ``memo_entries`` is the number of tasks whose query node is not a sink,
+    which are the states the sweep expands, each once; ``visited`` has the
+    sweep's definition."""
     if gq.order is not index.order and gq.order != index.order:
         raise OrderMismatchError("query OBDD does not follow the index order")
     cons = index.constituents
-    k_lo, k_end = _window(gq, index)
+    m = len(cons)
     inv_root = index.inv_root
-    # unit[k - k_lo]: normalized P0(not-W) of constituents k..k_end-1, which
-    # is 1.0 unless one of them is a zero block; scale is the product of the
-    # window's non-zero root probabilities, so ratio * scale is
-    # P0(Q and not-W_win).
-    unit = [1.0] * (k_end - k_lo + 1)
-    scale = 1.0
-    for k in range(k_end - 1, k_lo - 1, -1):
-        root = cons[k].prob_root
-        unit[k - k_lo] = unit[k - k_lo + 1] if root else 0.0
-        scale *= root or 1.0
     probs = index.probs
     qtab = gq.table
+    zero = ("E", 0, 0)  # the constant-zero task: any v == 0 task works
+
+    def unit(k):
+        """Normalized P0(not-W) of constituents k..m-1: 1.0 unless one of
+        them is a zero block."""
+        return 0.0 if any(c.prob_root == 0.0 for c in cons[k:]) else 1.0
+
+    def _etask(k, v):
+        if v > 1:
+            rv = qtab.var[v]
+            while k < m and cons[k].rank_hi < rv:
+                if cons[k].prob_root == 0.0:
+                    return zero
+                k += 1
+        return ("E", k, v)
 
     def expand(task):
         """The task's value, or the ``(coefficient, task)`` terms whose
@@ -614,15 +624,13 @@ def intersect_memo(gq, index, cache_conscious: bool, stats=None):
             if v == 0:
                 return 0.0
             if v == 1:
-                return unit[k - k_lo]
+                return unit(k)
             rv = qtab.var[v]
-            if k == k_end or rv < cons[k].rank_lo:
+            if k == m or rv < cons[k].rank_lo:
                 p = probs[rv]
-                return ((1.0 - p, ("E", k, qtab.lo[v])),
-                        (p, ("E", k, qtab.hi[v])))
+                return ((1.0 - p, _etask(k, qtab.lo[v])),
+                        (p, _etask(k, qtab.hi[v])))
             c = cons[k]
-            if rv > c.rank_hi:
-                return ((1.0 if c.prob_root else 0.0, ("E", k + 1, v)),)
             inv = inv_root[k]
             if not cache_conscious:
                 return ((inv, _xtask(k, c.root_code, v)),)
@@ -637,7 +645,7 @@ def intersect_memo(gq, index, cache_conscious: bool, stats=None):
         if v == 0:
             return 0.0
         if v == 1:
-            return c.prob_under[pos] * unit[k + 1 - k_lo]
+            return c.prob_under[pos] * unit(k + 1)
         ru = c.rank[pos]
         rv = qtab.var[v]
         if ru > rv:
@@ -653,13 +661,13 @@ def intersect_memo(gq, index, cache_conscious: bool, stats=None):
 
     def _xtask(k, code, v):
         if code == SINK0:
-            return ("E", k_lo, 0)  # constant-zero task: any v==0 task works
+            return zero
         if code == SINK1:
-            return ("E", k + 1, v)
+            return _etask(k + 1, v)
         return ("X", k, code, v)
 
     memo: dict = {}
-    root = ("E", k_lo, gq.root)
+    root = _etask(0, gq.root)
     stack = [root]
     while stack:
         task = stack[-1]
@@ -685,8 +693,8 @@ def intersect_memo(gq, index, cache_conscious: bool, stats=None):
         stats.visited = len({t[1:3] for t in memo if t[0] == "X" and t[3] > 1
                              and cons[t[1]].rank[t[2]] <= var[t[3]]})
     ratio = memo[root]
-    return ratio, (index.prefix[k_lo] * ratio * scale
-                   * index.suffix[k_end])
+    return ratio, ratio * math.prod(c.prob_root for c in cons
+                                    if c.prob_root != 0.0)
 
 
 def obdd_models(g, n_vars: int) -> set[int]:

@@ -747,7 +747,7 @@ def test_cc_selective_query_visits_only_its_window():
     assert stats.visited < sum(c.n for c in idx.constituents)
 
 
-# -- window-local intersection --------------------------------------------------
+# -- normalization, underflow and zero blocks ------------------------------------
 
 BLOCK_SCHEMA = parse_schema("""
 relation R(x:int) key(x) probabilistic
@@ -936,14 +936,16 @@ def test_sweep_matches_memo_on_sink_queries(blocks_1e3):
 
 def test_sweep_passes_and_enters_at_one_rank_in_increasing_k():
     # Denial blocks 1, 2 and 3 (R(x), S(x)) after the block-free tuple R(0).
-    # For Q = (R(0) and S(3)) or (S(2) and S(3)), the query node S(3) waits
-    # at its rank in front of block 1 (split from R(0)) and in front of
-    # block 3 (split from S(2) after block 2 is left through its 1-sink).
-    # In cc mode the first passes blocks 1 and 2 at that rank and joins the
-    # second before block 3 is entered, so each of the ten states is
-    # expanded once: R(0) in front of block 1; S(2) in front of blocks 1, 2
-    # and 3; S(3) in front of blocks 1, 2 and 3 and past the window; S(2)
-    # against block 2's S(2) node and S(3) against block 3's S(3) node.
+    # For Q = (R(0) and S(3)) or (S(2) and S(3)), splitting R(0) in front of
+    # block 1 sends S(2) straight to block 2 and S(3) straight to block 3,
+    # the first blocks whose ranks reach theirs.  S(3) also reaches block 3
+    # from S(2) after block 2 is left through its 1-sink, and the two join
+    # before block 3 is entered at S(3)'s rank, so each of the seven states
+    # is expanded once: R(0) in front of block 1; S(2) in front of blocks 2
+    # and 3; S(3) in front of block 3 and past the last block; S(2) against
+    # block 2's S(2) node and S(3) against block 3's S(3) node.  The jumps
+    # leave out the three states that passed a block one at a time: S(2)
+    # in front of block 1, and S(3) in front of blocks 1 and 2.
     facts = [(Fact("R", (0,)), 2.0)]
     facts += [(Fact(rel, (i,)), 1.0 + i) for i in (1, 2, 3)
               for rel in ("R", "S")]
@@ -960,7 +962,7 @@ def test_sweep_passes_and_enters_at_one_rank_in_increasing_k():
     _assert_sweep_matches_memo(gq, idx)
     stats = IntersectStats()
     got = cc_mv_intersect(gq, idx, stats)
-    assert stats.memo_entries == 10
+    assert stats.memo_entries == 7
     want = EnumerationEvaluator(tr).prob_q_and_not_w(q)
     assert got == pytest.approx(want, abs=1e-12)
 
@@ -988,6 +990,27 @@ def test_point_query_counts_do_not_grow_with_the_database(tmp_path):
     assert all(visited > 0 for visited, _ in counts_100)
     assert width_100 == width_400
     assert abs(bpt_400 - bpt_100) <= 0.05 * bpt_100
+
+
+def test_spanning_query_counts_do_not_grow_with_the_database(tmp_path):
+    # A query that meets the first and the last student's constituents
+    # jumps over every constituent between them: at four times the size it
+    # expands the same states and visits the same nodes, in both modes.
+    seen = []
+    for scale in (100, 400):
+        db = _load_project(str(generate_project(tmp_path / str(scale),
+                                                seed=1, scale=scale)))
+        idx = build_index(build_indb(db))
+        gq = _query_obdd(f"Q() :- Advisor(1, a), Advisor({scale}, b)",
+                         db.schema, db.possible_instance(), idx)
+        counts = []
+        for fn in (mv_intersect, cc_mv_intersect):
+            stats = IntersectStats()
+            fn(gq, idx, stats)
+            counts.append((stats.visited, stats.memo_entries))
+        seen.append(counts)
+    assert seen[0] == seen[1]
+    assert all(visited > 0 for visited, _ in seen[0])
 
 
 def test_index_size_grows_linearly_with_the_database(tmp_path):
