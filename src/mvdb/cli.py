@@ -31,6 +31,7 @@ stdout early, as ``mvdb stats --dump | head`` does.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -230,7 +231,10 @@ def cmd_gen_dblp(args, out) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> _ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged."""
     parser = _ArgumentParser(prog="mvdb")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -4,7 +4,9 @@ Weights follow the odds convention: a tuple with weight w has probability
 w / (1 + w), so 0, 1 and infinity correspond to probabilities 0, 1/2 and 1.
 Deterministic tuples carry weight infinity and never become Boolean
 variables.  Databases are immutable after construction and safe to share
-across threads.
+across threads.  A database interns its active domain on the first read of
+`domain`; two racing first reads build equal domains, so the sharing stays
+safe.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ import re
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import chain, compress, islice, repeat
+from operator import itemgetter, ne
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -165,19 +168,13 @@ class Schema:
 
 
 class Domain:
-    """Dense interning dictionary; active-domain order is interning order."""
+    """Dense interning dictionary over *values*; active-domain order is
+    the order of first occurrence."""
 
-    def __init__(self):
-        self._rank: dict = {}
-        self._constants: list = []
-
-    def intern(self, value) -> int:
-        r = self._rank.get(value)
-        if r is None:
-            r = len(self._constants)
-            self._rank[value] = r
-            self._constants.append(value)
-        return r
+    def __init__(self, values=()):
+        self._constants: list = list(dict.fromkeys(values))
+        self._rank: dict = dict(zip(self._constants,
+                                    range(len(self._constants))))
 
     def rank(self, value) -> int:
         try:
@@ -279,32 +276,70 @@ class _Database:
         self.schema = schema
         self.views = tuple(views)
         self.weights: dict[Fact, float] = {}
-        self.domain = Domain()
-        intern = self.domain.intern
-        rel = None
-        for fact, w in weighted_facts:
-            # Facts arrive in runs of one relation: resolve it once per run.
-            if rel is None or fact.relation != rel.name:
-                rel = schema.relation(fact.relation)
-                types = tuple(_TYPES[a.type] for a in rel.attributes)
-            values = fact.values
-            if len(values) != len(types):
-                raise DataError(f"{fact} has arity {len(values)}, "
-                                f"expected {rel.arity}")
-            if not all(map(isinstance, values, types)):
-                attr = next(a for v, t, a in zip(values, types, rel.attributes)
-                            if not isinstance(v, t))
-                raise DataError(f"{fact}: attribute {attr.name} expects "
-                                f"{attr.type}")
-            if fact in self.weights:
-                raise DataError(f"duplicate possible tuple {fact}")
-            self._check_weight(rel, fact, w)
-            self.weights[fact] = w
-            for v in values:
-                intern(v)
+        self._domain: Domain | None = None
+        weighted = list(weighted_facts)
+        facts = list(map(itemgetter(0), weighted))
+        weights = list(map(itemgetter(1), weighted))
+        # Facts arrive in runs of one relation: resolve and check each run
+        # as a whole, in load order.
+        names = list(map(itemgetter(0), facts))
+        starts = list(compress(range(len(names)),
+                               map(ne, names, [None, *names])))
+        for start, stop in zip(starts, [*starts[1:], len(names)]):
+            self._add_run(schema.relation(names[start]), facts[start:stop],
+                          weights[start:stop])
+
+    def _add_run(self, rel: Relation, facts: list, weights: list):
+        """Check a run of facts of *rel* column by column while adding it.
+
+        A fact is checked for its arity, its value types (exactly int or
+        str), being a duplicate of an earlier fact, and its weight, in that
+        order.  On a defect this raises the error of the first defective
+        fact: each check reads only the facts in front of the first defect
+        an earlier check found."""
+        error = None
+        end = len(facts)
+        values = list(map(itemgetter(1), facts))
+        if set(map(len, values)) != {rel.arity}:
+            end = next(i for i, v in enumerate(values) if len(v) != rel.arity)
+            error = DataError(f"{facts[end]} has arity {len(values[end])}, "
+                              f"expected {rel.arity}")
+        for attr, column in zip(rel.attributes, zip(*values[:end])):
+            t = _TYPES[attr.type]
+            if not {t}.issuperset(map(type, column[:end])):
+                end = next(i for i, v in enumerate(column) if type(v) is not t)
+                error = DataError(f"{facts[end]}: attribute {attr.name} "
+                                  f"expects {attr.type}")
+        known = len(self.weights)
+        self.weights.update(zip(facts[:end], weights))
+        if len(self.weights) != known + end:
+            # The facts of earlier runs lead the dict; `set.add` is None.
+            seen = set(islice(self.weights, known))
+            end = next(i for i, fact in enumerate(facts)
+                       if fact in seen or seen.add(fact))
+            error = DataError(f"duplicate possible tuple {facts[end]}")
+        if not self._weights_ok(rel, weights[:end]):
+            for fact, w in zip(facts, weights):
+                self._check_weight(rel, fact, w)
+        if error is not None:
+            raise error
+
+    def _weights_ok(self, rel: Relation, weights: list) -> bool:
+        """True when no weight in *weights* fails `_check_weight`."""
+        raise NotImplementedError
 
     def _check_weight(self, rel: Relation, fact: Fact, w: float):
         raise NotImplementedError
+
+    @property
+    def domain(self) -> Domain:
+        """The active domain, interned on first read: every value of every
+        possible tuple, in load order."""
+        domain = self._domain
+        if domain is None:
+            domain = self._domain = Domain(
+                chain.from_iterable(map(itemgetter(1), self.weights)))
+        return domain
 
     def probabilistic_facts(self) -> list[Fact]:
         """Possible tuples that are genuine random variables (finite weight)."""
@@ -321,6 +356,12 @@ class _Database:
 
 class Mvdb(_Database):
     """Possible tuples with weights in [0, inf] plus correlation views."""
+
+    def _weights_ok(self, rel, weights):
+        return (not any(map(math.isnan, weights))
+                and min(weights, default=0.0) >= 0
+                and (rel.kind != DETERMINISTIC
+                     or weights.count(INF) == len(weights)))
 
     def _check_weight(self, rel, fact, w):
         if math.isnan(w) or w < 0:
@@ -343,6 +384,9 @@ class Mvdb(_Database):
 
 class Indb(_Database):
     """Tuple-independent database with signed weights; p = w/(1+w)."""
+
+    def _weights_ok(self, rel, weights):
+        return not any(map(math.isnan, weights)) and -1.0 not in weights
 
     def _check_weight(self, rel, fact, w):
         if math.isnan(w):
@@ -397,44 +441,68 @@ def load_schema(path: Path | str) -> Schema:
     return parse_schema(read_text(path, SchemaError))
 
 
-def _bad_int(rel: Relation, cols: list[str]) -> str:
-    """Describe the first int column whose token `int` rejects."""
-    for attr, tok in zip(rel.attributes, cols):
-        if attr.type == "int":
-            try:
-                int(tok)
-            except ValueError:
-                return f"expected int for {attr.name}, got {tok!r}"
+def _first_defect(rel: Relation, lines: list[str], where: str) -> DataError:
+    """The error of the first defective line of a data file, in line
+    order: a ``#`` line with a row's field count, a row with the wrong
+    field count, an int field `int` rejects, or a weight `float`
+    rejects."""
+    ncols = rel.arity + 1
+    for lineno, raw in enumerate(lines, start=1):
+        if not raw.strip():
+            continue
+        cols = raw.split("\t")
+        if raw.startswith("#"):
+            if len(cols) == ncols:
+                return DataError(f"{where} line {lineno}: starts with '#' "
+                                 f"but has the {ncols} columns of a row")
+            continue
+        if len(cols) != ncols:
+            return DataError(f"{where} line {lineno}: expected "
+                             f"{ncols} columns, got {len(cols)}")
+        for attr, tok in zip(rel.attributes, cols):
+            if attr.type == "int":
+                try:
+                    int(tok)
+                except ValueError:
+                    return DataError(f"{where} line {lineno}: expected int "
+                                     f"for {attr.name}, got {tok!r}")
+        wtok = cols[-1].strip()
+        try:
+            float(wtok)
+        except ValueError:
+            return DataError(f"{where} line {lineno}: bad weight {wtok!r}")
+    raise MvdbError(f"internal error: {where} has no defective line")
 
 
 def parse_data_file(rel: Relation, text: str, where: str = "<data>"):
-    """Parse a TSV data file: constant columns then a final weight column."""
-    convert = [_TYPES[a.type] for a in rel.attributes]
+    """Parse a TSV data file: constant columns then a final weight column.
+
+    Blank lines are skipped, and so is a comment: a line that starts with
+    ``#`` and does not split into a row's arity + 1 tab-separated fields.
+    A ``#`` line that does is an error, so a row's first field cannot start
+    with ``#``.  The rows are converted column by column, one `map` per
+    column; on any defect the lines are read again in order
+    (`_first_defect`), so the error names the first defective line."""
+    lines = text.splitlines()
+    rows = [raw.split("\t") for raw in lines
+            if raw.strip() and raw[0] != "#"]
     ncols = rel.arity + 1
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip() or raw.startswith("#"):
-            continue
-        cols = raw.split("\t")
-        if len(cols) != ncols:
-            raise DataError(f"{where} line {lineno}: expected "
-                            f"{ncols} columns, got {len(cols)}")
+    ok = set(map(len, rows)) <= {ncols} and not (
+        "#" in text and any(raw.count("\t") == rel.arity
+                            for raw in lines if raw.startswith("#")))
+    if ok:
+        *columns, weights = zip(*rows) if rows else [()] * ncols
         try:
-            values = tuple([f(c) for f, c in zip(convert, cols)])
+            columns = [col if attr.type == "string" else list(map(int, col))
+                       for attr, col in zip(rel.attributes, columns)]
+            weights = list(map(float, weights))
         except ValueError:
-            raise DataError(f"{where} line {lineno}: "
-                            + _bad_int(rel, cols)) from None
-        wtok = cols[-1].strip()
-        if wtok == "inf":
-            w = INF
-        else:
-            try:
-                w = float(wtok)
-            except ValueError:
-                raise DataError(f"{where} line {lineno}: bad weight "
-                                f"{wtok!r}") from None
-        out.append((Fact(rel.name, values), w))
-    return out
+            ok = False
+    if not ok:
+        raise _first_defect(rel, lines, where)
+    facts = map(tuple.__new__, repeat(Fact),
+                zip(repeat(rel.name), zip(*columns)))
+    return list(zip(facts, weights))
 
 
 def load_data(schema: Schema, data_dir: Path | str):

@@ -64,11 +64,13 @@ built from, not the root codes (position 0, or the 0-sink for an empty
 constituent), and no annotation.  The loader rebuilds probUnder,
 reachability, root probabilities and entry tables per constituent, from its
 own probabilities, through the same `Constituent.augment` call the compiler
-makes; constituents of one shape share its ``lo`` and ``hi`` lists.  It
-checks every count against the bytes present before decoding a block, every
-shape's layout once (`_check_layout`) and every offset against the tuple
-order before deriving; any defect is an `IndexFormatError`, and so is a
-shape no constituent uses.  Compiles are byte-reproducible.
+makes; constituents of one shape share its ``lo`` and ``hi`` lists and its
+entry codes (`_entry_codes`), found once per shape, so each constituent
+derives only its entry masses.  It checks the JSON section's lists by
+column, every count against the bytes present before decoding a block,
+every shape's layout once (`_check_layout`) and every offset against the
+tuple order before deriving; any defect is an `IndexFormatError`, and so is
+a shape no constituent uses.  Compiles are byte-reproducible.
 """
 
 from __future__ import annotations
@@ -86,7 +88,8 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
+from operator import itemgetter
 from typing import Optional
 
 from .core import (Fact, InconsistentConstraintsError, Indb, Instance,
@@ -115,7 +118,7 @@ class Constituent:
     contiguous.  An empty constituent is the negation of a block whose W is
     valid, so its root is the 0-sink."""
 
-    def __init__(self, key, rank, lo, hi):
+    def __init__(self, key, rank, lo, hi, entry=None):
         self.key = key
         self.rank = rank
         self.lo = lo
@@ -124,9 +127,14 @@ class Constituent:
         self.root_code = 0 if rank else SINK0
         self.rank_lo = rank[0] if rank else -1
         self.rank_hi = rank[-1] if rank else -1
+        # The codes of the entry tables depend on the shape alone, so the
+        # constituents of one shape share them, as they share lo and hi:
+        # *entry* is the shape's `_entry_codes`, found here if not given.
+        self.entry_codes, self.entry_starts = (
+            entry or _entry_codes(rank, lo, hi))
         self.prob_under: list[float] = []
         self.prob_root = 0.0
-        self.entry: dict[int, list] = {}
+        self.entry_mass: list[float] = []
 
     @staticmethod
     def from_obdd(g: Obdd, key) -> "Constituent":
@@ -166,43 +174,77 @@ class Constituent:
         self.prob_under = values
 
     def derive(self, probs):
-        """Entry tables, carrying the reachability.
+        """The entry tables' masses, carrying the reachability.
 
-        ``entry[r]`` lists, sorted by code, every node or sink that an edge
-        from a rank below r reaches at rank r or later, with the signed mass
-        of those edges; at the root's rank it is the root alone.  One
-        forward scan over the positions builds them: entry(r) is entry(r-1)
-        minus the level-(r-1) nodes, plus their children; sink entries carry
-        forward.  A node's mass when it leaves the frontier is its
+        The entry table at rank r lists, sorted by code, every node or sink
+        that an edge from a rank below r reaches at rank r or later, with
+        the signed mass of those edges; at the root's rank it is the root
+        alone.  The shape fixes the codes (`_entry_codes`); ``entry_mass``
+        holds the masses of every table in the same order, so the table at
+        rank r is ``entry_codes`` zipped with ``entry_mass`` over
+        ``entry_starts[r - rank_lo]`` up to the next start.  One forward
+        scan over the positions fills them, with the mass reaching each
+        code in a list indexed by code (the sinks in two trailing slots): a
+        node's mass is complete at its own rank, where it is its
         reachability (the signed mass of all root paths reaching it), and
-        each child gains that mass times 1-p (low edge) or p (high edge),
-        in position order.  The cost is O(n + sum of |entry|) plus one sort
-        per entry table.  It relies on the rank-order layout and on every
-        position but the root being some edge's child, which `deserialize`
-        checks.
+        each child gains that mass times 1-p (low edge) or p (high edge), in
+        position order.  The cost is O(n + sum of |entry|).
         """
-        self.entry = {}
-        if not self.n:
-            return
-        rank, lo, hi = self.rank, self.lo, self.hi
-        frontier: dict[int, float] = {0: 1.0}
-        pos = 0
-        for r in range(self.rank_lo, self.rank_hi + 1):
-            self.entry[r] = sorted(frontier.items())
-            p = probs[r]
-            while pos < self.n and rank[pos] == r:
-                reach = frontier.pop(pos)
-                child = lo[pos]
-                frontier[child] = frontier.get(child, 0.0) + reach * (1.0 - p)
-                child = hi[pos]
-                frontier[child] = frontier.get(child, 0.0) + reach * p
-                pos += 1
+        masses: list[float] = []
+        if self.n:
+            rank, lo, hi, n = self.rank, self.lo, self.hi, self.n
+            codes, starts = self.entry_codes, self.entry_starts
+            mass = [0.0] * (n + 2)
+            mass[0] = 1.0
+            at = mass.__getitem__
+            pos = 0
+            for i, r in enumerate(range(self.rank_lo, self.rank_hi + 1)):
+                masses += map(at, codes[starts[i]:starts[i + 1]])
+                p = probs[r]
+                q = 1.0 - p
+                while pos < n and rank[pos] == r:
+                    reach = mass[pos]
+                    mass[lo[pos]] += reach * q
+                    mass[hi[pos]] += reach * p
+                    pos += 1
+        self.entry_mass = masses
+
+    def entry_tables(self) -> dict[int, list]:
+        """Every entry table, as ``{rank: [(code, mass), ...]}``."""
+        codes, starts, masses = (self.entry_codes, self.entry_starts,
+                                 self.entry_mass)
+        return {r: list(zip(codes[a:b], masses[a:b]))
+                for r, a, b in zip(range(self.rank_lo, self.rank_hi + 1),
+                                   starts, starts[1:])}
 
     def size(self) -> int:
         return self.n + 2
 
     def width(self) -> int:
         return max(Counter(self.rank).values(), default=0)
+
+
+def _entry_codes(rank, lo, hi) -> tuple[list, list]:
+    """The codes of a shape's entry tables, each table sorted (the sinks
+    first) and the tables concatenated in rank order, and the start of
+    every rank's table, then the end of the last.  One forward scan: the
+    table at rank r is the one at rank r - 1 minus the nodes of rank r - 1,
+    plus their children; the sinks carry forward.  It relies on the
+    rank-order layout and on every position but the root being some edge's
+    child, which `deserialize` checks first."""
+    codes, starts = [], [0]
+    if rank:
+        frontier = {0}
+        pos, n = 0, len(rank)
+        for r in range(rank[0], rank[-1] + 1):
+            codes += sorted(frontier)
+            starts.append(len(codes))
+            while pos < n and rank[pos] == r:
+                frontier.remove(pos)
+                frontier.add(lo[pos])
+                frontier.add(hi[pos])
+                pos += 1
+    return codes, starts
 
 
 class MvIndex:
@@ -331,7 +373,7 @@ def _compile_blocks(groups: dict, keys, order: VariableOrder) -> list:
     ranks only by order, so blocks with equal relative rank lists compile
     to the same constituent up to a shift in rank: `from_ranks` runs for the
     first of them only, and every later one shifts that constituent's ranks
-    and shares its ``lo`` and ``hi`` lists."""
+    and shares its ``lo`` and ``hi`` lists and its entry codes."""
     out = []
     compiled: dict = {}  # relative rank lists -> (first rank, constituent)
     rank_of = order.rank_of
@@ -343,7 +385,7 @@ def _compile_blocks(groups: dict, keys, order: VariableOrder) -> list:
         if relative in compiled:
             first, c = compiled[relative]
             c = Constituent(key, [x + base - first for x in c.rank], c.lo,
-                            c.hi)
+                            c.hi, (c.entry_codes, c.entry_starts))
         else:
             c = Constituent.from_obdd(
                 from_ranks(ranks, order, NodeTable(order)), key)
@@ -477,7 +519,10 @@ def _intersect(gq: Obdd, index: MvIndex, cache_conscious: bool,
                     push_entry(k, qhi[v], mass * p)
                 else:
                     mass *= inv_root[k]
-                    for code, reach in c.entry[r]:
+                    i = r - c.rank_lo
+                    a, b = c.entry_starts[i], c.entry_starts[i + 1]
+                    for code, reach in zip(c.entry_codes[a:b],
+                                           c.entry_mass[a:b]):
                         push_pair(k, code, v, mass * reach)
         if stats is not None:
             expanded += len(pairs)
@@ -618,36 +663,36 @@ def serialize(index: MvIndex) -> bytes:
     return body + struct.pack("<I", zlib.crc32(body))
 
 
-def _check_layout(c: Constituent):
+def _check_layout(rank, lo, hi):
     """Reject a shape the traversals cannot walk: the positions must be in
     rank order from rank 0, every child must be a sink or a position of a
     strictly greater rank, and every position but 0 must be some edge's
     child.  Together these make position 0 the root, alone at the lowest
     rank: no edge reaches a node of the lowest rank."""
-    if not c.n:
+    n = len(rank)
+    if not n:
         return
-    rank = c.rank
     if any(a > b for a, b in zip(rank, rank[1:])):
         raise IndexFormatError("positions are not in rank order")
     if rank[0] != 0:
         raise IndexFormatError("shape ranks do not start at 0")
-    for pos in range(c.n):
-        for child in (c.lo[pos], c.hi[pos]):
+    for pos in range(n):
+        for child in (lo[pos], hi[pos]):
             if child != SINK0 and child != SINK1 and not (
-                    0 <= child < c.n and rank[child] > rank[pos]):
+                    0 <= child < n and rank[child] > rank[pos]):
                 raise IndexFormatError(
                     f"child code {child} of position {pos} is neither a "
                     "sink nor a later position")
-    children = set(c.lo)
-    children.update(c.hi)
+    children = set(lo)
+    children.update(hi)
     children.difference_update((SINK0, SINK1))
-    if len(children) != c.n - 1:
+    if len(children) != n - 1:
         raise IndexFormatError(
-            f"{c.n - 1 - len(children)} position(s) are no edge's child")
+            f"{n - 1 - len(children)} position(s) are no edge's child")
 
 
 def _kinds(values) -> set:
-    return {type(v) for v in values}
+    return set(map(type, values))
 
 
 def _decode_meta(raw) -> tuple:
@@ -660,25 +705,31 @@ def _decode_meta(raw) -> tuple:
         shapes, heads = meta["shapes"], meta["constituents"]
     except (ValueError, TypeError, KeyError) as exc:
         raise IndexFormatError(f"bad index metadata: {exc}") from None
+    # Each list is type-checked by column: the facts' relation indexes,
+    # then all their fields, exactly int or str (so `true` is no int); the
+    # constituent heads' keys, then their shape ids and offsets.
     if not (type(relations) is list and type(facts) is list
             and type(shapes) is list and type(heads) is list
             and _kinds(relations) <= {str}
             and _kinds(facts) <= {list} and all(facts)
-            and _kinds(f[0] for f in facts) <= {int}
-            and _kinds(v for f in facts for v in f[1:]) <= {int, str}
-            and _kinds(shapes) <= {int} and all(n >= 0 for n in shapes)
-            and _kinds(heads) <= {list}
-            and all(len(h) == 3 for h in heads)
-            and _kinds(h[0] for h in heads) <= {int, str, type(None)}
-            and _kinds(v for h in heads for v in h[1:]) <= {int}
-            and all(h[1] >= 0 and h[2] >= 0 for h in heads)):
+            and _kinds(chain.from_iterable(facts)) <= {int, str}
+            and _kinds(shapes) <= {int} and min(shapes, default=0) >= 0
+            and _kinds(heads) <= {list} and set(map(len, heads)) <= {3}):
         raise IndexFormatError("bad index metadata layout")
-    if facts and not 0 <= min(f[0] for f in facts) <= max(
-            f[0] for f in facts) < len(relations):
+    indexes = list(map(itemgetter(0), facts))
+    keys, sids, offsets = zip(*heads) if heads else ((), (), ())
+    if not (_kinds(indexes) <= {int}
+            and _kinds(keys) <= {int, str, type(None)}
+            and _kinds(sids + offsets) <= {int}
+            and min(sids + offsets, default=0) >= 0):
+        raise IndexFormatError("bad index metadata layout")
+    if facts and not 0 <= min(indexes) <= max(indexes) < len(relations):
         raise IndexFormatError("fact names an unknown relation")
+    names = map(relations.__getitem__, indexes)
+    values = map(tuple, map(itemgetter(slice(1, None)), facts))
     try:
-        order = VariableOrder(Fact(relations[f[0]], tuple(f[1:]))
-                              for f in facts)
+        order = VariableOrder(map(tuple.__new__, repeat(Fact),
+                                  zip(names, values)))
     except MvdbError as exc:
         raise IndexFormatError(str(exc)) from None
     return order, shapes, heads
@@ -723,24 +774,30 @@ def deserialize(buf: bytes) -> MvIndex:
     shapes = []
     at = 0
     for n in counts:
-        shape = Constituent(None, *(column[at:at + n] for column in columns))
+        shape = [column[at:at + n] for column in columns]
         at += n
-        _check_layout(shape)
+        _check_layout(*shape)
         shapes.append(shape)
     used = {sid for _, sid, _ in heads}
     if used and max(used) >= len(shapes):
         raise IndexFormatError(f"shape id {max(used)} out of range")
     if len(used) != len(shapes):
         raise IndexFormatError("a shape no constituent uses")
+    entry_codes: dict[int, tuple] = {}  # shape id -> `_entry_codes`
     constituents = []
     for key, sid, offset in heads:
-        shape = shapes[sid]
-        if not shape.n and offset:
+        rank, lo, hi = shapes[sid]
+        if not rank and offset:
             raise IndexFormatError("empty constituent with an offset")
-        if shape.n and offset + shape.rank_hi >= len(order):
+        if rank and offset + rank[-1] >= len(order):
             raise IndexFormatError("rank outside the variable order")
-        constituents.append(Constituent(key, [r + offset for r in shape.rank],
-                                        shape.lo, shape.hi))
+        # The shape's ranks now lie inside the order: find its entry codes,
+        # once.
+        codes = entry_codes.get(sid)
+        if codes is None:
+            codes = entry_codes[sid] = _entry_codes(rank, lo, hi)
+        constituents.append(Constituent(key, [r + offset for r in rank],
+                                        lo, hi, codes))
     if _overlapping(constituents):
         raise IndexFormatError("constituent rank ranges overlap")
     for c in constituents:

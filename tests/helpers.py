@@ -536,7 +536,7 @@ def prob_under(c, code: int) -> float:
 
 def cut_ranks(c) -> set[int]:
     """The ranks whose entry table holds only nodes of that rank."""
-    return {r for r, table in c.entry.items()
+    return {r for r, table in c.entry_tables().items()
             if all(code >= 0 and c.rank[code] == r for code, _ in table)}
 
 
@@ -600,6 +600,7 @@ def intersect_memo(gq, index, cache_conscious: bool, stats=None):
     probs = index.probs
     qtab = gq.table
     zero = ("E", 0, 0)  # the constant-zero task: any v == 0 task works
+    tables = {}  # k -> constituent k's entry tables
 
     def unit(k):
         """Normalized P0(not-W) of constituents k..m-1: 1.0 unless one of
@@ -634,8 +635,10 @@ def intersect_memo(gq, index, cache_conscious: bool, stats=None):
             inv = inv_root[k]
             if not cache_conscious:
                 return ((inv, _xtask(k, c.root_code, v)),)
+            if k not in tables:
+                tables[k] = c.entry_tables()
             terms = []
-            for code, mass in c.entry[rv]:
+            for code, mass in tables[k][rv]:
                 if code == SINK0:
                     continue
                 terms.append((mass * inv, _xtask(k, code, v)))

@@ -107,7 +107,7 @@ def _content(c):
     return (c.key, c.rank, c.lo, c.hi, c.prob_root.hex(),
             [v.hex() for v in c.prob_under],
             {r: [(code, m.hex()) for code, m in table]
-             for r, table in c.entry.items()})
+             for r, table in c.entry_tables().items()})
 
 
 def _matches_unshared(tr):
@@ -164,12 +164,14 @@ def test_one_shape_shares_structure_not_annotations():
     for index in (idx, deserialize(serialize(idx))):
         one, two = index.constituents
         assert one.lo is two.lo and one.hi is two.hi
+        assert one.entry_codes is two.entry_codes
+        assert one.entry_starts is two.entry_starts
         assert [r - one.rank_lo for r in one.rank] == \
             [r - two.rank_lo for r in two.rank]
         assert one.rank_lo != two.rank_lo
         assert one.prob_under != two.prob_under
         assert one.prob_root != two.prob_root
-        assert one.entry != two.entry
+        assert one.entry_tables() != two.entry_tables()
         assert index.shape_count() == 1
 
 

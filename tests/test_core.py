@@ -178,15 +178,119 @@ LOADER_SCHEMA = parse_schema("relation P(x:int, y:string) key(x) probabilistic\n
      DataError, "P(1,2): attribute y expects string"),
     (lambda rel: Indb(LOADER_SCHEMA, [(Fact("P", (1, "a")), float("nan"))]),
      DataError, "P(1,'a'): weight is NaN"),
+    # A '#' line is a comment only when it cannot be read as a row.
+    (lambda rel: parse_data_file(LOADER_SCHEMA.relation("D"),
+                                 "# tags\n#ai\tinf\n", "D.tsv"),
+     DataError, "D.tsv line 2: starts with '#' but has the 2 columns of a "
+                "row"),
+    # Two defects of different kinds: the first line's wins.
+    (lambda rel: parse_data_file(rel, "# c\n\nx\tfoo\t1.0\n1\tfoo\t1.0\n"
+                                      "1\tfoo\n", "P.tsv"),
+     DataError, "P.tsv line 3: expected int for x, got 'x'"),
+    (lambda rel: parse_data_file(rel, "1\tfoo\t1.0\n2\tbar\tw\n\n"
+                                      "y\tbaz\t1.0\n", "P.tsv"),
+     DataError, "P.tsv line 2: bad weight 'w'"),
+    (lambda rel: parse_data_file(rel, "\n# c\t1\n1\tfoo\nx\tfoo\tw\n",
+                                 "P.tsv"),
+     DataError, "P.tsv line 3: expected 3 columns, got 2"),
+    (lambda rel: parse_data_file(rel, "1\tfoo\t 2x \n#1\tfoo\t1.0\n",
+                                 "P.tsv"),
+     DataError, "P.tsv line 1: bad weight '2x'"),
 ], ids=["columns", "int-token", "weight-token", "nan-weight",
         "negative-weight", "finite-deterministic", "duplicate",
         "unknown-relation", "arity", "int-value", "string-value",
-        "indb-nan-weight"])
+        "indb-nan-weight", "hash-row", "int-before-short-row",
+        "weight-before-int", "short-row-before-int-and-weight",
+        "weight-before-hash-row"])
 def test_loader_errors_keep_class_and_message(load, error, message):
     with pytest.raises(MvdbError) as info:
         load(LOADER_SCHEMA.relation("P"))
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+def _run(*specs):
+    """Weighted facts from ``(relation, values, weight)`` triples."""
+    return [(Fact(name, values), w) for name, values, w in specs]
+
+
+@pytest.mark.parametrize("make, facts, error, message", [
+    # Runs P, D, P: a duplicate split across the two P runs.
+    (Mvdb, _run(("P", (1, "a"), 1.0), ("D", ("x",), INF),
+                ("P", (2, "b"), 1.0), ("P", (1, "a"), 2.0)),
+     DataError, "duplicate possible tuple P(1,'a')"),
+    (Indb, _run(("P", (1, "a"), 1.0), ("D", ("x",), INF),
+                ("P", (1, "a"), 2.0)),
+     DataError, "duplicate possible tuple P(1,'a')"),
+    # Defects in two runs: the earlier run's wins.
+    (Mvdb, _run(("P", (1, "a"), 1.0), ("D", ("x",), 2.0),
+                ("P", (2, "b"), -1.0)),
+     DataError, "D('x'): deterministic relation requires weight inf"),
+    (Indb, _run(("P", (1, "a"), 1.0), ("D", ("y",), -1.0),
+                ("P", (1, "a"), float("nan"))),
+     DegenerateWeightError, "D('y'): weight -1 is degenerate"),
+    (Mvdb, _run(("P", (1, "a"), 1.0), ("D", ("x",), INF),
+                ("P", (2,), 1.0), ("D", (3,), INF)),
+     DataError, "P(2) has arity 1, expected 2"),
+    # Defects of different kinds in one run: the first fact's wins, and a
+    # fact's own defects in the order arity, type, duplicate, weight.
+    (Mvdb, _run(("P", (1, "a"), 1.0), ("P", ("2", "b"), 1.0),
+                ("P", (1, "a"), 1.0)),
+     DataError, "P('2','b'): attribute x expects int"),
+    (Mvdb, _run(("P", (1, "a"), 1.0), ("P", (1, "a"), 1.0),
+                ("P", ("2", "b"), 1.0)),
+     DataError, "duplicate possible tuple P(1,'a')"),
+    (Mvdb, _run(("P", (1, "a"), 1.0), ("P", (2, "b"), -2.0),
+                ("P", (1, "a"), 1.0)),
+     DataError, "P(2,'b'): weight must be in [0, inf], got -2.0"),
+    (Indb, _run(("P", (1, "a"), float("nan")), ("P", (1,), 1.0)),
+     DataError, "P(1,'a'): weight is NaN"),
+    (Mvdb, _run(("P", (1, "a"), 1.0), ("P", (2, 3), -1.0), ("P", (4,), 1.0)),
+     DataError, "P(2,3): attribute y expects string"),
+    (Mvdb, _run(("P", (1, "a"), 1.0), ("P", (1, "a", 5), 1.0),
+                ("P", ("x", "a"), 1.0)),
+     DataError, "P(1,'a',5) has arity 3, expected 2"),
+    (Mvdb, _run(("P", ("x", 7), 1.0)),
+     DataError, "P('x',7): attribute x expects int"),
+    (Mvdb, _run(("P", (1, "a"), 1.0), ("P", ("b", "c"), 1.0),
+                ("P", (3, 4), 1.0)),
+     DataError, "P('b','c'): attribute x expects int"),
+], ids=["mvdb-split-duplicate", "indb-split-duplicate",
+        "mvdb-earlier-run", "indb-earlier-run", "arity-in-later-run",
+        "type-before-duplicate", "duplicate-before-type",
+        "weight-before-duplicate", "weight-before-arity",
+        "type-before-weight-and-arity", "arity-before-type",
+        "first-attribute-first", "earlier-fact-of-another-column"])
+def test_run_wise_validation_keeps_load_order(make, facts, error, message):
+    with pytest.raises(MvdbError) as info:
+        make(LOADER_SCHEMA, facts)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def _interned(db) -> list:
+    """Every value of every possible tuple, interned eagerly in load
+    order."""
+    constants, seen = [], set()
+    for fact in db.weights:
+        for v in fact.values:
+            if v not in seen:
+                seen.add(v)
+                constants.append(v)
+    return constants
+
+
+def test_lazy_domain_matches_eager_interning(tmp_path):
+    from mvdb.cli import _load_project
+    from mvdb.gendata import generate_project
+    from helpers import chain_mvdb
+    dblp = _load_project(str(generate_project(tmp_path / "p", seed=1,
+                                              scale=60)))
+    for db in (dblp, chain_mvdb(8)):
+        assert db.domain is db.domain
+        assert db.domain.constants == _interned(db)
+        assert [db.domain.rank(v) for v in _interned(db)] == \
+            list(range(len(db.domain)))
 
 
 def test_loaded_project_digest_and_domain_order(tmp_path):

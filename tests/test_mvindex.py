@@ -125,15 +125,16 @@ def test_frontier_identities():
             if not c.n:
                 continue
             c.derive(idx.probs)
-            for r, table in c.entry.items():
+            entry = c.entry_tables()
+            for r, table in entry.items():
                 total = sum(mass * prob_under(c, code) for code, mass in table)
                 assert total == pytest.approx(c.prob_root, abs=1e-12), \
                     f"entry frontier at rank {r}"
             for r in cut_ranks(c):
                 level = [pos for pos in range(c.n) if c.rank[pos] == r]
-                assert [pos for pos, _ in c.entry[r]] == level
+                assert [pos for pos, _ in entry[r]] == level
                 total = sum(mass * c.prob_under[pos]
-                            for pos, mass in c.entry[r])
+                            for pos, mass in entry[r])
                 assert total == pytest.approx(c.prob_root, abs=1e-12)
 
 
@@ -150,11 +151,12 @@ def test_derive_sweep_matches_rescan_reference(annotated_indices):
     for idx in annotated_indices:
         for c in idx.constituents:
             entry, cut = entry_tables_rescan(c, idx.probs)
-            assert c.entry.keys() == entry.keys()
+            tables = c.entry_tables()
+            assert tables.keys() == entry.keys()
             for r, table in entry.items():
-                assert [code for code, _ in c.entry[r]] == \
+                assert [code for code, _ in tables[r]] == \
                     [code for code, _ in table], f"codes at rank {r}"
-                for (_, got), (_, want) in zip(c.entry[r], table):
+                for (_, got), (_, want) in zip(tables[r], table):
                     assert got == pytest.approx(want, abs=1e-12)
             assert cut_ranks(c) == cut
 
@@ -504,7 +506,7 @@ def test_load_derives_the_build_annotations(annotated_indices):
         for built, got in zip(idx.constituents, loaded.constituents):
             assert got.prob_under == built.prob_under
             assert got.prob_root == built.prob_root
-            assert got.entry == built.entry
+            assert got.entry_tables() == built.entry_tables()
             assert cut_ranks(got) == cut_ranks(built)
 
 
@@ -515,8 +517,8 @@ def test_round_trip_answers_are_bit_identical():
         tr = viable_random_mvdb(seed)[1]
         built = build_index(tr)
         loaded = deserialize(serialize(built))
-        assert [c.entry for c in loaded.constituents] == \
-            [c.entry for c in built.constituents]
+        assert [c.entry_tables() for c in loaded.constituents] == \
+            [c.entry_tables() for c in built.constituents]
         inst = tr.indb.possible_instance()
         rng = random.Random(seed)
         for q in [random_boolean_query(rng) for _ in range(5)]:
@@ -652,6 +654,14 @@ def _set(path, value):
     (_set(("facts", 0, 2), 1.5), "layout"),
     (_set(("facts", 0, 2), True), "layout"),
     (_set(("facts", 0), []), "layout"),
+    # Exact types: a column check built on isinstance takes True for 1.
+    (_set(("facts", 0, 0), True), "layout"),
+    (_set(("facts", 0, 0), 0.0), "layout"),
+    (_set(("facts", 0, 0), "0"), "layout"),
+    (_set(("facts", 0, 1), [1]), "layout"),
+    (_set(("facts", 0, 1), None), "layout"),
+    (_set(("facts", 0), "S"), "layout"),
+    (_set(("constituents", 0, 2), False), "layout"),
     (_set(("facts", 0, 0), 1), "unknown relation"),
     (_set(("facts", 1), [0, "a1", "b1"]), "duplicate tuple"),
 ])
