@@ -104,8 +104,8 @@ def _emit(out, columns, rows, tsv: bool):
 def cmd_compile(args, out) -> int:
     db = _load_project(args.project)
     t0 = time.perf_counter()
-    tr = build_indb(db)
-    index = build_index(tr)
+    # The translation, W's lineage included, is freed before the write.
+    index = build_index(build_indb(db))
     elapsed = time.perf_counter() - t0
     path = _index_path(args)
     save_index(index, path)

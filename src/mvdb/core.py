@@ -269,6 +269,21 @@ class Instance:
         return rows[start:stop]
 
 
+def _runs(names: list) -> list:
+    """``(start, stop)`` of each run of equal consecutive *names*."""
+    starts = list(compress(range(len(names)),
+                           map(ne, names, [None, *names])))
+    return list(zip(starts, [*starts[1:], len(names)]))
+
+
+def _repr_format(relation: str, arity: int) -> str:
+    """A %-format that writes ``repr((relation, values))`` for the values
+    tuple of a fact of *relation*: ``%r`` writes each value's repr, as the
+    tuple's repr does, and a 1-tuple keeps its trailing comma."""
+    fields = ", ".join(["%r"] * arity) + ("," if arity == 1 else "")
+    return "(%s, (%s))" % (repr(relation).replace("%", "%%"), fields)
+
+
 class _Database:
     """Shared container logic for weighted-tuple databases."""
 
@@ -283,9 +298,7 @@ class _Database:
         # Facts arrive in runs of one relation: resolve and check each run
         # as a whole, in load order.
         names = list(map(itemgetter(0), facts))
-        starts = list(compress(range(len(names)),
-                               map(ne, names, [None, *names])))
-        for start, stop in zip(starts, [*starts[1:], len(names)]):
+        for start, stop in _runs(names):
             self._add_run(schema.relation(names[start]), facts[start:stop],
                           weights[start:stop])
 
@@ -375,9 +388,17 @@ class Mvdb(_Database):
         and so the tuple order of a compiled index."""
         h = hashlib.sha256(self.schema.canonical_text().encode())
         h.update(repr(self.views).encode())
-        # Plain tuples and raw float64 bytes: half the cost of a repr of
-        # the Fact records and their weights.
-        h.update(repr([tuple(f) for f in self.weights]).encode())
+        # The text of ``repr([tuple(f) for f in self.weights])``, written
+        # by one format per relation run, and raw float64 bytes.
+        facts = list(self.weights)
+        names = list(map(itemgetter(0), facts))
+        values = list(map(itemgetter(1), facts))
+        runs = []
+        for start, stop in _runs(names):
+            row = _repr_format(names[start], len(values[start]))
+            runs.append(", ".join([row] * (stop - start)) % tuple(
+                chain.from_iterable(values[start:stop])))
+        h.update(("[" + ", ".join(runs) + "]").encode())
         h.update(array("d", self.weights.values()).tobytes())
         return h.hexdigest()
 

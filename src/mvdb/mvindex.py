@@ -2,18 +2,19 @@
 
 The constraint query W is compiled offline into negated, augmented OBDD
 constituents over pairwise-disjoint variable ranges (one per separator
-constant when W has a separator): W is grounded once, its lineage clauses
-are grouped by separator constant, and each group compiles on its own with
-`from_ranks` (`from_lineage`'s compiler), once per shape: a group whose
-clauses have the ranks of an earlier group's, shifted, is that group's
-constituent shifted in rank (`_compile_blocks`).  Every node is annotated
-with the probability of its sub-diagram (probUnder) and the signed mass of
-all root paths reaching it (reachability), both derived from the structure
-and the tuple probabilities by `Constituent.augment`.  Online, a query OBDD
-ordered by the same tuple order is intersected against the chain of
-constituents without materializing the conjunction, by one forward sweep of
-signed probability mass over ranks (`_intersect`).  The two modes differ
-only in where a query node enters a constituent:
+constant when W has a separator): the translation grounds W in its one
+pass over the view bodies and groups the lineage clauses by separator
+constant (`TranslationResult.w_lineage`), and each group compiles on its
+own with `from_ranks` (`from_lineage`'s compiler), once per shape: a group
+whose clauses have the ranks of an earlier group's, shifted, is that
+group's constituent shifted in rank (`_compile_blocks`).  Every node is
+annotated with the probability of its sub-diagram (probUnder) and the
+signed mass of all root paths reaching it (reachability), both derived from
+the structure and the tuple probabilities by `Constituent.augment`.
+Online, a query OBDD ordered by the same tuple order is intersected against
+the chain of constituents without materializing the conjunction, by one
+forward sweep of signed probability mass over ranks (`_intersect`).  The
+two modes differ only in where a query node enters a constituent:
 
 * `mv_intersect` enters at the constituent's first rank, whose entry table
   is the root alone, so the sweep walks each constituent down from its
@@ -325,23 +326,22 @@ def _collector_paused():
 def build_index(tr: TranslationResult) -> MvIndex:
     """Compile the constraint query of a translation into an index.
 
-    W is grounded once (`ucq.grouped_lineage`).  With a separator, its
-    clauses are grouped by the separator constant into one constituent
-    keyed by that constant; otherwise all clauses form a single unkeyed
-    constituent.  `_compile_blocks` runs `from_ranks` once per block
-    shape and shifts it for every other block of that shape.  `choose_pi`
-    puts every separator position first, so the blocks cover disjoint rank
-    ranges; interleaved blocks are an internal `MvdbError`.  Each compiled
-    block gets a fresh node table that is dropped once the block is laid
-    out, since a shared table would hold nothing another block reuses.  The
-    cost is linear in W's lineage plus the distinct shapes' size.
-    Constituents are negated by swapping sinks, then each is augmented
-    from its own tuple probabilities.  The
-    build runs with the cyclic collector paused (`_collector_paused`):
-    grounding and compilation leave no reference cycles.
+    W's lineage comes grouped from the translation (``tr.w_lineage``, read
+    and not changed, so the same translation builds the same index again):
+    with a separator, one constituent per separator constant, keyed by it;
+    otherwise all clauses form a single unkeyed constituent.
+    `_compile_blocks` runs `from_ranks` once per block shape and shifts it
+    for every other block of that shape.  `choose_pi` puts every separator
+    position first, so the blocks cover disjoint rank ranges; interleaved
+    blocks are an internal `MvdbError`.  Each compiled block gets a fresh
+    node table that is dropped once the block is laid out, since a shared
+    table would hold nothing another block reuses.  The cost is linear in
+    W's lineage plus the distinct shapes' size.  Constituents are negated
+    by swapping sinks, then each is augmented from its own tuple
+    probabilities.  The build runs with the cyclic collector paused
+    (`_collector_paused`): compilation leaves no reference cycles.
     """
     indb = tr.indb
-    instance = indb.possible_instance()
     prob_facts = indb.probabilistic_facts()
     digest = tr.source.digest()
     var_rels = _variable_relations(indb)
@@ -351,9 +351,10 @@ def build_index(tr: TranslationResult) -> MvIndex:
     probs = [indb.probability(f) for f in order.facts]
     if tr.w_query is None:
         return MvIndex([], order, probs, digest)
-    sep = U.find_separator(tr.w_query, indb.schema, var_rels)
-    groups = U.grouped_lineage(tr.w_query, instance, sep and sep.variables)
-    keys = sorted(groups, key=indb.domain.rank) if sep else list(groups)
+    groups = tr.w_lineage
+    # Without a separator the one group's key is None; no constant is.
+    keys = (list(groups) if None in groups
+            else sorted(groups, key=indb.domain.rank))
     constituents = _compile_blocks(groups, keys, order)
     if _overlapping(constituents):
         raise MvdbError("internal error: W's separator blocks interleave "
@@ -364,8 +365,7 @@ def build_index(tr: TranslationResult) -> MvIndex:
 
 
 def _compile_blocks(groups: dict, keys, order: VariableOrder) -> list:
-    """One negated constituent per key, popping its clauses from *groups*
-    so that a block's clauses and node table are freed before the next.
+    """One negated constituent per key, from the clauses ``groups[key]``.
 
     Each block's clauses become their distinct ascending rank lists, and
     blocks are told apart by those lists relative to the block's first rank
@@ -379,7 +379,7 @@ def _compile_blocks(groups: dict, keys, order: VariableOrder) -> list:
     rank_of = order.rank_of
     for key in keys:
         ranks = {tuple(sorted(map(rank_of, clause)))
-                 for clause in groups.pop(key)}
+                 for clause in groups[key]}
         base = min((r[0] for r in ranks if r), default=0)
         relative = frozenset(tuple(x - base for x in r) for r in ranks)
         if relative in compiled:

@@ -9,6 +9,11 @@ body.  Queries are then answered as P0(Q and not-W) / P0(not-W), which keeps
 every final answer inside [0, 1] even though intermediate probabilities may
 be negative.
 
+W is the union of the view bodies, each joined with its auxiliary atom, so
+its groundings are the views' own: one pass over each view body yields the
+auxiliary tuples and W's lineage clauses, grouped by W's separator constant
+for the index compiler.
+
 The translation result is immutable; concurrent query evaluation against a
 frozen evaluator is safe.
 """
@@ -16,8 +21,10 @@ frozen evaluator is safe.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
+from operator import itemgetter
 from typing import Optional, Protocol
 
 from .core import (INF, VIEW_AUX, Attribute, Fact, HardConstraintError,
@@ -33,50 +40,146 @@ def materialize_view(view: U.MarkoView, instance: Instance) -> tuple:
     The weight expression must evaluate to the same finite non-negative
     value under every witnessing binding of an output tuple.
     """
-    weights: dict[tuple, float] = {}
-    for d in view.body.disjuncts:
-        for bnd, _ in U.iter_matches(d, instance):
-            values = tuple(bnd[v.name] for v in d.head)
-            try:
-                w = U.eval_expr(view.weight_expr, bnd)
-            except MvdbError as exc:
-                raise InvalidViewError(f"view {view.name}: {exc}") from None
-            if not isinstance(w, (int, float)) or isinstance(w, bool):
-                raise InvalidViewError(
-                    f"view {view.name}: weight is not a number: {w!r}")
-            try:
-                w = float(w)
-            except OverflowError:
-                raise InvalidViewError(
-                    f"view {view.name}: weight for {values!r} is too large "
-                    "for a float") from None
-            if math.isnan(w) or w < 0:
-                raise InvalidViewError(
-                    f"view {view.name}: weight {w!r} for {values!r} "
-                    "is outside [0, inf)")
-            if w == INF:
-                raise HardConstraintError(
-                    f"view {view.name}: weight inf for {values!r} has no "
-                    "translated form; model the complement as a denial view")
-            prev = weights.get(values)
-            if prev is None:
-                weights[values] = w
-            elif prev != w:
-                raise InvalidViewError(
-                    f"view {view.name}: weight for {values!r} differs "
-                    f"across witnessing bindings ({prev!r} vs {w!r})")
+    return _sorted_outputs(_ground_view(view, instance)[0])
+
+
+def _sorted_outputs(weights: dict) -> tuple:
     return tuple(sorted(weights.items(),
                         key=lambda kv: tuple((isinstance(v, str), v)
                                              for v in kv[0])))
 
 
+def _weight(view: U.MarkoView, bnd: dict, values: tuple) -> float:
+    """The view's weight under one witnessing binding of *values*."""
+    try:
+        w = U.eval_expr(view.weight_expr, bnd)
+    except MvdbError as exc:
+        raise InvalidViewError(f"view {view.name}: {exc}") from None
+    if not isinstance(w, (int, float)) or isinstance(w, bool):
+        raise InvalidViewError(
+            f"view {view.name}: weight is not a number: {w!r}")
+    try:
+        w = float(w)
+    except OverflowError:
+        raise InvalidViewError(
+            f"view {view.name}: weight for {values!r} is too large "
+            "for a float") from None
+    if math.isnan(w) or w < 0:
+        raise InvalidViewError(
+            f"view {view.name}: weight {w!r} for {values!r} "
+            "is outside [0, inf)")
+    if w == INF:
+        raise HardConstraintError(
+            f"view {view.name}: weight inf for {values!r} has no "
+            "translated form; model the complement as a denial view")
+    return w
+
+
+def _separator_candidates(d: U.ConjunctiveQuery, soft_rels) -> tuple:
+    """The variables, sorted, that `find_separator` may pick for W's
+    disjunct of body *d*, whichever way the views' outputs turn out.
+
+    That disjunct is *d*, with ``NV(head)`` unless the denial shortcut drops
+    it, and NV is a variable relation unless every output is a denial.  In
+    each case the pick is a root variable of *d*'s atoms over *soft_rels*
+    (the base relations with a non-deterministic fact), or, when *d* has no
+    such atom, a root variable of all its atoms or a head variable.
+    """
+    roots = (U.root_variables(d, considered=soft_rels)
+             or U.root_variables(d) | {v.name for v in d.head})
+    return tuple(sorted(roots))
+
+
+def _ground_view(view: U.MarkoView, instance: Instance, soft=None,
+                 soft_rels=()) -> tuple:
+    """Run each disjunct of the view's body through its join plan once.
+
+    Returns ``(weights, nv_facts, clauses)``: the weight of each output's
+    values, checked to agree across its witnessing bindings (`_weight`),
+    and, with *soft* (each non-deterministic fact of *instance* mapped to
+    itself), W's clause of every match.  A clause is a tuple of *soft*'s
+    facts: the match's non-deterministic body facts, each once, and the
+    auxiliary fact ``NV(values)`` unless the output's weight is 0, which
+    makes that fact deterministic.  *nv_facts* maps values to that fact,
+    made once per output.  *clauses* holds per body disjunct
+    ``(names, {values of names: [clause, ...]})``, *names* being
+    `_separator_candidates`, so the clauses can be grouped by W's separator
+    once it is known without keeping the bindings.
+    """
+    weights: dict[tuple, float] = {}
+    nv_facts: dict[tuple, Fact] = {}
+    clauses = []
+    nv = _aux_name(view)
+    for d in view.body.disjuncts:
+        values_of = _tuple_getter([v.name for v in d.head])
+        names = _separator_candidates(d, soft_rels)
+        key_of = _tuple_getter(names)
+        self_join = len({a.relation for a in d.atoms}) < len(d.atoms)
+        by_key = defaultdict(list)
+        for bnd, used in U.iter_matches(d, instance):
+            values = values_of(bnd)
+            w = _weight(view, bnd, values)
+            prev = weights.get(values)
+            if prev is None:
+                weights[values] = w
+                if w != 0 and soft is not None:
+                    nv_facts[values] = Fact(nv, values)
+            elif prev != w:
+                raise InvalidViewError(
+                    f"view {view.name}: weight for {values!r} differs "
+                    f"across witnessing bindings ({prev!r} vs {w!r})")
+            if soft is None:
+                continue
+            clause = tuple(filter(None, map(soft.get, used)))
+            # *soft*'s facts are its own keys, so a repeat is the same object
+            if self_join and len(set(map(id, clause))) < len(clause):
+                clause = tuple(dict.fromkeys(clause))
+            if w != 0:
+                clause += (nv_facts[values],)
+            by_key[key_of(bnd)].append(clause)
+        clauses.append((names, by_key))
+    return weights, nv_facts, clauses
+
+
+def _tuple_getter(names):
+    """Reads the values of *names* off a binding, as a tuple."""
+    if len(names) == 1:
+        name, = names
+        return lambda bnd: (bnd[name],)
+    return itemgetter(*names) if names else lambda bnd: ()
+
+
+def _group_clauses(clauses: list, sep: Optional[U.Separator]) -> dict:
+    """W's clauses (`_ground_view`'s, one entry per disjunct of W) grouped
+    by the constant of each disjunct's separator variable, or all under
+    None without a separator.  Each disjunct's lists are emptied into the
+    groups as they go, so no clause list is held twice."""
+    groups: dict = {}
+    for i, (names, by_key) in enumerate(clauses):
+        pick = (itemgetter(names.index(sep.variables[i])) if sep is not None
+                else lambda key: None)
+        for key in list(by_key):
+            groups.setdefault(pick(key), []).extend(by_key.pop(key))
+    for key, group in groups.items():
+        groups[key] = tuple(group)
+    return groups
+
+
 @dataclass(frozen=True)
 class TranslationResult:
-    """The independent database, the constraint query W and its source."""
+    """The independent database, the constraint query W and its source.
+
+    *w_lineage* is W's lineage over the Indb's possible instance, grouped
+    by W's separator constant (`ucq.find_separator`), or under the one key
+    None without a separator: each clause is a tuple of the Indb's own
+    facts, without the deterministic ones.  It is empty without W or when
+    W has no grounding, and is read, never changed, by `build_index`.
+    """
 
     indb: Indb
     w_query: Optional[U.Ucq]  # the views' constraint bodies; None if none
     source: Mvdb
+    w_lineage: dict
 
 
 def _head_types(view: U.MarkoView, schema: Schema) -> list[str]:
@@ -105,31 +208,51 @@ def _head_types(view: U.MarkoView, schema: Schema) -> list[str]:
     return [types[v.name] for v in view.head]
 
 
+def _aux_name(view: U.MarkoView) -> str:
+    return "N" + view.name
+
+
 def _nv_name(view: U.MarkoView, schema: Schema, taken: set) -> str:
-    name = "N" + view.name
+    name = _aux_name(view)
     if schema.has(name) or name in taken:
         raise InvalidViewError(
             f"auxiliary relation name {name!r} collides; rename the view")
     return name
 
 
+def _ground_views(db: Mvdb) -> tuple[list, set]:
+    """`_ground_view` of every view over one base possible instance, which
+    is freed on return, and the base relations with a non-deterministic
+    fact."""
+    instance = db.possible_instance()
+    soft = {f: f for f, w in db.weights.items() if w != INF}
+    soft_rels = {f.relation for f in soft}
+    return ([_ground_view(v, instance, soft, soft_rels) for v in db.views],
+            soft_rels)
+
+
 def build_indb(db: Mvdb, denial_shortcut: bool = True) -> TranslationResult:
-    """Construct the associated tuple-independent database and W.
+    """Construct the associated tuple-independent database and W, and ground
+    W once, by the views' own materialization.
 
     Original tuples keep their weights.  Each view output becomes an
     auxiliary tuple of weight (1 - w) / w; weight-0 outputs become
     deterministic auxiliary tuples.  With *denial_shortcut* (default), a view
     whose outputs are all denials contributes its bare body as the
     constraint disjunct and no auxiliary tuples at all.  The views are
-    materialized over one base possible instance.
+    materialized over one base possible instance, each disjunct's join plan
+    run once (`_ground_view`).  W's disjuncts are the view bodies, with the
+    auxiliary atom of the outputs' values, so the same matches are W's
+    groundings: their clauses, grouped by W's separator constant, are the
+    result's *w_lineage*.
     """
-    instance = db.possible_instance()
-    mats = [materialize_view(v, instance) for v in db.views]
+    passes, var_rels = _ground_views(db)
     aux_relations: list[Relation] = []
     aux_facts: list[tuple[Fact, float]] = []
     components: list[U.Ucq] = []
     taken: set[str] = set()
-    for view, outputs in zip(db.views, mats):
+    for view, (weights, nv_facts, _) in zip(db.views, passes):
+        outputs = _sorted_outputs(weights)
         all_denial = all(w == 0 for _, w in outputs)
         if denial_shortcut and all_denial:
             closed = tuple(U.ConjunctiveQuery((), d.atoms, d.predicates)
@@ -138,13 +261,15 @@ def build_indb(db: Mvdb, denial_shortcut: bool = True) -> TranslationResult:
             continue
         nv = _nv_name(view, db.schema, taken)
         taken.add(nv)
+        if not all_denial:
+            var_rels.add(nv)
         types = _head_types(view, db.schema)
         attrs = tuple(Attribute(f"a{i + 1}", t) for i, t in enumerate(types))
         aux_relations.append(Relation(nv, attrs,
                                       tuple(a.name for a in attrs), VIEW_AUX))
         for values, w in outputs:
             w0 = INF if w == 0 else (1.0 - w) / w
-            aux_facts.append((Fact(nv, values), w0))
+            aux_facts.append((nv_facts.get(values) or Fact(nv, values), w0))
         disjuncts = []
         for d in view.body.disjuncts:
             nv_atom = U.Atom(nv, tuple(d.head))
@@ -154,10 +279,13 @@ def build_indb(db: Mvdb, denial_shortcut: bool = True) -> TranslationResult:
     schema = db.schema.extended(aux_relations)
     weighted = list(db.weights.items()) + aux_facts
     indb = Indb(schema, weighted)
-    w_query = None
-    if components:
-        w_query = U.Ucq(tuple(d for c in components for d in c.disjuncts))
-    return TranslationResult(indb, w_query, db)
+    if not components:
+        return TranslationResult(indb, None, db, {})
+    w_query = U.Ucq(tuple(d for c in components for d in c.disjuncts))
+    # var_rels is the Indb's relations with a non-deterministic fact.
+    sep = U.find_separator(w_query, schema, var_rels)
+    clauses = [c for _, _, per_view in passes for c in per_view]
+    return TranslationResult(indb, w_query, db, _group_clauses(clauses, sep))
 
 
 class Evaluator(Protocol):

@@ -692,8 +692,8 @@ def iter_matches(cq: ConjunctiveQuery, instance: Instance,
     Every other predicate, a mistyped one included, is tested on each row,
     so it raises as `eval_predicate` does.  Variables already in *binding*
     count as bound.
-    Every grounding (query lineage, answers, view materialization, W and
-    per-world evaluation) runs through here.
+    Every grounding (query lineage, answers, view materialization, which
+    also grounds W, and per-world evaluation) runs through here.
     """
     binding = dict(binding) if binding else {}
     first, steps = _plan(cq, instance, binding)
@@ -727,34 +727,17 @@ class Lineage:
         return any(c <= present for c in self.clauses)
 
 
-def grouped_lineage(q: Ucq, instance: Instance,
-                    variables: Optional[tuple] = None) -> dict:
-    """Lineage clauses of a Boolean UCQ in one grounding pass, grouped.
-
-    One clause per homomorphism.  With *variables* (one name per disjunct,
-    e.g. a separator's), each clause goes under the constant its disjunct's
-    variable is bound to; without, every clause goes under None.  The
-    groups are plain lists for `Lineage.normalize`.  Deterministic facts are
-    always present, so they are dropped from the clauses; a clause that
-    becomes empty makes its group valid.
-    """
+def lineage(q: Ucq, instance: Instance) -> Lineage:
+    """Lineage of a Boolean UCQ in one grounding pass: one clause per
+    homomorphism.  Deterministic facts are always present, so they are
+    dropped from the clauses; a clause that becomes empty makes the
+    lineage valid."""
     if not q.is_boolean():
         raise MvdbError("lineage is defined for Boolean queries")
-    deterministic = instance.deterministic
-    groups: dict = {}
-    for i, d in enumerate(q.disjuncts):
-        var = variables[i] if variables is not None else None
-        for bnd, used in iter_matches(d, instance):
-            key = bnd[var] if var is not None else None
-            groups.setdefault(key, []).append(frozenset(
-                f for f in used if f not in deterministic))
-    return groups
-
-
-def lineage(q: Ucq, instance: Instance) -> Lineage:
-    """Lineage of a Boolean UCQ: one clause per homomorphism, without the
-    deterministic facts (`grouped_lineage` with a single group)."""
-    return Lineage.normalize(grouped_lineage(q, instance).get(None, ()))
+    deterministic = instance.deterministic.__contains__
+    return Lineage.normalize(
+        frozenset(itertools.filterfalse(deterministic, used))
+        for d in q.disjuncts for _, used in iter_matches(d, instance))
 
 
 def answer_tuples(q: Ucq, instance: Instance) -> list[tuple]:

@@ -1,10 +1,20 @@
-"""Time the phases of a cold `mvdb query` in process, to compare checkouts.
+"""Time the phases of `mvdb compile` and of a cold `mvdb query` in process,
+to compare checkouts.
 
 Writes two projects to a temporary directory and compiles each with
 ``mvdb compile``: gen-dblp seed 1 scale 2000 (query ``Q(a) :- Advisor(7,
 a)``) and the benchmark's chain at n = 160, seed 7 (the window query
 over positions 0-3).  Then, with the cyclic collector paused as in
-`cli.main`, it prints the median milliseconds of REPEATS runs of each cold
+`cli.main`, it prints the median milliseconds of REPEATS runs of each
+compile phase:
+
+* ``compile_load``: parsing the schema, views and TSV files into an `Mvdb`;
+* ``build_indb``: the translation, which also grounds W;
+* ``build_index``: compiling W's lineage into the index;
+* ``serialize``: writing the index's bytes;
+
+and ``compile_peak_mb``, the tracemalloc peak of one whole ``mvdb compile``
+through `cli.main`.  Then it prints the same medians for each cold query
 phase:
 
 * ``project``: parsing the schema, views and TSV files into an `Mvdb`;
@@ -52,6 +62,33 @@ def _median_ms(fn, repeats: int) -> float:
         finally:
             gc.enable()
     return statistics.median(times) * 1e3
+
+
+def _compile_phases(project: Path, repeats: int) -> dict:
+    import tracemalloc
+    from mvdb import cli, mvindex
+    from mvdb.translate import build_indb
+
+    db = cli._load_project(str(project))
+    tr = build_indb(db)
+    index = mvindex.build_index(tr)
+    out = {
+        "compile_load": _median_ms(lambda: cli._load_project(str(project)),
+                                   repeats),
+        "build_indb": _median_ms(lambda: build_indb(db), repeats),
+        "build_index": _median_ms(lambda: mvindex.build_index(tr), repeats),
+        "serialize": _median_ms(lambda: mvindex.serialize(index), repeats),
+    }
+    del db, tr, index
+    tracemalloc.start()
+    try:
+        if cli.main(["compile", "--project", str(project)],
+                    out=io.StringIO()):
+            raise SystemExit(f"compile failed on {project}")
+        out["compile_peak_mb"] = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    return out
 
 
 def _phases(project: Path, query: str, repeats: int) -> dict:
@@ -126,7 +163,9 @@ def main(argv) -> int:
             if cli.main(["compile", "--project", str(project), "--tsv"],
                         out=io.StringIO()):
                 raise SystemExit(f"compile failed on {project}")
-            for phase, value in _phases(project, query, repeats).items():
+            phases = _compile_phases(project, repeats)
+            phases.update(_phases(project, query, repeats))
+            for phase, value in phases.items():
                 shown = value if isinstance(value, str) else f"{value:.2f}"
                 print(f"{name}\t{phase}\t{shown}")
     return 0

@@ -417,6 +417,49 @@ def con_obdd_structural(pi, q, instance, domain, order=None, table=None,
     return Obdd(table, builder.build_ucq(q.disjuncts))
 
 
+def grouped_lineage(q, instance, variables=None) -> dict:
+    """Lineage clauses of a Boolean UCQ in one grounding pass, grouped.
+
+    One clause per homomorphism.  With *variables* (one name per disjunct,
+    e.g. a separator's), each clause goes under the constant its disjunct's
+    variable is bound to; without, every clause goes under None.  The
+    clauses are frozensets without the deterministic facts."""
+    assert q.is_boolean()
+    groups: dict = {}
+    for i, d in enumerate(q.disjuncts):
+        var = variables[i] if variables is not None else None
+        for bnd, used in U.iter_matches(d, instance):
+            key = bnd[var] if var is not None else None
+            groups.setdefault(key, []).append(frozenset(
+                f for f in used if f not in instance.deterministic))
+    return groups
+
+
+def w_lineage_reference(tr) -> dict:
+    """W's grouped lineage by grounding W itself: ``tr.w_query`` over the
+    Indb's possible instance, grouped by `find_separator`'s variables."""
+    from mvdb.mvindex import _variable_relations
+    if tr.w_query is None:
+        return {}
+    sep = U.find_separator(tr.w_query, tr.indb.schema,
+                           _variable_relations(tr.indb))
+    return grouped_lineage(tr.w_query, tr.indb.possible_instance(),
+                           sep and sep.variables)
+
+
+def digest_reference(db) -> str:
+    """`Mvdb.digest` by its definition: sha256 over the schema's canonical
+    text, ``repr`` of the views, ``repr`` of the facts as plain tuples in
+    load order, and the weights' float64 bytes."""
+    import hashlib
+    from array import array
+    h = hashlib.sha256(db.schema.canonical_text().encode())
+    h.update(repr(db.views).encode())
+    h.update(repr([tuple(f) for f in db.weights]).encode())
+    h.update(array("d", db.weights.values()).tobytes())
+    return h.hexdigest()
+
+
 def build_index_per_block(tr):
     """`build_index` with one `con_obdd_structural` call per separator
     constant, every block in one shared node table, and its own contiguity
@@ -480,7 +523,7 @@ def build_index_unshared(tr):
 
     def compile_every_block(groups, keys, order):
         return [Constituent.from_obdd(
-            mvindex.from_lineage(U.Lineage.normalize(groups.pop(key)), order,
+            mvindex.from_lineage(U.Lineage.normalize(groups[key]), order,
                                  NodeTable(order)), key) for key in keys]
 
     with mock.patch.object(mvindex, "_compile_blocks", compile_every_block):

@@ -307,3 +307,52 @@ def test_loaded_project_digest_and_domain_order(tmp_path):
         1001, "a. stone", 1002, "b. rivera", 1003, "c. okafor", 1004,
         "d. madsen", 1005, "e. liu", 1006, "f. haines", 1007, "g. brandt",
         1008, "h. suzuki", 1009, "i. ferrara", 1, 4]
+
+
+# -- digest: the format-string text equals repr ------------------------------
+
+def test_digest_matches_reference_on_corpora(tmp_path):
+    from mvdb.cli import _load_project
+    from mvdb.gendata import generate_project
+    from helpers import (chain_mvdb, digest_reference, random_mvdb,
+                         viable_random_mvdb)
+    dbs = [_load_project(generate_project(tmp_path / "p", seed=1, scale=60)),
+           chain_mvdb(8), chain_mvdb(20)]
+    dbs += [viable_random_mvdb(seed)[0] for seed in range(200)]
+    dbs += [random_mvdb(random.Random(seed)) for seed in range(500)]
+    for db in dbs:
+        assert db.digest() == digest_reference(db)
+
+
+DIGEST_SCHEMA = parse_schema("""
+relation A(x:string) key(x) probabilistic
+relation B(x:int, y:string, z:int) key(x,y,z) probabilistic
+relation D(x:int) key(x) deterministic
+""")
+
+
+@pytest.mark.parametrize("facts", [
+    [(Fact("A", ("it's",)), 1.0), (Fact("A", ('say "hi"',)), 0.0),
+     (Fact("A", ("back\\slash",)), 2.5), (Fact("A", ("both '\" \\'",)), 1.0),
+     (Fact("A", ("naïve ünïcödé ✓ 𝔘",)), INF), (Fact("A", ("",)), 0.5),
+     (Fact("A", ("%r %s %%",)), 1.0), (Fact("A", ("tab\tnew\nline",)), 1.0)],
+    [(Fact("B", (-7, "x", 12345678901234567890)), 0.0),
+     (Fact("B", (-98765432109876543210, "%d", 0)), INF),
+     (Fact("D", (-1,)), INF), (Fact("D", (10 ** 19,)), INF),
+     (Fact("A", ("a",)), 1e-300), (Fact("B", (1, "'", -1)), 1e300),
+     (Fact("A", ("b",)), 3.0)],
+    [],
+], ids=["strings", "ints and runs", "empty"])
+def test_digest_matches_reference_on_awkward_values(facts):
+    from helpers import digest_reference
+    db = Mvdb(DIGEST_SCHEMA, facts, [])
+    assert db.digest() == digest_reference(db)
+
+
+def test_digest_matches_reference_on_a_relation_name_with_percent():
+    from mvdb.core import Attribute, Relation
+    from helpers import digest_reference
+    schema = Schema([Relation("P%r%%", (Attribute("x", "int"),), ("x",),
+                              "probabilistic")])
+    db = Mvdb(schema, [(Fact("P%r%%", (1,)), 1.0)], [])
+    assert db.digest() == digest_reference(db)
