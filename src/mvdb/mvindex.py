@@ -38,37 +38,51 @@ is exactly 0.0, i.e. one block is contradictory on its own.
 The index is immutable after build; every query owns its own rank buckets,
 so concurrent evaluation is safe.
 
-The ``.mvx`` file (format version 5, `serialize` and `deserialize`) is:
+The ``.mvx`` file (format version 6, `serialize` and `deserialize`) is:
 
-* a header: the magic ``MVIX``, the u32 version, the 32-byte sha256 source
-  digest (`Mvdb.digest`) and the u32 length of the JSON section;
-* one compact JSON section with sorted keys: ``relations`` (names),
-  ``facts`` (the tuple order, one ``[relation index, value, ...]`` row per
-  tuple), ``shapes`` (one node count per shape) and ``constituents`` (one
-  ``[key, shape id, rank offset]`` head each).  Ints of any size and
-  strings round-trip exactly;
-* little-endian typed blocks: ``probs`` (f64 per tuple), then ``rank``,
-  ``lo``, ``hi`` (i32 per node, in rank order), each the concatenation over
-  the shapes in id order;
+* a header: the magic ``MVIX``, the u32 version and the 32-byte sha256
+  source digest (`Mvdb.digest`);
+* the sixteen columns of `_COLUMNS`, each a 1-byte array typecode, a u32
+  item count and the items, little-endian.  An int column has the
+  narrowest typecode that holds its min and max (`_column`), so the bytes
+  per tuple stay flat while the domain grows, and rise once when the ids
+  pass 2^8 and once more past 2^16:
+  - the relations: their names, as UTF-8 with each one's end, and their
+    arities;
+  - the tuple order: each tuple's relation id, then one column of domain
+    ids that holds every tuple's values in turn;
+  - the domain, every value of the order and every constituent key: its
+    ints as one ASCII run of decimal numerals, so ints of any size stay
+    exact, then its strings as UTF-8 with each one's end;
+  - each tuple's weight w as f64.  The probability w/(1+w) is derived on
+    load; w is stored because it survives where p rounds to 1.0 (w = 1e20);
+  - the constituent heads, in rank order: the key as domain id + 1 (0 for
+    no key), the shape id and the gap from the previous head's rank offset,
+    which stays small as the data grows (one byte on gen-dblp at every
+    scale);
+  - each shape's node count, then ``rank``, ``lo`` and ``hi``, each the
+    concatenation over the shapes in id order (the sinks are -1 and -2);
 * a CRC-32 of everything before it.
 
 A shape is a constituent's structure up to a shift in rank: its ranks
 relative to its first rank (so a non-empty shape's ranks start at 0), and
 its child codes.  Constituents of one shape are stored once; each adds its
-offset to the shape's ranks (0 for the empty shape).  `serialize` finds the
-shapes by content and numbers them in order of first use, so the bytes
-depend only on the index's content.  Files of version 4 or older ask for a
+offset to the shape's ranks (0 for the empty shape).  `serialize` numbers
+relations, domain values and shapes in order of first use, so the bytes
+depend only on the index's content.  Files of version 5 or older ask for a
 recompile.
 
 Nothing derivable is stored: not the permutations the tuple order was
-built from, not the root codes (position 0, or the 0-sink for an empty
-constituent), and no annotation.  The loader rebuilds probUnder,
-reachability, root probabilities and entry tables per constituent, from its
-own probabilities, through the same `Constituent.augment` call the compiler
-makes; constituents of one shape share its ``lo`` and ``hi`` lists and its
-entry codes (`_entry_codes`), found once per shape, so each constituent
-derives only its entry masses.  It checks the JSON section's lists by
-column, every count against the bytes present before decoding a block,
+built from, not the probabilities, not the root codes (position 0, or the
+0-sink for an empty constituent), and no annotation.  `MvIndex` derives the
+probabilities and rebuilds probUnder, reachability, root probabilities and
+entry tables per constituent through the same `Constituent.augment` call,
+for the compiler and the loader alike; constituents of one shape share its
+``lo`` and ``hi`` lists and its entry codes (`_entry_codes`), found once per
+shape, so each constituent derives only its entry masses.  The loader reads
+every column once, checking its typecode and its count against the bytes
+left (`_read_column`), then checks each column by its length and bounds
+(ids against the domain and relation counts, weights finite and not -1),
 every shape's layout once (`_check_layout`) and every offset against the
 tuple order before deriving; any defect is an `IndexFormatError`, and so is
 a shape no constituent uses.  Compiles are byte-reproducible.
@@ -77,7 +91,6 @@ a shape no constituent uses.  Compiles are byte-reproducible.
 from __future__ import annotations
 
 import gc
-import json
 import math
 import struct
 import sys
@@ -89,7 +102,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, groupby, islice, repeat
 from operator import itemgetter
 from typing import Optional
 
@@ -104,12 +117,9 @@ SINK0 = -1
 SINK1 = -2
 
 _MAGIC = b"MVIX"
-_VERSION = 5
-_HEADER = "<I32sI"  # version, sha256 source digest, JSON section length
-# The node blocks after ``probs`` (one value per node of each shape), in
-# file order, with their array type codes; the order is also
-# `Constituent`'s argument order.
-_BLOCKS = {"rank": "i", "lo": "i", "hi": "i"}
+_VERSION = 6
+_HEADER = "<I32s"  # version, sha256 source digest
+_COLUMNS_START = 4 + struct.calcsize(_HEADER)
 
 
 class Constituent:
@@ -249,19 +259,26 @@ def _entry_codes(rank, lo, hi) -> tuple[list, list]:
 
 
 class MvIndex:
-    """The augmented constituents, sorted by rank range, with the tuple
-    order and probabilities they were built on.  A query node finds the
-    next constituent it meets by bisecting their last ranks (``rank_hi``),
-    and learns from the prefix count ``zeros`` whether it jumped over a
-    zero block; `cc_mv_intersect` then enters each constituent it meets
-    through its entry tables."""
+    """The constituents, sorted by rank range, with the tuple order and
+    weights they were built on.  A query node finds the next constituent it
+    meets by bisecting their last ranks (``rank_hi``), and learns from the
+    prefix count ``zeros`` whether it jumped over a zero block;
+    `cc_mv_intersect` then enters each constituent it meets through its
+    entry tables."""
 
-    def __init__(self, constituents, order: VariableOrder, probs,
+    def __init__(self, constituents, order: VariableOrder, weights,
                  source_digest: str):
+        """*weights* are the tuples' weights in rank order, each finite and
+        not -1.  The probabilities w/(1+w) are derived here, and every
+        constituent is augmented from them: the compiler and the loader
+        both build their index through this one call."""
+        self.order = order
+        self.weights = array("d", weights)
+        self.probs = [w / (1.0 + w) for w in self.weights]
+        for c in constituents:
+            c.augment(self.probs)
         self.constituents: list[Constituent] = sorted(
             constituents, key=lambda c: (c.rank_lo, c.rank_hi))
-        self.order = order
-        self.probs = list(probs)
         self.source_digest = source_digest
         roots = [c.prob_root for c in self.constituents]
         # Sorted and disjoint, so a query node finds the next constituent it
@@ -337,7 +354,7 @@ def build_index(tr: TranslationResult) -> MvIndex:
     node table that is dropped once the block is laid out, since a shared
     table would hold nothing another block reuses.  The cost is linear in
     W's lineage plus the distinct shapes' size.  Constituents are negated
-    by swapping sinks, then each is augmented from its own tuple
+    by swapping sinks, then `MvIndex` augments each from its own tuple
     probabilities.  The build runs with the cyclic collector paused
     (`_collector_paused`): compilation leaves no reference cycles.
     """
@@ -348,9 +365,9 @@ def build_index(tr: TranslationResult) -> MvIndex:
     pi = {} if tr.w_query is None else choose_pi(tr.w_query, indb.schema,
                                                  var_rels)
     order = tuple_order(pi, prob_facts, indb.domain, indb.schema)
-    probs = [indb.probability(f) for f in order.facts]
+    weights = map(indb.weights.__getitem__, order.facts)
     if tr.w_query is None:
-        return MvIndex([], order, probs, digest)
+        return MvIndex([], order, weights, digest)
     groups = tr.w_lineage
     # Without a separator the one group's key is None; no constant is.
     keys = (list(groups) if None in groups
@@ -359,9 +376,7 @@ def build_index(tr: TranslationResult) -> MvIndex:
     if _overlapping(constituents):
         raise MvdbError("internal error: W's separator blocks interleave "
                         "in the tuple order")
-    for c in constituents:
-        c.augment(probs)
-    return MvIndex(constituents, order, probs, digest)
+    return MvIndex(constituents, order, weights, digest)
 
 
 def _compile_blocks(groups: dict, keys, order: VariableOrder) -> list:
@@ -609,19 +624,103 @@ class IndexEvaluator:
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _block(code: str, values) -> bytes:
-    a = array(code, values)
-    if sys.byteorder == "big":
-        a.byteswap()
-    return a.tobytes()
+# The integer typecodes, narrowest first.
+_INT_CODES = "BbHhIiQq"
+
+# The columns after the header, in file order, each with the typecodes it
+# may have: UTF-8 text as bytes, the weights as f64, and ints of any
+# integer typecode (`_column` writes the narrowest).
+_COLUMNS = {
+    "names": "B",              # the relation names, concatenated
+    "name_ends": _INT_CODES,   # each name's end, in characters
+    "arity": _INT_CODES,       # each relation's arity
+    "relation": _INT_CODES,    # each tuple's relation id, in rank order
+    "values": _INT_CODES,      # every tuple's values as domain ids, in turn
+    "ints": "B",               # the domain's ints, space-separated decimals
+    "strings": "B",            # the domain's strings, concatenated
+    "string_ends": _INT_CODES,  # each string's end, in characters
+    "weight": "d",             # each tuple's weight w, in rank order
+    "key": _INT_CODES,         # each head's key: domain id + 1, 0 for none
+    "shape": _INT_CODES,       # each head's shape id
+    "gap": _INT_CODES,         # each head's rank offset minus the last one's
+    "nodes": _INT_CODES,       # each shape's node count
+    "rank": _INT_CODES,        # the shapes' nodes, in shape id order
+    "lo": _INT_CODES,
+    "hi": _INT_CODES,
+}
 
 
-def _unblock(code: str, buf) -> list:
-    a = array(code)
-    a.frombytes(buf)
+def _column(values, codes: str = _INT_CODES) -> bytes:
+    """One column: a 1-byte typecode, a u32 item count, then the items,
+    little-endian.  The typecode is the first of *codes* whose range holds
+    every item (for ints, the narrowest that holds their min and max); an
+    item that fits none raises `OverflowError`."""
+    for code in codes[:-1]:
+        try:
+            items = array(code, values)
+            break
+        except OverflowError:
+            pass
+    else:
+        items = array(codes[-1], values)
     if sys.byteorder == "big":
-        a.byteswap()
-    return a.tolist()
+        items.byteswap()
+    return (struct.pack("<BI", ord(items.typecode), len(items))
+            + items.tobytes())
+
+
+def _read_column(body, at: int, name: str) -> tuple[array, int]:
+    """Column *name*, read at *at*, and where the next column starts.  Its
+    typecode must be one `_COLUMNS` allows it, and its items must fit in
+    the bytes left."""
+    if len(body) - at < 5:
+        raise IndexFormatError(f"bad index metadata: column {name} is "
+                               "truncated")
+    code, count = struct.unpack_from("<BI", body, at)
+    code = chr(code)
+    if code not in _COLUMNS[name]:
+        raise IndexFormatError(f"bad index metadata: column {name} has "
+                               f"typecode {code!r}")
+    items = array(code)
+    at += 5
+    end = at + count * items.itemsize
+    if end > len(body):
+        raise IndexFormatError(f"bad index metadata: column {name} holds "
+                               f"{count} items, past the end of the file")
+    items.frombytes(body[at:end])
+    if sys.byteorder == "big":
+        items.byteswap()
+    return items, end
+
+
+def _read_columns(body) -> dict:
+    """Every column of *body* (the file without its CRC-32), by name."""
+    columns = {}
+    at = _COLUMNS_START
+    for name in _COLUMNS:
+        columns[name], at = _read_column(body, at, name)
+    if at != len(body):
+        raise IndexFormatError("index blocks do not match their counts: "
+                               f"{len(body) - at} bytes after the columns")
+    return columns
+
+
+def _text(strings: list) -> tuple[bytes, list]:
+    """*strings* as a text column and an end column: their UTF-8
+    concatenation, and where each one ends, in characters."""
+    return "".join(strings).encode(), list(accumulate(map(len, strings)))
+
+
+def _untext(data: array, ends: array) -> list:
+    """The strings `_text` wrote, with the ends checked against the text."""
+    try:
+        text = data.tobytes().decode()
+    except UnicodeDecodeError:
+        raise IndexFormatError("bad index metadata layout") from None
+    starts = [0, *ends]
+    if starts[-1] != len(text) or any(a > b for a, b in zip(starts, ends)):
+        raise IndexFormatError("bad index metadata layout")
+    return list(map(text.__getitem__, map(slice, starts, ends)))
 
 
 def _shapes(constituents) -> tuple[list, list]:
@@ -639,27 +738,42 @@ def _shapes(constituents) -> tuple[list, list]:
 
 
 def serialize(index: MvIndex) -> bytes:
-    """The v5 file: header, JSON metadata, typed blocks, CRC-32; byte-stable.
+    """The v6 file: header, the columns of `_COLUMNS`, CRC-32; byte-stable.
 
-    The blocks are ``probs`` (f64 per tuple), then ``rank``, ``lo``, ``hi``
-    (i32 per node, in rank order), each the concatenation over the shapes
-    in id order (`_shapes`): structure only, no annotation."""
+    Relations are numbered in order of first use in the tuple order.  The
+    domain is every value of the tuple order and every constituent key, the
+    ints first, each kind in order of first use; shapes are numbered in
+    order of first use (`_shapes`).  Structure only, no annotation."""
     shapes, heads = _shapes(index.constituents)
-    relations: dict[str, int] = {}
-    facts = [[relations.setdefault(f.relation, len(relations)), *f.values]
-             for f in index.order.facts]
-    meta = json.dumps({"relations": list(relations), "facts": facts,
-                       "shapes": [len(rank) for rank, _, _ in shapes],
-                       "constituents": [[c.key, *head] for c, head in
-                                        zip(index.constituents, heads)]},
-                      sort_keys=True, separators=(",", ":")).encode()
-    parts = [_MAGIC, struct.pack(_HEADER, _VERSION,
-                                 bytes.fromhex(index.source_digest),
-                                 len(meta)),
-             meta, _block("d", index.probs)]
-    for i, code in enumerate(_BLOCKS.values()):
-        parts.append(_block(code, [x for s in shapes for x in s[i]]))
-    body = b"".join(parts)
+    facts = index.order.facts
+    names = list(map(itemgetter(0), facts))
+    rows = list(map(itemgetter(1), facts))
+    values = list(chain.from_iterable(rows))
+    keys = [c.key for c in index.constituents]
+    arity = dict(zip(names, map(len, rows)))
+    relation = dict(zip(arity, range(len(arity))))
+    seen = dict.fromkeys(chain(values, (k for k in keys if k is not None)))
+    ints = [v for v in seen if type(v) is int]
+    strings = [v for v in seen if type(v) is not int]
+    ids = dict(zip(ints + strings, range(len(seen))))
+    offsets = [offset for _, offset in heads]
+    columns = {"arity": list(arity.values()),
+               "relation": list(map(relation.__getitem__, names)),
+               "values": list(map(ids.__getitem__, values)),
+               "ints": " ".join(map(str, ints)).encode(),
+               "weight": index.weights,
+               "key": [0 if k is None else ids[k] + 1 for k in keys],
+               "shape": [sid for sid, _ in heads],
+               "gap": [b - a for a, b in zip([0, *offsets], offsets)],
+               "nodes": [len(rank) for rank, _, _ in shapes]}
+    columns["names"], columns["name_ends"] = _text(list(arity))
+    columns["strings"], columns["string_ends"] = _text(strings)
+    for i, name in enumerate(("rank", "lo", "hi")):
+        columns[name] = [x for shape in shapes for x in shape[i]]
+    body = b"".join([_MAGIC, struct.pack(_HEADER, _VERSION,
+                                         bytes.fromhex(index.source_digest)),
+                     *(_column(columns[name], codes)
+                       for name, codes in _COLUMNS.items())])
     return body + struct.pack("<I", zlib.crc32(body))
 
 
@@ -691,53 +805,42 @@ def _check_layout(rank, lo, hi):
             f"{n - 1 - len(children)} position(s) are no edge's child")
 
 
-def _kinds(values) -> set:
-    return set(map(type, values))
-
-
-def _decode_meta(raw) -> tuple:
-    """The tuple order, the shapes' node counts and the constituent heads
-    ``(key, shape id, offset)`` from the JSON section, each checked for
-    shape and type."""
+def _decode_order(columns: dict) -> tuple[VariableOrder, list]:
+    """The tuple order and the domain, from their columns, each checked by
+    its length and its bounds."""
+    names = _untext(columns["names"], columns["name_ends"])
     try:
-        meta = json.loads(str(raw, "utf-8"))
-        relations, facts = meta["relations"], meta["facts"]
-        shapes, heads = meta["shapes"], meta["constituents"]
-    except (ValueError, TypeError, KeyError) as exc:
-        raise IndexFormatError(f"bad index metadata: {exc}") from None
-    # Each list is type-checked by column: the facts' relation indexes,
-    # then all their fields, exactly int or str (so `true` is no int); the
-    # constituent heads' keys, then their shape ids and offsets.
-    if not (type(relations) is list and type(facts) is list
-            and type(shapes) is list and type(heads) is list
-            and _kinds(relations) <= {str}
-            and _kinds(facts) <= {list} and all(facts)
-            and _kinds(chain.from_iterable(facts)) <= {int, str}
-            and _kinds(shapes) <= {int} and min(shapes, default=0) >= 0
-            and _kinds(heads) <= {list} and set(map(len, heads)) <= {3}):
+        ints = list(map(int, columns["ints"].tobytes().split()))
+    except ValueError:
+        raise IndexFormatError("bad index metadata layout") from None
+    domain = ints + _untext(columns["strings"], columns["string_ends"])
+    arity, relation, ids = (columns[name].tolist()
+                            for name in ("arity", "relation", "values"))
+    if len(arity) != len(names) or min(arity, default=1) < 1:
         raise IndexFormatError("bad index metadata layout")
-    indexes = list(map(itemgetter(0), facts))
-    keys, sids, offsets = zip(*heads) if heads else ((), (), ())
-    if not (_kinds(indexes) <= {int}
-            and _kinds(keys) <= {int, str, type(None)}
-            and _kinds(sids + offsets) <= {int}
-            and min(sids + offsets, default=0) >= 0):
-        raise IndexFormatError("bad index metadata layout")
-    if facts and not 0 <= min(indexes) <= max(indexes) < len(relations):
+    if relation and not 0 <= min(relation) <= max(relation) < len(names):
         raise IndexFormatError("fact names an unknown relation")
-    names = map(relations.__getitem__, indexes)
-    values = map(tuple, map(itemgetter(slice(1, None)), facts))
+    widths = list(map(arity.__getitem__, relation))
+    if sum(widths) != len(ids) or (
+            ids and not 0 <= min(ids) <= max(ids) < len(domain)):
+        raise IndexFormatError("bad index metadata layout")
+    values = map(domain.__getitem__, ids)
+    rows = []
+    for k, run in groupby(widths):
+        # a run of tuples of arity k: k values each, in turn
+        rows += zip(*[islice(values, k * len(list(run)))] * k)
     try:
         order = VariableOrder(map(tuple.__new__, repeat(Fact),
-                                  zip(names, values)))
+                                  zip(map(names.__getitem__, relation),
+                                      rows)))
     except MvdbError as exc:
         raise IndexFormatError(str(exc)) from None
-    return order, shapes, heads
+    return order, domain
 
 
 @_collector_paused()
 def deserialize(buf: bytes) -> MvIndex:
-    """Load a v5 index, with the cyclic garbage collector paused
+    """Load a v6 index, with the cyclic garbage collector paused
     (`_collector_paused`): everything the loader allocates stays live."""
     if len(buf) < 12:
         raise IndexFormatError("truncated index file")
@@ -750,42 +853,40 @@ def deserialize(buf: bytes) -> MvIndex:
     if version != _VERSION:
         raise IndexFormatError(
             f"unsupported format version {version}; recompile")
-    start = 4 + struct.calcsize(_HEADER)
-    if len(body) < start:
+    if len(body) < _COLUMNS_START:
         raise IndexFormatError("truncated index file")
-    _, digest, meta_len = struct.unpack_from(_HEADER, body, 4)
-    if meta_len > len(body) - start:
-        raise IndexFormatError("truncated index file")
-    order, counts, heads = _decode_meta(body[start:start + meta_len])
-    # Every block's length follows from the counts; check them all against
-    # the bytes left before allocating any.
-    blocks = body[start + meta_len:]
-    n_nodes = sum(counts)
-    sizes = [(code, array(code).itemsize * n_nodes)
-             for code in _BLOCKS.values()]
-    at = 8 * len(order)
-    if len(blocks) != at + sum(size for _, size in sizes):
+    digest = struct.unpack_from(_HEADER, body, 4)[1]
+    columns = _read_columns(body)
+    order, domain = _decode_order(columns)
+    keys, sids, gaps, counts = (columns[name].tolist()
+                                for name in ("key", "shape", "gap", "nodes"))
+    if not (len(keys) == len(sids) == len(gaps)
+            and min(chain(keys, sids, gaps, counts), default=0) >= 0
+            and max(keys, default=0) <= len(domain)):
+        raise IndexFormatError("bad index metadata layout")
+    weights = columns["weight"]
+    nodes = [columns[name].tolist() for name in ("rank", "lo", "hi")]
+    if len(weights) != len(order) or any(len(column) != sum(counts)
+                                         for column in nodes):
         raise IndexFormatError("index blocks do not match their counts")
-    probs = _unblock("d", blocks[:at])
-    columns = []
-    for code, size in sizes:
-        columns.append(_unblock(code, blocks[at:at + size]))
-        at += size
+    if not all(map(math.isfinite, weights)) or -1.0 in weights:
+        raise IndexFormatError("a tuple weight is NaN, infinite or -1")
     shapes = []
     at = 0
     for n in counts:
-        shape = [column[at:at + n] for column in columns]
+        shape = [column[at:at + n] for column in nodes]
         at += n
         _check_layout(*shape)
         shapes.append(shape)
-    used = {sid for _, sid, _ in heads}
-    if used and max(used) >= len(shapes):
-        raise IndexFormatError(f"shape id {max(used)} out of range")
-    if len(used) != len(shapes):
+    if sids and max(sids) >= len(shapes):
+        raise IndexFormatError(f"shape id {max(sids)} out of range")
+    if len(set(sids)) != len(shapes):
         raise IndexFormatError("a shape no constituent uses")
     entry_codes: dict[int, tuple] = {}  # shape id -> `_entry_codes`
     constituents = []
-    for key, sid, offset in heads:
+    key_of = [None, *domain]
+    for key, sid, offset in zip(map(key_of.__getitem__, keys), sids,
+                                accumulate(gaps)):
         rank, lo, hi = shapes[sid]
         if not rank and offset:
             raise IndexFormatError("empty constituent with an offset")
@@ -800,9 +901,7 @@ def deserialize(buf: bytes) -> MvIndex:
                                         lo, hi, codes))
     if _overlapping(constituents):
         raise IndexFormatError("constituent rank ranges overlap")
-    for c in constituents:
-        c.augment(probs)
-    return MvIndex(constituents, order, probs, digest.hex())
+    return MvIndex(constituents, order, weights, digest.hex())
 
 
 def save_index(index: MvIndex, path):

@@ -40,13 +40,20 @@ def materialize_view(view: U.MarkoView, instance: Instance) -> tuple:
     The weight expression must evaluate to the same finite non-negative
     value under every witnessing binding of an output tuple.
     """
-    return _sorted_outputs(_ground_view(view, instance)[0])
+    return _sorted_outputs(view, _ground_view(view, instance)[0])
 
 
-def _sorted_outputs(weights: dict) -> tuple:
-    return tuple(sorted(weights.items(),
-                        key=lambda kv: tuple((isinstance(v, str), v)
-                                             for v in kv[0])))
+def _sorted_outputs(view: U.MarkoView, weights: dict) -> tuple:
+    """The view's outputs ``((values, weight), ...)`` sorted by values.  A
+    head position's values all have its declared type, so plain tuple order
+    sorts them; a view whose disjuncts give one head variable both types
+    is invalid."""
+    try:
+        return tuple(sorted(weights.items()))
+    except TypeError:
+        raise InvalidViewError(
+            f"view {view.name}: a head variable has conflicting types "
+            "across disjuncts") from None
 
 
 def _weight(view: U.MarkoView, bnd: dict, values: tuple) -> float:
@@ -252,8 +259,7 @@ def build_indb(db: Mvdb, denial_shortcut: bool = True) -> TranslationResult:
     components: list[U.Ucq] = []
     taken: set[str] = set()
     for view, (weights, nv_facts, _) in zip(db.views, passes):
-        outputs = _sorted_outputs(weights)
-        all_denial = all(w == 0 for _, w in outputs)
+        all_denial = all(w == 0 for w in weights.values())
         if denial_shortcut and all_denial:
             closed = tuple(U.ConjunctiveQuery((), d.atoms, d.predicates)
                            for d in view.body.disjuncts)
@@ -267,7 +273,7 @@ def build_indb(db: Mvdb, denial_shortcut: bool = True) -> TranslationResult:
         attrs = tuple(Attribute(f"a{i + 1}", t) for i, t in enumerate(types))
         aux_relations.append(Relation(nv, attrs,
                                       tuple(a.name for a in attrs), VIEW_AUX))
-        for values, w in outputs:
+        for values, w in _sorted_outputs(view, weights):
             w0 = INF if w == 0 else (1.0 - w) / w
             aux_facts.append((nv_facts.get(values) or Fact(nv, values), w0))
         disjuncts = []

@@ -19,7 +19,8 @@ phase:
 
 * ``project``: parsing the schema, views and TSV files into an `Mvdb`;
 * ``digest``: `Mvdb.digest`;
-* ``meta``: decoding the index's JSON section (`mvindex._decode_meta`);
+* ``meta``: reading the index's columns and decoding the tuple order from
+  them (`mvindex._read_columns`, then `mvindex._decode_order`);
 * ``annotations`` and ``entry``: `Constituent.compute_annotations` and
   `Constituent.derive` over every constituent of the loaded index;
 * ``load_rest``: the rest of `mvindex.deserialize`, i.e. the whole load
@@ -29,13 +30,15 @@ phase:
 * ``query``: parsing the query and answering it on the loaded index;
 * ``cold_total``: the whole `mvdb query --tsv` through `cli.main`.
 
-It also prints each ``.mvx`` file's sha256.  Usage::
+It also prints each ``.mvx`` file's size per ordered tuple
+(``mvx_bytes_per_tuple``) and its sha256.  Usage::
 
     python tests/cold_phases.py [ROOT] [REPEATS]
 
 ROOT (default: the checkout holding this script) is the checkout whose
-``mvdb`` is imported, so one copy of the script times any checkout;
-REPEATS defaults to 15.  The script is not a test module: pytest does not
+``mvdb`` is imported, so one copy of the script times any checkout that
+writes ``.mvx`` format 6 (an older checkout's ``meta`` phase is timed by
+its own copy of the script); REPEATS defaults to 15.  The script is not a test module: pytest does not
 collect it.
 """
 
@@ -100,8 +103,7 @@ def _phases(project: Path, query: str, repeats: int) -> dict:
     blob = path.read_bytes()
     db = cli._load_project(str(project))
     index = mvindex.deserialize(blob)
-    meta_len = int.from_bytes(blob[40:44], "little")
-    meta = memoryview(blob)[44:44 + meta_len]
+    body = memoryview(blob)[:-4]
     probs = index.probs
 
     def annotations():
@@ -128,7 +130,9 @@ def _phases(project: Path, query: str, repeats: int) -> dict:
         "project": _median_ms(lambda: cli._load_project(str(project)),
                               repeats),
         "digest": _median_ms(db.digest, repeats),
-        "meta": _median_ms(lambda: mvindex._decode_meta(meta), repeats),
+        "meta": _median_ms(
+            lambda: mvindex._decode_order(mvindex._read_columns(body)),
+            repeats),
         "annotations": _median_ms(annotations, repeats),
         "entry": _median_ms(entry, repeats),
         "load": _median_ms(lambda: mvindex.deserialize(blob), repeats),
@@ -138,6 +142,7 @@ def _phases(project: Path, query: str, repeats: int) -> dict:
     }
     out["load_rest"] = (out.pop("load") - out["meta"] - out["annotations"]
                         - out["entry"])
+    out["mvx_bytes_per_tuple"] = len(blob) / len(index.order)
     out["mvx_sha256"] = hashlib.sha256(blob).hexdigest()
     return out
 

@@ -10,7 +10,9 @@ The corpus:
 * the chain at n = 160 (`helpers.chain_mvdb`): 40 seeded windows;
 * `helpers.viable_random_mvdb` seeds 0-199: 4 `random_boolean_query` each.
 
-It also prints the sha256 of the dblp and chain ``.mvx`` bytes.  Usage::
+Every corpus is answered from its index written to ``.mvx`` bytes and
+loaded back, so the dump also checks the file format; it prints the sha256
+of the dblp and chain ``.mvx`` bytes.  Usage::
 
     python tests/corpus_dump.py [ROOT] > out.txt
     python tests/corpus_dump.py --compare before.txt after.txt
@@ -42,10 +44,16 @@ def _value(fn, q) -> str:
         return type(exc).__name__
 
 
-def _mvx(name, index, out):
-    from mvdb import serialize
-    digest = hashlib.sha256(serialize(index)).hexdigest()
-    print(f"{name}\tmvx\t{digest}", file=out)
+def _reloaded(tr):
+    """The index of *tr*, written to ``.mvx`` bytes and loaded back, and
+    those bytes."""
+    from mvdb import build_index, deserialize, serialize
+    blob = serialize(build_index(tr))
+    return deserialize(blob), blob
+
+
+def _mvx(name, blob, out):
+    print(f"{name}\tmvx\t{hashlib.sha256(blob).hexdigest()}", file=out)
 
 
 def _dump(name, tr, index, queries, out):
@@ -62,7 +70,7 @@ def _dump(name, tr, index, queries, out):
 def dump(out=sys.stdout):
     from helpers import (chain_mvdb, chain_window, random_boolean_query,
                          viable_random_mvdb)
-    from mvdb import build_index, build_indb, parse_query
+    from mvdb import build_indb, parse_query
     from mvdb.cli import _load_project
     from mvdb.gendata import generate_project
 
@@ -73,8 +81,8 @@ def dump(out=sys.stdout):
     rows = rng.sample(sorted(db.possible_instance().rows_of("Advisor")), 40)
     texts = [f"Q() :- Advisor({s}, {a})" for s, a in rows]
     texts.append("Q() :- Advisor(1, a), Advisor(2000, b)")
-    index = build_index(tr)
-    _mvx("dblp", index, out)
+    index, blob = _reloaded(tr)
+    _mvx("dblp", blob, out)
     _dump("dblp", tr, index, [parse_query(t, db.schema) for t in texts], out)
 
     tr = build_indb(chain_mvdb(160))
@@ -83,14 +91,14 @@ def dump(out=sys.stdout):
     for _ in range(40):
         lo = rng.randrange(160)
         windows.append(chain_window(lo, rng.randint(lo + 1, 160)))
-    index = build_index(tr)
-    _mvx("chain", index, out)
+    index, blob = _reloaded(tr)
+    _mvx("chain", blob, out)
     _dump("chain", tr, index, windows, out)
 
     for seed in range(200):
         _, tr, _, _ = viable_random_mvdb(seed)
         rng = random.Random(seed)
-        _dump("random", tr, build_index(tr),
+        _dump("random", tr, _reloaded(tr)[0],
               [random_boolean_query(rng) for _ in range(4)], out)
 
 

@@ -114,6 +114,13 @@ def evaluate_on_world(q, instance: Instance, present) -> bool:
     return False
 
 
+def typed_sorted_outputs(outputs) -> tuple:
+    """View outputs ``((values, weight), ...)`` sorted by the typed key that
+    materialization once used: per head position, ints before strings."""
+    return tuple(sorted(outputs, key=lambda kv: tuple(
+        (isinstance(v, str), v) for v in kv[0])))
+
+
 def tuple_order_grouped(pi: dict, facts, domain, schema) -> VariableOrder:
     """`mvdb.tuple_order` by recursive grouping: group the tuples on the
     constant of their first permuted attribute, groups in active-domain
@@ -474,9 +481,9 @@ def build_index_per_block(tr):
                                                  var_rels)
     order = tuple_order_grouped(pi, indb.probabilistic_facts(), indb.domain,
                                 indb.schema)
-    probs = [indb.probability(f) for f in order.facts]
+    weights = [indb.weights[f] for f in order.facts]
     if tr.w_query is None:
-        return MvIndex([], order, probs, tr.source.digest())
+        return MvIndex([], order, weights, tr.source.digest())
     table = NodeTable(order)
     blocks = []
     sep = U.find_separator(tr.w_query, indb.schema, var_rels)
@@ -506,12 +513,8 @@ def build_index_per_block(tr):
         g = con_obdd_structural(pi, tr.w_query, instance, indb.domain,
                                 order=order, table=table, var_rels=var_rels)
         blocks = [] if g.root == 0 else [(None, g)]
-    constituents = []
-    for key, g in blocks:
-        c = Constituent.from_obdd(g, key)
-        c.augment(probs)
-        constituents.append(c)
-    return MvIndex(constituents, order, probs, tr.source.digest())
+    constituents = [Constituent.from_obdd(g, key) for key, g in blocks]
+    return MvIndex(constituents, order, weights, tr.source.digest())
 
 
 def build_index_unshared(tr):
@@ -537,18 +540,40 @@ def shape_of(c) -> tuple:
     return (tuple(r - first for r in c.rank), tuple(c.lo), tuple(c.hi))
 
 
-def with_meta(blob: bytes, edit) -> bytes:
-    """The ``.mvx`` *blob* with *edit* applied to its decoded JSON section,
-    re-encoded with a valid checksum."""
-    import json
+def read_columns(blob: bytes) -> dict:
+    """The columns of the ``.mvx`` *blob*, by name, as arrays."""
+    from mvdb import mvindex
+    return mvindex._read_columns(memoryview(blob)[:-4])
+
+
+def with_columns(blob: bytes, edit) -> bytes:
+    """The ``.mvx`` *blob* with *edit* applied to its columns, decoded by
+    name into lists, and re-encoded with a valid checksum: each int column
+    in the narrowest typecode for its edited values, and a column the edit
+    sets to bytes written as they are."""
     import struct
     import zlib
-    length = struct.unpack_from("<I", blob, 40)[0]
-    meta = edit(json.loads(blob[44:44 + length]))
-    text = json.dumps(meta).encode()
-    body = (blob[:40] + struct.pack("<I", len(text)) + text
-            + blob[44 + length:-4])
+    from mvdb import mvindex
+    columns = edit({name: column.tolist()
+                    for name, column in read_columns(blob).items()})
+    body = blob[:mvindex._COLUMNS_START] + b"".join(
+        columns[name] if isinstance(columns[name], bytes)
+        else mvindex._column(columns[name], codes)
+        for name, codes in mvindex._COLUMNS.items())
     return body + struct.pack("<I", zlib.crc32(body))
+
+
+def column_spans(blob: bytes) -> list[tuple]:
+    """Each column of the ``.mvx`` *blob* as ``(name, typecode, start,
+    end)``: its typecode byte is at *start*, its items end at *end*."""
+    from mvdb import mvindex
+    spans = []
+    at = mvindex._COLUMNS_START
+    for name in mvindex._COLUMNS:
+        column, end = mvindex._read_column(blob, at, name)
+        spans.append((name, column.typecode, at, end))
+        at = end
+    return spans
 
 
 def reachability(c, probs) -> list[float]:

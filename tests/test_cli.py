@@ -16,7 +16,7 @@ from mvdb.cli import (EXIT_CAP, EXIT_INCONSISTENT, EXIT_INPUT, EXIT_OK,
 from mvdb.gendata import demo_query, generate_project
 from mvdb.mvindex import IndexEvaluator
 
-from helpers import with_meta
+from helpers import with_columns
 
 
 def run(argv):
@@ -295,42 +295,57 @@ def test_orphan_position_exit_code(project, capsys):
         assert err.startswith("error: ") and "no edge's child" in err
 
 
-def _pre_v5_file(blob: bytes, version: int) -> bytes:
-    """The index in *blob* in the layout of format 4 (every constituent's
-    node blocks, ``[key, node count]`` heads) or 3 (also permutations in
-    the JSON section and a root code in every head)."""
+def _old_format_file(blob: bytes, version: int) -> bytes:
+    """The index in *blob* in the layout of format 5 (a JSON section with
+    the tuple order as rows, ``[key, shape id, offset]`` heads and each
+    shape's node count, then f64 probabilities and the shapes' i32 node
+    blocks), 4 (every constituent's node blocks, ``[key, node count]``
+    heads) or 3 (also permutations in the JSON section and a root code in
+    every head)."""
     import json
     import struct
     import zlib
     from mvdb import deserialize
+    from mvdb.mvindex import _shapes
     index = deserialize(blob)
     cons = index.constituents
-    length = struct.unpack_from("<I", blob, 40)[0]
-    meta = json.loads(blob[44:44 + length])
-    del meta["shapes"]
-    meta["constituents"] = [[c.key, c.n] for c in cons]
-    if version == 3:
-        meta["pi"] = {}
-        meta["constituents"] = [[c.key, 0, c.n] for c in cons]
+    facts = index.order.facts
+    relations = list(dict.fromkeys(f.relation for f in facts))
+    meta = {"relations": relations,
+            "facts": [[relations.index(f.relation), *f.values]
+                      for f in facts]}
+    if version == 5:
+        shapes, heads = _shapes(cons)
+        meta["shapes"] = [len(rank) for rank, _, _ in shapes]
+        meta["constituents"] = [[c.key, *head] for c, head in zip(cons,
+                                                                 heads)]
+        blocks = [[x for shape in shapes for x in shape[i]]
+                  for i in range(3)]
+    else:
+        meta["constituents"] = [[c.key, c.n] for c in cons]
+        if version == 3:
+            meta["pi"] = {}
+            meta["constituents"] = [[c.key, 0, c.n] for c in cons]
+        blocks = [[x for c in cons for x in getattr(c, name)]
+                  for name in ("rank", "lo", "hi")]
     text = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
-    probs = blob[44 + length:44 + length + 8 * len(index.order)]
-    nodes = b"".join(struct.pack(f"<{len(values)}i", *values)
-                     for values in ([x for c in cons for x in c.rank],
-                                    [x for c in cons for x in c.lo],
-                                    [x for c in cons for x in c.hi]))
     body = (blob[:4] + struct.pack("<I", version) + blob[8:40]
-            + struct.pack("<I", len(text)) + text + probs + nodes)
+            + struct.pack("<I", len(text)) + text
+            + struct.pack(f"<{len(index.probs)}d", *index.probs)
+            + b"".join(struct.pack(f"<{len(values)}i", *values)
+                       for values in blocks))
     return body + struct.pack("<I", zlib.crc32(body))
 
 
 def test_v3_index_needs_recompile(project, capsys):
-    # the v4 layout (node blocks per constituent) and the v3 one
-    # (permutations in the JSON section, a root code in every head)
+    # the v5 layout (a JSON section), the v4 one (node blocks per
+    # constituent) and the v3 one (permutations in the JSON section, a root
+    # code in every head)
     run(["compile", "--project", str(project)])
     path = project / "index.mvx"
     blob = path.read_bytes()
-    for version in (3, 4):
-        path.write_bytes(_pre_v5_file(blob, version))
+    for version in (3, 4, 5):
+        path.write_bytes(_old_format_file(blob, version))
         for argv in (["query", "--project", str(project),
                       "Q() :- Student(1, y)"],
                      ["stats", "--project", str(project)]):
@@ -350,36 +365,38 @@ def _input_error(argv, capsys, *words):
 
 def _assert_index_defect(project, capsys, edit, words,
                          query="Q() :- Student(1, y)"):
-    """Compile *project*, apply *edit* to its index's JSON section, and
-    expect `deserialize` to raise and ``mvdb query`` to exit 2, both
-    naming *words*."""
+    """Compile *project*, apply *edit* to its index's columns, and expect
+    `deserialize` to raise and ``mvdb query`` to exit 2, both naming
+    *words*."""
     run(["compile", "--project", str(project)])
     path = project / "index.mvx"
-    blob = with_meta(path.read_bytes(), lambda meta: edit(meta) or meta)
+    blob = with_columns(path.read_bytes(),
+                        lambda columns: edit(columns) or columns)
     with pytest.raises(mvdb.IndexFormatError, match=words):
         mvdb.deserialize(blob)
     path.write_bytes(blob)
     _input_error(["query", "--project", str(project), query], capsys, words)
 
 
-def _shape_id_out_of_range(meta):
-    meta["constituents"][0][1] = len(meta["shapes"])
+def _shape_id_out_of_range(columns):
+    columns["shape"][0] = len(columns["nodes"])
 
 
-def _offset_past_the_order(meta):
-    meta["constituents"][-1][2] = len(meta["facts"])
+def _offset_past_the_order(columns):
+    # the last head's offset is the sum of the gaps
+    columns["gap"][-1] += len(columns["relation"]) - sum(columns["gap"])
 
 
-def _overlapping_offsets(meta):
-    meta["constituents"][1][2] = meta["constituents"][0][2]
+def _overlapping_offsets(columns):
+    columns["gap"][1] = 0
 
 
-def _unused_shape(meta):
-    meta["shapes"].append(0)
+def _unused_shape(columns):
+    columns["nodes"].append(0)
 
 
-def _shape_count_off_by_one(meta):
-    meta["shapes"][0] += 1
+def _shape_count_off_by_one(columns):
+    columns["nodes"][0] += 1
 
 
 @pytest.mark.parametrize("edit, words", [
@@ -406,10 +423,10 @@ def test_empty_constituent_with_an_offset_exits_2(tmp_path, capsys):
     (proj / "data" / "D.tsv").write_text("a\tinf\n")
     (proj / "data" / "R.tsv").write_text("a\t1.0\n")
 
-    def offset_one(meta):
-        assert meta["shapes"] == [0]
-        assert [h[1:] for h in meta["constituents"]] == [[0, 0]]
-        meta["constituents"][0][2] = 1
+    def offset_one(columns):
+        assert columns["nodes"] == [0]
+        assert columns["shape"] == columns["gap"] == [0]
+        columns["gap"][0] = 1
 
     _assert_index_defect(proj, capsys, offset_one,
                          "empty constituent with an offset", "Q() :- R('a')")

@@ -5,6 +5,7 @@ import math
 import random
 import struct
 import zlib
+from array import array
 
 import pytest
 
@@ -14,7 +15,7 @@ from mvdb import (EnumerationEvaluator, Fact, IndexEvaluator, IndexFormatError,
                   from_lineage, lineage, mv_intersect, parse_query,
                   parse_schema, parse_view, query_probability, rank_span,
                   serialize)
-from mvdb import mvindex
+from mvdb import mvindex, weight_to_probability
 from mvdb.cli import _load_project
 from mvdb.gendata import generate_project
 from mvdb.mvindex import SINK0, SINK1, Constituent, MvIndex
@@ -22,10 +23,11 @@ from mvdb.obdd import VariableOrder, con_obdd
 from mvdb.translate import answer_rows
 
 from helpers import (EX1_SCHEMA, RAND_SCHEMA, TWO_TABLE_SCHEMA, chain_mvdb,
-                     chain_window, cut_ranks, entry_tables_rescan, example1,
-                     intersect_memo, prob_under, random_boolean_query,
+                     chain_window, column_spans, cut_ranks,
+                     entry_tables_rescan, example1, intersect_memo,
+                     prob_under, random_boolean_query, read_columns,
                      shannon_probability, shape_of, signed_world_sum,
-                     two_table_db, viable_random_mvdb, with_meta)
+                     two_table_db, viable_random_mvdb, with_columns)
 
 
 def _ex1_index(w=0.5):
@@ -409,13 +411,13 @@ def test_deserialize_pauses_the_collector_and_restores_it(enabled,
     bad[4:8] = struct.pack("<I", 99)
     bad[-4:] = struct.pack("<I", zlib.crc32(bytes(bad[:-4])))
     seen = []
-    decode = mvindex._decode_meta
+    decode = mvindex._decode_order
 
-    def spy(raw):
+    def spy(columns):
         seen.append(gc.isenabled())
-        return decode(raw)
+        return decode(columns)
 
-    monkeypatch.setattr(mvindex, "_decode_meta", spy)
+    monkeypatch.setattr(mvindex, "_decode_order", spy)
     was = gc.isenabled()
     try:
         (gc.enable if enabled else gc.disable)()
@@ -476,10 +478,10 @@ def test_deserialize_version_mismatch():
 
 
 def test_deserialize_rejects_format_version_2():
-    # versions 2 and 3 (DFS-ordered nodes with root codes and permutations)
-    # and 4 (every constituent's nodes stored, no shapes)
+    # versions 2 and 3 (DFS-ordered nodes with root codes and permutations),
+    # 4 (every constituent's nodes stored, no shapes) and 5 (a JSON section)
     blob = bytearray(serialize(_ex1_index()[2]))
-    for version in (2, 3, 4):
+    for version in (2, 3, 4, 5):
         blob[4:8] = struct.pack("<I", version)
         body = bytes(blob[:-4])
         with pytest.raises(IndexFormatError, match=f"unsupported format "
@@ -488,15 +490,22 @@ def test_deserialize_rejects_format_version_2():
 
 
 def test_file_holds_structure_only(annotated_indices):
-    # header, JSON section, one f64 per tuple, three i32 per node of each
-    # distinct shape, CRC-32
+    # header, then columns: one weight per tuple, one head per constituent,
+    # the nodes of each distinct shape once and no annotation; then CRC-32
     for idx in annotated_indices:
         blob = serialize(idx)
-        meta_len = struct.unpack_from("<I", blob, 40)[0]
-        n_nodes = sum(len(rank) for rank, _, _ in
-                      {shape_of(c) for c in idx.constituents})
-        assert len(blob) == 44 + meta_len + 8 * len(idx.order) \
-            + 12 * n_nodes + 4
+        columns = read_columns(blob)
+        shapes = {shape_of(c) for c in idx.constituents}
+        n_nodes = sum(len(rank) for rank, _, _ in shapes)
+        assert columns["weight"] == idx.weights
+        assert len(columns["relation"]) == len(idx.order)
+        assert len(columns["nodes"]) == len(shapes)
+        assert [len(columns[name]) for name in ("key", "shape", "gap")] \
+            == [len(idx.constituents)] * 3
+        assert [len(columns[name]) for name in ("rank", "lo", "hi")] \
+            == [n_nodes] * 3
+        assert len(blob) == 40 + sum(5 + c.itemsize * len(c)
+                                     for c in columns.values()) + 4
 
 
 def test_load_derives_the_build_annotations(annotated_indices):
@@ -624,14 +633,13 @@ def test_deserialize_rejects_shape_ranks_not_starting_at_0():
     idx = _denial_index()
     blob = serialize(idx)
     n = idx.constituents[0].n  # shape 0 is the first constituent's
-    at = 44 + struct.unpack_from("<I", blob, 40)[0] + 8 * len(idx.order)
-    ranks = struct.unpack_from(f"<{n}i", blob, at)
-    assert ranks[0] == 0
+    assert read_columns(blob)["rank"][0] == 0
     for shift in (1, -1):
-        body = bytearray(blob[:-4])
-        struct.pack_into(f"<{n}i", body, at, *(r + shift for r in ranks))
+        def edit(columns):
+            columns["rank"][:n] = [r + shift for r in columns["rank"][:n]]
+            return columns
         with pytest.raises(IndexFormatError, match="do not start at 0"):
-            deserialize(bytes(body) + struct.pack("<I", zlib.crc32(body)))
+            deserialize(with_columns(blob, edit))
 
 
 def _set(path, value):
@@ -644,43 +652,119 @@ def _set(path, value):
     return edit
 
 
+def _pop(name):
+    def edit(columns):
+        columns[name].pop()
+        return columns
+    return edit
+
+
+# The denial index holds one relation, S, and five tuples over a domain of
+# five strings: a1, b1, b2, a2, b3, in that id order.
 @pytest.mark.parametrize("edit, message", [
-    (lambda meta: [], "bad index metadata"),
-    (lambda meta: {k: v for k, v in meta.items() if k != "constituents"},
+    # the column reader: a typecode the column may not have, and a count
+    # past the bytes left
+    (lambda cols: {**cols, "shape": b"z" + bytes(4)}, "bad index metadata"),
+    (lambda cols: {**cols, "hi": struct.pack("<BI", ord("b"), 2 ** 31)},
      "bad index metadata"),
-    (_set(("constituents", 0), {"0": "a1", "1": 2}), "layout"),
-    (_set(("constituents", 0, 1), -1), "layout"),
-    (_set(("constituents", 0, 0), 1.5), "layout"),
-    (_set(("facts", 0, 2), 1.5), "layout"),
-    (_set(("facts", 0, 2), True), "layout"),
-    (_set(("facts", 0), []), "layout"),
-    # Exact types: a column check built on isinstance takes True for 1.
-    (_set(("facts", 0, 0), True), "layout"),
-    (_set(("facts", 0, 0), 0.0), "layout"),
-    (_set(("facts", 0, 0), "0"), "layout"),
-    (_set(("facts", 0, 1), [1]), "layout"),
-    (_set(("facts", 0, 1), None), "layout"),
-    (_set(("facts", 0), "S"), "layout"),
-    (_set(("constituents", 0, 2), False), "layout"),
-    (_set(("facts", 0, 0), 1), "unknown relation"),
-    (_set(("facts", 1), [0, "a1", "b1"]), "duplicate tuple"),
+    # each column, by its length and its bounds
+    (_set(("values", 0), 5), "layout"),  # past the domain
+    (_set(("values", 0), -1), "layout"),
+    (_pop("values"), "layout"),  # one short of the relations' arities
+    (_pop("arity"), "layout"),  # a relation without an arity
+    (_set(("arity", 0), -1), "layout"),
+    (_set(("key", 0), 6), "layout"),  # past the domain, counting None
+    (_set(("key", 0), -1), "layout"),
+    (_set(("shape", 0), -1), "layout"),
+    (_set(("gap", 1), -1), "layout"),  # heads out of rank order
+    (_pop("gap"), "layout"),  # head columns of unequal lengths
+    (_set(("nodes", 0), -1), "layout"),
+    (_set(("name_ends", 0), 2), "layout"),  # past the names' text
+    (_set(("string_ends", 1), 1), "layout"),  # ends out of order
+    (_set(("strings", 0), 0xFF), "layout"),  # not UTF-8
+    (_set(("ints",), list(b"1 x")), "layout"),  # not a decimal numeral
+    (_set(("relation", 0), 1), "unknown relation"),
+    (_set(("values", 3), 1), "duplicate tuple"),  # tuple 1 is now tuple 0
 ])
 def test_deserialize_rejects_malformed_metadata(edit, message):
     blob = serialize(_denial_index())
-    deserialize(with_meta(blob, lambda meta: meta))  # a re-encoding loads
+    assert deserialize(with_columns(blob, lambda cols: cols)).order == \
+        deserialize(blob).order  # a re-encoding loads
     with pytest.raises(IndexFormatError, match=message):
-        deserialize(with_meta(blob, edit))
+        deserialize(with_columns(blob, edit))
 
 
-_JSON_BYTES = b'[]{},:"-.0123456789eEtrufalsn \\'
+@pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf, -1.0])
+def test_deserialize_rejects_weights_without_a_probability(weight):
+    blob = serialize(_denial_index())
+    with pytest.raises(IndexFormatError, match="weight is NaN, infinite"):
+        deserialize(with_columns(blob, _set(("weight", 2), weight)))
+
+
+def test_weights_round_trip_beyond_probability_one():
+    # p = w/(1+w) rounds to 1.0 at w = 1e20; the file stores w itself, and
+    # the loader derives p bit for bit as the compiler does.
+    facts = [(Fact("R", (0,)), 1e20), (Fact("S", (0,)), 1.0),
+             (Fact("R", (1,)), 0.25), (Fact("S", (1,)), 3.0)]
+    db = Mvdb(BLOCK_SCHEMA, facts,
+              [parse_view("V(x) [0] :- R(x), S(x)", BLOCK_SCHEMA)])
+    tr = build_indb(db)
+    built = build_index(tr)
+    loaded = deserialize(serialize(built))
+    assert loaded.weights == built.weights
+    assert sorted(loaded.weights) == [0.25, 1.0, 3.0, 1e20]
+    want = [weight_to_probability(tr.indb.weights[f])
+            for f in loaded.order.facts]
+    assert list(map(float.hex, loaded.probs)) == list(map(float.hex, want))
+    assert 1.0 in loaded.probs
+
+
+@pytest.mark.parametrize("values, code", [
+    ([], "B"), ([0, 255], "B"), ([256], "H"), ([0, 65535], "H"),
+    ([65536], "I"), ([2 ** 31 - 1], "I"), ([2 ** 31], "I"),
+    ([2 ** 32 - 1], "I"), ([2 ** 32], "Q"), ([2 ** 64 - 1], "Q"),
+    ([-1], "b"), ([-2, -1, 127], "b"), ([-128], "b"), ([-129], "h"),
+    ([-1, 128], "h"), ([-2, 32767], "h"), ([-1, 32768], "i"),
+    ([-2 ** 31], "i"), ([-2 ** 31 - 1], "q"), ([-1, 2 ** 31], "q"),
+    ([-2 ** 63, 2 ** 63 - 1], "q"),
+])
+def test_column_takes_the_narrowest_typecode(values, code):
+    data = mvindex._column(values)
+    assert data[:1] == code.encode()
+    assert struct.unpack_from("<I", data, 1)[0] == len(values)
+    assert len(data) == 5 + array(code).itemsize * len(values)
+    column, end = mvindex._read_column(data, 0, "values")
+    assert column.tolist() == values and end == len(data)
+
+
+def test_column_beyond_64_bits_is_refused():
+    for values in ([2 ** 64], [-2 ** 63 - 1], [-1, 2 ** 63]):
+        with pytest.raises(OverflowError):
+            mvindex._column(values)
+
+
+@pytest.mark.parametrize("data, words", [
+    (b"", "truncated"), (b"B\0\0\0", "truncated"),
+    (struct.pack("<BI", ord("d"), 0), "typecode 'd'"),
+    (struct.pack("<BI", 0, 0), "typecode"),
+    (struct.pack("<BI", ord("B"), 3) + b"ab", "past the end"),
+    (struct.pack("<BI", ord("H"), 2) + b"abc", "past the end"),
+])
+def test_column_reader_checks_typecode_count_and_bytes_left(data, words):
+    with pytest.raises(IndexFormatError, match=words):
+        mvindex._read_column(data, 0, "values")
+
+
+_TYPECODES = b"bBhHiIqQdz"
 
 
 def _mutations(blob: bytes, rng: random.Random, count: int):
     """*count* seeded mutations of *blob*'s body, each with a valid CRC:
     byte replacements, bit flips, deletions and insertions anywhere, and
-    JSON punctuation or digits written into the JSON section."""
+    edits of one column's typecode, its count, or one of its items, set to
+    all one bits (an id past any count, -1, or a NaN weight)."""
     body = blob[:-4]
-    meta_end = 44 + struct.unpack_from("<I", body, 40)[0]
+    spans = column_spans(blob)
     for i in range(count):
         b = bytearray(body)
         kind = i % 5
@@ -695,8 +779,18 @@ def _mutations(blob: bytes, rng: random.Random, count: int):
             b[pos:pos] = bytes(rng.randrange(256)
                                for _ in range(rng.randint(1, 8)))
         else:
-            for _ in range(rng.randint(1, 3)):
-                b[rng.randrange(44, meta_end)] = rng.choice(_JSON_BYTES)
+            _, code, start, end = rng.choice(spans)
+            part = rng.randrange(3)
+            if part == 2 and end > start + 5:
+                size = array(code).itemsize
+                at = rng.randrange(start + 5, end, size)
+                b[at:at + size] = b"\xff" * size
+            elif part == 1:
+                n = struct.unpack_from("<I", b, start + 1)[0]
+                struct.pack_into("<I", b, start + 1, max(0, n + rng.choice(
+                    (-2, -1, 1, 2, 2 ** 20))))
+            else:
+                b[start] = rng.choice(_TYPECODES)
         yield bytes(b) + struct.pack("<I", zlib.crc32(b))
 
 
@@ -824,14 +918,14 @@ def _zero_block_index():
               [parse_view("V(x) [0] :- R(x), S(x)", BLOCK_SCHEMA)])
     tr = build_indb(db)
     base = build_index(tr)
-    signed = {Fact("R", (1,)): 2.0, Fact("S", (1,)): 0.5}
-    probs = [signed.get(f, 0.3) for f in base.order.facts]
-    cons = []
-    for c in base.constituents:
-        fresh = Constituent(c.key, c.rank, c.lo, c.hi)
-        fresh.augment(probs)
-        cons.append(fresh)
-    return tr, MvIndex(cons, base.order, probs, base.source_digest)
+    # weights -2 and 1 give the probabilities 2.0 and 0.5
+    signed = {Fact("R", (1,)): -2.0, Fact("S", (1,)): 1.0}
+    weights = [signed.get(f, 0.3) for f in base.order.facts]
+    cons = [Constituent(c.key, c.rank, c.lo, c.hi)
+            for c in base.constituents]
+    idx = MvIndex(cons, base.order, weights, base.source_digest)
+    assert [idx.probs[base.order.rank_of(f)] for f in signed] == [2.0, 0.5]
+    return tr, idx
 
 
 def test_zero_block_inside_the_window():
@@ -980,7 +1074,8 @@ def test_sweep_passes_and_enters_at_one_rank_in_increasing_k():
 def test_point_query_counts_do_not_grow_with_the_database(tmp_path):
     # Online cost does not grow with the database: the same point query
     # expands the same states and visits the same nodes at four times the
-    # size, the index keeps its width and its bytes per tuple.
+    # size, and the index keeps its width.  Its bytes per tuple are
+    # `test_index_size_grows_linearly_with_the_database`'s.
     seen = []
     for scale in (100, 400):
         db = _load_project(str(generate_project(tmp_path / str(scale),
@@ -993,13 +1088,11 @@ def test_point_query_counts_do_not_grow_with_the_database(tmp_path):
             stats = IntersectStats()
             fn(gq, idx, stats)
             counts.append((stats.visited, stats.memo_entries))
-        seen.append((counts, idx.max_width(),
-                     len(serialize(idx)) / len(idx.order)))
-    (counts_100, width_100, bpt_100), (counts_400, width_400, bpt_400) = seen
+        seen.append((counts, idx.max_width()))
+    (counts_100, width_100), (counts_400, width_400) = seen
     assert counts_100 == counts_400
     assert all(visited > 0 for visited, _ in counts_100)
     assert width_100 == width_400
-    assert abs(bpt_400 - bpt_100) <= 0.05 * bpt_100
 
 
 def test_spanning_query_counts_do_not_grow_with_the_database(tmp_path):
@@ -1024,25 +1117,31 @@ def test_spanning_query_counts_do_not_grow_with_the_database(tmp_path):
 
 
 def test_index_size_grows_linearly_with_the_database(tmp_path):
-    # gen-dblp's blocks come in a fixed set of shapes, so at four times the
-    # size the file holds the same shapes and node blocks, and its binary
-    # part (header, probabilities, node blocks, CRC) takes no more bytes per
-    # tuple.  The JSON section's decimal integers gain digits as the
-    # database grows, so the whole file's bytes per tuple stay within 5%.
-    seen = []
-    for scale in (100, 400):
+    # gen-dblp's blocks come in a fixed set of shapes, so as the database
+    # grows the file holds the same shapes and node columns, and each other
+    # column gains a fixed number of items per tuple or per constituent.
+    # An id column takes the narrowest typecode that holds its ids: scale
+    # 100 has 119 constants, one byte each, and scales 400 and 1,600 have
+    # more than 256, two bytes each.  So within one id width the bytes per
+    # tuple are flat within 1%, and the one step between widths adds at
+    # most one byte per id.
+    seen = {}
+    for scale in (100, 400, 1600):
         db = _load_project(str(generate_project(tmp_path / str(scale),
                                                 seed=1, scale=scale)))
         idx = build_index(build_indb(db))
         blob = serialize(idx)
-        meta_len = struct.unpack_from("<I", blob, 40)[0]
+        columns = read_columns(blob)
         n = len(idx.order)
-        node_bytes = len(blob) - 44 - meta_len - 8 * n - 4
-        seen.append((idx.shape_count(), node_bytes,
-                     (len(blob) - meta_len) / n, len(blob) / n))
-    (shapes_100, nodes_100, binary_100, bpt_100), \
-        (shapes_400, nodes_400, binary_400, bpt_400) = seen
-    assert shapes_100 == shapes_400 == 2
-    assert nodes_100 == nodes_400
-    assert binary_400 <= binary_100
-    assert bpt_400 <= 1.05 * bpt_100
+        seen[scale] = (idx.shape_count(),
+                       [columns[name] for name in ("nodes", "rank", "lo",
+                                                   "hi")],
+                       columns["values"].typecode, len(blob) / n,
+                       (len(columns["values"]) + len(columns["key"])) / n)
+    shapes, nodes, codes, bpt, ids = (
+        {scale: row[i] for scale, row in seen.items()} for i in range(5))
+    assert set(shapes.values()) == {2}
+    assert nodes[100] == nodes[400] == nodes[1600]
+    assert codes == {100: "B", 400: "H", 1600: "H"}
+    assert abs(bpt[1600] - bpt[400]) <= 0.01 * bpt[400]
+    assert bpt[100] < bpt[400] <= bpt[100] + ids[100]

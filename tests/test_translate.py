@@ -15,7 +15,7 @@ from mvdb.gendata import generate_project
 from mvdb.ucq import Const
 
 from helpers import (EX1_SCHEMA, RAND_SCHEMA, example1, random_boolean_query,
-                     viable_random_mvdb)
+                     typed_sorted_outputs, viable_random_mvdb)
 
 
 def test_materialize_example1():
@@ -40,6 +40,28 @@ def test_materialize_denial_weights():
     outputs = materialize_view(view, db.possible_instance())
     assert len(outputs) == 6  # ordered pairs of distinct partners
     assert all(w == 0.0 for _, w in outputs)
+
+
+def test_materialize_order_is_the_typed_key_order():
+    # Each head position holds values of one declared type, so plain tuple
+    # order sorts the outputs as the typed key does, on int, string and
+    # mixed-type heads alike; one head variable bound to both types across
+    # disjuncts is an invalid view.
+    schema = __import__("mvdb").parse_schema(
+        "relation R(x:int, y:string) key(x,y) probabilistic\n"
+        "relation S(y:string) key(y) probabilistic\n")
+    rows = [(10, "b"), (9, "a"), (-3, "10"), (10, "a"), (2, "b"), (9, "B"),
+            (123456789012345678901234567890, "")]
+    db = Mvdb(schema, [(Fact("R", row), 1.0) for row in rows], [])
+    inst = db.possible_instance()
+    for text in ("V(x) [0.5] :- R(x, y)", "V(y) [2] :- R(x, y)",
+                 "V(x, y) [0] :- R(x, y)", "V(y, x) [3] :- R(x, y)"):
+        outputs = materialize_view(parse_view(text, schema), inst)
+        assert len(outputs) > 1
+        assert outputs == typed_sorted_outputs(outputs), text
+    mixed = parse_view("V(v) [0] :- R(v, y) ; R(x, v)", schema)
+    with pytest.raises(InvalidViewError, match="conflicting types"):
+        materialize_view(mixed, inst)
 
 
 def test_materialize_weight_expr_from_body_variable():
