@@ -56,6 +56,9 @@ EXIT_INCONSISTENT = 3
 EXIT_CAP = 4
 EXIT_PIPE = 141
 
+# How far a printed probability may stray outside [0, 1].
+TOLERANCE = 1e-9
+
 _INPUT_ERRORS = (SchemaError, DataError, QueryParseError, InvalidViewError,
                  IndexFormatError, OrderMismatchError, OSError)
 
@@ -151,9 +154,9 @@ def cmd_query(args, out) -> int:
     results = answer_rows(q, evaluator.instance,
                           SimpleNamespace(probability=probability))
     for _, p in results:
-        if not (-args.tolerance <= p <= 1.0 + args.tolerance):
+        if not (-TOLERANCE <= p <= 1.0 + TOLERANCE):
             raise MvdbError(f"probability {p!r} outside [0, 1] beyond "
-                            f"the tolerance {args.tolerance}")
+                            f"the tolerance {TOLERANCE}")
     columns = [f"x{i + 1}" for i in range(q.head_arity)] + ["probability"]
     timing = args.timing and args.engine != "oracle"
     if timing:
@@ -195,7 +198,7 @@ def _node_id(code: int) -> int:
 
 def cmd_stats(args, out) -> int:
     index = load_index(_index_path(args))
-    rows = [(repr(c.key), c.size(), c.width(), c.rank_lo, c.rank_hi,
+    rows = [(repr(c.key), c.size(), c.shape.width, c.rank_lo, c.rank_hi,
              repr(c.prob_root))
             for c in index.constituents]
     _emit(out, ["key", "size", "width", "rank_lo", "rank_hi", "prob_root"],
@@ -252,7 +255,6 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("--project", required=True)
     p.add_argument("--index", default=None)
     p.add_argument("--tsv", action="store_true")
-    p.add_argument("--tolerance", type=float, default=1e-9)
     world_cap(p)
     p.add_argument("--engine", choices=["mv", "ccmv", "oracle"],
                    default="ccmv")

@@ -4,13 +4,13 @@ The constraint query W is compiled offline into negated, augmented OBDD
 constituents over pairwise-disjoint variable ranges (one per separator
 constant when W has a separator): the translation grounds W in its one
 pass over the view bodies and groups the lineage clauses by separator
-constant (`TranslationResult.w_lineage`), and each group compiles on its
-own with `from_ranks` (`from_lineage`'s compiler), once per shape: a group
-whose clauses have the ranks of an earlier group's, shifted, is that
-group's constituent shifted in rank (`_compile_blocks`).  Every node is
-annotated with the probability of its sub-diagram (probUnder) and the
-signed mass of all root paths reaching it (reachability), both derived from
-the structure and the tuple probabilities by `Constituent.augment`.
+constant (`TranslationResult.w_lineage`).  `_compile_blocks` compiles each
+distinct block structure once, with `from_ranks` (`from_lineage`'s
+compiler), into a `Shape`; a `Constituent` is a shape at a rank offset.
+Every node is annotated with the probability of its sub-diagram
+(probUnder) and the signed mass of all root paths reaching it
+(reachability), both derived from the structure and the tuples'
+probabilities p and complements q = 1 - p by `Constituent.augment`.
 Online, a query OBDD ordered by the same tuple order is intersected against
 the chain of constituents without materializing the conjunction, by one
 forward sweep of signed probability mass over ranks (`_intersect`).  The
@@ -64,28 +64,26 @@ The ``.mvx`` file (format version 6, `serialize` and `deserialize`) is:
     concatenation over the shapes in id order (the sinks are -1 and -2);
 * a CRC-32 of everything before it.
 
-A shape is a constituent's structure up to a shift in rank: its ranks
-relative to its first rank (so a non-empty shape's ranks start at 0), and
-its child codes.  Constituents of one shape are stored once; each adds its
-offset to the shape's ranks (0 for the empty shape).  `serialize` numbers
+The compiler, the file and the loader share one `Shape` object per
+distinct structure (`MvIndex.shapes`): its ranks relative to its first (so
+a non-empty shape's ranks start at 0) and its child codes are stored once,
+and its entry codes and width are found once.  `serialize` numbers
 relations, domain values and shapes in order of first use, so the bytes
 depend only on the index's content.  Files of version 5 or older ask for a
 recompile.
 
 Nothing derivable is stored: not the permutations the tuple order was
 built from, not the probabilities, not the root codes (position 0, or the
-0-sink for an empty constituent), and no annotation.  `MvIndex` derives the
-probabilities and rebuilds probUnder, reachability, root probabilities and
-entry tables per constituent through the same `Constituent.augment` call,
-for the compiler and the loader alike; constituents of one shape share its
-``lo`` and ``hi`` lists and its entry codes (`_entry_codes`), found once per
-shape, so each constituent derives only its entry masses.  The loader reads
-every column once, checking its typecode and its count against the bytes
-left (`_read_column`), then checks each column by its length and bounds
-(ids against the domain and relation counts, weights finite and not -1),
-every shape's layout once (`_check_layout`) and every offset against the
-tuple order before deriving; any defect is an `IndexFormatError`, and so is
-a shape no constituent uses.  Compiles are byte-reproducible.
+0-sink for an empty constituent), and no annotation.  `MvIndex` derives p
+and q from the weights and annotates every constituent through the same
+`Constituent.augment` call, for the compiler and the loader alike.  The
+loader reads every column once, checking its typecode and its count
+against the bytes left (`_read_column`), then checks each column by its
+length and bounds (ids against the domain and relation counts, weights
+finite and not -1), every shape's layout (`_check_layout`) and last rank
+before building it, and every offset against the tuple order; any defect
+is an `IndexFormatError`, and so is a shape no constituent uses.  Compiles
+are byte-reproducible.
 """
 
 from __future__ import annotations
@@ -122,55 +120,72 @@ _HEADER = "<I32s"  # version, sha256 source digest
 _COLUMNS_START = 4 + struct.calcsize(_HEADER)
 
 
-class Constituent:
-    """One negated, augmented OBDD in a vector layout whose positions are in
+class Shape:
+    """One negated OBDD structure, in a vector layout whose positions are in
     rank order: position 0 is the root, alone at the lowest rank, every
     child code is a later position or a sink, and the nodes of one rank are
-    contiguous.  An empty constituent is the negation of a block whose W is
-    valid, so its root is the 0-sink."""
+    contiguous.  The ranks are relative to the first.  The empty shape is
+    the negation of a block whose W is valid: its root is the 0-sink.  The
+    entry codes (`_entry_codes`) and the width, the most nodes at one rank,
+    depend on the structure alone."""
 
-    def __init__(self, key, rank, lo, hi, entry=None):
-        self.key = key
+    def __init__(self, rank, lo, hi):
         self.rank = rank
         self.lo = lo
         self.hi = hi
-        self.n = len(rank)
-        self.root_code = 0 if rank else SINK0
-        self.rank_lo = rank[0] if rank else -1
-        self.rank_hi = rank[-1] if rank else -1
-        # The codes of the entry tables depend on the shape alone, so the
-        # constituents of one shape share them, as they share lo and hi:
-        # *entry* is the shape's `_entry_codes`, found here if not given.
-        self.entry_codes, self.entry_starts = (
-            entry or _entry_codes(rank, lo, hi))
+        self.entry_codes, self.entry_starts = _entry_codes(rank, lo, hi)
+        self.width = max(Counter(rank).values(), default=0)
+
+
+def _negation(g: Obdd) -> tuple[int, list, list, list]:
+    """The negation of *g* (its sinks swapped) laid out as a shape: its DFS
+    preorder stable-sorted by rank, so the root stays at position 0 and the
+    nodes of one rank keep their DFS order.  Returns the root's rank (0 for
+    the empty shape), then the shape's relative ranks and child codes."""
+    if g.root == 0:
+        raise MvdbError("internal error: a block of W is unsatisfiable")
+    table = g.table
+    nodes = sorted(g.reachable(), key=table.var.__getitem__)
+    code = {u: i for i, u in enumerate(nodes)}
+    code[0], code[1] = SINK1, SINK0
+    offset = table.var[nodes[0]] if nodes else 0
+    return (offset, [table.var[u] - offset for u in nodes],
+            [code[table.lo[u]] for u in nodes],
+            [code[table.hi[u]] for u in nodes])
+
+
+class Constituent:
+    """A shape at a rank offset (0 for the empty shape): its positions are
+    the shape's, at the shape's ranks plus the offset.  It shares the
+    shape's lists and holds only its own annotations."""
+
+    def __init__(self, key, shape: Shape, offset: int):
+        self.key = key
+        self.shape = shape
+        self.offset = offset
+        self.rank = [r + offset for r in shape.rank]
+        self.lo = shape.lo
+        self.hi = shape.hi
+        self.entry_codes = shape.entry_codes
+        self.entry_starts = shape.entry_starts
+        self.n = len(self.rank)
+        self.root_code = 0 if self.n else SINK0
+        self.rank_lo = offset if self.n else -1
+        self.rank_hi = self.rank[-1] if self.n else -1
         self.prob_under: list[float] = []
         self.prob_root = 0.0
         self.entry_mass: list[float] = []
 
-    @staticmethod
-    def from_obdd(g: Obdd, key) -> "Constituent":
-        """Lay out the negation of *g* (its sinks swapped): its DFS preorder
-        stable-sorted by rank, so the root stays at position 0 and the nodes
-        of one rank keep their DFS order."""
-        if g.root == 0:
-            raise MvdbError("internal error: a block of W is unsatisfiable")
-        table = g.table
-        nodes = sorted(g.reachable(), key=table.var.__getitem__)
-        code = {u: i for i, u in enumerate(nodes)}
-        code[0], code[1] = SINK1, SINK0
-        return Constituent(key, [table.var[u] for u in nodes],
-                           [code[table.lo[u]] for u in nodes],
-                           [code[table.hi[u]] for u in nodes])
-
     # -- augmentation -----------------------------------------------------
 
-    def augment(self, probs):
-        """All annotations from the structure and the tuple probabilities:
-        probUnder, then the entry tables that carry the reachability."""
-        self.compute_annotations(probs)
-        self.derive(probs)
+    def augment(self, probs, qs):
+        """All annotations from the structure and the tuples' probabilities
+        p and complements q = 1 - p: probUnder, then the entry tables that
+        carry the reachability."""
+        self.compute_annotations(probs, qs)
+        self.derive(probs, qs)
 
-    def compute_annotations(self, probs):
+    def compute_annotations(self, probs, qs):
         """probUnder of every node and of the root, in one scan from the
         last position back."""
         # Two trailing slots hold the sinks' values, so that
@@ -178,13 +193,13 @@ class Constituent:
         values = [0.0] * self.n + [1.0, 0.0]
         rank, lo, hi = self.rank, self.lo, self.hi
         for pos in range(self.n - 1, -1, -1):
-            p = probs[rank[pos]]
-            values[pos] = (1.0 - p) * values[lo[pos]] + p * values[hi[pos]]
+            r = rank[pos]
+            values[pos] = qs[r] * values[lo[pos]] + probs[r] * values[hi[pos]]
         self.prob_root = values[self.root_code]
         del values[self.n:]
         self.prob_under = values
 
-    def derive(self, probs):
+    def derive(self, probs, qs):
         """The entry tables' masses, carrying the reachability.
 
         The entry table at rank r lists, sorted by code, every node or sink
@@ -198,7 +213,7 @@ class Constituent:
         code in a list indexed by code (the sinks in two trailing slots): a
         node's mass is complete at its own rank, where it is its
         reachability (the signed mass of all root paths reaching it), and
-        each child gains that mass times 1-p (low edge) or p (high edge), in
+        each child gains that mass times q (low edge) or p (high edge), in
         position order.  The cost is O(n + sum of |entry|).
         """
         masses: list[float] = []
@@ -211,8 +226,7 @@ class Constituent:
             pos = 0
             for i, r in enumerate(range(self.rank_lo, self.rank_hi + 1)):
                 masses += map(at, codes[starts[i]:starts[i + 1]])
-                p = probs[r]
-                q = 1.0 - p
+                p, q = probs[r], qs[r]
                 while pos < n and rank[pos] == r:
                     reach = mass[pos]
                     mass[lo[pos]] += reach * q
@@ -230,9 +244,6 @@ class Constituent:
 
     def size(self) -> int:
         return self.n + 2
-
-    def width(self) -> int:
-        return max(Counter(self.rank).values(), default=0)
 
 
 def _entry_codes(rank, lo, hi) -> tuple[list, list]:
@@ -259,26 +270,30 @@ def _entry_codes(rank, lo, hi) -> tuple[list, list]:
 
 
 class MvIndex:
-    """The constituents, sorted by rank range, with the tuple order and
-    weights they were built on.  A query node finds the next constituent it
-    meets by bisecting their last ranks (``rank_hi``), and learns from the
-    prefix count ``zeros`` whether it jumped over a zero block;
-    `cc_mv_intersect` then enters each constituent it meets through its
-    entry tables."""
+    """The constituents, sorted by rank range, their distinct shapes in
+    order of first use, and the tuple order and weights they were built
+    on.  A query node finds the next constituent it meets by bisecting
+    their last ranks (``rank_hi``), and learns from the prefix count
+    ``zeros`` whether it jumped over a zero block; `cc_mv_intersect` then
+    enters each constituent it meets through its entry tables."""
 
     def __init__(self, constituents, order: VariableOrder, weights,
                  source_digest: str):
         """*weights* are the tuples' weights in rank order, each finite and
-        not -1.  The probabilities w/(1+w) are derived here, and every
-        constituent is augmented from them: the compiler and the loader
-        both build their index through this one call."""
+        not -1.  The probabilities p = w/(1+w) and q = 1/(1+w) = 1 - p, q
+        exact where p rounds to 1.0 (1e-20 at w = 1e20), are derived here,
+        and every constituent is augmented from them: the compiler and the
+        loader both build their index through this one call."""
         self.order = order
         self.weights = array("d", weights)
         self.probs = [w / (1.0 + w) for w in self.weights]
+        self.qs = [1.0 / (1.0 + w) for w in self.weights]
         for c in constituents:
-            c.augment(self.probs)
+            c.augment(self.probs, self.qs)
         self.constituents: list[Constituent] = sorted(
             constituents, key=lambda c: (c.rank_lo, c.rank_hi))
+        self.shapes: list[Shape] = list(
+            dict.fromkeys(c.shape for c in self.constituents))
         self.source_digest = source_digest
         roots = [c.prob_root for c in self.constituents]
         # Sorted and disjoint, so a query node finds the next constituent it
@@ -308,12 +323,11 @@ class MvIndex:
                          for c in self.constituents)
 
     def max_width(self) -> int:
-        return max((c.width() for c in self.constituents), default=0)
+        return max((s.width for s in self.shapes), default=0)
 
     def shape_count(self) -> int:
-        """The number of distinct constituent shapes, each stored once in
-        the file (`_shapes`)."""
-        return len(_shapes(self.constituents)[0])
+        """The number of distinct shapes, each stored once in the file."""
+        return len(self.shapes)
 
 
 def _variable_relations(indb: Indb) -> set[str]:
@@ -382,30 +396,32 @@ def build_index(tr: TranslationResult) -> MvIndex:
 def _compile_blocks(groups: dict, keys, order: VariableOrder) -> list:
     """One negated constituent per key, from the clauses ``groups[key]``.
 
-    Each block's clauses become their distinct ascending rank lists, and
-    blocks are told apart by those lists relative to the block's first rank
-    (the least rank in any clause).  `from_ranks` and the layout compare
-    ranks only by order, so blocks with equal relative rank lists compile
-    to the same constituent up to a shift in rank: `from_ranks` runs for the
-    first of them only, and every later one shifts that constituent's ranks
-    and shares its ``lo`` and ``hi`` lists and its entry codes."""
+    Each block's clauses become their distinct ascending rank lists.
+    `from_ranks` and the layout compare ranks only by order, so blocks
+    whose lists are equal relative to their first rank (the least rank in
+    any clause) compile to one shape, at offsets as far apart as their
+    first ranks: `from_ranks` runs for the first of them only.  Lists that
+    differ can still have one Boolean function (a clause that subsumes
+    another), so each layout is interned by content: one `Shape` per
+    distinct structure."""
     out = []
-    compiled: dict = {}  # relative rank lists -> (first rank, constituent)
+    compiled: dict = {}  # relative rank lists -> (shape, offset - first rank)
+    shapes: dict = {}  # (rank, lo, hi) -> Shape
     rank_of = order.rank_of
     for key in keys:
         ranks = {tuple(sorted(map(rank_of, clause)))
                  for clause in groups[key]}
         base = min((r[0] for r in ranks if r), default=0)
         relative = frozenset(tuple(x - base for x in r) for r in ranks)
-        if relative in compiled:
-            first, c = compiled[relative]
-            c = Constituent(key, [x + base - first for x in c.rank], c.lo,
-                            c.hi, (c.entry_codes, c.entry_starts))
-        else:
-            c = Constituent.from_obdd(
-                from_ranks(ranks, order, NodeTable(order)), key)
-            compiled[relative] = (base, c)
-        out.append(c)
+        if relative not in compiled:
+            offset, *layout = _negation(
+                from_ranks(ranks, order, NodeTable(order)))
+            content = tuple(map(tuple, layout))
+            if content not in shapes:
+                shapes[content] = Shape(*layout)
+            compiled[relative] = (shapes[content], offset - base)
+        shape, shift = compiled[relative]
+        out.append(Constituent(key, shape, base + shift if shape.rank else 0))
     return out
 
 
@@ -441,7 +457,7 @@ def _intersect(gq: Obdd, index: MvIndex, cache_conscious: bool,
     it: an entry state ``(k, v)`` holds query node v in front of constituent
     k (k == m: past the last), a pair state ``(k, pos, v)`` holds v against
     node pos of constituent k.  Expanding a state splits its mass by the
-    tuple at its rank, 1 - p to the low children and p to the high ones; a
+    tuple at its rank, q = 1 - p to the low children and p to the high ones; a
     query node before constituent k's ranks, or past the last, splits alone.
     A state that reaches the query's 1-sink adds its mass (times the pair's
     probUnder) to the total unless a constituent it has not left is a zero
@@ -466,7 +482,7 @@ def _intersect(gq: Obdd, index: MvIndex, cache_conscious: bool,
     cons = index.constituents
     m = len(cons)
     rank_hi, zeros, inv_root = index.rank_hi, index.zeros, index.inv_root
-    probs = index.probs
+    probs, qs = index.probs, index.qs
     qvar, qlo, qhi = gq.table.var, gq.table.lo, gq.table.hi
     # rank -> (entry states {k: {v: mass}}, pair states {(k, pos, v): mass})
     buckets: dict[int, tuple[dict, dict]] = {}
@@ -520,8 +536,7 @@ def _intersect(gq: Obdd, index: MvIndex, cache_conscious: bool,
     while ranks:
         r = heappop(ranks)
         entries, pairs = buckets[r]
-        p = probs[r]
-        q = 1.0 - p
+        p, q = probs[r], qs[r]
         while entries:
             k = min(entries)
             states = entries.pop(k)
@@ -723,53 +738,41 @@ def _untext(data: array, ends: array) -> list:
     return list(map(text.__getitem__, map(slice, starts, ends)))
 
 
-def _shapes(constituents) -> tuple[list, list]:
-    """The distinct shapes of *constituents*, found by content and numbered
-    in order of first use, and each constituent's ``(shape id, offset)``.
-    A shape is ``(rank, lo, hi)`` with the ranks relative to the first; the
-    offset is that first rank, 0 for an empty constituent."""
-    ids: dict = {}
-    heads = []
-    for c in constituents:
-        offset = c.rank[0] if c.rank else 0
-        shape = (tuple(r - offset for r in c.rank), tuple(c.lo), tuple(c.hi))
-        heads.append((ids.setdefault(shape, len(ids)), offset))
-    return list(ids), heads
-
-
 def serialize(index: MvIndex) -> bytes:
     """The v6 file: header, the columns of `_COLUMNS`, CRC-32; byte-stable.
 
     Relations are numbered in order of first use in the tuple order.  The
     domain is every value of the tuple order and every constituent key, the
     ints first, each kind in order of first use; shapes are numbered in
-    order of first use (`_shapes`).  Structure only, no annotation."""
-    shapes, heads = _shapes(index.constituents)
+    order of first use (`MvIndex.shapes`).  Structure only, no
+    annotation."""
+    cons, shapes = index.constituents, index.shapes
+    shape_id = dict(zip(shapes, range(len(shapes))))
     facts = index.order.facts
     names = list(map(itemgetter(0), facts))
     rows = list(map(itemgetter(1), facts))
     values = list(chain.from_iterable(rows))
-    keys = [c.key for c in index.constituents]
+    keys = [c.key for c in cons]
     arity = dict(zip(names, map(len, rows)))
     relation = dict(zip(arity, range(len(arity))))
     seen = dict.fromkeys(chain(values, (k for k in keys if k is not None)))
     ints = [v for v in seen if type(v) is int]
     strings = [v for v in seen if type(v) is not int]
     ids = dict(zip(ints + strings, range(len(seen))))
-    offsets = [offset for _, offset in heads]
+    offsets = [c.offset for c in cons]
     columns = {"arity": list(arity.values()),
                "relation": list(map(relation.__getitem__, names)),
                "values": list(map(ids.__getitem__, values)),
                "ints": " ".join(map(str, ints)).encode(),
                "weight": index.weights,
                "key": [0 if k is None else ids[k] + 1 for k in keys],
-               "shape": [sid for sid, _ in heads],
+               "shape": [shape_id[c.shape] for c in cons],
                "gap": [b - a for a, b in zip([0, *offsets], offsets)],
-               "nodes": [len(rank) for rank, _, _ in shapes]}
+               "nodes": [len(s.rank) for s in shapes]}
     columns["names"], columns["name_ends"] = _text(list(arity))
     columns["strings"], columns["string_ends"] = _text(strings)
-    for i, name in enumerate(("rank", "lo", "hi")):
-        columns[name] = [x for shape in shapes for x in shape[i]]
+    for name in ("rank", "lo", "hi"):
+        columns[name] = [x for s in shapes for x in getattr(s, name)]
     body = b"".join([_MAGIC, struct.pack(_HEADER, _VERSION,
                                          bytes.fromhex(index.source_digest)),
                      *(_column(columns[name], codes)
@@ -777,9 +780,10 @@ def serialize(index: MvIndex) -> bytes:
     return body + struct.pack("<I", zlib.crc32(body))
 
 
-def _check_layout(rank, lo, hi):
+def _check_layout(rank, lo, hi, n_ranks: int):
     """Reject a shape the traversals cannot walk: the positions must be in
-    rank order from rank 0, every child must be a sink or a position of a
+    rank order from rank 0 to a rank below *n_ranks* (which also bounds the
+    entry codes' scan), every child must be a sink or a position of a
     strictly greater rank, and every position but 0 must be some edge's
     child.  Together these make position 0 the root, alone at the lowest
     rank: no edge reaches a node of the lowest rank."""
@@ -790,6 +794,8 @@ def _check_layout(rank, lo, hi):
         raise IndexFormatError("positions are not in rank order")
     if rank[0] != 0:
         raise IndexFormatError("shape ranks do not start at 0")
+    if rank[-1] >= n_ranks:
+        raise IndexFormatError("rank outside the variable order")
     for pos in range(n):
         for child in (lo[pos], hi[pos]):
             if child != SINK0 and child != SINK1 and not (
@@ -874,31 +880,24 @@ def deserialize(buf: bytes) -> MvIndex:
     shapes = []
     at = 0
     for n in counts:
-        shape = [column[at:at + n] for column in nodes]
+        rank, lo, hi = (column[at:at + n] for column in nodes)
         at += n
-        _check_layout(*shape)
-        shapes.append(shape)
+        _check_layout(rank, lo, hi, len(order))
+        shapes.append(Shape(rank, lo, hi))
     if sids and max(sids) >= len(shapes):
         raise IndexFormatError(f"shape id {max(sids)} out of range")
     if len(set(sids)) != len(shapes):
         raise IndexFormatError("a shape no constituent uses")
-    entry_codes: dict[int, tuple] = {}  # shape id -> `_entry_codes`
     constituents = []
     key_of = [None, *domain]
     for key, sid, offset in zip(map(key_of.__getitem__, keys), sids,
                                 accumulate(gaps)):
-        rank, lo, hi = shapes[sid]
-        if not rank and offset:
+        shape = shapes[sid]
+        if not shape.rank and offset:
             raise IndexFormatError("empty constituent with an offset")
-        if rank and offset + rank[-1] >= len(order):
+        if shape.rank and offset + shape.rank[-1] >= len(order):
             raise IndexFormatError("rank outside the variable order")
-        # The shape's ranks now lie inside the order: find its entry codes,
-        # once.
-        codes = entry_codes.get(sid)
-        if codes is None:
-            codes = entry_codes[sid] = _entry_codes(rank, lo, hi)
-        constituents.append(Constituent(key, [r + offset for r in rank],
-                                        lo, hi, codes))
+        constituents.append(Constituent(key, shape, offset))
     if _overlapping(constituents):
         raise IndexFormatError("constituent rank ranges overlap")
     return MvIndex(constituents, order, weights, digest.hex())

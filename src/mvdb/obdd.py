@@ -42,7 +42,6 @@ class VariableOrder:
         self.rank: dict[Fact, int] = {f: i for i, f in enumerate(self.facts)}
         if len(self.rank) != len(self.facts):
             raise MvdbError("duplicate tuple in variable order")
-        self._hash: Optional[int] = None
 
     def __len__(self):
         return len(self.facts)
@@ -54,19 +53,13 @@ class VariableOrder:
             raise OrderMismatchError(f"{fact} is not ranked") from None
 
     def __eq__(self, other):
-        """Equal fact sequences.  Distinct orders compare lengths, then
-        their cached hashes, and read the facts only when both agree."""
-        if self is other:
-            return True
-        return (isinstance(other, VariableOrder)
-                and len(self.facts) == len(other.facts)
-                and hash(self) == hash(other)
-                and self.facts == other.facts)
+        """Equal fact sequences.  The engine compares an order with itself;
+        distinct orders compare their fact tuples, lengths first."""
+        return self is other or (isinstance(other, VariableOrder)
+                                 and self.facts == other.facts)
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self.facts)
-        return self._hash
+        return hash(self.facts)
 
 
 def tuple_order(pi: dict, facts: Iterable[Fact], domain: Domain,

@@ -156,10 +156,11 @@ def _probability_array(db: Indb, prob_facts, n) -> np.ndarray:
     idx = np.arange(1 << n, dtype=np.int64)
     weights = np.ones(1 << n, dtype=float)
     for i, f in enumerate(prob_facts):
-        p = db.probability(f)
+        # q = 1 - p, exact where p rounds to 1.0
+        p, q = db.probability(f), 1.0 / (1.0 + db.weights[f])
         on = ((idx >> i) & 1) == 1
         weights[on] *= p
-        weights[~on] *= (1.0 - p)
+        weights[~on] *= q
     return weights
 
 

@@ -104,15 +104,15 @@ def _phases(project: Path, query: str, repeats: int) -> dict:
     db = cli._load_project(str(project))
     index = mvindex.deserialize(blob)
     body = memoryview(blob)[:-4]
-    probs = index.probs
+    probs, qs = index.probs, index.qs
 
     def annotations():
         for c in index.constituents:
-            c.compute_annotations(probs)
+            c.compute_annotations(probs, qs)
 
     def entry():
         for c in index.constituents:
-            c.derive(probs)
+            c.derive(probs, qs)
 
     def answer():
         q = parse_query(query, db.schema)

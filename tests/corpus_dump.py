@@ -12,7 +12,11 @@ The corpus:
 
 Every corpus is answered from its index written to ``.mvx`` bytes and
 loaded back, so the dump also checks the file format; it prints the sha256
-of the dblp and chain ``.mvx`` bytes.  Usage::
+of the dblp and chain ``.mvx`` bytes, and one sha256 over the ``.mvx``
+bytes of the random corpus and then of `helpers.random_mvdb` seeds 38, 400
+and 443, in seed order.  In each of those three, two blocks with different
+clauses compile to one structure, so the hash also checks that a shape is
+stored once where two clause sets share it.  Usage::
 
     python tests/corpus_dump.py [ROOT] > out.txt
     python tests/corpus_dump.py --compare before.txt after.txt
@@ -69,7 +73,7 @@ def _dump(name, tr, index, queries, out):
 
 def dump(out=sys.stdout):
     from helpers import (chain_mvdb, chain_window, random_boolean_query,
-                         viable_random_mvdb)
+                         random_mvdb, viable_random_mvdb)
     from mvdb import build_indb, parse_query
     from mvdb.cli import _load_project
     from mvdb.gendata import generate_project
@@ -95,11 +99,18 @@ def dump(out=sys.stdout):
     _mvx("chain", blob, out)
     _dump("chain", tr, index, windows, out)
 
+    blobs = []
     for seed in range(200):
         _, tr, _, _ = viable_random_mvdb(seed)
         rng = random.Random(seed)
-        _dump("random", tr, _reloaded(tr)[0],
+        index, blob = _reloaded(tr)
+        blobs.append(blob)
+        _dump("random", tr, index,
               [random_boolean_query(rng) for _ in range(4)], out)
+    for seed in (38, 400, 443):
+        tr = build_indb(random_mvdb(random.Random(seed)))
+        blobs.append(_reloaded(tr)[1])
+    _mvx("random", b"".join(blobs), out)
 
 
 def _close(a: str, b: str) -> bool:

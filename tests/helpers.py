@@ -472,7 +472,7 @@ def build_index_per_block(tr):
     constant, every block in one shared node table, and its own contiguity
     assertion on `node_span`; without a separator, one call over all of
     W."""
-    from mvdb.mvindex import (Constituent, MvIndex, _variable_relations)
+    from mvdb.mvindex import MvIndex, _variable_relations
     from mvdb.obdd import choose_pi
     indb = tr.indb
     instance = indb.possible_instance()
@@ -513,21 +513,38 @@ def build_index_per_block(tr):
         g = con_obdd_structural(pi, tr.w_query, instance, indb.domain,
                                 order=order, table=table, var_rels=var_rels)
         blocks = [] if g.root == 0 else [(None, g)]
-    constituents = [Constituent.from_obdd(g, key) for key, g in blocks]
-    return MvIndex(constituents, order, weights, tr.source.digest())
+    return MvIndex(constituents_of(blocks), order, weights,
+                   tr.source.digest())
+
+
+def constituents_of(blocks) -> list:
+    """The negations of the OBDDs of *blocks*, ``(key, OBDD)`` pairs, as
+    constituents, each at its root's rank; the shapes are found by content,
+    one `Shape` per distinct structure."""
+    from mvdb.mvindex import Constituent, Shape, _negation
+    shapes = {}
+    out = []
+    for key, g in blocks:
+        offset, *layout = _negation(g)
+        content = tuple(map(tuple, layout))
+        if content not in shapes:
+            shapes[content] = Shape(*layout)
+        out.append(Constituent(key, shapes[content], offset))
+    return out
 
 
 def build_index_unshared(tr):
-    """`build_index` with `from_lineage` run on every block, so that no two
-    constituents share a shape's ``lo`` and ``hi`` lists."""
+    """`build_index` with `from_lineage` run on every block, and the shapes
+    found by the content of the blocks' layouts (`constituents_of`), not by
+    their clauses' relative ranks."""
     from unittest import mock
     from mvdb import mvindex
-    from mvdb.mvindex import Constituent
 
     def compile_every_block(groups, keys, order):
-        return [Constituent.from_obdd(
-            mvindex.from_lineage(U.Lineage.normalize(groups[key]), order,
-                                 NodeTable(order)), key) for key in keys]
+        return constituents_of(
+            (key, mvindex.from_lineage(U.Lineage.normalize(groups[key]),
+                                       order, NodeTable(order)))
+            for key in keys)
 
     with mock.patch.object(mvindex, "_compile_blocks", compile_every_block):
         return mvindex.build_index(tr)
@@ -561,6 +578,27 @@ def with_columns(blob: bytes, edit) -> bytes:
         else mvindex._column(columns[name], codes)
         for name, codes in mvindex._COLUMNS.items())
     return body + struct.pack("<I", zlib.crc32(body))
+
+
+def with_orphan(at_root_rank: bool):
+    """A `with_columns` edit that adds to shape 0 a node no edge reaches: at
+    the root's rank it goes in at position 1, after the root, otherwise
+    after the last position at the last rank, so the positions stay in
+    rank order; every child code of shape 0 from there up shifts by one."""
+    from mvdb.mvindex import SINK0, SINK1
+
+    def edit(columns):
+        n = columns["nodes"][0]
+        at = 1 if at_root_rank else n
+        for name in ("lo", "hi"):
+            columns[name][:n] = [code + (code >= at)
+                                 for code in columns[name][:n]]
+        columns["rank"].insert(at, columns["rank"][at - 1])
+        columns["lo"].insert(at, SINK0)
+        columns["hi"].insert(at, SINK1)
+        columns["nodes"][0] += 1
+        return columns
+    return edit
 
 
 def column_spans(blob: bytes) -> list[tuple]:
@@ -665,7 +703,7 @@ def intersect_memo(gq, index, cache_conscious: bool, stats=None):
     cons = index.constituents
     m = len(cons)
     inv_root = index.inv_root
-    probs = index.probs
+    probs, qs = index.probs, index.qs
     qtab = gq.table
     zero = ("E", 0, 0)  # the constant-zero task: any v == 0 task works
     tables = {}  # k -> constituent k's entry tables
@@ -696,9 +734,8 @@ def intersect_memo(gq, index, cache_conscious: bool, stats=None):
                 return unit(k)
             rv = qtab.var[v]
             if k == m or rv < cons[k].rank_lo:
-                p = probs[rv]
-                return ((1.0 - p, _etask(k, qtab.lo[v])),
-                        (p, _etask(k, qtab.hi[v])))
+                return ((qs[rv], _etask(k, qtab.lo[v])),
+                        (probs[rv], _etask(k, qtab.hi[v])))
             c = cons[k]
             inv = inv_root[k]
             if not cache_conscious:
@@ -720,14 +757,13 @@ def intersect_memo(gq, index, cache_conscious: bool, stats=None):
         ru = c.rank[pos]
         rv = qtab.var[v]
         if ru > rv:
-            p = probs[rv]
-            return ((1.0 - p, _xtask(k, pos, qtab.lo[v])),
-                    (p, _xtask(k, pos, qtab.hi[v])))
-        p = probs[ru]
+            return ((qs[rv], _xtask(k, pos, qtab.lo[v])),
+                    (probs[rv], _xtask(k, pos, qtab.hi[v])))
+        q, p = qs[ru], probs[ru]
         if ru < rv:
-            return ((1.0 - p, _xtask(k, c.lo[pos], v)),
+            return ((q, _xtask(k, c.lo[pos], v)),
                     (p, _xtask(k, c.hi[pos], v)))
-        return ((1.0 - p, _xtask(k, c.lo[pos], qtab.lo[v])),
+        return ((q, _xtask(k, c.lo[pos], qtab.lo[v])),
                 (p, _xtask(k, c.hi[pos], qtab.hi[v])))
 
     def _xtask(k, code, v):

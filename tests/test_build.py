@@ -28,7 +28,8 @@ from mvdb.translate import load_views
 
 from helpers import (EX1_SCHEMA, RAND_SCHEMA, build_index_per_block,
                      build_index_unshared, chain_mvdb, random_boolean_query,
-                     shape_of, viable_random_mvdb)
+                     random_mvdb, read_columns, shape_of, viable_random_mvdb,
+                     with_columns)
 
 FLIP_SCHEMA = parse_schema("""
 relation A(x:string, y:string) key(x,y) probabilistic
@@ -125,7 +126,7 @@ def test_dblp_shapes_match_compiling_every_block(tmp_path):
         _project_tr(generate_project(tmp_path / "p", seed=1, scale=60)))
     assert len(idx.constituents) == 60
     for index in (idx, deserialize(serialize(idx))):
-        assert index.shape_count() == 2
+        assert index.shape_count() == len(index.shapes) == 2
         assert len({id(c.lo) for c in index.constituents}) == 2
         assert len({id(c.hi) for c in index.constituents}) == 2
 
@@ -141,6 +142,56 @@ def test_random_shapes_match_compiling_every_block():
         idx = _matches_unshared(viable_random_mvdb(seed)[1])
         shared += len(idx.constituents) - idx.shape_count()
     assert shared
+
+
+def _assert_one_shape_per_structure(index):
+    """``index.shapes`` holds one object per distinct structure, in order
+    of first use, and each constituent is one of them at its offset."""
+    first = []
+    for c in index.constituents:
+        if not any(c.shape is s for s in first):
+            first.append(c.shape)
+        assert (tuple(c.shape.rank), tuple(c.shape.lo),
+                tuple(c.shape.hi)) == shape_of(c)
+        assert c.lo is c.shape.lo and c.hi is c.shape.hi
+    assert len(first) == len(index.shapes)
+    assert all(a is b for a, b in zip(first, index.shapes))
+    assert len({(tuple(s.rank), tuple(s.lo), tuple(s.hi))
+                for s in index.shapes}) == len(index.shapes)
+
+
+def test_index_holds_one_shape_per_structure(tmp_path):
+    trs = [_project_tr(generate_project(tmp_path / "p", seed=1, scale=60)),
+           build_indb(chain_mvdb(20))]
+    trs += [viable_random_mvdb(seed)[1] for seed in range(60)]
+    trs += [build_indb(random_mvdb(random.Random(seed)))
+            for seed in (38, 400, 443)]
+    for tr in trs:
+        built = build_index(tr)
+        for index in (built, deserialize(serialize(built))):
+            _assert_one_shape_per_structure(index)
+
+
+@pytest.mark.parametrize("seed", [38, 400, 443])
+def test_one_function_from_other_clauses_is_stored_once(seed):
+    # One block's clauses include one that subsumes another, e.g. seed
+    # 38's a1 block has clauses at relative ranks (0,) and (0, 1), the
+    # other blocks (0,) alone: different relative rank lists, one Boolean
+    # function, so one structure, one Shape and one shape in the file.
+    tr = build_indb(random_mvdb(random.Random(seed)))
+    idx = _matches_unshared(tr)
+    rank_of = idx.order.rank_of
+    relative = set()
+    for clauses in tr.w_lineage.values():
+        ranks = {tuple(sorted(map(rank_of, clause))) for clause in clauses}
+        base = min(r[0] for r in ranks)
+        relative.add(frozenset(tuple(x - base for x in r) for r in ranks))
+    assert len(relative) == 2 and len(idx.constituents) >= 2
+    blob = serialize(idx)
+    assert len(read_columns(blob)["nodes"]) == 1
+    for index in (idx, deserialize(blob)):
+        assert len(index.shapes) == 1
+        assert all(c.shape is index.shapes[0] for c in index.constituents)
 
 
 SHAPE_SCHEMA = parse_schema("""
@@ -163,6 +214,7 @@ def test_one_shape_shares_structure_not_annotations():
                             (Fact("R", (2,)), 3.0), (Fact("S", (2,)), 0.5)])
     for index in (idx, deserialize(serialize(idx))):
         one, two = index.constituents
+        assert one.shape is two.shape
         assert one.lo is two.lo and one.hi is two.hi
         assert one.entry_codes is two.entry_codes
         assert one.entry_starts is two.entry_starts
@@ -173,6 +225,29 @@ def test_one_shape_shares_structure_not_annotations():
         assert one.prob_root != two.prob_root
         assert one.entry_tables() != two.entry_tables()
         assert index.shape_count() == 1
+
+
+def test_a_shape_stored_twice_is_written_back_twice():
+    # The loader builds one Shape per stored shape and `serialize` numbers
+    # the index's shapes, so a file that stores one structure twice writes
+    # back the same bytes.
+    idx = _two_block_index([(Fact("R", (1,)), 1.0), (Fact("S", (1,)), 2.0),
+                            (Fact("R", (2,)), 3.0), (Fact("S", (2,)), 0.5)])
+
+    def store_twice(columns):
+        n = columns["nodes"][0]
+        columns["nodes"].append(n)
+        for name in ("rank", "lo", "hi"):
+            columns[name] += columns[name][:n]
+        columns["shape"][1] = 1
+        return columns
+
+    blob = with_columns(serialize(idx), store_twice)
+    loaded = deserialize(blob)
+    assert len(loaded.shapes) == 2
+    assert [c.entry_tables() for c in loaded.constituents] == \
+        [c.entry_tables() for c in idx.constituents]
+    assert serialize(loaded) == blob
 
 
 def test_equal_clause_counts_at_other_relative_ranks_are_two_shapes(tables):

@@ -16,7 +16,7 @@ from mvdb.cli import (EXIT_CAP, EXIT_INCONSISTENT, EXIT_INPUT, EXIT_OK,
 from mvdb.gendata import demo_query, generate_project
 from mvdb.mvindex import IndexEvaluator
 
-from helpers import with_columns
+from helpers import with_columns, with_orphan
 
 
 def run(argv):
@@ -149,10 +149,11 @@ def test_usage_error_exit_code():
 
 @pytest.mark.parametrize("command, option, value", [
     ("compile", "--tolerance", "1"), ("compile", "--world-cap", "8"),
-    ("oracle", "--index", "x"), ("oracle", "--tolerance", "1")])
+    ("oracle", "--index", "x"), ("oracle", "--tolerance", "1"),
+    ("query", "--tolerance", "1")])
 def test_option_the_command_does_not_read_is_a_usage_error(
         project, command, option, value):
-    query = ["Q() :- Student(1, y)"] if command == "oracle" else []
+    query = [] if command == "compile" else ["Q() :- Student(1, y)"]
     rc, _ = run([command, "--project", str(project), option, value, *query])
     assert rc == EXIT_USAGE
 
@@ -270,22 +271,12 @@ def test_malformed_index_structure_exit_code(project, capsys):
 
 
 def test_orphan_position_exit_code(project, capsys):
-    # a node that no edge reaches, at the root's rank of the first block:
+    # a node that no edge reaches, at the root's rank of the first shape:
     # position 1, so the positions stay in rank order, every child code
     # from 1 up shifted by one
-    from mvdb import load_index, serialize
-    from mvdb.mvindex import SINK0, SINK1
     run(["compile", "--project", str(project)])
     path = project / "index.mvx"
-    index = load_index(path)
-    c = index.constituents[0]
-    c.lo[:] = [code + (code >= 1) for code in c.lo]
-    c.hi[:] = [code + (code >= 1) for code in c.hi]
-    c.rank.insert(1, c.rank_lo)
-    c.lo.insert(1, SINK0)
-    c.hi.insert(1, SINK1)
-    c.n += 1
-    path.write_bytes(serialize(index))
+    path.write_bytes(with_columns(path.read_bytes(), with_orphan(True)))
     for argv in (["query", "--project", str(project), "Q() :- Student(1, y)"],
                  ["stats", "--project", str(project)]):
         capsys.readouterr()
@@ -306,7 +297,6 @@ def _old_format_file(blob: bytes, version: int) -> bytes:
     import struct
     import zlib
     from mvdb import deserialize
-    from mvdb.mvindex import _shapes
     index = deserialize(blob)
     cons = index.constituents
     facts = index.order.facts
@@ -315,12 +305,12 @@ def _old_format_file(blob: bytes, version: int) -> bytes:
             "facts": [[relations.index(f.relation), *f.values]
                       for f in facts]}
     if version == 5:
-        shapes, heads = _shapes(cons)
-        meta["shapes"] = [len(rank) for rank, _, _ in shapes]
-        meta["constituents"] = [[c.key, *head] for c, head in zip(cons,
-                                                                 heads)]
-        blocks = [[x for shape in shapes for x in shape[i]]
-                  for i in range(3)]
+        shapes = index.shapes
+        meta["shapes"] = [len(s.rank) for s in shapes]
+        meta["constituents"] = [[c.key, shapes.index(c.shape), c.offset]
+                                for c in cons]
+        blocks = [[x for s in shapes for x in getattr(s, name)]
+                  for name in ("rank", "lo", "hi")]
     else:
         meta["constituents"] = [[c.key, c.n] for c in cons]
         if version == 3:

@@ -23,11 +23,12 @@ from mvdb.obdd import VariableOrder, con_obdd
 from mvdb.translate import answer_rows
 
 from helpers import (EX1_SCHEMA, RAND_SCHEMA, TWO_TABLE_SCHEMA, chain_mvdb,
-                     chain_window, column_spans, cut_ranks,
+                     chain_window, column_spans, constituents_of, cut_ranks,
                      entry_tables_rescan, example1, intersect_memo,
                      prob_under, random_boolean_query, read_columns,
                      shannon_probability, shape_of, signed_world_sum,
-                     two_table_db, viable_random_mvdb, with_columns)
+                     two_table_db, viable_random_mvdb, with_columns,
+                     with_orphan)
 
 
 def _ex1_index(w=0.5):
@@ -91,7 +92,7 @@ def _two_table_obdd():
 def test_negation_by_sink_swap():
     g = _two_table_obdd()
     probs = [0.5, 0.25, -1.0, 2.0, 0.5, 0.75]
-    neg = Constituent.from_obdd(g, None)
+    [neg] = constituents_of([(None, g)])
     # the DFS preorder stable-sorted by rank, every edge into a sink sent to
     # the other
     nodes = sorted(g.reachable(), key=lambda u: g.table.var[u])
@@ -103,7 +104,7 @@ def test_negation_by_sink_swap():
                             (g.table.hi[u], neg.hi[i])):
             want = swap[child] if child <= 1 else nodes.index(child)
             assert code == want
-    neg.compute_annotations(probs)
+    neg.compute_annotations(probs, [1.0 - p for p in probs])
     assert prob_under(neg, neg.root_code) == pytest.approx(
         1.0 - shannon_probability(g, probs), abs=1e-12)
 
@@ -111,8 +112,8 @@ def test_negation_by_sink_swap():
 def test_prob_under_root_matches_shannon():
     g = _two_table_obdd()
     probs = [0.3, -0.5, 0.25, 0.8, 2.0, 0.1]
-    neg = Constituent.from_obdd(g, None)
-    neg.compute_annotations(probs)
+    [neg] = constituents_of([(None, g)])
+    neg.compute_annotations(probs, [1.0 - p for p in probs])
     assert prob_under(neg, neg.root_code) == neg.prob_root
     assert neg.prob_root == pytest.approx(
         1.0 - shannon_probability(g, probs), abs=1e-12)
@@ -126,7 +127,7 @@ def test_frontier_identities():
         for c in idx.constituents:
             if not c.n:
                 continue
-            c.derive(idx.probs)
+            c.derive(idx.probs, idx.qs)
             entry = c.entry_tables()
             for r, table in entry.items():
                 total = sum(mass * prob_under(c, code) for code, mass in table)
@@ -543,23 +544,11 @@ def test_round_trip_answers_are_bit_identical():
 @pytest.mark.parametrize("where", ["rank_lo", "rank_hi"])
 def test_deserialize_position_no_edge_reaches(where):
     # A compile never writes a node that no edge reaches; on load such a
-    # node would inflate size() and width(), so the layout check rejects it.
-    idx = _denial_index()
-
-    def add_orphan(cons, n_ranks):
-        # at the root's rank it goes in at position 1, after the root, so
-        # the positions stay in rank order and every child code shifts
-        c = cons[0]
-        at = 1 if where == "rank_lo" else c.n
-        c.lo[:] = [code + (code >= at) for code in c.lo]
-        c.hi[:] = [code + (code >= at) for code in c.hi]
-        c.rank.insert(at, getattr(c, where))
-        c.lo.insert(at, SINK0)
-        c.hi.insert(at, SINK1)
-        c.n += 1
-
+    # node would inflate size() and the width, so the layout check rejects
+    # it.
+    blob = serialize(_denial_index())
     with pytest.raises(IndexFormatError, match="no edge's child"):
-        deserialize(_tampered(idx, add_orphan))
+        deserialize(with_columns(blob, with_orphan(where == "rank_lo")))
 
 
 def test_deserialize_truncation():
@@ -578,36 +567,28 @@ def _denial_index():
     return build_index(build_indb(db))
 
 
-def _tampered(index, edit) -> bytes:
-    """The index's file with *edit* applied to a fresh copy of its
-    constituents; `serialize` writes a valid checksum over the change."""
-    copy = deserialize(serialize(index))
-    edit(copy.constituents, len(copy.order))
-    return serialize(copy)
+# Edits of the denial index's columns: its two constituents have one shape
+# each, shape 0 the first one's and shape 1 the last one's.
+
+def _child_out_of_range(columns):
+    columns["lo"][0] = 10000
 
 
-def _child_out_of_range(cons, n_ranks):
-    cons[0].lo[0] = 10000
+def _backward_edge(columns):
+    columns["hi"][columns["nodes"][0] - 1] = 0
 
 
-def _backward_edge(cons, n_ranks):
-    c = cons[0]
-    c.hi[c.n - 1] = 0
+def _rank_outside_order(columns):
+    # the last constituent's offset is the sum of the gaps
+    columns["rank"][-1] = len(columns["relation"]) - sum(columns["gap"])
 
 
-def _rank_outside_order(cons, n_ranks):
-    c = cons[-1]
-    c.rank[c.n - 1] = n_ranks
+def _root_not_lowest_rank(columns):
+    columns["rank"][-1] = -1
 
 
-def _root_not_lowest_rank(cons, n_ranks):
-    c = cons[1]
-    c.rank[c.n - 1] = c.rank_lo - 1
-
-
-def _overlapping_ranges(cons, n_ranks):
-    shift = cons[1].rank_lo - cons[0].rank_lo
-    cons[1].rank = [r - shift for r in cons[1].rank]
+def _overlapping_ranges(columns):
+    columns["gap"][1] = 0
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -620,10 +601,34 @@ def _overlapping_ranges(cons, n_ranks):
 def test_deserialize_rejects_malformed_structure(edit, message):
     idx = _denial_index()
     assert len(idx.constituents) == 2
+    assert [c.shape for c in idx.constituents] == idx.shapes
     assert all(c.n > 1 for c in idx.constituents)
-    deserialize(_tampered(idx, lambda cons, n: None))  # an unedited copy loads
+    blob = serialize(idx)
+    deserialize(with_columns(blob, lambda cols: cols))  # a re-encoding loads
     with pytest.raises(IndexFormatError, match=message):
-        deserialize(_tampered(idx, edit))
+        deserialize(with_columns(blob, lambda cols: edit(cols) or cols))
+
+
+def test_deserialize_rejects_a_shape_past_the_order_before_building_it(
+        monkeypatch):
+    # The entry codes' scan runs over every rank of a shape, so a relative
+    # rank far past the tuple order is rejected before any is found.
+    def far_past(columns):
+        columns["rank"][-1] = 2 ** 40
+        return columns
+
+    scanned = []
+    real = mvindex._entry_codes
+
+    def spy(rank, lo, hi):
+        scanned.append(max(rank, default=0))
+        return real(rank, lo, hi) if scanned[-1] < 2 ** 40 else ([], [0])
+
+    monkeypatch.setattr(mvindex, "_entry_codes", spy)
+    blob = with_columns(serialize(_denial_index()), far_past)
+    with pytest.raises(IndexFormatError, match="outside the variable order"):
+        deserialize(blob)
+    assert scanned and max(scanned) < 2 ** 40
 
 
 def test_deserialize_rejects_shape_ranks_not_starting_at_0():
@@ -906,6 +911,56 @@ def test_log10_p0_not_w_survives_underflow(blocks_1e3):
         N_BLOCKS * math.log10(1 - p * p), rel=1e-9)
 
 
+def test_ten_weight_1e20_blocks_answer_one_half():
+    # p = w/(1+w) rounds to 1.0 at w = 1e20, where 1 - p is 0.0 and made
+    # every block's P0(not W) exactly 0.  q = 1/(1+w) is 1e-20, so each
+    # block's root probability is q + p q = 2e-20, and P(R(0)) =
+    # w/(1+2w) = 0.5, before and after a round trip.
+    facts = [(Fact(rel, (i,)), 1e20) for i in range(10)
+             for rel in ("R", "S")]
+    db = Mvdb(BLOCK_SCHEMA, facts,
+              [parse_view("V(x) [0] :- R(x), S(x)", BLOCK_SCHEMA)])
+    tr = build_indb(db)
+    built = build_index(tr)
+    assert set(built.probs) == {1.0} and set(built.qs) == {1e-20}
+    assert [c.prob_root for c in built.constituents] == [2e-20] * 10
+    inst = tr.indb.possible_instance()
+    q = parse_query("Q() :- R(0)", BLOCK_SCHEMA)
+    for idx in (built, deserialize(serialize(built))):
+        assert not idx.zero_block
+        for mode in ("cc", "mv"):
+            got = query_probability(q, tr, IndexEvaluator(idx, inst, mode))
+            assert got == pytest.approx(0.5, abs=1e-9), mode
+        _assert_sweep_matches_memo(_query_obdd("Q() :- R(0)", BLOCK_SCHEMA,
+                                               inst, idx), idx)
+
+
+@pytest.mark.parametrize("view_weight", [0.0, 0.5, 3.0])
+def test_single_block_closed_forms_at_every_weight(view_weight):
+    # One block of R(0), S(0) under V(x) [wv] :- R(x), S(x): the worlds {},
+    # {R}, {S} and {R, S} weigh 1, wR, wS and wR wS wv, so P(R(0)) =
+    # wR (1 + wS wv) / (1 + wR + wS + wR wS wv), and wR / (1 + wR + wS)
+    # for the denial view (wv = 0).  Above 1, wv gives the view's auxiliary
+    # tuple a weight in (-1, 0): its probability is below 0 and q above 1.
+    view = parse_view(f"V(x) [{view_weight}] :- R(x), S(x)", BLOCK_SCHEMA)
+    q = parse_query("Q() :- R(0)", BLOCK_SCHEMA)
+    for k in range(-20, 21):
+        w_r = 10.0 ** k
+        for w_s in (w_r, 1.0 / w_r, 1.0):
+            db = Mvdb(BLOCK_SCHEMA, [(Fact("R", (0,)), w_r),
+                                     (Fact("S", (0,)), w_s)], [view])
+            tr = build_indb(db)
+            idx = build_index(tr)
+            inst = tr.indb.possible_instance()
+            both = w_r * w_s * view_weight
+            want = (w_r + both) / (1.0 + w_r + w_s + both)
+            for ev in (IndexEvaluator(idx, inst, "cc"),
+                       IndexEvaluator(idx, inst, "mv"),
+                       EnumerationEvaluator(tr)):
+                assert query_probability(q, tr, ev) == pytest.approx(
+                    want, abs=1e-9), (w_r, w_s, type(ev).__name__)
+
+
 ZERO_BLOCK_QUERIES = ("Q() :- R(0)", "Q() :- R(1)", "Q() :- R(0) ; R(2)",
                       "Q() :- R(0), S(2)", "Q() :- S(x)")
 
@@ -921,7 +976,7 @@ def _zero_block_index():
     # weights -2 and 1 give the probabilities 2.0 and 0.5
     signed = {Fact("R", (1,)): -2.0, Fact("S", (1,)): 1.0}
     weights = [signed.get(f, 0.3) for f in base.order.facts]
-    cons = [Constituent(c.key, c.rank, c.lo, c.hi)
+    cons = [Constituent(c.key, c.shape, c.offset)
             for c in base.constituents]
     idx = MvIndex(cons, base.order, weights, base.source_digest)
     assert [idx.probs[base.order.rank_of(f)] for f in signed] == [2.0, 0.5]
