@@ -10,7 +10,9 @@ compiler), into a `Shape`; a `Constituent` is a shape at a rank offset.
 Every node is annotated with the probability of its sub-diagram
 (probUnder) and the signed mass of all root paths reaching it
 (reachability), both derived from the structure and the tuples'
-probabilities p and complements q = 1 - p by `Constituent.augment`.
+probabilities p = w/(1+w) and q = 1/(1+w) by
+`Constituent.compute_annotations` and `Constituent.derive`, each run once
+per shape across all of its constituents.
 Online, a query OBDD ordered by the same tuple order is intersected against
 the chain of constituents without materializing the conjunction, by one
 forward sweep of signed probability mass over ranks (`_intersect`).  The
@@ -75,8 +77,10 @@ recompile.
 Nothing derivable is stored: not the permutations the tuple order was
 built from, not the probabilities, not the root codes (position 0, or the
 0-sink for an empty constituent), and no annotation.  `MvIndex` derives p
-and q from the weights and annotates every constituent through the same
-`Constituent.augment` call, for the compiler and the loader alike.  The
+and q from the weights and annotates the constituents shape by shape, for
+the compiler and the loader alike (see `Constituent.compute_annotations`;
+numpy is not used, as importing it costs a fresh process more than a whole
+cold query).  The
 loader reads every column once, checking its typecode and its count
 against the bytes left (`_read_column`), then checks each column by its
 length and bounds (ids against the domain and relation counts, weights
@@ -99,9 +103,10 @@ from bisect import bisect_left
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from heapq import heappop, heappush
 from itertools import accumulate, chain, groupby, islice, repeat
-from operator import itemgetter
+from operator import add, itemgetter, mul
 from typing import Optional
 
 from .core import (Fact, InconsistentConstraintsError, Indb, Instance,
@@ -118,6 +123,11 @@ _MAGIC = b"MVIX"
 _VERSION = 6
 _HEADER = "<I32s"  # version, sha256 source digest
 _COLUMNS_START = 4 + struct.calcsize(_HEADER)
+
+# `MvIndex` annotates a shape with this many constituents or more by lanes,
+# one list per step across all of them (`Constituent.compute_annotations`);
+# below it, building the lanes costs more than walking each constituent.
+_LANES = 8
 
 
 class Shape:
@@ -157,49 +167,88 @@ def _negation(g: Obdd) -> tuple[int, list, list, list]:
 class Constituent:
     """A shape at a rank offset (0 for the empty shape): its positions are
     the shape's, at the shape's ranks plus the offset.  It shares the
-    shape's lists and holds only its own annotations."""
+    shape's lists and holds only its own ranks and annotations, which
+    `compute_annotations` and `derive` set for every constituent of a shape
+    at once.  Its rows (``rank``, ``prob_under``, ``entry_mass``) are
+    tuples, indexed by position or, for the masses, by entry."""
 
     def __init__(self, key, shape: Shape, offset: int):
         self.key = key
         self.shape = shape
         self.offset = offset
-        self.rank = [r + offset for r in shape.rank]
         self.lo = shape.lo
         self.hi = shape.hi
         self.entry_codes = shape.entry_codes
         self.entry_starts = shape.entry_starts
-        self.n = len(self.rank)
+        self.n = len(shape.rank)
         self.root_code = 0 if self.n else SINK0
         self.rank_lo = offset if self.n else -1
-        self.rank_hi = self.rank[-1] if self.n else -1
-        self.prob_under: list[float] = []
+        self.rank_hi = offset + shape.rank[-1] if self.n else -1
+        self.prob_under: tuple[float, ...] = ()
         self.prob_root = 0.0
-        self.entry_mass: list[float] = []
+        self.entry_mass: tuple[float, ...] = ()
+
+    @cached_property
+    def rank(self) -> tuple[int, ...]:
+        """Each position's rank: the shape's plus the offset.  The lane pass
+        of `compute_annotations` sets it from the ranks it gathers at."""
+        offset = self.offset
+        return tuple([r + offset for r in self.shape.rank])
 
     # -- augmentation -----------------------------------------------------
+    #
+    # Both passes take every constituent of one shape (`MvIndex.shapes`) and
+    # the tuples' probabilities p and q = 1/(1+w).  Without *lanes* they
+    # loop over each constituent alone.  With *lanes*, p and q gathered at
+    # every constituent's own ranks (`_rank_lanes`), they walk the shape
+    # once: each step updates a lane, one list indexed by constituent, with
+    # C-level `map(add/mul, ...)`, and the lanes are then transposed into
+    # each constituent's rows.  Every constituent sees the same float
+    # operations in the same order either way, so its annotations keep
+    # their bits.
 
-    def augment(self, probs, qs):
-        """All annotations from the structure and the tuples' probabilities
-        p and complements q = 1 - p: probUnder, then the entry tables that
-        carry the reachability."""
-        self.compute_annotations(probs, qs)
-        self.derive(probs, qs)
-
-    def compute_annotations(self, probs, qs):
+    @staticmethod
+    def compute_annotations(cons, probs, qs, lanes=None):
         """probUnder of every node and of the root, in one scan from the
-        last position back."""
-        # Two trailing slots hold the sinks' values, so that
-        # values[SINK1] is 1.0 and values[SINK0] is 0.0.
-        values = [0.0] * self.n + [1.0, 0.0]
-        rank, lo, hi = self.rank, self.lo, self.hi
-        for pos in range(self.n - 1, -1, -1):
+        last position back: a node's is q times its low child's plus p
+        times its high child's.  The lane pass also sets each rank row."""
+        shape = cons[0].shape
+        rank, lo, hi = shape.rank, shape.lo, shape.hi
+        n = len(rank)
+        if lanes is None:
+            for c in cons:
+                # Two trailing slots hold the sinks' values, so that
+                # values[SINK1] is 1.0 and values[SINK0] is 0.0.
+                values = [0.0] * n + [1.0, 0.0]
+                absolute = c.rank
+                for pos in range(n - 1, -1, -1):
+                    r = absolute[pos]
+                    values[pos] = (qs[r] * values[lo[pos]]
+                                   + probs[r] * values[hi[pos]])
+                c.prob_root = values[c.root_code]
+                c.prob_under = tuple(values[:n])
+            return
+        m = len(cons)
+        at, ps, qls = lanes
+        values = [None] * n + [[1.0] * m, [0.0] * m]
+        for pos in range(n - 1, -1, -1):
             r = rank[pos]
-            values[pos] = qs[r] * values[lo[pos]] + probs[r] * values[hi[pos]]
-        self.prob_root = values[self.root_code]
-        del values[self.n:]
-        self.prob_under = values
+            # x * 1.0 is x, so an edge to the 1-sink adds its factor alone.
+            low = (qls[r] if lo[pos] == SINK1
+                   else map(mul, qls[r], values[lo[pos]]))
+            high = (ps[r] if hi[pos] == SINK1
+                    else map(mul, ps[r], values[hi[pos]]))
+            values[pos] = list(map(add, low, high))
+        roots = values[cons[0].root_code]
+        del values[n:]
+        for c, root, row, ranks in zip(cons, roots, _rows(values, m), _rows(
+                list(map(at.__getitem__, rank)), m)):
+            c.prob_root = root
+            c.prob_under = row
+            c.rank = ranks
 
-    def derive(self, probs, qs):
+    @staticmethod
+    def derive(cons, probs, qs, lanes=None):
         """The entry tables' masses, carrying the reachability.
 
         The entry table at rank r lists, sorted by code, every node or sink
@@ -214,36 +263,75 @@ class Constituent:
         node's mass is complete at its own rank, where it is its
         reachability (the signed mass of all root paths reaching it), and
         each child gains that mass times q (low edge) or p (high edge), in
-        position order.  The cost is O(n + sum of |entry|).
+        position order.  The cost is O(n + sum of |entry|) per constituent.
         """
-        masses: list[float] = []
-        if self.n:
-            rank, lo, hi, n = self.rank, self.lo, self.hi, self.n
-            codes, starts = self.entry_codes, self.entry_starts
-            mass = [0.0] * (n + 2)
-            mass[0] = 1.0
-            at = mass.__getitem__
-            pos = 0
-            for i, r in enumerate(range(self.rank_lo, self.rank_hi + 1)):
-                masses += map(at, codes[starts[i]:starts[i + 1]])
-                p, q = probs[r], qs[r]
-                while pos < n and rank[pos] == r:
-                    reach = mass[pos]
-                    mass[lo[pos]] += reach * q
-                    mass[hi[pos]] += reach * p
-                    pos += 1
-        self.entry_mass = masses
-
-    def entry_tables(self) -> dict[int, list]:
-        """Every entry table, as ``{rank: [(code, mass), ...]}``."""
-        codes, starts, masses = (self.entry_codes, self.entry_starts,
-                                 self.entry_mass)
-        return {r: list(zip(codes[a:b], masses[a:b]))
-                for r, a, b in zip(range(self.rank_lo, self.rank_hi + 1),
-                                   starts, starts[1:])}
+        shape = cons[0].shape
+        rank, lo, hi = shape.rank, shape.lo, shape.hi
+        codes, starts = shape.entry_codes, shape.entry_starts
+        n = len(rank)
+        if lanes is None:
+            for c in cons:
+                masses: list[float] = []
+                if n:
+                    mass = [0.0] * (n + 2)
+                    mass[0] = 1.0
+                    at = mass.__getitem__
+                    pos = 0
+                    for i, r in enumerate(range(c.rank_lo, c.rank_hi + 1)):
+                        masses += map(at, codes[starts[i]:starts[i + 1]])
+                        p, q = probs[r], qs[r]
+                        while pos < n and rank[pos] == i:
+                            reach = mass[pos]
+                            mass[lo[pos]] += reach * q
+                            mass[hi[pos]] += reach * p
+                            pos += 1
+                c.entry_mass = tuple(masses)
+            return
+        m = len(cons)
+        _, ps, qls = lanes
+        # A lane is replaced, never changed in place, so a table can hold
+        # the lane a code has at its rank.
+        mass = [[0.0] * m] * (n + 2)
+        mass[0] = [1.0] * m
+        at = mass.__getitem__
+        tables: list = []
+        pos = 0
+        for i in range(len(starts) - 1):
+            tables += map(at, codes[starts[i]:starts[i + 1]])
+            while pos < n and rank[pos] == i:
+                reach = mass[pos]
+                mass[lo[pos]] = list(map(add, mass[lo[pos]],
+                                         map(mul, reach, qls[i])))
+                mass[hi[pos]] = list(map(add, mass[hi[pos]],
+                                         map(mul, reach, ps[i])))
+                pos += 1
+        for c, row in zip(cons, _rows(tables, m)):
+            c.entry_mass = row
 
     def size(self) -> int:
         return self.n + 2
+
+
+def _rank_lanes(cons, probs, qs) -> tuple[dict, dict, dict]:
+    """For each rank of the shape of *cons* that holds a node: the lane of
+    every constituent's own rank there (the shape's plus its offset), and
+    the lanes of p and q at those ranks."""
+    offsets = [c.offset for c in cons]
+    at, ps, qls = {}, {}, {}
+    for r in dict.fromkeys(cons[0].shape.rank):
+        at[r] = lane = [r + offset for offset in offsets]
+        if len(lane) > 1:
+            pick = itemgetter(*lane)
+            ps[r], qls[r] = pick(probs), pick(qs)
+        else:  # itemgetter of one index returns the item, not a tuple
+            ps[r], qls[r] = [probs[lane[0]]], [qs[lane[0]]]
+    return at, ps, qls
+
+
+def _rows(lanes: list, m: int):
+    """The transpose of *lanes*, each a sequence over the same *m*
+    constituents: one tuple per constituent, in lane order."""
+    return zip(*lanes) if lanes else repeat((), m)
 
 
 def _entry_codes(rank, lo, hi) -> tuple[list, list]:
@@ -280,20 +368,26 @@ class MvIndex:
     def __init__(self, constituents, order: VariableOrder, weights,
                  source_digest: str):
         """*weights* are the tuples' weights in rank order, each finite and
-        not -1.  The probabilities p = w/(1+w) and q = 1/(1+w) = 1 - p, q
-        exact where p rounds to 1.0 (1e-20 at w = 1e20), are derived here,
-        and every constituent is augmented from them: the compiler and the
-        loader both build their index through this one call."""
+        not -1.  The probabilities p = w/(1+w) and q = 1/(1+w), q exact
+        where p rounds to 1.0 (1e-20 at w = 1e20), are derived here, and
+        every shape's constituents are annotated from them, by lanes when
+        there are `_LANES` of them or more: the compiler and the loader
+        both build their index through this one call."""
         self.order = order
         self.weights = array("d", weights)
         self.probs = [w / (1.0 + w) for w in self.weights]
         self.qs = [1.0 / (1.0 + w) for w in self.weights]
-        for c in constituents:
-            c.augment(self.probs, self.qs)
         self.constituents: list[Constituent] = sorted(
             constituents, key=lambda c: (c.rank_lo, c.rank_hi))
-        self.shapes: list[Shape] = list(
-            dict.fromkeys(c.shape for c in self.constituents))
+        by_shape: dict[Shape, list] = {}
+        for c in self.constituents:
+            by_shape.setdefault(c.shape, []).append(c)
+        self.shapes: list[Shape] = list(by_shape)
+        for group in by_shape.values():
+            lanes = (_rank_lanes(group, self.probs, self.qs)
+                     if len(group) >= _LANES else None)
+            Constituent.compute_annotations(group, self.probs, self.qs, lanes)
+            Constituent.derive(group, self.probs, self.qs, lanes)
         self.source_digest = source_digest
         roots = [c.prob_root for c in self.constituents]
         # Sorted and disjoint, so a query node finds the next constituent it
@@ -368,7 +462,7 @@ def build_index(tr: TranslationResult) -> MvIndex:
     node table that is dropped once the block is laid out, since a shared
     table would hold nothing another block reuses.  The cost is linear in
     W's lineage plus the distinct shapes' size.  Constituents are negated
-    by swapping sinks, then `MvIndex` augments each from its own tuple
+    by swapping sinks, then `MvIndex` annotates each from its own tuple
     probabilities.  The build runs with the cyclic collector paused
     (`_collector_paused`): compilation leaves no reference cycles.
     """
@@ -457,8 +551,9 @@ def _intersect(gq: Obdd, index: MvIndex, cache_conscious: bool,
     it: an entry state ``(k, v)`` holds query node v in front of constituent
     k (k == m: past the last), a pair state ``(k, pos, v)`` holds v against
     node pos of constituent k.  Expanding a state splits its mass by the
-    tuple at its rank, q = 1 - p to the low children and p to the high ones; a
-    query node before constituent k's ranks, or past the last, splits alone.
+    tuple at its rank, q = 1/(1+w) to the low children and p to the high
+    ones; a query node before constituent k's ranks, or past the last,
+    splits alone.
     A state that reaches the query's 1-sink adds its mass (times the pair's
     probUnder) to the total unless a constituent it has not left is a zero
     block; one that reaches a 0-sink is dropped.  Entering constituent k

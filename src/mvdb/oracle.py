@@ -156,7 +156,7 @@ def _probability_array(db: Indb, prob_facts, n) -> np.ndarray:
     idx = np.arange(1 << n, dtype=np.int64)
     weights = np.ones(1 << n, dtype=float)
     for i, f in enumerate(prob_facts):
-        # q = 1 - p, exact where p rounds to 1.0
+        # q = 1/(1+w), the complement of p, exact where p rounds to 1.0
         p, q = db.probability(f), 1.0 / (1.0 + db.weights[f])
         on = ((idx >> i) & 1) == 1
         weights[on] *= p

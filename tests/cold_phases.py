@@ -22,7 +22,10 @@ phase:
 * ``meta``: reading the index's columns and decoding the tuple order from
   them (`mvindex._read_columns`, then `mvindex._decode_order`);
 * ``annotations`` and ``entry``: `Constituent.compute_annotations` and
-  `Constituent.derive` over every constituent of the loaded index;
+  `Constituent.derive`, once per shape of the loaded index over that
+  shape's constituents, as `MvIndex` calls them; a shape with ``_LANES``
+  constituents or more takes the lane pass, and ``annotations`` includes
+  gathering its lanes (`mvindex._rank_lanes`);
 * ``load_rest``: the rest of `mvindex.deserialize`, i.e. the whole load
   minus the three phases above (so it holds the shape checks and, where
   a checkout derives them per shape, the entry codes);
@@ -31,15 +34,18 @@ phase:
 * ``cold_total``: the whole `mvdb query --tsv` through `cli.main`.
 
 It also prints each ``.mvx`` file's size per ordered tuple
-(``mvx_bytes_per_tuple``) and its sha256.  Usage::
+(``mvx_bytes_per_tuple``) and its sha256, and the loaded index's
+``constituents``, ``shapes`` and ``lane_constituents`` (those whose shape
+takes the lane pass).  Usage::
 
     python tests/cold_phases.py [ROOT] [REPEATS]
 
 ROOT (default: the checkout holding this script) is the checkout whose
 ``mvdb`` is imported, so one copy of the script times any checkout that
-writes ``.mvx`` format 6 (an older checkout's ``meta`` phase is timed by
-its own copy of the script); REPEATS defaults to 15.  The script is not a test module: pytest does not
-collect it.
+writes ``.mvx`` format 6 and annotates per shape (an older checkout's
+``meta``, ``annotations`` and ``entry`` phases are timed by its own copy of
+the script); REPEATS defaults to 15.  The script is not a test module:
+pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -105,14 +111,22 @@ def _phases(project: Path, query: str, repeats: int) -> dict:
     index = mvindex.deserialize(blob)
     body = memoryview(blob)[:-4]
     probs, qs = index.probs, index.qs
+    by_shape = {}
+    for c in index.constituents:
+        by_shape.setdefault(c.shape, []).append(c)
+    groups = list(by_shape.values())
+    lanes = [None] * len(groups)
 
     def annotations():
-        for c in index.constituents:
-            c.compute_annotations(probs, qs)
+        for i, group in enumerate(groups):
+            if len(group) >= mvindex._LANES:
+                lanes[i] = mvindex._rank_lanes(group, probs, qs)
+            mvindex.Constituent.compute_annotations(group, probs, qs,
+                                                    lanes[i])
 
     def entry():
-        for c in index.constituents:
-            c.derive(probs, qs)
+        for group, group_lanes in zip(groups, lanes):
+            mvindex.Constituent.derive(group, probs, qs, group_lanes)
 
     def answer():
         q = parse_query(query, db.schema)
@@ -144,6 +158,10 @@ def _phases(project: Path, query: str, repeats: int) -> dict:
                         - out["entry"])
     out["mvx_bytes_per_tuple"] = len(blob) / len(index.order)
     out["mvx_sha256"] = hashlib.sha256(blob).hexdigest()
+    out["constituents"] = str(len(index.constituents))
+    out["shapes"] = str(len(groups))
+    out["lane_constituents"] = str(sum(
+        len(group) for group in groups if len(group) >= mvindex._LANES))
     return out
 
 

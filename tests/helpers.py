@@ -92,15 +92,16 @@ def probability_to_weight(p: float) -> float:
     return p / (1.0 - p)
 
 
-def shannon_probability(g: Obdd, probs) -> float:
+def shannon_probability(g: Obdd, probs, qs) -> float:
     """Probability of the root by bottom-up Shannon expansion over every
-    node reachable from it.  Probabilities may be negative."""
-    p_of = probs.__getitem__ if not callable(probs) else probs
+    node reachable from it, a low edge weighed by q and a high edge by p
+    (``qs[r]`` and ``probs[r]`` at rank r).  Probabilities may be
+    negative."""
     var, lo, hi = g.table.var, g.table.lo, g.table.hi
     values = {0: 0.0, 1: 1.0}
     for u in sorted(g.reachable(), key=var.__getitem__, reverse=True):
-        p = p_of(var[u])
-        values[u] = (1.0 - p) * values[lo[u]] + p * values[hi[u]]
+        r = var[u]
+        values[u] = qs[r] * values[lo[u]] + probs[r] * values[hi[u]]
     return values[g.root]
 
 
@@ -614,19 +615,19 @@ def column_spans(blob: bytes) -> list[tuple]:
     return spans
 
 
-def reachability(c, probs) -> list[float]:
+def reachability(c, probs, qs) -> list[float]:
     """Per-node reachability of constituent *c*, top-down over every
     position sorted by rank: the signed mass of all root paths reaching
-    each node, the root's being 1.0."""
+    each node, the root's being 1.0; a low edge carries q, a high edge p."""
     reach = [0.0] * c.n
     if c.n:
         reach[0] = 1.0
         for pos in sorted(range(c.n), key=c.rank.__getitem__):
-            p = probs[c.rank[pos]]
+            r = c.rank[pos]
             if c.lo[pos] >= 0:
-                reach[c.lo[pos]] += reach[pos] * (1.0 - p)
+                reach[c.lo[pos]] += reach[pos] * qs[r]
             if c.hi[pos] >= 0:
-                reach[c.hi[pos]] += reach[pos] * p
+                reach[c.hi[pos]] += reach[pos] * probs[r]
     return reach
 
 
@@ -640,21 +641,30 @@ def prob_under(c, code: int) -> float:
     return c.prob_under[code]
 
 
+def entry_tables(c) -> dict[int, list]:
+    """Every entry table of constituent *c*, as ``{rank: [(code, mass),
+    ...]}``: its shape's entry codes zipped with its entry masses."""
+    codes, starts, masses = c.entry_codes, c.entry_starts, c.entry_mass
+    return {r: list(zip(codes[a:b], masses[a:b]))
+            for r, a, b in zip(range(c.rank_lo, c.rank_hi + 1), starts,
+                               starts[1:])}
+
+
 def cut_ranks(c) -> set[int]:
     """The ranks whose entry table holds only nodes of that rank."""
-    return {r for r, table in c.entry_tables().items()
+    return {r for r, table in entry_tables(c).items()
             if all(code >= 0 and c.rank[code] == r for code, _ in table)}
 
 
-def entry_tables_rescan(c, probs):
+def entry_tables_rescan(c, probs, qs):
     """Entry tables and cut ranks of constituent *c* by rescanning every node
     once per rank: entry[r] sums, per child at rank >= r, the mass
-    reach[pos] * (1-p or p) of every edge from a node of rank < r, with
+    reach[pos] * (q or p) of every edge from a node of rank < r, with
     reach from `reachability`."""
     entry, cut = {}, set()
     if not c.n:
         return entry, cut
-    reach = reachability(c, probs)
+    reach = reachability(c, probs, qs)
     for r in range(c.rank_lo, c.rank_hi + 1):
         if c.rank[0] >= r:
             table = [(0, 1.0)]
@@ -663,8 +673,8 @@ def entry_tables_rescan(c, probs):
             for pos in range(c.n):
                 if c.rank[pos] >= r:
                     continue
-                p = probs[c.rank[pos]]
-                for child, factor in ((c.lo[pos], 1.0 - p), (c.hi[pos], p)):
+                q, p = qs[c.rank[pos]], probs[c.rank[pos]]
+                for child, factor in ((c.lo[pos], q), (c.hi[pos], p)):
                     child_rank = c.rank[child] if child >= 0 else math.inf
                     if child_rank >= r:
                         masses[child] = (masses.get(child, 0.0)
@@ -741,7 +751,7 @@ def intersect_memo(gq, index, cache_conscious: bool, stats=None):
             if not cache_conscious:
                 return ((inv, _xtask(k, c.root_code, v)),)
             if k not in tables:
-                tables[k] = c.entry_tables()
+                tables[k] = entry_tables(c)
             terms = []
             for code, mass in tables[k][rv]:
                 if code == SINK0:
@@ -828,14 +838,15 @@ def lineage_models(phi, order, n_vars: int) -> set[int]:
     return out
 
 
-def signed_world_sum(probs: list[float], sat) -> float:
-    """Sum of product measures over assignments where sat(mask) holds."""
+def signed_world_sum(probs: list[float], qs: list[float], sat) -> float:
+    """Sum of product measures over assignments where sat(mask) holds: tuple
+    i weighs ``probs[i]`` when present and ``qs[i]`` when absent."""
     total = 0.0
     n = len(probs)
     for mask in range(1 << n):
         w = 1.0
-        for i, p in enumerate(probs):
-            w *= p if (mask >> i) & 1 else 1.0 - p
+        for i, (p, q) in enumerate(zip(probs, qs)):
+            w *= p if (mask >> i) & 1 else q
         if sat(mask):
             total += w
     return total

@@ -27,9 +27,9 @@ from mvdb.mvindex import SINK0
 from mvdb.translate import load_views
 
 from helpers import (EX1_SCHEMA, RAND_SCHEMA, build_index_per_block,
-                     build_index_unshared, chain_mvdb, random_boolean_query,
-                     random_mvdb, read_columns, shape_of, viable_random_mvdb,
-                     with_columns)
+                     build_index_unshared, chain_mvdb, entry_tables,
+                     random_boolean_query, random_mvdb, read_columns,
+                     shape_of, viable_random_mvdb, with_columns)
 
 FLIP_SCHEMA = parse_schema("""
 relation A(x:string, y:string) key(x,y) probabilistic
@@ -108,7 +108,7 @@ def _content(c):
     return (c.key, c.rank, c.lo, c.hi, c.prob_root.hex(),
             [v.hex() for v in c.prob_under],
             {r: [(code, m.hex()) for code, m in table]
-             for r, table in c.entry_tables().items()})
+             for r, table in entry_tables(c).items()})
 
 
 def _matches_unshared(tr):
@@ -223,7 +223,7 @@ def test_one_shape_shares_structure_not_annotations():
         assert one.rank_lo != two.rank_lo
         assert one.prob_under != two.prob_under
         assert one.prob_root != two.prob_root
-        assert one.entry_tables() != two.entry_tables()
+        assert entry_tables(one) != entry_tables(two)
         assert index.shape_count() == 1
 
 
@@ -245,8 +245,8 @@ def test_a_shape_stored_twice_is_written_back_twice():
     blob = with_columns(serialize(idx), store_twice)
     loaded = deserialize(blob)
     assert len(loaded.shapes) == 2
-    assert [c.entry_tables() for c in loaded.constituents] == \
-        [c.entry_tables() for c in idx.constituents]
+    assert [entry_tables(c) for c in loaded.constituents] == \
+        [entry_tables(c) for c in idx.constituents]
     assert serialize(loaded) == blob
 
 

@@ -14,7 +14,7 @@ import mvdb
 from mvdb.cli import (EXIT_CAP, EXIT_INCONSISTENT, EXIT_INPUT, EXIT_OK,
                       EXIT_PIPE, EXIT_USAGE, main)
 from mvdb.gendata import demo_query, generate_project
-from mvdb.mvindex import IndexEvaluator
+from mvdb.mvindex import _LANES, IndexEvaluator, load_index
 
 from helpers import with_columns, with_orphan
 
@@ -661,6 +661,29 @@ def test_python_dash_m_mvdb_runs_the_cli(project):
     done = cli("stats", "--tsv")
     assert done.returncode == EXIT_USAGE
     assert done.stderr.startswith("usage error: ")
+
+
+def test_cold_query_imports_no_numpy(tmp_path):
+    # A fresh process pays for every module a cold query imports, and
+    # importing numpy alone takes longer than a whole cold query.  At
+    # scale 20 every shape has enough constituents for the lane pass.
+    project = generate_project(tmp_path / "proj", seed=1, scale=20)
+    assert run(["compile", "--project", str(project)])[0] == EXIT_OK
+    index = load_index(project / "index.mvx")
+    assert all(sum(c.shape is s for c in index.constituents) >= _LANES
+               for s in index.shapes)
+    code = ("import sys; from mvdb.cli import main; "
+            "rc = main(sys.argv[1:]); "
+            "print('numpy' in sys.modules, file=sys.stderr); sys.exit(rc)")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(mvdb.__file__).resolve().parents[1]))
+    argv = ["query", "--project", str(project), "--tsv",
+            "Q(a) :- Advisor(7, a)"]
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == EXIT_OK, done.stderr
+    assert done.stdout and done.stdout == run(argv)[1]
+    assert done.stderr == "False\n"
 
 
 def test_closed_stdout_exits_141_silently(tmp_path):

@@ -46,7 +46,8 @@ def test_signed_measure_sums_to_one():
     rng = random.Random(3)
     for n in (1, 4, 8, 12, 16):
         probs = [rng.uniform(-2.0, 2.0) for _ in range(n)]
-        total = signed_world_sum(probs, lambda mask: True)
+        total = signed_world_sum(probs, [1.0 - p for p in probs],
+                                 lambda mask: True)
         assert abs(total - 1.0) <= 1e-9
 
 

@@ -19,16 +19,16 @@ from mvdb import mvindex, weight_to_probability
 from mvdb.cli import _load_project
 from mvdb.gendata import generate_project
 from mvdb.mvindex import SINK0, SINK1, Constituent, MvIndex
-from mvdb.obdd import VariableOrder, con_obdd
+from mvdb.obdd import NodeTable, Obdd, VariableOrder, con_obdd
 from mvdb.translate import answer_rows
 
 from helpers import (EX1_SCHEMA, RAND_SCHEMA, TWO_TABLE_SCHEMA, chain_mvdb,
                      chain_window, column_spans, constituents_of, cut_ranks,
-                     entry_tables_rescan, example1, intersect_memo,
-                     prob_under, random_boolean_query, read_columns,
-                     shannon_probability, shape_of, signed_world_sum,
-                     two_table_db, viable_random_mvdb, with_columns,
-                     with_orphan)
+                     entry_tables, entry_tables_rescan, example1,
+                     intersect_memo, prob_under, random_boolean_query,
+                     random_mvdb, read_columns, shannon_probability, shape_of,
+                     signed_world_sum, two_table_db, viable_random_mvdb,
+                     with_columns, with_orphan)
 
 
 def _ex1_index(w=0.5):
@@ -47,10 +47,11 @@ def test_build_index_example1_shape():
     assert c.size() <= 5
     # P0(not W) against the 8-world signed enumeration
     probs = [tr.indb.probability(f) for f in idx.order.facts]
+    qs = [1.0 / (1.0 + tr.indb.weights[f]) for f in idx.order.facts]
     ranks = {f: i for i, f in enumerate(idx.order.facts)}
     viol = (1 << ranks[Fact("R", ("a",))]) | (1 << ranks[Fact("S", ("a",))]) \
         | (1 << ranks[Fact("NV", ("a",))])
-    want = signed_world_sum(probs, lambda m: (m & viol) != viol)
+    want = signed_world_sum(probs, qs, lambda m: (m & viol) != viol)
     assert idx.p0_not_w == pytest.approx(want, abs=1e-12)
 
 
@@ -104,19 +105,21 @@ def test_negation_by_sink_swap():
                             (g.table.hi[u], neg.hi[i])):
             want = swap[child] if child <= 1 else nodes.index(child)
             assert code == want
-    neg.compute_annotations(probs, [1.0 - p for p in probs])
+    qs = [1.0 - p for p in probs]
+    Constituent.compute_annotations([neg], probs, qs)
     assert prob_under(neg, neg.root_code) == pytest.approx(
-        1.0 - shannon_probability(g, probs), abs=1e-12)
+        1.0 - shannon_probability(g, probs, qs), abs=1e-12)
 
 
 def test_prob_under_root_matches_shannon():
     g = _two_table_obdd()
     probs = [0.3, -0.5, 0.25, 0.8, 2.0, 0.1]
     [neg] = constituents_of([(None, g)])
-    neg.compute_annotations(probs, [1.0 - p for p in probs])
+    qs = [1.0 - p for p in probs]
+    Constituent.compute_annotations([neg], probs, qs)
     assert prob_under(neg, neg.root_code) == neg.prob_root
     assert neg.prob_root == pytest.approx(
-        1.0 - shannon_probability(g, probs), abs=1e-12)
+        1.0 - shannon_probability(g, probs, qs), abs=1e-12)
 
 
 def test_frontier_identities():
@@ -127,8 +130,8 @@ def test_frontier_identities():
         for c in idx.constituents:
             if not c.n:
                 continue
-            c.derive(idx.probs, idx.qs)
-            entry = c.entry_tables()
+            Constituent.derive([c], idx.probs, idx.qs)
+            entry = entry_tables(c)
             for r, table in entry.items():
                 total = sum(mass * prob_under(c, code) for code, mass in table)
                 assert total == pytest.approx(c.prob_root, abs=1e-12), \
@@ -153,8 +156,8 @@ def test_derive_sweep_matches_rescan_reference(annotated_indices):
     assert any(len(idx.constituents) > 1 for idx in annotated_indices)
     for idx in annotated_indices:
         for c in idx.constituents:
-            entry, cut = entry_tables_rescan(c, idx.probs)
-            tables = c.entry_tables()
+            entry, cut = entry_tables_rescan(c, idx.probs, idx.qs)
+            tables = entry_tables(c)
             assert tables.keys() == entry.keys()
             for r, table in entry.items():
                 assert [code for code, _ in tables[r]] == \
@@ -162,6 +165,89 @@ def test_derive_sweep_matches_rescan_reference(annotated_indices):
                 for (_, got), (_, want) in zip(tables[r], table):
                     assert got == pytest.approx(want, abs=1e-12)
             assert cut_ranks(c) == cut
+
+
+# -- the lane pass ---------------------------------------------------------------
+
+def _annotation_bits(index):
+    """Every constituent's ranks and annotations, the floats by
+    `float.hex`."""
+    return [(list(c.rank), c.prob_root.hex(), [v.hex() for v in c.prob_under],
+             [m.hex() for m in c.entry_mass]) for c in index.constituents]
+
+
+def _constant_true_blocks():
+    """A translation whose first two blocks are valid, so their
+    constituents have the empty shape: R(a0) and R(a1) are certain."""
+    db = Mvdb(EX1_SCHEMA,
+              [(Fact("S", ("a1",)), 1.0), (Fact("R", ("a0",)), math.inf),
+               (Fact("R", ("a1",)), math.inf), (Fact("R", ("a2",)), 2.0)],
+              [parse_view("V(x) [0] :- R(x)", EX1_SCHEMA)])
+    return build_indb(db)
+
+
+def test_lanes_and_the_scalar_loop_agree_bit_for_bit(dblp_60, monkeypatch):
+    # `_LANES` 1 annotates every shape by lanes, even a shape of one
+    # constituent; a huge `_LANES` loops over each constituent alone.
+    trs = [dblp_60[1], build_indb(chain_mvdb(20)), _constant_true_blocks()]
+    trs += [viable_random_mvdb(seed)[1] for seed in range(60)]
+    trs += [build_indb(random_mvdb(random.Random(seed)))
+            for seed in (38, 400, 443)]
+    gathers = []
+    rank_lanes = mvindex._rank_lanes
+    monkeypatch.setattr(mvindex, "_rank_lanes", lambda *args: (
+        gathers.append(1), rank_lanes(*args))[1])
+    for tr in trs:
+        bits = []
+        for lanes in (1, 10**9):
+            monkeypatch.setattr(mvindex, "_LANES", lanes)
+            del gathers[:]
+            built = build_index(tr)
+            assert len(gathers) == (len(built.shapes) if lanes == 1 else 0)
+            bits += [_annotation_bits(built),
+                     _annotation_bits(deserialize(serialize(built)))]
+        assert bits[1:] == bits[:1] * 3
+    empty = build_index(trs[2]).constituents[0]
+    assert (empty.n, empty.root_code, empty.prob_root) == (0, SINK0, 0.0)
+    assert empty.prob_under == empty.entry_mass == empty.rank == ()
+
+
+def _as_obdd(c, order):
+    """Constituent *c*'s structure in a node table of its own, and the node
+    of each position (and of each sink code)."""
+    table = NodeTable(order)
+    node = {SINK0: 0, SINK1: 1}
+    for pos in range(c.n - 1, -1, -1):
+        node[pos] = table.make(c.rank[pos], node[c.lo[pos]], node[c.hi[pos]])
+    return table, node
+
+
+@pytest.mark.parametrize("view_weight", [0.0, 1e-20, 3.0])
+def test_annotations_match_the_references_at_extreme_weights(view_weight,
+                                                             monkeypatch):
+    # Twelve blocks R(i), S(i) of one shape, weighing 1e20, 1e-20 and 1 in
+    # turn: p rounds to 1.0 at 1e20, where only q = 1/(1+w) is exact, on
+    # the lane pass and on the per-constituent loop alike.
+    weights = (1e20, 1e-20, 1.0)
+    facts = [(Fact(rel, (i,)), weights[(i + j) % 3]) for i in range(12)
+             for j, rel in enumerate(("R", "S"))]
+    view = parse_view(f"V(x) [{view_weight}] :- R(x), S(x)", BLOCK_SCHEMA)
+    tr = build_indb(Mvdb(BLOCK_SCHEMA, facts, [view]))
+    for lanes in (1, 10**9):
+        monkeypatch.setattr(mvindex, "_LANES", lanes)
+        idx = build_index(tr)
+        probs, qs = idx.probs, idx.qs
+        assert 1.0 in probs and 1e-20 in qs
+        for c in idx.constituents:
+            assert c.n
+            table, node = _as_obdd(c, idx.order)
+            for pos in range(c.n):
+                assert c.prob_under[pos] == shannon_probability(
+                    Obdd(table, node[pos]), probs, qs)
+            assert c.prob_root == shannon_probability(
+                Obdd(table, node[c.root_code]), probs, qs)
+            assert c.prob_root != 0.0
+            assert entry_tables(c) == entry_tables_rescan(c, probs, qs)[0]
 
 
 # -- point probability ---------------------------------------------------------------
@@ -516,7 +602,7 @@ def test_load_derives_the_build_annotations(annotated_indices):
         for built, got in zip(idx.constituents, loaded.constituents):
             assert got.prob_under == built.prob_under
             assert got.prob_root == built.prob_root
-            assert got.entry_tables() == built.entry_tables()
+            assert entry_tables(got) == entry_tables(built)
             assert cut_ranks(got) == cut_ranks(built)
 
 
@@ -527,8 +613,8 @@ def test_round_trip_answers_are_bit_identical():
         tr = viable_random_mvdb(seed)[1]
         built = build_index(tr)
         loaded = deserialize(serialize(built))
-        assert [c.entry_tables() for c in loaded.constituents] == \
-            [c.entry_tables() for c in built.constituents]
+        assert [entry_tables(c) for c in loaded.constituents] == \
+            [entry_tables(c) for c in built.constituents]
         inst = tr.indb.possible_instance()
         rng = random.Random(seed)
         for q in [random_boolean_query(rng) for _ in range(5)]:
@@ -996,7 +1082,7 @@ def test_zero_block_inside_the_window():
     for text in ZERO_BLOCK_QUERIES:
         phi = lineage(parse_query(text, BLOCK_SCHEMA), inst)
         clauses = [sum(bit[f] for f in cl) for cl in phi.clauses]
-        want = signed_world_sum(probs, lambda m: (
+        want = signed_world_sum(probs, idx.qs, lambda m: (
             any(m & cl == cl for cl in clauses)
             and not any(m & b == b for b in blocks)))
         gq = from_lineage(phi, idx.order)

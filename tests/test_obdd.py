@@ -447,7 +447,8 @@ def test_choose_pi_denial_shape_uses_separator_rule():
 def test_shannon_single_variable():
     order = VariableOrder([Fact("R", ("a",))])
     t = NodeTable(order)
-    assert shannon_probability(_single(t, 0), [0.3]) == pytest.approx(0.3)
+    assert shannon_probability(_single(t, 0), [0.3], [0.7]) == \
+        pytest.approx(0.3)
 
 
 def test_shannon_two_table_uniform():
@@ -456,10 +457,10 @@ def test_shannon_two_table_uniform():
     q = parse_query("Q() :- R(x), S(x, y)", TWO_TABLE_SCHEMA)
     pi = {"R": (0,), "S": (0, 1)}
     g = con_obdd(pi, q, inst, db.domain)
-    got = shannon_probability(g, [0.5] * 6)
+    got = shannon_probability(g, [0.5] * 6, [0.5] * 6)
     # brute force over all 64 assignments
     models = obdd_models(g, 6)
-    brute = signed_world_sum([0.5] * 6, lambda m: m in models)
+    brute = signed_world_sum([0.5] * 6, [0.5] * 6, lambda m: m in models)
     assert got == pytest.approx(brute, abs=1e-12)
     assert got == pytest.approx(0.609375, abs=1e-12)
 
@@ -473,9 +474,11 @@ def test_shannon_negative_probabilities_match_signed_enumeration():
         g = con_obdd(pi, q, db.possible_instance(), db.domain)
         n = len(g.order)
         probs = [rng.choice([-1.0, -0.5, 0.25, 0.5, 2.0]) for _ in range(n)]
+        qs = [1.0 - p for p in probs]
         models = obdd_models(g, n)
-        brute = signed_world_sum(probs, lambda m: m in models)
-        assert shannon_probability(g, probs) == pytest.approx(brute, abs=1e-9)
+        brute = signed_world_sum(probs, qs, lambda m: m in models)
+        assert shannon_probability(g, probs, qs) == pytest.approx(brute,
+                                                                  abs=1e-9)
 
 
 # -- canonicity ---------------------------------------------------------------------

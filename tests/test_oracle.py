@@ -132,12 +132,13 @@ def _world_subset_probability_translated(db, subset):
     nv = Fact("NV", ("a",))
     num = den = 0.0
     probs = {f: tr.indb.probability(f) for f in tr.indb.probabilistic_facts()}
+    qs = {f: 1.0 / (1.0 + tr.indb.weights[f]) for f in probs}
     prob_facts = list(probs)
     for mask in range(1 << len(prob_facts)):
         present = {f for i, f in enumerate(prob_facts) if (mask >> i) & 1}
         w = 1.0
         for i, f in enumerate(prob_facts):
-            w *= probs[f] if (mask >> i) & 1 else 1.0 - probs[f]
+            w *= probs[f] if (mask >> i) & 1 else qs[f]
         if r in present and s in present and (nv not in probs or nv in present):
             continue  # violates not-W
         den += w
