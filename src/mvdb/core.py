@@ -17,7 +17,7 @@ import re
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import chain, compress, islice, repeat
+from itertools import chain, compress, groupby, islice, repeat
 from operator import itemgetter, ne
 from pathlib import Path
 from typing import Iterable, NamedTuple
@@ -208,21 +208,31 @@ class Instance:
 
     Tracks which facts are deterministic (always present in every world of
     the owning database) so lineage computation can drop them from clauses.
+    It keeps the facts it was given, each once in first-seen order, and
+    hands out those objects themselves (`facts_of`, `facts_by_value`,
+    `facts_in_range`), each list in the order of the matching rows list.
+    Every index, of rows or of facts, is built on its first use.
     """
 
     def __init__(self, schema: Schema, facts: Iterable[Fact],
                  deterministic: Iterable[Fact] = ()):
         self.schema = schema
-        self._rows: dict[str, list[tuple]] = {r.name: [] for r in schema.relations}
-        self._facts: set[Fact] = set()
-        for f in facts:
-            if f in self._facts:
-                continue
-            self._facts.add(f)
-            self._rows[f.relation].append(f.values)
+        self._facts: dict[Fact, None] = dict.fromkeys(facts)
+        self._facts_of: dict[str, list[Fact]] = {
+            r.name: [] for r in schema.relations}
+        # Facts mostly arrive in runs of one relation: extend by runs.
+        for relation, run in groupby(self._facts, itemgetter(0)):
+            self._facts_of[relation].extend(run)
+        self._rows: dict[str, list[tuple]] = {
+            name: list(map(itemgetter(1), facts))
+            for name, facts in self._facts_of.items()}
         self.deterministic: frozenset[Fact] = frozenset(deterministic)
         self._pos_index: dict[tuple[str, int], dict] = {}
-        self._sorted: dict[tuple[str, int], list] = {}
+        self._sorted: dict[tuple[str, int], tuple] = {}
+        self._fact_index: dict[tuple[str, int], dict] = {}
+        self._sorted_facts: dict[tuple[str, int], tuple] = {}
+        self._kinds: dict[str, str] = {}
+        self._det_relations: set | None = None
 
     def __contains__(self, fact: Fact) -> bool:
         return fact in self._facts
@@ -240,6 +250,30 @@ class Instance:
         except KeyError:
             raise SchemaError(f"unknown relation {relation!r}") from None
 
+    def facts_of(self, relation: str) -> list[Fact]:
+        """The facts of *relation*, in the order of `rows_of`."""
+        try:
+            return self._facts_of[relation]
+        except KeyError:
+            raise SchemaError(f"unknown relation {relation!r}") from None
+
+    def deterministic_kind(self, relation: str) -> str:
+        """``"none"`` when no fact of *relation* is deterministic, ``"all"``
+        when every one is, else ``"some"``; decided on first use, from the
+        relation's own facts."""
+        kind = self._kinds.get(relation)
+        if kind is None:
+            if self._det_relations is None:
+                self._det_relations = set(map(itemgetter(0),
+                                              self.deterministic))
+            facts = self.facts_of(relation)
+            kind = ("none" if relation not in self._det_relations
+                    or self.deterministic.isdisjoint(facts) else
+                    "all" if self.deterministic.issuperset(facts) else
+                    "some")
+            self._kinds[relation] = kind
+        return kind
+
     def rows_with_value(self, relation: str, pos: int, value) -> list[tuple]:
         """Rows of *relation* whose attribute at *pos* equals *value*."""
         key = (relation, pos)
@@ -251,22 +285,58 @@ class Instance:
             self._pos_index[key] = idx
         return idx.get(value, [])
 
+    def facts_by_value(self, relation: str, pos: int) -> dict:
+        """The facts of *relation* grouped by their value at *pos*: for each
+        value, the facts of `rows_with_value`, in its order."""
+        key = (relation, pos)
+        idx = self._fact_index.get(key)
+        if idx is None:
+            idx = {}
+            for fact in self.facts_of(relation):
+                idx.setdefault(fact[1][pos], []).append(fact)
+            self._fact_index[key] = idx
+        return idx
+
     def rows_in_range(self, relation: str, pos: int, lo, lo_open: bool,
                       hi, hi_open: bool) -> list[tuple]:
         """Rows of *relation* whose attribute at *pos* lies between *lo* and
         *hi*, each bound excluded when its flag is set and ignored when
         None.  The bounds must compare with the column's values."""
+        rows, column = self._sorted_by(relation, pos)
+        return rows[_bounds(column, lo, lo_open, hi, hi_open)]
+
+    def facts_in_range(self, relation: str, pos: int, lo, lo_open: bool,
+                       hi, hi_open: bool) -> list[Fact]:
+        """The facts of `rows_in_range`, in its order."""
         key = (relation, pos)
-        rows = self._sorted.get(key)
-        if rows is None:
+        found = self._sorted_facts.get(key)
+        if found is None:
+            found = self._sorted_facts[key] = (
+                sorted(self.facts_of(relation), key=lambda f: f[1][pos]),
+                self._sorted_by(relation, pos)[1])
+        facts, column = found
+        return facts[_bounds(column, lo, lo_open, hi, hi_open)]
+
+    def _sorted_by(self, relation: str, pos: int) -> tuple[list, list]:
+        """The rows of *relation* sorted by position *pos*, and the column
+        of their values there."""
+        key = (relation, pos)
+        found = self._sorted.get(key)
+        if found is None:
             rows = sorted(self.rows_of(relation), key=itemgetter(pos))
-            self._sorted[key] = rows
-        at = itemgetter(pos)
-        start = 0 if lo is None else (bisect_right if lo_open else
-                                      bisect_left)(rows, lo, key=at)
-        stop = len(rows) if hi is None else (bisect_left if hi_open else
-                                             bisect_right)(rows, hi, key=at)
-        return rows[start:stop]
+            found = self._sorted[key] = rows, list(map(itemgetter(pos),
+                                                       rows))
+        return found
+
+
+def _bounds(column: list, lo, lo_open: bool, hi, hi_open: bool) -> slice:
+    """The slice of the sorted *column* that holds the values between *lo*
+    and *hi* (`Instance.rows_in_range`)."""
+    start = 0 if lo is None else (bisect_right if lo_open else
+                                  bisect_left)(column, lo)
+    stop = len(column) if hi is None else (bisect_left if hi_open else
+                                           bisect_right)(column, hi)
+    return slice(start, stop)
 
 
 def _runs(names: list) -> list:

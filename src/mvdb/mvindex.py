@@ -251,10 +251,11 @@ class Constituent:
     def derive(cons, probs, qs, lanes=None):
         """The entry tables' masses, carrying the reachability.
 
-        The entry table at rank r lists, sorted by code, every node or sink
-        that an edge from a rank below r reaches at rank r or later, with
-        the signed mass of those edges; at the root's rank it is the root
-        alone.  The shape fixes the codes (`_entry_codes`); ``entry_mass``
+        The entry table at rank r lists, sorted by code, every node, and
+        the 1-sink, that an edge from a rank below r reaches at rank r or
+        later, with the signed mass of those edges; at the root's rank it is
+        the root alone.  The 0-sink is not listed: its mass would be
+        dropped.  The shape fixes the codes (`_entry_codes`); ``entry_mass``
         holds the masses of every table in the same order, so the table at
         rank r is ``entry_codes`` zipped with ``entry_mass`` over
         ``entry_starts[r - rank_lo]`` up to the next start.  One forward
@@ -335,13 +336,14 @@ def _rows(lanes: list, m: int):
 
 
 def _entry_codes(rank, lo, hi) -> tuple[list, list]:
-    """The codes of a shape's entry tables, each table sorted (the sinks
+    """The codes of a shape's entry tables, each table sorted (the 1-sink
     first) and the tables concatenated in rank order, and the start of
-    every rank's table, then the end of the last.  One forward scan: the
-    table at rank r is the one at rank r - 1 minus the nodes of rank r - 1,
-    plus their children; the sinks carry forward.  It relies on the
-    rank-order layout and on every position but the root being some edge's
-    child, which `deserialize` checks first."""
+    every rank's table, then the end of the last.  The 0-sink is left out:
+    the sweep drops whatever mass enters it (`_intersect`).  One forward
+    scan: the table at rank r is the one at rank r - 1 minus the nodes of
+    rank r - 1, plus their children; the 1-sink carries forward.  It relies
+    on the rank-order layout and on every position but the root being some
+    edge's child, which `deserialize` checks first."""
     codes, starts = [], [0]
     if rank:
         frontier = {0}
@@ -354,6 +356,7 @@ def _entry_codes(rank, lo, hi) -> tuple[list, list]:
                 frontier.add(lo[pos])
                 frontier.add(hi[pos])
                 pos += 1
+            frontier.discard(SINK0)
     return codes, starts
 
 

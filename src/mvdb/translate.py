@@ -21,6 +21,7 @@ frozen evaluator is safe.
 from __future__ import annotations
 
 import math
+import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
@@ -56,12 +57,13 @@ def _sorted_outputs(view: U.MarkoView, weights: dict) -> tuple:
             "across disjuncts") from None
 
 
-def _weight(view: U.MarkoView, bnd: dict, values: tuple) -> float:
-    """The view's weight under one witnessing binding of *values*."""
-    try:
-        w = U.eval_expr(view.weight_expr, bnd)
-    except MvdbError as exc:
-        raise InvalidViewError(f"view {view.name}: {exc}") from None
+# Above the largest float an int weight has no float form (`_weight`).
+_MAX_FLOAT = sys.float_info.max
+
+
+def _weight(view: U.MarkoView, w, values: tuple) -> float:
+    """The view's weight *w*, its weight expression's value under one
+    witnessing binding of *values*, checked and made a float."""
     if not isinstance(w, (int, float)) or isinstance(w, bool):
         raise InvalidViewError(
             f"view {view.name}: weight is not a number: {w!r}")
@@ -97,63 +99,75 @@ def _separator_candidates(d: U.ConjunctiveQuery, soft_rels) -> tuple:
     return tuple(sorted(roots))
 
 
-def _ground_view(view: U.MarkoView, instance: Instance, soft=None,
-                 soft_rels=()) -> tuple:
+def _ground_view(view: U.MarkoView, instance: Instance,
+                 with_clauses: bool = False, soft_rels=()) -> tuple:
     """Run each disjunct of the view's body through its join plan once.
 
     Returns ``(weights, nv_facts, clauses)``: the weight of each output's
-    values, checked to agree across its witnessing bindings (`_weight`),
-    and, with *soft* (each non-deterministic fact of *instance* mapped to
-    itself), W's clause of every match.  A clause is a tuple of *soft*'s
-    facts: the match's non-deterministic body facts, each once, and the
-    auxiliary fact ``NV(values)`` unless the output's weight is 0, which
-    makes that fact deterministic.  *nv_facts* maps values to that fact,
-    made once per output.  *clauses* holds per body disjunct
+    values, its expression compiled once per plan and checked to agree
+    across the output's witnessing bindings (`_weight`), and, with
+    *with_clauses*, W's clause of every match.  A clause is a tuple of
+    *instance*'s own non-deterministic facts: the match's body facts, each
+    once, and the auxiliary fact ``NV(values)`` unless the output's weight
+    is 0, which makes that fact deterministic.  *nv_facts* maps values to
+    that fact, made once per output.  *clauses* holds per body disjunct
     ``(names, {values of names: [clause, ...]})``, *names* being
     `_separator_candidates`, so the clauses can be grouped by W's separator
-    once it is known without keeping the bindings.
+    once it is known without keeping the bindings.  Each match is handled
+    as the join reaches it, so an error surfaces at the same match as the
+    view's reference semantics (`ucq.eval_expr`) would meet it.
     """
     weights: dict[tuple, float] = {}
     nv_facts: dict[tuple, Fact] = {}
-    clauses = []
+    per_disjunct = []
     nv = _aux_name(view)
     for d in view.body.disjuncts:
-        values_of = _tuple_getter([v.name for v in d.head])
+        plan = U.join_plan(d, instance, None,
+                           U.VARIABLE_FACTS if with_clauses else U.NO_FACTS)
+        values_of = plan.getter([v.name for v in d.head])
+        weight_of = U.compile_expr(view.weight_expr, plan.slots)
         names = _separator_candidates(d, soft_rels)
-        key_of = _tuple_getter(names)
+        key_of = plan.getter(names)
+        clause_of = plan.facts
         self_join = len({a.relation for a in d.atoms}) < len(d.atoms)
         by_key = defaultdict(list)
-        for bnd, used in U.iter_matches(d, instance):
-            values = values_of(bnd)
-            w = _weight(view, bnd, values)
+
+        def match(t):
+            values = values_of(t)
+            try:
+                w = weight_of(t)
+            except MvdbError as exc:
+                raise InvalidViewError(f"view {view.name}: {exc}") from None
+            # A finite float or int of at least 0 passes `_weight` as is.
+            if w.__class__ is float and 0.0 <= w < INF:
+                pass
+            elif w.__class__ is int and 0 <= w <= _MAX_FLOAT:
+                w = float(w)
+            else:
+                w = _weight(view, w, values)
             prev = weights.get(values)
             if prev is None:
                 weights[values] = w
-                if w != 0 and soft is not None:
+                if w != 0 and with_clauses:
                     nv_facts[values] = Fact(nv, values)
             elif prev != w:
                 raise InvalidViewError(
                     f"view {view.name}: weight for {values!r} differs "
                     f"across witnessing bindings ({prev!r} vs {w!r})")
-            if soft is None:
-                continue
-            clause = tuple(filter(None, map(soft.get, used)))
-            # *soft*'s facts are its own keys, so a repeat is the same object
+            if not with_clauses:
+                return
+            clause = clause_of(t)
+            # The instance's facts are its own objects: a repeat is the
+            # same object.
             if self_join and len(set(map(id, clause))) < len(clause):
                 clause = tuple(dict.fromkeys(clause))
             if w != 0:
                 clause += (nv_facts[values],)
-            by_key[key_of(bnd)].append(clause)
-        clauses.append((names, by_key))
-    return weights, nv_facts, clauses
+            by_key[key_of(t)].append(clause)
 
-
-def _tuple_getter(names):
-    """Reads the values of *names* off a binding, as a tuple."""
-    if len(names) == 1:
-        name, = names
-        return lambda bnd: (bnd[name],)
-    return itemgetter(*names) if names else lambda bnd: ()
+        plan.run(match)
+        per_disjunct.append((names, by_key))
+    return weights, nv_facts, per_disjunct
 
 
 def _group_clauses(clauses: list, sep: Optional[U.Separator]) -> dict:
@@ -232,9 +246,10 @@ def _ground_views(db: Mvdb) -> tuple[list, set]:
     is freed on return, and the base relations with a non-deterministic
     fact."""
     instance = db.possible_instance()
-    soft = {f: f for f, w in db.weights.items() if w != INF}
-    soft_rels = {f.relation for f in soft}
-    return ([_ground_view(v, instance, soft, soft_rels) for v in db.views],
+    soft_rels = {r.name for r in db.schema.relations
+                 if instance.facts_of(r.name)
+                 and instance.deterministic_kind(r.name) != "all"}
+    return ([_ground_view(v, instance, True, soft_rels) for v in db.views],
             soft_rels)
 
 

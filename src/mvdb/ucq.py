@@ -8,15 +8,25 @@ Disjuncts are separated by ``;``.  Variables are lowercase identifiers,
 constants are quoted strings or integer literals.  Parsed queries and
 lineages are immutable values and safe to share across threads.
 
-Grounding (`iter_matches`) runs each conjunctive query through a join plan
-computed once per call, so a query costs the rows its atoms probe, not a
-rescoring of every remaining atom at every step, and leaves no reference
-cycles for the garbage collector.  An atom probes the positional index on a
-constant or bound position; an atom with neither probes one of its own
-variables that a predicate compares with a constant of the column's
-declared type (an int for an int column, a str for a string one): `=`
-through the positional index, `<`, `<=`, `>`, `>=` by bisecting a sorted
-column, so a window query reads only the rows in its window.
+Grounding runs each conjunctive query through one join engine: a join
+plan (`join_plan`) computed once per call, so a query costs the rows its
+atoms probe, not a rescoring of every remaining atom at every step, and
+leaves no reference cycles for the garbage collector.  An atom probes the
+positional index on a constant or bound position; an atom with neither
+probes one of its own variables that a predicate compares with a constant
+of the column's declared type (an int for an int column, a str for a
+string one): `=` through the positional index, `<`, `<=`, `>`, `>=` by
+bisecting a sorted column, so a window query reads only the rows in its
+window.
+
+The plan runs over binding *slots*: a partial match is one tuple holding
+the rows it has joined (and, when asked, their facts), each variable at a
+slot the plan fixes, and the plan's predicates are compiled once into
+closures over such tuples (`compile_expr`).  A match
+yields the instance's own fact objects (`Instance.facts_of`).  `lineage`,
+`answer_tuples` and the views' materialization
+(`translate.materialize_view`, which also grounds W) read the slots
+directly; `iter_matches` turns each match into a binding dict.
 """
 
 from __future__ import annotations
@@ -25,8 +35,9 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import NamedTuple, Optional
+from functools import partial
+from operator import add, ge, gt, itemgetter, le, lt, mul, sub, truediv
+from typing import Callable, NamedTuple, Optional
 
 from .core import (_TYPES, DETERMINISTIC, Fact, Instance, MvdbError,
                    QueryParseError, Schema)
@@ -224,6 +235,143 @@ def eval_predicate(pred: Predicate, env: dict) -> bool:
     except TypeError:
         raise MvdbError(f"type mismatch comparing {lhs!r} and {rhs!r}") from None
     raise MvdbError(f"unknown comparison {op!r}")
+
+
+# A join plan (`join_plan`) holds a binding as a tuple of *slots*, and
+# compiles each expression once into a closure over such a tuple, given
+# *slots*, the slot of each bound variable's name.  A compiled expression
+# returns what `eval_expr` returns for the binding the tuple holds and
+# raises the same `MvdbError`, with the same message, at the same point;
+# a compiled predicate does the same for `eval_predicate`.  Those two
+# functions stay the reference semantics.
+
+_ARITHMETIC = {"+": add, "-": sub, "*": mul, "/": truediv}
+_ORDER = {"<": lt, "<=": le, ">": gt, ">=": ge}
+
+
+def _raiser(message: str):
+    """A compiled expression that raises `MvdbError` with *message*."""
+    def fail(t):
+        raise MvdbError(message)
+    return fail
+
+
+def compile_expr(expr, slots: dict):
+    """*expr* as a callable of a slot tuple (`eval_expr`)."""
+    if isinstance(expr, Const):
+        value = expr.value
+        return lambda t: value
+    if isinstance(expr, Var):
+        slot = slots.get(expr.name)
+        if slot is None:
+            return _raiser(f"unbound variable {expr.name!r}")
+        return itemgetter(slot)
+    if isinstance(expr, Func):
+        if expr.name != "exp":
+            return _raiser(f"unknown function {expr.name!r}")
+        arg = _compile_number(expr.arg, slots)
+
+        def exp(t):
+            try:
+                return math.exp(arg(t))
+            except OverflowError:
+                return math.inf
+        return exp
+    if isinstance(expr, BinOp):
+        lhs = _compile_number(expr.lhs, slots)
+        rhs = _compile_number(expr.rhs, slots)
+        fn = _ARITHMETIC.get(expr.op)
+        if fn is None:
+            def unknown(t):
+                lhs(t)
+                rhs(t)
+                raise MvdbError(f"unknown operator {expr.op!r}")
+            return unknown
+
+        def arithmetic(t):
+            a = lhs(t)
+            b = rhs(t)
+            try:
+                return fn(a, b)
+            except (ZeroDivisionError, OverflowError) as exc:
+                raise MvdbError(
+                    f"cannot evaluate {_expr_str(expr)}: {exc}") from None
+        return arithmetic
+    return _raiser(f"not an expression: {expr!r}")
+
+
+def _compile_number(expr, slots: dict):
+    """`compile_expr` of *expr*, its value checked by `_as_number`."""
+    if isinstance(expr, Const):
+        value = expr.value
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            return _raiser(f"expected a number, got {value!r}")
+        return lambda t: value
+    value_of = compile_expr(expr, slots)
+
+    def number(t):
+        v = value_of(t)
+        return v if v.__class__ is float or v.__class__ is int \
+            else _as_number(v)
+    return number
+
+
+def _compile_predicate(pred: Predicate, slots: dict):
+    """*pred* as a callable of a slot tuple (`eval_predicate`)."""
+    op = pred.op
+    i = slots.get(pred.lhs.name) if isinstance(pred.lhs, Var) else None
+    j = slots.get(pred.rhs.name) if isinstance(pred.rhs, Var) else None
+    if i is not None and j is not None:  # two bound variables
+        if op == "=":
+            return lambda t: t[i] == t[j]
+        if op == "!=":
+            return lambda t: t[i] != t[j]
+    lhs = compile_expr(pred.lhs, slots)
+    rhs = compile_expr(pred.rhs, slots)
+    if op == "=":
+        return lambda t: lhs(t) == rhs(t)
+    if op == "!=":
+        return lambda t: lhs(t) != rhs(t)
+    cmp = _ORDER.get(op)
+    if cmp is not None:
+        def order(t):
+            a = lhs(t)
+            b = rhs(t)
+            try:
+                return cmp(a, b)
+            except TypeError:
+                raise MvdbError(
+                    f"type mismatch comparing {a!r} and {b!r}") from None
+        return order
+    if op == "contains":
+        def contains(t):
+            a = lhs(t)
+            b = rhs(t)
+            if not isinstance(a, str) or not isinstance(b, str):
+                raise MvdbError("contains expects string operands")
+            return b in a
+        return contains
+
+    def unknown(t):
+        lhs(t)
+        rhs(t)
+        raise MvdbError(f"unknown comparison {op!r}")
+    return unknown
+
+
+def _all_of(preds, slots: dict):
+    """*preds*, compiled over *slots*, as one callable testing each in
+    order and stopping at the first false one."""
+    tests = [_compile_predicate(p, slots) for p in preds]
+    if len(tests) == 1:
+        return tests[0]
+
+    def all_of(t):
+        for test in tests:
+            if not test(t):
+                return False
+        return True
+    return all_of
 
 
 # ---------------------------------------------------------------------------
@@ -476,24 +624,41 @@ def parse_view(text: str, schema: Schema) -> MarkoView:
 # Grounding
 # ---------------------------------------------------------------------------
 
+# Which facts a join plan keeps in its slot tuples (`join_plan`).
+NO_FACTS = 0  # none
+ALL_FACTS = 1  # every atom's fact
+VARIABLE_FACTS = 2  # the non-deterministic ones: a clause of the lineage
+# A step's `_Step.fact` under VARIABLE_FACTS, by the kind of its relation
+# (`Instance.deterministic_kind`).
+_FACT_KIND = {"none": 1, "some": 2, "all": 0}
+
+
 class _Step(NamedTuple):
-    """One atom of a join plan, resolved against the variables bound before
-    it runs.  Every position holds a constant or a variable bound earlier
-    (*probe* and *checked*), or a variable the atom binds (its first
-    occurrence in *binds*, any later one in *repeated*).  An atom with no
-    such position may still probe one of its own variables: an `=` on it
-    reads the positional index, bounds on it a sorted column (*window*)."""
+    """One atom of a join plan, resolved against the slots filled before it
+    runs.  Every position holds a constant or a variable bound earlier
+    (*probe* and *checked*; *want* reads what the checked positions must
+    hold off the slots), or a variable the atom binds (its first
+    occurrence, any later one in *repeated*).  An atom with no such
+    position may still probe one of its own variables: an `=` on it reads
+    the positional index, bounds on it a sorted column (*window*).  A row
+    that passes extends the slot tuple by the whole row if the atom *binds*
+    a variable (the variable's slot is its first position's), then by its
+    fact unless *fact* is 0: with 2, a deterministic fact is kept as
+    None."""
 
     relation: str
     probe: int  # position looked up in the positional index; -1: scan
-    probe_term: object  # the Const or bound Var at *probe*
+    probe_slot: int  # the slot of the bound variable at *probe*, else -1
+    probe_value: object  # the constant at *probe*, if a constant is there
     window: Optional[tuple]  # (lo, lo_open, hi, hi_open) on *probe*
     checked: Optional[itemgetter]  # the other such positions of a row
-    checks: tuple  # the Const or bound Var at each of them
+    want: Optional[itemgetter]  # the slots those positions must equal
     repeated: Optional[itemgetter]  # later occurrences of new variables
     first_of: Optional[itemgetter]  # the first occurrence of each
-    binds: tuple  # (variable, position) of each new variable
-    predicates: tuple  # predicates whose variables are all bound here
+    binds: bool  # whether the atom binds a variable
+    fact: int  # 0: none; 1: the row's fact; 2: it, None if deterministic
+    facts_by_value: Optional[dict]  # `Instance.facts_by_value` of *probe*
+    test: Optional[Callable]  # the predicates ready here, compiled
 
 
 # The comparisons a probe answers, each with its sides swapped.
@@ -539,21 +704,27 @@ def _probe_preds(atom: Atom, positions: dict, comparisons: dict,
     str, never bool or float), so a sorted column or the positional index
     answers the comparison as `eval_predicate` would."""
     out = []
+    attributes = None
     for name, pos in positions.items():
-        for op, value, p in comparisons.get(name, ()):
-            if type(value) is _TYPES[
-                    schema.relation(atom.relation).attributes[pos].type]:
+        compared = comparisons.get(name)
+        if not compared:
+            continue
+        if attributes is None:
+            attributes = schema.relation(atom.relation).attributes
+        column = _TYPES[attributes[pos].type]
+        for op, value, p in compared:
+            if type(value) is column:
                 out.append((pos, op, value, p))
     return out
 
 
 def _probe(found: list) -> tuple:
-    """Position, equality term, window and answered predicates of the probe
+    """Position, equal value, window and answered predicates of the probe
     `_probe_preds` found: the first `=`, else the first lower and the first
     upper bound on the first position compared."""
     for pos, op, value, p in found:
         if op == "=":
-            return pos, Const(value), None, (p,)
+            return pos, value, None, (p,)
     pos = found[0][0]
     bounds, answered = {}, []  # bounds: '>' or '<' -> (value, strict)
     for at, op, value, p in found:
@@ -568,7 +739,10 @@ def _probe(found: list) -> tuple:
 def _score(atom: Atom, bound, comparisons: dict, schema: Schema) -> int:
     """Positions of *atom* holding a constant or a bound variable; 1 for an
     atom with none that a comparison lets probe one of its variables."""
-    n = sum(isinstance(t, Const) or t.name in bound for t in atom.terms)
+    n = 0
+    for t in atom.terms:
+        if isinstance(t, Const) or t.name in bound:
+            n += 1
     if n or not comparisons:
         return n
     positions = {}
@@ -577,23 +751,135 @@ def _score(atom: Atom, bound, comparisons: dict, schema: Schema) -> int:
     return 1 if _probe_preds(atom, positions, comparisons, schema) else 0
 
 
-def _plan(cq: ConjunctiveQuery, instance: Instance, bound) -> tuple:
-    """Join plan: the predicates to test before any atom, then the steps.
+class JoinPlan(NamedTuple):
+    """A conjunctive query's join plan over one instance (`join_plan`).
+
+    A binding is a tuple of slots: the given binding's values, then, step
+    by step, the step's row if it binds a variable (a variable's slot is
+    its first position's) and, unless the plan keeps no facts, the step's
+    fact."""
+
+    instance: Instance
+    start: tuple  # the slots before the first step
+    first: Optional[Callable]  # the predicates to test before any atom
+    steps: tuple  # the `_Step` of each atom, in join order
+    slots: dict  # variable name -> slot: the binding's, then in join order
+    facts: Callable  # the kept facts of a slot tuple, in join order
+
+    def run(self, emit) -> None:
+        """Call *emit* with the slot tuple of every match, in plan order:
+        depth first, each step's rows in the order the instance lists
+        them."""
+        instance, start, first, steps = self[:4]
+        if first is not None and not first(start):
+            return
+        if not steps:
+            emit(start)
+            return
+        nxt = emit
+        for step in steps[:0:-1]:
+            nxt = partial(_extend, step, instance, nxt)
+        _extend(steps[0], instance, nxt, start)
+
+    def matches(self) -> list:
+        """The slot tuple of every match, in plan order."""
+        out: list = []
+        self.run(out.append)
+        return out
+
+    def getter(self, names):
+        """Reads the values of the variables *names* off a slot tuple, as a
+        tuple."""
+        return _tuple_getter([self.slots[name] for name in names])
+
+
+def _tuple_getter(positions):
+    """Reads *positions* of a tuple, always as a tuple."""
+    if len(positions) == 1:
+        i, = positions
+        return itemgetter(slice(i, i + 1))
+    return itemgetter(*positions) if positions else lambda t: ()
+
+
+def _extend(step: _Step, instance: Instance, nxt, t: tuple) -> None:
+    """Extend the slot tuple *t* by each row of *step* that matches it, and
+    call *nxt* with each extension.  A plain function, so a join leaves no
+    reference cycle behind for the collector."""
+    (relation, probe, probe_slot, value, window, checked, want, repeated,
+     first_of, binds, fact, facts_by_value, test) = step
+    if probe < 0:
+        rows = instance.rows_of(relation)
+    elif window is not None:
+        rows = instance.rows_in_range(relation, probe, *window)
+    else:
+        if probe_slot >= 0:  # a bound variable, else the step's constant
+            value = t[probe_slot]
+        rows = instance.rows_with_value(relation, probe, value)
+    if not rows:
+        return
+    if checked is not None:
+        wanted = want(t)
+    if not fact:
+        for row in rows:
+            if checked is not None and checked(row) != wanted:
+                continue
+            if repeated is not None and repeated(row) != first_of(row):
+                continue
+            u = t + row if binds else t
+            if test is None or test(u):
+                nxt(u)
+        return
+    if probe < 0:
+        facts = instance.facts_of(relation)
+    elif window is not None:
+        facts = instance.facts_in_range(relation, probe, *window)
+    else:
+        facts = facts_by_value[value]
+    if fact == 2:
+        deterministic = instance.deterministic
+        facts = [None if f in deterministic else f for f in facts]
+    for row, f in zip(rows, facts):
+        if checked is not None and checked(row) != wanted:
+            continue
+        if repeated is not None and repeated(row) != first_of(row):
+            continue
+        u = (t + row if binds else t) + (f,)
+        if test is None or test(u):
+            nxt(u)
+
+
+def join_plan(cq: ConjunctiveQuery, instance: Instance,
+              binding: Optional[dict] = None,
+              facts: int = NO_FACTS) -> JoinPlan:
+    """Join plan of *cq* over *instance*: the predicates to test before any
+    atom, then the steps, over slot tuples (`JoinPlan`).
 
     Atoms go most constrained first (`_score`), then fewest rows, then
     query order.  Which variables are bound depends only on the atoms
     already placed, so the order is fixed before any row is read.  A
     predicate runs at the first step that binds all its variables, unless
     that step's probe answers it (`_probe_preds`); one whose variables no
-    atom binds runs at the end, where `eval_expr` rejects it.  A comparison
-    on a variable an atom binds is still pending at that atom's step."""
+    atom binds runs at the end, where its compiled form rejects it as
+    `eval_expr` does.  A comparison on a variable an atom binds is still
+    pending at that atom's step.  The predicates of a step are compiled
+    once, into one test of the slot tuple the step extends.  Variables in
+    *binding* count as bound, and its values fill the first slots.
+    *facts* says which facts each match keeps: `NO_FACTS`, `ALL_FACTS`, or
+    `VARIABLE_FACTS`, the non-deterministic ones, decided per relation from
+    its facts (`Instance.deterministic_kind`)."""
     schema = instance.schema
-    bound = set(bound)
+    if binding:
+        bound = set(binding)
+        slots = dict(zip(binding, range(len(binding))))
+        start = tuple(binding.values())
+    else:
+        bound, slots, start = set(), {}, ()
     preds = list(cq.predicates)
     atoms = list(cq.atoms)
     first = _take_ready(preds, bound) if atoms else tuple(preds)
-    comparisons = _comparisons(preds)
-    steps = []
+    comparisons = _comparisons(preds) if preds else {}
+    width = len(start)  # the slots filled before the step being planned
+    steps, fact_slots, some = [], [], False
     while atoms:
         best_i, best_score = 0, (-1, 0)  # a lone atom needs no scoring
         for i, a in enumerate(atoms if len(atoms) > 1 else ()):
@@ -602,107 +888,113 @@ def _plan(cq: ConjunctiveQuery, instance: Instance, bound) -> tuple:
             if score > best_score:
                 best_i, best_score = i, score
         atom = atoms.pop(best_i)
-        probe, probe_term, window = -1, None, None
-        checks, repeats, new = {}, {}, {}
+        probe, probe_slot, value, window = -1, -1, None, None
+        checks, want, repeats, new = [], [], {}, {}
         for i, t in enumerate(atom.terms):
             if isinstance(t, Const) or t.name in bound:
-                if probe < 0:
-                    probe, probe_term = i, t
+                if probe >= 0:
+                    checks.append(i)
+                    want.append(t)
+                elif isinstance(t, Const):
+                    probe, value = i, t.value
                 else:
-                    checks[i] = t
+                    probe, probe_slot = i, slots[t.name]
             elif t.name in new:
                 repeats[i] = new[t.name]
             else:
                 new[t.name] = i
         bound.update(new)
-        ready = _take_ready(preds, bound)
-        found = probe < 0 and _probe_preds(atom, new, comparisons, schema)
+        ready = _take_ready(preds, bound) if preds else ()
+        found = (probe < 0 and comparisons
+                 and _probe_preds(atom, new, comparisons, schema))
         if found:
-            probe, probe_term, window, answered = _probe(found)
-            ready = tuple(p for p in ready if p not in answered)
-        if not atoms:
-            ready += tuple(preds)
-        steps.append(_Step(atom.relation, probe, probe_term, window,
-                           _getter(checks), tuple(checks.values()),
-                           _getter(repeats), _getter(repeats.values()),
-                           tuple(new.items()), ready))
-    return first, tuple(steps)
+            probe, value, window, answered = _probe(found)
+            ready = [p for p in ready if p not in answered]
+        if preds and not atoms:
+            ready = [*ready, *preds]
+        if new:  # the slots of the row's values
+            for name, i in new.items():
+                slots[name] = width + i
+            width += len(atom.terms)
+        fact = facts
+        if facts == VARIABLE_FACTS:
+            fact = (_FACT_KIND[instance.deterministic_kind(atom.relation)]
+                    if instance.deterministic else 1)
+        if fact:
+            fact_slots.append(width)
+            width += 1
+            if fact == 2:
+                some = True
+        # A NamedTuple's own constructor is a Python call: build the tuple.
+        steps.append(tuple.__new__(_Step, (
+            atom.relation, probe, probe_slot, value, window,
+            itemgetter(*checks) if checks else None,
+            _want(want, slots) if want else None,
+            itemgetter(*repeats) if repeats else None,
+            itemgetter(*repeats.values()) if repeats else None,
+            True if new else False, fact,
+            instance.facts_by_value(atom.relation, probe)
+            if fact and probe >= 0 and window is None else None,
+            _all_of(ready, slots) if ready else None)))
+    read = _tuple_getter(fact_slots)
+    return JoinPlan(instance, start, _first_test(first, binding),
+                    tuple(steps), slots,
+                    (lambda t: tuple(filter(None, read(t)))) if some
+                    else read)
 
 
-def _getter(positions) -> Optional[itemgetter]:
-    """Reads *positions* of a row: one value, or a tuple of several."""
-    return itemgetter(*positions) if positions else None
+def _first_test(preds: tuple, binding: Optional[dict]):
+    """The test of the predicates a plan checks before any atom, or None.
+    It runs once per plan, on *binding* alone, so the predicates are
+    evaluated as they stand (`eval_predicate`), not compiled first."""
+    if not preds:
+        return None
+    env = binding or {}
+    return lambda t: all(eval_predicate(p, env) for p in preds)
 
 
-def _value(term, binding: dict):
-    return term.value if isinstance(term, Const) else binding[term.name]
-
-
-def _run(steps: tuple, k: int, instance: Instance, binding: dict,
-         used: tuple):
-    """Matches of steps k.. extending *binding*.  A module-level generator,
-    so a run leaves no reference cycle behind for the collector."""
-    (relation, probe, probe_term, window, checked, checks, repeated,
-     first_of, binds, preds) = steps[k]
-    if probe < 0:
-        rows = instance.rows_of(relation)
-    elif window is not None:
-        rows = instance.rows_in_range(relation, probe, *window)
-    else:
-        rows = instance.rows_with_value(relation, probe,
-                                        _value(probe_term, binding))
-    if checked is not None:
-        # the values *checked* reads off a matching row: same shape
-        want = tuple(_value(t, binding) for t in checks)
-        if len(want) == 1:
-            want = want[0]
-    last = k + 1 == len(steps)
-    for row in rows:
-        if checked is not None and checked(row) != want:
-            continue
-        if repeated is not None and repeated(row) != first_of(row):
-            continue
-        bnd = binding
-        if binds:
-            bnd = binding.copy()
-            for name, i in binds:
-                bnd[name] = row[i]
-        if preds and not all(eval_predicate(p, bnd) for p in preds):
-            continue
-        facts = used + (Fact(relation, row),)
-        if last:
-            yield bnd, facts
-        else:
-            yield from _run(steps, k + 1, instance, bnd, facts)
+def _want(terms: list, slots: dict):
+    """Reads the values *terms* (constants or bound variables) require of
+    a row's checked positions off a slot tuple: one value, or a tuple of
+    several."""
+    at = [None if isinstance(x, Const) else slots[x.name] for x in terms]
+    if None not in at:
+        return itemgetter(*at)
+    if len(terms) == 1:
+        value = terms[0].value
+        return lambda t: value
+    values = [x.value if isinstance(x, Const) else None for x in terms]
+    return lambda t: tuple(v if i is None else t[i]
+                           for i, v in zip(at, values))
 
 
 def iter_matches(cq: ConjunctiveQuery, instance: Instance,
                  binding: Optional[dict] = None):
     """Enumerate homomorphisms of *cq* into *instance*.
 
-    Yields (binding, used facts), the facts as a tuple in plan order.  A
-    join plan is computed once per call (`_plan`): atoms go most
-    constrained first, each probes the positional index on its first
-    constant or bound position, and each predicate is tested as soon as its
-    variables are bound.  An atom with no such position probes instead a
-    variable it binds that a predicate compares with a constant of the
-    column's exact declared type (int or str; never bool or float): the
-    positional index for `=`, a bisected sorted column for a bound or a
-    window, and the predicates the probe answers are not tested again.
-    Every other predicate, a mistyped one included, is tested on each row,
-    so it raises as `eval_predicate` does.  Variables already in *binding*
-    count as bound.
+    Yields (binding, used facts): a fresh dict per match, holding
+    *binding*'s variables and then those the atoms bind in join order, and
+    the instance's own fact objects as a tuple in join order.  The join
+    plan (`join_plan`) is computed once per call and run over slot tuples;
+    atoms go most constrained first, each probes the positional index on
+    its first constant or bound position, and each predicate, compiled
+    once, is tested as soon as its variables are bound.  An atom with no
+    such position probes instead a variable it binds that a predicate
+    compares with a constant of the column's exact declared type (int or
+    str; never bool or float): the positional index for `=`, a bisected
+    sorted column for a bound or a window, and the predicates the probe
+    answers are not tested again.  Every other predicate, a mistyped one
+    included, is tested on each row, so it raises as `eval_predicate`
+    does.  Variables already in *binding* count as bound.  The join runs
+    to its end before the first match is yielded.
     Every grounding (query lineage, answers, view materialization, which
-    also grounds W, and per-world evaluation) runs through here.
+    also grounds W, and per-world evaluation) runs the same join plans.
     """
-    binding = dict(binding) if binding else {}
-    first, steps = _plan(cq, instance, binding)
-    if first and not all(eval_predicate(p, binding) for p in first):
-        return
-    if not steps:
-        yield binding, ()
-        return
-    yield from _run(steps, 0, instance, binding, ())
+    plan = join_plan(cq, instance, binding, ALL_FACTS)
+    names = tuple(plan.slots)
+    values = plan.getter(names)
+    for t in plan.matches():
+        yield dict(zip(names, values(t))), plan.facts(t)
 
 
 @dataclass(frozen=True)
@@ -729,23 +1021,25 @@ class Lineage:
 
 def lineage(q: Ucq, instance: Instance) -> Lineage:
     """Lineage of a Boolean UCQ in one grounding pass: one clause per
-    homomorphism.  Deterministic facts are always present, so they are
-    dropped from the clauses; a clause that becomes empty makes the
-    lineage valid."""
+    homomorphism, of the instance's own facts.  Deterministic facts are
+    always present, so they are left out of the clauses; a clause that
+    becomes empty makes the lineage valid."""
     if not q.is_boolean():
         raise MvdbError("lineage is defined for Boolean queries")
-    deterministic = instance.deterministic.__contains__
-    return Lineage.normalize(
-        frozenset(itertools.filterfalse(deterministic, used))
-        for d in q.disjuncts for _, used in iter_matches(d, instance))
+    clauses: list = []
+    for d in q.disjuncts:
+        plan = join_plan(d, instance, None, VARIABLE_FACTS)
+        clauses += map(frozenset, map(plan.facts, plan.matches()))
+    return Lineage.normalize(clauses)
 
 
 def answer_tuples(q: Ucq, instance: Instance) -> list[tuple]:
     """All head bindings with at least one homomorphism into *instance*."""
     out = set()
     for d in q.disjuncts:
-        for bnd, _ in iter_matches(d, instance):
-            out.add(tuple(bnd[v.name] for v in d.head))
+        plan = join_plan(d, instance)
+        out.update(map(plan.getter([v.name for v in d.head]),
+                       plan.matches()))
     return sorted(out, key=lambda t: tuple((isinstance(v, str), v) for v in t))
 
 

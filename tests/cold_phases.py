@@ -1,5 +1,5 @@
-"""Time the phases of `mvdb compile` and of a cold `mvdb query` in process,
-to compare checkouts.
+"""Time the phases of `mvdb compile`, of a cold `mvdb query` and of a few
+warm calls in process, to compare checkouts.
 
 Writes two projects to a temporary directory and compiles each with
 ``mvdb compile``: gen-dblp seed 1 scale 2000 (query ``Q(a) :- Advisor(7,
@@ -10,6 +10,8 @@ compile phase:
 
 * ``compile_load``: parsing the schema, views and TSV files into an `Mvdb`;
 * ``build_indb``: the translation, which also grounds W;
+* ``ground``: `translate._ground_views`, the part of ``build_indb`` that
+  runs the views' bodies through their join plans;
 * ``build_index``: compiling W's lineage into the index;
 * ``serialize``: writing the index's bytes;
 
@@ -31,7 +33,14 @@ phase:
   a checkout derives them per shape, the entry codes);
 * ``instance``: `Mvdb.possible_instance`;
 * ``query``: parsing the query and answering it on the loaded index;
-* ``cold_total``: the whole `mvdb query --tsv` through `cli.main`.
+* ``cold_total``: the whole `mvdb query --tsv` through `cli.main`;
+
+and the warm calls, in microseconds per call (the median of REPEATS
+batches of 50): ``lineage_us`` of the Boolean form of each case's query
+(on the chain, also of windows of length 1 and 16, ``lineage_w1_us`` and
+``lineage_w16_us``) over an evaluator's instance that has answered it
+before, and on dblp ``answer_query_us``, one `translate.answer_query`,
+which builds the Indb's possible instance each time.
 
 It also prints each ``.mvx`` file's size per ordered tuple
 (``mvx_bytes_per_tuple``) and its sha256, and the loaded index's
@@ -39,12 +48,27 @@ It also prints each ``.mvx`` file's size per ordered tuple
 takes the lane pass).  Usage::
 
     python tests/cold_phases.py [ROOT] [REPEATS]
+    python tests/cold_phases.py --against OTHER_ROOT [ROOT] [REPEATS]
 
 ROOT (default: the checkout holding this script) is the checkout whose
-``mvdb`` is imported, so one copy of the script times any checkout that
+``mvdb`` is timed, so one copy of the script times any checkout that
 writes ``.mvx`` format 6 and annotates per shape (an older checkout's
 ``meta``, ``annotations`` and ``entry`` phases are timed by its own copy of
-the script); REPEATS defaults to 15.  The script is not a test module:
+the script); REPEATS defaults to 15.  The first form prints
+``case<TAB>phase<TAB>value``.
+
+With ``--against``, both checkouts' ``mvdb`` packages are imported into
+this one process under distinct module names, each compiles its own copy
+of the projects, and every phase is timed REPEATS times for each, the two
+interleaved (alternating which goes first).  For each phase it prints
+``case<TAB>phase<TAB>ROOT's median<TAB>OTHER_ROOT's median<TAB>median
+paired ratio<TAB>wins``: the ratio is ROOT's time over OTHER_ROOT's in the
+same pair, and wins counts the pairs ROOT was faster in.  Separate
+processes on a busy host can differ by more than the change being
+measured; pairs taken side by side in one process share its state.  A
+non-timed value prints both and, for a number, their ratio (the peak the
+median of three interleaved compiles each).  This form prints the whole
+``load`` in place of ``load_rest``.  The script is not a test module:
 pytest does not collect it.
 """
 
@@ -52,6 +76,8 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import importlib
+import importlib.util
 import io
 import statistics
 import sys
@@ -59,51 +85,78 @@ import tempfile
 import time
 from pathlib import Path
 
+_WARM_BATCH = 50
 
-def _median_ms(fn, repeats: int) -> float:
-    times = []
-    for _ in range(repeats):
-        gc.disable()
-        try:
-            t0 = time.perf_counter()
+
+def _import_mvdb(root: Path, name: str):
+    """The ``mvdb`` package of the checkout at *root*, imported as the
+    module *name* together with the submodules timed here."""
+    src = root / "src" / "mvdb"
+    spec = importlib.util.spec_from_file_location(
+        name, src / "__init__.py", submodule_search_locations=[str(src)])
+    pkg = importlib.util.module_from_spec(spec)
+    sys.modules[name] = pkg
+    spec.loader.exec_module(pkg)
+    for sub in ("cli", "gendata", "mvindex", "translate", "ucq"):
+        setattr(pkg, sub, importlib.import_module(f"{name}.{sub}"))
+    return pkg
+
+
+def _time(fn) -> float:
+    """Seconds of one call of *fn*, the cyclic collector paused."""
+    gc.disable()
+    try:
+        t0 = time.perf_counter()
+        fn()
+        return time.perf_counter() - t0
+    finally:
+        gc.enable()
+
+
+def _warm(fn):
+    """*fn* called `_WARM_BATCH` times, timed per call in microseconds."""
+    def batch():
+        for _ in range(_WARM_BATCH):
             fn()
-            times.append(time.perf_counter() - t0)
-        finally:
-            gc.enable()
-    return statistics.median(times) * 1e3
+    batch.scale = 1e6 / _WARM_BATCH
+    return batch
 
 
-def _compile_phases(project: Path, repeats: int) -> dict:
+def _compile_phases(pkg, project: Path) -> tuple[dict, dict]:
+    """The compile phases as ``{name: callable}``, and the tracemalloc peak
+    of one whole compile."""
     import tracemalloc
-    from mvdb import cli, mvindex
-    from mvdb.translate import build_indb
+    cli, mvindex, translate = pkg.cli, pkg.mvindex, pkg.translate
 
     db = cli._load_project(str(project))
-    tr = build_indb(db)
+    tr = translate.build_indb(db)
     index = mvindex.build_index(tr)
-    out = {
-        "compile_load": _median_ms(lambda: cli._load_project(str(project)),
-                                   repeats),
-        "build_indb": _median_ms(lambda: build_indb(db), repeats),
-        "build_index": _median_ms(lambda: mvindex.build_index(tr), repeats),
-        "serialize": _median_ms(lambda: mvindex.serialize(index), repeats),
+    timed = {
+        "compile_load": lambda: cli._load_project(str(project)),
+        "build_indb": lambda: translate.build_indb(db),
+        "ground": lambda: translate._ground_views(db),
+        "build_index": lambda: mvindex.build_index(tr),
+        "serialize": lambda: mvindex.serialize(index),
     }
-    del db, tr, index
-    tracemalloc.start()
-    try:
-        if cli.main(["compile", "--project", str(project)],
-                    out=io.StringIO()):
-            raise SystemExit(f"compile failed on {project}")
-        out["compile_peak_mb"] = tracemalloc.get_traced_memory()[1] / 2**20
-    finally:
-        tracemalloc.stop()
-    return out
+
+    def peak():
+        gc.collect()
+        tracemalloc.start()
+        try:
+            if cli.main(["compile", "--project", str(project)],
+                        out=io.StringIO()):
+                raise SystemExit(f"compile failed on {project}")
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+    return timed, {"compile_peak_mb": peak}
 
 
-def _phases(project: Path, query: str, repeats: int) -> dict:
-    from mvdb import cli, mvindex
-    from mvdb.translate import answer_rows
-    from mvdb.ucq import parse_query
+def _query_phases(pkg, project: Path, query: str,
+                  warm) -> tuple[dict, dict]:
+    """The cold query phases and the warm calls as ``{name: callable}``,
+    and the values read off the compiled index."""
+    cli, mvindex, translate, ucq = pkg.cli, pkg.mvindex, pkg.translate, pkg.ucq
 
     path = project / "index.mvx"
     blob = path.read_bytes()
@@ -129,9 +182,9 @@ def _phases(project: Path, query: str, repeats: int) -> dict:
             mvindex.Constituent.derive(group, probs, qs, group_lanes)
 
     def answer():
-        q = parse_query(query, db.schema)
+        q = ucq.parse_query(query, db.schema)
         ev = mvindex.IndexEvaluator(index, instance)
-        answer_rows(q, instance, ev)
+        translate.answer_rows(q, instance, ev)
 
     def cold():
         out = io.StringIO()
@@ -140,57 +193,139 @@ def _phases(project: Path, query: str, repeats: int) -> dict:
             raise SystemExit(f"cold query failed on {project}")
 
     instance = db.possible_instance()
-    out = {
-        "project": _median_ms(lambda: cli._load_project(str(project)),
-                              repeats),
-        "digest": _median_ms(db.digest, repeats),
-        "meta": _median_ms(
-            lambda: mvindex._decode_order(mvindex._read_columns(body)),
-            repeats),
-        "annotations": _median_ms(annotations, repeats),
-        "entry": _median_ms(entry, repeats),
-        "load": _median_ms(lambda: mvindex.deserialize(blob), repeats),
-        "instance": _median_ms(db.possible_instance, repeats),
-        "query": _median_ms(answer, repeats),
-        "cold_total": _median_ms(cold, repeats),
+    timed = {
+        "project": lambda: cli._load_project(str(project)),
+        "digest": db.digest,
+        "meta": lambda: mvindex._decode_order(mvindex._read_columns(body)),
+        "annotations": annotations,
+        "entry": entry,
+        "load": lambda: mvindex.deserialize(blob),
+        "instance": db.possible_instance,
+        "query": answer,
+        "cold_total": cold,
     }
-    out["load_rest"] = (out.pop("load") - out["meta"] - out["annotations"]
-                        - out["entry"])
-    out["mvx_bytes_per_tuple"] = len(blob) / len(index.order)
-    out["mvx_sha256"] = hashlib.sha256(blob).hexdigest()
-    out["constituents"] = str(len(index.constituents))
-    out["shapes"] = str(len(groups))
-    out["lane_constituents"] = str(sum(
-        len(group) for group in groups if len(group) >= mvindex._LANES))
-    return out
+
+    tr = translate.build_indb(db)
+    ev = mvindex.IndexEvaluator(index, tr.indb.possible_instance())
+    for name, text in warm:
+        q = ucq.parse_query(text, db.schema)
+        if q.is_boolean():
+            ucq.lineage(q, ev.instance)  # builds the columns it reads
+            timed[name] = _warm(lambda q=q: ucq.lineage(q, ev.instance))
+        else:
+            timed[name] = _warm(
+                lambda q=q: translate.answer_query(q, tr, ev))
+    values = {
+        "mvx_bytes_per_tuple": len(blob) / len(index.order),
+        "mvx_sha256": hashlib.sha256(blob).hexdigest(),
+        "constituents": str(len(index.constituents)),
+        "shapes": str(len(groups)),
+        "lane_constituents": str(sum(
+            len(group) for group in groups if len(group) >= mvindex._LANES)),
+    }
+    return timed, values
+
+
+def _cases(pkg, tmp: Path):
+    """``(case, project, query, warm calls)`` of each case, the projects
+    written under *tmp* and compiled by *pkg*.  A warm call is ``(phase,
+    query)``: `ucq.lineage` of a Boolean query, else
+    `translate.answer_query`."""
+    import chaingen
+    dblp = pkg.gendata.generate_project(tmp / "dblp", seed=1, scale=2000)
+    chain = tmp / "chain"
+    chaingen.generate_chain(chain, seed=7, n=160)
+    cases = [("dblp", dblp, "Q(a) :- Advisor(7, a)",
+              [("lineage_us", "Q() :- Advisor(7, a)"),
+               ("answer_query_us", "Q(a) :- Advisor(7, a)")]),
+             ("chain", chain, chaingen.window_query(0, 4, answer=True),
+              [("lineage_us", chaingen.window_query(0, 4)),
+               ("lineage_w1_us", chaingen.window_query(40, 41)),
+               ("lineage_w16_us", chaingen.window_query(40, 56))])]
+    for _, project, _, _ in cases:
+        if pkg.cli.main(["compile", "--project", str(project), "--tsv"],
+                        out=io.StringIO()):
+            raise SystemExit(f"compile failed on {project}")
+    return cases
+
+
+def _phases(pkg, project: Path, query: str, warm) -> tuple[dict, dict]:
+    timed, values = _compile_phases(pkg, project)
+    more, query_values = _query_phases(pkg, project, query, warm)
+    timed.update(more)
+    values.update(query_values)
+    return timed, values
+
+
+def _scale(fn) -> float:
+    return getattr(fn, "scale", 1e3)
+
+
+def _single(pkg, repeats: int, tmp: Path):
+    for name, project, query, warm in _cases(pkg, tmp):
+        timed, values = _phases(pkg, project, query, warm)
+        out = {phase: statistics.median(_time(fn) for _ in range(repeats))
+               * _scale(fn) for phase, fn in timed.items()}
+        out["load_rest"] = (out.pop("load") - out["meta"]
+                            - out["annotations"] - out["entry"])
+        for key, fn in values.items():
+            out[key] = fn() if callable(fn) else fn
+        for phase, value in out.items():
+            shown = value if isinstance(value, str) else f"{value:.2f}"
+            print(f"{name}\t{phase}\t{shown}")
+
+
+def _against(pkg, other, repeats: int, tmp: Path):
+    pairs = list(zip(_cases(pkg, tmp / "this"),
+                     _cases(other, tmp / "other")))
+    for (name, project, query, warm), (_, o_project, _, _) in pairs:
+        timed, values = _phases(pkg, project, query, warm)
+        o_timed, o_values = _phases(other, o_project, query, warm)
+        for phase, fn in timed.items():
+            o_fn = o_timed[phase]
+            mine, theirs = [], []
+            for i in range(repeats):
+                if i % 2:
+                    theirs.append(_time(o_fn))
+                    mine.append(_time(fn))
+                else:
+                    mine.append(_time(fn))
+                    theirs.append(_time(o_fn))
+            ratio = statistics.median(a / b for a, b in zip(mine, theirs))
+            wins = sum(a < b for a, b in zip(mine, theirs))
+            print(f"{name}\t{phase}\t{statistics.median(mine) * _scale(fn):.2f}"
+                  f"\t{statistics.median(theirs) * _scale(o_fn):.2f}"
+                  f"\t{ratio:.3f}\t{wins}/{repeats}")
+        for key, value in values.items():
+            o_value = o_values[key]
+            if callable(value):  # one value per run, interleaved
+                runs = [(value(), o_value()) for _ in range(3)]
+                value = statistics.median(a for a, _ in runs)
+                o_value = statistics.median(b for _, b in runs)
+            if isinstance(value, float):
+                print(f"{name}\t{key}\t{value:.2f}\t{o_value:.2f}"
+                      f"\t{value / o_value:.3f}")
+            else:
+                print(f"{name}\t{key}\t{value}\t{o_value}")
 
 
 def main(argv) -> int:
+    other_root = None
+    if argv[:1] == ["--against"] and len(argv) > 1:
+        other_root, argv = Path(argv[1]), argv[2:]
     if len(argv) > 2 or (argv and argv[0].startswith("-")):
         print(__doc__, file=sys.stderr)
         return 2
     root = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent
     repeats = int(argv[1]) if len(argv) > 1 else 15
-    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
-    import chaingen
-    from mvdb import cli
-    from mvdb.gendata import generate_project
-
+    sys.path.insert(0, str(root / "perfbench"))
+    pkg = _import_mvdb(root, "mvdb")
     with tempfile.TemporaryDirectory() as tmp:
-        dblp = generate_project(Path(tmp) / "dblp", seed=1, scale=2000)
-        chain = Path(tmp) / "chain"
-        chaingen.generate_chain(chain, seed=7, n=160)
-        cases = [("dblp", dblp, "Q(a) :- Advisor(7, a)"),
-                 ("chain", chain, chaingen.window_query(0, 4, answer=True))]
-        for name, project, query in cases:
-            if cli.main(["compile", "--project", str(project), "--tsv"],
-                        out=io.StringIO()):
-                raise SystemExit(f"compile failed on {project}")
-            phases = _compile_phases(project, repeats)
-            phases.update(_phases(project, query, repeats))
-            for phase, value in phases.items():
-                shown = value if isinstance(value, str) else f"{value:.2f}"
-                print(f"{name}\t{phase}\t{shown}")
+        if other_root is None:
+            _single(pkg, repeats, Path(tmp))
+        else:
+            other = _import_mvdb(other_root, "mvdb_against")
+            _against(pkg, other, repeats, Path(tmp))
     return 0
 
 

@@ -10,8 +10,12 @@ The corpus:
 * the chain at n = 160 (`helpers.chain_mvdb`): 40 seeded windows;
 * `helpers.viable_random_mvdb` seeds 0-199: 4 `random_boolean_query` each.
 
-Every corpus is answered from its index written to ``.mvx`` bytes and
-loaded back, so the dump also checks the file format; it prints the sha256
+Before each corpus database's answers, a ``translation`` line holds the
+sha256 of its Indb's ``(fact, float.hex(weight))`` pairs in load order and
+that of its ``w_lineage`` (keys in active-domain order, clauses as listed),
+so the dump shows the grounding unchanged bit for bit.  Every corpus is
+answered from its index written to ``.mvx`` bytes and loaded back, so the
+dump also checks the file format; it prints the sha256
 of the dblp and chain ``.mvx`` bytes, and one sha256 over the ``.mvx``
 bytes of the random corpus and then of `helpers.random_mvdb` seeds 38, 400
 and 443, in seed order.  In each of those three, two blocks with different
@@ -60,6 +64,23 @@ def _mvx(name, blob, out):
     print(f"{name}\tmvx\t{hashlib.sha256(blob).hexdigest()}", file=out)
 
 
+def _translation(name, tr, out):
+    """One line for the translation *tr*: the sha256 of the Indb's
+    ``(fact, float.hex(weight))`` pairs in load order, then that of
+    ``w_lineage``, its keys in active-domain order (None first) and each
+    key's clauses as listed, joined by ``/``."""
+    pairs = hashlib.sha256()
+    for fact, w in tr.indb.weights.items():
+        pairs.update(repr((fact, float.hex(w))).encode())
+    rank = tr.indb.domain.rank
+    lineage = hashlib.sha256()
+    for key in sorted(tr.w_lineage, key=lambda k: -1 if k is None
+                      else rank(k)):
+        lineage.update(repr((key, tr.w_lineage[key])).encode())
+    print(f"{name}\ttranslation\t{pairs.hexdigest()}/"
+          f"{lineage.hexdigest()}", file=out)
+
+
 def _dump(name, tr, index, queries, out):
     from mvdb import IndexEvaluator, query_probability
     inst = tr.indb.possible_instance()
@@ -85,6 +106,7 @@ def dump(out=sys.stdout):
     rows = rng.sample(sorted(db.possible_instance().rows_of("Advisor")), 40)
     texts = [f"Q() :- Advisor({s}, {a})" for s, a in rows]
     texts.append("Q() :- Advisor(1, a), Advisor(2000, b)")
+    _translation("dblp", tr, out)
     index, blob = _reloaded(tr)
     _mvx("dblp", blob, out)
     _dump("dblp", tr, index, [parse_query(t, db.schema) for t in texts], out)
@@ -95,6 +117,7 @@ def dump(out=sys.stdout):
     for _ in range(40):
         lo = rng.randrange(160)
         windows.append(chain_window(lo, rng.randint(lo + 1, 160)))
+    _translation("chain", tr, out)
     index, blob = _reloaded(tr)
     _mvx("chain", blob, out)
     _dump("chain", tr, index, windows, out)
@@ -102,6 +125,7 @@ def dump(out=sys.stdout):
     blobs = []
     for seed in range(200):
         _, tr, _, _ = viable_random_mvdb(seed)
+        _translation(f"random {seed}", tr, out)
         rng = random.Random(seed)
         index, blob = _reloaded(tr)
         blobs.append(blob)
@@ -109,6 +133,7 @@ def dump(out=sys.stdout):
               [random_boolean_query(rng) for _ in range(4)], out)
     for seed in (38, 400, 443):
         tr = build_indb(random_mvdb(random.Random(seed)))
+        _translation(f"random_mvdb {seed}", tr, out)
         blobs.append(_reloaded(tr)[1])
     _mvx("random", b"".join(blobs), out)
 

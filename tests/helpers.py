@@ -650,10 +650,20 @@ def entry_tables(c) -> dict[int, list]:
                                starts[1:])}
 
 
-def cut_ranks(c) -> set[int]:
-    """The ranks whose entry table holds only nodes of that rank."""
-    return {r for r, table in entry_tables(c).items()
+def cut_ranks(c, tables=None) -> set[int]:
+    """The ranks whose entry table (of *tables*, by default constituent
+    *c*'s own) holds only nodes of that rank."""
+    if tables is None:
+        tables = entry_tables(c)
+    return {r for r, table in tables.items()
             if all(code >= 0 and c.rank[code] == r for code, _ in table)}
+
+
+def without_sink0(tables: dict) -> dict:
+    """Entry tables ``{rank: [(code, mass), ...]}`` without their 0-sink
+    rows, which the engine's tables leave out."""
+    return {r: [(code, mass) for code, mass in table if code != SINK0]
+            for r, table in tables.items()}
 
 
 def entry_tables_rescan(c, probs, qs):

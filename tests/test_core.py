@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from mvdb import (DataError, DegenerateWeightError, Fact, Indb, Mvdb,
-                  MvdbError, Schema, SchemaError, parse_schema,
+from mvdb import (DataError, DegenerateWeightError, Fact, Indb, Instance,
+                  Mvdb, MvdbError, Schema, SchemaError, parse_schema,
                   weight_to_probability)
 from mvdb.core import parse_data_file, INF
 
@@ -68,6 +68,61 @@ def test_possible_instance_two_table(two_table):
                 Fact("S", ("a1", "b1")), Fact("S", ("a1", "b2")),
                 Fact("S", ("a2", "b3")), Fact("S", ("a2", "b4"))}
     assert inst.facts == frozenset(expected)
+
+
+_INSTANCE_SCHEMA = parse_schema("""
+relation D(x:string) key(x) deterministic
+relation P(x:int, y:string) key(x,y) probabilistic
+relation E(x:int) key(x) probabilistic
+""")
+
+
+def test_instance_hands_out_its_own_facts_in_row_order():
+    # Facts arrive interleaved across relations and with repeats: each is
+    # kept once, at its first occurrence, and every list of facts is the
+    # list of rows it goes with, fact for row.
+    given = [Fact("P", (2, "b")), Fact("D", ("d",)), Fact("P", (1, "a")),
+             Fact("P", (2, "a")), Fact("D", ("e",)), Fact("P", (1, "b")),
+             Fact("P", (3, "c"))]
+    repeats = [Fact("P", (1, "a")), Fact("D", ("d",))]
+    inst = Instance(_INSTANCE_SCHEMA, given + repeats, given[1:2])
+    assert len(inst) == len(given)
+    for rel in ("D", "P", "E"):
+        facts = inst.facts_of(rel)
+        assert [f for f in given if f.relation == rel] == facts
+        assert all(any(f is g for g in given) for f in facts)
+        assert [f.values for f in facts] == inst.rows_of(rel)
+    for pos, values in ((0, (1, 2, 3, 4)), (1, ("a", "b", "c", "z"))):
+        by_value = inst.facts_by_value("P", pos)
+        for v in values:
+            rows = inst.rows_with_value("P", pos, v)
+            assert [f.values for f in by_value.get(v, [])] == rows
+        for bounds in ((None, None), (1, 2), (2, None), (None, 2)):
+            lo, hi = (b if pos == 0 or b is None else "abc"[b - 1]
+                      for b in bounds)
+            for lo_open, hi_open in ((False, False), (True, True),
+                                     (False, True)):
+                window = (lo, lo_open, hi, hi_open)
+                rows = inst.rows_in_range("P", pos, *window)
+                assert [f.values for f in inst.facts_in_range(
+                    "P", pos, *window)] == rows
+    with pytest.raises(SchemaError, match="'Q'"):
+        inst.facts_of("Q")
+
+
+def test_deterministic_kind_is_decided_per_relation():
+    d, e, p = Fact("D", ("d",)), Fact("E", (1,)), Fact("P", (1, "a"))
+    facts = [d, e, p, Fact("P", (2, "b"))]
+    inst = Instance(_INSTANCE_SCHEMA, facts, [d, p])
+    assert [inst.deterministic_kind(r) for r in ("D", "E", "P")] == \
+        ["all", "none", "some"]
+    free = Instance(_INSTANCE_SCHEMA, facts)
+    assert [free.deterministic_kind(r) for r in ("D", "E", "P")] == \
+        ["none"] * 3
+    # A deterministic fact the instance does not hold decides nothing.
+    other = Instance(_INSTANCE_SCHEMA, [e, p], [d, Fact("P", (9, "z"))])
+    assert [other.deterministic_kind(r) for r in ("D", "E", "P")] == \
+        ["none"] * 3
 
 
 def test_interning_order_is_load_order(two_table):

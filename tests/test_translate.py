@@ -8,10 +8,11 @@ from mvdb import (EnumerationEvaluator, Fact, HardConstraintError,
                   InconsistentConstraintsError, IndexEvaluator,
                   InvalidViewError, Mvdb, answer_query, build_indb,
                   build_index, materialize_view, mln_probability, parse_query,
-                  parse_view, query_probability, substitute)
+                  parse_schema, parse_view, query_probability, substitute)
 from mvdb.cli import _load_project
 from mvdb.core import INF
 from mvdb.gendata import generate_project
+from mvdb.oracle import view_features
 from mvdb.ucq import Const
 
 from helpers import (EX1_SCHEMA, RAND_SCHEMA, example1, random_boolean_query,
@@ -93,6 +94,38 @@ def test_materialize_rejects_negative_and_infinite_weights():
     hard = parse_view("V(x) [exp(9999)] :- R(x), S(x)", EX1_SCHEMA)
     with pytest.raises(HardConstraintError):
         materialize_view(hard, db.possible_instance())
+
+
+_WEIGHT_SCHEMA = parse_schema(
+    "relation C(x:string, n:int) key(x,n) deterministic\n"
+    "relation R(x:string) key(x) probabilistic\n")
+
+
+@pytest.mark.parametrize("weight,message", [
+    ("x", "view V: weight is not a number: 'a'"),
+    ("'w'", "view V: weight is not a number: 'w'"),
+    ("exp(9999) - exp(9999)",
+     "view V: weight nan for ('a',) is outside [0, inf)"),
+    ("0 - n", "view V: weight -1.0 for ('a',) is outside [0, inf)"),
+    ("n", "view V: weight for ('a',) differs across witnessing bindings "
+          "(1.0 vs 2.0)"),
+    ("1 / (n - n)", "view V: cannot evaluate (1 / (n - n)): division by zero"),
+    ("x + 1", "view V: expected a number, got 'a'"),
+    ("exp(x)", "view V: expected a number, got 'a'"),
+])
+def test_view_weight_errors_keep_their_class_and_message(weight, message):
+    # The same error, class and text, from the compiler's pass over the
+    # views and from the oracle's materialization.
+    db = Mvdb(_WEIGHT_SCHEMA,
+              [(Fact("C", ("a", 1)), INF), (Fact("C", ("a", 2)), INF),
+               (Fact("R", ("a",)), 1.0)],
+              [parse_view(f"V(x) [{weight}] :- R(x), C(x, n)",
+                          _WEIGHT_SCHEMA)])
+    for run in (build_indb, view_features):
+        with pytest.raises(InvalidViewError) as caught:
+            run(db)
+        assert type(caught.value) is InvalidViewError
+        assert str(caught.value) == message
 
 
 # -- build_indb ---------------------------------------------------------------

@@ -5,11 +5,12 @@ import random
 
 import pytest
 
-from mvdb import (Atom, Const, Fact, Mvdb, QueryParseError, Ucq, Var,
-                  answer_tuples, find_separator, lineage, parse_query,
-                  parse_view, root_variables, specialize_separator,
-                  substitute)
-from mvdb.ucq import Lineage, iter_matches, variable_relations
+from mvdb import (Atom, Const, ConjunctiveQuery, Fact, Mvdb, MvdbError,
+                  Predicate, QueryParseError, Ucq, Var, answer_tuples,
+                  find_separator, lineage, parse_query, parse_view,
+                  root_variables, specialize_separator, substitute)
+from mvdb.ucq import (BinOp, Func, Lineage, eval_predicate, iter_matches,
+                      variable_relations)
 
 from helpers import (EX1_SCHEMA, RAND_SCHEMA, TWO_TABLE_SCHEMA,
                      evaluate_on_world, example1, random_boolean_query,
@@ -277,3 +278,57 @@ def test_integer_arithmetic_predicates_ground():
     db = Mvdb(schema, facts, [])
     q = parse_query("Q(x, y) :- P(x, y), x + 1 <= y", schema)
     assert answer_tuples(q, db.possible_instance()) == [(1, 3)]
+
+
+# -- grounding: bindings and errors ---------------------------------------------
+
+def test_iter_matches_yields_a_fresh_binding_per_match(two_table):
+    # Every yielded binding stays as it was yielded after later matches,
+    # and the caller's binding is left alone.
+    inst = two_table.possible_instance()
+    cq = parse_query("Q() :- R(x), S(x, y), S(x, z)",
+                     TWO_TABLE_SCHEMA).disjuncts[0]
+    given = {"w": 0}
+    kept = list(iter_matches(cq, inst, given))
+    snapshots = [(dict(bnd), used) for bnd, used in iter_matches(cq, inst,
+                                                                 given)]
+    assert given == {"w": 0}
+    assert len(kept) == 8  # two partners per R fact, paired both ways
+    assert len({id(bnd) for bnd, _ in kept}) == len(kept)
+    assert kept == snapshots
+    for bnd, used in kept:
+        assert bnd["w"] == 0 and set(bnd) == {"w", "x", "y", "z"}
+        assert used == (Fact("R", (bnd["x"],)), Fact("S", (bnd["x"], bnd["y"])),
+                        Fact("S", (bnd["x"], bnd["z"])))
+
+
+@pytest.mark.parametrize("pred,message", [
+    (Predicate("<", Var("x"), Const(1)), "type mismatch comparing 'a1' and 1"),
+    (Predicate(">=", Const(1), Var("x")), "type mismatch comparing 1 and 'a1'"),
+    (Predicate("contains", Var("x"), Const(1)),
+     "contains expects string operands"),
+    (Predicate(">", BinOp("+", Var("x"), Const(1)), Const(2)),
+     "expected a number, got 'a1'"),
+    (Predicate("=", Var("z"), Const(1)), "unbound variable 'z'"),
+    (Predicate("=", BinOp("/", Const(1), Const(0)), Var("x")),
+     "cannot evaluate (1 / 0): division by zero"),
+    (Predicate("~", Var("x"), Const("a")), "unknown comparison '~'"),
+    (Predicate("=", BinOp("%", Const(1), Const(2)), Var("x")),
+     "unknown operator '%'"),
+    (Predicate("=", Func("log", Const(1)), Var("x")),
+     "unknown function 'log'"),
+])
+def test_predicate_errors_keep_their_message(two_table, pred, message):
+    # Grounding raises what `eval_predicate` raises on the same binding.
+    inst = two_table.possible_instance()
+    with pytest.raises(MvdbError) as expected:
+        eval_predicate(pred, {"x": "a1"})
+    assert str(expected.value) == message
+    cq = ConjunctiveQuery((), (Atom("R", (Var("x"),)),), (pred,))
+    for ground in (lambda: list(iter_matches(cq, inst)),
+                   lambda: lineage(Ucq((cq,)), inst),
+                   lambda: answer_tuples(Ucq((cq,)), inst)):
+        with pytest.raises(MvdbError) as caught:
+            ground()
+        assert type(caught.value) is MvdbError
+        assert str(caught.value) == message
