@@ -209,9 +209,10 @@ class Instance:
     Tracks which facts are deterministic (always present in every world of
     the owning database) so lineage computation can drop them from clauses.
     It keeps the facts it was given, each once in first-seen order, and
-    hands out those objects themselves (`facts_of`, `facts_by_value`,
-    `facts_in_range`), each list in the order of the matching rows list.
-    Every index, of rows or of facts, is built on its first use.
+    hands out those objects themselves: per relation (`facts_of`), grouped
+    by their value at a position (`facts_by_value`), or in a range of such
+    values (`facts_in_range`).  A row is a fact's `values`, so only facts
+    are indexed; each index is built on its first use.
     """
 
     def __init__(self, schema: Schema, facts: Iterable[Fact],
@@ -222,15 +223,13 @@ class Instance:
             r.name: [] for r in schema.relations}
         # Facts mostly arrive in runs of one relation: extend by runs.
         for relation, run in groupby(self._facts, itemgetter(0)):
-            self._facts_of[relation].extend(run)
-        self._rows: dict[str, list[tuple]] = {
-            name: list(map(itemgetter(1), facts))
-            for name, facts in self._facts_of.items()}
+            try:
+                self._facts_of[relation].extend(run)
+            except KeyError:
+                raise SchemaError(f"unknown relation {relation!r}") from None
         self.deterministic: frozenset[Fact] = frozenset(deterministic)
-        self._pos_index: dict[tuple[str, int], dict] = {}
+        self._by_value: dict[tuple[str, int], dict] = {}
         self._sorted: dict[tuple[str, int], tuple] = {}
-        self._fact_index: dict[tuple[str, int], dict] = {}
-        self._sorted_facts: dict[tuple[str, int], tuple] = {}
         self._kinds: dict[str, str] = {}
         self._det_relations: set | None = None
 
@@ -244,14 +243,8 @@ class Instance:
     def facts(self) -> frozenset:
         return frozenset(self._facts)
 
-    def rows_of(self, relation: str) -> list[tuple]:
-        try:
-            return self._rows[relation]
-        except KeyError:
-            raise SchemaError(f"unknown relation {relation!r}") from None
-
     def facts_of(self, relation: str) -> list[Fact]:
-        """The facts of *relation*, in the order of `rows_of`."""
+        """The facts of *relation*, in first-seen order."""
         try:
             return self._facts_of[relation]
         except KeyError:
@@ -274,64 +267,36 @@ class Instance:
             self._kinds[relation] = kind
         return kind
 
-    def rows_with_value(self, relation: str, pos: int, value) -> list[tuple]:
-        """Rows of *relation* whose attribute at *pos* equals *value*."""
-        key = (relation, pos)
-        idx = self._pos_index.get(key)
-        if idx is None:
-            idx = {}
-            for row in self.rows_of(relation):
-                idx.setdefault(row[pos], []).append(row)
-            self._pos_index[key] = idx
-        return idx.get(value, [])
-
     def facts_by_value(self, relation: str, pos: int) -> dict:
-        """The facts of *relation* grouped by their value at *pos*: for each
-        value, the facts of `rows_with_value`, in its order."""
+        """The facts of *relation* grouped by their value at *pos*: value ->
+        its facts, each group in the order of `facts_of`."""
         key = (relation, pos)
-        idx = self._fact_index.get(key)
+        idx = self._by_value.get(key)
         if idx is None:
             idx = {}
             for fact in self.facts_of(relation):
                 idx.setdefault(fact[1][pos], []).append(fact)
-            self._fact_index[key] = idx
+            self._by_value[key] = idx
         return idx
-
-    def rows_in_range(self, relation: str, pos: int, lo, lo_open: bool,
-                      hi, hi_open: bool) -> list[tuple]:
-        """Rows of *relation* whose attribute at *pos* lies between *lo* and
-        *hi*, each bound excluded when its flag is set and ignored when
-        None.  The bounds must compare with the column's values."""
-        rows, column = self._sorted_by(relation, pos)
-        return rows[_bounds(column, lo, lo_open, hi, hi_open)]
 
     def facts_in_range(self, relation: str, pos: int, lo, lo_open: bool,
                        hi, hi_open: bool) -> list[Fact]:
-        """The facts of `rows_in_range`, in its order."""
-        key = (relation, pos)
-        found = self._sorted_facts.get(key)
-        if found is None:
-            found = self._sorted_facts[key] = (
-                sorted(self.facts_of(relation), key=lambda f: f[1][pos]),
-                self._sorted_by(relation, pos)[1])
-        facts, column = found
-        return facts[_bounds(column, lo, lo_open, hi, hi_open)]
-
-    def _sorted_by(self, relation: str, pos: int) -> tuple[list, list]:
-        """The rows of *relation* sorted by position *pos*, and the column
-        of their values there."""
+        """The facts of *relation* whose value at *pos* lies between *lo*
+        and *hi*, each bound excluded when its flag is set and ignored when
+        None, in the order of a stable sort of `facts_of` by that value.
+        The bounds must compare with the column's values."""
         key = (relation, pos)
         found = self._sorted.get(key)
         if found is None:
-            rows = sorted(self.rows_of(relation), key=itemgetter(pos))
-            found = self._sorted[key] = rows, list(map(itemgetter(pos),
-                                                       rows))
-        return found
+            facts = sorted(self.facts_of(relation), key=lambda f: f[1][pos])
+            found = self._sorted[key] = facts, [f[1][pos] for f in facts]
+        facts, column = found
+        return facts[_bounds(column, lo, lo_open, hi, hi_open)]
 
 
 def _bounds(column: list, lo, lo_open: bool, hi, hi_open: bool) -> slice:
     """The slice of the sorted *column* that holds the values between *lo*
-    and *hi* (`Instance.rows_in_range`)."""
+    and *hi*, each bound as `Instance.facts_in_range` reads it."""
     start = 0 if lo is None else (bisect_right if lo_open else
                                   bisect_left)(column, lo)
     stop = len(column) if hi is None else (bisect_left if hi_open else

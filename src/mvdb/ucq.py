@@ -9,24 +9,26 @@ constants are quoted strings or integer literals.  Parsed queries and
 lineages are immutable values and safe to share across threads.
 
 Grounding runs each conjunctive query through one join engine: a join
-plan (`join_plan`) computed once per call, so a query costs the rows its
-atoms probe, not a rescoring of every remaining atom at every step, and
-leaves no reference cycles for the garbage collector.  An atom probes the
-positional index on a constant or bound position; an atom with neither
+plan (`join_plan`) computed once per call, so a query costs the facts its
+atoms read, not a rescoring of every remaining atom at every step, and
+leaves no reference cycles for the garbage collector.  The plan reads each
+atom's candidate facts off the instance's one fact index once: those with
+a constant at a position (`Instance.facts_by_value`), in a window
+(`Instance.facts_in_range`), or all of them; an atom on a variable bound
+earlier looks its value up per partial match.  An atom with neither
 probes one of its own variables that a predicate compares with a constant
 of the column's declared type (an int for an int column, a str for a
-string one): `=` through the positional index, `<`, `<=`, `>`, `>=` by
-bisecting a sorted column, so a window query reads only the rows in its
-window.
+string one): `=` by value, `<`, `<=`, `>`, `>=` by bisecting the sorted
+facts, so a window query reads only the facts in its window.
 
 The plan runs over binding *slots*: a partial match is one tuple holding
-the rows it has joined (and, when asked, their facts), each variable at a
-slot the plan fixes, and the plan's predicates are compiled once into
-closures over such tuples (`compile_expr`).  A match
-yields the instance's own fact objects (`Instance.facts_of`).  `lineage`,
-`answer_tuples` and the views' materialization
-(`translate.materialize_view`, which also grounds W) read the slots
-directly; `iter_matches` turns each match into a binding dict.
+the row (`Fact.values`) of each atom it has joined and, when asked, its
+fact, each variable at a slot the plan fixes, and the plan's predicates
+are compiled once into closures over such tuples (`compile_expr`).  A
+match yields the instance's own fact objects.  `lineage`, `answer_tuples`
+and the views' materialization (`translate.materialize_view`, which also
+grounds W) read the slots directly; `iter_matches` turns each match into
+a binding dict.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import partial
+from itertools import filterfalse
 from operator import add, ge, gt, itemgetter, le, lt, mul, sub, truediv
 from typing import Callable, NamedTuple, Optional
 
@@ -628,36 +631,31 @@ def parse_view(text: str, schema: Schema) -> MarkoView:
 NO_FACTS = 0  # none
 ALL_FACTS = 1  # every atom's fact
 VARIABLE_FACTS = 2  # the non-deterministic ones: a clause of the lineage
-# A step's `_Step.fact` under VARIABLE_FACTS, by the kind of its relation
-# (`Instance.deterministic_kind`).
-_FACT_KIND = {"none": 1, "some": 2, "all": 0}
 
 
 class _Step(NamedTuple):
     """One atom of a join plan, resolved against the slots filled before it
     runs.  Every position holds a constant or a variable bound earlier
-    (*probe* and *checked*; *want* reads what the checked positions must
-    hold off the slots), or a variable the atom binds (its first
-    occurrence, any later one in *repeated*).  An atom with no such
-    position may still probe one of its own variables: an `=` on it reads
-    the positional index, bounds on it a sorted column (*window*).  A row
-    that passes extends the slot tuple by the whole row if the atom *binds*
-    a variable (the variable's slot is its first position's), then by its
-    fact unless *fact* is 0: with 2, a deterministic fact is kept as
-    None."""
+    (the first such position is the probe, the others are *checked*; *want*
+    reads what they must hold off the slots), or a variable the atom binds
+    (its first occurrence, any later one in *repeated*).  The plan fixes
+    the candidate *facts* for a scan, a constant probe, or a probe of one
+    of the atom's own variables (an `=` on a constant or a window); on a
+    bound variable, *facts* is its position's `Instance.facts_by_value`,
+    read at *probe_slot* per slot tuple.  A fact that passes extends the
+    slot tuple by its whole row if the atom *binds* a variable (the
+    variable's slot is its first position's), then by the fact itself if
+    the step *keeps* it."""
 
     relation: str
-    probe: int  # position looked up in the positional index; -1: scan
-    probe_slot: int  # the slot of the bound variable at *probe*, else -1
-    probe_value: object  # the constant at *probe*, if a constant is there
-    window: Optional[tuple]  # (lo, lo_open, hi, hi_open) on *probe*
+    facts: object  # the candidate facts, or a dict of them by value
+    probe_slot: int  # the slot of the bound variable probed, else -1
     checked: Optional[itemgetter]  # the other such positions of a row
     want: Optional[itemgetter]  # the slots those positions must equal
     repeated: Optional[itemgetter]  # later occurrences of new variables
     first_of: Optional[itemgetter]  # the first occurrence of each
     binds: bool  # whether the atom binds a variable
-    fact: int  # 0: none; 1: the row's fact; 2: it, None if deterministic
-    facts_by_value: Optional[dict]  # `Instance.facts_by_value` of *probe*
+    keeps: bool  # whether the slot tuple keeps the fact
     test: Optional[Callable]  # the predicates ready here, compiled
 
 
@@ -701,8 +699,8 @@ def _probe_preds(atom: Atom, positions: dict, comparisons: dict,
     """(position, op, value, predicate) of each of *comparisons* on a
     variable *atom* binds (*positions*: name -> first position) whose
     constant has that column's declared type.  The type is exact (int or
-    str, never bool or float), so a sorted column or the positional index
-    answers the comparison as `eval_predicate` would."""
+    str, never bool or float), so the instance's facts sorted or grouped by
+    that position answer the comparison as `eval_predicate` would."""
     out = []
     attributes = None
     for name, pos in positions.items():
@@ -752,25 +750,24 @@ def _score(atom: Atom, bound, comparisons: dict, schema: Schema) -> int:
 
 
 class JoinPlan(NamedTuple):
-    """A conjunctive query's join plan over one instance (`join_plan`).
+    """A conjunctive query's join plan over one instance (`join_plan`),
+    which holds the facts its steps read.
 
     A binding is a tuple of slots: the given binding's values, then, step
     by step, the step's row if it binds a variable (a variable's slot is
-    its first position's) and, unless the plan keeps no facts, the step's
-    fact."""
+    its first position's) and, if the step keeps it, the step's fact."""
 
-    instance: Instance
     start: tuple  # the slots before the first step
     first: Optional[Callable]  # the predicates to test before any atom
     steps: tuple  # the `_Step` of each atom, in join order
     slots: dict  # variable name -> slot: the binding's, then in join order
-    facts: Callable  # the kept facts of a slot tuple, in join order
+    facts: Callable  # the facts of a match, in join order (`join_plan`)
 
     def run(self, emit) -> None:
         """Call *emit* with the slot tuple of every match, in plan order:
-        depth first, each step's rows in the order the instance lists
-        them."""
-        instance, start, first, steps = self[:4]
+        depth first, each step's facts in the order the instance hands
+        them out."""
+        start, first, steps = self[:3]
         if first is not None and not first(start):
             return
         if not steps:
@@ -778,8 +775,8 @@ class JoinPlan(NamedTuple):
             return
         nxt = emit
         for step in steps[:0:-1]:
-            nxt = partial(_extend, step, instance, nxt)
-        _extend(steps[0], instance, nxt, start)
+            nxt = partial(_extend, step, nxt)
+        _extend(steps[0], nxt, start)
 
     def matches(self) -> list:
         """The slot tuple of every match, in plan order."""
@@ -801,49 +798,27 @@ def _tuple_getter(positions):
     return itemgetter(*positions) if positions else lambda t: ()
 
 
-def _extend(step: _Step, instance: Instance, nxt, t: tuple) -> None:
-    """Extend the slot tuple *t* by each row of *step* that matches it, and
-    call *nxt* with each extension.  A plain function, so a join leaves no
-    reference cycle behind for the collector."""
-    (relation, probe, probe_slot, value, window, checked, want, repeated,
-     first_of, binds, fact, facts_by_value, test) = step
-    if probe < 0:
-        rows = instance.rows_of(relation)
-    elif window is not None:
-        rows = instance.rows_in_range(relation, probe, *window)
-    else:
-        if probe_slot >= 0:  # a bound variable, else the step's constant
-            value = t[probe_slot]
-        rows = instance.rows_with_value(relation, probe, value)
-    if not rows:
-        return
+def _extend(step: _Step, nxt, t: tuple) -> None:
+    """Extend the slot tuple *t* by each fact of *step* that matches it,
+    and call *nxt* with each extension.  A plain function, so a join leaves
+    no reference cycle behind for the collector."""
+    (_, facts, probe_slot, checked, want, repeated, first_of, binds, keeps,
+     test) = step
+    if probe_slot >= 0:
+        facts = facts.get(t[probe_slot])
+        if facts is None:
+            return
     if checked is not None:
         wanted = want(t)
-    if not fact:
-        for row in rows:
-            if checked is not None and checked(row) != wanted:
-                continue
-            if repeated is not None and repeated(row) != first_of(row):
-                continue
-            u = t + row if binds else t
-            if test is None or test(u):
-                nxt(u)
-        return
-    if probe < 0:
-        facts = instance.facts_of(relation)
-    elif window is not None:
-        facts = instance.facts_in_range(relation, probe, *window)
-    else:
-        facts = facts_by_value[value]
-    if fact == 2:
-        deterministic = instance.deterministic
-        facts = [None if f in deterministic else f for f in facts]
-    for row, f in zip(rows, facts):
+    for f in facts:
+        row = f[1]
         if checked is not None and checked(row) != wanted:
             continue
         if repeated is not None and repeated(row) != first_of(row):
             continue
-        u = (t + row if binds else t) + (f,)
+        u = t + row if binds else t
+        if keeps:
+            u += (f,)
         if test is None or test(u):
             nxt(u)
 
@@ -854,19 +829,24 @@ def join_plan(cq: ConjunctiveQuery, instance: Instance,
     """Join plan of *cq* over *instance*: the predicates to test before any
     atom, then the steps, over slot tuples (`JoinPlan`).
 
-    Atoms go most constrained first (`_score`), then fewest rows, then
+    Atoms go most constrained first (`_score`), then fewest facts, then
     query order.  Which variables are bound depends only on the atoms
-    already placed, so the order is fixed before any row is read.  A
+    already placed, so the order is fixed before the join runs.  A
     predicate runs at the first step that binds all its variables, unless
     that step's probe answers it (`_probe_preds`); one whose variables no
     atom binds runs at the end, where its compiled form rejects it as
     `eval_expr` does.  A comparison on a variable an atom binds is still
     pending at that atom's step.  The predicates of a step are compiled
-    once, into one test of the slot tuple the step extends.  Variables in
-    *binding* count as bound, and its values fill the first slots.
-    *facts* says which facts each match keeps: `NO_FACTS`, `ALL_FACTS`, or
-    `VARIABLE_FACTS`, the non-deterministic ones, decided per relation from
-    its facts (`Instance.deterministic_kind`)."""
+    once, into one test of the slot tuple the step extends.  Each step's
+    candidate facts are read from the instance while the plan is made, or,
+    on a bound variable, the dict they are looked up in (`_Step`); so an
+    unknown relation raises `SchemaError` here.  Variables in *binding*
+    count as bound, and its values fill the first slots.  *facts* says
+    which facts each match keeps: `NO_FACTS`, `ALL_FACTS`, or
+    `VARIABLE_FACTS`, the non-deterministic ones.  Under `VARIABLE_FACTS`
+    a relation's facts are kept unless all are deterministic
+    (`Instance.deterministic_kind`); where a relation holds both kinds,
+    `JoinPlan.facts` drops the deterministic ones from a match."""
     schema = instance.schema
     if binding:
         bound = set(binding)
@@ -884,7 +864,7 @@ def join_plan(cq: ConjunctiveQuery, instance: Instance,
         best_i, best_score = 0, (-1, 0)  # a lone atom needs no scoring
         for i, a in enumerate(atoms if len(atoms) > 1 else ()):
             score = (_score(a, bound, comparisons, schema),
-                     -len(instance.rows_of(a.relation)))
+                     -len(instance.facts_of(a.relation)))
             if score > best_score:
                 best_i, best_score = i, score
         atom = atoms.pop(best_i)
@@ -916,31 +896,39 @@ def join_plan(cq: ConjunctiveQuery, instance: Instance,
             for name, i in new.items():
                 slots[name] = width + i
             width += len(atom.terms)
-        fact = facts
-        if facts == VARIABLE_FACTS:
-            fact = (_FACT_KIND[instance.deterministic_kind(atom.relation)]
-                    if instance.deterministic else 1)
-        if fact:
+        keeps = facts != NO_FACTS
+        if facts == VARIABLE_FACTS and instance.deterministic:
+            kind = instance.deterministic_kind(atom.relation)
+            keeps = kind != "all"
+            some = some or kind == "some"
+        if keeps:
             fact_slots.append(width)
             width += 1
-            if fact == 2:
-                some = True
+        relation = atom.relation
+        if window is not None:
+            candidates = instance.facts_in_range(relation, probe, *window)
+        elif probe < 0:
+            candidates = instance.facts_of(relation)
+        else:
+            candidates = instance.facts_by_value(relation, probe)
+            if probe_slot < 0:  # a constant: its facts, fixed here
+                candidates = candidates.get(value, ())
         # A NamedTuple's own constructor is a Python call: build the tuple.
         steps.append(tuple.__new__(_Step, (
-            atom.relation, probe, probe_slot, value, window,
+            relation, candidates, probe_slot,
             itemgetter(*checks) if checks else None,
             _want(want, slots) if want else None,
             itemgetter(*repeats) if repeats else None,
             itemgetter(*repeats.values()) if repeats else None,
-            True if new else False, fact,
-            instance.facts_by_value(atom.relation, probe)
-            if fact and probe >= 0 and window is None else None,
+            True if new else False, keeps,
             _all_of(ready, slots) if ready else None)))
     read = _tuple_getter(fact_slots)
-    return JoinPlan(instance, start, _first_test(first, binding),
-                    tuple(steps), slots,
-                    (lambda t: tuple(filter(None, read(t)))) if some
-                    else read)
+    if some:  # drop the deterministic facts of a match
+        det = instance.deterministic.__contains__
+        return JoinPlan(start, _first_test(first, binding), tuple(steps),
+                        slots, lambda t: tuple(filterfalse(det, read(t))))
+    return JoinPlan(start, _first_test(first, binding), tuple(steps), slots,
+                    read)
 
 
 def _first_test(preds: tuple, binding: Optional[dict]):
@@ -976,17 +964,18 @@ def iter_matches(cq: ConjunctiveQuery, instance: Instance,
     *binding*'s variables and then those the atoms bind in join order, and
     the instance's own fact objects as a tuple in join order.  The join
     plan (`join_plan`) is computed once per call and run over slot tuples;
-    atoms go most constrained first, each probes the positional index on
-    its first constant or bound position, and each predicate, compiled
-    once, is tested as soon as its variables are bound.  An atom with no
-    such position probes instead a variable it binds that a predicate
-    compares with a constant of the column's exact declared type (int or
-    str; never bool or float): the positional index for `=`, a bisected
-    sorted column for a bound or a window, and the predicates the probe
-    answers are not tested again.  Every other predicate, a mistyped one
-    included, is tested on each row, so it raises as `eval_predicate`
-    does.  Variables already in *binding* count as bound.  The join runs
-    to its end before the first match is yielded.
+    atoms go most constrained first, each reads the facts the instance
+    groups by value at its first constant or bound position, and each
+    predicate, compiled once, is tested as soon as its variables are
+    bound.  An atom with no such position probes instead a variable it
+    binds that a predicate compares with a constant of the column's exact
+    declared type (int or str; never bool or float): the facts grouped by
+    value for `=`, the position's bisected sorted facts for a bound or a
+    window, and the predicates the probe answers are not tested again.
+    Every other predicate, a mistyped one included, is tested on each
+    candidate, so it raises as `eval_predicate` does.  Variables already
+    in *binding* count as bound.  The join runs to its end before the
+    first match is yielded.
     Every grounding (query lineage, answers, view materialization, which
     also grounds W, and per-world evaluation) runs the same join plans.
     """

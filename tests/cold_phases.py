@@ -40,7 +40,11 @@ batches of 50): ``lineage_us`` of the Boolean form of each case's query
 (on the chain, also of windows of length 1 and 16, ``lineage_w1_us`` and
 ``lineage_w16_us``) over an evaluator's instance that has answered it
 before, and on dblp ``answer_query_us``, one `translate.answer_query`,
-which builds the Indb's possible instance each time.
+which builds the Indb's possible instance each time.  ``first_lineage_us``
+is the first `ucq.lineage` of the case's Boolean query (that of
+``lineage_us``) over a fresh `possible_instance` of the Indb, so it
+includes building the indexes the query reads; it is timed one call at a
+time, the instance built before the clock starts.
 
 It also prints each ``.mvx`` file's size per ordered tuple
 (``mvx_bytes_per_tuple``) and its sha256, and the loaded index's
@@ -103,11 +107,15 @@ def _import_mvdb(root: Path, name: str):
 
 
 def _time(fn) -> float:
-    """Seconds of one call of *fn*, the cyclic collector paused."""
+    """Seconds of one call of *fn*, the cyclic collector paused.  A *fn*
+    with a ``setup`` is called with what ``setup()`` returns, made before
+    the clock starts."""
+    setup = getattr(fn, "setup", None)
+    args = () if setup is None else (setup(),)
     gc.disable()
     try:
         t0 = time.perf_counter()
-        fn()
+        fn(*args)
         return time.perf_counter() - t0
     finally:
         gc.enable()
@@ -120,6 +128,16 @@ def _warm(fn):
             fn()
     batch.scale = 1e6 / _WARM_BATCH
     return batch
+
+
+def _first_lineage(ucq, q, fresh):
+    """`ucq.lineage` of *q* over a new ``fresh()`` instance per call, timed
+    in microseconds without building the instance."""
+    def first(instance):
+        ucq.lineage(q, instance)
+    first.setup = fresh
+    first.scale = 1e6
+    return first
 
 
 def _compile_phases(pkg, project: Path) -> tuple[dict, dict]:
@@ -215,6 +233,9 @@ def _query_phases(pkg, project: Path, query: str,
         else:
             timed[name] = _warm(
                 lambda q=q: translate.answer_query(q, tr, ev))
+    timed["first_lineage_us"] = _first_lineage(
+        ucq, ucq.parse_query(warm[0][1], db.schema),
+        tr.indb.possible_instance)
     values = {
         "mvx_bytes_per_tuple": len(blob) / len(index.order),
         "mvx_sha256": hashlib.sha256(blob).hexdigest(),
@@ -230,7 +251,7 @@ def _cases(pkg, tmp: Path):
     """``(case, project, query, warm calls)`` of each case, the projects
     written under *tmp* and compiled by *pkg*.  A warm call is ``(phase,
     query)``: `ucq.lineage` of a Boolean query, else
-    `translate.answer_query`."""
+    `translate.answer_query`; the first is the case's Boolean query."""
     import chaingen
     dblp = pkg.gendata.generate_project(tmp / "dblp", seed=1, scale=2000)
     chain = tmp / "chain"

@@ -103,7 +103,8 @@ def dump(out=sys.stdout):
         db = _load_project(str(generate_project(tmp, seed=1, scale=2000)))
     tr = build_indb(db)
     rng = random.Random(2000)
-    rows = rng.sample(sorted(db.possible_instance().rows_of("Advisor")), 40)
+    rows = rng.sample(sorted(f.values for f in
+                             db.possible_instance().facts_of("Advisor")), 40)
     texts = [f"Q() :- Advisor({s}, {a})" for s, a in rows]
     texts.append("Q() :- Advisor(1, a), Advisor(2000, b)")
     _translation("dblp", tr, out)

@@ -79,8 +79,8 @@ relation E(x:int) key(x) probabilistic
 
 def test_instance_hands_out_its_own_facts_in_row_order():
     # Facts arrive interleaved across relations and with repeats: each is
-    # kept once, at its first occurrence, and every list of facts is the
-    # list of rows it goes with, fact for row.
+    # kept once, at its first occurrence.  The indexes over these facts
+    # are checked in `test_grounding.test_one_fact_index_per_instance`.
     given = [Fact("P", (2, "b")), Fact("D", ("d",)), Fact("P", (1, "a")),
              Fact("P", (2, "a")), Fact("D", ("e",)), Fact("P", (1, "b")),
              Fact("P", (3, "c"))]
@@ -91,23 +91,16 @@ def test_instance_hands_out_its_own_facts_in_row_order():
         facts = inst.facts_of(rel)
         assert [f for f in given if f.relation == rel] == facts
         assert all(any(f is g for g in given) for f in facts)
-        assert [f.values for f in facts] == inst.rows_of(rel)
-    for pos, values in ((0, (1, 2, 3, 4)), (1, ("a", "b", "c", "z"))):
-        by_value = inst.facts_by_value("P", pos)
-        for v in values:
-            rows = inst.rows_with_value("P", pos, v)
-            assert [f.values for f in by_value.get(v, [])] == rows
-        for bounds in ((None, None), (1, 2), (2, None), (None, 2)):
-            lo, hi = (b if pos == 0 or b is None else "abc"[b - 1]
-                      for b in bounds)
-            for lo_open, hi_open in ((False, False), (True, True),
-                                     (False, True)):
-                window = (lo, lo_open, hi, hi_open)
-                rows = inst.rows_in_range("P", pos, *window)
-                assert [f.values for f in inst.facts_in_range(
-                    "P", pos, *window)] == rows
     with pytest.raises(SchemaError, match="'Q'"):
         inst.facts_of("Q")
+
+
+def test_instance_rejects_a_fact_of_an_unknown_relation():
+    schema = parse_schema("relation R(x:int) key(x) probabilistic")
+    with pytest.raises(SchemaError, match="^unknown relation 'Nope'$"):
+        Instance(schema, [Fact("Nope", (1,))])
+    with pytest.raises(SchemaError, match="^unknown relation 'Nope'$"):
+        Instance(schema, [Fact("R", (1,)), Fact("Nope", (1,))])
 
 
 def test_deterministic_kind_is_decided_per_relation():

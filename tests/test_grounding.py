@@ -1,6 +1,7 @@
 """Grounding through the join plan: `ucq.iter_matches` against a brute-force
-product over the atoms' rows, the rows a window query reads, and a check
-that grounding leaves no reference cycles for the collector."""
+product over the atoms' rows, the instance's fact index against its
+facts, the facts a query reads, and a check that grounding leaves no
+reference cycles for the collector."""
 
 import gc
 import itertools
@@ -16,7 +17,8 @@ from mvdb import (Atom, Const, ConjunctiveQuery, Fact, IndexEvaluator,
                   parse_schema)
 from mvdb.cli import _load_project
 from mvdb.gendata import generate_project
-from mvdb.ucq import BinOp, eval_predicate, iter_matches
+from mvdb.ucq import (VARIABLE_FACTS, BinOp, eval_predicate, iter_matches,
+                      join_plan)
 
 from helpers import chain_mvdb
 
@@ -108,8 +110,9 @@ def brute_force(cq, instance, binding):
     whether a comparison raises depends only on its operands' types, so
     every order of evaluation meets it there."""
     out = Counter()
-    for rows in itertools.product(*(instance.rows_of(a.relation)
-                                    for a in cq.atoms)):
+    for rows in itertools.product(*([f.values for f in
+                                      instance.facts_of(a.relation)]
+                                     for a in cq.atoms)):
         bnd = dict(binding)
         ok = True
         for atom, row in zip(cq.atoms, rows):
@@ -184,28 +187,80 @@ def test_predicate_error_propagates(instance, query):
             pass  # pruned differently, but the error stays typed
 
 
-class _Rows(list):
-    """A row list that counts, across lists, the rows read from it."""
+# Bounds a range is drawn with: the column's values and one past each end.
+BOUNDS = {int: (-1, *VALUES, 4), str: ("", *STRINGS, "e")}
+
+
+def _inside(v, lo, lo_open, hi, hi_open):
+    return ((lo is None or (v > lo if lo_open else v >= lo))
+            and (hi is None or (v < hi if hi_open else v <= hi)))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(instances(), st.data())
+def test_one_fact_index_per_instance(instance, data):
+    # Each access path hands out the instance's own facts: grouped by a
+    # position's value in the order of `facts_of`, or in a range of them
+    # in the order of a stable sort of `facts_of` by that position.
+    own = set(map(id, instance.facts))
+    for rel, columns in COLUMN.items():
+        facts = instance.facts_of(rel)
+        assert set(map(id, facts)) <= own
+        for pos, column in enumerate(columns):
+            by_value = instance.facts_by_value(rel, pos)
+            assert list(by_value) == list(dict.fromkeys(
+                f.values[pos] for f in facts))
+            for value, group in by_value.items():
+                want = [f for f in facts if f.values[pos] == value]
+                assert len(group) == len(want)
+                assert all(g is f for g, f in zip(group, want))
+            ranked = sorted(facts, key=lambda f: f.values[pos])
+            bound = st.one_of(st.none(), st.sampled_from(
+                BOUNDS[type(column[0])]))
+            for _ in range(3):
+                window = (data.draw(bound), data.draw(st.booleans()),
+                          data.draw(bound), data.draw(st.booleans()))
+                got = instance.facts_in_range(rel, pos, *window)
+                want = [f for f in ranked if _inside(f.values[pos], *window)]
+                assert len(got) == len(want)
+                assert all(g is f for g, f in zip(got, want))
+    for call in (lambda: instance.facts_of("Q"),
+                 lambda: instance.facts_by_value("Q", 0),
+                 lambda: instance.facts_in_range("Q", 0, None, False, None,
+                                                 False)):
+        with pytest.raises(SchemaError, match="'Q'"):
+            call()
+
+
+class _Facts(list):
+    """A fact list that counts, across lists, the facts read from it."""
 
     read = 0
 
     def __iter__(self):
-        _Rows.read += len(self)
+        _Facts.read += len(self)
         return super().__iter__()
 
 
 class _CountingInstance(Instance):
-    """Hands out its rows as `_Rows`."""
+    """Hands out its facts as `_Facts`, and counts the calls of
+    `facts_by_value` per (relation, position) in *consulted*."""
 
-    def rows_of(self, relation):
-        return _Rows(super().rows_of(relation))
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.consulted = Counter()
 
-    def rows_with_value(self, relation, pos, value):
-        return _Rows(super().rows_with_value(relation, pos, value))
+    def facts_of(self, relation):
+        return _Facts(super().facts_of(relation))
 
-    def rows_in_range(self, relation, pos, lo, lo_open, hi, hi_open):
-        return _Rows(super().rows_in_range(relation, pos, lo, lo_open, hi,
-                                           hi_open))
+    def facts_by_value(self, relation, pos):
+        self.consulted[relation, pos] += 1
+        return {value: _Facts(group) for value, group
+                in super().facts_by_value(relation, pos).items()}
+
+    def facts_in_range(self, relation, pos, lo, lo_open, hi, hi_open):
+        return _Facts(super().facts_in_range(relation, pos, lo, lo_open, hi,
+                                             hi_open))
 
 
 @pytest.mark.parametrize("window", ["'k0020' <= x, x < 'k0021'",
@@ -219,10 +274,26 @@ def test_window_reads_the_same_rows_at_every_chain_length(window):
         instance = _CountingInstance(db.schema, db.weights)
         q = parse_query(f"Q() :- R(x), S(x, y), T(y), {window}", db.schema)
         lineage(q, instance)  # the first query builds the columns it reads
-        _Rows.read = 0
+        _Facts.read = 0
         assert len(lineage(q, instance).clauses) == 2
-        read.append(_Rows.read)
+        read.append(_Facts.read)
     assert read[0] == read[1] == 5  # 1 row in the window, 2 joined, 2 more
+
+
+def test_constant_probe_after_a_join_reads_its_index_once_per_plan():
+    # T(0, 1, z) binds z to four rows before S(2) runs: S's candidates are
+    # fixed when the plan is made, not looked up again per row of T.
+    rows = [Fact("T", (0, 1, z)) for z in VALUES]
+    facts = rows + [Fact("S", (2,)), Fact("S", (3,)), Fact("R", (0, 1))]
+    instance = _CountingInstance(SCHEMA, facts, rows)
+    q = parse_query("Q() :- S(2), T(0, 1, z)", SCHEMA)
+    plan = join_plan(q.disjuncts[0], instance, None, VARIABLE_FACTS)
+    assert [step.relation for step in plan.steps] == ["T", "S"]
+    assert len(plan.matches()) == 4
+    for _ in range(2):
+        instance.consulted.clear()
+        assert lineage(q, instance).clauses == (frozenset({facts[4]}),)
+        assert instance.consulted == Counter({("T", 0): 1, ("S", 0): 1})
 
 
 def test_missing_relation_raises_schema_error():
@@ -232,10 +303,15 @@ def test_missing_relation_raises_schema_error():
     with pytest.raises(SchemaError, match="'NV'"):
         lineage(parse_query("Q() :- NV('k0001', 'k0001')", tr.indb.schema),
                 instance)
+    # The plan reads every atom's facts when it is made, so a false ground
+    # predicate does not hide the unknown relation.
     with pytest.raises(SchemaError, match="'NV'"):
-        instance.rows_with_value("NV", 0, "k0001")
+        lineage(parse_query("Q() :- NV(x, y), 1 = 2", tr.indb.schema),
+                instance)
     with pytest.raises(SchemaError, match="'NV'"):
-        instance.rows_in_range("NV", 0, "k0001", False, None, False)
+        instance.facts_by_value("NV", 0)
+    with pytest.raises(SchemaError, match="'NV'"):
+        instance.facts_in_range("NV", 0, "k0001", False, None, False)
 
 
 def test_grounding_leaves_no_cyclic_garbage(tmp_path):
@@ -243,7 +319,7 @@ def test_grounding_leaves_no_cyclic_garbage(tmp_path):
     db = _load_project(str(project))
     tr = build_indb(db)
     ev = IndexEvaluator(build_index(tr), db.possible_instance())
-    s, a = ev.instance.rows_of("Advisor")[0]
+    s, a = ev.instance.facts_of("Advisor")[0].values
     point = parse_query(f"Q() :- Advisor({s}, {a})", db.schema)
     answers = parse_query(f"Q(s) :- Advisor(s, {a}), Student(s, y)",
                           db.schema)

@@ -429,7 +429,7 @@ def dblp_60(tmp_path_factory):
 
 def test_query_path_never_compares_orders(dblp_60, monkeypatch):
     db, _, ev = dblp_60
-    s, a = ev.instance.rows_of("Advisor")[0]
+    s, a = ev.instance.facts_of("Advisor")[0].values
     point = parse_query(f"Q() :- Advisor({s}, {a})", db.schema)
     answers = parse_query(f"Q(s) :- Advisor(s, {a}), Student(s, y)",
                           db.schema)
@@ -1141,7 +1141,7 @@ def _query_obdd(text, schema, instance, idx):
 def test_sweep_matches_memo_on_dblp(dblp_60):
     db, _, ev = dblp_60
     texts = [f"Q() :- Advisor({s}, {a})"
-             for s, a in ev.instance.rows_of("Advisor")]
+             for _, (s, a) in ev.instance.facts_of("Advisor")]
     texts += ["Q() :- Advisor(s, a)", "Q() :- Advisor(s, a), Student(s, y)"]
     for text in texts:
         _assert_sweep_matches_memo(
