@@ -11,8 +11,9 @@ from .core import (INF, Attribute, DataError, DegenerateWeightError, Domain,
                    Fact, HardConstraintError, InconsistentConstraintsError,
                    Indb, IndexFormatError, Instance, InvalidViewError, Mvdb,
                    MvdbError, OrderMismatchError, QueryParseError, Relation,
-                   Schema, SchemaError, World, WorldCapError, load_data,
-                   load_schema, parse_schema, weight_to_probability)
+                   Schema, SchemaError, UnrepresentableError, World,
+                   WorldCapError, load_data, load_schema, parse_schema,
+                   weight_to_probability)
 from .ucq import (Atom, ConjunctiveQuery, Const, Lineage, MarkoView,
                   Predicate, Separator, Ucq, Var, answer_tuples,
                   find_separator, lineage, parse_query, parse_view,

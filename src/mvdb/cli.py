@@ -122,11 +122,10 @@ def cmd_compile(args, out) -> int:
         print(f"constituents\t{count}", file=out)
         print(f"shapes\t{shapes}", file=out)
         print(f"total\t{total}", file=out)
-        print(f"p0_w\t{index.p0_w!r}", file=out)
+        _print_p0(index, ("p0_w",), out)
     else:
         print(f"{count} constituents in {shapes} shapes, total size {total}, "
-              f"P0(W) = {index.p0_w!r}, "
-              f"log10 P0(not W) = {index.log10_p0_not_w!r}", file=out)
+              f"{_p0_text(index)}", file=out)
         print(f"wrote {path} in {elapsed * 1e3:.1f} ms", file=out)
     return EXIT_OK
 
@@ -190,6 +189,31 @@ def cmd_oracle(args, out) -> int:
     return EXIT_OK
 
 
+def _p0_text(index) -> str:
+    """P0(W) and P0(not W) where P0(not W) is a float, then log10 |P0(not
+    W)| unless a block is a zero block: for a negative P0(not W), as the
+    logarithm of -P0(not W)."""
+    parts = []
+    if index.p0_not_w is not None:
+        parts.append(f"P0(W) = {index.p0_w!r}, "
+                     f"P0(not W) = {index.p0_not_w!r}")
+    if not index.zero_block:
+        sign = "-" if index.sign_p0_not_w < 0 else ""
+        parts.append(f"log10 {sign}P0(not W) = {index.log10_p0_not_w!r}")
+    return ", ".join(parts)
+
+
+def _print_p0(index, names, out):
+    """One TSV line for each of the index's attributes *names*; where P0(not
+    W) overflows, its sign and log10 |P0(not W)| in their place."""
+    if index.p0_not_w is None:
+        print(f"sign_p0_not_w\t{index.sign_p0_not_w}", file=out)
+        print(f"log10_p0_not_w\t{index.log10_p0_not_w!r}", file=out)
+        return
+    for name in names:
+        print(f"{name}\t{getattr(index, name)!r}", file=out)
+
+
 def _node_id(code: int) -> int:
     """The dump's id of a constituent code: 0 and 1 for the sinks, then the
     positions from 2."""
@@ -205,21 +229,19 @@ def cmd_stats(args, out) -> int:
           rows, args.tsv)
     if args.tsv:
         print(f"shapes\t{index.shape_count()}", file=out)
-        print(f"p0_w\t{index.p0_w!r}", file=out)
-        print(f"p0_not_w\t{index.p0_not_w!r}", file=out)
+        _print_p0(index, ("p0_w", "p0_not_w"), out)
     else:
         print(f"{len(rows)} constituents in {index.shape_count()} shapes, "
-              f"P0(W) = {index.p0_w!r}, P0(not W) = {index.p0_not_w!r}, "
-              f"log10 P0(not W) = {index.log10_p0_not_w!r}", file=out)
+              f"{_p0_text(index)}", file=out)
     if args.dump:
         print("order " + " ".join(str(f) for f in index.order.facts),
               file=out)
         for c in index.constituents:
             print(f"constituent {c.key!r}", file=out)
-            print(f"root {_node_id(c.root_code)}", file=out)
-            for pos in range(c.n):
-                print(f"{pos + 2} {c.rank[pos]} {_node_id(c.lo[pos])} "
-                      f"{_node_id(c.hi[pos])}", file=out)
+            print(f"root {_node_id(0 if c.shape.rank else SINK0)}", file=out)
+            for pos, r in enumerate(c.shape.rank):
+                print(f"{pos + 2} {r + c.offset} {_node_id(c.shape.lo[pos])} "
+                      f"{_node_id(c.shape.hi[pos])}", file=out)
     return EXIT_OK
 
 

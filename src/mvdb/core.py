@@ -84,6 +84,10 @@ class IndexFormatError(MvdbError):
     pass
 
 
+class UnrepresentableError(MvdbError):
+    """A value asked for lies outside the float range."""
+
+
 def weight_to_probability(w: float) -> float:
     """Map an odds weight to a (possibly negative) probability w/(1+w)."""
     if w == INF:

@@ -12,7 +12,8 @@ Every node is annotated with the probability of its sub-diagram
 (reachability), both derived from the structure and the tuples'
 probabilities p = w/(1+w) and q = 1/(1+w) by
 `Constituent.compute_annotations` and `Constituent.derive`, each run once
-per shape across all of its constituents.
+per shape across all of its constituents into one flat `array('d')`
+(`MvIndex.annotations`); a constituent holds only its lane j in them.
 Online, a query OBDD ordered by the same tuple order is intersected against
 the chain of constituents without materializing the conjunction, by one
 forward sweep of signed probability mass over ranks (`_intersect`).  The
@@ -33,7 +34,10 @@ Passing a constituent the query does not touch thus multiplies by 1.0, or
 by 0.0 for a zero block: a query node jumps over every constituent in front
 of its rank with one bisection, and a prefix count of zero blocks
 (`MvIndex.zeros`) says whether it jumped over one.  P0(Q and not-W) is the
-total times one product of the non-zero root probabilities.
+total times one product of the non-zero root probabilities, a float
+wherever that product is one; P0(not-W) is also kept as a sign and the
+log10 of its magnitude (`MvIndex.sign_p0_not_w` and `log10_p0_not_w`),
+finite where the product over- or underflows.
 `InconsistentConstraintsError` means that one constituent's root probability
 is exactly 0.0, i.e. one block is contradictory on its own.
 
@@ -80,7 +84,7 @@ built from, not the probabilities, not the root codes (position 0, or the
 and q from the weights and annotates the constituents shape by shape, for
 the compiler and the loader alike (see `Constituent.compute_annotations`;
 numpy is not used, as importing it costs a fresh process more than a whole
-cold query).  The
+cold query), and keeps p, q and the annotations as arrays of doubles.  The
 loader reads every column once, checking its typecode and its count
 against the bytes left (`_read_column`), then checks each column by its
 length and bounds (ids against the domain and relation counts, weights
@@ -103,14 +107,14 @@ from bisect import bisect_left
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
 from heapq import heappop, heappush
-from itertools import accumulate, chain, groupby, islice, repeat
+from itertools import accumulate, chain, count, groupby, islice, repeat
 from operator import add, itemgetter, mul
 from typing import Optional
 
-from .core import (Fact, InconsistentConstraintsError, Indb, Instance,
-                   IndexFormatError, MvdbError, OrderMismatchError)
+from .core import (Fact, InconsistentConstraintsError, Instance,
+                   IndexFormatError, MvdbError, OrderMismatchError,
+                   UnrepresentableError)
 from . import ucq as U
 from .obdd import (NodeTable, Obdd, VariableOrder, choose_pi, from_lineage,
                    from_ranks, tuple_order)
@@ -166,70 +170,62 @@ def _negation(g: Obdd) -> tuple[int, list, list, list]:
 
 class Constituent:
     """A shape at a rank offset (0 for the empty shape): its positions are
-    the shape's, at the shape's ranks plus the offset.  It shares the
-    shape's lists and holds only its own ranks and annotations, which
-    `compute_annotations` and `derive` set for every constituent of a shape
-    at once.  Its rows (``rank``, ``prob_under``, ``entry_mass``) are
-    tuples, indexed by position or, for the masses, by entry."""
+    the shape's, at the shape's ranks plus the offset.  It holds no
+    annotation: `compute_annotations` sets its root probability and its
+    lane ``j`` in its shape's arrays (`MvIndex.annotations`)."""
+
+    __slots__ = ("key", "shape", "offset", "j", "rank_lo", "rank_hi",
+                 "prob_root")
 
     def __init__(self, key, shape: Shape, offset: int):
         self.key = key
         self.shape = shape
         self.offset = offset
-        self.lo = shape.lo
-        self.hi = shape.hi
-        self.entry_codes = shape.entry_codes
-        self.entry_starts = shape.entry_starts
-        self.n = len(shape.rank)
-        self.root_code = 0 if self.n else SINK0
-        self.rank_lo = offset if self.n else -1
-        self.rank_hi = offset + shape.rank[-1] if self.n else -1
-        self.prob_under: tuple[float, ...] = ()
+        self.j = 0
+        self.rank_lo = offset if shape.rank else -1
+        self.rank_hi = offset + shape.rank[-1] if shape.rank else -1
         self.prob_root = 0.0
-        self.entry_mass: tuple[float, ...] = ()
-
-    @cached_property
-    def rank(self) -> tuple[int, ...]:
-        """Each position's rank: the shape's plus the offset.  The lane pass
-        of `compute_annotations` sets it from the ranks it gathers at."""
-        offset = self.offset
-        return tuple([r + offset for r in self.shape.rank])
 
     # -- augmentation -----------------------------------------------------
     #
-    # Both passes take every constituent of one shape (`MvIndex.shapes`) and
-    # the tuples' probabilities p and q = 1/(1+w).  Without *lanes* they
-    # loop over each constituent alone.  With *lanes*, p and q gathered at
-    # every constituent's own ranks (`_rank_lanes`), they walk the shape
-    # once: each step updates a lane, one list indexed by constituent, with
-    # C-level `map(add/mul, ...)`, and the lanes are then transposed into
-    # each constituent's rows.  Every constituent sees the same float
-    # operations in the same order either way, so its annotations keep
-    # their bits.
+    # Both passes take every constituent of one shape (`MvIndex.shapes`)
+    # and p and q = 1/(1+w) as lists over the tuple order, and return one
+    # `array('d')`, node-major: entry e of constituent j (``cons[j]``) at
+    # ``e * len(cons) + j``.  Without *lanes* they loop over each
+    # constituent alone, writing at stride ``len(cons)``.  With *lanes*, p
+    # and q gathered at every constituent's own ranks (`_rank_lanes`), they
+    # walk the shape once: each step computes a lane, one list indexed by
+    # constituent, with C-level `map(add/mul, ...)`; the lanes in order are
+    # the array.  Every constituent sees the same float operations in the
+    # same order either way, so its annotations keep their bits.
 
     @staticmethod
-    def compute_annotations(cons, probs, qs, lanes=None):
-        """probUnder of every node and of the root, in one scan from the
-        last position back: a node's is q times its low child's plus p
-        times its high child's.  The lane pass also sets each rank row."""
+    def compute_annotations(cons, probs, qs, lanes=None) -> array:
+        """probUnder of every node, in one scan from the last position
+        back: a node's is q times its low child's plus p times its high
+        child's.  It also sets each constituent's lane j and root
+        probability."""
         shape = cons[0].shape
         rank, lo, hi = shape.rank, shape.lo, shape.hi
-        n = len(rank)
+        n, m = len(rank), len(cons)
+        root = 0 if n else SINK0
         if lanes is None:
-            for c in cons:
+            under = array("d", [0.0]) * (n * m)
+            for j, c in enumerate(cons):
+                c.j = j
                 # Two trailing slots hold the sinks' values, so that
                 # values[SINK1] is 1.0 and values[SINK0] is 0.0.
                 values = [0.0] * n + [1.0, 0.0]
-                absolute = c.rank
+                span = slice(c.rank_lo, c.rank_hi + 1)
+                ps, qls = probs[span], qs[span]
                 for pos in range(n - 1, -1, -1):
-                    r = absolute[pos]
-                    values[pos] = (qs[r] * values[lo[pos]]
-                                   + probs[r] * values[hi[pos]])
-                c.prob_root = values[c.root_code]
-                c.prob_under = tuple(values[:n])
-            return
-        m = len(cons)
-        at, ps, qls = lanes
+                    r = rank[pos]
+                    values[pos] = (qls[r] * values[lo[pos]]
+                                   + ps[r] * values[hi[pos]])
+                c.prob_root = values[root]
+                under[j::m] = _doubles(values[:n])
+            return under
+        ps, qls = lanes
         values = [None] * n + [[1.0] * m, [0.0] * m]
         for pos in range(n - 1, -1, -1):
             r = rank[pos]
@@ -239,57 +235,53 @@ class Constituent:
             high = (ps[r] if hi[pos] == SINK1
                     else map(mul, ps[r], values[hi[pos]]))
             values[pos] = list(map(add, low, high))
-        roots = values[cons[0].root_code]
-        del values[n:]
-        for c, root, row, ranks in zip(cons, roots, _rows(values, m), _rows(
-                list(map(at.__getitem__, rank)), m)):
-            c.prob_root = root
-            c.prob_under = row
-            c.rank = ranks
+        for j, (c, prob_root) in enumerate(zip(cons, values[root])):
+            c.j, c.prob_root = j, prob_root
+        return _doubles(list(chain.from_iterable(values[:n])))
 
     @staticmethod
-    def derive(cons, probs, qs, lanes=None):
+    def derive(cons, probs, qs, lanes=None) -> array:
         """The entry tables' masses, carrying the reachability.
 
         The entry table at rank r lists, sorted by code, every node, and
         the 1-sink, that an edge from a rank below r reaches at rank r or
         later, with the signed mass of those edges; at the root's rank it is
         the root alone.  The 0-sink is not listed: its mass would be
-        dropped.  The shape fixes the codes (`_entry_codes`); ``entry_mass``
-        holds the masses of every table in the same order, so the table at
-        rank r is ``entry_codes`` zipped with ``entry_mass`` over
-        ``entry_starts[r - rank_lo]`` up to the next start.  One forward
-        scan over the positions fills them, with the mass reaching each
-        code in a list indexed by code (the sinks in two trailing slots): a
-        node's mass is complete at its own rank, where it is its
-        reachability (the signed mass of all root paths reaching it), and
-        each child gains that mass times q (low edge) or p (high edge), in
-        position order.  The cost is O(n + sum of |entry|) per constituent.
+        dropped.  The shape fixes the codes (`_entry_codes`) and the masses
+        follow them, so the table at rank r is ``entry_codes`` zipped with
+        the masses over ``entry_starts[r - rank_lo]`` up to the next start.
+        One forward scan over the positions fills them, with the mass
+        reaching each code in a list indexed by code (the sinks in two
+        trailing slots): a node's mass is complete at its own rank, where it
+        is its reachability (the signed mass of all root paths reaching it),
+        and each child gains that mass times q (low edge) or p (high edge),
+        in position order.  The cost is O(n + sum of |entry|) per
+        constituent.
         """
         shape = cons[0].shape
         rank, lo, hi = shape.rank, shape.lo, shape.hi
         codes, starts = shape.entry_codes, shape.entry_starts
-        n = len(rank)
+        n, m = len(rank), len(cons)
         if lanes is None:
-            for c in cons:
+            entry_mass = array("d", [0.0]) * (len(codes) * m)
+            for j, c in enumerate(cons):
                 masses: list[float] = []
                 if n:
                     mass = [0.0] * (n + 2)
                     mass[0] = 1.0
                     at = mass.__getitem__
                     pos = 0
-                    for i, r in enumerate(range(c.rank_lo, c.rank_hi + 1)):
+                    span = slice(c.rank_lo, c.rank_hi + 1)
+                    for i, p, q in zip(count(), probs[span], qs[span]):
                         masses += map(at, codes[starts[i]:starts[i + 1]])
-                        p, q = probs[r], qs[r]
                         while pos < n and rank[pos] == i:
                             reach = mass[pos]
                             mass[lo[pos]] += reach * q
                             mass[hi[pos]] += reach * p
                             pos += 1
-                c.entry_mass = tuple(masses)
-            return
-        m = len(cons)
-        _, ps, qls = lanes
+                entry_mass[j::m] = _doubles(masses)
+            return entry_mass
+        ps, qls = lanes
         # A lane is replaced, never changed in place, so a table can hold
         # the lane a code has at its rank.
         mass = [[0.0] * m] * (n + 2)
@@ -306,33 +298,32 @@ class Constituent:
                 mass[hi[pos]] = list(map(add, mass[hi[pos]],
                                          map(mul, reach, ps[i])))
                 pos += 1
-        for c, row in zip(cons, _rows(tables, m)):
-            c.entry_mass = row
+        return _doubles(list(chain.from_iterable(tables)))
 
     def size(self) -> int:
-        return self.n + 2
+        return len(self.shape.rank) + 2
 
 
-def _rank_lanes(cons, probs, qs) -> tuple[dict, dict, dict]:
-    """For each rank of the shape of *cons* that holds a node: the lane of
-    every constituent's own rank there (the shape's plus its offset), and
-    the lanes of p and q at those ranks."""
+def _rank_lanes(cons, probs, qs) -> tuple[dict, dict]:
+    """For each rank of the shape of *cons* that holds a node, the lanes of
+    p and q at every constituent's own rank there (the shape's plus its
+    offset)."""
     offsets = [c.offset for c in cons]
-    at, ps, qls = {}, {}, {}
+    ps, qls = {}, {}
     for r in dict.fromkeys(cons[0].shape.rank):
-        at[r] = lane = [r + offset for offset in offsets]
+        lane = [r + offset for offset in offsets]
         if len(lane) > 1:
             pick = itemgetter(*lane)
             ps[r], qls[r] = pick(probs), pick(qs)
         else:  # itemgetter of one index returns the item, not a tuple
             ps[r], qls[r] = [probs[lane[0]]], [qs[lane[0]]]
-    return at, ps, qls
+    return ps, qls
 
 
-def _rows(lanes: list, m: int):
-    """The transpose of *lanes*, each a sequence over the same *m*
-    constituents: one tuple per constituent, in lane order."""
-    return zip(*lanes) if lanes else repeat((), m)
+def _doubles(values: list) -> array:
+    """The floats *values* as an `array('d')`: `struct` converts them in one
+    C loop, three times as fast as ``array('d', values)``."""
+    return array("d", struct.pack(f"{len(values)}d", *values))
 
 
 def _entry_codes(rank, lo, hi) -> tuple[list, list]:
@@ -362,11 +353,12 @@ def _entry_codes(rank, lo, hi) -> tuple[list, list]:
 
 class MvIndex:
     """The constituents, sorted by rank range, their distinct shapes in
-    order of first use, and the tuple order and weights they were built
-    on.  A query node finds the next constituent it meets by bisecting
-    their last ranks (``rank_hi``), and learns from the prefix count
-    ``zeros`` whether it jumped over a zero block; `cc_mv_intersect` then
-    enters each constituent it meets through its entry tables."""
+    order of first use, each with its constituent count m and the passes'
+    two arrays in ``annotations``, and the tuple order and weights they
+    were built on.  A query node finds the next constituent it meets by
+    bisecting their last ranks (``rank_hi``), and learns from the prefix
+    count ``zeros`` whether it jumped over a zero block; `cc_mv_intersect`
+    then enters each constituent it meets through its entry tables."""
 
     def __init__(self, constituents, order: VariableOrder, weights,
                  source_digest: str):
@@ -378,19 +370,25 @@ class MvIndex:
         both build their index through this one call."""
         self.order = order
         self.weights = array("d", weights)
-        self.probs = [w / (1.0 + w) for w in self.weights]
-        self.qs = [1.0 / (1.0 + w) for w in self.weights]
+        # Lists while the passes read them, arrays once they are done.
+        probs = [w / (1.0 + w) for w in self.weights]
+        qs = [1.0 / (1.0 + w) for w in self.weights]
         self.constituents: list[Constituent] = sorted(
             constituents, key=lambda c: (c.rank_lo, c.rank_hi))
         by_shape: dict[Shape, list] = {}
         for c in self.constituents:
             by_shape.setdefault(c.shape, []).append(c)
         self.shapes: list[Shape] = list(by_shape)
-        for group in by_shape.values():
-            lanes = (_rank_lanes(group, self.probs, self.qs)
+        # shape -> (m, prob_under, entry_mass)
+        self.annotations: dict[Shape, tuple] = {}
+        for shape, group in by_shape.items():
+            lanes = (_rank_lanes(group, probs, qs)
                      if len(group) >= _LANES else None)
-            Constituent.compute_annotations(group, self.probs, self.qs, lanes)
-            Constituent.derive(group, self.probs, self.qs, lanes)
+            self.annotations[shape] = (
+                len(group),
+                Constituent.compute_annotations(group, probs, qs, lanes),
+                Constituent.derive(group, probs, qs, lanes))
+        self.probs, self.qs = _doubles(probs), _doubles(qs)
         self.source_digest = source_digest
         roots = [c.prob_root for c in self.constituents]
         # Sorted and disjoint, so a query node finds the next constituent it
@@ -406,18 +404,31 @@ class MvIndex:
         self.nonzero_roots = 1.0
         for r in reversed(roots):
             self.nonzero_roots = (r or 1.0) * self.nonzero_roots
-        self.p0_not_w = 0.0 if self.zero_block else self.nonzero_roots
-        self.p0_w = 1.0 - self.p0_not_w
+        # None where P0(not W) overflows (see `log10_p0_not_w`).
+        self.p0_not_w = (0.0 if self.zero_block else self.nonzero_roots
+                         if math.isfinite(self.nonzero_roots) else None)
+        self.p0_w = None if self.p0_not_w is None else 1.0 - self.p0_not_w
 
     @property
     def log10_p0_not_w(self) -> float:
-        """log10 |P0(not W)| as a sum over the constituents' root
-        probabilities, finite where the product `p0_not_w` underflows to
-        0.0; -inf when a block's root probability is exactly 0.0."""
+        """log10 |P0(not W)|, a sum over the constituents' root
+        probabilities: finite where the product `p0_not_w` underflows to
+        0.0 or overflows; -inf when a block's root probability is exactly
+        0.0.  With `sign_p0_not_w`, it is P0(not W) as a signed
+        logarithm."""
         if self.zero_block:
             return -math.inf
         return math.fsum(math.log10(abs(c.prob_root))
                          for c in self.constituents)
+
+    @property
+    def sign_p0_not_w(self) -> int:
+        """The sign of P0(not W): -1, 0 (a zero block) or 1.  The
+        translation's signed weights can make a root probability negative."""
+        if self.zero_block:
+            return 0
+        negative = sum(c.prob_root < 0.0 for c in self.constituents)
+        return -1 if negative % 2 else 1
 
     def max_width(self) -> int:
         return max((s.width for s in self.shapes), default=0)
@@ -425,14 +436,6 @@ class MvIndex:
     def shape_count(self) -> int:
         """The number of distinct shapes, each stored once in the file."""
         return len(self.shapes)
-
-
-def _variable_relations(indb: Indb) -> set[str]:
-    out = set()
-    for f, w in indb.weights.items():
-        if w != math.inf:
-            out.add(f.relation)
-    return out
 
 
 @contextmanager
@@ -472,9 +475,8 @@ def build_index(tr: TranslationResult) -> MvIndex:
     indb = tr.indb
     prob_facts = indb.probabilistic_facts()
     digest = tr.source.digest()
-    var_rels = _variable_relations(indb)
     pi = {} if tr.w_query is None else choose_pi(tr.w_query, indb.schema,
-                                                 var_rels)
+                                                 tr.var_rels)
     order = tuple_order(pi, prob_facts, indb.domain, indb.schema)
     weights = map(indb.weights.__getitem__, order.facts)
     if tr.w_query is None:
@@ -524,8 +526,8 @@ def _compile_blocks(groups: dict, keys, order: VariableOrder) -> list:
 
 def _overlapping(constituents) -> bool:
     """True when two non-empty constituents' rank ranges overlap."""
-    spans = sorted((c.rank_lo, c.rank_hi) for c in constituents if c.n)
-    return any(a[1] >= b[0] for a, b in zip(spans, spans[1:]))
+    spans = sorted((c.rank_lo, c.rank_hi) for c in constituents)
+    return any(a[1] >= b[0] >= 0 for a, b in zip(spans, spans[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +582,7 @@ def _intersect(gq: Obdd, index: MvIndex, cache_conscious: bool,
     cons = index.constituents
     m = len(cons)
     rank_hi, zeros, inv_root = index.rank_hi, index.zeros, index.inv_root
-    probs, qs = index.probs, index.qs
+    probs, qs, annotations = index.probs, index.qs, index.annotations
     qvar, qlo, qhi = gq.table.var, gq.table.lo, gq.table.hi
     # rank -> (entry states {k: {v: mass}}, pair states {(k, pos, v): mass})
     buckets: dict[int, tuple[dict, dict]] = {}
@@ -614,11 +616,13 @@ def _intersect(gq: Obdd, index: MvIndex, cache_conscious: bool,
             if code == SINK1:
                 push_entry(k + 1, v, mass)
             return
+        c = cons[k]
         if v <= 1:
             if v and zeros[k + 1] == zeros[m]:
-                total += mass * cons[k].prob_under[code]
+                lanes, prob_under, _ = annotations[c.shape]
+                total += mass * prob_under[code * lanes + c.j]
             return
-        r = cons[k].rank[code]
+        r = c.shape.rank[code] + c.offset
         if qvar[v] < r:
             r = qvar[v]
         b = buckets.get(r)
@@ -647,18 +651,21 @@ def _intersect(gq: Obdd, index: MvIndex, cache_conscious: bool,
                     push_entry(k, qhi[v], mass * p)
                 else:
                     mass *= inv_root[k]
+                    lanes, _, entry_mass = annotations[c.shape]
                     i = r - c.rank_lo
-                    a, b = c.entry_starts[i], c.entry_starts[i + 1]
-                    for code, reach in zip(c.entry_codes[a:b],
-                                           c.entry_mass[a:b]):
-                        push_pair(k, code, v, mass * reach)
+                    a, b = c.shape.entry_starts[i], c.shape.entry_starts[i + 1]
+                    at = a * lanes + c.j
+                    for code in c.shape.entry_codes[a:b]:
+                        push_pair(k, code, v, mass * entry_mass[at])
+                        at += lanes
         if stats is not None:
             expanded += len(pairs)
             seen.update((k, pos) for k, pos, _ in pairs
-                        if cons[k].rank[pos] == r)
+                        if cons[k].shape.rank[pos] + cons[k].offset == r)
         for (k, pos, v), mass in pairs.items():
             c = cons[k]
-            lo, hi = (c.lo[pos], c.hi[pos]) if c.rank[pos] == r else (pos, pos)
+            lo, hi = ((c.shape.lo[pos], c.shape.hi[pos])
+                      if c.shape.rank[pos] + c.offset == r else (pos, pos))
             vlo, vhi = (qlo[v], qhi[v]) if qvar[v] == r else (v, v)
             push_pair(k, lo, vlo, mass * q)
             push_pair(k, hi, vhi, mass * p)
@@ -721,6 +728,15 @@ class IndexEvaluator:
         return result
 
     def prob_q_and_not_w(self, q: U.Ucq) -> float:
+        """P0(Q and not-W), P(Q) times P0(not-W), as a float wherever
+        P0(not-W) is one.  Where P0(not-W) overflows (`MvIndex.p0_not_w` is
+        None), it raises `UnrepresentableError`, whatever P(Q) is: P(Q)
+        (`probability`) and log10 |P0(not-W)| (`MvIndex.log10_p0_not_w`)
+        still hold."""
+        if self.index.p0_not_w is None:
+            raise UnrepresentableError(
+                "P0(Q and not W) is outside the float range: log10 "
+                f"|P0(not W)| is {self.index.log10_p0_not_w!r}")
         return self._evaluate(q)[1]
 
     def probability(self, q: U.Ucq) -> float:

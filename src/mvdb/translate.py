@@ -195,12 +195,15 @@ class TranslationResult:
     None without a separator: each clause is a tuple of the Indb's own
     facts, without the deterministic ones.  It is empty without W or when
     W has no grounding, and is read, never changed, by `build_index`.
+    *var_rels* is the Indb's relations with a non-deterministic fact, those
+    `find_separator` and `choose_pi` may pick from.
     """
 
     indb: Indb
     w_query: Optional[U.Ucq]  # the views' constraint bodies; None if none
     source: Mvdb
     w_lineage: dict
+    var_rels: set
 
 
 def _head_types(view: U.MarkoView, schema: Schema) -> list[str]:
@@ -301,12 +304,12 @@ def build_indb(db: Mvdb, denial_shortcut: bool = True) -> TranslationResult:
     weighted = list(db.weights.items()) + aux_facts
     indb = Indb(schema, weighted)
     if not components:
-        return TranslationResult(indb, None, db, {})
+        return TranslationResult(indb, None, db, {}, var_rels)
     w_query = U.Ucq(tuple(d for c in components for d in c.disjuncts))
-    # var_rels is the Indb's relations with a non-deterministic fact.
     sep = U.find_separator(w_query, schema, var_rels)
     clauses = [c for _, _, per_view in passes for c in per_view]
-    return TranslationResult(indb, w_query, db, _group_clauses(clauses, sep))
+    return TranslationResult(indb, w_query, db, _group_clauses(clauses, sep),
+                             var_rels)
 
 
 class Evaluator(Protocol):

@@ -25,9 +25,10 @@ phase:
   them (`mvindex._read_columns`, then `mvindex._decode_order`);
 * ``annotations`` and ``entry``: `Constituent.compute_annotations` and
   `Constituent.derive`, once per shape of the loaded index over that
-  shape's constituents, as `MvIndex` calls them; a shape with ``_LANES``
-  constituents or more takes the lane pass, and ``annotations`` includes
-  gathering its lanes (`mvindex._rank_lanes`);
+  shape's constituents in lane order, as `MvIndex` calls them, each
+  returning the shape's array; a shape with ``_LANES`` constituents or
+  more takes the lane pass, and ``annotations`` includes gathering its
+  lanes (`mvindex._rank_lanes`);
 * ``load_rest``: the rest of `mvindex.deserialize`, i.e. the whole load
   minus the three phases above (so it holds the shape checks and, where
   a checkout derives them per shape, the entry codes);
@@ -47,7 +48,9 @@ includes building the indexes the query reads; it is timed one call at a
 time, the instance built before the clock starts.
 
 It also prints each ``.mvx`` file's size per ordered tuple
-(``mvx_bytes_per_tuple``) and its sha256, and the loaded index's
+(``mvx_bytes_per_tuple``) and its sha256, the bytes the loaded index holds
+per ordered tuple (``loaded_b_per_tuple``: tracemalloc's current bytes
+after one `mvindex.deserialize` of the file), and the loaded index's
 ``constituents``, ``shapes`` and ``lane_constituents`` (those whose shape
 takes the lane pass).  Usage::
 
@@ -70,10 +73,10 @@ paired ratio<TAB>wins``: the ratio is ROOT's time over OTHER_ROOT's in the
 same pair, and wins counts the pairs ROOT was faster in.  Separate
 processes on a busy host can differ by more than the change being
 measured; pairs taken side by side in one process share its state.  A
-non-timed value prints both and, for a number, their ratio (the peak the
-median of three interleaved compiles each).  This form prints the whole
-``load`` in place of ``load_rest``.  The script is not a test module:
-pytest does not collect it.
+non-timed value prints both and, for a number, their ratio (the peak and
+the loaded bytes the median of three interleaved runs each).  This form
+prints the whole ``load`` in place of ``load_rest``.  The script is not a
+test module: pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -170,6 +173,19 @@ def _compile_phases(pkg, project: Path) -> tuple[dict, dict]:
     return timed, {"compile_peak_mb": peak}
 
 
+def _loaded_bytes(mvindex, blob: bytes) -> float:
+    """tracemalloc's current bytes after one `deserialize` of *blob*, per
+    ordered tuple of the index."""
+    import tracemalloc
+    gc.collect()
+    tracemalloc.start()
+    try:
+        index = mvindex.deserialize(blob)
+        return tracemalloc.get_traced_memory()[0] / len(index.order)
+    finally:
+        tracemalloc.stop()
+
+
 def _query_phases(pkg, project: Path, query: str,
                   warm) -> tuple[dict, dict]:
     """The cold query phases and the warm calls as ``{name: callable}``,
@@ -181,7 +197,8 @@ def _query_phases(pkg, project: Path, query: str,
     db = cli._load_project(str(project))
     index = mvindex.deserialize(blob)
     body = memoryview(blob)[:-4]
-    probs, qs = index.probs, index.qs
+    # `MvIndex` runs the passes over lists of p and q.
+    probs, qs = list(index.probs), list(index.qs)
     by_shape = {}
     for c in index.constituents:
         by_shape.setdefault(c.shape, []).append(c)
@@ -238,6 +255,7 @@ def _query_phases(pkg, project: Path, query: str,
         tr.indb.possible_instance)
     values = {
         "mvx_bytes_per_tuple": len(blob) / len(index.order),
+        "loaded_b_per_tuple": lambda: _loaded_bytes(mvindex, blob),
         "mvx_sha256": hashlib.sha256(blob).hexdigest(),
         "constituents": str(len(index.constituents)),
         "shapes": str(len(groups)),

@@ -443,14 +443,19 @@ def grouped_lineage(q, instance, variables=None) -> dict:
     return groups
 
 
+def variable_relations(indb) -> set[str]:
+    """The relations of *indb* with a non-deterministic fact, from its
+    weights: those with a weight other than infinity."""
+    return {f.relation for f, w in indb.weights.items() if w != math.inf}
+
+
 def w_lineage_reference(tr) -> dict:
     """W's grouped lineage by grounding W itself: ``tr.w_query`` over the
     Indb's possible instance, grouped by `find_separator`'s variables."""
-    from mvdb.mvindex import _variable_relations
     if tr.w_query is None:
         return {}
     sep = U.find_separator(tr.w_query, tr.indb.schema,
-                           _variable_relations(tr.indb))
+                           variable_relations(tr.indb))
     return grouped_lineage(tr.w_query, tr.indb.possible_instance(),
                            sep and sep.variables)
 
@@ -473,11 +478,11 @@ def build_index_per_block(tr):
     constant, every block in one shared node table, and its own contiguity
     assertion on `node_span`; without a separator, one call over all of
     W."""
-    from mvdb.mvindex import MvIndex, _variable_relations
+    from mvdb.mvindex import MvIndex
     from mvdb.obdd import choose_pi
     indb = tr.indb
     instance = indb.possible_instance()
-    var_rels = _variable_relations(indb)
+    var_rels = variable_relations(indb)
     pi = {} if tr.w_query is None else choose_pi(tr.w_query, indb.schema,
                                                  var_rels)
     order = tuple_order_grouped(pi, indb.probabilistic_facts(), indb.domain,
@@ -554,8 +559,10 @@ def build_index_unshared(tr):
 def shape_of(c) -> tuple:
     """Constituent *c*'s structure up to a shift in rank: its ranks relative
     to its first, and its child codes."""
-    first = c.rank[0] if c.rank else 0
-    return (tuple(r - first for r in c.rank), tuple(c.lo), tuple(c.hi))
+    rank = ranks(c)
+    first = rank[0] if rank else 0
+    return (tuple(r - first for r in rank), tuple(c.shape.lo),
+            tuple(c.shape.hi))
 
 
 def read_columns(blob: bytes) -> dict:
@@ -615,48 +622,86 @@ def column_spans(blob: bytes) -> list[tuple]:
     return spans
 
 
+def ranks(c) -> tuple[int, ...]:
+    """Each position's rank in constituent *c*: its shape's plus its
+    offset."""
+    return tuple(r + c.offset for r in c.shape.rank)
+
+
+def root_code(c) -> int:
+    """The code of constituent *c*'s root: position 0, or the 0-sink for
+    the empty shape."""
+    return 0 if c.shape.rank else SINK0
+
+
+def annotated(cons, probs, qs):
+    """A stand-in for an `MvIndex` holding *cons*, constituents of one
+    shape, for the accessors below: their annotations by the two passes
+    over *probs* and *qs*, in the scalar loop."""
+    from types import SimpleNamespace
+    from mvdb.mvindex import Constituent
+    return SimpleNamespace(annotations={cons[0].shape: (
+        len(cons), Constituent.compute_annotations(cons, probs, qs),
+        Constituent.derive(cons, probs, qs))})
+
+
 def reachability(c, probs, qs) -> list[float]:
     """Per-node reachability of constituent *c*, top-down over every
     position sorted by rank: the signed mass of all root paths reaching
     each node, the root's being 1.0; a low edge carries q, a high edge p."""
-    reach = [0.0] * c.n
-    if c.n:
+    rank, lo, hi = ranks(c), c.shape.lo, c.shape.hi
+    reach = [0.0] * len(rank)
+    if rank:
         reach[0] = 1.0
-        for pos in sorted(range(c.n), key=c.rank.__getitem__):
-            r = c.rank[pos]
-            if c.lo[pos] >= 0:
-                reach[c.lo[pos]] += reach[pos] * qs[r]
-            if c.hi[pos] >= 0:
-                reach[c.hi[pos]] += reach[pos] * probs[r]
+        for pos in sorted(range(len(rank)), key=rank.__getitem__):
+            r = rank[pos]
+            if lo[pos] >= 0:
+                reach[lo[pos]] += reach[pos] * qs[r]
+            if hi[pos] >= 0:
+                reach[hi[pos]] += reach[pos] * probs[r]
     return reach
 
 
-def prob_under(c, code: int) -> float:
-    """probUnder of constituent *c*'s node or sink *code*: 0.0 for the
-    0-sink, 1.0 for the 1-sink."""
+def prob_under(index, c, code: int) -> float:
+    """probUnder of node or sink *code* of constituent *c* of *index*: 0.0
+    for the 0-sink, 1.0 for the 1-sink."""
     if code == SINK0:
         return 0.0
     if code == SINK1:
         return 1.0
-    return c.prob_under[code]
+    m, under, _ = index.annotations[c.shape]
+    return under[code * m + c.j]
 
 
-def entry_tables(c) -> dict[int, list]:
-    """Every entry table of constituent *c*, as ``{rank: [(code, mass),
-    ...]}``: its shape's entry codes zipped with its entry masses."""
-    codes, starts, masses = c.entry_codes, c.entry_starts, c.entry_mass
+def prob_unders(index, c) -> list[float]:
+    """probUnder of every position of constituent *c* of *index*."""
+    return [prob_under(index, c, pos) for pos in range(len(c.shape.rank))]
+
+
+def entry_masses(index, c) -> list[float]:
+    """The masses of every entry table of constituent *c* of *index*, in
+    the order of its shape's entry codes."""
+    m, _, masses = index.annotations[c.shape]
+    return list(masses[c.j::m])
+
+
+def entry_tables(index, c) -> dict[int, list]:
+    """Every entry table of constituent *c* of *index*, as ``{rank: [(code,
+    mass), ...]}``: its shape's entry codes zipped with its entry
+    masses."""
+    codes, starts = c.shape.entry_codes, c.shape.entry_starts
+    masses = entry_masses(index, c)
     return {r: list(zip(codes[a:b], masses[a:b]))
             for r, a, b in zip(range(c.rank_lo, c.rank_hi + 1), starts,
                                starts[1:])}
 
 
-def cut_ranks(c, tables=None) -> set[int]:
-    """The ranks whose entry table (of *tables*, by default constituent
-    *c*'s own) holds only nodes of that rank."""
-    if tables is None:
-        tables = entry_tables(c)
+def cut_ranks(c, tables) -> set[int]:
+    """The ranks whose entry table, of *tables*, holds only nodes of that
+    rank."""
+    rank = ranks(c)
     return {r for r, table in tables.items()
-            if all(code >= 0 and c.rank[code] == r for code, _ in table)}
+            if all(code >= 0 and rank[code] == r for code, _ in table)}
 
 
 def without_sink0(tables: dict) -> dict:
@@ -672,26 +717,27 @@ def entry_tables_rescan(c, probs, qs):
     reach[pos] * (q or p) of every edge from a node of rank < r, with
     reach from `reachability`."""
     entry, cut = {}, set()
-    if not c.n:
+    rank, lo, hi = ranks(c), c.shape.lo, c.shape.hi
+    if not rank:
         return entry, cut
     reach = reachability(c, probs, qs)
     for r in range(c.rank_lo, c.rank_hi + 1):
-        if c.rank[0] >= r:
+        if rank[0] >= r:
             table = [(0, 1.0)]
         else:
             masses = {}
-            for pos in range(c.n):
-                if c.rank[pos] >= r:
+            for pos in range(len(rank)):
+                if rank[pos] >= r:
                     continue
-                q, p = qs[c.rank[pos]], probs[c.rank[pos]]
-                for child, factor in ((c.lo[pos], q), (c.hi[pos], p)):
-                    child_rank = c.rank[child] if child >= 0 else math.inf
+                q, p = qs[rank[pos]], probs[rank[pos]]
+                for child, factor in ((lo[pos], q), (hi[pos], p)):
+                    child_rank = rank[child] if child >= 0 else math.inf
                     if child_rank >= r:
                         masses[child] = (masses.get(child, 0.0)
                                          + reach[pos] * factor)
             table = sorted(masses.items())
         entry[r] = table
-        if all(code >= 0 and c.rank[code] == r for code, _ in table):
+        if all(code >= 0 and rank[code] == r for code, _ in table):
             cut.add(r)
     return entry, cut
 
@@ -759,9 +805,9 @@ def intersect_memo(gq, index, cache_conscious: bool, stats=None):
             c = cons[k]
             inv = inv_root[k]
             if not cache_conscious:
-                return ((inv, _xtask(k, c.root_code, v)),)
+                return ((inv, _xtask(k, root_code(c), v)),)
             if k not in tables:
-                tables[k] = entry_tables(c)
+                tables[k] = entry_tables(index, c)
             terms = []
             for code, mass in tables[k][rv]:
                 if code == SINK0:
@@ -770,21 +816,22 @@ def intersect_memo(gq, index, cache_conscious: bool, stats=None):
             return tuple(terms)
         _, k, pos, v = task
         c = cons[k]
+        lo, hi = c.shape.lo, c.shape.hi
         if v == 0:
             return 0.0
         if v == 1:
-            return c.prob_under[pos] * unit(k + 1)
-        ru = c.rank[pos]
+            return prob_under(index, c, pos) * unit(k + 1)
+        ru = c.shape.rank[pos] + c.offset
         rv = qtab.var[v]
         if ru > rv:
             return ((qs[rv], _xtask(k, pos, qtab.lo[v])),
                     (probs[rv], _xtask(k, pos, qtab.hi[v])))
         q, p = qs[ru], probs[ru]
         if ru < rv:
-            return ((q, _xtask(k, c.lo[pos], v)),
-                    (p, _xtask(k, c.hi[pos], v)))
-        return ((q, _xtask(k, c.lo[pos], qtab.lo[v])),
-                (p, _xtask(k, c.hi[pos], qtab.hi[v])))
+            return ((q, _xtask(k, lo[pos], v)),
+                    (p, _xtask(k, hi[pos], v)))
+        return ((q, _xtask(k, lo[pos], qtab.lo[v])),
+                (p, _xtask(k, hi[pos], qtab.hi[v])))
 
     def _xtask(k, code, v):
         if code == SINK0:
@@ -818,7 +865,8 @@ def intersect_memo(gq, index, cache_conscious: bool, stats=None):
         var = qtab.var
         stats.memo_entries = sum(1 for t in memo if t[-1] > 1)
         stats.visited = len({t[1:3] for t in memo if t[0] == "X" and t[3] > 1
-                             and cons[t[1]].rank[t[2]] <= var[t[3]]})
+                             and cons[t[1]].shape.rank[t[2]]
+                             + cons[t[1]].offset <= var[t[3]]})
     ratio = memo[root]
     return ratio, ratio * math.prod(c.prob_root for c in cons
                                     if c.prob_root != 0.0)

@@ -28,8 +28,9 @@ from mvdb.translate import load_views
 
 from helpers import (EX1_SCHEMA, RAND_SCHEMA, build_index_per_block,
                      build_index_unshared, chain_mvdb, entry_tables,
-                     random_boolean_query, random_mvdb, read_columns,
-                     shape_of, viable_random_mvdb, with_columns)
+                     prob_unders, random_boolean_query, random_mvdb, ranks,
+                     read_columns, root_code, shape_of, viable_random_mvdb,
+                     with_columns)
 
 FLIP_SCHEMA = parse_schema("""
 relation A(x:string, y:string) key(x,y) probabilistic
@@ -83,7 +84,7 @@ def test_constant_true_blocks_match_per_block_reference():
     idx = _same_bytes(build_indb(db))
     assert [c.key for c in idx.constituents] == ["a1", "a0", "a2"]
     for empty in idx.constituents[:2]:
-        assert (empty.n, empty.root_code) == (0, SINK0)
+        assert (len(empty.shape.rank), root_code(empty)) == (0, SINK0)
     assert idx.zero_block
 
 
@@ -103,20 +104,20 @@ def test_compile_does_not_reach_con_obdd(tmp_path, monkeypatch):
 
 # -- shapes ----------------------------------------------------------------------
 
-def _content(c):
-    """Everything a constituent holds, floats by `float.hex`."""
-    return (c.key, c.rank, c.lo, c.hi, c.prob_root.hex(),
-            [v.hex() for v in c.prob_under],
+def _content(index, c):
+    """Everything constituent *c* of *index* has, floats by `float.hex`."""
+    return (c.key, ranks(c), c.shape.lo, c.shape.hi, c.prob_root.hex(),
+            [v.hex() for v in prob_unders(index, c)],
             {r: [(code, m.hex()) for code, m in table]
-             for r, table in entry_tables(c).items()})
+             for r, table in entry_tables(index, c).items()})
 
 
 def _matches_unshared(tr):
     """Build *tr*'s index with shared shapes and by the reference that runs
     `from_lineage` on every block; both must hold the same constituents."""
     idx, want = build_index(tr), build_index_unshared(tr)
-    assert [_content(c) for c in idx.constituents] == \
-        [_content(c) for c in want.constituents]
+    assert [_content(idx, c) for c in idx.constituents] == \
+        [_content(want, c) for c in want.constituents]
     assert serialize(idx) == serialize(want)
     return idx
 
@@ -127,8 +128,8 @@ def test_dblp_shapes_match_compiling_every_block(tmp_path):
     assert len(idx.constituents) == 60
     for index in (idx, deserialize(serialize(idx))):
         assert index.shape_count() == len(index.shapes) == 2
-        assert len({id(c.lo) for c in index.constituents}) == 2
-        assert len({id(c.hi) for c in index.constituents}) == 2
+        assert len({id(c.shape.lo) for c in index.constituents}) == 2
+        assert len({id(c.shape.hi) for c in index.constituents}) == 2
 
 
 def test_chain_shapes_match_compiling_every_block():
@@ -153,7 +154,6 @@ def _assert_one_shape_per_structure(index):
             first.append(c.shape)
         assert (tuple(c.shape.rank), tuple(c.shape.lo),
                 tuple(c.shape.hi)) == shape_of(c)
-        assert c.lo is c.shape.lo and c.hi is c.shape.hi
     assert len(first) == len(index.shapes)
     assert all(a is b for a, b in zip(first, index.shapes))
     assert len({(tuple(s.rank), tuple(s.lo), tuple(s.hi))
@@ -215,15 +215,12 @@ def test_one_shape_shares_structure_not_annotations():
     for index in (idx, deserialize(serialize(idx))):
         one, two = index.constituents
         assert one.shape is two.shape
-        assert one.lo is two.lo and one.hi is two.hi
-        assert one.entry_codes is two.entry_codes
-        assert one.entry_starts is two.entry_starts
-        assert [r - one.rank_lo for r in one.rank] == \
-            [r - two.rank_lo for r in two.rank]
+        assert [r - one.rank_lo for r in ranks(one)] == \
+            [r - two.rank_lo for r in ranks(two)]
         assert one.rank_lo != two.rank_lo
-        assert one.prob_under != two.prob_under
+        assert prob_unders(index, one) != prob_unders(index, two)
         assert one.prob_root != two.prob_root
-        assert entry_tables(one) != entry_tables(two)
+        assert entry_tables(index, one) != entry_tables(index, two)
         assert index.shape_count() == 1
 
 
@@ -245,8 +242,8 @@ def test_a_shape_stored_twice_is_written_back_twice():
     blob = with_columns(serialize(idx), store_twice)
     loaded = deserialize(blob)
     assert len(loaded.shapes) == 2
-    assert [entry_tables(c) for c in loaded.constituents] == \
-        [entry_tables(c) for c in idx.constituents]
+    assert [entry_tables(loaded, c) for c in loaded.constituents] == \
+        [entry_tables(idx, c) for c in idx.constituents]
     assert serialize(loaded) == blob
 
 
@@ -258,7 +255,7 @@ def test_equal_clause_counts_at_other_relative_ranks_are_two_shapes(tables):
                             (Fact("S", (2,)), 1.0)])
     one, two = idx.constituents
     assert shape_of(one) != shape_of(two)
-    assert one.lo is not two.lo
+    assert one.shape is not two.shape
     assert idx.shape_count() == 2
     assert len(tables) == 2  # build_index compiled both blocks
 
@@ -294,8 +291,8 @@ def _hand_built_no_soft_r():
                          ids=["viable_random_7", "hand_built"])
 def test_disjunct_without_soft_facts_keeps_the_separator(make):
     tr = make()
-    var_rels = mvindex._variable_relations(tr.indb)
-    assert find_separator(tr.w_query, tr.indb.schema, var_rels) is not None
+    assert find_separator(tr.w_query, tr.indb.schema,
+                          tr.var_rels) is not None
     idx = _same_bytes(tr)
     assert [c.key for c in idx.constituents] == ["b0", "b1"]
     assert idx.max_width() <= 1
@@ -318,8 +315,7 @@ def _flip_tr():
 def test_flipped_separator_compiles_to_keyed_blocks():
     tr = _flip_tr()
     idx = _same_bytes(tr)
-    pi = mvdb.choose_pi(tr.w_query, tr.indb.schema,
-                        mvindex._variable_relations(tr.indb))
+    pi = mvdb.choose_pi(tr.w_query, tr.indb.schema, tr.var_rels)
     assert pi.get("A", tuple(range(2))) == (1, 0)
     assert [c.key for c in idx.constituents] == ["a", "b"]
     _agrees_with_oracle(tr, idx, [
@@ -357,7 +353,7 @@ def tables(monkeypatch):
 @pytest.mark.parametrize("n", [40, 80, 160, 320])
 def test_compile_tables_stay_linear_on_chain(n, tables):
     idx = build_index(build_indb(chain_mvdb(n)))
-    nodes = sum(c.n for c in idx.constituents)
+    nodes = sum(len(c.shape.rank) for c in idx.constituents)
     assert tables
     assert sum(len(t) for t in tables) <= 2 * nodes + 16
 
@@ -373,4 +369,4 @@ def test_compile_uses_one_table_per_shape(tmp_path, tables):
     assert len(idx.constituents) == 60
     assert len(tables) == len(firsts) == 2
     for t, c in zip(tables, firsts.values()):
-        assert len(t) <= 2 * c.n + 16
+        assert len(t) <= 2 * len(c.shape.rank) + 16

@@ -16,7 +16,7 @@ from mvdb.cli import (EXIT_CAP, EXIT_INCONSISTENT, EXIT_INPUT, EXIT_OK,
 from mvdb.gendata import demo_query, generate_project
 from mvdb.mvindex import _LANES, IndexEvaluator, load_index
 
-from helpers import with_columns, with_orphan
+from helpers import ranks, with_columns, with_orphan
 
 
 def run(argv):
@@ -204,6 +204,30 @@ def test_stats_report(project):
     assert all(w >= 1 for w in widths)
 
 
+def test_overflowing_p0_not_w_prints_no_inf(tmp_path):
+    # V1's weight raised from cnt / 2 to cnt * 1000000 puts P0(not W) near
+    # 10^1193: the commands print its logarithm and sign, never inf.
+    proj = generate_project(tmp_path / "p", seed=1, scale=200)
+    views = proj / "views.txt"
+    views.write_text(views.read_text().replace("[cnt / 2]",
+                                               "[cnt * 1000000]"))
+    texts = {}
+    for argv in (["compile"], ["compile", "--tsv"], ["stats"],
+                 ["stats", "--tsv"], ["stats", "--dump"],
+                 ["query", "Q() :- Advisor(9, a)"],
+                 ["query", "--engine", "mv", "--tsv", "--timing",
+                  "Q(a) :- Advisor(9, a)"]):
+        rc, text = run([argv[0], "--project", str(proj), *argv[1:]])
+        assert rc == EXIT_OK, argv
+        assert "inf" not in text, argv
+        texts[" ".join(argv[:2])] = text
+    assert "log10 P0(not W) = 1193." in texts["compile"]
+    assert "P0(W)" not in texts["stats"]
+    tsv = texts["stats --tsv"].splitlines()
+    assert tsv[-2:-1] == ["sign_p0_not_w\t1"]
+    assert tsv[-1].startswith("log10_p0_not_w\t1193.")
+
+
 def test_stats_empty_index(tmp_path):
     proj = tmp_path / "noviews"
     (proj / "data").mkdir(parents=True)
@@ -261,7 +285,7 @@ def test_malformed_index_structure_exit_code(project, capsys):
     run(["compile", "--project", str(project)])
     path = project / "index.mvx"
     index = load_index(path)
-    index.constituents[0].lo[0] = 10000
+    index.constituents[0].shape.lo[0] = 10000
     path.write_bytes(serialize(index))
     capsys.readouterr()
     rc, _ = run(["query", "--project", str(project), "Q() :- Student(1, y)"])
@@ -312,12 +336,14 @@ def _old_format_file(blob: bytes, version: int) -> bytes:
         blocks = [[x for s in shapes for x in getattr(s, name)]
                   for name in ("rank", "lo", "hi")]
     else:
-        meta["constituents"] = [[c.key, c.n] for c in cons]
+        meta["constituents"] = [[c.key, len(c.shape.rank)] for c in cons]
         if version == 3:
             meta["pi"] = {}
-            meta["constituents"] = [[c.key, 0, c.n] for c in cons]
-        blocks = [[x for c in cons for x in getattr(c, name)]
-                  for name in ("rank", "lo", "hi")]
+            meta["constituents"] = [[c.key, 0, len(c.shape.rank)]
+                                    for c in cons]
+        blocks = [[x for c in cons for x in ranks(c)],
+                  [x for c in cons for x in c.shape.lo],
+                  [x for c in cons for x in c.shape.hi]]
     text = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
     body = (blob[:4] + struct.pack("<I", version) + blob[8:40]
             + struct.pack("<I", len(text)) + text

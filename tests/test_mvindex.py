@@ -1,9 +1,11 @@
 """Index construction, augmented annotations, intersection, serialization."""
 
 import gc
+import io
 import math
 import random
 import struct
+import sys
 import zlib
 from array import array
 
@@ -11,24 +13,26 @@ import pytest
 
 from mvdb import (EnumerationEvaluator, Fact, IndexEvaluator, IndexFormatError,
                   IntersectStats, Lineage, Mvdb, MvdbError, OrderMismatchError,
-                  build_indb, build_index, cc_mv_intersect, deserialize,
-                  from_lineage, lineage, mv_intersect, parse_query,
-                  parse_schema, parse_view, query_probability, rank_span,
-                  serialize)
+                  UnrepresentableError, build_indb, build_index,
+                  cc_mv_intersect, deserialize, from_lineage, lineage,
+                  mv_intersect, parse_query, parse_schema, parse_view,
+                  query_probability, rank_span, serialize)
 from mvdb import mvindex, weight_to_probability
-from mvdb.cli import _load_project
+from mvdb.cli import _load_project, main
 from mvdb.gendata import generate_project
 from mvdb.mvindex import SINK0, SINK1, Constituent, MvIndex
 from mvdb.obdd import NodeTable, Obdd, VariableOrder, con_obdd
 from mvdb.translate import answer_rows
 
-from helpers import (EX1_SCHEMA, RAND_SCHEMA, TWO_TABLE_SCHEMA, chain_mvdb,
-                     chain_window, column_spans, constituents_of, cut_ranks,
-                     entry_tables, entry_tables_rescan, example1,
-                     intersect_memo, prob_under, random_boolean_query,
-                     random_mvdb, read_columns, shannon_probability, shape_of,
-                     signed_world_sum, two_table_db, viable_random_mvdb,
-                     with_columns, with_orphan, without_sink0)
+from helpers import (EX1_SCHEMA, RAND_SCHEMA, TWO_TABLE_SCHEMA, annotated,
+                     chain_mvdb, chain_window, column_spans, constituents_of,
+                     cut_ranks, entry_masses, entry_tables,
+                     entry_tables_rescan, example1, intersect_memo,
+                     prob_under, prob_unders, random_boolean_query,
+                     random_mvdb, ranks, read_columns, root_code,
+                     shannon_probability, shape_of, signed_world_sum,
+                     two_table_db, viable_random_mvdb, with_columns,
+                     with_orphan, without_sink0)
 
 
 def _ex1_index(w=0.5):
@@ -100,14 +104,14 @@ def test_negation_by_sink_swap():
     assert nodes != g.reachable()
     swap = {0: SINK1, 1: SINK0}
     for i, u in enumerate(nodes):
-        assert neg.rank[i] == g.table.var[u]
-        for child, code in ((g.table.lo[u], neg.lo[i]),
-                            (g.table.hi[u], neg.hi[i])):
+        assert ranks(neg)[i] == g.table.var[u]
+        for child, code in ((g.table.lo[u], neg.shape.lo[i]),
+                            (g.table.hi[u], neg.shape.hi[i])):
             want = swap[child] if child <= 1 else nodes.index(child)
             assert code == want
     qs = [1.0 - p for p in probs]
-    Constituent.compute_annotations([neg], probs, qs)
-    assert prob_under(neg, neg.root_code) == pytest.approx(
+    index = annotated([neg], probs, qs)
+    assert prob_under(index, neg, root_code(neg)) == pytest.approx(
         1.0 - shannon_probability(g, probs, qs), abs=1e-12)
 
 
@@ -116,8 +120,8 @@ def test_prob_under_root_matches_shannon():
     probs = [0.3, -0.5, 0.25, 0.8, 2.0, 0.1]
     [neg] = constituents_of([(None, g)])
     qs = [1.0 - p for p in probs]
-    Constituent.compute_annotations([neg], probs, qs)
-    assert prob_under(neg, neg.root_code) == neg.prob_root
+    index = annotated([neg], probs, qs)
+    assert prob_under(index, neg, root_code(neg)) == neg.prob_root
     assert neg.prob_root == pytest.approx(
         1.0 - shannon_probability(g, probs, qs), abs=1e-12)
 
@@ -128,18 +132,18 @@ def test_frontier_identities():
         db, tr, ev, _ = viable_random_mvdb(seed)
         idx = build_index(tr)
         for c in idx.constituents:
-            if not c.n:
+            if not c.shape.rank:
                 continue
-            Constituent.derive([c], idx.probs, idx.qs)
-            entry = entry_tables(c)
+            entry = entry_tables(idx, c)
             for r, table in entry.items():
-                total = sum(mass * prob_under(c, code) for code, mass in table)
+                total = sum(mass * prob_under(idx, c, code)
+                            for code, mass in table)
                 assert total == pytest.approx(c.prob_root, abs=1e-12), \
                     f"entry frontier at rank {r}"
-            for r in cut_ranks(c):
-                level = [pos for pos in range(c.n) if c.rank[pos] == r]
+            for r in cut_ranks(c, entry):
+                level = [pos for pos, rank in enumerate(ranks(c)) if rank == r]
                 assert [pos for pos, _ in entry[r]] == level
-                total = sum(mass * c.prob_under[pos]
+                total = sum(mass * prob_under(idx, c, pos)
                             for pos, mass in entry[r])
                 assert total == pytest.approx(c.prob_root, abs=1e-12)
 
@@ -164,7 +168,7 @@ def test_derive_sweep_matches_rescan_reference(annotated_indices):
             entry = without_sink0(reference)
             dropped += sum(map(len, reference.values())) - sum(
                 map(len, entry.values()))
-            tables = entry_tables(c)
+            tables = entry_tables(idx, c)
             assert tables.keys() == entry.keys()
             for r, table in entry.items():
                 assert SINK0 not in [code for code, _ in tables[r]]
@@ -172,7 +176,7 @@ def test_derive_sweep_matches_rescan_reference(annotated_indices):
                     [code for code, _ in table], f"codes at rank {r}"
                 for (_, got), (_, want) in zip(tables[r], table):
                     assert got == pytest.approx(want, abs=1e-12)
-            assert cut_ranks(c) == cut_ranks(c, entry) >= cut
+            assert cut_ranks(c, tables) == cut_ranks(c, entry) >= cut
     assert dropped  # the reference lists the 0-sink somewhere
 
 
@@ -181,8 +185,10 @@ def test_derive_sweep_matches_rescan_reference(annotated_indices):
 def _annotation_bits(index):
     """Every constituent's ranks and annotations, the floats by
     `float.hex`."""
-    return [(list(c.rank), c.prob_root.hex(), [v.hex() for v in c.prob_under],
-             [m.hex() for m in c.entry_mass]) for c in index.constituents]
+    return [(list(ranks(c)), c.prob_root.hex(),
+             [v.hex() for v in prob_unders(index, c)],
+             [m.hex() for m in entry_masses(index, c)])
+            for c in index.constituents]
 
 
 def _constant_true_blocks():
@@ -216,9 +222,13 @@ def test_lanes_and_the_scalar_loop_agree_bit_for_bit(dblp_60, monkeypatch):
             bits += [_annotation_bits(built),
                      _annotation_bits(deserialize(serialize(built)))]
         assert bits[1:] == bits[:1] * 3
-    empty = build_index(trs[2]).constituents[0]
-    assert (empty.n, empty.root_code, empty.prob_root) == (0, SINK0, 0.0)
-    assert empty.prob_under == empty.entry_mass == empty.rank == ()
+    index = build_index(trs[2])
+    empty = index.constituents[0]
+    assert (len(empty.shape.rank), root_code(empty), empty.prob_root) == \
+        (0, SINK0, 0.0)
+    assert prob_unders(index, empty) == entry_masses(index, empty) == []
+    assert ranks(empty) == ()
+    assert not any(index.annotations[empty.shape][1:])
 
 
 def _as_obdd(c, order):
@@ -226,8 +236,9 @@ def _as_obdd(c, order):
     of each position (and of each sink code)."""
     table = NodeTable(order)
     node = {SINK0: 0, SINK1: 1}
-    for pos in range(c.n - 1, -1, -1):
-        node[pos] = table.make(c.rank[pos], node[c.lo[pos]], node[c.hi[pos]])
+    rank, lo, hi = ranks(c), c.shape.lo, c.shape.hi
+    for pos in range(len(rank) - 1, -1, -1):
+        node[pos] = table.make(rank[pos], node[lo[pos]], node[hi[pos]])
     return table, node
 
 
@@ -248,15 +259,15 @@ def test_annotations_match_the_references_at_extreme_weights(view_weight,
         probs, qs = idx.probs, idx.qs
         assert 1.0 in probs and 1e-20 in qs
         for c in idx.constituents:
-            assert c.n
+            assert c.shape.rank
             table, node = _as_obdd(c, idx.order)
-            for pos in range(c.n):
-                assert c.prob_under[pos] == shannon_probability(
+            for pos, under in enumerate(prob_unders(idx, c)):
+                assert under == shannon_probability(
                     Obdd(table, node[pos]), probs, qs)
             assert c.prob_root == shannon_probability(
-                Obdd(table, node[c.root_code]), probs, qs)
+                Obdd(table, node[root_code(c)]), probs, qs)
             assert c.prob_root != 0.0
-            tables = entry_tables(c)
+            tables = entry_tables(idx, c)
             assert tables == without_sink0(
                 entry_tables_rescan(c, probs, qs)[0])
             assert all(code != SINK0 for table in tables.values()
@@ -304,9 +315,9 @@ def test_point_probability_against_enumeration():
 def test_point_probability_root_variable_formula():
     db, tr, idx = _ex1_index()
     c = idx.constituents[0]
-    root_fact = idx.order.facts[c.rank[0]]
-    p = idx.probs[c.rank[0]]
-    want = p * prob_under(c, c.hi[0])
+    root_fact = idx.order.facts[ranks(c)[0]]
+    p = idx.probs[ranks(c)[0]]
+    want = p * prob_under(idx, c, c.shape.hi[0])
     assert _point_probability(root_fact, idx) == pytest.approx(want, abs=1e-12)
 
 
@@ -322,7 +333,7 @@ def test_point_probability_fallback_on_level_skips():
     # some path of the constituent skips the tuple's level
     r = idx.order.rank_of(skipped)
     [c] = [c for c in idx.constituents if c.rank_lo <= r <= c.rank_hi]
-    assert r in c.rank and r not in cut_ranks(c)
+    assert r in ranks(c) and r not in cut_ranks(c, entry_tables(idx, c))
     q = parse_query("Q() :- S('a0', 'b1')", RAND_SCHEMA)
     assert _point_probability(skipped, idx) == pytest.approx(
         ev.prob_q_and_not_w(q), abs=1e-12)
@@ -494,7 +505,26 @@ def test_serialize_roundtrip_identical():
     assert idx2.order.facts == idx.order.facts
     assert [c.key for c in idx2.constituents] == \
         [c.key for c in idx.constituents]
-    assert idx2.constituents[0].prob_under == idx.constituents[0].prob_under
+    assert prob_unders(idx2, idx2.constituents[0]) == \
+        prob_unders(idx, idx.constituents[0])
+
+
+def test_loaded_index_memory_budget(tmp_path):
+    # tracemalloc's bytes after one load, per ordered tuple: 520.8 with
+    # per-constituent annotation rows and lists of floats, about 314 with
+    # one flat array per shape and annotation.
+    import tracemalloc
+    db = _load_project(str(generate_project(tmp_path / "p", seed=1,
+                                            scale=500)))
+    blob = serialize(build_index(build_indb(db)))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        index = deserialize(blob)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held / len(index.order) <= 380
 
 
 def test_serialize_deterministic_across_builds():
@@ -613,10 +643,13 @@ def test_load_derives_the_build_annotations(annotated_indices):
         loaded = deserialize(serialize(idx))
         assert len(loaded.constituents) == len(idx.constituents)
         for built, got in zip(idx.constituents, loaded.constituents):
-            assert got.prob_under == built.prob_under
+            got_tables = entry_tables(loaded, got)
+            built_tables = entry_tables(idx, built)
+            assert prob_unders(loaded, got) == prob_unders(idx, built)
             assert got.prob_root == built.prob_root
-            assert entry_tables(got) == entry_tables(built)
-            assert cut_ranks(got) == cut_ranks(built)
+            assert got_tables == built_tables
+            assert cut_ranks(got, got_tables) == \
+                cut_ranks(built, built_tables)
 
 
 def test_round_trip_answers_are_bit_identical():
@@ -626,8 +659,8 @@ def test_round_trip_answers_are_bit_identical():
         tr = viable_random_mvdb(seed)[1]
         built = build_index(tr)
         loaded = deserialize(serialize(built))
-        assert [entry_tables(c) for c in loaded.constituents] == \
-            [entry_tables(c) for c in built.constituents]
+        assert [entry_tables(loaded, c) for c in loaded.constituents] == \
+            [entry_tables(built, c) for c in built.constituents]
         inst = tr.indb.possible_instance()
         rng = random.Random(seed)
         for q in [random_boolean_query(rng) for _ in range(5)]:
@@ -701,7 +734,7 @@ def test_deserialize_rejects_malformed_structure(edit, message):
     idx = _denial_index()
     assert len(idx.constituents) == 2
     assert [c.shape for c in idx.constituents] == idx.shapes
-    assert all(c.n > 1 for c in idx.constituents)
+    assert all(len(c.shape.rank) > 1 for c in idx.constituents)
     blob = serialize(idx)
     deserialize(with_columns(blob, lambda cols: cols))  # a re-encoding loads
     with pytest.raises(IndexFormatError, match=message):
@@ -736,7 +769,7 @@ def test_deserialize_rejects_shape_ranks_not_starting_at_0():
     # 0 a constituent would read probabilities before its own offset.
     idx = _denial_index()
     blob = serialize(idx)
-    n = idx.constituents[0].n  # shape 0 is the first constituent's
+    n = len(idx.shapes[0].rank)
     assert read_columns(blob)["rank"][0] == 0
     for shift in (1, -1):
         def edit(columns):
@@ -929,7 +962,7 @@ def test_cc_worst_case_full_span_visits_at_most_everything():
     gq = from_lineage(phi, idx.order)
     stats = IntersectStats()
     cc_mv_intersect(gq, idx, stats)
-    total_nodes = sum(c.n for c in idx.constituents)
+    total_nodes = sum(len(c.shape.rank) for c in idx.constituents)
     assert stats.visited <= total_nodes
     assert stats.visited <= rank_span(gq) * max(1, idx.max_width())
 
@@ -952,7 +985,7 @@ def test_cc_selective_query_visits_only_its_window():
                     TWO_TABLE_SCHEMA)
     assert got == pytest.approx(ev.prob_q_and_not_w(q), abs=1e-12)
     assert stats.visited <= 1 * max(1, idx.max_width())
-    assert stats.visited < sum(c.n for c in idx.constituents)
+    assert stats.visited < sum(len(c.shape.rank) for c in idx.constituents)
 
 
 # -- normalization, underflow and zero blocks ------------------------------------
@@ -1008,6 +1041,64 @@ def test_log10_p0_not_w_survives_underflow(blocks_1e3):
     p = 1e3 / (1 + 1e3)
     assert idx.log10_p0_not_w == pytest.approx(
         N_BLOCKS * math.log10(1 - p * p), rel=1e-9)
+
+
+@pytest.fixture(scope="module")
+def dblp_overflow(tmp_path_factory):
+    """gen-dblp seed 1 scale 200 with V1's weight raised from ``cnt / 2`` to
+    ``cnt * 1000000``: P0(not W) is about 10^1193, past the float range."""
+    project = generate_project(tmp_path_factory.mktemp("overflow") / "p",
+                               seed=1, scale=200)
+    views = project / "views.txt"
+    views.write_text(views.read_text().replace("[cnt / 2]",
+                                               "[cnt * 1000000]"))
+    tr = build_indb(_load_project(str(project)))
+    return project, tr, build_index(tr)
+
+
+def test_log10_p0_not_w_survives_overflow(dblp_overflow):
+    _, tr, idx = dblp_overflow
+    assert math.isinf(idx.nonzero_roots)
+    assert idx.p0_not_w is None and idx.p0_w is None
+    assert math.isfinite(idx.log10_p0_not_w)
+    assert idx.log10_p0_not_w == pytest.approx(
+        sum(math.log10(abs(c.prob_root)) for c in idx.constituents),
+        abs=1e-9)
+    assert idx.log10_p0_not_w > math.log10(sys.float_info.max)
+    assert idx.sign_p0_not_w == 1
+    loaded = deserialize(serialize(idx))
+    assert loaded.p0_not_w is None
+    assert loaded.log10_p0_not_w == idx.log10_p0_not_w
+    # P(Q) stays a probability; P0(Q and not W) is not a float
+    q = parse_query("Q() :- Advisor(9, a)", tr.indb.schema)
+    inst = tr.indb.possible_instance()
+    cc, mv = (IndexEvaluator(idx, inst, mode) for mode in ("cc", "mv"))
+    assert 0.0 <= cc.probability(q) <= 1.0
+    assert cc.probability(q) == pytest.approx(mv.probability(q), abs=1e-12)
+    with pytest.raises(UnrepresentableError, match="log10"):
+        cc.prob_q_and_not_w(q)
+
+
+def test_a_negative_root_keeps_its_sign_in_the_logarithm(tmp_path):
+    # Two denial blocks R(i), S(i): at weight -2 (p = 2.0) block 0's root
+    # probability is 1 - 2 * 2 = -3.0, at weight 1 block 1's is 0.75.
+    facts = [(Fact(rel, (i,)), 1.0) for i in range(2) for rel in ("R", "S")]
+    db = Mvdb(BLOCK_SCHEMA, facts,
+              [parse_view("V(x) [0] :- R(x), S(x)", BLOCK_SCHEMA)])
+    base = build_index(build_indb(db))
+    weights = [-2.0 if f.values == (0,) else 1.0 for f in base.order.facts]
+    idx = MvIndex([Constituent(c.key, c.shape, c.offset)
+                   for c in base.constituents], base.order, weights,
+                  base.source_digest)
+    assert [c.prob_root for c in idx.constituents] == [-3.0, 0.75]
+    assert (idx.sign_p0_not_w, idx.p0_not_w) == (-1, -2.25)
+    assert idx.log10_p0_not_w == pytest.approx(math.log10(2.25), abs=1e-15)
+    path = tmp_path / "index.mvx"
+    mvindex.save_index(idx, path)
+    out = io.StringIO()
+    assert main(["stats", "--index", str(path)], out=out) == 0
+    assert out.getvalue().splitlines()[-1].endswith(
+        f"P0(not W) = -2.25, log10 -P0(not W) = {idx.log10_p0_not_w!r}")
 
 
 def test_ten_weight_1e20_blocks_answer_one_half():

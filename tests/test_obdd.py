@@ -67,21 +67,19 @@ def test_tuple_order_is_recursive_grouping_on_dblp(tmp_path):
     from mvdb import build_indb
     from mvdb.cli import _load_project
     from mvdb.gendata import generate_project
-    from mvdb.mvindex import _variable_relations
     tr = build_indb(_load_project(generate_project(tmp_path / "p", seed=1,
                                                    scale=60)))
     indb = tr.indb
-    pi = choose_pi(tr.w_query, indb.schema, _variable_relations(indb))
+    pi = choose_pi(tr.w_query, indb.schema, tr.var_rels)
     assert pi
     _assert_grouped(pi, indb.probabilistic_facts(), indb.domain, indb.schema)
 
 
 def test_tuple_order_is_recursive_grouping_on_chain():
     from mvdb import build_indb
-    from mvdb.mvindex import _variable_relations
     tr = build_indb(chain_mvdb(20))
     indb = tr.indb
-    pi = choose_pi(tr.w_query, indb.schema, _variable_relations(indb))
+    pi = choose_pi(tr.w_query, indb.schema, tr.var_rels)
     _assert_grouped(pi, indb.probabilistic_facts(), indb.domain, indb.schema)
 
 
@@ -377,8 +375,7 @@ def test_con_obdd_is_from_lineage_of_lineage():
         assert mvdb.con_obdd(pi, q, inst, db.domain).order == want.order
     tr, idx = _chain_index(20)
     inst = tr.indb.possible_instance()
-    pi = choose_pi(tr.w_query, tr.indb.schema,
-                   mvdb.mvindex._variable_relations(tr.indb))
+    pi = choose_pi(tr.w_query, tr.indb.schema, tr.var_rels)
     t = NodeTable(idx.order)
     for lo, hi in ((0, 1), (3, 9), (12, 20), (0, 20)):
         q = chain_window(lo, hi)

@@ -21,8 +21,8 @@ from mvdb.cli import _load_project
 from mvdb.core import INF
 from mvdb.gendata import generate_project
 
-from helpers import (chain_mvdb, random_mvdb, viable_random_mvdb,
-                     w_lineage_reference)
+from helpers import (chain_mvdb, random_mvdb, variable_relations,
+                     viable_random_mvdb, w_lineage_reference)
 
 SHORTCUT = pytest.mark.parametrize("shortcut", [True, False],
                                    ids=["shortcut", "explicit"])
@@ -76,6 +76,19 @@ def test_random_w_lineage_matches_reference(shortcut):
         _check(tr)
         keyed += None not in tr.w_lineage and bool(tr.w_lineage)
     assert keyed  # the corpus has separable W's as well
+
+
+@SHORTCUT
+def test_carried_variable_relations_match_the_weights(tmp_path, shortcut):
+    # `build_indb` finds the relations with a non-deterministic fact while
+    # it grounds the views; they are those the Indb's weights give.
+    dbs = [_load_project(generate_project(tmp_path / "p", seed=1, scale=60)),
+           chain_mvdb(8), chain_mvdb(20)]
+    dbs += [viable_random_mvdb(seed)[0] for seed in range(200)]
+    dbs += [random_mvdb(random.Random(seed)) for seed in range(500)]
+    for db in dbs:
+        tr = build_indb(db, denial_shortcut=shortcut)
+        assert tr.var_rels == variable_relations(tr.indb)
 
 
 def _built_twice(tr, monkeypatch):
