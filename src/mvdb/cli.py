@@ -10,13 +10,18 @@ file stores; ``stats`` lists the constituents one per line, then that
 number, and ``stats --dump`` then prints the tuple order once and every
 constituent's root and nodes in rank order, one ``id rank low high`` line
 per node (ids 0 and 1 are the sinks, positions count from 2).  The online
-path of ``query --engine {ccmv,mv}`` does neither: it loads the
-project and the index, compares the index's source digest with the
-project's (`Mvdb.digest`; any change to schema, views or data means
-recompile), and answers against the base possible instance.  Queries are
-parsed against the base schema, so they cannot name an auxiliary relation
-and need none of its tuples.  ``--engine oracle`` translates and
-enumerates.
+path of ``query --engine {ccmv,mv}`` does neither: it reads and hashes the
+project's files (`ProjectFiles`; any byte-level edit of schema, views or
+data, whitespace included, means recompile), loads the index and compares
+their digests, then parses only the TSVs of the base relations whose facts
+the index's tuple order does not hold completely (`MvIndex.complete`).
+Its base possible instance takes every other relation's facts from the
+order itself (`_query_instance`), so the index and the instance share one
+`Fact` per probabilistic tuple.  Queries are parsed against the base
+schema, so they cannot name an auxiliary relation and need none of its
+tuples.  ``compile``, ``oracle`` and ``--engine oracle`` parse every file
+through the same reader (`_load_project`); ``--engine oracle`` translates
+and enumerates.
 
 Every command runs with the cyclic garbage collector paused (`main`): a
 command leaves no reference cycles that grow with the data, so the
@@ -35,15 +40,17 @@ import functools
 import os
 import sys
 import time
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from types import SimpleNamespace
 
-from .core import (DataError, InconsistentConstraintsError, IndexFormatError,
-                   InvalidViewError, Mvdb, MvdbError, OrderMismatchError,
-                   QueryParseError, SchemaError, WorldCapError, load_data,
-                   load_schema)
+from .core import (INF, DataError, InconsistentConstraintsError,
+                   IndexFormatError, Instance, InvalidViewError, Mvdb,
+                   MvdbError, OrderMismatchError, ProjectFiles,
+                   QueryParseError, SchemaError, WorldCapError)
 from . import ucq as U
-from .translate import answer_rows, build_indb, load_views
+from .translate import answer_rows, build_indb, parse_views
 from .oracle import DEFAULT_WORLD_CAP, EnumerationEvaluator, translation_check
 from .mvindex import (IndexEvaluator, _collector_paused, build_index,
                       load_index, save_index, SINK0, SINK1)
@@ -72,15 +79,38 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _load_project(project: str) -> Mvdb:
-    root = Path(project)
-    schema = load_schema(root / "schema.txt")
-    data = load_data(schema, root / "data")
-    views = []
-    views_path = root / "views.txt"
-    if views_path.exists():
-        views = load_views(views_path, schema)
-    return Mvdb(schema, data, views)
+def _load_project(project) -> Mvdb:
+    """Every file of the project, parsed and checked into an `Mvdb` that
+    carries their digest."""
+    files = ProjectFiles(project)
+    schema = files.schema
+    data = [row for rel in schema.relations for row in files.weighted(rel)]
+    return Mvdb(schema, data, parse_views(files.views_text(), schema),
+                files.digest)
+
+
+def _parse_rest(files: ProjectFiles, index) -> dict:
+    """The rows of each base relation whose facts the index's tuple order
+    does not hold completely (`MvIndex.complete`), by relation, parsed
+    from its TSV.  The digest matched, so these are the bytes the compile
+    read and checked."""
+    return {rel.name: files.weighted(rel) for rel in files.schema.relations
+            if rel.name not in index.complete}
+
+
+def _query_instance(schema, index, parsed: dict) -> Instance:
+    """The base possible instance of a cold query: for each relation in
+    schema order, its parsed rows (`_parse_rest`), or else the tuple order's
+    own facts (`MvIndex.held_facts`), so the instance and the index share
+    one `Fact` per probabilistic tuple.  It is built relation by relation,
+    one run each, as the rank order interleaves relations."""
+    held = index.held_facts(r.name for r in schema.relations)
+    facts = [held[r.name] if r.name in held
+             else map(itemgetter(0), parsed[r.name])
+             for r in schema.relations]
+    deterministic = [f for rows in parsed.values() for f, w in rows
+                     if w == INF]
+    return Instance(schema, chain.from_iterable(facts), deterministic)
 
 
 def _index_path(args) -> Path:
@@ -131,19 +161,23 @@ def cmd_compile(args, out) -> int:
 
 
 def cmd_query(args, out) -> int:
-    db = _load_project(args.project)
-    q = U.parse_query(args.query, db.schema)
     timings = []  # one per row: the timing of that row's own evaluation
     if args.engine == "oracle":
+        db = _load_project(args.project)
+        q = U.parse_query(args.query, db.schema)
         evaluator = EnumerationEvaluator(build_indb(db),
                                          world_cap=args.world_cap)
         probability = evaluator.probability
     else:
+        files = ProjectFiles(args.project)
+        q = U.parse_query(args.query, files.schema)
         index = load_index(_index_path(args))
-        if index.source_digest != db.digest():
+        if index.source_digest != files.digest:
             raise DataError("index does not match the project; recompile")
         mode = "cc" if args.engine == "ccmv" else "mv"
-        evaluator = IndexEvaluator(index, db.possible_instance(), mode)
+        evaluator = IndexEvaluator(
+            index, _query_instance(files.schema, index,
+                                   _parse_rest(files, index)), mode)
 
         def probability(bq):
             p = evaluator.probability(bq)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import math
 import re
-from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain, compress, groupby, islice, repeat
@@ -315,14 +314,6 @@ def _runs(names: list) -> list:
     return list(zip(starts, [*starts[1:], len(names)]))
 
 
-def _repr_format(relation: str, arity: int) -> str:
-    """A %-format that writes ``repr((relation, values))`` for the values
-    tuple of a fact of *relation*: ``%r`` writes each value's repr, as the
-    tuple's repr does, and a 1-tuple keeps its trailing comma."""
-    fields = ", ".join(["%r"] * arity) + ("," if arity == 1 else "")
-    return "(%s, (%s))" % (repr(relation).replace("%", "%%"), fields)
-
-
 class _Database:
     """Shared container logic for weighted-tuple databases."""
 
@@ -406,8 +397,22 @@ class _Database:
                         deterministic=self.deterministic_facts())
 
 
+# The `Mvdb.digest` of a database built in memory: no project's digest, as
+# that is a sha256 of the files a project holds (`ProjectFiles`).
+MEMORY_DIGEST = "0" * 64
+
+
 class Mvdb(_Database):
-    """Possible tuples with weights in [0, inf] plus correlation views."""
+    """Possible tuples with weights in [0, inf] plus correlation views.
+
+    *digest* names its source for a compiled index's staleness check: the
+    `ProjectFiles.digest` of the project it was read from, or
+    `MEMORY_DIGEST`."""
+
+    def __init__(self, schema: Schema, weighted_facts, views=(),
+                 digest: str = MEMORY_DIGEST):
+        super().__init__(schema, weighted_facts, views)
+        self.digest = digest
 
     def _weights_ok(self, rel, weights):
         return (not any(map(math.isnan, weights))
@@ -420,27 +425,6 @@ class Mvdb(_Database):
             raise DataError(f"{fact}: weight must be in [0, inf], got {w!r}")
         if rel.kind == DETERMINISTIC and w != INF:
             raise DataError(f"{fact}: deterministic relation requires weight inf")
-
-    def digest(self) -> str:
-        """sha256 over the schema, the views and every (fact, weight) in
-        load order.  Load order counts: it fixes the active-domain order
-        and so the tuple order of a compiled index."""
-        h = hashlib.sha256(self.schema.canonical_text().encode())
-        h.update(repr(self.views).encode())
-        # The text of ``repr([tuple(f) for f in self.weights])``, written
-        # by one format per relation run, and raw float64 bytes.
-        facts = list(self.weights)
-        names = list(map(itemgetter(0), facts))
-        values = list(map(itemgetter(1), facts))
-        runs = []
-        for start, stop in _runs(names):
-            row = _repr_format(names[start], len(values[start]))
-            runs.append(", ".join([row] * (stop - start)) % tuple(
-                chain.from_iterable(values[start:stop])))
-        h.update(("[" + ", ".join(runs) + "]").encode())
-        h.update(array("d", self.weights.values()).tobytes())
-        return h.hexdigest()
-
 
 class Indb(_Database):
     """Tuple-independent database with signed weights; p = w/(1+w)."""
@@ -488,13 +472,19 @@ def parse_schema(text: str) -> Schema:
     return Schema(relations)
 
 
-def read_text(path: Path | str, error: type) -> str:
-    """The UTF-8 text of an input file; bad bytes raise *error* naming it."""
+def _decode(data: bytes, path, error: type) -> str:
+    """The bytes *data* of the input file *path* as UTF-8 text; bad bytes
+    raise *error* naming the file."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text ({exc.reason} at byte "
                     f"{exc.start})") from None
+
+
+def read_text(path: Path | str, error: type) -> str:
+    """The UTF-8 text of an input file; bad bytes raise *error* naming it."""
+    return _decode(Path(path).read_bytes(), path, error)
 
 
 def load_schema(path: Path | str) -> Schema:
@@ -576,3 +566,53 @@ def load_data(schema: Schema, data_dir: Path | str):
         weighted.extend(parse_data_file(rel, read_text(path, DataError),
                                         str(path)))
     return weighted
+
+
+class ProjectFiles:
+    """The input files of a project directory, each read once: its
+    ``schema.txt``, its ``views.txt`` if present, and the
+    ``data/<Relation>.tsv`` of every relation of the schema that has one (a
+    missing one means an empty relation), in schema order.
+
+    `digest` is the sha256 of what was read: each file's path relative to
+    the project, its length and its bytes, in that order.  So any edit of
+    a byte, whitespace included, and adding or removing a file change it,
+    and the compiler and the online path hash the same bytes without
+    parsing them.  The schema is parsed as it is read, since it names the
+    data files; the views and the data are decoded and parsed on demand,
+    each file's errors naming it."""
+
+    def __init__(self, root: Path | str):
+        self.root = Path(root)
+        h = hashlib.sha256()
+
+        def read(name: str) -> bytes:
+            data = (self.root / name).read_bytes()
+            h.update(b"%s\0%d\0" % (name.encode(), len(data)))
+            h.update(data)
+            return data
+
+        self.schema = parse_schema(_decode(read("schema.txt"),
+                                           self.root / "schema.txt",
+                                           SchemaError))
+        self._views = (read("views.txt")
+                       if (self.root / "views.txt").exists() else None)
+        self._data = {rel.name: read(f"data/{rel.name}.tsv")
+                      for rel in self.schema.relations
+                      if (self.root / "data" / f"{rel.name}.tsv").exists()}
+        self.digest = h.hexdigest()
+
+    def views_text(self) -> str:
+        """The text of ``views.txt``; empty without one."""
+        if self._views is None:
+            return ""
+        return _decode(self._views, self.root / "views.txt",
+                       InvalidViewError)
+
+    def weighted(self, rel: Relation) -> list:
+        """`parse_data_file` of *rel*'s TSV; empty without one."""
+        data = self._data.get(rel.name)
+        if data is None:
+            return []
+        path = self.root / "data" / f"{rel.name}.tsv"
+        return parse_data_file(rel, _decode(data, path, DataError), str(path))

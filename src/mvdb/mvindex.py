@@ -44,17 +44,20 @@ is exactly 0.0, i.e. one block is contradictory on its own.
 The index is immutable after build; every query owns its own rank buckets,
 so concurrent evaluation is safe.
 
-The ``.mvx`` file (format version 6, `serialize` and `deserialize`) is:
+The ``.mvx`` file (format version 7, `serialize` and `deserialize`) is:
 
 * a header: the magic ``MVIX``, the u32 version and the 32-byte sha256
-  source digest (`Mvdb.digest`);
-* the sixteen columns of `_COLUMNS`, each a 1-byte array typecode, a u32
+  source digest (`Mvdb.digest`: the `ProjectFiles.digest` of the bytes the
+  compile read);
+* the seventeen columns of `_COLUMNS`, each a 1-byte array typecode, a u32
   item count and the items, little-endian.  An int column has the
   narrowest typecode that holds its min and max (`_column`), so the bytes
   per tuple stay flat while the domain grows, and rise once when the ids
   pass 2^8 and once more past 2^16:
-  - the relations: their names, as UTF-8 with each one's end, and their
-    arities;
+  - the relations: their names, as UTF-8 with each one's end, their
+    arities, and a flag byte that is 1 where the order holds all of the
+    relation's facts (`MvIndex.complete`: none is deterministic), so a
+    cold query takes those facts from the order instead of their TSV;
   - the tuple order: each tuple's relation id, then one column of domain
     ids that holds every tuple's values in turn;
   - the domain, every value of the order and every constituent key: its
@@ -75,7 +78,7 @@ distinct structure (`MvIndex.shapes`): its ranks relative to its first (so
 a non-empty shape's ranks start at 0) and its child codes are stored once,
 and its entry codes and width are found once.  `serialize` numbers
 relations, domain values and shapes in order of first use, so the bytes
-depend only on the index's content.  Files of version 5 or older ask for a
+depend only on the index's content.  Files of version 6 or older ask for a
 recompile.
 
 Nothing derivable is stored: not the permutations the tuple order was
@@ -108,7 +111,8 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import accumulate, chain, count, groupby, islice, repeat
+from itertools import (accumulate, chain, compress, count, groupby, islice,
+                       repeat)
 from operator import add, itemgetter, mul
 from typing import Optional
 
@@ -124,8 +128,8 @@ SINK0 = -1
 SINK1 = -2
 
 _MAGIC = b"MVIX"
-_VERSION = 6
-_HEADER = "<I32s"  # version, sha256 source digest
+_VERSION = 7
+_HEADER = "<I32s"  # version, sha256 of the source (`ProjectFiles.digest`)
 _COLUMNS_START = 4 + struct.calcsize(_HEADER)
 
 # `MvIndex` annotates a shape with this many constituents or more by lanes,
@@ -361,9 +365,12 @@ class MvIndex:
     then enters each constituent it meets through its entry tables."""
 
     def __init__(self, constituents, order: VariableOrder, weights,
-                 source_digest: str):
+                 source_digest: str, complete: frozenset):
         """*weights* are the tuples' weights in rank order, each finite and
-        not -1.  The probabilities p = w/(1+w) and q = 1/(1+w), q exact
+        not -1.  *complete* names the relations of the order that it holds
+        completely: none of their facts in the translated database is
+        deterministic, so `held_facts` can stand in for their TSVs.  The
+        probabilities p = w/(1+w) and q = 1/(1+w), q exact
         where p rounds to 1.0 (1e-20 at w = 1e20), are derived here, and
         every shape's constituents are annotated from them, by lanes when
         there are `_LANES` of them or more: the compiler and the loader
@@ -390,6 +397,7 @@ class MvIndex:
                 Constituent.derive(group, probs, qs, lanes))
         self.probs, self.qs = _doubles(probs), _doubles(qs)
         self.source_digest = source_digest
+        self.complete = complete
         roots = [c.prob_root for c in self.constituents]
         # Sorted and disjoint, so a query node finds the next constituent it
         # meets by bisection.
@@ -429,6 +437,16 @@ class MvIndex:
             return 0
         negative = sum(c.prob_root < 0.0 for c in self.constituents)
         return -1 if negative % 2 else 1
+
+    def held_facts(self, relations) -> dict:
+        """The order's own facts of each of *relations* that it holds
+        completely (`complete`), by relation, each list in rank order."""
+        held = {r: [] for r in relations if r in self.complete}
+        for fact in self.order.facts:
+            group = held.get(fact[0])
+            if group is not None:
+                group.append(fact)
+        return held
 
     def max_width(self) -> int:
         return max((s.width for s in self.shapes), default=0)
@@ -474,13 +492,16 @@ def build_index(tr: TranslationResult) -> MvIndex:
     """
     indb = tr.indb
     prob_facts = indb.probabilistic_facts()
-    digest = tr.source.digest()
+    digest = tr.source.digest
+    # The order holds every fact of a relation with no deterministic one.
+    complete = frozenset(map(itemgetter(0), prob_facts)).difference(
+        map(itemgetter(0), indb.deterministic_facts()))
     pi = {} if tr.w_query is None else choose_pi(tr.w_query, indb.schema,
                                                  tr.var_rels)
     order = tuple_order(pi, prob_facts, indb.domain, indb.schema)
     weights = map(indb.weights.__getitem__, order.facts)
     if tr.w_query is None:
-        return MvIndex([], order, weights, digest)
+        return MvIndex([], order, weights, digest, complete)
     groups = tr.w_lineage
     # Without a separator the one group's key is None; no constant is.
     keys = (list(groups) if None in groups
@@ -489,7 +510,7 @@ def build_index(tr: TranslationResult) -> MvIndex:
     if _overlapping(constituents):
         raise MvdbError("internal error: W's separator blocks interleave "
                         "in the tuple order")
-    return MvIndex(constituents, order, weights, digest)
+    return MvIndex(constituents, order, weights, digest, complete)
 
 
 def _compile_blocks(groups: dict, keys, order: VariableOrder) -> list:
@@ -676,12 +697,26 @@ def _intersect(gq: Obdd, index: MvIndex, cache_conscious: bool,
     return total, total * index.nonzero_roots
 
 
+def _p0_q_and_not_w(index: MvIndex, swept: tuple[float, float]) -> float:
+    """P0(Q and not-W) from a sweep's ``(ratio, global)`` over *index*: the
+    global value, a float wherever P0(not-W) is one.  Where P0(not-W)
+    overflows (`MvIndex.p0_not_w` is None), it raises
+    `UnrepresentableError`, whatever P(Q) is: the global value would be inf,
+    or nan where the ratio is 0.0.  P(Q) (`IndexEvaluator.probability`) and
+    log10 |P0(not-W)| (`MvIndex.log10_p0_not_w`) still hold there."""
+    if index.p0_not_w is None:
+        raise UnrepresentableError(
+            "P0(Q and not W) is outside the float range: log10 "
+            f"|P0(not W)| is {index.log10_p0_not_w!r}")
+    return swept[1]
+
+
 def mv_intersect(gq: Obdd, index: MvIndex,
                  stats: Optional[IntersectStats] = None) -> float:
-    """P0(Q and not-W): the sweep jumps to each constituent the query
-    meets, enters it at its root and walks it down, guided by the query
-    OBDD."""
-    return _intersect(gq, index, False, stats)[1]
+    """P0(Q and not-W) (`_p0_q_and_not_w`): the sweep jumps to each
+    constituent the query meets, enters it at its root and walks it down,
+    guided by the query OBDD."""
+    return _p0_q_and_not_w(index, _intersect(gq, index, False, stats))
 
 
 def cc_mv_intersect(gq: Obdd, index: MvIndex,
@@ -689,7 +724,7 @@ def cc_mv_intersect(gq: Obdd, index: MvIndex,
     """Same value as `mv_intersect`; the sweep jumps to each constituent the
     query meets and enters it at the query node's rank via entry tables, so
     expanded nodes stay inside the query's rank span."""
-    return _intersect(gq, index, True, stats)[1]
+    return _p0_q_and_not_w(index, _intersect(gq, index, True, stats))
 
 
 def rank_span(gq: Obdd) -> int:
@@ -728,16 +763,9 @@ class IndexEvaluator:
         return result
 
     def prob_q_and_not_w(self, q: U.Ucq) -> float:
-        """P0(Q and not-W), P(Q) times P0(not-W), as a float wherever
-        P0(not-W) is one.  Where P0(not-W) overflows (`MvIndex.p0_not_w` is
-        None), it raises `UnrepresentableError`, whatever P(Q) is: P(Q)
-        (`probability`) and log10 |P0(not-W)| (`MvIndex.log10_p0_not_w`)
-        still hold."""
-        if self.index.p0_not_w is None:
-            raise UnrepresentableError(
-                "P0(Q and not W) is outside the float range: log10 "
-                f"|P0(not W)| is {self.index.log10_p0_not_w!r}")
-        return self._evaluate(q)[1]
+        """P0(Q and not-W), P(Q) times P0(not-W), as `mv_intersect` and
+        `cc_mv_intersect` give it (`_p0_q_and_not_w`)."""
+        return _p0_q_and_not_w(self.index, self._evaluate(q))
 
     def probability(self, q: U.Ucq) -> float:
         """P(Q): the sweep's total, normalized by every constituent's root
@@ -763,6 +791,7 @@ _COLUMNS = {
     "names": "B",              # the relation names, concatenated
     "name_ends": _INT_CODES,   # each name's end, in characters
     "arity": _INT_CODES,       # each relation's arity
+    "complete": "B",           # each relation's 1 if in `MvIndex.complete`
     "relation": _INT_CODES,    # each tuple's relation id, in rank order
     "values": _INT_CODES,      # every tuple's values as domain ids, in turn
     "ints": "B",               # the domain's ints, space-separated decimals
@@ -853,7 +882,7 @@ def _untext(data: array, ends: array) -> list:
 
 
 def serialize(index: MvIndex) -> bytes:
-    """The v6 file: header, the columns of `_COLUMNS`, CRC-32; byte-stable.
+    """The v7 file: header, the columns of `_COLUMNS`, CRC-32; byte-stable.
 
     Relations are numbered in order of first use in the tuple order.  The
     domain is every value of the tuple order and every constituent key, the
@@ -875,6 +904,7 @@ def serialize(index: MvIndex) -> bytes:
     ids = dict(zip(ints + strings, range(len(seen))))
     offsets = [c.offset for c in cons]
     columns = {"arity": list(arity.values()),
+               "complete": [int(r in index.complete) for r in arity],
                "relation": list(map(relation.__getitem__, names)),
                "values": list(map(ids.__getitem__, values)),
                "ints": " ".join(map(str, ints)).encode(),
@@ -925,18 +955,21 @@ def _check_layout(rank, lo, hi, n_ranks: int):
             f"{n - 1 - len(children)} position(s) are no edge's child")
 
 
-def _decode_order(columns: dict) -> tuple[VariableOrder, list]:
-    """The tuple order and the domain, from their columns, each checked by
-    its length and its bounds."""
+def _decode_order(columns: dict) -> tuple[VariableOrder, list, frozenset]:
+    """The tuple order, the domain and the relations the order holds
+    completely, from their columns, each checked by its length and its
+    bounds."""
     names = _untext(columns["names"], columns["name_ends"])
     try:
         ints = list(map(int, columns["ints"].tobytes().split()))
     except ValueError:
         raise IndexFormatError("bad index metadata layout") from None
     domain = ints + _untext(columns["strings"], columns["string_ends"])
-    arity, relation, ids = (columns[name].tolist()
-                            for name in ("arity", "relation", "values"))
-    if len(arity) != len(names) or min(arity, default=1) < 1:
+    arity, flags, relation, ids = (
+        columns[name].tolist()
+        for name in ("arity", "complete", "relation", "values"))
+    if (len(arity) != len(names) or min(arity, default=1) < 1
+            or len(flags) != len(names) or max(flags, default=0) > 1):
         raise IndexFormatError("bad index metadata layout")
     if relation and not 0 <= min(relation) <= max(relation) < len(names):
         raise IndexFormatError("fact names an unknown relation")
@@ -955,12 +988,12 @@ def _decode_order(columns: dict) -> tuple[VariableOrder, list]:
                                       rows)))
     except MvdbError as exc:
         raise IndexFormatError(str(exc)) from None
-    return order, domain
+    return order, domain, frozenset(compress(names, flags))
 
 
 @_collector_paused()
 def deserialize(buf: bytes) -> MvIndex:
-    """Load a v6 index, with the cyclic garbage collector paused
+    """Load a v7 index, with the cyclic garbage collector paused
     (`_collector_paused`): everything the loader allocates stays live."""
     if len(buf) < 12:
         raise IndexFormatError("truncated index file")
@@ -977,7 +1010,7 @@ def deserialize(buf: bytes) -> MvIndex:
         raise IndexFormatError("truncated index file")
     digest = struct.unpack_from(_HEADER, body, 4)[1]
     columns = _read_columns(body)
-    order, domain = _decode_order(columns)
+    order, domain, complete = _decode_order(columns)
     keys, sids, gaps, counts = (columns[name].tolist()
                                 for name in ("key", "shape", "gap", "nodes"))
     if not (len(keys) == len(sids) == len(gaps)
@@ -1014,7 +1047,7 @@ def deserialize(buf: bytes) -> MvIndex:
         constituents.append(Constituent(key, shape, offset))
     if _overlapping(constituents):
         raise IndexFormatError("constituent rank ranges overlap")
-    return MvIndex(constituents, order, weights, digest.hex())
+    return MvIndex(constituents, order, weights, digest.hex(), complete)
 
 
 def save_index(index: MvIndex, path):

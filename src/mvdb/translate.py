@@ -128,8 +128,7 @@ def _ground_view(view: U.MarkoView, instance: Instance,
         weight_of = U.compile_expr(view.weight_expr, plan.slots)
         names = _separator_candidates(d, soft_rels)
         key_of = plan.getter(names)
-        clause_of = plan.facts
-        self_join = len({a.relation for a in d.atoms}) < len(d.atoms)
+        clause_of, repeats = plan.facts, plan.repeats()
         by_key = defaultdict(list)
 
         def match(t):
@@ -157,9 +156,7 @@ def _ground_view(view: U.MarkoView, instance: Instance,
             if not with_clauses:
                 return
             clause = clause_of(t)
-            # The instance's facts are its own objects: a repeat is the
-            # same object.
-            if self_join and len(set(map(id, clause))) < len(clause):
+            if repeats is not None and repeats(t):
                 clause = tuple(dict.fromkeys(clause))
             if w != 0:
                 clause += (nv_facts[values],)

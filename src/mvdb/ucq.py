@@ -39,7 +39,8 @@ import re
 from dataclasses import dataclass
 from functools import partial
 from itertools import filterfalse
-from operator import add, ge, gt, itemgetter, le, lt, mul, sub, truediv
+from operator import (add, ge, gt, is_, itemgetter, le, lt, mul, sub,
+                      truediv)
 from typing import Callable, NamedTuple, Optional
 
 from .core import (_TYPES, DETERMINISTIC, Fact, Instance, MvdbError,
@@ -762,6 +763,7 @@ class JoinPlan(NamedTuple):
     steps: tuple  # the `_Step` of each atom, in join order
     slots: dict  # variable name -> slot: the binding's, then in join order
     facts: Callable  # the facts of a match, in join order (`join_plan`)
+    kept: list  # the slot of each fact a match keeps, in join order
 
     def run(self, emit) -> None:
         """Call *emit* with the slot tuple of every match, in plan order:
@@ -783,6 +785,24 @@ class JoinPlan(NamedTuple):
         out: list = []
         self.run(out.append)
         return out
+
+    def repeats(self) -> Optional[Callable]:
+        """The test of whether a slot tuple holds one fact object at two of
+        its kept slots, or None when no two of them are over one relation.
+        The instance hands out its own facts, so one fact is one object,
+        and only steps over one relation can share it: the test compares
+        those slots' pairs alone."""
+        kept = zip(self.kept, [s.relation for s in self.steps if s.keeps])
+        pairs = [(a, b) for (a, ra), (b, rb)
+                 in itertools.combinations(kept, 2) if ra == rb]
+        if not pairs:
+            return None
+        if len(pairs) == 1:  # a self-join of two atoms
+            (a, b), = pairs
+            return lambda t: t[a] is t[b]
+        left = _tuple_getter([a for a, _ in pairs])
+        right = _tuple_getter([b for _, b in pairs])
+        return lambda t: any(map(is_, left(t), right(t)))
 
     def getter(self, names):
         """Reads the values of the variables *names* off a slot tuple, as a
@@ -846,7 +866,9 @@ def join_plan(cq: ConjunctiveQuery, instance: Instance,
     `VARIABLE_FACTS`, the non-deterministic ones.  Under `VARIABLE_FACTS`
     a relation's facts are kept unless all are deterministic
     (`Instance.deterministic_kind`); where a relation holds both kinds,
-    `JoinPlan.facts` drops the deterministic ones from a match."""
+    `JoinPlan.facts` drops the deterministic ones from a match.
+    `JoinPlan.repeats` tests whether a match keeps one fact at two
+    steps."""
     schema = instance.schema
     if binding:
         bound = set(binding)
@@ -926,9 +948,10 @@ def join_plan(cq: ConjunctiveQuery, instance: Instance,
     if some:  # drop the deterministic facts of a match
         det = instance.deterministic.__contains__
         return JoinPlan(start, _first_test(first, binding), tuple(steps),
-                        slots, lambda t: tuple(filterfalse(det, read(t))))
+                        slots, lambda t: tuple(filterfalse(det, read(t))),
+                        fact_slots)
     return JoinPlan(start, _first_test(first, binding), tuple(steps), slots,
-                    read)
+                    read, fact_slots)
 
 
 def _first_test(preds: tuple, binding: Optional[dict]):

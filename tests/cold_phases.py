@@ -8,7 +8,8 @@ over positions 0-3).  Then, with the cyclic collector paused as in
 `cli.main`, it prints the median milliseconds of REPEATS runs of each
 compile phase:
 
-* ``compile_load``: parsing the schema, views and TSV files into an `Mvdb`;
+* ``compile_load``: reading the schema, views and TSV files and parsing
+  them into an `Mvdb` (`cli._load_project`);
 * ``build_indb``: the translation, which also grounds W;
 * ``ground``: `translate._ground_views`, the part of ``build_indb`` that
   runs the views' bodies through their join plans;
@@ -19,8 +20,11 @@ and ``compile_peak_mb``, the tracemalloc peak of one whole ``mvdb compile``
 through `cli.main`.  Then it prints the same medians for each cold query
 phase:
 
-* ``project``: parsing the schema, views and TSV files into an `Mvdb`;
-* ``digest``: `Mvdb.digest`;
+* ``read``: reading the project's files and hashing their bytes
+  (`core.ProjectFiles`, which also parses the schema);
+* ``parse``: parsing the TSV files the query still parses, those of the
+  relations the index's tuple order does not hold completely
+  (`cli._parse_rest`);
 * ``meta``: reading the index's columns and decoding the tuple order from
   them (`mvindex._read_columns`, then `mvindex._decode_order`);
 * ``annotations`` and ``entry``: `Constituent.compute_annotations` and
@@ -32,7 +36,8 @@ phase:
 * ``load_rest``: the rest of `mvindex.deserialize`, i.e. the whole load
   minus the three phases above (so it holds the shape checks and, where
   a checkout derives them per shape, the entry codes);
-* ``instance``: `Mvdb.possible_instance`;
+* ``instance``: building the query's instance as the cold query does,
+  from those rows and the tuple order's own facts (`cli._query_instance`);
 * ``query``: parsing the query and answering it on the loaded index;
 * ``cold_total``: the whole `mvdb query --tsv` through `cli.main`;
 
@@ -59,9 +64,13 @@ takes the lane pass).  Usage::
 
 ROOT (default: the checkout holding this script) is the checkout whose
 ``mvdb`` is timed, so one copy of the script times any checkout that
-writes ``.mvx`` format 6 and annotates per shape (an older checkout's
+writes ``.mvx`` format 6 or 7 and annotates per shape (an older checkout's
 ``meta``, ``annotations`` and ``entry`` phases are timed by its own copy of
-the script); REPEATS defaults to 15.  The first form prints
+the script).  A format 6 checkout's cold query parses every file and then
+hashes its facts (`Mvdb.digest`), so there ``read`` is that hash,
+``parse`` parses the whole project into an `Mvdb`, and ``instance`` is
+`Mvdb.possible_instance`; the sum of the three phases compares across
+formats.  REPEATS defaults to 15.  The first form prints
 ``case<TAB>phase<TAB>value``.
 
 With ``--against``, both checkouts' ``mvdb`` packages are imported into
@@ -196,6 +205,18 @@ def _query_phases(pkg, project: Path, query: str,
     blob = path.read_bytes()
     db = cli._load_project(str(project))
     index = mvindex.deserialize(blob)
+    if hasattr(cli, "ProjectFiles"):
+        files = cli.ProjectFiles(project)
+        parsed = cli._parse_rest(files, index)
+        phases = {"read": lambda: cli.ProjectFiles(project),
+                  "parse": lambda: cli._parse_rest(files, index),
+                  "instance": lambda: cli._query_instance(files.schema, index,
+                                                          parsed)}
+    else:  # format 6
+        phases = {"read": db.digest,
+                  "parse": lambda: cli._load_project(str(project)),
+                  "instance": db.possible_instance}
+    instance = phases["instance"]()
     body = memoryview(blob)[:-4]
     # `MvIndex` runs the passes over lists of p and q.
     probs, qs = list(index.probs), list(index.qs)
@@ -227,15 +248,14 @@ def _query_phases(pkg, project: Path, query: str,
                     out=out):
             raise SystemExit(f"cold query failed on {project}")
 
-    instance = db.possible_instance()
     timed = {
-        "project": lambda: cli._load_project(str(project)),
-        "digest": db.digest,
+        "read": phases["read"],
+        "parse": phases["parse"],
         "meta": lambda: mvindex._decode_order(mvindex._read_columns(body)),
         "annotations": annotations,
         "entry": entry,
         "load": lambda: mvindex.deserialize(blob),
-        "instance": db.possible_instance,
+        "instance": phases["instance"],
         "query": answer,
         "cold_total": cold,
     }

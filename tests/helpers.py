@@ -460,17 +460,58 @@ def w_lineage_reference(tr) -> dict:
                            sep and sep.variables)
 
 
-def digest_reference(db) -> str:
-    """`Mvdb.digest` by its definition: sha256 over the schema's canonical
-    text, ``repr`` of the views, ``repr`` of the facts as plain tuples in
-    load order, and the weights' float64 bytes."""
+def digest_reference(root) -> str:
+    """`ProjectFiles.digest` by its definition: sha256 over ``schema.txt``,
+    ``views.txt`` if present and the ``data/<Relation>.tsv`` of every
+    relation of the schema that has one, in schema order, each as its path
+    relative to *root*, a NUL, its length in decimal, a NUL and its
+    bytes."""
     import hashlib
-    from array import array
-    h = hashlib.sha256(db.schema.canonical_text().encode())
-    h.update(repr(db.views).encode())
-    h.update(repr([tuple(f) for f in db.weights]).encode())
-    h.update(array("d", db.weights.values()).tobytes())
-    return h.hexdigest()
+    from pathlib import Path
+    root = Path(root)
+    schema = parse_schema((root / "schema.txt").read_bytes().decode())
+    names = ["schema.txt", "views.txt"]
+    names += [f"data/{r.name}.tsv" for r in schema.relations]
+    framed = b""
+    for name in names:
+        if (root / name).exists():
+            data = (root / name).read_bytes()
+            framed += b"\0".join([name.encode(), str(len(data)).encode(),
+                                   data])
+    return hashlib.sha256(framed).hexdigest()
+
+
+def view_text(view) -> str:
+    """A views-file line that parses back to *view*."""
+    return "%s(%s) [%s] :- %s" % (view.name, ", ".join(map(str, view.head)),
+                                  U._expr_str(view.weight_expr), view.body)
+
+
+def write_project(root, db) -> None:
+    """Write *db* as a project under *root*: its schema's canonical text,
+    its views one per line (no ``views.txt`` without one), and one TSV per
+    relation with a fact, each row its values and ``repr`` of its weight,
+    in load order."""
+    from pathlib import Path
+    root = Path(root)
+    (root / "data").mkdir(parents=True)
+    (root / "schema.txt").write_text(db.schema.canonical_text())
+    if db.views:
+        (root / "views.txt").write_text(
+            "".join(view_text(v) + "\n" for v in db.views))
+    rows: dict = {}
+    for fact, w in db.weights.items():
+        rows.setdefault(fact.relation, []).append(
+            "\t".join([*map(str, fact.values), repr(w)]) + "\n")
+    for name, lines in rows.items():
+        (root / "data" / f"{name}.tsv").write_text("".join(lines))
+
+
+def complete_relations(indb, order) -> frozenset:
+    """`MvIndex.complete` by its definition: the relations of *order*
+    whose every fact in *indb* has a finite weight."""
+    return frozenset(f.relation for f in order.facts) - {
+        f.relation for f, w in indb.weights.items() if w == INF}
 
 
 def build_index_per_block(tr):
@@ -489,7 +530,8 @@ def build_index_per_block(tr):
                                 indb.schema)
     weights = [indb.weights[f] for f in order.facts]
     if tr.w_query is None:
-        return MvIndex([], order, weights, tr.source.digest())
+        return MvIndex([], order, weights, tr.source.digest,
+                       complete_relations(indb, order))
     table = NodeTable(order)
     blocks = []
     sep = U.find_separator(tr.w_query, indb.schema, var_rels)
@@ -520,7 +562,7 @@ def build_index_per_block(tr):
                                 order=order, table=table, var_rels=var_rels)
         blocks = [] if g.root == 0 else [(None, g)]
     return MvIndex(constituents_of(blocks), order, weights,
-                   tr.source.digest())
+                   tr.source.digest, complete_relations(indb, order))
 
 
 def constituents_of(blocks) -> list:

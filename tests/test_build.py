@@ -20,11 +20,9 @@ from mvdb import (EnumerationEvaluator, Fact, IndexEvaluator, Mvdb, MvdbError,
                   find_separator, parse_query, parse_schema, parse_view,
                   query_probability, serialize)
 from mvdb import mvindex, obdd
-from mvdb.cli import main
-from mvdb.core import load_data, load_schema
+from mvdb.cli import _load_project, main
 from mvdb.gendata import generate_project
 from mvdb.mvindex import SINK0
-from mvdb.translate import load_views
 
 from helpers import (EX1_SCHEMA, RAND_SCHEMA, build_index_per_block,
                      build_index_unshared, chain_mvdb, entry_tables,
@@ -38,10 +36,7 @@ relation A(x:string, y:string) key(x,y) probabilistic
 
 
 def _project_tr(path):
-    schema = load_schema(path / "schema.txt")
-    db = Mvdb(schema, load_data(schema, path / "data"),
-              load_views(path / "views.txt", schema))
-    return build_indb(db)
+    return build_indb(_load_project(path))
 
 
 def _same_bytes(tr):

@@ -799,3 +799,188 @@ def test_main_restores_the_callers_collector_state(project):
         assert not gc.isenabled()
     finally:
         gc.enable()
+
+
+# -- the cold query: the index's facts, the project's bytes -------------------
+
+def _parsed_relations(monkeypatch) -> list:
+    """Patch `parse_data_file` to record the relation of every TSV parsed."""
+    from mvdb import core
+    seen = []
+    real = core.parse_data_file
+
+    def spy(rel, *args, **kwargs):
+        seen.append(rel.name)
+        return real(rel, *args, **kwargs)
+
+    monkeypatch.setattr(core, "parse_data_file", spy)
+    return seen
+
+
+def _chain_project(root):
+    from helpers import chain_mvdb, write_project
+    write_project(root, chain_mvdb(8))
+    return root
+
+
+def test_cold_query_parses_only_what_the_index_lacks(tmp_path, monkeypatch):
+    dblp = generate_project(tmp_path / "dblp", seed=1, scale=20)
+    chain = _chain_project(tmp_path / "chain")
+    # the relations parsed by a cold query, then by a compile
+    cases = [(dblp, "Q(a) :- Advisor(7, a)", ["Author", "CoPubs"],
+              ["Author", "CoPubs", "Student", "Advisor"]),
+             (chain, "Q() :- R(x), S(x, y), T(y)", [], ["R", "S", "T"])]
+    for project, q, parsed, everything in cases:
+        seen = _parsed_relations(monkeypatch)
+        assert run(["compile", "--project", str(project)])[0] == EXIT_OK
+        assert seen == everything
+        for engine in ("ccmv", "mv"):
+            seen.clear()
+            rc, _ = run(["query", "--project", str(project), "--engine",
+                         engine, q])
+            assert rc == EXIT_OK
+            assert seen == parsed, (project, engine)
+
+
+MIXED_SCHEMA = """\
+relation D(x:string) key(x) deterministic
+relation R(x:string) key(x) probabilistic
+relation S(x:string, y:string) key(x,y) probabilistic
+"""
+
+
+@pytest.fixture
+def mixed(tmp_path):
+    """R holds inf-weight and weight-0 rows besides finite ones, so the
+    tuple order holds only some of its facts; S's are all in it."""
+    proj = tmp_path / "mixed"
+    (proj / "data").mkdir(parents=True)
+    (proj / "schema.txt").write_text(MIXED_SCHEMA)
+    (proj / "views.txt").write_text("V(x) [0.5] :- R(x), S(x, y)\n"
+                                    "W(y) [0] :- S(x, y), D(x), R(x)\n")
+    (proj / "data" / "D.tsv").write_text("a0\tinf\na2\tinf\n")
+    (proj / "data" / "R.tsv").write_text(
+        "a0\tinf\na1\t0\na2\t2.0\na3\t0.5\na4\tinf\n")
+    (proj / "data" / "S.tsv").write_text(
+        "a0\tb0\t1.0\na1\tb1\t0.5\na2\tb0\t0\na2\tb1\t3.0\na3\tb2\t0.25\n"
+        "a4\tb2\t1.5\n")
+    assert run(["compile", "--project", str(proj)])[0] == EXIT_OK
+    return proj
+
+
+MIXED_QUERIES = ["Q(x) :- R(x), S(x, y)", "Q() :- R(x), S(x, 'b0')",
+                 "Q(y) :- S(x, y), D(x)", "Q(x) :- R(x)", "Q() :- R('a4')"]
+
+
+def test_cold_query_on_a_mixed_relation(mixed, monkeypatch):
+    from mvdb import answer_query, build_indb, parse_query
+    from mvdb.cli import _load_project
+    index = load_index(mixed / "index.mvx")
+    assert index.complete == {"S", "NV"}
+    tr = build_indb(_load_project(mixed))
+    seen = _parsed_relations(monkeypatch)
+    for text in MIXED_QUERIES:
+        q = parse_query(text, tr.indb.schema)
+        for engine, mode in (("ccmv", "cc"), ("mv", "mv")):
+            seen.clear()
+            rc, out = run(["query", "--project", str(mixed), "--engine",
+                           engine, "--tsv", text])
+            assert rc == EXIT_OK
+            assert seen == ["D", "R"]
+            warm = IndexEvaluator(index, tr.indb.possible_instance(), mode)
+            want = answer_query(q, tr, warm)
+            assert _rows(out) == [[*map(str, a), repr(p)] for a, p in want]
+        rc, out = run(["query", "--project", str(mixed), "--engine",
+                       "oracle", "--tsv", text])
+        assert rc == EXIT_OK
+        got = _rows(out)
+        assert [r[:-1] for r in got] == [list(map(str, a)) for a, _ in want]
+        for row, (_, p) in zip(got, want):
+            assert float(row[-1]) == pytest.approx(p, abs=1e-9)
+
+
+def test_cold_instance_shares_the_index_facts(mixed, tmp_path):
+    from mvdb.cli import _parse_rest, _query_instance
+    from mvdb.core import ProjectFiles
+    chain = _chain_project(tmp_path / "chain")
+    dblp = generate_project(tmp_path / "dblp", seed=1, scale=20)
+    for project in (mixed, chain, dblp):
+        run(["compile", "--project", str(project)])
+        index = load_index(project / "index.mvx")
+        files = ProjectFiles(project)
+        instance = _query_instance(files.schema, index,
+                                   _parse_rest(files, index))
+        ranked = {f: f for f in index.order.facts}
+        held = [f for rel in files.schema.relations
+                if rel.name in index.complete
+                for f in instance.facts_of(rel.name)]
+        assert held and all(ranked[f] is f for f in held)
+        want = mvdb.cli._load_project(project).possible_instance()
+        assert instance.facts == want.facts
+        assert instance.deterministic == want.deterministic
+
+
+def _append(name, data=b" "):
+    def edit(project):
+        with open(project / name, "ab") as fh:
+            fh.write(data)
+    return edit
+
+
+def _replace_byte(name, old: bytes, new: bytes):
+    def edit(project):
+        path = project / name
+        data = path.read_bytes()
+        assert len(old) == len(new) == 1 and old in data
+        path.write_bytes(data.replace(old, new, 1))
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    # a trailing space: every file still parses to the same project
+    _append("schema.txt"), _append("views.txt"),
+    _append("data/Author.tsv"),  # deterministic, parsed by a cold query
+    _append("data/Student.tsv"),  # probabilistic, not parsed by one
+    # one byte changed in place
+    _replace_byte("schema.txt", b" ", b"\t"),
+    _replace_byte("views.txt", b"2", b"3"),
+    _replace_byte("data/Author.tsv", b"e", b"f"),
+    _replace_byte("data/Advisor.tsv", b"5", b"6"),
+    lambda project: (project / "views.txt").unlink(),
+], ids=["schema space", "views space", "deterministic tsv space",
+        "skipped tsv space", "schema byte", "views byte",
+        "deterministic tsv byte", "skipped tsv byte", "views removed"])
+def test_a_byte_edit_needs_recompile(project, capsys, edit):
+    run(["compile", "--project", str(project)])
+    edit(project)
+    _input_error(["query", "--project", str(project), "Q() :- Student(1, y)"],
+                 capsys, "index does not match the project; recompile")
+
+
+def test_adding_a_tsv_needs_recompile(project, capsys):
+    # An empty file holds no rows, but the compile did not read it.
+    (project / "data" / "Author.tsv").unlink()
+    run(["compile", "--project", str(project)])
+    assert run(["query", "--project", str(project),
+                "Q() :- Student(1, y)"])[0] == EXIT_OK
+    (project / "data" / "Author.tsv").write_bytes(b"")
+    _input_error(["query", "--project", str(project), "Q() :- Student(1, y)"],
+                 capsys, "index does not match the project; recompile")
+
+
+def test_v6_index_needs_recompile(project, capsys):
+    # the v6 layout: the v7 one without the `complete` column
+    import struct
+    import zlib
+    from helpers import column_spans
+    run(["compile", "--project", str(project)])
+    path = project / "index.mvx"
+    blob = path.read_bytes()
+    start, end = [(a, b) for name, _, a, b in column_spans(blob)
+                  if name == "complete"][0]
+    body = (blob[:4] + struct.pack("<I", 6) + blob[8:start]
+            + blob[end:-4])
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    for argv in (["query", "--project", str(project), "Q() :- Student(1, y)"],
+                 ["stats", "--project", str(project)]):
+        _input_error(argv, capsys, "unsupported format version 6; recompile")

@@ -343,34 +343,57 @@ def test_lazy_domain_matches_eager_interning(tmp_path):
 
 
 def test_loaded_project_digest_and_domain_order(tmp_path):
-    from mvdb.core import load_data, load_schema
+    from mvdb.cli import _load_project
+    from mvdb.core import MEMORY_DIGEST, ProjectFiles, load_data, load_schema
     from mvdb.gendata import generate_project
     from mvdb.translate import load_views
     project = generate_project(tmp_path / "proj", seed=1, scale=60)
+    digest = ("325c54020bfeb4efdd742e7651b274ad"
+              "3310981b5dcfe8cdb8cce09e69fe4f69")
+    assert ProjectFiles(project).digest == digest
+    assert _load_project(project).digest == digest
+    # The library loaders read no digest: the database is built in memory.
     schema = load_schema(project / "schema.txt")
     db = Mvdb(schema, load_data(schema, project / "data"),
               load_views(project / "views.txt", schema))
-    assert db.digest() == ("323659a7e609c00a654bcf5acd26301b"
-                           "92e08de04ca6e2cda6e77769bb4d1679")
+    assert db.digest == MEMORY_DIGEST != digest
+    assert list(db.weights.items()) == \
+        list(_load_project(project).weights.items())
     assert db.domain.constants[:20] == [
         1001, "a. stone", 1002, "b. rivera", 1003, "c. okafor", 1004,
         "d. madsen", 1005, "e. liu", 1006, "f. haines", 1007, "g. brandt",
         1008, "h. suzuki", 1009, "i. ferrara", 1, 4]
 
 
-# -- digest: the format-string text equals repr ------------------------------
+# -- digest: a sha256 of the bytes the project's files hold -------------------
 
 def test_digest_matches_reference_on_corpora(tmp_path):
+    # Each corpus database written as a project reads back with the same
+    # weights and views (relation by relation, so in another load order),
+    # and the byte digest of its files; two projects share a digest
+    # exactly when their files hold the same bytes.
     from mvdb.cli import _load_project
+    from mvdb.core import ProjectFiles
     from mvdb.gendata import generate_project
     from helpers import (chain_mvdb, digest_reference, random_mvdb,
-                         viable_random_mvdb)
-    dbs = [_load_project(generate_project(tmp_path / "p", seed=1, scale=60)),
-           chain_mvdb(8), chain_mvdb(20)]
+                         viable_random_mvdb, write_project)
+    roots = [generate_project(tmp_path / "p", seed=1, scale=60)]
+    dbs = [chain_mvdb(8), chain_mvdb(20)]
     dbs += [viable_random_mvdb(seed)[0] for seed in range(200)]
     dbs += [random_mvdb(random.Random(seed)) for seed in range(500)]
-    for db in dbs:
-        assert db.digest() == digest_reference(db)
+    for i, db in enumerate(dbs):
+        roots.append(tmp_path / str(i))
+        write_project(roots[-1], db)
+        loaded = _load_project(roots[-1])
+        assert loaded.weights == db.weights and loaded.views == db.views
+    contents = {}
+    for root in roots:
+        digest = ProjectFiles(root).digest
+        assert digest == digest_reference(root)
+        files = tuple((p.relative_to(root), p.read_bytes())
+                      for p in _project_files(root))
+        assert contents.setdefault(digest, files) == files
+    assert len(set(contents.values())) == len(contents)
 
 
 DIGEST_SCHEMA = parse_schema("""
@@ -378,6 +401,26 @@ relation A(x:string) key(x) probabilistic
 relation B(x:int, y:string, z:int) key(x,y,z) probabilistic
 relation D(x:int) key(x) deterministic
 """)
+
+
+def _project_files(root) -> list:
+    """The paths of the project files under *root*, sorted."""
+    return sorted(p for p in root.rglob("*") if p.suffix in (".txt", ".tsv"))
+
+
+def _assert_digest_reads_bytes(root):
+    """The digest of *root* is the reference's, and moves with any one
+    byte of any file it reads."""
+    from mvdb.core import ProjectFiles
+    from helpers import digest_reference
+    digest = ProjectFiles(root).digest
+    assert digest == digest_reference(root)
+    for path in _project_files(root):
+        data = path.read_bytes()
+        path.write_bytes(data + b" ")
+        assert ProjectFiles(root).digest != digest, path
+        path.write_bytes(data)
+    assert ProjectFiles(root).digest == digest
 
 
 @pytest.mark.parametrize("facts", [
@@ -392,16 +435,19 @@ relation D(x:int) key(x) deterministic
      (Fact("A", ("b",)), 3.0)],
     [],
 ], ids=["strings", "ints and runs", "empty"])
-def test_digest_matches_reference_on_awkward_values(facts):
-    from helpers import digest_reference
-    db = Mvdb(DIGEST_SCHEMA, facts, [])
-    assert db.digest() == digest_reference(db)
+def test_digest_matches_reference_on_awkward_values(tmp_path, facts):
+    # A tab or a newline in a value splits its row: the digest reads the
+    # bytes, whether or not they parse back to the facts.
+    from helpers import write_project
+    write_project(tmp_path / "p", Mvdb(DIGEST_SCHEMA, facts, []))
+    _assert_digest_reads_bytes(tmp_path / "p")
 
 
-def test_digest_matches_reference_on_a_relation_name_with_percent():
+def test_digest_matches_reference_on_a_non_ascii_relation_name(tmp_path):
+    # A relation name is part of a data file's path, and so of the digest.
     from mvdb.core import Attribute, Relation
-    from helpers import digest_reference
-    schema = Schema([Relation("P%r%%", (Attribute("x", "int"),), ("x",),
+    from helpers import write_project
+    schema = Schema([Relation("Pé", (Attribute("x", "int"),), ("x",),
                               "probabilistic")])
-    db = Mvdb(schema, [(Fact("P%r%%", (1,)), 1.0)], [])
-    assert db.digest() == digest_reference(db)
+    write_project(tmp_path / "p", Mvdb(schema, [(Fact("Pé", (1,)), 1.0)]))
+    _assert_digest_reads_bytes(tmp_path / "p")

@@ -809,6 +809,8 @@ def _pop(name):
     (_set(("values", 0), -1), "layout"),
     (_pop("values"), "layout"),  # one short of the relations' arities
     (_pop("arity"), "layout"),  # a relation without an arity
+    (_pop("complete"), "layout"),  # a relation without its flag
+    (_set(("complete", 0), 2), "layout"),  # a flag neither 0 nor 1
     (_set(("arity", 0), -1), "layout"),
     (_set(("key", 0), 6), "layout"),  # past the domain, counting None
     (_set(("key", 0), -1), "layout"),
@@ -1079,6 +1081,27 @@ def test_log10_p0_not_w_survives_overflow(dblp_overflow):
         cc.prob_q_and_not_w(q)
 
 
+@pytest.mark.parametrize("text", ["Q() :- Advisor(9, a)",
+                                  "Q() :- Advisor(9, 99999)"])
+def test_p0_q_and_not_w_is_unrepresentable_past_the_float_range(
+        dblp_overflow, text):
+    # Every route to P0(Q and not W) raises alike, in both modes, where the
+    # product of the roots would make it inf (a query that holds somewhere)
+    # or nan (one that holds nowhere, total 0.0); P(Q) stays a probability.
+    _, tr, idx = dblp_overflow
+    q = parse_query(text, tr.indb.schema)
+    inst = tr.indb.possible_instance()
+    gq = from_lineage(lineage(q, inst), idx.order)
+    for fn, mode in ((cc_mv_intersect, "cc"), (mv_intersect, "mv")):
+        with pytest.raises(UnrepresentableError, match="log10"):
+            fn(gq, idx)
+        ev = IndexEvaluator(idx, inst, mode)
+        with pytest.raises(UnrepresentableError, match="log10"):
+            ev.prob_q_and_not_w(q)
+        assert 0.0 <= ev.probability(q) <= 1.0
+        assert (ev.probability(q) == 0.0) == text.endswith("99999)")
+
+
 def test_a_negative_root_keeps_its_sign_in_the_logarithm(tmp_path):
     # Two denial blocks R(i), S(i): at weight -2 (p = 2.0) block 0's root
     # probability is 1 - 2 * 2 = -3.0, at weight 1 block 1's is 0.75.
@@ -1089,7 +1112,7 @@ def test_a_negative_root_keeps_its_sign_in_the_logarithm(tmp_path):
     weights = [-2.0 if f.values == (0,) else 1.0 for f in base.order.facts]
     idx = MvIndex([Constituent(c.key, c.shape, c.offset)
                    for c in base.constituents], base.order, weights,
-                  base.source_digest)
+                  base.source_digest, base.complete)
     assert [c.prob_root for c in idx.constituents] == [-3.0, 0.75]
     assert (idx.sign_p0_not_w, idx.p0_not_w) == (-1, -2.25)
     assert idx.log10_p0_not_w == pytest.approx(math.log10(2.25), abs=1e-15)
@@ -1168,7 +1191,8 @@ def _zero_block_index():
     weights = [signed.get(f, 0.3) for f in base.order.facts]
     cons = [Constituent(c.key, c.shape, c.offset)
             for c in base.constituents]
-    idx = MvIndex(cons, base.order, weights, base.source_digest)
+    idx = MvIndex(cons, base.order, weights, base.source_digest,
+                  base.complete)
     assert [idx.probs[base.order.rank_of(f)] for f in signed] == [2.0, 0.5]
     return tr, idx
 

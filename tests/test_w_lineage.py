@@ -145,6 +145,10 @@ EDGE_VIEWS = {
     "deterministic atom": ["V(x, y) [0.25] :- S(x, y), C(y, n)"],
     "all denial": ["V(x, y) [0] :- S(x, y), T(y)"],
     "one fact twice": ["V(x) [2] :- S(x, y), S(x, z)"],
+    # three steps over S: three pairs of them can share a fact
+    "one fact at three steps": ["V(x) [2] :- S(x, y), S(x, z), S(w, z)"],
+    "self-join around another atom": ["V(x) [0.5] :- S(x, y), T(y), "
+                                      "S(x, z)"],
     # no soft atom, no root variable: W's separator is NV's head variable
     "no soft atom": ["V(x) [0.5] :- C(x, n), C(y, 2)"],
 }
