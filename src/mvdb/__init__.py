@@ -11,7 +11,7 @@ from .core import (INF, Attribute, DataError, DegenerateWeightError, Domain,
                    Fact, HardConstraintError, InconsistentConstraintsError,
                    Indb, IndexFormatError, Instance, InvalidViewError, Mvdb,
                    MvdbError, OrderMismatchError, QueryParseError, Relation,
-                   Schema, SchemaError, UnrepresentableError, World,
+                   Schema, SchemaError, UnrepresentableError,
                    WorldCapError, load_data, load_schema, parse_schema,
                    weight_to_probability)
 from .ucq import (Atom, ConjunctiveQuery, Const, Lineage, MarkoView,
@@ -23,8 +23,7 @@ from .obdd import (NodeTable, Obdd, VariableOrder, choose_pi, con_obdd,
 from .translate import (TranslationResult, answer_query, build_indb,
                         load_views, materialize_view, parse_views,
                         query_probability)
-from .oracle import (EnumerationEvaluator, indb_probability, indb_world_trace,
-                     mln_probability, mln_world_trace, translation_check)
+from .oracle import EnumerationEvaluator, mln_probability, translation_check
 from .mvindex import (Constituent, IndexEvaluator, IntersectStats, MvIndex,
                       build_index, cc_mv_intersect, deserialize, load_index,
                       mv_intersect, rank_span, save_index, serialize)

@@ -161,14 +161,6 @@ class Schema:
         """New schema with additional (view-auxiliary) relations appended."""
         return Schema(self.relations + tuple(extra))
 
-    def canonical_text(self) -> str:
-        lines = []
-        for rel in self.relations:
-            attrs = ", ".join(f"{a.name}:{a.type}" for a in rel.attributes)
-            key = ",".join(rel.key)
-            lines.append(f"relation {rel.name}({attrs}) key({key}) {rel.kind}")
-        return "\n".join(lines) + "\n"
-
 
 class Domain:
     """Dense interning dictionary over *values*; active-domain order is
@@ -194,16 +186,6 @@ class Domain:
     @property
     def constants(self) -> list:
         return list(self._constants)
-
-
-@dataclass(frozen=True)
-class World:
-    """A possible world: the set of present tuples."""
-
-    present: frozenset
-
-    def holds(self, fact: Fact) -> bool:
-        return fact in self.present
 
 
 class Instance:

@@ -77,10 +77,3 @@ def generate_project(out_dir, seed: int = 1, scale: int = 2,
     tsv("Student.tsv", [(s, y, repr(w)) for s, y, w in student_rows])
     tsv("Advisor.tsv", [(s, a, repr(w)) for s, a, w in advisor_rows])
     return out
-
-
-def demo_query(project_dir) -> str:
-    """A 'students of one advisor' query against the generated data."""
-    advisor_file = Path(project_dir) / "data" / "Advisor.tsv"
-    first = advisor_file.read_text().splitlines()[0].split("\t")
-    return f"Q(s) :- Advisor(s, {first[1]}), Student(s, y)"

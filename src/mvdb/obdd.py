@@ -147,20 +147,6 @@ class Obdd:
         """Node count including the two sinks."""
         return len(self.reachable()) + 2
 
-    def width(self) -> int:
-        counts: dict[int, int] = {}
-        for u in self.reachable():
-            r = self.table.var[u]
-            counts[r] = counts.get(r, 0) + 1
-        return max(counts.values(), default=0)
-
-    def evaluate(self, true_ranks) -> bool:
-        u = self.root
-        while u > 1:
-            u = self.table.hi[u] if self.table.var[u] in true_ranks \
-                else self.table.lo[u]
-        return u == 1
-
 
 def synthesize(op: str, g1: Obdd, g2: Obdd) -> Obdd:
     """Pairwise apply; memoized on node pairs, at most |g1|*|g2| visits."""
@@ -246,22 +232,21 @@ def from_ranks(clauses, order: VariableOrder,
 # Permutation choice
 # ---------------------------------------------------------------------------
 
-def choose_pi(q: U.Ucq, schema: Schema, var_rels=None) -> dict:
+def choose_pi(q: U.Ucq, schema: Schema, var_rels: set) -> dict:
     """Pick attribute permutations by the separator rule: separator
-    positions first, greedily repeating on the residual query.  Relations
-    absent from the returned ``{relation: positions}`` (all of them, ``{}``,
-    without a separator) keep the identity.  Under the resulting
-    `tuple_order` each separator constant's tuples are contiguous.
+    positions first, greedily repeating on the residual query, over the
+    variable relations *var_rels*.  Relations absent from the returned
+    ``{relation: positions}`` (all of them, ``{}``, without a separator)
+    keep the identity.  Under the resulting `tuple_order` each separator
+    constant's tuples are contiguous.
     """
-    if var_rels is None:
-        var_rels = U.variable_relations(schema)
     prefix: dict[str, list[int]] = {}
     current = q
     counter = itertools.count()
     while True:
         if not any(d.variables() for d in current.disjuncts):
             break
-        sep = U.find_separator(current, schema, var_rels)
+        sep = U.find_separator(current, var_rels)
         if sep is None:
             break
         for rel, pos in sep.positions.items():

@@ -6,7 +6,9 @@ satisfied view features, and the signed product measure of a translated
 tuple-independent database, where per-tuple probabilities may be negative.
 Both are exact up to float arithmetic and capped at 2**20 worlds.  Each
 has one path: numpy arrays of world weights over all 2**n assignments,
-summed where the formula holds.
+summed where the formula holds.  The tests list the same worlds one by
+one (`helpers.mln_world_trace` and `helpers.indb_world_trace`) and sum the
+signed measure of a lineage (`helpers.indb_probability`) to check these.
 
 numpy is imported by the enumerating functions themselves, so a process
 that loads mvdb but never enumerates (every CLI command except the oracle
@@ -18,7 +20,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .core import (Fact, InconsistentConstraintsError, Indb, Mvdb,
-                   MvdbError, World, WorldCapError)
+                   MvdbError, WorldCapError)
 from . import ucq as U
 from .translate import TranslationResult, build_indb, materialize_view
 
@@ -72,40 +74,6 @@ def view_features(db: Mvdb):
                             for d in view.body.disjuncts)), values)
             features.append((U.lineage(boolean, instance), float(w)))
     return features
-
-
-def mln_world_trace(db: Mvdb):
-    """(world, weight) per world in subset-counting order; exact products."""
-    prob = db.probabilistic_facts()
-    _check_cap(len(prob), DEFAULT_WORLD_CAP)
-    features = view_features(db)
-    out = []
-    for j in range(1 << len(prob)):
-        present = frozenset(f for i, f in enumerate(prob) if (j >> i) & 1)
-        weight = 1.0
-        for i, f in enumerate(prob):
-            if (j >> i) & 1:
-                weight *= db.weights[f]
-        for phi, w in features:
-            if phi.holds(present):
-                weight *= w
-        out.append((World(present), weight))
-    return out
-
-
-def indb_world_trace(db: Indb):
-    """(world, weight) with weight the product of present finite weights."""
-    prob = db.probabilistic_facts()
-    _check_cap(len(prob), DEFAULT_WORLD_CAP)
-    out = []
-    for j in range(1 << len(prob)):
-        present = frozenset(f for i, f in enumerate(prob) if (j >> i) & 1)
-        weight = 1.0
-        for i, f in enumerate(prob):
-            if (j >> i) & 1:
-                weight *= db.weights[f]
-        out.append((World(present), weight))
-    return out
 
 
 def _world_weight_array(db: Mvdb, features, bits, n) -> np.ndarray:
@@ -162,17 +130,6 @@ def _probability_array(db: Indb, prob_facts, n) -> np.ndarray:
         weights[on] *= p
         weights[~on] *= q
     return weights
-
-
-def indb_probability(db: Indb, phi: U.Lineage,
-                     world_cap: int = DEFAULT_WORLD_CAP) -> float:
-    """Signed measure of the worlds of an independent database where the
-    lineage *phi* holds."""
-    prob_facts = db.probabilistic_facts()
-    n = len(prob_facts)
-    _check_cap(n, world_cap)
-    sat = _sat_array(_clause_masks(phi, _bit_map(prob_facts)), n)
-    return float(_probability_array(db, prob_facts, n)[sat].sum())
 
 
 class EnumerationEvaluator:

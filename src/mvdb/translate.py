@@ -115,7 +115,8 @@ def _ground_view(view: U.MarkoView, instance: Instance,
     `_separator_candidates`, so the clauses can be grouped by W's separator
     once it is known without keeping the bindings.  Each match is handled
     as the join reaches it, so an error surfaces at the same match as the
-    view's reference semantics (`ucq.eval_expr`) would meet it.
+    view's reference semantics (the tests' `helpers.eval_expr`) would meet
+    it.
     """
     weights: dict[tuple, float] = {}
     nv_facts: dict[tuple, Fact] = {}
@@ -303,7 +304,7 @@ def build_indb(db: Mvdb, denial_shortcut: bool = True) -> TranslationResult:
     if not components:
         return TranslationResult(indb, None, db, {}, var_rels)
     w_query = U.Ucq(tuple(d for c in components for d in c.disjuncts))
-    sep = U.find_separator(w_query, schema, var_rels)
+    sep = U.find_separator(w_query, var_rels)
     clauses = [c for _, _, per_view in passes for c in per_view]
     return TranslationResult(indb, w_query, db, _group_clauses(clauses, sep),
                              var_rels)

@@ -27,8 +27,7 @@ fact, each variable at a slot the plan fixes, and the plan's predicates
 are compiled once into closures over such tuples (`compile_expr`).  A
 match yields the instance's own fact objects.  `lineage`, `answer_tuples`
 and the views' materialization (`translate.materialize_view`, which also
-grounds W) read the slots directly; `iter_matches` turns each match into
-a binding dict.
+grounds W) read the slots directly.
 """
 
 from __future__ import annotations
@@ -43,8 +42,7 @@ from operator import (add, ge, gt, is_, itemgetter, le, lt, mul, sub,
                       truediv)
 from typing import Callable, NamedTuple, Optional
 
-from .core import (_TYPES, DETERMINISTIC, Fact, Instance, MvdbError,
-                   QueryParseError, Schema)
+from .core import _TYPES, Instance, MvdbError, QueryParseError, Schema
 
 COMPARISONS = ("=", "!=", "<", "<=", ">", ">=", "contains")
 
@@ -174,80 +172,20 @@ def _expr_str(expr) -> str:
     return repr(expr)
 
 
-def eval_expr(expr, env: dict):
-    """Evaluate an arithmetic expression under a variable binding."""
-    if isinstance(expr, Const):
-        return expr.value
-    if isinstance(expr, Var):
-        try:
-            return env[expr.name]
-        except KeyError:
-            raise MvdbError(f"unbound variable {expr.name!r}") from None
-    if isinstance(expr, Func):
-        if expr.name != "exp":
-            raise MvdbError(f"unknown function {expr.name!r}")
-        try:
-            return math.exp(_as_number(eval_expr(expr.arg, env)))
-        except OverflowError:
-            return math.inf
-    if isinstance(expr, BinOp):
-        a = _as_number(eval_expr(expr.lhs, env))
-        b = _as_number(eval_expr(expr.rhs, env))
-        try:
-            if expr.op == "+":
-                return a + b
-            if expr.op == "-":
-                return a - b
-            if expr.op == "*":
-                return a * b
-            if expr.op == "/":
-                return a / b
-        except (ZeroDivisionError, OverflowError) as exc:
-            raise MvdbError(
-                f"cannot evaluate {_expr_str(expr)}: {exc}") from None
-        raise MvdbError(f"unknown operator {expr.op!r}")
-    raise MvdbError(f"not an expression: {expr!r}")
-
-
 def _as_number(v):
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise MvdbError(f"expected a number, got {v!r}")
     return v
 
 
-def eval_predicate(pred: Predicate, env: dict) -> bool:
-    lhs = eval_expr(pred.lhs, env)
-    rhs = eval_expr(pred.rhs, env)
-    op = pred.op
-    if op == "contains":
-        if not isinstance(lhs, str) or not isinstance(rhs, str):
-            raise MvdbError("contains expects string operands")
-        return rhs in lhs
-    if op == "=":
-        return lhs == rhs
-    if op == "!=":
-        return lhs != rhs
-    try:
-        if op == "<":
-            return lhs < rhs
-        if op == "<=":
-            return lhs <= rhs
-        if op == ">":
-            return lhs > rhs
-        if op == ">=":
-            return lhs >= rhs
-    except TypeError:
-        raise MvdbError(f"type mismatch comparing {lhs!r} and {rhs!r}") from None
-    raise MvdbError(f"unknown comparison {op!r}")
-
-
 # A join plan (`join_plan`) holds a binding as a tuple of *slots*, and
 # compiles each expression once into a closure over such a tuple, given
 # *slots*, the slot of each bound variable's name.  A compiled expression
-# returns what `eval_expr` returns for the binding the tuple holds and
-# raises the same `MvdbError`, with the same message, at the same point;
-# a compiled predicate does the same for `eval_predicate`.  Those two
-# functions stay the reference semantics.
+# returns what the expression evaluates to under the binding the tuple
+# holds, or raises `MvdbError`; a compiled predicate does the same.  The
+# tests keep the interpreted evaluators (`helpers.eval_expr` and
+# `helpers.eval_predicate`) as the reference semantics: the same values,
+# and the same messages raised at the same points.
 
 _ARITHMETIC = {"+": add, "-": sub, "*": mul, "/": truediv}
 _ORDER = {"<": lt, "<=": le, ">": gt, ">=": ge}
@@ -261,7 +199,7 @@ def _raiser(message: str):
 
 
 def compile_expr(expr, slots: dict):
-    """*expr* as a callable of a slot tuple (`eval_expr`)."""
+    """*expr* as a callable of a slot tuple."""
     if isinstance(expr, Const):
         value = expr.value
         return lambda t: value
@@ -321,7 +259,7 @@ def _compile_number(expr, slots: dict):
 
 
 def _compile_predicate(pred: Predicate, slots: dict):
-    """*pred* as a callable of a slot tuple (`eval_predicate`)."""
+    """*pred* as a callable of a slot tuple."""
     op = pred.op
     i = slots.get(pred.lhs.name) if isinstance(pred.lhs, Var) else None
     j = slots.get(pred.rhs.name) if isinstance(pred.rhs, Var) else None
@@ -701,7 +639,7 @@ def _probe_preds(atom: Atom, positions: dict, comparisons: dict,
     variable *atom* binds (*positions*: name -> first position) whose
     constant has that column's declared type.  The type is exact (int or
     str, never bool or float), so the instance's facts sorted or grouped by
-    that position answer the comparison as `eval_predicate` would."""
+    that position answer the comparison as its compiled test would."""
     out = []
     attributes = None
     for name, pos in positions.items():
@@ -854,8 +792,8 @@ def join_plan(cq: ConjunctiveQuery, instance: Instance,
     already placed, so the order is fixed before the join runs.  A
     predicate runs at the first step that binds all its variables, unless
     that step's probe answers it (`_probe_preds`); one whose variables no
-    atom binds runs at the end, where its compiled form rejects it as
-    `eval_expr` does.  A comparison on a variable an atom binds is still
+    atom binds runs at the end, where its compiled form raises on the
+    unbound variable.  A comparison on a variable an atom binds is still
     pending at that atom's step.  The predicates of a step are compiled
     once, into one test of the slot tuple the step extends.  Each step's
     candidate facts are read from the instance while the plan is made, or,
@@ -878,7 +816,8 @@ def join_plan(cq: ConjunctiveQuery, instance: Instance,
         bound, slots, start = set(), {}, ()
     preds = list(cq.predicates)
     atoms = list(cq.atoms)
-    first = _take_ready(preds, bound) if atoms else tuple(preds)
+    before = _take_ready(preds, bound) if atoms else tuple(preds)
+    first = _all_of(before, slots) if before else None
     comparisons = _comparisons(preds) if preds else {}
     width = len(start)  # the slots filled before the step being planned
     steps, fact_slots, some = [], [], False
@@ -947,21 +886,10 @@ def join_plan(cq: ConjunctiveQuery, instance: Instance,
     read = _tuple_getter(fact_slots)
     if some:  # drop the deterministic facts of a match
         det = instance.deterministic.__contains__
-        return JoinPlan(start, _first_test(first, binding), tuple(steps),
-                        slots, lambda t: tuple(filterfalse(det, read(t))),
+        return JoinPlan(start, first, tuple(steps), slots,
+                        lambda t: tuple(filterfalse(det, read(t))),
                         fact_slots)
-    return JoinPlan(start, _first_test(first, binding), tuple(steps), slots,
-                    read, fact_slots)
-
-
-def _first_test(preds: tuple, binding: Optional[dict]):
-    """The test of the predicates a plan checks before any atom, or None.
-    It runs once per plan, on *binding* alone, so the predicates are
-    evaluated as they stand (`eval_predicate`), not compiled first."""
-    if not preds:
-        return None
-    env = binding or {}
-    return lambda t: all(eval_predicate(p, env) for p in preds)
+    return JoinPlan(start, first, tuple(steps), slots, read, fact_slots)
 
 
 def _want(terms: list, slots: dict):
@@ -979,36 +907,6 @@ def _want(terms: list, slots: dict):
                            for i, v in zip(at, values))
 
 
-def iter_matches(cq: ConjunctiveQuery, instance: Instance,
-                 binding: Optional[dict] = None):
-    """Enumerate homomorphisms of *cq* into *instance*.
-
-    Yields (binding, used facts): a fresh dict per match, holding
-    *binding*'s variables and then those the atoms bind in join order, and
-    the instance's own fact objects as a tuple in join order.  The join
-    plan (`join_plan`) is computed once per call and run over slot tuples;
-    atoms go most constrained first, each reads the facts the instance
-    groups by value at its first constant or bound position, and each
-    predicate, compiled once, is tested as soon as its variables are
-    bound.  An atom with no such position probes instead a variable it
-    binds that a predicate compares with a constant of the column's exact
-    declared type (int or str; never bool or float): the facts grouped by
-    value for `=`, the position's bisected sorted facts for a bound or a
-    window, and the predicates the probe answers are not tested again.
-    Every other predicate, a mistyped one included, is tested on each
-    candidate, so it raises as `eval_predicate` does.  Variables already
-    in *binding* count as bound.  The join runs to its end before the
-    first match is yielded.
-    Every grounding (query lineage, answers, view materialization, which
-    also grounds W, and per-world evaluation) runs the same join plans.
-    """
-    plan = join_plan(cq, instance, binding, ALL_FACTS)
-    names = tuple(plan.slots)
-    values = plan.getter(names)
-    for t in plan.matches():
-        yield dict(zip(names, values(t))), plan.facts(t)
-
-
 @dataclass(frozen=True)
 class Lineage:
     """Monotone DNF over probabilistic tuple variables."""
@@ -1020,15 +918,6 @@ class Lineage:
         """Each distinct clause once, in first-seen order.  No reader needs
         a canonical clause order: `obdd.from_lineage` sorts by rank."""
         return Lineage(tuple(dict.fromkeys(map(frozenset, clause_iter))))
-
-    def variables(self) -> set[Fact]:
-        out = set()
-        for c in self.clauses:
-            out |= c
-        return out
-
-    def holds(self, present) -> bool:
-        return any(c <= present for c in self.clauses)
 
 
 def lineage(q: Ucq, instance: Instance) -> Lineage:
@@ -1132,21 +1021,14 @@ class Separator:
     positions: dict
 
 
-def variable_relations(schema: Schema) -> set[str]:
-    """Relations whose atoms may bind Boolean variables."""
-    return {r.name for r in schema.relations if r.kind != DETERMINISTIC}
-
-
-def find_separator(q: Ucq, schema: Schema,
-                   var_rels: Optional[set] = None) -> Optional[Separator]:
+def find_separator(q: Ucq, var_rels: set) -> Optional[Separator]:
     """Search for a separator: a root variable per disjunct such that any two
-    variable-bearing atoms with the same relation symbol carry it at the same
-    attribute position.  Returns the lexicographically first choice.  A
-    disjunct with no variable-bearing atom grounds only to empty clauses,
-    so it splits no block and takes its root variables over all its atoms.
+    variable-bearing atoms (those over the relations *var_rels*) with the
+    same relation symbol carry it at the same attribute position.  Returns
+    the lexicographically first choice.  A disjunct with no
+    variable-bearing atom grounds only to empty clauses, so it splits no
+    block and takes its root variables over all its atoms.
     """
-    if var_rels is None:
-        var_rels = variable_relations(schema)
     per_disjunct = []
     for d in q.disjuncts:
         roots = sorted(root_variables(d, considered=var_rels)

@@ -11,11 +11,16 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Optional
 
-from mvdb import (INF, Fact, Instance, Mvdb, MvdbError, NodeTable, Obdd,
-                  OrderMismatchError, VariableOrder, parse_schema,
-                  parse_query, parse_view, synthesize)
+from mvdb import (INF, Fact, Indb, Instance, Mvdb, MvdbError, NodeTable,
+                  Obdd, OrderMismatchError, Schema, VariableOrder,
+                  parse_schema, parse_query, parse_view, synthesize)
+from mvdb import oracle as O
 from mvdb import ucq as U
+from mvdb.core import DETERMINISTIC
 from mvdb.mvindex import SINK0, SINK1
 
 EX1_SCHEMA = parse_schema("""
@@ -110,9 +115,99 @@ def evaluate_on_world(q, instance: Instance, present) -> bool:
     allowed = set(present) | instance.deterministic
     world = Instance(instance.schema, allowed, instance.deterministic)
     for d in q.disjuncts:
-        for _ in U.iter_matches(d, world):
+        for _ in iter_matches(d, world):
             return True
     return False
+
+
+def iter_matches(cq: U.ConjunctiveQuery, instance: Instance,
+                 binding: Optional[dict] = None):
+    """Enumerate homomorphisms of *cq* into *instance*, by one
+    `ucq.join_plan` run to its end before the first match is yielded.
+
+    Yields (binding, used facts): a fresh dict per match, holding
+    *binding*'s variables and then those the atoms bind in join order, and
+    the instance's own fact objects as a tuple in join order."""
+    plan = U.join_plan(cq, instance, binding, U.ALL_FACTS)
+    names = tuple(plan.slots)
+    values = plan.getter(names)
+    for t in plan.matches():
+        yield dict(zip(names, values(t))), plan.facts(t)
+
+
+def eval_expr(expr, env: dict):
+    """Evaluate an arithmetic expression under a variable binding."""
+    if isinstance(expr, U.Const):
+        return expr.value
+    if isinstance(expr, U.Var):
+        try:
+            return env[expr.name]
+        except KeyError:
+            raise MvdbError(f"unbound variable {expr.name!r}") from None
+    if isinstance(expr, U.Func):
+        if expr.name != "exp":
+            raise MvdbError(f"unknown function {expr.name!r}")
+        try:
+            return math.exp(U._as_number(eval_expr(expr.arg, env)))
+        except OverflowError:
+            return math.inf
+    if isinstance(expr, U.BinOp):
+        a = U._as_number(eval_expr(expr.lhs, env))
+        b = U._as_number(eval_expr(expr.rhs, env))
+        try:
+            if expr.op == "+":
+                return a + b
+            if expr.op == "-":
+                return a - b
+            if expr.op == "*":
+                return a * b
+            if expr.op == "/":
+                return a / b
+        except (ZeroDivisionError, OverflowError) as exc:
+            raise MvdbError(
+                f"cannot evaluate {U._expr_str(expr)}: {exc}") from None
+        raise MvdbError(f"unknown operator {expr.op!r}")
+    raise MvdbError(f"not an expression: {expr!r}")
+
+
+def eval_predicate(pred: U.Predicate, env: dict) -> bool:
+    """Evaluate a comparison under a variable binding."""
+    lhs = eval_expr(pred.lhs, env)
+    rhs = eval_expr(pred.rhs, env)
+    op = pred.op
+    if op == "contains":
+        if not isinstance(lhs, str) or not isinstance(rhs, str):
+            raise MvdbError("contains expects string operands")
+        return rhs in lhs
+    if op == "=":
+        return lhs == rhs
+    if op == "!=":
+        return lhs != rhs
+    try:
+        if op == "<":
+            return lhs < rhs
+        if op == "<=":
+            return lhs <= rhs
+        if op == ">":
+            return lhs > rhs
+        if op == ">=":
+            return lhs >= rhs
+    except TypeError:
+        raise MvdbError(f"type mismatch comparing {lhs!r} and {rhs!r}") from None
+    raise MvdbError(f"unknown comparison {op!r}")
+
+
+def lineage_variables(phi: U.Lineage) -> set[Fact]:
+    """The facts of *phi*'s clauses."""
+    out = set()
+    for c in phi.clauses:
+        out |= c
+    return out
+
+
+def lineage_holds(phi: U.Lineage, present) -> bool:
+    """Whether *phi* holds in the world of the facts *present*."""
+    return any(c <= present for c in phi.clauses)
 
 
 def typed_sorted_outputs(outputs) -> tuple:
@@ -289,7 +384,6 @@ class _StructuralBuilder:
         self.instance = instance
         self.domain = domain
         self.table = table
-        self.schema = instance.schema
         self.var_rels = var_rels
         self.order = table.order
         self.spans: dict = {}
@@ -321,8 +415,8 @@ class _StructuralBuilder:
             if var not in atom.variables():
                 continue
             here = set()
-            for bnd, _ in U.iter_matches(U.ConjunctiveQuery((), (atom,)),
-                                         self.instance):
+            for bnd, _ in iter_matches(U.ConjunctiveQuery((), (atom,)),
+                                       self.instance):
                 here.add(bnd[var])
             values = here if values is None else values & here
             if not values:
@@ -332,8 +426,7 @@ class _StructuralBuilder:
     def build_ucq(self, disjuncts) -> int:
         disjuncts = tuple(disjuncts)
         if len(disjuncts) > 1:
-            sep = U.find_separator(U.Ucq(disjuncts), self.schema,
-                                   self.var_rels)
+            sep = U.find_separator(U.Ucq(disjuncts), self.var_rels)
             if sep is not None:
                 by_constant: dict = {}
                 for i, (d, var) in enumerate(zip(disjuncts, sep.variables)):
@@ -355,7 +448,7 @@ class _StructuralBuilder:
         for p in d.predicates:
             if p.variables():
                 open_preds.append(p)
-            elif not U.eval_predicate(p, {}):
+            elif not eval_predicate(p, {}):
                 return 0
         ground, open_atoms = [], []
         for a in d.atoms:
@@ -381,7 +474,7 @@ class _StructuralBuilder:
         if not any(a.relation in self.var_rels for a in atoms):
             # no Boolean variables here: a pure filter, true iff satisfiable
             probe = U.ConjunctiveQuery((), tuple(atoms), tuple(preds))
-            for _ in U.iter_matches(probe, self.instance):
+            for _ in iter_matches(probe, self.instance):
                 return 1
             return 0
         dominant = None
@@ -414,7 +507,7 @@ def con_obdd_structural(pi, q, instance, domain, order=None, table=None,
     if not q.is_boolean():
         raise MvdbError("con_obdd expects a Boolean query")
     if var_rels is None:
-        var_rels = U.variable_relations(instance.schema)
+        var_rels = probabilistic_relations(instance.schema)
     if order is None:
         order = tuple_order_grouped(pi, (f for f in instance.facts
                                          if f not in instance.deterministic),
@@ -436,7 +529,7 @@ def grouped_lineage(q, instance, variables=None) -> dict:
     groups: dict = {}
     for i, d in enumerate(q.disjuncts):
         var = variables[i] if variables is not None else None
-        for bnd, used in U.iter_matches(d, instance):
+        for bnd, used in iter_matches(d, instance):
             key = bnd[var] if var is not None else None
             groups.setdefault(key, []).append(frozenset(
                 f for f in used if f not in instance.deterministic))
@@ -449,13 +542,18 @@ def variable_relations(indb) -> set[str]:
     return {f.relation for f, w in indb.weights.items() if w != math.inf}
 
 
+def probabilistic_relations(schema: Schema) -> set[str]:
+    """The relations *schema* declares non-deterministic: those whose atoms
+    may bind Boolean variables, by kind rather than by the data."""
+    return {r.name for r in schema.relations if r.kind != DETERMINISTIC}
+
+
 def w_lineage_reference(tr) -> dict:
     """W's grouped lineage by grounding W itself: ``tr.w_query`` over the
     Indb's possible instance, grouped by `find_separator`'s variables."""
     if tr.w_query is None:
         return {}
-    sep = U.find_separator(tr.w_query, tr.indb.schema,
-                           variable_relations(tr.indb))
+    sep = U.find_separator(tr.w_query, variable_relations(tr.indb))
     return grouped_lineage(tr.w_query, tr.indb.possible_instance(),
                            sep and sep.variables)
 
@@ -467,7 +565,6 @@ def digest_reference(root) -> str:
     relative to *root*, a NUL, its length in decimal, a NUL and its
     bytes."""
     import hashlib
-    from pathlib import Path
     root = Path(root)
     schema = parse_schema((root / "schema.txt").read_bytes().decode())
     names = ["schema.txt", "views.txt"]
@@ -481,6 +578,23 @@ def digest_reference(root) -> str:
     return hashlib.sha256(framed).hexdigest()
 
 
+def demo_query(project_dir) -> str:
+    """A 'students of one advisor' query against the generated data."""
+    advisor_file = Path(project_dir) / "data" / "Advisor.tsv"
+    first = advisor_file.read_text().splitlines()[0].split("\t")
+    return f"Q(s) :- Advisor(s, {first[1]}), Student(s, y)"
+
+
+def schema_text(schema: Schema) -> str:
+    """A schema file that parses back to *schema*."""
+    lines = []
+    for rel in schema.relations:
+        attrs = ", ".join(f"{a.name}:{a.type}" for a in rel.attributes)
+        key = ",".join(rel.key)
+        lines.append(f"relation {rel.name}({attrs}) key({key}) {rel.kind}")
+    return "\n".join(lines) + "\n"
+
+
 def view_text(view) -> str:
     """A views-file line that parses back to *view*."""
     return "%s(%s) [%s] :- %s" % (view.name, ", ".join(map(str, view.head)),
@@ -492,10 +606,9 @@ def write_project(root, db) -> None:
     its views one per line (no ``views.txt`` without one), and one TSV per
     relation with a fact, each row its values and ``repr`` of its weight,
     in load order."""
-    from pathlib import Path
     root = Path(root)
     (root / "data").mkdir(parents=True)
-    (root / "schema.txt").write_text(db.schema.canonical_text())
+    (root / "schema.txt").write_text(schema_text(db.schema))
     if db.views:
         (root / "views.txt").write_text(
             "".join(view_text(v) + "\n" for v in db.views))
@@ -534,7 +647,7 @@ def build_index_per_block(tr):
                        complete_relations(indb, order))
     table = NodeTable(order)
     blocks = []
-    sep = U.find_separator(tr.w_query, indb.schema, var_rels)
+    sep = U.find_separator(tr.w_query, var_rels)
     if sep is not None:
         builder = _StructuralBuilder(pi, instance, indb.domain, table,
                                      var_rels)
@@ -914,12 +1027,29 @@ def intersect_memo(gq, index, cache_conscious: bool, stats=None):
                                     if c.prob_root != 0.0)
 
 
+def obdd_width(g: Obdd) -> int:
+    """The most nodes *g* reaches at one rank."""
+    counts: dict[int, int] = {}
+    for u in g.reachable():
+        r = g.table.var[u]
+        counts[r] = counts.get(r, 0) + 1
+    return max(counts.values(), default=0)
+
+
+def obdd_evaluate(g: Obdd, true_ranks) -> bool:
+    """*g* on the assignment that sets the ranks *true_ranks* true."""
+    u = g.root
+    while u > 1:
+        u = g.table.hi[u] if g.table.var[u] in true_ranks else g.table.lo[u]
+    return u == 1
+
+
 def obdd_models(g, n_vars: int) -> set[int]:
     """Satisfying assignments of an OBDD as bitmasks over ranks."""
     out = set()
     for mask in range(1 << n_vars):
         ranks = {r for r in range(n_vars) if (mask >> r) & 1}
-        if g.evaluate(ranks):
+        if obdd_evaluate(g, ranks):
             out.add(mask)
     return out
 
@@ -950,6 +1080,58 @@ def signed_world_sum(probs: list[float], qs: list[float], sat) -> float:
         if sat(mask):
             total += w
     return total
+
+
+@dataclass(frozen=True)
+class World:
+    """A possible world: the set of present tuples."""
+
+    present: frozenset
+
+
+def mln_world_trace(db: Mvdb):
+    """(world, weight) per world in subset-counting order; exact products."""
+    prob = db.probabilistic_facts()
+    O._check_cap(len(prob), O.DEFAULT_WORLD_CAP)
+    features = O.view_features(db)
+    out = []
+    for j in range(1 << len(prob)):
+        present = frozenset(f for i, f in enumerate(prob) if (j >> i) & 1)
+        weight = 1.0
+        for i, f in enumerate(prob):
+            if (j >> i) & 1:
+                weight *= db.weights[f]
+        for phi, w in features:
+            if lineage_holds(phi, present):
+                weight *= w
+        out.append((World(present), weight))
+    return out
+
+
+def indb_world_trace(db: Indb):
+    """(world, weight) with weight the product of present finite weights."""
+    prob = db.probabilistic_facts()
+    O._check_cap(len(prob), O.DEFAULT_WORLD_CAP)
+    out = []
+    for j in range(1 << len(prob)):
+        present = frozenset(f for i, f in enumerate(prob) if (j >> i) & 1)
+        weight = 1.0
+        for i, f in enumerate(prob):
+            if (j >> i) & 1:
+                weight *= db.weights[f]
+        out.append((World(present), weight))
+    return out
+
+
+def indb_probability(db: Indb, phi: U.Lineage,
+                     world_cap: int = O.DEFAULT_WORLD_CAP) -> float:
+    """Signed measure of the worlds of an independent database where the
+    lineage *phi* holds."""
+    prob_facts = db.probabilistic_facts()
+    n = len(prob_facts)
+    O._check_cap(n, world_cap)
+    sat = O._sat_array(O._clause_masks(phi, O._bit_map(prob_facts)), n)
+    return float(O._probability_array(db, prob_facts, n)[sat].sum())
 
 
 # ---------------------------------------------------------------------------

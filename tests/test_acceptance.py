@@ -13,13 +13,14 @@ import pytest
 
 from mvdb import (Fact, IndexEvaluator, IntersectStats, build_indb,
                   build_index, cc_mv_intersect, from_lineage, lineage,
-                  mln_probability, mln_world_trace, indb_world_trace,
-                  mv_intersect, parse_query, query_probability, rank_span)
+                  mln_probability, mv_intersect, parse_query,
+                  query_probability, rank_span)
 from mvdb.cli import main as cli_main
-from mvdb.gendata import demo_query, generate_project
+from mvdb.gendata import generate_project
 from mvdb.obdd import con_obdd
 from mvdb.oracle import _probability_array, _sat_array, _clause_masks, _bit_map
-from helpers import (TWO_TABLE_SCHEMA, example1, obdd_models,
+from helpers import (TWO_TABLE_SCHEMA, demo_query, example1,
+                     indb_world_trace, mln_world_trace, obdd_models,
                      random_boolean_query, two_table_db, viable_random_mvdb)
 
 TOL_ENGINE = 1e-9

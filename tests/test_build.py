@@ -286,8 +286,7 @@ def _hand_built_no_soft_r():
                          ids=["viable_random_7", "hand_built"])
 def test_disjunct_without_soft_facts_keeps_the_separator(make):
     tr = make()
-    assert find_separator(tr.w_query, tr.indb.schema,
-                          tr.var_rels) is not None
+    assert find_separator(tr.w_query, tr.var_rels) is not None
     idx = _same_bytes(tr)
     assert [c.key for c in idx.constituents] == ["b0", "b1"]
     assert idx.max_width() <= 1

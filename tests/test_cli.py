@@ -13,10 +13,11 @@ import pytest
 import mvdb
 from mvdb.cli import (EXIT_CAP, EXIT_INCONSISTENT, EXIT_INPUT, EXIT_OK,
                       EXIT_PIPE, EXIT_USAGE, main)
-from mvdb.gendata import demo_query, generate_project
+from mvdb.gendata import generate_project
 from mvdb.mvindex import _LANES, IndexEvaluator, load_index
 
-from helpers import ranks, with_columns, with_orphan
+from helpers import (demo_query, mln_world_trace, ranks, with_columns,
+                     with_orphan)
 
 
 def run(argv):
@@ -550,7 +551,6 @@ def test_gen_scale_series_sizes(tmp_path):
 
 
 def test_generated_denial_view_zeroes_multi_advisor_worlds(tmp_path):
-    from mvdb import Fact, mln_world_trace
     from mvdb.core import load_schema, load_data, Mvdb
     from mvdb.translate import load_views
     proj = tmp_path / "denial"

@@ -1,7 +1,7 @@
-"""Grounding through the join plan: `ucq.iter_matches` against a brute-force
-product over the atoms' rows, the instance's fact index against its
-facts, the facts a query reads, and a check that grounding leaves no
-reference cycles for the collector."""
+"""Grounding through the join plan: its matches (`helpers.iter_matches`)
+against a brute-force product over the atoms' rows, the instance's fact
+index against its facts, the facts a query reads, and a check that
+grounding leaves no reference cycles for the collector."""
 
 import gc
 import itertools
@@ -17,10 +17,9 @@ from mvdb import (Atom, Const, ConjunctiveQuery, Fact, IndexEvaluator,
                   parse_schema)
 from mvdb.cli import _load_project
 from mvdb.gendata import generate_project
-from mvdb.ucq import (VARIABLE_FACTS, BinOp, eval_predicate, iter_matches,
-                      join_plan)
+from mvdb.ucq import VARIABLE_FACTS, BinOp, join_plan
 
-from helpers import chain_mvdb
+from helpers import chain_mvdb, eval_predicate, iter_matches
 
 SCHEMA = parse_schema("""
 relation R(a:int, b:int) key(a,b) probabilistic

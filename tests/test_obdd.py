@@ -13,9 +13,9 @@ from mvdb.ucq import Lineage
 from helpers import (RAND_SCHEMA, TWO_TABLE_SCHEMA, chain_mvdb,
                      chain_window, con_obdd_structural as con_obdd,
                      concatenate, from_lineage_clausewise, lineage_models,
-                     obdd_models, random_boolean_query, random_mvdb,
-                     shannon_probability, signed_world_sum,
-                     tuple_order_grouped, two_table_db)
+                     obdd_models, obdd_width, probabilistic_relations,
+                     random_boolean_query, random_mvdb, shannon_probability,
+                     signed_world_sum, tuple_order_grouped, two_table_db)
 
 
 def _assert_ordered_reduced(g: Obdd):
@@ -124,7 +124,7 @@ def test_from_lineage_two_table_semantics():
     assert obdd_models(g, 6) == lineage_models(phi, order, 6)
     # (X1 and (Y1 or Y2)) or (X2 and (Y3 or Y4)): six internal nodes
     assert g.size() == 8
-    assert g.width() == 1
+    assert obdd_width(g) == 1
 
 
 def test_from_lineage_ignores_the_clause_order():
@@ -311,7 +311,7 @@ def test_con_obdd_two_table_matches_canonical_form():
     phi = lineage(q, inst)
     assert obdd_models(g, 6) == lineage_models(phi, g.order, 6)
     assert from_lineage(phi, g.order, g.table).root == g.root
-    assert g.width() == 1
+    assert obdd_width(g) == 1
 
 
 def test_con_obdd_size_additivity_over_separator_blocks():
@@ -321,7 +321,7 @@ def test_con_obdd_size_additivity_over_separator_blocks():
     q = parse_query("Q() :- R(x), S(x, y)", TWO_TABLE_SCHEMA)
     pi = {"R": (0,), "S": (0, 1)}
     whole = con_obdd(pi, q, inst, db.domain)
-    sep = find_separator(q, db.schema)
+    sep = find_separator(q, probabilistic_relations(db.schema))
     total_internal = 0
     for c in db.domain.constants:
         block = con_obdd(pi, specialize_separator(q, sep, c), inst, db.domain)
@@ -337,7 +337,7 @@ def test_con_obdd_inversion_case_falls_back_to_synthesis():
     db = Mvdb(RAND_SCHEMA, facts, [])
     inst = db.possible_instance()
     q = parse_query("Q() :- R(x1), S(x1, y1) ; S(x2, y2), T(y2)", RAND_SCHEMA)
-    pi = choose_pi(q, db.schema)
+    pi = choose_pi(q, db.schema, probabilistic_relations(db.schema))
     g = con_obdd(pi, q, inst, db.domain)
     _assert_ordered_reduced(g)
     phi = lineage(q, inst)
@@ -351,7 +351,7 @@ def test_con_obdd_random_queries_match_lineage():
         db = random_mvdb(rng, max_tuples=10)
         inst = db.possible_instance()
         q = random_boolean_query(rng)
-        pi = choose_pi(q, db.schema)
+        pi = choose_pi(q, db.schema, probabilistic_relations(db.schema))
         g = con_obdd(pi, q, inst, db.domain)
         _assert_ordered_reduced(g)
         phi = lineage(q, inst)
@@ -368,7 +368,7 @@ def test_con_obdd_is_from_lineage_of_lineage():
         db = random_mvdb(rng, max_tuples=10)
         inst = db.possible_instance()
         q = random_boolean_query(rng)
-        pi = choose_pi(q, db.schema)
+        pi = choose_pi(q, db.schema, probabilistic_relations(db.schema))
         want = con_obdd(pi, q, inst, db.domain)
         got = mvdb.con_obdd(pi, q, inst, db.domain, table=want.table)
         assert got.root == want.root
@@ -398,10 +398,10 @@ def test_con_obdd_constant_width_linear_size_scaling():
     sizes, widths = {}, {}
     for n in (50, 100, 200):
         db = _chain_db(n)
-        pi = choose_pi(q, db.schema)
+        pi = choose_pi(q, db.schema, probabilistic_relations(db.schema))
         g = con_obdd(pi, q, db.possible_instance(), db.domain)
         sizes[n] = g.size()
-        widths[n] = g.width()
+        widths[n] = obdd_width(g)
     assert widths[50] == widths[100] == widths[200]
     assert 1.9 <= sizes[100] / sizes[50] <= 2.1
     assert 1.9 <= sizes[200] / sizes[100] <= 2.1
@@ -412,30 +412,31 @@ def test_obdd_metrics_bound():
     for _ in range(20):
         db = random_mvdb(rng, max_tuples=10)
         q = random_boolean_query(rng)
-        pi = choose_pi(q, db.schema)
+        pi = choose_pi(q, db.schema, probabilistic_relations(db.schema))
         g = con_obdd(pi, q, db.possible_instance(), db.domain)
-        if g.width():
-            assert g.size() - 2 <= g.width() * len(g.order)
+        if obdd_width(g):
+            assert g.size() - 2 <= obdd_width(g) * len(g.order)
 
 
 # -- permutation choice ----------------------------------------------------------
 
 def test_choose_pi_places_separator_position_first():
     q = parse_query("Q() :- S(y1, x1), T(x1) ; S(y2, x2), T(x2)", RAND_SCHEMA)
-    pi = choose_pi(q, RAND_SCHEMA)
+    pi = choose_pi(q, RAND_SCHEMA, probabilistic_relations(RAND_SCHEMA))
     assert pi.get("S", tuple(range(2)))[0] == 1
 
 
 def test_choose_pi_no_separator_identity():
     q = parse_query("Q() :- R(x1), S(x1, y1) ; S(x2, y2), T(y2)", RAND_SCHEMA)
-    pi = choose_pi(q, RAND_SCHEMA)
+    pi = choose_pi(q, RAND_SCHEMA, probabilistic_relations(RAND_SCHEMA))
     assert pi.get("S", tuple(range(2))) == (0, 1)
     assert pi.get("R", tuple(range(1))) == (0,)
 
 
 def test_choose_pi_denial_shape_uses_separator_rule():
     q = parse_query("Q() :- S(x, y), S(x, z), y != z", TWO_TABLE_SCHEMA)
-    pi = choose_pi(q, TWO_TABLE_SCHEMA)
+    pi = choose_pi(q, TWO_TABLE_SCHEMA,
+                   probabilistic_relations(TWO_TABLE_SCHEMA))
     assert pi.get("S", tuple(range(2))) == (0, 1)
 
 
@@ -467,7 +468,7 @@ def test_shannon_negative_probabilities_match_signed_enumeration():
     for _ in range(30):
         db = random_mvdb(rng, max_tuples=8)
         q = random_boolean_query(rng)
-        pi = choose_pi(q, db.schema)
+        pi = choose_pi(q, db.schema, probabilistic_relations(db.schema))
         g = con_obdd(pi, q, db.possible_instance(), db.domain)
         n = len(g.order)
         probs = [rng.choice([-1.0, -0.5, 0.25, 0.5, 2.0]) for _ in range(n)]

@@ -8,13 +8,13 @@ from pathlib import Path
 import pytest
 
 from mvdb import (EnumerationEvaluator, Fact, Indb, Lineage, Mvdb,
-                  WorldCapError, build_indb, indb_probability,
-                  indb_world_trace, mln_probability, mln_world_trace,
-                  parse_query, translation_check)
+                  WorldCapError, build_indb, mln_probability, parse_query,
+                  translation_check)
 import mvdb
 from mvdb.core import INF
 
 from helpers import (EX1_SCHEMA, evaluate_on_world, example1,
+                     indb_probability, indb_world_trace, mln_world_trace,
                      random_boolean_query, random_mvdb, viable_random_mvdb)
 
 

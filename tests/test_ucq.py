@@ -9,12 +9,12 @@ from mvdb import (Atom, Const, ConjunctiveQuery, Fact, Mvdb, MvdbError,
                   Predicate, QueryParseError, Ucq, Var, answer_tuples,
                   find_separator, lineage, parse_query, parse_view,
                   root_variables, specialize_separator, substitute)
-from mvdb.ucq import (BinOp, Func, Lineage, eval_predicate, iter_matches,
-                      variable_relations)
+from mvdb.ucq import BinOp, Func, Lineage
 
-from helpers import (EX1_SCHEMA, RAND_SCHEMA, TWO_TABLE_SCHEMA,
-                     evaluate_on_world, example1, random_boolean_query,
-                     random_mvdb)
+from helpers import (EX1_SCHEMA, RAND_SCHEMA, TWO_TABLE_SCHEMA, eval_predicate,
+                     evaluate_on_world, example1, iter_matches, lineage_holds,
+                     lineage_variables, probabilistic_relations,
+                     random_boolean_query, random_mvdb)
 
 S3 = RAND_SCHEMA  # D deterministic, R(x), S(x,y), T(y)
 
@@ -168,7 +168,8 @@ def test_lineage_agrees_with_world_evaluation():
         for mask in range(1 << len(prob)):
             present = frozenset(f for i, f in enumerate(prob)
                                 if (mask >> i) & 1)
-            assert phi.holds(present) == evaluate_on_world(q, inst, present)
+            assert (lineage_holds(phi, present)
+                    == evaluate_on_world(q, inst, present))
             checked += 1
     assert checked > 1000
 
@@ -206,12 +207,12 @@ def test_root_variables_skip_filter_atoms():
     q = parse_query("Q() :- R(x), S(x, y), D(z)", S3)
     assert root_variables(q.disjuncts[0]) == set()
     assert root_variables(q.disjuncts[0],
-                          considered=variable_relations(S3)) == {"x"}
+                          considered=probabilistic_relations(S3)) == {"x"}
 
 
 def test_find_separator_positive():
     q = parse_query("Q() :- R(x1), S(x1, y1) ; T(x2), S(x2, y2)", S3)
-    sep = find_separator(q, S3)
+    sep = find_separator(q, probabilistic_relations(S3))
     assert sep is not None
     assert sep.variables == ("x1", "x2")
     assert sep.positions["R"] == 0
@@ -221,23 +222,23 @@ def test_find_separator_positive():
 
 def test_find_separator_negative():
     q = parse_query("Q() :- R(x1), S(x1, y1) ; S(x2, y2), T(y2)", S3)
-    assert find_separator(q, S3) is None
+    assert find_separator(q, probabilistic_relations(S3)) is None
 
 
 def test_find_separator_ground_atom_is_none():
     q = parse_query("Q() :- R('a0')", S3)
-    assert find_separator(q, S3) is None
+    assert find_separator(q, probabilistic_relations(S3)) is None
 
 
 def test_separator_blocks_have_disjoint_lineage(two_table):
     inst = two_table.possible_instance()
     q = parse_query("Q() :- R(x), S(x, y)", TWO_TABLE_SCHEMA)
-    sep = find_separator(q, TWO_TABLE_SCHEMA)
+    sep = find_separator(q, probabilistic_relations(TWO_TABLE_SCHEMA))
     assert sep is not None
     seen_vars = []
     for a in two_table.domain.constants:
         phi = lineage(specialize_separator(q, sep, a), inst)
-        seen_vars.append(phi.variables())
+        seen_vars.append(lineage_variables(phi))
     for v1, v2 in itertools.combinations(seen_vars, 2):
         assert not (v1 & v2)
 

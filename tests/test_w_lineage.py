@@ -99,7 +99,7 @@ def _built_twice(tr, monkeypatch):
     def grounded(*args, **kwargs):
         raise AssertionError("build_index grounded a query")
 
-    monkeypatch.setattr(ucq, "iter_matches", grounded)
+    monkeypatch.setattr(ucq, "join_plan", grounded)
     monkeypatch.setattr(Indb, "possible_instance", grounded)
     first = serialize(build_index(tr))
     assert serialize(build_index(tr)) == first
