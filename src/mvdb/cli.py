@@ -13,13 +13,16 @@ per node (ids 0 and 1 are the sinks, positions count from 2).  The online
 path of ``query --engine {ccmv,mv}`` does neither: it reads and hashes the
 project's files (`ProjectFiles`; any byte-level edit of schema, views or
 data, whitespace included, means recompile), loads the index and compares
-their digests, then parses only the TSVs of the base relations whose facts
-the index's tuple order does not hold completely (`MvIndex.complete`).
-Its base possible instance takes every other relation's facts from the
-order itself (`_query_instance`), so the index and the instance share one
-`Fact` per probabilistic tuple.  Queries are parsed against the base
-schema, so they cannot name an auxiliary relation and need none of its
-tuples.  ``compile``, ``oracle`` and ``--engine oracle`` parse every file
+their digests.  It then follows the relations the query names
+(`Ucq.relations`), as grounding reads no other: it parses the TSVs of only
+those of them whose facts the index's tuple order does not hold completely
+(`MvIndex.complete`), and its base possible instance holds those relations
+alone, taking the others' facts from the order itself (`_query_instance`),
+so the index and the instance share one `Fact` per probabilistic tuple.
+A file it does not parse still counts in the digest, so the bytes it skips
+are those the compile parsed and checked.  Queries are parsed against the
+base schema, so they cannot name an auxiliary relation and need none of
+its tuples.  ``compile``, ``oracle`` and ``--engine oracle`` parse every file
 through the same reader (`_load_project`); ``--engine oracle`` translates
 and enumerates.
 
@@ -89,25 +92,27 @@ def _load_project(project) -> Mvdb:
                 files.digest)
 
 
-def _parse_rest(files: ProjectFiles, index) -> dict:
-    """The rows of each base relation whose facts the index's tuple order
-    does not hold completely (`MvIndex.complete`), by relation, parsed
-    from its TSV.  The digest matched, so these are the bytes the compile
-    read and checked."""
+def _parse_rest(files: ProjectFiles, index, relations) -> dict:
+    """The rows of each of the base *relations* whose facts the index's
+    tuple order does not hold completely (`MvIndex.complete`), by
+    relation, parsed from its TSV.  The digest matched, so these are the
+    bytes the compile read and checked."""
     return {rel.name: files.weighted(rel) for rel in files.schema.relations
-            if rel.name not in index.complete}
+            if rel.name in relations and rel.name not in index.complete}
 
 
-def _query_instance(schema, index, parsed: dict) -> Instance:
-    """The base possible instance of a cold query: for each relation in
-    schema order, its parsed rows (`_parse_rest`), or else the tuple order's
-    own facts (`MvIndex.held_facts`), so the instance and the index share
-    one `Fact` per probabilistic tuple.  It is built relation by relation,
-    one run each, as the rank order interleaves relations."""
-    held = index.held_facts(r.name for r in schema.relations)
-    facts = [held[r.name] if r.name in held
-             else map(itemgetter(0), parsed[r.name])
-             for r in schema.relations]
+def _query_instance(schema, index, parsed: dict, relations) -> Instance:
+    """The base possible instance of a cold query over *relations* alone,
+    those the query names: for each in schema order, its parsed rows
+    (`_parse_rest`), or else the tuple order's own facts
+    (`MvIndex.held_facts`), so the instance and the index share one `Fact`
+    per probabilistic tuple.  Grounding reads no other relation.  It is
+    built relation by relation, one run each, as the rank order interleaves
+    relations."""
+    names = [r.name for r in schema.relations if r.name in relations]
+    held = index.held_facts(names)
+    facts = [held[name] if name in held
+             else map(itemgetter(0), parsed[name]) for name in names]
     deterministic = [f for rows in parsed.values() for f, w in rows
                      if w == INF]
     return Instance(schema, chain.from_iterable(facts), deterministic)
@@ -175,9 +180,10 @@ def cmd_query(args, out) -> int:
         if index.source_digest != files.digest:
             raise DataError("index does not match the project; recompile")
         mode = "cc" if args.engine == "ccmv" else "mv"
-        evaluator = IndexEvaluator(
-            index, _query_instance(files.schema, index,
-                                   _parse_rest(files, index)), mode)
+        named = q.relations()
+        instance = _query_instance(files.schema, index,
+                                   _parse_rest(files, index, named), named)
+        evaluator = IndexEvaluator(index, instance, mode)
 
         def probability(bq):
             p = evaluator.probability(bq)

@@ -1018,9 +1018,10 @@ def deserialize(buf: bytes) -> MvIndex:
             and max(keys, default=0) <= len(domain)):
         raise IndexFormatError("bad index metadata layout")
     weights = columns["weight"]
+    n_order = len(order)
     nodes = [columns[name].tolist() for name in ("rank", "lo", "hi")]
-    if len(weights) != len(order) or any(len(column) != sum(counts)
-                                         for column in nodes):
+    if len(weights) != n_order or any(len(column) != sum(counts)
+                                      for column in nodes):
         raise IndexFormatError("index blocks do not match their counts")
     if not all(map(math.isfinite, weights)) or -1.0 in weights:
         raise IndexFormatError("a tuple weight is NaN, infinite or -1")
@@ -1029,7 +1030,7 @@ def deserialize(buf: bytes) -> MvIndex:
     for n in counts:
         rank, lo, hi = (column[at:at + n] for column in nodes)
         at += n
-        _check_layout(rank, lo, hi, len(order))
+        _check_layout(rank, lo, hi, n_order)
         shapes.append(Shape(rank, lo, hi))
     if sids and max(sids) >= len(shapes):
         raise IndexFormatError(f"shape id {max(sids)} out of range")
@@ -1042,7 +1043,7 @@ def deserialize(buf: bytes) -> MvIndex:
         shape = shapes[sid]
         if not shape.rank and offset:
             raise IndexFormatError("empty constituent with an offset")
-        if shape.rank and offset + shape.rank[-1] >= len(order):
+        if shape.rank and offset + shape.rank[-1] >= n_order:
             raise IndexFormatError("rank outside the variable order")
         constituents.append(Constituent(key, shape, offset))
     if _overlapping(constituents):

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .core import (Fact, InconsistentConstraintsError, Indb, Mvdb,
-                   MvdbError, WorldCapError)
+from .core import (Fact, InconsistentConstraintsError, Indb, Instance,
+                   Mvdb, MvdbError, WorldCapError)
 from . import ucq as U
 from .translate import TranslationResult, build_indb, materialize_view
 
@@ -63,9 +63,9 @@ def _sat_array(masks: list[int], n: int) -> np.ndarray:
     return sat
 
 
-def view_features(db: Mvdb):
-    """Grounded features of the views: (lineage, weight) per output tuple."""
-    instance = db.possible_instance()
+def view_features(db: Mvdb, instance: Instance):
+    """Grounded features of the views: (lineage, weight) per output tuple,
+    over *instance*, the database's possible instance."""
     features = []
     for view in db.views:
         for values, w in materialize_view(view, instance):
@@ -99,7 +99,8 @@ class MlnEvaluator:
         _check_cap(self._n, world_cap)
         self._bits = _bit_map(prob)
         self.instance = db.possible_instance()
-        self._weights = _world_weight_array(db, view_features(db),
+        self._weights = _world_weight_array(db, view_features(db,
+                                                              self.instance),
                                             self._bits, self._n)
         self._z = float(self._weights.sum())
         if self._z == 0.0:

@@ -23,8 +23,8 @@ phase:
 * ``read``: reading the project's files and hashing their bytes
   (`core.ProjectFiles`, which also parses the schema);
 * ``parse``: parsing the TSV files the query still parses, those of the
-  relations the index's tuple order does not hold completely
-  (`cli._parse_rest`);
+  relations it names that the index's tuple order does not hold
+  completely (`cli._parse_rest`);
 * ``meta``: reading the index's columns and decoding the tuple order from
   them (`mvindex._read_columns`, then `mvindex._decode_order`);
 * ``annotations`` and ``entry``: `Constituent.compute_annotations` and
@@ -37,7 +37,8 @@ phase:
   minus the three phases above (so it holds the shape checks and, where
   a checkout derives them per shape, the entry codes);
 * ``instance``: building the query's instance as the cold query does,
-  from those rows and the tuple order's own facts (`cli._query_instance`);
+  over the relations it names, from those rows and the tuple order's own
+  facts (`cli._query_instance`);
 * ``query``: parsing the query and answering it on the loaded index;
 * ``cold_total``: the whole `mvdb query --tsv` through `cli.main`;
 
@@ -66,11 +67,14 @@ ROOT (default: the checkout holding this script) is the checkout whose
 ``mvdb`` is timed, so one copy of the script times any checkout that
 writes ``.mvx`` format 6 or 7 and annotates per shape (an older checkout's
 ``meta``, ``annotations`` and ``entry`` phases are timed by its own copy of
-the script).  A format 6 checkout's cold query parses every file and then
-hashes its facts (`Mvdb.digest`), so there ``read`` is that hash,
-``parse`` parses the whole project into an `Mvdb`, and ``instance`` is
-`Mvdb.possible_instance`; the sum of the three phases compares across
-formats.  REPEATS defaults to 15.  The first form prints
+the script).  A format 7 checkout whose `cli._parse_rest` takes no
+relations builds its cold query's instance over every relation, so there
+``parse`` parses the TSVs of all the relations the index does not hold and
+``instance`` holds every relation.  A format 6 checkout's cold query
+parses every file and then hashes its facts (`Mvdb.digest`), so there
+``read`` is that hash, ``parse`` parses the whole project into an `Mvdb`,
+and ``instance`` is `Mvdb.possible_instance`; the sum of the three phases
+compares across formats.  REPEATS defaults to 15.  The first form prints
 ``case<TAB>phase<TAB>value``.
 
 With ``--against``, both checkouts' ``mvdb`` packages are imported into
@@ -94,6 +98,7 @@ import gc
 import hashlib
 import importlib
 import importlib.util
+import inspect
 import io
 import statistics
 import sys
@@ -207,11 +212,15 @@ def _query_phases(pkg, project: Path, query: str,
     index = mvindex.deserialize(blob)
     if hasattr(cli, "ProjectFiles"):
         files = cli.ProjectFiles(project)
-        parsed = cli._parse_rest(files, index)
+        named = ucq.parse_query(query, files.schema).relations()
+        # a checkout whose cold query still reads every relation takes none
+        follows = len(inspect.signature(cli._parse_rest).parameters) == 3
+        some = (named,) if follows else ()
+        parsed = cli._parse_rest(files, index, *some)
         phases = {"read": lambda: cli.ProjectFiles(project),
-                  "parse": lambda: cli._parse_rest(files, index),
+                  "parse": lambda: cli._parse_rest(files, index, *some),
                   "instance": lambda: cli._query_instance(files.schema, index,
-                                                          parsed)}
+                                                          parsed, *some)}
     else:  # format 6
         phases = {"read": db.digest,
                   "parse": lambda: cli._load_project(str(project)),

@@ -1093,7 +1093,7 @@ def mln_world_trace(db: Mvdb):
     """(world, weight) per world in subset-counting order; exact products."""
     prob = db.probabilistic_facts()
     O._check_cap(len(prob), O.DEFAULT_WORLD_CAP)
-    features = O.view_features(db)
+    features = O.view_features(db, db.possible_instance())
     out = []
     for j in range(1 << len(prob)):
         present = frozenset(f for i, f in enumerate(prob) if (j >> i) & 1)

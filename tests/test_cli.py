@@ -826,20 +826,25 @@ def _chain_project(root):
 def test_cold_query_parses_only_what_the_index_lacks(tmp_path, monkeypatch):
     dblp = generate_project(tmp_path / "dblp", seed=1, scale=20)
     chain = _chain_project(tmp_path / "chain")
-    # the relations parsed by a cold query, then by a compile
-    cases = [(dblp, "Q(a) :- Advisor(7, a)", ["Author", "CoPubs"],
-              ["Author", "CoPubs", "Student", "Advisor"]),
-             (chain, "Q() :- R(x), S(x, y), T(y)", [], ["R", "S", "T"])]
-    for project, q, parsed, everything in cases:
+    # the relations parsed by a compile, then by each cold query: only
+    # those it names that the index does not hold
+    cases = [(dblp, ["Author", "CoPubs", "Student", "Advisor"],
+              [("Q(a) :- Advisor(7, a)", []),
+               ("Q(n) :- Advisor(7, a), Author(a, n)", ["Author"]),
+               ("Q(a, c) :- Advisor(s, a), CoPubs(s, a, c), c > 3",
+                ["CoPubs"])]),
+             (chain, ["R", "S", "T"], [("Q() :- R(x), S(x, y), T(y)", [])])]
+    for project, everything, queries in cases:
         seen = _parsed_relations(monkeypatch)
         assert run(["compile", "--project", str(project)])[0] == EXIT_OK
         assert seen == everything
-        for engine in ("ccmv", "mv"):
-            seen.clear()
-            rc, _ = run(["query", "--project", str(project), "--engine",
-                         engine, q])
-            assert rc == EXIT_OK
-            assert seen == parsed, (project, engine)
+        for q, parsed in queries:
+            for engine in ("ccmv", "mv"):
+                seen.clear()
+                rc, _ = run(["query", "--project", str(project), "--engine",
+                             engine, q])
+                assert rc == EXIT_OK
+                assert seen == parsed, (project, q, engine)
 
 
 MIXED_SCHEMA = """\
@@ -871,6 +876,13 @@ def mixed(tmp_path):
 MIXED_QUERIES = ["Q(x) :- R(x), S(x, y)", "Q() :- R(x), S(x, 'b0')",
                  "Q(y) :- S(x, y), D(x)", "Q(x) :- R(x)", "Q() :- R('a4')"]
 
+# gen-dblp queries naming {Advisor}, {Student, Advisor}, {Author, Advisor}
+# and {CoPubs, Advisor}
+DBLP_QUERIES = ["Q(a) :- Advisor(7, a)",
+                "Q(s, y) :- Student(s, y), Advisor(s, 1002)",
+                "Q(n) :- Advisor(7, a), Author(a, n)",
+                "Q(a, c) :- Advisor(s, a), CoPubs(s, a, c), c > 3"]
+
 
 def test_cold_query_on_a_mixed_relation(mixed, monkeypatch):
     from mvdb import answer_query, build_indb, parse_query
@@ -886,7 +898,7 @@ def test_cold_query_on_a_mixed_relation(mixed, monkeypatch):
             rc, out = run(["query", "--project", str(mixed), "--engine",
                            engine, "--tsv", text])
             assert rc == EXIT_OK
-            assert seen == ["D", "R"]
+            assert seen == [r for r in ("D", "R") if r in q.relations()]
             warm = IndexEvaluator(index, tr.indb.possible_instance(), mode)
             want = answer_query(q, tr, warm)
             assert _rows(out) == [[*map(str, a), repr(p)] for a, p in want]
@@ -899,6 +911,31 @@ def test_cold_query_on_a_mixed_relation(mixed, monkeypatch):
             assert float(row[-1]) == pytest.approx(p, abs=1e-9)
 
 
+def test_cold_rows_equal_a_warm_evaluator_over_every_relation(mixed,
+                                                              tmp_path):
+    # The cold query's instance holds only the relations the query names;
+    # the warm evaluator's holds every one.
+    from mvdb import answer_query, build_indb, parse_query
+    from mvdb.cli import _load_project
+    dblp = generate_project(tmp_path / "dblp", seed=1, scale=20)
+    assert run(["compile", "--project", str(dblp)])[0] == EXIT_OK
+    for project, queries in ((dblp, DBLP_QUERIES), (mixed, MIXED_QUERIES)):
+        index = load_index(project / "index.mvx")
+        tr = build_indb(_load_project(project))
+        for text in queries:
+            q = parse_query(text, tr.indb.schema)
+            for engine, mode in (("ccmv", "cc"), ("mv", "mv")):
+                rc, out = run(["query", "--project", str(project),
+                               "--engine", engine, "--tsv", text])
+                assert rc == EXIT_OK
+                warm = IndexEvaluator(index, tr.indb.possible_instance(),
+                                      mode)
+                want = answer_query(q, tr, warm)
+                assert want
+                assert _rows(out) == [[*map(str, a), repr(p)]
+                                      for a, p in want], (text, engine)
+
+
 def test_cold_instance_shares_the_index_facts(mixed, tmp_path):
     from mvdb.cli import _parse_rest, _query_instance
     from mvdb.core import ProjectFiles
@@ -908,16 +945,24 @@ def test_cold_instance_shares_the_index_facts(mixed, tmp_path):
         run(["compile", "--project", str(project)])
         index = load_index(project / "index.mvx")
         files = ProjectFiles(project)
-        instance = _query_instance(files.schema, index,
-                                   _parse_rest(files, index))
         ranked = {f: f for f in index.order.facts}
-        held = [f for rel in files.schema.relations
-                if rel.name in index.complete
-                for f in instance.facts_of(rel.name)]
-        assert held and all(ranked[f] is f for f in held)
         want = mvdb.cli._load_project(project).possible_instance()
-        assert instance.facts == want.facts
-        assert instance.deterministic == want.deterministic
+        every = [rel.name for rel in files.schema.relations]
+        assert index.complete & set(every)
+        # every relation, then each alone: the instance of a query naming
+        # only some holds theirs and nothing else
+        for names in (set(every), *({name} for name in every)):
+            instance = _query_instance(files.schema, index,
+                                       _parse_rest(files, index, names),
+                                       names)
+            held = [f for name in names if name in index.complete
+                    for f in instance.facts_of(name)]
+            assert all(ranked[f] is f for f in held)
+            assert bool(held) == bool(names & index.complete)
+            assert instance.facts == {f for f in want.facts
+                                      if f.relation in names}
+            assert instance.deterministic == {f for f in want.deterministic
+                                              if f.relation in names}
 
 
 def _append(name, data=b" "):
@@ -939,8 +984,8 @@ def _replace_byte(name, old: bytes, new: bytes):
 @pytest.mark.parametrize("edit", [
     # a trailing space: every file still parses to the same project
     _append("schema.txt"), _append("views.txt"),
-    _append("data/Author.tsv"),  # deterministic, parsed by a cold query
-    _append("data/Student.tsv"),  # probabilistic, not parsed by one
+    _append("data/Author.tsv"),  # deterministic, not named by the query
+    _append("data/Student.tsv"),  # probabilistic, not parsed by a query
     # one byte changed in place
     _replace_byte("schema.txt", b" ", b"\t"),
     _replace_byte("views.txt", b"2", b"3"),
@@ -955,6 +1000,20 @@ def test_a_byte_edit_needs_recompile(project, capsys, edit):
     edit(project)
     _input_error(["query", "--project", str(project), "Q() :- Student(1, y)"],
                  capsys, "index does not match the project; recompile")
+
+
+def test_an_unparsed_tsv_byte_edit_needs_recompile(project, capsys,
+                                                  monkeypatch):
+    # The query names neither Author nor any relation the index lacks, so
+    # it parses no TSV; the digest still covers Author's bytes.
+    q = "Q(a) :- Advisor(7, a)"
+    run(["compile", "--project", str(project)])
+    seen = _parsed_relations(monkeypatch)
+    assert run(["query", "--project", str(project), q])[0] == EXIT_OK
+    assert seen == []
+    _replace_byte("data/Author.tsv", b"e", b"f")(project)
+    _input_error(["query", "--project", str(project), q], capsys,
+                 "index does not match the project; recompile")
 
 
 def test_adding_a_tsv_needs_recompile(project, capsys):

@@ -12,6 +12,7 @@ from mvdb import (EnumerationEvaluator, Fact, Indb, Lineage, Mvdb,
                   translation_check)
 import mvdb
 from mvdb.core import INF
+from mvdb.oracle import MlnEvaluator
 
 from helpers import (EX1_SCHEMA, evaluate_on_world, example1,
                      indb_probability, indb_world_trace, mln_world_trace,
@@ -173,6 +174,20 @@ def test_translation_check_enumerates_only_for_queries():
     q = parse_query("Q() :- R('a')", EX1_SCHEMA)
     with pytest.raises(WorldCapError):
         translation_check(db, [q], world_cap=1)
+
+
+def test_mln_evaluator_builds_one_possible_instance(monkeypatch):
+    # The view features are grounded over the evaluator's own instance.
+    calls = []
+    real = Mvdb.possible_instance
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Mvdb, "possible_instance", counting)
+    MlnEvaluator(example1())
+    assert len(calls) == 1
 
 
 def test_translation_check_denial_and_positive():

@@ -121,7 +121,8 @@ def test_view_weight_errors_keep_their_class_and_message(weight, message):
                (Fact("R", ("a",)), 1.0)],
               [parse_view(f"V(x) [{weight}] :- R(x), C(x, n)",
                           _WEIGHT_SCHEMA)])
-    for run in (build_indb, view_features):
+    for run in (build_indb,
+                lambda db: view_features(db, db.possible_instance())):
         with pytest.raises(InvalidViewError) as caught:
             run(db)
         assert type(caught.value) is InvalidViewError
