@@ -48,12 +48,10 @@ from operator import itemgetter
 from pathlib import Path
 from types import SimpleNamespace
 
-from .core import (INF, DataError, InconsistentConstraintsError,
-                   IndexFormatError, Instance, InvalidViewError, Mvdb,
-                   MvdbError, OrderMismatchError, ProjectFiles,
-                   QueryParseError, SchemaError, WorldCapError)
+from .core import (INF, DataError, InconsistentConstraintsError, Instance,
+                   Mvdb, MvdbError, ProjectFiles, WorldCapError)
 from . import ucq as U
-from .translate import answer_rows, build_indb, parse_views
+from .translate import answer_rows, boolean_queries, build_indb, parse_views
 from .oracle import DEFAULT_WORLD_CAP, EnumerationEvaluator, translation_check
 from .mvindex import (IndexEvaluator, _collector_paused, build_index,
                       load_index, save_index, SINK0, SINK1)
@@ -68,9 +66,6 @@ EXIT_PIPE = 141
 
 # How far a printed probability may stray outside [0, 1].
 TOLERANCE = 1e-9
-
-_INPUT_ERRORS = (SchemaError, DataError, QueryParseError, InvalidViewError,
-                 IndexFormatError, OrderMismatchError, OSError)
 
 
 class _UsageError(Exception):
@@ -215,10 +210,7 @@ def cmd_oracle(args, out) -> int:
     db = _load_project(args.project)
     q = U.parse_query(args.query, db.schema)
     rows = []
-    instance = db.possible_instance()
-    bool_queries = ([(tuple(), q)] if q.is_boolean() else
-                    [(a, U.substitute(q, a))
-                     for a in U.answer_tuples(q, instance)])
+    bool_queries = boolean_queries(q, db.possible_instance())
     checks = translation_check(db, [bq for _, bq in bool_queries],
                                world_cap=args.world_cap)
     for (answer, _), (lhs, rhs, delta) in zip(bool_queries, checks):
@@ -371,10 +363,7 @@ def main(argv=None, out=None) -> int:
         # stdout at the null device so the exit-time flush stays silent.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PIPE
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except MvdbError as exc:
+    except (MvdbError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -167,9 +167,8 @@ class Domain:
     the order of first occurrence."""
 
     def __init__(self, values=()):
-        self._constants: list = list(dict.fromkeys(values))
-        self._rank: dict = dict(zip(self._constants,
-                                    range(len(self._constants))))
+        self._rank: dict = {v: i for i, v in
+                            enumerate(dict.fromkeys(values))}
 
     def rank(self, value) -> int:
         try:
@@ -181,11 +180,7 @@ class Domain:
         return value in self._rank
 
     def __len__(self) -> int:
-        return len(self._constants)
-
-    @property
-    def constants(self) -> list:
-        return list(self._constants)
+        return len(self._rank)
 
 
 class Instance:

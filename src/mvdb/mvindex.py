@@ -11,9 +11,10 @@ Every node is annotated with the probability of its sub-diagram
 (probUnder) and the signed mass of all root paths reaching it
 (reachability), both derived from the structure and the tuples'
 probabilities p = w/(1+w) and q = 1/(1+w) by
-`Constituent.compute_annotations` and `Constituent.derive`, each run once
-per shape across all of its constituents into one flat `array('d')`
-(`MvIndex.annotations`); a constituent holds only its lane j in them.
+`Constituent.compute_annotations` and `Constituent.derive`, each a pure
+function of a shape and its constituents' offsets, run once per shape into
+one flat `array('d')` (`MvIndex.annotations`); a constituent holds only its
+lane j in them.
 Online, a query OBDD ordered by the same tuple order is intersected against
 the chain of constituents without materializing the conjunction, by one
 forward sweep of signed probability mass over ranks (`_intersect`).  The
@@ -84,17 +85,17 @@ recompile.
 Nothing derivable is stored: not the permutations the tuple order was
 built from, not the probabilities, not the root codes (position 0, or the
 0-sink for an empty constituent), and no annotation.  `MvIndex` derives p
-and q from the weights and annotates the constituents shape by shape, for
-the compiler and the loader alike (see `Constituent.compute_annotations`;
-numpy is not used, as importing it costs a fresh process more than a whole
-cold query), and keeps p, q and the annotations as arrays of doubles.  The
-loader reads every column once, checking its typecode and its count
-against the bytes left (`_read_column`), then checks each column by its
-length and bounds (ids against the domain and relation counts, weights
-finite and not -1), every shape's layout (`_check_layout`) and last rank
-before building it, and every offset against the tuple order; any defect
-is an `IndexFormatError`, and so is a shape no constituent uses.  Compiles
-are byte-reproducible.
+and q from the weights and annotates each shape at its constituents'
+offsets, for the compiler and the loader alike (see the passes of
+`Constituent`; numpy is not used, as importing it costs a fresh process
+more than a whole cold query), and keeps p, q and the annotations as
+arrays of doubles.  The loader reads every column once, checking its
+typecode and its count against the bytes left (`_read_column`), then
+checks each column by its length and bounds (ids against the domain and
+relation counts, weights finite and not -1), every shape's layout
+(`_check_layout`) and last rank before building it, and every offset
+against the tuple order; any defect is an `IndexFormatError`, and so is a
+shape no constituent uses.  Compiles are byte-reproducible.
 """
 
 from __future__ import annotations
@@ -131,12 +132,6 @@ _MAGIC = b"MVIX"
 _VERSION = 7
 _HEADER = "<I32s"  # version, sha256 of the source (`ProjectFiles.digest`)
 _COLUMNS_START = 4 + struct.calcsize(_HEADER)
-
-# `MvIndex` annotates a shape with this many constituents or more by lanes,
-# one list per step across all of them (`Constituent.compute_annotations`);
-# below it, building the lanes costs more than walking each constituent.
-_LANES = 8
-
 
 class Shape:
     """One negated OBDD structure, in a vector layout whose positions are in
@@ -175,8 +170,8 @@ def _negation(g: Obdd) -> tuple[int, list, list, list]:
 class Constituent:
     """A shape at a rank offset (0 for the empty shape): its positions are
     the shape's, at the shape's ranks plus the offset.  It holds no
-    annotation: `compute_annotations` sets its root probability and its
-    lane ``j`` in its shape's arrays (`MvIndex.annotations`)."""
+    annotation: `MvIndex` sets its lane ``j`` in its shape's arrays
+    (`MvIndex.annotations`) and its root probability."""
 
     __slots__ = ("key", "shape", "offset", "j", "rank_lo", "rank_hi",
                  "prob_root")
@@ -192,44 +187,41 @@ class Constituent:
 
     # -- augmentation -----------------------------------------------------
     #
-    # Both passes take every constituent of one shape (`MvIndex.shapes`)
-    # and p and q = 1/(1+w) as lists over the tuple order, and return one
-    # `array('d')`, node-major: entry e of constituent j (``cons[j]``) at
-    # ``e * len(cons) + j``.  Without *lanes* they loop over each
-    # constituent alone, writing at stride ``len(cons)``.  With *lanes*, p
-    # and q gathered at every constituent's own ranks (`_rank_lanes`), they
-    # walk the shape once: each step computes a lane, one list indexed by
-    # constituent, with C-level `map(add/mul, ...)`; the lanes in order are
-    # the array.  Every constituent sees the same float operations in the
-    # same order either way, so its annotations keep their bits.
+    # Both passes read a shape (`MvIndex.shapes`) and the offsets of its
+    # constituents, with p and q = 1/(1+w) as lists over the tuple order,
+    # and return one `array('d')`, node-major: entry e of the constituent
+    # at ``offsets[j]`` at ``e * len(offsets) + j``.  They write nothing.
+    # Without *lanes*, for one offset, they loop over the shape's
+    # positions.  With *lanes*, p and q gathered at every offset's own
+    # ranks (`_rank_lanes`), they walk the shape once: each step computes a
+    # lane, one list indexed by constituent, with C-level
+    # ``map(add/mul, ...)``; the lanes in order are the array.  A
+    # constituent sees the same float operations in the same order either
+    # way, so its annotations keep their bits.
 
     @staticmethod
-    def compute_annotations(cons, probs, qs, lanes=None) -> array:
+    def compute_annotations(shape, offsets, probs, qs, lanes=None) -> array:
         """probUnder of every node, in one scan from the last position
         back: a node's is q times its low child's plus p times its high
-        child's.  It also sets each constituent's lane j and root
-        probability."""
-        shape = cons[0].shape
+        child's.  A constituent's root probability is its lane of node 0,
+        or 0.0 for the empty shape."""
         rank, lo, hi = shape.rank, shape.lo, shape.hi
-        n, m = len(rank), len(cons)
-        root = 0 if n else SINK0
+        n = len(rank)
         if lanes is None:
-            under = array("d", [0.0]) * (n * m)
-            for j, c in enumerate(cons):
-                c.j = j
-                # Two trailing slots hold the sinks' values, so that
-                # values[SINK1] is 1.0 and values[SINK0] is 0.0.
-                values = [0.0] * n + [1.0, 0.0]
-                span = slice(c.rank_lo, c.rank_hi + 1)
+            [offset] = offsets
+            # Two trailing slots hold the sinks' values, so that
+            # values[SINK1] is 1.0 and values[SINK0] is 0.0.
+            values = [0.0] * n + [1.0, 0.0]
+            if n:
+                span = slice(offset, offset + rank[-1] + 1)
                 ps, qls = probs[span], qs[span]
                 for pos in range(n - 1, -1, -1):
                     r = rank[pos]
                     values[pos] = (qls[r] * values[lo[pos]]
                                    + ps[r] * values[hi[pos]])
-                c.prob_root = values[root]
-                under[j::m] = _doubles(values[:n])
-            return under
+            return _doubles(values[:n])
         ps, qls = lanes
+        m = len(offsets)
         values = [None] * n + [[1.0] * m, [0.0] * m]
         for pos in range(n - 1, -1, -1):
             r = rank[pos]
@@ -239,12 +231,10 @@ class Constituent:
             high = (ps[r] if hi[pos] == SINK1
                     else map(mul, ps[r], values[hi[pos]]))
             values[pos] = list(map(add, low, high))
-        for j, (c, prob_root) in enumerate(zip(cons, values[root])):
-            c.j, c.prob_root = j, prob_root
         return _doubles(list(chain.from_iterable(values[:n])))
 
     @staticmethod
-    def derive(cons, probs, qs, lanes=None) -> array:
+    def derive(shape, offsets, probs, qs, lanes=None) -> array:
         """The entry tables' masses, carrying the reachability.
 
         The entry table at rank r lists, sorted by code, every node, and
@@ -262,30 +252,28 @@ class Constituent:
         in position order.  The cost is O(n + sum of |entry|) per
         constituent.
         """
-        shape = cons[0].shape
         rank, lo, hi = shape.rank, shape.lo, shape.hi
         codes, starts = shape.entry_codes, shape.entry_starts
-        n, m = len(rank), len(cons)
+        n = len(rank)
         if lanes is None:
-            entry_mass = array("d", [0.0]) * (len(codes) * m)
-            for j, c in enumerate(cons):
-                masses: list[float] = []
-                if n:
-                    mass = [0.0] * (n + 2)
-                    mass[0] = 1.0
-                    at = mass.__getitem__
-                    pos = 0
-                    span = slice(c.rank_lo, c.rank_hi + 1)
-                    for i, p, q in zip(count(), probs[span], qs[span]):
-                        masses += map(at, codes[starts[i]:starts[i + 1]])
-                        while pos < n and rank[pos] == i:
-                            reach = mass[pos]
-                            mass[lo[pos]] += reach * q
-                            mass[hi[pos]] += reach * p
-                            pos += 1
-                entry_mass[j::m] = _doubles(masses)
-            return entry_mass
+            [offset] = offsets
+            masses: list[float] = []
+            if n:
+                mass = [0.0] * (n + 2)
+                mass[0] = 1.0
+                at = mass.__getitem__
+                pos = 0
+                span = slice(offset, offset + rank[-1] + 1)
+                for i, p, q in zip(count(), probs[span], qs[span]):
+                    masses += map(at, codes[starts[i]:starts[i + 1]])
+                    while pos < n and rank[pos] == i:
+                        reach = mass[pos]
+                        mass[lo[pos]] += reach * q
+                        mass[hi[pos]] += reach * p
+                        pos += 1
+            return _doubles(masses)
         ps, qls = lanes
+        m = len(offsets)
         # A lane is replaced, never changed in place, so a table can hold
         # the lane a code has at its rank.
         mass = [[0.0] * m] * (n + 2)
@@ -308,19 +296,15 @@ class Constituent:
         return len(self.shape.rank) + 2
 
 
-def _rank_lanes(cons, probs, qs) -> tuple[dict, dict]:
-    """For each rank of the shape of *cons* that holds a node, the lanes of
-    p and q at every constituent's own rank there (the shape's plus its
-    offset)."""
-    offsets = [c.offset for c in cons]
+def _rank_lanes(shape: Shape, offsets, probs, qs) -> tuple[dict, dict]:
+    """For each rank of *shape* that holds a node, the lanes of p and q at
+    every offset's own rank there (the shape's plus the offset).  Each lane
+    holds two or more items: `itemgetter` of one index returns the item,
+    not a tuple."""
     ps, qls = {}, {}
-    for r in dict.fromkeys(cons[0].shape.rank):
-        lane = [r + offset for offset in offsets]
-        if len(lane) > 1:
-            pick = itemgetter(*lane)
-            ps[r], qls[r] = pick(probs), pick(qs)
-        else:  # itemgetter of one index returns the item, not a tuple
-            ps[r], qls[r] = [probs[lane[0]]], [qs[lane[0]]]
+    for r in dict.fromkeys(shape.rank):
+        pick = itemgetter(*[r + offset for offset in offsets])
+        ps[r], qls[r] = pick(probs), pick(qs)
     return ps, qls
 
 
@@ -372,9 +356,10 @@ class MvIndex:
         deterministic, so `held_facts` can stand in for their TSVs.  The
         probabilities p = w/(1+w) and q = 1/(1+w), q exact
         where p rounds to 1.0 (1e-20 at w = 1e20), are derived here, and
-        every shape's constituents are annotated from them, by lanes when
-        there are `_LANES` of them or more: the compiler and the loader
-        both build their index through this one call."""
+        every shape is annotated from them at its constituents' offsets, by
+        lanes when it has two or more: the compiler and the loader both
+        build their index through this one call, which alone sets each
+        constituent's lane ``j`` and root probability."""
         self.order = order
         self.weights = array("d", weights)
         # Lists while the passes read them, arrays once they are done.
@@ -389,12 +374,16 @@ class MvIndex:
         # shape -> (m, prob_under, entry_mass)
         self.annotations: dict[Shape, tuple] = {}
         for shape, group in by_shape.items():
-            lanes = (_rank_lanes(group, probs, qs)
-                     if len(group) >= _LANES else None)
+            offsets = [c.offset for c in group]
+            lanes = (_rank_lanes(shape, offsets, probs, qs)
+                     if len(offsets) > 1 else None)
+            under = Constituent.compute_annotations(shape, offsets, probs, qs,
+                                                    lanes)
             self.annotations[shape] = (
-                len(group),
-                Constituent.compute_annotations(group, probs, qs, lanes),
-                Constituent.derive(group, probs, qs, lanes))
+                len(group), under,
+                Constituent.derive(shape, offsets, probs, qs, lanes))
+            for j, c in enumerate(group):
+                c.j, c.prob_root = j, under[j] if shape.rank else 0.0
         self.probs, self.qs = _doubles(probs), _doubles(qs)
         self.source_digest = source_digest
         self.complete = complete
@@ -567,19 +556,19 @@ class IntersectStats:
 
 
 def _intersect(gq: Obdd, index: MvIndex, cache_conscious: bool,
-               stats: Optional[IntersectStats]) -> tuple[float, float]:
+               stats: Optional[IntersectStats]) -> float:
     """Sweep the query's probability mass forward over the constituents,
     one rank at a time.
 
-    Returns ``(ratio, global)``.  Without a zero block, ``ratio`` is P(Q);
-    ``global`` is always P0(Q and not-W), ``ratio`` times the non-zero root
-    probabilities.  A state carries the signed mass of the paths that reach
-    it: an entry state ``(k, v)`` holds query node v in front of constituent
-    k (k == m: past the last), a pair state ``(k, pos, v)`` holds v against
-    node pos of constituent k.  Expanding a state splits its mass by the
-    tuple at its rank, q = 1/(1+w) to the low children and p to the high
-    ones; a query node before constituent k's ranks, or past the last,
-    splits alone.
+    Returns the total: P(Q) without a zero block, and always P0(Q and
+    not-W) over the product of the non-zero root probabilities
+    (`_p0_q_and_not_w`).  A state carries the signed mass of the paths that
+    reach it: an entry state ``(k, v)`` holds query node v in front of
+    constituent k (k == m: past the last), a pair state ``(k, pos, v)``
+    holds v against node pos of constituent k.  Expanding a state splits
+    its mass by the tuple at its rank, q = 1/(1+w) to the low children and
+    p to the high ones; a query node before constituent k's ranks, or past
+    the last, splits alone.
     A state that reaches the query's 1-sink adds its mass (times the pair's
     probUnder) to the total unless a constituent it has not left is a zero
     block; one that reaches a 0-sink is dropped.  Entering constituent k
@@ -694,21 +683,21 @@ def _intersect(gq: Obdd, index: MvIndex, cache_conscious: bool,
     if stats is not None:
         stats.memo_entries = expanded
         stats.visited = len(seen)
-    return total, total * index.nonzero_roots
+    return total
 
 
-def _p0_q_and_not_w(index: MvIndex, swept: tuple[float, float]) -> float:
-    """P0(Q and not-W) from a sweep's ``(ratio, global)`` over *index*: the
-    global value, a float wherever P0(not-W) is one.  Where P0(not-W)
-    overflows (`MvIndex.p0_not_w` is None), it raises
-    `UnrepresentableError`, whatever P(Q) is: the global value would be inf,
-    or nan where the ratio is 0.0.  P(Q) (`IndexEvaluator.probability`) and
+def _p0_q_and_not_w(index: MvIndex, total: float) -> float:
+    """P0(Q and not-W) from a sweep's total over *index*: the total times
+    the non-zero root probabilities, a float wherever P0(not-W) is one.
+    Where P0(not-W) overflows (`MvIndex.p0_not_w` is None), it raises
+    `UnrepresentableError`, whatever P(Q) is: the product would be inf, or
+    nan where the total is 0.0.  P(Q) (`IndexEvaluator.probability`) and
     log10 |P0(not-W)| (`MvIndex.log10_p0_not_w`) still hold there."""
     if index.p0_not_w is None:
         raise UnrepresentableError(
             "P0(Q and not W) is outside the float range: log10 "
             f"|P0(not W)| is {index.log10_p0_not_w!r}")
-    return swept[1]
+    return total * index.nonzero_roots
 
 
 def mv_intersect(gq: Obdd, index: MvIndex,
@@ -749,7 +738,7 @@ class IndexEvaluator:
         self.mode = mode
         self.last_timing: dict[str, int] = {}
 
-    def _evaluate(self, q: U.Ucq) -> tuple[float, float]:
+    def _evaluate(self, q: U.Ucq) -> float:
         t0 = time.perf_counter_ns()
         phi = U.lineage(q, self.instance)
         t1 = time.perf_counter_ns()
@@ -774,7 +763,7 @@ class IndexEvaluator:
             raise InconsistentConstraintsError(
                 "no world satisfies the hard constraints: a constraint "
                 "block has P0(not W) exactly 0")
-        return self._evaluate(q)[0]
+        return self._evaluate(q)
 
 
 # ---------------------------------------------------------------------------

@@ -341,17 +341,24 @@ def answer_query(q: U.Ucq, tr: TranslationResult,
     return answer_rows(q, tr.indb.possible_instance(), evaluator)
 
 
+def boolean_queries(q: U.Ucq,
+                    instance: Instance) -> list[tuple[tuple, U.Ucq]]:
+    """Each candidate answer of *q* over *instance*, with *q* with its head
+    bound to it.  A Boolean query has exactly one, the empty answer with
+    *q* itself, even when nothing matches it."""
+    if q.is_boolean():
+        return [((), q)]
+    return [(answer, U.substitute(q, answer))
+            for answer in U.answer_tuples(q, instance)]
+
+
 def answer_rows(q: U.Ucq, instance: Instance,
                 evaluator: Evaluator) -> list[tuple[tuple, float]]:
-    """Candidates over *instance*, then one Boolean evaluation per
-    substituted head binding.  A Boolean query has exactly one row, the
-    empty answer with P(Q), even when nothing matches it.  The caller has
-    checked that *q* names no auxiliary relation, so the base possible
-    instance serves as well as the translated one."""
-    if q.is_boolean():
-        return [((), evaluator.probability(q))]
-    return [(answer, evaluator.probability(U.substitute(q, answer)))
-            for answer in U.answer_tuples(q, instance)]
+    """One Boolean evaluation per candidate answer (`boolean_queries`).
+    The caller has checked that *q* names no auxiliary relation, so the
+    base possible instance serves as well as the translated one."""
+    return [(answer, evaluator.probability(bq))
+            for answer, bq in boolean_queries(q, instance)]
 
 
 def parse_views(text: str, schema: Schema) -> list[U.MarkoView]:

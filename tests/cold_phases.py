@@ -28,11 +28,11 @@ phase:
 * ``meta``: reading the index's columns and decoding the tuple order from
   them (`mvindex._read_columns`, then `mvindex._decode_order`);
 * ``annotations`` and ``entry``: `Constituent.compute_annotations` and
-  `Constituent.derive`, once per shape of the loaded index over that
-  shape's constituents in lane order, as `MvIndex` calls them, each
-  returning the shape's array; a shape with ``_LANES`` constituents or
-  more takes the lane pass, and ``annotations`` includes gathering its
-  lanes (`mvindex._rank_lanes`);
+  `Constituent.derive`, once per shape of the loaded index at its
+  constituents' offsets in lane order, as `MvIndex` calls them, each
+  returning the shape's array; a shape of two constituents or more takes
+  the lane pass, and ``annotations`` includes listing the offsets and
+  gathering the lanes (`mvindex._rank_lanes`);
 * ``load_rest``: the rest of `mvindex.deserialize`, i.e. the whole load
   minus the three phases above (so it holds the shape checks and, where
   a checkout derives them per shape, the entry codes);
@@ -67,7 +67,9 @@ ROOT (default: the checkout holding this script) is the checkout whose
 ``mvdb`` is timed, so one copy of the script times any checkout that
 writes ``.mvx`` format 6 or 7 and annotates per shape (an older checkout's
 ``meta``, ``annotations`` and ``entry`` phases are timed by its own copy of
-the script).  A format 7 checkout whose `cli._parse_rest` takes no
+the script).  A checkout whose passes take the constituents themselves is
+timed through that signature, by lanes from eight constituents up, its
+threshold.  A format 7 checkout whose `cli._parse_rest` takes no
 relations builds its cold query's instance over every relation, so there
 ``parse`` parses the TSVs of all the relations the index does not hold and
 ``instance`` holds every relation.  A format 6 checkout's cold query
@@ -233,18 +235,31 @@ def _query_phases(pkg, project: Path, query: str,
     for c in index.constituents:
         by_shape.setdefault(c.shape, []).append(c)
     groups = list(by_shape.values())
+    passes = inspect.signature(mvindex.Constituent.compute_annotations)
+    if "cons" in passes.parameters:  # passes of the constituents themselves
+        fewest = 8
+
+        def inputs(group):
+            return (group,)
+    else:  # passes of a shape and its offsets
+        fewest = 2
+
+        def inputs(group):
+            return group[0].shape, [c.offset for c in group]
+    args = [None] * len(groups)
     lanes = [None] * len(groups)
 
     def annotations():
         for i, group in enumerate(groups):
-            if len(group) >= mvindex._LANES:
-                lanes[i] = mvindex._rank_lanes(group, probs, qs)
-            mvindex.Constituent.compute_annotations(group, probs, qs,
+            args[i] = inputs(group)
+            if len(group) >= fewest:
+                lanes[i] = mvindex._rank_lanes(*args[i], probs, qs)
+            mvindex.Constituent.compute_annotations(*args[i], probs, qs,
                                                     lanes[i])
 
     def entry():
-        for group, group_lanes in zip(groups, lanes):
-            mvindex.Constituent.derive(group, probs, qs, group_lanes)
+        for group_args, group_lanes in zip(args, lanes):
+            mvindex.Constituent.derive(*group_args, probs, qs, group_lanes)
 
     def answer():
         q = ucq.parse_query(query, db.schema)
@@ -289,7 +304,7 @@ def _query_phases(pkg, project: Path, query: str,
         "constituents": str(len(index.constituents)),
         "shapes": str(len(groups)),
         "lane_constituents": str(sum(
-            len(group) for group in groups if len(group) >= mvindex._LANES)),
+            len(group) for group in groups if len(group) >= fewest)),
     }
     return timed, values
 

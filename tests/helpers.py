@@ -542,6 +542,11 @@ def variable_relations(indb) -> set[str]:
     return {f.relation for f, w in indb.weights.items() if w != math.inf}
 
 
+def domain_constants(domain) -> list:
+    """The values of `core.Domain` *domain*, in active-domain order."""
+    return list(domain._rank)
+
+
 def probabilistic_relations(schema: Schema) -> set[str]:
     """The relations *schema* declares non-deterministic: those whose atoms
     may bind Boolean variables, by kind rather than by the data."""
@@ -789,15 +794,29 @@ def root_code(c) -> int:
     return 0 if c.shape.rank else SINK0
 
 
-def annotated(cons, probs, qs):
+def annotated(cons, probs, qs, lanes=None):
     """A stand-in for an `MvIndex` holding *cons*, constituents of one
     shape, for the accessors below: their annotations by the two passes
-    over *probs* and *qs*, in the scalar loop."""
+    over *probs* and *qs*, in the scalar loop for one constituent without
+    *lanes*, and each one's lane ``j`` and root probability set as
+    `MvIndex` sets them."""
     from types import SimpleNamespace
     from mvdb.mvindex import Constituent
-    return SimpleNamespace(annotations={cons[0].shape: (
-        len(cons), Constituent.compute_annotations(cons, probs, qs),
-        Constituent.derive(cons, probs, qs))})
+    shape, offsets = cons[0].shape, [c.offset for c in cons]
+    under = Constituent.compute_annotations(shape, offsets, probs, qs, lanes)
+    for j, c in enumerate(cons):
+        c.j, c.prob_root = j, under[j] if shape.rank else 0.0
+    return SimpleNamespace(annotations={shape: (
+        len(cons), under,
+        Constituent.derive(shape, offsets, probs, qs, lanes))})
+
+
+def lone_lanes(shape, offset: int, probs, qs) -> tuple[dict, dict]:
+    """The lanes of the lane pass for *shape* at one *offset*: p and q at
+    each rank of the shape holding a node, each in a list of one item, as
+    `mvindex._rank_lanes` gathers them for two offsets or more."""
+    return ({r: [probs[r + offset]] for r in shape.rank},
+            {r: [qs[r + offset]] for r in shape.rank})
 
 
 def reachability(c, probs, qs) -> list[float]:

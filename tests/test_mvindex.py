@@ -28,7 +28,7 @@ from helpers import (EX1_SCHEMA, RAND_SCHEMA, TWO_TABLE_SCHEMA, annotated,
                      chain_mvdb, chain_window, column_spans, constituents_of,
                      cut_ranks, entry_masses, entry_tables,
                      entry_tables_rescan, example1, intersect_memo,
-                     prob_under, prob_unders, random_boolean_query,
+                     lone_lanes, prob_under, prob_unders, random_boolean_query,
                      random_mvdb, ranks, read_columns, root_code,
                      shannon_probability, shape_of, signed_world_sum,
                      two_table_db, viable_random_mvdb, with_columns,
@@ -201,9 +201,15 @@ def _constant_true_blocks():
     return build_indb(db)
 
 
+def _hex(values) -> list:
+    return [v.hex() for v in values]
+
+
 def test_lanes_and_the_scalar_loop_agree_bit_for_bit(dblp_60, monkeypatch):
-    # `_LANES` 1 annotates every shape by lanes, even a shape of one
-    # constituent; a huge `_LANES` loops over each constituent alone.
+    # A shape of two or more constituents is annotated by lanes, gathered
+    # once for both passes, and a shape of one by the scalar loop.  Every
+    # constituent's lane of its shape's arrays must equal, bit for bit, the
+    # scalar loop and the lane pass run on that constituent alone.
     trs = [dblp_60[1], build_indb(chain_mvdb(20)), _constant_true_blocks()]
     trs += [viable_random_mvdb(seed)[1] for seed in range(60)]
     trs += [build_indb(random_mvdb(random.Random(seed)))
@@ -213,15 +219,31 @@ def test_lanes_and_the_scalar_loop_agree_bit_for_bit(dblp_60, monkeypatch):
     monkeypatch.setattr(mvindex, "_rank_lanes", lambda *args: (
         gathers.append(1), rank_lanes(*args))[1])
     for tr in trs:
-        bits = []
-        for lanes in (1, 10**9):
-            monkeypatch.setattr(mvindex, "_LANES", lanes)
-            del gathers[:]
-            built = build_index(tr)
-            assert len(gathers) == (len(built.shapes) if lanes == 1 else 0)
-            bits += [_annotation_bits(built),
-                     _annotation_bits(deserialize(serialize(built)))]
-        assert bits[1:] == bits[:1] * 3
+        del gathers[:]
+        built = build_index(tr)
+        shared = sum(m > 1 for m, _, _ in built.annotations.values())
+        loaded = deserialize(serialize(built))
+        assert len(gathers) == 2 * shared
+        assert _annotation_bits(loaded) == _annotation_bits(built)
+        probs, qs = list(built.probs), list(built.qs)
+        held = [(c.j, c.prob_root.hex()) for c in built.constituents]
+        for shape in built.shapes:
+            group = [c for c in built.constituents if c.shape is shape]
+            m, under, masses = built.annotations[shape]
+            assert m == len(group)
+            for j, c in enumerate(group):
+                assert c.j == j
+                for lanes in (None, lone_lanes(shape, c.offset, probs, qs)):
+                    alone = Constituent.compute_annotations(
+                        shape, [c.offset], probs, qs, lanes)
+                    assert _hex(alone) == _hex(under[j::m])
+                    assert c.prob_root.hex() == (
+                        alone[0] if shape.rank else 0.0).hex()
+                    assert _hex(Constituent.derive(
+                        shape, [c.offset], probs, qs, lanes)) == \
+                        _hex(masses[j::m])
+        # The passes write nothing into the constituents.
+        assert [(c.j, c.prob_root.hex()) for c in built.constituents] == held
     index = build_index(trs[2])
     empty = index.constituents[0]
     assert (len(empty.shape.rank), root_code(empty), empty.prob_root) == \
@@ -243,24 +265,29 @@ def _as_obdd(c, order):
 
 
 @pytest.mark.parametrize("view_weight", [0.0, 1e-20, 3.0])
-def test_annotations_match_the_references_at_extreme_weights(view_weight,
-                                                             monkeypatch):
+def test_annotations_match_the_references_at_extreme_weights(view_weight):
     # Twelve blocks R(i), S(i) of one shape, weighing 1e20, 1e-20 and 1 in
     # turn: p rounds to 1.0 at 1e20, where only q = 1/(1+w) is exact, on
-    # the lane pass and on the per-constituent loop alike.
+    # the index's lane pass over all twelve, and on the scalar loop and the
+    # lane pass over each constituent alone.
     weights = (1e20, 1e-20, 1.0)
     facts = [(Fact(rel, (i,)), weights[(i + j) % 3]) for i in range(12)
              for j, rel in enumerate(("R", "S"))]
     view = parse_view(f"V(x) [{view_weight}] :- R(x), S(x)", BLOCK_SCHEMA)
     tr = build_indb(Mvdb(BLOCK_SCHEMA, facts, [view]))
-    for lanes in (1, 10**9):
-        monkeypatch.setattr(mvindex, "_LANES", lanes)
-        idx = build_index(tr)
-        probs, qs = idx.probs, idx.qs
-        assert 1.0 in probs and 1e-20 in qs
-        for c in idx.constituents:
+    built = build_index(tr)
+    probs, qs = built.probs, built.qs
+    assert 1.0 in probs and 1e-20 in qs
+    assert [m for m, _, _ in built.annotations.values()] == [12]
+    runs = [(built, built.constituents)]
+    for c in built.constituents:
+        for lanes in (None, lone_lanes(c.shape, c.offset, probs, qs)):
+            alone = Constituent(c.key, c.shape, c.offset)
+            runs.append((annotated([alone], probs, qs, lanes), [alone]))
+    for idx, cons in runs:
+        for c in cons:
             assert c.shape.rank
-            table, node = _as_obdd(c, idx.order)
+            table, node = _as_obdd(c, built.order)
             for pos, under in enumerate(prob_unders(idx, c)):
                 assert under == shannon_probability(
                     Obdd(table, node[pos]), probs, qs)
@@ -1241,7 +1268,8 @@ def _assert_sweep_matches_memo(gq, idx):
     tasks with a non-sink query node)."""
     for cc in (True, False):
         got_stats, want_stats = IntersectStats(), IntersectStats()
-        got = mvindex._intersect(gq, idx, cc, got_stats)
+        total = mvindex._intersect(gq, idx, cc, got_stats)
+        got = (total, mvindex._p0_q_and_not_w(idx, total))
         want = intersect_memo(gq, idx, cc, want_stats)
         for g, w in zip(got, want):
             assert abs(g - w) <= 1e-12 * max(abs(g), abs(w)), (cc, got, want)

@@ -12,9 +12,10 @@ from mvdb.ucq import Lineage
 
 from helpers import (RAND_SCHEMA, TWO_TABLE_SCHEMA, chain_mvdb,
                      chain_window, con_obdd_structural as con_obdd,
-                     concatenate, from_lineage_clausewise, lineage_models,
-                     obdd_models, obdd_width, probabilistic_relations,
-                     random_boolean_query, random_mvdb, shannon_probability,
+                     concatenate, domain_constants, from_lineage_clausewise,
+                     lineage_models, obdd_models, obdd_width,
+                     probabilistic_relations, random_boolean_query,
+                     random_mvdb, shannon_probability,
                      signed_world_sum, tuple_order_grouped, two_table_db)
 
 
@@ -323,7 +324,7 @@ def test_con_obdd_size_additivity_over_separator_blocks():
     whole = con_obdd(pi, q, inst, db.domain)
     sep = find_separator(q, probabilistic_relations(db.schema))
     total_internal = 0
-    for c in db.domain.constants:
+    for c in domain_constants(db.domain):
         block = con_obdd(pi, specialize_separator(q, sep, c), inst, db.domain)
         total_internal += block.size() - 2
     assert whole.size() - 2 == total_internal

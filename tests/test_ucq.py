@@ -11,8 +11,9 @@ from mvdb import (Atom, Const, ConjunctiveQuery, Fact, Mvdb, MvdbError,
                   root_variables, specialize_separator, substitute)
 from mvdb.ucq import BinOp, Func, Lineage
 
-from helpers import (EX1_SCHEMA, RAND_SCHEMA, TWO_TABLE_SCHEMA, eval_predicate,
-                     evaluate_on_world, example1, iter_matches, lineage_holds,
+from helpers import (EX1_SCHEMA, RAND_SCHEMA, TWO_TABLE_SCHEMA,
+                     domain_constants, eval_predicate, evaluate_on_world,
+                     example1, iter_matches, lineage_holds,
                      lineage_variables, probabilistic_relations,
                      random_boolean_query, random_mvdb)
 
@@ -236,7 +237,7 @@ def test_separator_blocks_have_disjoint_lineage(two_table):
     sep = find_separator(q, probabilistic_relations(TWO_TABLE_SCHEMA))
     assert sep is not None
     seen_vars = []
-    for a in two_table.domain.constants:
+    for a in domain_constants(two_table.domain):
         phi = lineage(specialize_separator(q, sep, a), inst)
         seen_vars.append(lineage_variables(phi))
     for v1, v2 in itertools.combinations(seen_vars, 2):
