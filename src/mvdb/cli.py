@@ -100,8 +100,9 @@ def _query_instance(schema, index, parsed: dict, relations) -> Instance:
     """The base possible instance of a cold query over *relations* alone,
     those the query names: for each in schema order, its parsed rows
     (`_parse_rest`), or else the tuple order's own facts
-    (`MvIndex.held_facts`), so the instance and the index share one `Fact`
-    per probabilistic tuple.  Grounding reads no other relation.  It is
+    (`MvIndex.held_facts`, which a loaded index builds for these relations
+    alone), so the instance and the index share one `Fact` per
+    probabilistic tuple.  Grounding reads no other relation.  It is
     built relation by relation, one run each, as the rank order interleaves
     relations."""
     names = [r.name for r in schema.relations if r.name in relations]

@@ -12,9 +12,13 @@ Every node is annotated with the probability of its sub-diagram
 (reachability), both derived from the structure and the tuples'
 probabilities p = w/(1+w) and q = 1/(1+w) by
 `Constituent.compute_annotations` and `Constituent.derive`, each a pure
-function of a shape and its constituents' offsets, run once per shape into
-one flat `array('d')` (`MvIndex.annotations`); a constituent holds only its
-lane j in them.
+function of a shape and its constituents' offsets.  probUnder is global:
+P0(not-W) and the zero-block check need every root, so it runs once per
+shape into one flat `array('d')` (`MvIndex.annotations`), where a
+constituent holds only its lane j.  The entry tables, which carry the
+reachability, are derived for one constituent on its first entry
+(`MvIndex.entry_masses`), so a query pays only for the constituents it
+enters, as the paper's intersection visits only those.
 Online, a query OBDD ordered by the same tuple order is intersected against
 the chain of constituents without materializing the conjunction, by one
 forward sweep of signed probability mass over ranks (`_intersect`).  The
@@ -42,10 +46,12 @@ finite where the product over- or underflows.
 `InconsistentConstraintsError` means that one constituent's root probability
 is exactly 0.0, i.e. one block is contradictory on its own.
 
-The index is immutable after build; every query owns its own rank buckets,
-so concurrent evaluation is safe.
+The index's content is fixed at build; what is built later (a loaded
+order's relations, a constituent's entry tables) is built the same way
+whichever query asks first, and every query owns its own rank buckets, so
+concurrent evaluation is safe.
 
-The ``.mvx`` file (format version 7, `serialize` and `deserialize`) is:
+The ``.mvx`` file (format version 8, `serialize` and `deserialize`) is:
 
 * a header: the magic ``MVIX``, the u32 version and the 32-byte sha256
   source digest (`Mvdb.digest`: the `ProjectFiles.digest` of the bytes the
@@ -59,8 +65,10 @@ The ``.mvx`` file (format version 7, `serialize` and `deserialize`) is:
     arities, and a flag byte that is 1 where the order holds all of the
     relation's facts (`MvIndex.complete`: none is deterministic), so a
     cold query takes those facts from the order instead of their TSV;
-  - the tuple order: each tuple's relation id, then one column of domain
-    ids that holds every tuple's values in turn;
+  - the tuple order: each tuple's relation id, in rank order, then one
+    column of domain ids that holds the tuples' values relation by
+    relation (in relation id order), each relation's tuples in rank order,
+    so one relation's values are one slice of it;
   - the domain, every value of the order and every constituent key: its
     ints as one ASCII run of decimal numerals, so ints of any size stay
     exact, then its strings as UTF-8 with each one's end;
@@ -79,8 +87,8 @@ distinct structure (`MvIndex.shapes`): its ranks relative to its first (so
 a non-empty shape's ranks start at 0) and its child codes are stored once,
 and its entry codes and width are found once.  `serialize` numbers
 relations, domain values and shapes in order of first use, so the bytes
-depend only on the index's content.  Files of version 6 or older ask for a
-recompile.
+depend only on the index's content.  Files of version 7 (the values in
+rank order) or older ask for a recompile.
 
 Nothing derivable is stored: not the permutations the tuple order was
 built from, not the probabilities, not the root codes (position 0, or the
@@ -92,10 +100,15 @@ more than a whole cold query), and keeps p, q and the annotations as
 arrays of doubles.  The loader reads every column once, checking its
 typecode and its count against the bytes left (`_read_column`), then
 checks each column by its length and bounds (ids against the domain and
-relation counts, weights finite and not -1), every shape's layout
-(`_check_layout`) and last rank before building it, and every offset
-against the tuple order; any defect is an `IndexFormatError`, and so is a
-shape no constituent uses.  Compiles are byte-reproducible.
+relation counts, weights finite and not -1), that no domain value and no
+relation's id tuple appears twice, every shape's layout (`_check_layout`)
+and last rank before building it, and every offset against the tuple order
+and its neighbours' (the heads are in rank order, the empty constituents
+first); any defect is an `IndexFormatError`, and so is a shape no
+constituent uses.  It builds no fact: the tuple order builds a relation's
+`Fact`s and ranks from its slice of the values on first use
+(`VariableOrder.relation_facts`, `_relation_builder`), so a cold query
+builds only the relations it names.  Compiles are byte-reproducible.
 """
 
 from __future__ import annotations
@@ -112,10 +125,9 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import (accumulate, chain, compress, count, groupby, islice,
-                       repeat)
-from operator import add, itemgetter, mul
-from typing import Optional
+from itertools import accumulate, chain, compress, count, islice, repeat
+from operator import add, eq, itemgetter, mul
+from typing import Iterable, Optional
 
 from .core import (Fact, InconsistentConstraintsError, Instance,
                    IndexFormatError, MvdbError, OrderMismatchError,
@@ -129,7 +141,7 @@ SINK0 = -1
 SINK1 = -2
 
 _MAGIC = b"MVIX"
-_VERSION = 7
+_VERSION = 8
 _HEADER = "<I32s"  # version, sha256 of the source (`ProjectFiles.digest`)
 _COLUMNS_START = 4 + struct.calcsize(_HEADER)
 
@@ -169,12 +181,13 @@ def _negation(g: Obdd) -> tuple[int, list, list, list]:
 
 class Constituent:
     """A shape at a rank offset (0 for the empty shape): its positions are
-    the shape's, at the shape's ranks plus the offset.  It holds no
-    annotation: `MvIndex` sets its lane ``j`` in its shape's arrays
-    (`MvIndex.annotations`) and its root probability."""
+    the shape's, at the shape's ranks plus the offset.  The passes write
+    nothing into it: `MvIndex` sets its lane ``j`` in its shape's probUnder
+    array (`MvIndex.annotations`), its root probability, and ``entry``, its
+    entry tables' masses, on its first entry (`MvIndex.entry_masses`)."""
 
     __slots__ = ("key", "shape", "offset", "j", "rank_lo", "rank_hi",
-                 "prob_root")
+                 "prob_root", "entry")
 
     def __init__(self, key, shape: Shape, offset: int):
         self.key = key
@@ -184,20 +197,22 @@ class Constituent:
         self.rank_lo = offset if shape.rank else -1
         self.rank_hi = offset + shape.rank[-1] if shape.rank else -1
         self.prob_root = 0.0
+        self.entry: Optional[array] = None
 
     # -- augmentation -----------------------------------------------------
     #
     # Both passes read a shape (`MvIndex.shapes`) and the offsets of its
-    # constituents, with p and q = 1/(1+w) as lists over the tuple order,
-    # and return one `array('d')`, node-major: entry e of the constituent
-    # at ``offsets[j]`` at ``e * len(offsets) + j``.  They write nothing.
+    # constituents, with p and q = 1/(1+w) over the tuple order, and return
+    # one `array('d')`, node-major: entry e of the constituent at
+    # ``offsets[j]`` at ``e * len(offsets) + j``.  They write nothing.
     # Without *lanes*, for one offset, they loop over the shape's
-    # positions.  With *lanes*, p and q gathered at every offset's own
-    # ranks (`_rank_lanes`), they walk the shape once: each step computes a
-    # lane, one list indexed by constituent, with C-level
-    # ``map(add/mul, ...)``; the lanes in order are the array.  A
-    # constituent sees the same float operations in the same order either
-    # way, so its annotations keep their bits.
+    # positions.  `compute_annotations` also takes *lanes*, p and q
+    # gathered at every offset's own ranks (`_rank_lanes`), and then walks
+    # the shape once: each step computes a lane, one list indexed by
+    # constituent, with C-level ``map(add/mul, ...)``; the lanes in order
+    # are the array.  A constituent sees the same float operations in the
+    # same order either way, so its annotations keep their bits.  `derive`
+    # runs for one constituent at a time, on its first entry.
 
     @staticmethod
     def compute_annotations(shape, offsets, probs, qs, lanes=None) -> array:
@@ -234,7 +249,7 @@ class Constituent:
         return _doubles(list(chain.from_iterable(values[:n])))
 
     @staticmethod
-    def derive(shape, offsets, probs, qs, lanes=None) -> array:
+    def derive(shape, offsets, probs, qs) -> array:
         """The entry tables' masses, carrying the reachability.
 
         The entry table at rank r lists, sorted by code, every node, and
@@ -249,48 +264,28 @@ class Constituent:
         trailing slots): a node's mass is complete at its own rank, where it
         is its reachability (the signed mass of all root paths reaching it),
         and each child gains that mass times q (low edge) or p (high edge),
-        in position order.  The cost is O(n + sum of |entry|) per
-        constituent.
+        in position order.  The cost is O(n + sum of |entry|) for the one
+        constituent at ``offsets[0]``.
         """
         rank, lo, hi = shape.rank, shape.lo, shape.hi
         codes, starts = shape.entry_codes, shape.entry_starts
         n = len(rank)
-        if lanes is None:
-            [offset] = offsets
-            masses: list[float] = []
-            if n:
-                mass = [0.0] * (n + 2)
-                mass[0] = 1.0
-                at = mass.__getitem__
-                pos = 0
-                span = slice(offset, offset + rank[-1] + 1)
-                for i, p, q in zip(count(), probs[span], qs[span]):
-                    masses += map(at, codes[starts[i]:starts[i + 1]])
-                    while pos < n and rank[pos] == i:
-                        reach = mass[pos]
-                        mass[lo[pos]] += reach * q
-                        mass[hi[pos]] += reach * p
-                        pos += 1
-            return _doubles(masses)
-        ps, qls = lanes
-        m = len(offsets)
-        # A lane is replaced, never changed in place, so a table can hold
-        # the lane a code has at its rank.
-        mass = [[0.0] * m] * (n + 2)
-        mass[0] = [1.0] * m
-        at = mass.__getitem__
-        tables: list = []
-        pos = 0
-        for i in range(len(starts) - 1):
-            tables += map(at, codes[starts[i]:starts[i + 1]])
-            while pos < n and rank[pos] == i:
-                reach = mass[pos]
-                mass[lo[pos]] = list(map(add, mass[lo[pos]],
-                                         map(mul, reach, qls[i])))
-                mass[hi[pos]] = list(map(add, mass[hi[pos]],
-                                         map(mul, reach, ps[i])))
-                pos += 1
-        return _doubles(list(chain.from_iterable(tables)))
+        [offset] = offsets
+        masses: list[float] = []
+        if n:
+            mass = [0.0] * (n + 2)
+            mass[0] = 1.0
+            at = mass.__getitem__
+            pos = 0
+            span = slice(offset, offset + rank[-1] + 1)
+            for i, p, q in zip(count(), probs[span], qs[span]):
+                masses += map(at, codes[starts[i]:starts[i + 1]])
+                while pos < n and rank[pos] == i:
+                    reach = mass[pos]
+                    mass[lo[pos]] += reach * q
+                    mass[hi[pos]] += reach * p
+                    pos += 1
+        return _doubles(masses)
 
     def size(self) -> int:
         return len(self.shape.rank) + 2
@@ -340,38 +335,41 @@ def _entry_codes(rank, lo, hi) -> tuple[list, list]:
 
 
 class MvIndex:
-    """The constituents, sorted by rank range, their distinct shapes in
-    order of first use, each with its constituent count m and the passes'
-    two arrays in ``annotations``, and the tuple order and weights they
-    were built on.  A query node finds the next constituent it meets by
-    bisecting their last ranks (``rank_hi``), and learns from the prefix
-    count ``zeros`` whether it jumped over a zero block; `cc_mv_intersect`
-    then enters each constituent it meets through its entry tables."""
+    """The constituents, in rank order, their distinct shapes in order of
+    first use, each with its constituent count m and its probUnder array in
+    ``annotations``, and the tuple order and weights they were built on.  A
+    query node finds the next constituent it meets by bisecting their last
+    ranks (``rank_hi``), and learns from the prefix count ``zeros`` whether
+    it jumped over a zero block; `cc_mv_intersect` then enters each
+    constituent it meets through its entry tables (`entry_masses`)."""
 
     def __init__(self, constituents, order: VariableOrder, weights,
                  source_digest: str, complete: frozenset):
-        """*weights* are the tuples' weights in rank order, each finite and
-        not -1.  *complete* names the relations of the order that it holds
+        """*constituents* are in rank order, the empty ones first, and
+        their non-empty rank ranges disjoint (`_overlapping`).  *weights*
+        are the tuples' weights in rank order, each finite and not -1.
+        *complete* names the relations of the order that it holds
         completely: none of their facts in the translated database is
         deterministic, so `held_facts` can stand in for their TSVs.  The
         probabilities p = w/(1+w) and q = 1/(1+w), q exact
         where p rounds to 1.0 (1e-20 at w = 1e20), are derived here, and
-        every shape is annotated from them at its constituents' offsets, by
-        lanes when it has two or more: the compiler and the loader both
-        build their index through this one call, which alone sets each
-        constituent's lane ``j`` and root probability."""
+        every shape's probUnder from them at its constituents' offsets, by
+        lanes when it has two or more, since P0(not W) and the zero-block
+        check need every root: the compiler and the loader both build their
+        index through this one call, which alone sets each constituent's
+        lane ``j`` and root probability.  The entry tables wait for a
+        query (`entry_masses`)."""
         self.order = order
         self.weights = array("d", weights)
-        # Lists while the passes read them, arrays once they are done.
+        # Lists while the pass reads them, arrays once it is done.
         probs = [w / (1.0 + w) for w in self.weights]
         qs = [1.0 / (1.0 + w) for w in self.weights]
-        self.constituents: list[Constituent] = sorted(
-            constituents, key=lambda c: (c.rank_lo, c.rank_hi))
+        self.constituents: list[Constituent] = list(constituents)
         by_shape: dict[Shape, list] = {}
         for c in self.constituents:
             by_shape.setdefault(c.shape, []).append(c)
         self.shapes: list[Shape] = list(by_shape)
-        # shape -> (m, prob_under, entry_mass)
+        # shape -> (m, prob_under)
         self.annotations: dict[Shape, tuple] = {}
         for shape, group in by_shape.items():
             offsets = [c.offset for c in group]
@@ -379,9 +377,7 @@ class MvIndex:
                      if len(offsets) > 1 else None)
             under = Constituent.compute_annotations(shape, offsets, probs, qs,
                                                     lanes)
-            self.annotations[shape] = (
-                len(group), under,
-                Constituent.derive(shape, offsets, probs, qs, lanes))
+            self.annotations[shape] = (len(group), under)
             for j, c in enumerate(group):
                 c.j, c.prob_root = j, under[j] if shape.rank else 0.0
         self.probs, self.qs = _doubles(probs), _doubles(qs)
@@ -429,13 +425,21 @@ class MvIndex:
 
     def held_facts(self, relations) -> dict:
         """The order's own facts of each of *relations* that it holds
-        completely (`complete`), by relation, each list in rank order."""
-        held = {r: [] for r in relations if r in self.complete}
-        for fact in self.order.facts:
-            group = held.get(fact[0])
-            if group is not None:
-                group.append(fact)
-        return held
+        completely (`complete`), by relation, each list in rank order: a
+        loaded order builds just these relations
+        (`VariableOrder.relation_facts`)."""
+        return {r: self.order.relation_facts(r) for r in relations
+                if r in self.complete}
+
+    def entry_masses(self, c: Constituent) -> array:
+        """The masses of constituent *c*'s entry tables, in its shape's
+        entry-code order: `Constituent.derive` of *c* alone, on the first
+        call, kept in ``c.entry``.  Two threads entering *c* at once may
+        both derive it; the arrays are equal bit for bit."""
+        if c.entry is None:
+            c.entry = Constituent.derive(c.shape, [c.offset], self.probs,
+                                         self.qs)
+        return c.entry
 
     def max_width(self) -> int:
         return max((s.width for s in self.shapes), default=0)
@@ -475,9 +479,10 @@ def build_index(tr: TranslationResult) -> MvIndex:
     node table that is dropped once the block is laid out, since a shared
     table would hold nothing another block reuses.  The cost is linear in
     W's lineage plus the distinct shapes' size.  Constituents are negated
-    by swapping sinks, then `MvIndex` annotates each from its own tuple
-    probabilities.  The build runs with the cyclic collector paused
-    (`_collector_paused`): compilation leaves no reference cycles.
+    by swapping sinks and put in rank order, the empty ones first, then
+    `MvIndex` annotates each from its own tuple probabilities.  The build
+    runs with the cyclic collector paused (`_collector_paused`):
+    compilation leaves no reference cycles.
     """
     indb = tr.indb
     prob_facts = indb.probabilistic_facts()
@@ -495,7 +500,8 @@ def build_index(tr: TranslationResult) -> MvIndex:
     # Without a separator the one group's key is None; no constant is.
     keys = (list(groups) if None in groups
             else sorted(groups, key=indb.domain.rank))
-    constituents = _compile_blocks(groups, keys, order)
+    constituents = sorted(_compile_blocks(groups, keys, order),
+                          key=lambda c: (c.rank_lo, c.rank_hi))
     if _overlapping(constituents):
         raise MvdbError("internal error: W's separator blocks interleave "
                         "in the tuple order")
@@ -534,10 +540,11 @@ def _compile_blocks(groups: dict, keys, order: VariableOrder) -> list:
     return out
 
 
-def _overlapping(constituents) -> bool:
-    """True when two non-empty constituents' rank ranges overlap."""
-    spans = sorted((c.rank_lo, c.rank_hi) for c in constituents)
-    return any(a[1] >= b[0] >= 0 for a, b in zip(spans, spans[1:]))
+def _overlapping(constituents: list) -> bool:
+    """True when two non-empty constituents' rank ranges overlap, for
+    *constituents* in rank order: one pass over adjacent pairs."""
+    return any(a.rank_hi >= b.rank_lo >= 0
+               for a, b in zip(constituents, islice(constituents, 1, None)))
 
 
 # ---------------------------------------------------------------------------
@@ -580,8 +587,9 @@ def _intersect(gq: Obdd, index: MvIndex, cache_conscious: bool,
     A pair state is kept at rank min(rank[pos], var[v]) and only moves to
     later ranks.  An entry state is kept at var[v], in ``mv`` mode at
     constituent k's first rank if that is earlier, and enters constituent k
-    through its entry table at the rank it is kept at; the table at the
-    first rank is the root alone, with mass 1.0.  Entering a constituent
+    through its entry table at the rank it is kept at (derived on k's first
+    entry, `MvIndex.entry_masses`); the table at the first rank is the root
+    alone, with mass 1.0.  Entering a constituent
     straight onto the 1-sink of its entry table moves on at the same rank,
     so each rank expands its entry states in increasing k before its pair
     states.  A query OBDD built on ``index.order`` itself passes the order
@@ -629,7 +637,7 @@ def _intersect(gq: Obdd, index: MvIndex, cache_conscious: bool,
         c = cons[k]
         if v <= 1:
             if v and zeros[k + 1] == zeros[m]:
-                lanes, prob_under, _ = annotations[c.shape]
+                lanes, prob_under = annotations[c.shape]
                 total += mass * prob_under[code * lanes + c.j]
             return
         r = c.shape.rank[code] + c.offset
@@ -661,13 +669,14 @@ def _intersect(gq: Obdd, index: MvIndex, cache_conscious: bool,
                     push_entry(k, qhi[v], mass * p)
                 else:
                     mass *= inv_root[k]
-                    lanes, _, entry_mass = annotations[c.shape]
+                    masses = c.entry
+                    if masses is None:
+                        masses = index.entry_masses(c)
                     i = r - c.rank_lo
                     a, b = c.shape.entry_starts[i], c.shape.entry_starts[i + 1]
-                    at = a * lanes + c.j
                     for code in c.shape.entry_codes[a:b]:
-                        push_pair(k, code, v, mass * entry_mass[at])
-                        at += lanes
+                        push_pair(k, code, v, mass * masses[a])
+                        a += 1
         if stats is not None:
             expanded += len(pairs)
             seen.update((k, pos) for k, pos, _ in pairs
@@ -782,7 +791,7 @@ _COLUMNS = {
     "arity": _INT_CODES,       # each relation's arity
     "complete": "B",           # each relation's 1 if in `MvIndex.complete`
     "relation": _INT_CODES,    # each tuple's relation id, in rank order
-    "values": _INT_CODES,      # every tuple's values as domain ids, in turn
+    "values": _INT_CODES,      # the values as domain ids, relation-major
     "ints": "B",               # the domain's ints, space-separated decimals
     "strings": "B",            # the domain's strings, concatenated
     "string_ends": _INT_CODES,  # each string's end, in characters
@@ -871,30 +880,34 @@ def _untext(data: array, ends: array) -> list:
 
 
 def serialize(index: MvIndex) -> bytes:
-    """The v7 file: header, the columns of `_COLUMNS`, CRC-32; byte-stable.
+    """The v8 file: header, the columns of `_COLUMNS`, CRC-32; byte-stable.
 
     Relations are numbered in order of first use in the tuple order.  The
     domain is every value of the tuple order and every constituent key, the
-    ints first, each kind in order of first use; shapes are numbered in
-    order of first use (`MvIndex.shapes`).  Structure only, no
+    ints first, each kind in order of first use in rank order; shapes are
+    numbered in order of first use (`MvIndex.shapes`).  Structure only, no
     annotation."""
     cons, shapes = index.constituents, index.shapes
     shape_id = dict(zip(shapes, range(len(shapes))))
     facts = index.order.facts
     names = list(map(itemgetter(0), facts))
     rows = list(map(itemgetter(1), facts))
-    values = list(chain.from_iterable(rows))
     keys = [c.key for c in cons]
     arity = dict(zip(names, map(len, rows)))
-    relation = dict(zip(arity, range(len(arity))))
-    seen = dict.fromkeys(chain(values, (k for k in keys if k is not None)))
+    relation = list(map(dict(zip(arity, count())).__getitem__, names))
+    seen = dict.fromkeys(chain(chain.from_iterable(rows),
+                               (k for k in keys if k is not None)))
     ints = [v for v in seen if type(v) is int]
     strings = [v for v in seen if type(v) is not int]
     ids = dict(zip(ints + strings, range(len(seen))))
+    # relation by relation: the sort is stable, so each relation's tuples
+    # stay in rank order
+    values = chain.from_iterable(map(rows.__getitem__, sorted(
+        range(len(rows)), key=relation.__getitem__)))
     offsets = [c.offset for c in cons]
     columns = {"arity": list(arity.values()),
                "complete": [int(r in index.complete) for r in arity],
-               "relation": list(map(relation.__getitem__, names)),
+               "relation": relation,
                "values": list(map(ids.__getitem__, values)),
                "ints": " ".join(map(str, ints)).encode(),
                "weight": index.weights,
@@ -947,43 +960,62 @@ def _check_layout(rank, lo, hi, n_ranks: int):
 def _decode_order(columns: dict) -> tuple[VariableOrder, list, frozenset]:
     """The tuple order, the domain and the relations the order holds
     completely, from their columns, each checked by its length and its
-    bounds."""
+    bounds.  No fact is built here: the order builds each relation on its
+    first use (`_relation_builder`).  Duplicate tuples are rejected here
+    all the same, on ids: the domain's values must be distinct, and so must
+    each relation's id tuples."""
     names = _untext(columns["names"], columns["name_ends"])
     try:
         ints = list(map(int, columns["ints"].tobytes().split()))
     except ValueError:
         raise IndexFormatError("bad index metadata layout") from None
     domain = ints + _untext(columns["strings"], columns["string_ends"])
-    arity, flags, relation, ids = (
-        columns[name].tolist()
-        for name in ("arity", "complete", "relation", "values"))
+    arity, flags = columns["arity"].tolist(), columns["complete"].tolist()
+    relation, ids = columns["relation"], columns["values"]
     if (len(arity) != len(names) or min(arity, default=1) < 1
             or len(flags) != len(names) or max(flags, default=0) > 1):
         raise IndexFormatError("bad index metadata layout")
     if relation and not 0 <= min(relation) <= max(relation) < len(names):
         raise IndexFormatError("fact names an unknown relation")
-    widths = list(map(arity.__getitem__, relation))
-    if sum(widths) != len(ids) or (
+    counts = list(map(relation.count, range(len(names))))
+    starts = list(accumulate(map(mul, counts, arity), initial=0))
+    if starts[-1] != len(ids) or (
             ids and not 0 <= min(ids) <= max(ids) < len(domain)):
         raise IndexFormatError("bad index metadata layout")
-    values = map(domain.__getitem__, ids)
-    rows = []
-    for k, run in groupby(widths):
-        # a run of tuples of arity k: k values each, in turn
-        rows += zip(*[islice(values, k * len(list(run)))] * k)
-    try:
-        order = VariableOrder(map(tuple.__new__, repeat(Fact),
-                                  zip(map(names.__getitem__, relation),
-                                      rows)))
-    except MvdbError as exc:
-        raise IndexFormatError(str(exc)) from None
+    if len(set(domain)) != len(domain):
+        raise IndexFormatError("duplicate value in the index domain")
+    unbuilt = {}
+    for rid, name, k, a, b in zip(count(), names, arity, starts,
+                                  starts[1:]):
+        run = ids[a:b]
+        if len(set(zip(*[iter(run)] * k))) != counts[rid]:
+            raise IndexFormatError("duplicate tuple in variable order")
+        unbuilt[name] = _relation_builder(name, k, run, domain, relation,
+                                          rid)
+    order = VariableOrder(size=len(relation), unbuilt=unbuilt)
     return order, domain, frozenset(compress(names, flags))
+
+
+def _relation_builder(name: str, k: int, run: array, domain: list,
+                      relation: array, rid: int):
+    """The builder of relation *name* for `VariableOrder`: its facts from
+    *run*, its arity-*k* tuples' domain ids in rank order, and their ranks,
+    the positions of *rid* in the relation column."""
+    def build() -> tuple[list, Iterable]:
+        values = map(domain.__getitem__, run)
+        facts = list(map(tuple.__new__, repeat(Fact),
+                         zip(repeat(name), zip(*[values] * k))))
+        return facts, compress(range(len(relation)),
+                               map(eq, relation, repeat(rid)))
+    return build
 
 
 @_collector_paused()
 def deserialize(buf: bytes) -> MvIndex:
-    """Load a v7 index, with the cyclic garbage collector paused
-    (`_collector_paused`): everything the loader allocates stays live."""
+    """Load a v8 index, with the cyclic garbage collector paused
+    (`_collector_paused`): everything the loader allocates stays live.
+    Only what every query needs is built: the shapes, the constituents and
+    their probUnder; the facts and the entry tables wait for a query."""
     if len(buf) < 12:
         raise IndexFormatError("truncated index file")
     body = memoryview(buf)[:-4]
@@ -1025,15 +1057,20 @@ def deserialize(buf: bytes) -> MvIndex:
         raise IndexFormatError(f"shape id {max(sids)} out of range")
     if len(set(sids)) != len(shapes):
         raise IndexFormatError("a shape no constituent uses")
+    # The heads are in rank order, the empty ones first: the gaps are not
+    # negative, so what is left to check is each pair of neighbours.
     constituents = []
     key_of = [None, *domain]
     for key, sid, offset in zip(map(key_of.__getitem__, keys), sids,
                                 accumulate(gaps)):
         shape = shapes[sid]
-        if not shape.rank and offset:
+        if shape.rank:
+            if offset + shape.rank[-1] >= n_order:
+                raise IndexFormatError("rank outside the variable order")
+        elif offset:
             raise IndexFormatError("empty constituent with an offset")
-        if shape.rank and offset + shape.rank[-1] >= n_order:
-            raise IndexFormatError("rank outside the variable order")
+        elif constituents and constituents[-1].shape.rank:
+            raise IndexFormatError("empty constituent after a non-empty one")
         constituents.append(Constituent(key, shape, offset))
     if _overlapping(constituents):
         raise IndexFormatError("constituent rank ranges overlap")

@@ -27,6 +27,7 @@ Finished OBDDs are immutable and shareable; construction is single-threaded.
 from __future__ import annotations
 
 import itertools
+import threading
 from typing import Iterable, Optional
 
 from .core import (Domain, Fact, Instance, MvdbError, OrderMismatchError,
@@ -35,27 +36,87 @@ from . import ucq as U
 
 
 class VariableOrder:
-    """A total order over the probabilistic tuples of an instance."""
+    """A total order over the probabilistic tuples of an instance, whose
+    facts are built relation by relation.
 
-    def __init__(self, facts: Iterable[Fact]):
-        self.facts: tuple[Fact, ...] = tuple(facts)
-        self.rank: dict[Fact, int] = {f: i for i, f in enumerate(self.facts)}
-        if len(self.rank) != len(self.facts):
-            raise MvdbError("duplicate tuple in variable order")
+    ``VariableOrder(facts)`` holds every relation at once, as the compiler
+    builds it (`tuple_order`).  An index loader passes *size* and
+    *unbuilt* instead, ``{relation: build}`` where ``build()`` returns the
+    relation's facts and their ranks, both in rank order: a relation is
+    built on first use, through `relation_facts`, or when `rank_of` misses
+    a fact of it.  ``rank`` maps every fact built so far to its rank, so
+    once a query's relations are built its lineage is ranked by dict
+    lookups alone.  Building a relation takes a lock, so concurrent readers
+    build it once."""
+
+    def __init__(self, facts: Iterable[Fact] = (), size: int = 0,
+                 unbuilt: Optional[dict] = None):
+        self._facts: Optional[tuple] = None
+        self.rank: dict[Fact, int] = {}
+        if unbuilt is None:
+            self._facts = tuple(facts)
+            self.rank = dict(zip(self._facts, itertools.count()))
+            if len(self.rank) != len(self._facts):
+                raise MvdbError("duplicate tuple in variable order")
+            size = len(self._facts)
+        self._size = size
+        self._unbuilt = dict(unbuilt or {})
+        self._held: dict[str, list] = {}
+        self._lock = threading.Lock()
 
     def __len__(self):
-        return len(self.facts)
+        return self._size
+
+    @property
+    def facts(self) -> tuple[Fact, ...]:
+        """Every fact in rank order; on a loaded order this builds every
+        relation (``stats --dump``, `serialize`, comparisons)."""
+        if self._facts is None:
+            for name in list(self._unbuilt):
+                self.relation_facts(name)
+            facts = [None] * self._size
+            for fact, r in self.rank.items():
+                facts[r] = fact
+            self._facts = tuple(facts)
+        return self._facts
+
+    def relation_facts(self, name: str) -> list:
+        """The facts of relation *name*, in rank order (none for a relation
+        the order does not hold), built on first use."""
+        held = self._held.get(name)
+        if held is None:
+            with self._lock:
+                held = self._held.get(name)
+                if held is None:
+                    build = self._unbuilt.get(name)
+                    if build is not None:
+                        held, ranks = build()
+                        # ranked before it leaves `_unbuilt` (`rank_of`)
+                        self.rank.update(zip(held, ranks))
+                        del self._unbuilt[name]
+                    elif self._facts is not None:
+                        held = [f for f in self._facts if f[0] == name]
+                    else:  # not a relation of the order
+                        held = []
+                    self._held[name] = held
+        return held
 
     def rank_of(self, fact: Fact) -> int:
         try:
             return self.rank[fact]
         except KeyError:
-            raise OrderMismatchError(f"{fact} is not ranked") from None
+            if fact[0] in self._unbuilt:
+                self.relation_facts(fact[0])
+            rank = self.rank.get(fact)
+            if rank is None:
+                raise OrderMismatchError(f"{fact} is not ranked") from None
+            return rank
 
     def __eq__(self, other):
         """Equal fact sequences.  The engine compares an order with itself;
-        distinct orders compare their fact tuples, lengths first."""
+        distinct orders compare their lengths, then their fact tuples."""
         return self is other or (isinstance(other, VariableOrder)
+                                 and len(self) == len(other)
                                  and self.facts == other.facts)
 
     def __hash__(self):

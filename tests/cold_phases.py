@@ -26,20 +26,30 @@ phase:
   relations it names that the index's tuple order does not hold
   completely (`cli._parse_rest`);
 * ``meta``: reading the index's columns and decoding the tuple order from
-  them (`mvindex._read_columns`, then `mvindex._decode_order`);
-* ``annotations`` and ``entry``: `Constituent.compute_annotations` and
-  `Constituent.derive`, once per shape of the loaded index at its
-  constituents' offsets in lane order, as `MvIndex` calls them, each
-  returning the shape's array; a shape of two constituents or more takes
-  the lane pass, and ``annotations`` includes listing the offsets and
-  gathering the lanes (`mvindex._rank_lanes`);
+  them (`mvindex._read_columns`, then `mvindex._decode_order`): in format
+  8 the domain, the column checks and the duplicate checks on ids, with no
+  fact built;
+* ``annotations``: `Constituent.compute_annotations`, once per shape of
+  the loaded index at its constituents' offsets in lane order, as
+  `MvIndex` calls it, returning the shape's array; a shape of two
+  constituents or more takes the lane pass, and ``annotations`` includes
+  listing the offsets and gathering the lanes (`mvindex._rank_lanes`);
+* ``decode`` (format 8 only): building the facts and ranks of the
+  relations the query names (`VariableOrder.relation_facts`), on an order
+  fresh from ``meta``;
+* ``entry``: `Constituent.derive` of each constituent the cold query
+  enters (found by answering it once), each alone, as the sweep derives
+  them on first entry; in format 7, of every shape by lanes, as that
+  loader did;
 * ``load_rest``: the rest of `mvindex.deserialize`, i.e. the whole load
-  minus the three phases above (so it holds the shape checks and, where
-  a checkout derives them per shape, the entry codes);
+  minus ``meta`` and ``annotations`` (and in format 7 minus ``entry``), so
+  it holds the shape checks, the entry codes and the constituents;
 * ``instance``: building the query's instance as the cold query does,
   over the relations it names, from those rows and the tuple order's own
-  facts (`cli._query_instance`);
-* ``query``: parsing the query and answering it on the loaded index;
+  facts (`cli._query_instance`); in format 8 on an index that has built
+  those facts already (that is ``decode``);
+* ``query``: parsing the query and answering it on the loaded index, whose
+  entry tables the first run derived;
 * ``cold_total``: the whole `mvdb query --tsv` through `cli.main`;
 
 and the warm calls, in microseconds per call (the median of REPEATS
@@ -57,19 +67,20 @@ It also prints each ``.mvx`` file's size per ordered tuple
 (``mvx_bytes_per_tuple``) and its sha256, the bytes the loaded index holds
 per ordered tuple (``loaded_b_per_tuple``: tracemalloc's current bytes
 after one `mvindex.deserialize` of the file), and the loaded index's
-``constituents``, ``shapes`` and ``lane_constituents`` (those whose shape
-takes the lane pass).  Usage::
+``constituents``, ``entered`` (those whose entry tables ``entry``
+derives), ``shapes`` and ``lane_constituents`` (those whose shape takes
+the lane pass).  Usage::
 
     python tests/cold_phases.py [ROOT] [REPEATS]
     python tests/cold_phases.py --against OTHER_ROOT [ROOT] [REPEATS]
 
 ROOT (default: the checkout holding this script) is the checkout whose
 ``mvdb`` is timed, so one copy of the script times any checkout that
-writes ``.mvx`` format 6 or 7 and annotates per shape (an older checkout's
-``meta``, ``annotations`` and ``entry`` phases are timed by its own copy of
-the script).  A checkout whose passes take the constituents themselves is
-timed through that signature, by lanes from eight constituents up, its
-threshold.  A format 7 checkout whose `cli._parse_rest` takes no
+writes ``.mvx`` format 6, 7 or 8 and annotates per shape (an older
+checkout's ``meta``, ``annotations`` and ``entry`` phases are timed by its
+own copy of the script).  A checkout whose passes take the constituents
+themselves is timed through that signature, by lanes from eight
+constituents up, its threshold.  A format 7 checkout whose `cli._parse_rest` takes no
 relations builds its cold query's instance over every relation, so there
 ``parse`` parses the TSVs of all the relations the index does not hold and
 ``instance`` holds every relation.  A format 6 checkout's cold query
@@ -88,7 +99,9 @@ paired ratio<TAB>wins``: the ratio is ROOT's time over OTHER_ROOT's in the
 same pair, and wins counts the pairs ROOT was faster in.  Separate
 processes on a busy host can differ by more than the change being
 measured; pairs taken side by side in one process share its state.  A
-non-timed value prints both and, for a number, their ratio (the peak and
+phase OTHER_ROOT does not have (``decode`` against format 7) prints
+ROOT's median and ``-``; ``cold_total`` and ``load`` pair across
+formats.  A non-timed value prints both and, for a number, their ratio (the peak and
 the loaded bytes the median of three interleaved runs each).  This form
 prints the whole ``load`` in place of ``load_rest``.  The script is not a
 test module: pytest does not collect it.
@@ -227,7 +240,6 @@ def _query_phases(pkg, project: Path, query: str,
         phases = {"read": db.digest,
                   "parse": lambda: cli._load_project(str(project)),
                   "instance": db.possible_instance}
-    instance = phases["instance"]()
     body = memoryview(blob)[:-4]
     # `MvIndex` runs the passes over lists of p and q.
     probs, qs = list(index.probs), list(index.qs)
@@ -257,9 +269,35 @@ def _query_phases(pkg, project: Path, query: str,
             mvindex.Constituent.compute_annotations(*args[i], probs, qs,
                                                     lanes[i])
 
-    def entry():
-        for group_args, group_lanes in zip(args, lanes):
-            mvindex.Constituent.derive(*group_args, probs, qs, group_lanes)
+    def meta():
+        return mvindex._decode_order(mvindex._read_columns(body))[0]
+
+    lazy = hasattr(mvindex.MvIndex, "entry_masses")
+    if lazy:  # format 8: relations and entry tables built on first use
+        def decode(order):
+            for name in named:
+                order.relation_facts(name)
+        decode.setup = meta
+        phases["decode"] = decode
+        # the constituents the cold query enters, found by answering it
+        first = phases["instance"]()
+        translate.answer_rows(ucq.parse_query(query, files.schema), first,
+                              mvindex.IndexEvaluator(index, first))
+        entered = [c for c in index.constituents if c.entry is not None]
+
+        def entry():
+            for c in entered:
+                mvindex.Constituent.derive(c.shape, [c.offset], index.probs,
+                                           index.qs)
+    else:
+        entered = index.constituents
+        annotations()
+
+        def entry():
+            for group_args, group_lanes in zip(args, lanes):
+                mvindex.Constituent.derive(*group_args, probs, qs,
+                                           group_lanes)
+    instance = phases["instance"]()
 
     def answer():
         q = ucq.parse_query(query, db.schema)
@@ -275,8 +313,9 @@ def _query_phases(pkg, project: Path, query: str,
     timed = {
         "read": phases["read"],
         "parse": phases["parse"],
-        "meta": lambda: mvindex._decode_order(mvindex._read_columns(body)),
+        "meta": meta,
         "annotations": annotations,
+        **({"decode": phases["decode"]} if lazy else {}),
         "entry": entry,
         "load": lambda: mvindex.deserialize(blob),
         "instance": phases["instance"],
@@ -302,6 +341,7 @@ def _query_phases(pkg, project: Path, query: str,
         "loaded_b_per_tuple": lambda: _loaded_bytes(mvindex, blob),
         "mvx_sha256": hashlib.sha256(blob).hexdigest(),
         "constituents": str(len(index.constituents)),
+        "entered": str(len(entered)),
         "shapes": str(len(groups)),
         "lane_constituents": str(sum(
             len(group) for group in groups if len(group) >= fewest)),
@@ -349,8 +389,9 @@ def _single(pkg, repeats: int, tmp: Path):
         timed, values = _phases(pkg, project, query, warm)
         out = {phase: statistics.median(_time(fn) for _ in range(repeats))
                * _scale(fn) for phase, fn in timed.items()}
-        out["load_rest"] = (out.pop("load") - out["meta"]
-                            - out["annotations"] - out["entry"])
+        # a format 8 load derives no entry table
+        out["load_rest"] = (out.pop("load") - out["meta"] - out["annotations"]
+                            - (0.0 if "decode" in out else out["entry"]))
         for key, fn in values.items():
             out[key] = fn() if callable(fn) else fn
         for phase, value in out.items():
@@ -365,7 +406,11 @@ def _against(pkg, other, repeats: int, tmp: Path):
         timed, values = _phases(pkg, project, query, warm)
         o_timed, o_values = _phases(other, o_project, query, warm)
         for phase, fn in timed.items():
-            o_fn = o_timed[phase]
+            o_fn = o_timed.get(phase)
+            if o_fn is None:  # a phase OTHER_ROOT's load does not have
+                median = statistics.median(_time(fn) for _ in range(repeats))
+                print(f"{name}\t{phase}\t{median * _scale(fn):.2f}\t-")
+                continue
             mine, theirs = [], []
             for i in range(repeats):
                 if i % 2:

@@ -679,8 +679,10 @@ def build_index_per_block(tr):
         g = con_obdd_structural(pi, tr.w_query, instance, indb.domain,
                                 order=order, table=table, var_rels=var_rels)
         blocks = [] if g.root == 0 else [(None, g)]
-    return MvIndex(constituents_of(blocks), order, weights,
-                   tr.source.digest, complete_relations(indb, order))
+    return MvIndex(sorted(constituents_of(blocks),
+                          key=lambda c: (c.rank_lo, c.rank_hi)),
+                   order, weights, tr.source.digest,
+                   complete_relations(indb, order))
 
 
 def constituents_of(blocks) -> list:
@@ -796,19 +798,54 @@ def root_code(c) -> int:
 
 def annotated(cons, probs, qs, lanes=None):
     """A stand-in for an `MvIndex` holding *cons*, constituents of one
-    shape, for the accessors below: their annotations by the two passes
-    over *probs* and *qs*, in the scalar loop for one constituent without
-    *lanes*, and each one's lane ``j`` and root probability set as
-    `MvIndex` sets them."""
+    shape, for the accessors below: their annotations over *probs* and
+    *qs*, probUnder by `Constituent.compute_annotations` and the entry
+    tables by `derive_lanes` with *lanes*, or else both in the scalar loop
+    for one constituent, and each one's lane ``j`` and root probability set
+    as `MvIndex` sets them."""
     from types import SimpleNamespace
     from mvdb.mvindex import Constituent
     shape, offsets = cons[0].shape, [c.offset for c in cons]
     under = Constituent.compute_annotations(shape, offsets, probs, qs, lanes)
+    masses = (Constituent.derive(shape, offsets, probs, qs) if lanes is None
+              else derive_lanes(shape, offsets, probs, qs, lanes))
     for j, c in enumerate(cons):
         c.j, c.prob_root = j, under[j] if shape.rank else 0.0
-    return SimpleNamespace(annotations={shape: (
-        len(cons), under,
-        Constituent.derive(shape, offsets, probs, qs, lanes))})
+    return SimpleNamespace(annotations={shape: (len(cons), under)},
+                           entry_masses=lambda c: masses[c.j::len(cons)])
+
+
+def derive_lanes(shape, offsets, probs, qs, lanes):
+    """`Constituent.derive` for every offset of *shape* at once, by lanes
+    (`mvindex._rank_lanes`, or `lone_lanes` for one offset): the entry
+    tables' masses of the constituent at ``offsets[j]`` at ``e *
+    len(offsets) + j``.  Each step computes a lane, one list indexed by
+    constituent, with the scalar loop's float operations in its order, so a
+    constituent's masses keep their bits."""
+    from itertools import chain
+    from operator import add, mul
+    from mvdb.mvindex import _doubles
+    rank, lo, hi = shape.rank, shape.lo, shape.hi
+    codes, starts = shape.entry_codes, shape.entry_starts
+    n, m = len(rank), len(offsets)
+    ps, qls = lanes
+    # A lane is replaced, never changed in place, so a table can hold the
+    # lane a code has at its rank.
+    mass = [[0.0] * m] * (n + 2)
+    mass[0] = [1.0] * m
+    at = mass.__getitem__
+    tables: list = []
+    pos = 0
+    for i in range(len(starts) - 1):
+        tables += map(at, codes[starts[i]:starts[i + 1]])
+        while pos < n and rank[pos] == i:
+            reach = mass[pos]
+            mass[lo[pos]] = list(map(add, mass[lo[pos]],
+                                     map(mul, reach, qls[i])))
+            mass[hi[pos]] = list(map(add, mass[hi[pos]],
+                                     map(mul, reach, ps[i])))
+            pos += 1
+    return _doubles(list(chain.from_iterable(tables)))
 
 
 def lone_lanes(shape, offset: int, probs, qs) -> tuple[dict, dict]:
@@ -843,7 +880,7 @@ def prob_under(index, c, code: int) -> float:
         return 0.0
     if code == SINK1:
         return 1.0
-    m, under, _ = index.annotations[c.shape]
+    m, under = index.annotations[c.shape]
     return under[code * m + c.j]
 
 
@@ -854,9 +891,8 @@ def prob_unders(index, c) -> list[float]:
 
 def entry_masses(index, c) -> list[float]:
     """The masses of every entry table of constituent *c* of *index*, in
-    the order of its shape's entry codes."""
-    m, _, masses = index.annotations[c.shape]
-    return list(masses[c.j::m])
+    the order of its shape's entry codes (derived on the first call)."""
+    return list(index.entry_masses(c))
 
 
 def entry_tables(index, c) -> dict[int, list]:

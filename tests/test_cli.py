@@ -901,6 +901,21 @@ DBLP_QUERIES = ["Q(a) :- Advisor(7, a)",
                 "Q(n) :- Advisor(7, a), Author(a, n)",
                 "Q(a, c) :- Advisor(s, a), CoPubs(s, a, c), c > 3"]
 
+# gen-dblp queries naming three relations, {Student, Advisor, Author} and
+# {Student, Advisor, CoPubs}, each with a few answers at scale 2000 too
+DBLP_THREE_QUERIES = [
+    "Q(n, y) :- Student(7, y), Advisor(7, a), Author(a, n)",
+    "Q(s, c) :- Student(s, y), Advisor(s, 1002), CoPubs(s, 1002, c)"]
+
+
+@pytest.fixture(scope="module")
+def dblp_2000(tmp_path_factory):
+    """The gen-dblp scale-2000 project, compiled."""
+    project = generate_project(tmp_path_factory.mktemp("dblp"), seed=1,
+                               scale=2000)
+    assert run(["compile", "--project", str(project)])[0] == EXIT_OK
+    return project
+
 
 def test_cold_query_on_a_mixed_relation(mixed, monkeypatch):
     from mvdb import answer_query, build_indb, parse_query
@@ -929,15 +944,20 @@ def test_cold_query_on_a_mixed_relation(mixed, monkeypatch):
             assert float(row[-1]) == pytest.approx(p, abs=1e-9)
 
 
-def test_cold_rows_equal_a_warm_evaluator_over_every_relation(mixed,
-                                                              tmp_path):
-    # The cold query's instance holds only the relations the query names;
-    # the warm evaluator's holds every one.
+def test_cold_rows_equal_a_warm_evaluator_over_every_relation(
+        mixed, dblp_2000, tmp_path):
+    # The cold query's instance holds only the relations the query names,
+    # and its index builds only theirs; the warm evaluator's holds every
+    # one, over an index whose relations its lineages build.  At scale 2000
+    # the queries with many answers are left out.
     from mvdb import answer_query, build_indb, parse_query
     from mvdb.cli import _load_project
     dblp = generate_project(tmp_path / "dblp", seed=1, scale=20)
     assert run(["compile", "--project", str(dblp)])[0] == EXIT_OK
-    for project, queries in ((dblp, DBLP_QUERIES), (mixed, MIXED_QUERIES)):
+    for project, queries in (
+            (dblp, DBLP_QUERIES + DBLP_THREE_QUERIES),
+            (dblp_2000, DBLP_QUERIES[:3] + DBLP_THREE_QUERIES),
+            (mixed, MIXED_QUERIES)):
         index = load_index(project / "index.mvx")
         tr = build_indb(_load_project(project))
         for text in queries:
@@ -952,6 +972,35 @@ def test_cold_rows_equal_a_warm_evaluator_over_every_relation(mixed,
                 assert want
                 assert _rows(out) == [[*map(str, a), repr(p)]
                                       for a, p in want], (text, engine)
+
+
+def test_a_cold_point_query_builds_one_relation_and_one_constituent(
+        dblp_2000, monkeypatch):
+    # `Q(a) :- Advisor(7, a)` names Advisor alone and meets student 7's
+    # constituent alone: the loaded index builds the facts of Advisor and
+    # no other relation, and derives the entry tables of that constituent.
+    loaded = []
+
+    def spy(path):
+        loaded.append(load_index(path))
+        return loaded[-1]
+
+    monkeypatch.setattr(mvdb.cli, "load_index", spy)
+    text = "Q(a) :- Advisor(7, a)"
+    for engine in ("ccmv", "mv"):
+        rc, out = run(["query", "--project", str(dblp_2000), "--engine",
+                       engine, "--tsv", text])
+        assert rc == EXIT_OK and len(_rows(out)) in (2, 3)
+        index = loaded[-1]
+        advisor = (dblp_2000 / "data" / "Advisor.tsv").read_text()
+        assert len(index.order.rank) == advisor.count("\n") > 4000
+        assert {f.relation for f in index.order.rank} == {"Advisor"}
+        assert len(index.constituents) == 2000
+        assert [c.key for c in index.constituents
+                if c.entry is not None] == [7]
+    fresh = load_index(dblp_2000 / "index.mvx")
+    assert not fresh.order.rank
+    assert all(c.entry is None for c in fresh.constituents)
 
 
 def test_cold_instance_shares_the_index_facts(mixed, tmp_path):
@@ -1045,8 +1094,24 @@ def test_adding_a_tsv_needs_recompile(project, capsys):
                  capsys, "index does not match the project; recompile")
 
 
+def test_v7_index_needs_recompile(project, capsys):
+    # the v7 layout: the v8 one with the values column in rank order, so
+    # of the same length; the version alone tells them apart
+    import struct
+    import zlib
+    run(["compile", "--project", str(project)])
+    path = project / "index.mvx"
+    blob = path.read_bytes()
+    body = blob[:4] + struct.pack("<I", 7) + blob[8:-4]
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    for argv in (["query", "--project", str(project), "Q() :- Student(1, y)"],
+                 ["stats", "--project", str(project)]):
+        _input_error(argv, capsys, "unsupported format version 7; recompile")
+
+
 def test_v6_index_needs_recompile(project, capsys):
-    # the v6 layout: the v7 one without the `complete` column
+    # the v6 layout: the v7 one (and the v8 one) without the `complete`
+    # column
     import struct
     import zlib
     from helpers import column_spans

@@ -28,7 +28,8 @@ from helpers import (EX1_SCHEMA, RAND_SCHEMA, TWO_TABLE_SCHEMA, annotated,
                      chain_mvdb, chain_window, column_spans, constituents_of,
                      cut_ranks, entry_masses, entry_tables,
                      entry_tables_rescan, example1, intersect_memo,
-                     lone_lanes, prob_under, prob_unders, random_boolean_query,
+                     derive_lanes, lone_lanes, prob_under, prob_unders,
+                     random_boolean_query,
                      random_mvdb, ranks, read_columns, root_code,
                      shannon_probability, shape_of, signed_world_sum,
                      two_table_db, viable_random_mvdb, with_columns,
@@ -206,10 +207,12 @@ def _hex(values) -> list:
 
 
 def test_lanes_and_the_scalar_loop_agree_bit_for_bit(dblp_60, monkeypatch):
-    # A shape of two or more constituents is annotated by lanes, gathered
-    # once for both passes, and a shape of one by the scalar loop.  Every
-    # constituent's lane of its shape's arrays must equal, bit for bit, the
-    # scalar loop and the lane pass run on that constituent alone.
+    # A shape of two or more constituents is annotated by lanes, and a
+    # shape of one by the scalar loop.  Every constituent's lane of its
+    # shape's probUnder array must equal, bit for bit, the scalar loop and
+    # the lane pass run on that constituent alone; its entry tables, derived
+    # alone on first use, must equal the lane reference (`derive_lanes`)
+    # over its whole shape and over it alone.
     trs = [dblp_60[1], build_indb(chain_mvdb(20)), _constant_true_blocks()]
     trs += [viable_random_mvdb(seed)[1] for seed in range(60)]
     trs += [build_indb(random_mvdb(random.Random(seed)))
@@ -221,7 +224,7 @@ def test_lanes_and_the_scalar_loop_agree_bit_for_bit(dblp_60, monkeypatch):
     for tr in trs:
         del gathers[:]
         built = build_index(tr)
-        shared = sum(m > 1 for m, _, _ in built.annotations.values())
+        shared = sum(m > 1 for m, _ in built.annotations.values())
         loaded = deserialize(serialize(built))
         assert len(gathers) == 2 * shared
         assert _annotation_bits(loaded) == _annotation_bits(built)
@@ -229,19 +232,25 @@ def test_lanes_and_the_scalar_loop_agree_bit_for_bit(dblp_60, monkeypatch):
         held = [(c.j, c.prob_root.hex()) for c in built.constituents]
         for shape in built.shapes:
             group = [c for c in built.constituents if c.shape is shape]
-            m, under, masses = built.annotations[shape]
+            m, under = built.annotations[shape]
             assert m == len(group)
+            offsets = [c.offset for c in group]
+            masses = derive_lanes(shape, offsets, probs, qs, (
+                lone_lanes(shape, offsets[0], probs, qs) if m == 1
+                else rank_lanes(shape, offsets, probs, qs)))
             for j, c in enumerate(group):
                 assert c.j == j
+                assert _hex(built.entry_masses(c)) == _hex(masses[j::m])
                 for lanes in (None, lone_lanes(shape, c.offset, probs, qs)):
                     alone = Constituent.compute_annotations(
                         shape, [c.offset], probs, qs, lanes)
                     assert _hex(alone) == _hex(under[j::m])
                     assert c.prob_root.hex() == (
                         alone[0] if shape.rank else 0.0).hex()
-                    assert _hex(Constituent.derive(
-                        shape, [c.offset], probs, qs, lanes)) == \
-                        _hex(masses[j::m])
+                assert _hex(derive_lanes(
+                    shape, [c.offset], probs, qs,
+                    lone_lanes(shape, c.offset, probs, qs))) == \
+                    _hex(masses[j::m])
         # The passes write nothing into the constituents.
         assert [(c.j, c.prob_root.hex()) for c in built.constituents] == held
     index = build_index(trs[2])
@@ -251,6 +260,32 @@ def test_lanes_and_the_scalar_loop_agree_bit_for_bit(dblp_60, monkeypatch):
     assert prob_unders(index, empty) == entry_masses(index, empty) == []
     assert ranks(empty) == ()
     assert not any(index.annotations[empty.shape][1:])
+
+
+def test_lazily_derived_entry_tables_equal_the_lane_pass(tmp_path):
+    # A loaded index derives no entry table until a query enters a
+    # constituent, and then that constituent's alone, by the scalar loop.
+    # Each must equal, bit for bit, its lane of the lane pass over its whole
+    # shape (`derive_lanes`), which the loader once ran for every shape.
+    dblp = generate_project(tmp_path / "dblp", seed=1, scale=2000)
+    trs = [build_indb(_load_project(str(dblp))), build_indb(chain_mvdb(160))]
+    trs += [viable_random_mvdb(seed)[1] for seed in range(60)]
+    lanes_run = 0
+    for tr in trs:
+        loaded = deserialize(serialize(build_index(tr)))
+        assert all(c.entry is None for c in loaded.constituents)
+        probs, qs = list(loaded.probs), list(loaded.qs)
+        for shape in loaded.shapes:
+            group = [c for c in loaded.constituents if c.shape is shape]
+            m, offsets = len(group), [c.offset for c in group]
+            lanes_run += m > 1
+            masses = derive_lanes(shape, offsets, probs, qs, (
+                mvindex._rank_lanes(shape, offsets, probs, qs) if m > 1
+                else lone_lanes(shape, offsets[0], probs, qs)))
+            for j, c in enumerate(group):
+                assert _hex(loaded.entry_masses(c)) == _hex(masses[j::m])
+                assert loaded.entry_masses(c) is c.entry
+    assert lanes_run
 
 
 def _as_obdd(c, order):
@@ -278,7 +313,7 @@ def test_annotations_match_the_references_at_extreme_weights(view_weight):
     built = build_index(tr)
     probs, qs = built.probs, built.qs
     assert 1.0 in probs and 1e-20 in qs
-    assert [m for m, _, _ in built.annotations.values()] == [12]
+    assert [m for m, _ in built.annotations.values()] == [12]
     runs = [(built, built.constituents)]
     for c in built.constituents:
         for lanes in (None, lone_lanes(c.shape, c.offset, probs, qs)):
@@ -486,6 +521,61 @@ def test_query_path_never_compares_orders(dblp_60, monkeypatch):
         assert [r for r, _ in got[1]] == [r for r, _ in want[1]]
         assert [p for _, p in got[1]] == pytest.approx(
             [p for _, p in want[1]], abs=1e-12)
+
+
+def test_concurrent_queries_build_each_relation_once(dblp_60, monkeypatch):
+    # Threads querying one freshly loaded index at once rank facts of
+    # relations not built yet and enter constituents with no entry tables
+    # yet: each relation is built once, and every answer keeps its bits.
+    import threading
+    import time
+    db, _, ev = dblp_60
+    facts = ev.instance.facts_of("Advisor")[::7]
+    queries = [parse_query(f"Q() :- Advisor({s}, {a}), Student({s}, y)",
+                           db.schema) for s, a in (f.values for f in facts)]
+    modes = ("cc", "mv")
+    want = {mode: [IndexEvaluator(ev.index, ev.instance, mode)
+                   .probability(q).hex() for q in queries] for mode in modes}
+    builds = []
+    real = mvindex._relation_builder
+
+    def counted(name, *args):
+        build = real(name, *args)
+
+        def slow():
+            builds.append(name)
+            time.sleep(0.01)  # widens the window for a second build
+            return build()
+        return slow
+
+    monkeypatch.setattr(mvindex, "_relation_builder", counted)
+    loaded = deserialize(serialize(ev.index))
+    got, errors = {}, []
+    start = threading.Barrier(6)
+
+    def worker(i):
+        try:
+            start.wait(timeout=60)
+            mine = IndexEvaluator(loaded, ev.instance, modes[i % 2])
+            got[i] = [mine.probability(q).hex() for q in queries]
+        except Exception as exc:  # reported below, with its thread
+            errors.append((i, exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,))
+                   for i in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert got == {i: want[modes[i % 2]] for i in range(6)}
+    assert sorted(builds) == ["Advisor", "Student"]
 
 
 def test_equal_distinct_order_accepted_reversed_rejected(dblp_60):
@@ -823,6 +913,13 @@ def _pop(name):
     return edit
 
 
+def _domain_twice(columns):
+    """The domain's last string, b3, spelled as its first, a1: S(a2, b3)
+    becomes S(a2, a1), which no other tuple is."""
+    columns["strings"][-2:] = list(b"a1")
+    return columns
+
+
 # The denial index holds one relation, S, and five tuples over a domain of
 # five strings: a1, b1, b2, a2, b3, in that id order.
 @pytest.mark.parametrize("edit, message", [
@@ -850,7 +947,10 @@ def _pop(name):
     (_set(("strings", 0), 0xFF), "layout"),  # not UTF-8
     (_set(("ints",), list(b"1 x")), "layout"),  # not a decimal numeral
     (_set(("relation", 0), 1), "unknown relation"),
-    (_set(("values", 3), 1), "duplicate tuple"),  # tuple 1 is now tuple 0
+    # S is the one relation, so its values run in rank order: tuple 1 is
+    # now tuple 0
+    (_set(("values", 3), 1), "duplicate tuple"),
+    (_domain_twice, "duplicate value in the index domain"),
 ])
 def test_deserialize_rejects_malformed_metadata(edit, message):
     blob = serialize(_denial_index())
@@ -858,6 +958,52 @@ def test_deserialize_rejects_malformed_metadata(edit, message):
         deserialize(blob).order  # a re-encoding loads
     with pytest.raises(IndexFormatError, match=message):
         deserialize(with_columns(blob, edit))
+
+
+def test_the_values_column_runs_relation_by_relation():
+    # R(0), S(0), R(1), S(1) in rank order; the values column holds R's
+    # tuples, then S's, each in rank order, so an edit of its item 1 makes
+    # R(1) a second R(0).
+    facts = [(Fact(rel, (i,)), 1.0) for i in range(2) for rel in ("R", "S")]
+    db = Mvdb(BLOCK_SCHEMA, facts,
+              [parse_view("V(x) [0] :- R(x), S(x)", BLOCK_SCHEMA)])
+    idx = build_index(build_indb(db))
+    assert [str(f) for f in idx.order.facts] == ["R(0)", "S(0)", "R(1)",
+                                                 "S(1)"]
+    blob = serialize(idx)
+    columns = read_columns(blob)
+    assert columns["relation"].tolist() == [0, 1, 0, 1]
+    assert columns["values"].tolist() == [0, 1, 0, 1]
+    loaded = deserialize(blob)
+    assert loaded.held_facts(["S"]) == {"S": [Fact("S", (0,)),
+                                              Fact("S", (1,))]}
+    assert {f.relation for f in loaded.order.rank} == {"S"}
+    assert loaded.order.rank_of(Fact("R", (1,))) == 2
+    assert loaded.order.facts == idx.order.facts
+    with pytest.raises(IndexFormatError,
+                       match="duplicate tuple in variable order"):
+        deserialize(with_columns(blob, _set(("values", 1), 0)))
+
+
+def test_deserialize_rejects_an_empty_constituent_after_a_non_empty_one():
+    # R(a0) is uncertain and R(a1) certain: a1's constituent is empty, and
+    # a0's starts at rank 0.  With the heads swapped, the offsets stay 0,
+    # but the empty one is no longer first in rank order.
+    db = Mvdb(EX1_SCHEMA, [(Fact("R", ("a0",)), 2.0),
+                           (Fact("R", ("a1",)), math.inf)],
+              [parse_view("V(x) [0] :- R(x)", EX1_SCHEMA)])
+    idx = build_index(build_indb(db))
+    assert [(c.key, c.rank_lo) for c in idx.constituents] == [("a1", -1),
+                                                              ("a0", 0)]
+    blob = serialize(idx)
+
+    def swap(columns):
+        for name in ("key", "shape"):
+            columns[name].reverse()
+        return columns
+    with pytest.raises(IndexFormatError,
+                       match="empty constituent after a non-empty one"):
+        deserialize(with_columns(blob, swap))
 
 
 @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf, -1.0])
