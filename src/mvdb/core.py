@@ -176,6 +176,14 @@ class Domain:
         except KeyError:
             raise DataError(f"constant {value!r} not in active domain") from None
 
+    def ranks(self, values) -> list[int]:
+        """`rank` of each of *values*, in one C-level pass."""
+        try:
+            return list(map(self._rank.__getitem__, values))
+        except KeyError as exc:
+            raise DataError(f"constant {exc.args[0]!r} not in active "
+                            "domain") from None
+
     def __contains__(self, value) -> bool:
         return value in self._rank
 
@@ -294,10 +302,15 @@ def _runs(names: list) -> list:
 class _Database:
     """Shared container logic for weighted-tuple databases."""
 
-    def __init__(self, schema: Schema, weighted_facts, views=()):
+    def __init__(self, schema: Schema, weighted_facts, views=(),
+                 checked: dict | None = None):
+        """*checked*, a ``{fact: weight}`` dict whose facts have passed
+        this class's checks or stricter ones, leads the weights as it is;
+        only *weighted_facts* are checked, in load order."""
         self.schema = schema
         self.views = tuple(views)
-        self.weights: dict[Fact, float] = {}
+        self.weights: dict[Fact, float] = ({} if checked is None
+                                           else checked.copy())
         self._domain: Domain | None = None
         weighted = list(weighted_facts)
         facts = list(map(itemgetter(0), weighted))
@@ -404,7 +417,13 @@ class Mvdb(_Database):
             raise DataError(f"{fact}: deterministic relation requires weight inf")
 
 class Indb(_Database):
-    """Tuple-independent database with signed weights; p = w/(1+w)."""
+    """Tuple-independent database with signed weights; p = w/(1+w).
+
+    The translation builds it as ``Indb(schema, aux, checked=db.weights)``:
+    the `Mvdb`'s possible tuples lead, with their weights and in load
+    order, and are not checked again, since `Mvdb` checked them under
+    stricter rules (no weight is negative or NaN); only the auxiliary
+    tuples are checked, each against every fact in front of it."""
 
     def _weights_ok(self, rel, weights):
         return not any(map(math.isnan, weights)) and -1.0 not in weights

@@ -511,23 +511,35 @@ def build_index(tr: TranslationResult) -> MvIndex:
 def _compile_blocks(groups: dict, keys, order: VariableOrder) -> list:
     """One negated constituent per key, from the clauses ``groups[key]``.
 
-    Each block's clauses become their distinct ascending rank lists.
-    `from_ranks` and the layout compare ranks only by order, so blocks
-    whose lists are equal relative to their first rank (the least rank in
-    any clause) compile to one shape, at offsets as far apart as their
-    first ranks: `from_ranks` runs for the first of them only.  Lists that
-    differ can still have one Boolean function (a clause that subsumes
-    another), so each layout is interned by content: one `Shape` per
-    distinct structure."""
+    Each block's clauses become their distinct ascending rank lists, in
+    ascending order.  `from_ranks` and the layout compare ranks only by
+    order, so blocks whose lists are equal relative to their first rank
+    (the least rank in any non-empty clause) compile to one shape, at
+    offsets as far apart as their first ranks: `from_ranks` runs for the
+    first of them only.  A block's relative lists are keyed by their
+    lengths and their ranks chained and shifted, one C-level `map` of
+    ``(-base).__add__``.  Lists that differ can still have one Boolean
+    function (a clause that subsumes another), so each layout is interned
+    by content: one `Shape` per distinct structure.
+
+    The compiler's order holds every fact at once, so clauses are ranked
+    by lookups in its ``rank`` dict; a fact the order lacks is an internal
+    `MvdbError`."""
     out = []
     compiled: dict = {}  # relative rank lists -> (shape, offset - first rank)
     shapes: dict = {}  # (rank, lo, hi) -> Shape
-    rank_of = order.rank_of
+    rank_of = order.rank.__getitem__
     for key in keys:
-        ranks = {tuple(sorted(map(rank_of, clause)))
-                 for clause in groups[key]}
-        base = min((r[0] for r in ranks if r), default=0)
-        relative = frozenset(tuple(x - base for x in r) for r in ranks)
+        try:
+            ranks = sorted({tuple(sorted(map(rank_of, clause)))
+                            for clause in groups[key]})
+        except KeyError as exc:
+            raise MvdbError(f"internal error: W's lineage holds {exc.args[0]},"
+                            " which the tuple order does not") from None
+        # an empty clause sorts first; a block of none has base 0
+        base = next(filter(None, ranks), (0,))[0]
+        relative = (tuple(map(len, ranks)),
+                    tuple(map((-base).__add__, chain.from_iterable(ranks))))
         if relative not in compiled:
             offset, *layout = _negation(
                 from_ranks(ranks, order, NodeTable(order)))

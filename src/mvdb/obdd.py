@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import threading
+from operator import itemgetter
 from typing import Iterable, Optional
 
 from .core import (Domain, Fact, Instance, MvdbError, OrderMismatchError,
@@ -131,16 +132,26 @@ def tuple_order(pi: dict, facts: Iterable[Fact], domain: Domain,
     ranks are a prefix of another's comes first, so each constant's tuples
     are contiguous at every depth.  The key is total, so the order does not
     depend on the order of *facts*.
+
+    The keys are built relation by relation, as integer tuples: each
+    permuted column's values are ranked in one pass (`Domain.ranks`, which
+    raises `DataError` for a value outside *domain*), and the columns are
+    zipped into each fact's rank tuple beside its relation's key.  One sort
+    of the ``(ranks, relation key, fact)`` triples orders every fact; the
+    keys are distinct, so it never compares two facts.
     """
     rel_key = {r.name: (r.arity, i) for i, r in enumerate(schema.relations)}
-    rank = domain.rank
-
-    def key(f: Fact):
-        perm = pi.get(f.relation)
-        values = f.values if perm is None else [f.values[p] for p in perm]
-        return tuple(map(rank, values)), rel_key[f.relation]
-
-    return VariableOrder(sorted(facts, key=key))
+    by_relation: dict[str, list] = {}
+    for name, run in itertools.groupby(facts, itemgetter(0)):
+        by_relation.setdefault(name, []).extend(run)
+    keyed = []
+    for name, group in by_relation.items():
+        columns = list(zip(*map(itemgetter(1), group)))
+        ranks = zip(*[domain.ranks(columns[p])
+                      for p in pi.get(name, range(len(columns)))])
+        keyed += zip(ranks, itertools.repeat(rel_key[name]), group)
+    keyed.sort()
+    return VariableOrder(map(itemgetter(2), keyed))
 
 
 # ---------------------------------------------------------------------------

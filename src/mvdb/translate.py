@@ -258,7 +258,9 @@ def build_indb(db: Mvdb, denial_shortcut: bool = True) -> TranslationResult:
     """Construct the associated tuple-independent database and W, and ground
     W once, by the views' own materialization.
 
-    Original tuples keep their weights.  Each view output becomes an
+    Original tuples keep their weights and load order, and are not checked
+    again: the Indb starts from the database's weights (`Indb`), and only
+    the auxiliary tuples are checked.  Each view output becomes an
     auxiliary tuple of weight (1 - w) / w; weight-0 outputs become
     deterministic auxiliary tuples.  With *denial_shortcut* (default), a view
     whose outputs are all denials contributes its bare body as the
@@ -299,8 +301,7 @@ def build_indb(db: Mvdb, denial_shortcut: bool = True) -> TranslationResult:
                 (), (nv_atom,) + d.atoms, d.predicates))
         components.append(U.Ucq(tuple(disjuncts)))
     schema = db.schema.extended(aux_relations)
-    weighted = list(db.weights.items()) + aux_facts
-    indb = Indb(schema, weighted)
+    indb = Indb(schema, aux_facts, checked=db.weights)
     if not components:
         return TranslationResult(indb, None, db, {}, var_rels)
     w_query = U.Ucq(tuple(d for c in components for d in c.disjuncts))

@@ -13,7 +13,15 @@ compile phase:
 * ``build_indb``: the translation, which also grounds W;
 * ``ground``: `translate._ground_views`, the part of ``build_indb`` that
   runs the views' bodies through their join plans;
+* ``indb``: the part of ``build_indb`` that builds the `Indb` from the
+  database's weights and the auxiliary facts, as that checkout's
+  `translate.build_indb` does: where `Indb` takes the `Mvdb`'s weights as
+  ``checked``, it checks the auxiliary facts alone, else every fact;
 * ``build_index``: compiling W's lineage into the index;
+* ``order``: `obdd.tuple_order`, the part of ``build_index`` that orders
+  the probabilistic tuples;
+* ``blocks``: `mvindex._compile_blocks`, the part of ``build_index`` that
+  ranks W's clauses, finds the block shapes and compiles each once;
 * ``serialize``: writing the index's bytes;
 
 and ``compile_peak_mb``, the tracemalloc peak of one whole ``mvdb compile``
@@ -99,7 +107,8 @@ paired ratio<TAB>wins``: the ratio is ROOT's time over OTHER_ROOT's in the
 same pair, and wins counts the pairs ROOT was faster in.  Separate
 processes on a busy host can differ by more than the change being
 measured; pairs taken side by side in one process share its state.  A
-phase OTHER_ROOT does not have (``decode`` against format 7) prints
+phase OTHER_ROOT does not have (``decode`` against format 7, ``blocks``
+against a checkout without `mvindex._compile_blocks`) prints
 ROOT's median and ``-``; ``cold_total`` and ``load`` pair across
 formats.  A non-timed value prints both and, for a number, their ratio (the peak and
 the loaded bytes the median of three interleaved runs each).  This form
@@ -133,7 +142,7 @@ def _import_mvdb(root: Path, name: str):
     pkg = importlib.util.module_from_spec(spec)
     sys.modules[name] = pkg
     spec.loader.exec_module(pkg)
-    for sub in ("cli", "gendata", "mvindex", "translate", "ucq"):
+    for sub in ("cli", "gendata", "mvindex", "obdd", "translate", "ucq"):
         setattr(pkg, sub, importlib.import_module(f"{name}.{sub}"))
     return pkg
 
@@ -181,13 +190,36 @@ def _compile_phases(pkg, project: Path) -> tuple[dict, dict]:
     db = cli._load_project(str(project))
     tr = translate.build_indb(db)
     index = mvindex.build_index(tr)
+    indb, obdd = tr.indb, pkg.obdd
+    aux = list(indb.weights.items())[len(db.weights):]
+    if "checked" in inspect.signature(pkg.Indb).parameters:
+        def make_indb():
+            return pkg.Indb(indb.schema, aux, checked=db.weights)
+    else:  # every fact checked
+        def make_indb():
+            return pkg.Indb(indb.schema, list(db.weights.items()) + aux)
+    pi = {} if tr.w_query is None else obdd.choose_pi(
+        tr.w_query, indb.schema, tr.var_rels)
+    prob_facts = indb.probabilistic_facts()
+
+    def order():
+        return obdd.tuple_order(pi, prob_facts, indb.domain, indb.schema)
+    groups = tr.w_lineage
+    keys = (list(groups) if None in groups
+            else sorted(groups, key=indb.domain.rank))
+    ordered = order()
     timed = {
         "compile_load": lambda: cli._load_project(str(project)),
         "build_indb": lambda: translate.build_indb(db),
         "ground": lambda: translate._ground_views(db),
+        "indb": make_indb,
         "build_index": lambda: mvindex.build_index(tr),
+        "order": order,
+        "blocks": lambda: mvindex._compile_blocks(groups, keys, ordered),
         "serialize": lambda: mvindex.serialize(index),
     }
+    if not hasattr(mvindex, "_compile_blocks"):
+        del timed["blocks"]
 
     def peak():
         gc.collect()

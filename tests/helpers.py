@@ -718,6 +718,49 @@ def build_index_unshared(tr):
         return mvindex.build_index(tr)
 
 
+def compile_blocks_reference(groups: dict, keys, order) -> list:
+    """`mvindex._compile_blocks` as first written, per fact and per rank:
+    each clause ranked through `VariableOrder.rank_of`, a block's least
+    first rank taken by a generator, and its relative rank lists a
+    frozenset of tuples shifted one rank at a time."""
+    from mvdb.mvindex import Constituent, Shape, _negation, from_ranks
+    out = []
+    compiled: dict = {}
+    shapes: dict = {}
+    rank_of = order.rank_of
+    for key in keys:
+        ranks = {tuple(sorted(map(rank_of, clause)))
+                 for clause in groups[key]}
+        base = min((r[0] for r in ranks if r), default=0)
+        relative = frozenset(tuple(x - base for x in r) for r in ranks)
+        if relative not in compiled:
+            offset, *layout = _negation(
+                from_ranks(ranks, order, NodeTable(order)))
+            content = tuple(map(tuple, layout))
+            if content not in shapes:
+                shapes[content] = Shape(*layout)
+            compiled[relative] = (shapes[content], offset - base)
+        shape, shift = compiled[relative]
+        out.append(Constituent(key, shape, base + shift if shape.rank else 0))
+    return out
+
+
+def compile_corpus(tmp: Path) -> list:
+    """``(name, Mvdb)`` of each database the compiler's passes are checked
+    on against their references: gen-dblp seed 1 scale 2000 (written under
+    *tmp*), the chain at n = 160, `viable_random_mvdb` seeds 0-59 and the
+    shape-sharing `random_mvdb` seeds 38, 400 and 443."""
+    from mvdb.cli import _load_project
+    from mvdb.gendata import generate_project
+    dblp = generate_project(tmp / "dblp", seed=1, scale=2000)
+    corpus = [("dblp", _load_project(str(dblp))), ("chain", chain_mvdb(160))]
+    corpus += [(f"viable {seed}", viable_random_mvdb(seed)[0])
+               for seed in range(60)]
+    corpus += [(f"random {seed}", random_mvdb(random.Random(seed)))
+               for seed in (38, 400, 443)]
+    return corpus
+
+
 def shape_of(c) -> tuple:
     """Constituent *c*'s structure up to a shift in rank: its ranks relative
     to its first, and its child codes."""

@@ -5,7 +5,9 @@ reference in `helpers.py`, key one constituent per separator constant
 whenever W has a separator (also when a disjunct ranges only over
 relations without soft facts), refuse blocks that interleave in the tuple
 order with an internal error, and keep its node tables linear in the
-constituents it produces.
+constituents it produces.  Its integer passes must find the same block
+shapes as the per-fact loop they replaced, and the translation's `Indb`,
+built on the checked `Mvdb`, must equal one that checks every fact.
 """
 
 import io
@@ -15,8 +17,8 @@ import random
 import pytest
 
 import mvdb
-from mvdb import (EnumerationEvaluator, Fact, IndexEvaluator, Mvdb, MvdbError,
-                  NodeTable, build_indb, build_index, deserialize,
+from mvdb import (EnumerationEvaluator, Fact, Indb, IndexEvaluator, Mvdb,
+                  MvdbError, NodeTable, VariableOrder, build_indb, build_index, deserialize,
                   find_separator, parse_query, parse_schema, parse_view,
                   query_probability, serialize)
 from mvdb import mvindex, obdd
@@ -25,7 +27,8 @@ from mvdb.gendata import generate_project
 from mvdb.mvindex import SINK0
 
 from helpers import (EX1_SCHEMA, RAND_SCHEMA, build_index_per_block,
-                     build_index_unshared, chain_mvdb, entry_tables,
+                     build_index_unshared, chain_mvdb, compile_blocks_reference,
+                     compile_corpus, entry_tables,
                      prob_unders, random_boolean_query, random_mvdb, ranks,
                      read_columns, root_code, shape_of, viable_random_mvdb,
                      with_columns)
@@ -67,16 +70,19 @@ def test_random_databases_match_per_block_reference():
     assert keyed
 
 
+def _constant_true_db():
+    """R(a0) and R(a1) are certain, so the denial's clauses for them lose
+    every fact and W holds in those blocks whatever the other tuples are."""
+    return Mvdb(EX1_SCHEMA,
+                [(Fact("S", ("a1",)), 1.0), (Fact("R", ("a0",)), math.inf),
+                 (Fact("R", ("a1",)), math.inf), (Fact("R", ("a2",)), 2.0)],
+                [parse_view("V(x) [0] :- R(x)", EX1_SCHEMA)])
+
+
 def test_constant_true_blocks_match_per_block_reference():
-    # R(a0) and R(a1) are certain, so the denial's clauses for them lose
-    # every fact and W holds in those blocks whatever the other tuples are.
     # S(a1) comes first, so the active domain (a1, a0, a2) orders the empty
     # blocks differently from the grounding of R (a0, a1, a2).
-    db = Mvdb(EX1_SCHEMA,
-              [(Fact("S", ("a1",)), 1.0), (Fact("R", ("a0",)), math.inf),
-               (Fact("R", ("a1",)), math.inf), (Fact("R", ("a2",)), 2.0)],
-              [parse_view("V(x) [0] :- R(x)", EX1_SCHEMA)])
-    idx = _same_bytes(build_indb(db))
+    idx = _same_bytes(build_indb(_constant_true_db()))
     assert [c.key for c in idx.constituents] == ["a1", "a0", "a2"]
     for empty in idx.constituents[:2]:
         assert (len(empty.shape.rank), root_code(empty)) == (0, SINK0)
@@ -138,6 +144,84 @@ def test_random_shapes_match_compiling_every_block():
         idx = _matches_unshared(viable_random_mvdb(seed)[1])
         shared += len(idx.constituents) - idx.shape_count()
     assert shared
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    """``(name, Mvdb, translation)`` of each `helpers.compile_corpus`
+    database."""
+    return [(name, db, build_indb(db)) for name, db in
+            compile_corpus(tmp_path_factory.mktemp("corpus"))]
+
+
+def _block(c):
+    """Constituent *c*'s key, shape content and offset."""
+    return (c.key, tuple(c.shape.rank), tuple(c.shape.lo), tuple(c.shape.hi),
+            c.offset)
+
+
+def test_block_shapes_match_the_per_fact_loop(corpus, monkeypatch):
+    # `_compile_blocks` ranks clauses through the order's rank dict and
+    # keys a block by its chained relative ranks; the loop it replaced
+    # (`helpers.compile_blocks_reference`) must find the same shapes,
+    # shared alike, at the same offsets, also for blocks with an empty
+    # clause.
+    trs = [(name, tr) for name, _, tr in corpus]
+    trs.append(("true", build_indb(_constant_true_db())))
+    built = [build_index(tr) for _, tr in trs]
+    monkeypatch.setattr(mvindex, "_compile_blocks", compile_blocks_reference)
+    for (name, tr), got in zip(trs, built):
+        want = build_index(tr)
+        assert [_block(c) for c in got.constituents] == \
+            [_block(c) for c in want.constituents], name
+        assert len(got.shapes) == len(want.shapes), name
+
+
+def test_a_clause_fact_outside_the_order_is_an_internal_error():
+    order = VariableOrder([Fact("R", ("a",))])
+    groups = {"a": ((Fact("R", ("a",)), Fact("S", ("a",))),)}
+    with pytest.raises(MvdbError, match="internal error.*tuple order"):
+        mvindex._compile_blocks(groups, ["a"], order)
+
+
+def test_equal_chained_ranks_split_into_other_clauses_are_two_shapes():
+    # Block a is R(a) and S(a), block b is R(b) or S(b): both chain to the
+    # ranks 0, 1 from their first, but one clause of two is not two of one.
+    facts = [Fact(r, (k,)) for k in "ab" for r in "RS"]
+    ra, sa, rb, sb = facts
+    groups = {"a": ((ra, sa),), "b": ((rb,), (sb,))}
+    order = VariableOrder(facts)
+    got = mvindex._compile_blocks(groups, ["a", "b"], order)
+    assert [_block(c) for c in got] == [
+        _block(c) for c in compile_blocks_reference(groups, ["a", "b"], order)]
+    assert got[0].shape is not got[1].shape
+
+
+def test_indb_from_a_checked_mvdb_equals_checking_every_fact(corpus,
+                                                             monkeypatch):
+    # The Indb starts from the Mvdb's weights and checks the auxiliary
+    # facts alone; it must equal, bit for bit and in order, the Indb that
+    # checks every fact, and have the same active domain.
+    for name, db, tr in corpus:
+        aux = list(tr.indb.weights.items())[len(db.weights):]
+        want = Indb(tr.indb.schema, list(db.weights.items()) + aux)
+        assert [(f, w.hex()) for f, w in tr.indb.weights.items()] == \
+            [(f, w.hex()) for f, w in want.weights.items()], name
+        assert list(tr.indb.domain._rank.items()) == \
+            list(want.domain._rank.items()), name
+        # the Mvdb keeps its own facts alone
+        assert all(db.schema.has(f.relation) for f in db.weights), name
+    checked = []
+    add_run = Indb._add_run
+
+    def spy(self, rel, facts, weights):
+        checked.extend(facts)
+        return add_run(self, rel, facts, weights)
+    monkeypatch.setattr(Indb, "_add_run", spy)
+    for name, db, tr in corpus:
+        del checked[:]
+        build_indb(db)
+        assert checked == list(tr.indb.weights)[len(db.weights):], name
 
 
 def _assert_one_shape_per_structure(index):

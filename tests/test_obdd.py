@@ -5,7 +5,8 @@ import random
 import pytest
 
 import mvdb
-from mvdb import (INF, Fact, Mvdb, NodeTable, Obdd, OrderMismatchError,
+from mvdb import (INF, DataError, Fact, Mvdb, NodeTable, Obdd,
+                  OrderMismatchError,
                   VariableOrder, choose_pi, from_lineage, lineage,
                   parse_query, synthesize, tuple_order)
 from mvdb.ucq import Lineage
@@ -56,6 +57,14 @@ def test_tuple_order_single_unary_relation_is_domain_order():
     db = Mvdb(EX1_SCHEMA, [(Fact("R", (c,)), 1.0) for c in "cab"], [])
     order = tuple_order({}, db.probabilistic_facts(), db.domain, db.schema)
     assert [f.values[0] for f in order.facts] == ["c", "a", "b"]
+
+
+def test_tuple_order_rejects_a_value_outside_the_domain():
+    db = two_table_db()
+    facts = db.probabilistic_facts() + [Fact("S", ("a1", "zz"))]
+    for pi in ({}, {"S": (1, 0)}):
+        with pytest.raises(DataError, match="'zz' not in active domain"):
+            tuple_order(pi, facts, db.domain, db.schema)
 
 
 def _assert_grouped(pi, facts, domain, schema):
