@@ -136,7 +136,9 @@ def tuple_order(pi: dict, facts: Iterable[Fact], domain: Domain,
     The keys are built relation by relation, as integer tuples: each
     permuted column's values are ranked in one pass (`Domain.ranks`, which
     raises `DataError` for a value outside *domain*), and the columns are
-    zipped into each fact's rank tuple beside its relation's key.  One sort
+    zipped into each fact's rank tuple beside its relation's key (a
+    nullary relation has no columns: each of its facts gets the empty
+    rank tuple, so it leads the order).  One sort
     of the ``(ranks, relation key, fact)`` triples orders every fact; the
     keys are distinct, so it never compares two facts.
     """
@@ -147,8 +149,9 @@ def tuple_order(pi: dict, facts: Iterable[Fact], domain: Domain,
     keyed = []
     for name, group in by_relation.items():
         columns = list(zip(*map(itemgetter(1), group)))
-        ranks = zip(*[domain.ranks(columns[p])
-                      for p in pi.get(name, range(len(columns)))])
+        ranks = (zip(*[domain.ranks(columns[p])
+                       for p in pi.get(name, range(len(columns)))])
+                 if columns else itertools.repeat((), len(group)))
         keyed += zip(ranks, itertools.repeat(rel_key[name]), group)
     keyed.sort()
     return VariableOrder(map(itemgetter(2), keyed))

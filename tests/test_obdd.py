@@ -1,6 +1,7 @@
 """OBDD kernel: ordering, synthesis, concatenation, compilation, Shannon."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -9,6 +10,7 @@ from mvdb import (INF, DataError, Fact, Mvdb, NodeTable, Obdd,
                   OrderMismatchError,
                   VariableOrder, choose_pi, from_lineage, lineage,
                   parse_query, synthesize, tuple_order)
+from mvdb.core import VIEW_AUX, Relation
 from mvdb.ucq import Lineage
 
 from helpers import (RAND_SCHEMA, TWO_TABLE_SCHEMA, chain_mvdb,
@@ -65,6 +67,20 @@ def test_tuple_order_rejects_a_value_outside_the_domain():
     for pi in ({}, {"S": (1, 0)}):
         with pytest.raises(DataError, match="'zz' not in active domain"):
             tuple_order(pi, facts, db.domain, db.schema)
+
+
+def test_tuple_order_keeps_the_facts_of_a_nullary_relation():
+    # A nullary relation has no columns to rank; its fact keys on the
+    # empty rank tuple and leads the order, as in the grouped reference.
+    # `Schema` refuses an empty key, so a stand-in carries the relation.
+    db = two_table_db()
+    nullary = Relation("N", (), (), VIEW_AUX)
+    schema = SimpleNamespace(relations=db.schema.relations + (nullary,))
+    facts = db.probabilistic_facts() + [Fact("N", ())]
+    for pi in ({}, {"S": (1, 0)}):
+        order = _assert_grouped(pi, facts, db.domain, schema)
+        assert order.facts[0] == Fact("N", ())
+        assert sorted(order.facts) == sorted(facts)
 
 
 def _assert_grouped(pi, facts, domain, schema):
