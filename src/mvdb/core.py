@@ -135,7 +135,7 @@ class Schema:
                 raise SchemaError(f"duplicate relation name {rel.name!r}")
             if rel.kind not in _KINDS:
                 raise SchemaError(f"unknown relation kind {rel.kind!r}")
-            if not rel.key:
+            if not rel.key and rel.attributes:
                 raise SchemaError(f"relation {rel.name!r} has an empty key")
             attr_names = [a.name for a in rel.attributes]
             if len(set(attr_names)) != len(attr_names):

@@ -99,16 +99,24 @@ offsets, for the compiler and the loader alike (see the passes of
 more than a whole cold query), and keeps p, q and the annotations as
 arrays of doubles.  The loader reads every column once, checking its
 typecode and its count against the bytes left (`_read_column`), then
-checks each column by its length and bounds (ids against the domain and
-relation counts, weights finite and not -1), that no domain value and no
+checks each column by its length and bounds, that no domain value and no
 relation's id tuple appears twice, every shape's layout (`_check_layout`)
 and last rank before building it, and every offset against the tuple order
 and its neighbours' (the heads are in rank order, the empty constituents
 first); any defect is an `IndexFormatError`, and so is a shape no
-constituent uses.  It builds no fact: the tuple order builds a relation's
-`Fact`s and ranks from its slice of the values on first use
-(`VariableOrder.relation_facts`, `_relation_builder`), so a cold query
-builds only the relations it names.  Compiles are byte-reproducible.
+constituent uses.  The tuple order's checks run as C-level column passes
+(`_order_runs`): a one-byte relation column is counted relation by
+relation as bytes, so an unknown relation id shows as counts that fall
+short of the column; the value ids take one `max` (and a `min` only where
+their typecode is signed); and each relation's id tuples are counted
+distinct with each record's bytes read as one machine int where they fit
+one.  The weights are checked by the p pass itself: a weight of -1
+divides by zero and a NaN or infinite one makes its p NaN, while every
+other p is at most 2^53 in magnitude, so the sum of p is finite exactly
+when every weight has a probability.  The loader builds no fact: the
+tuple order builds a relation's `Fact`s and ranks from its slice of the
+values on first use (`VariableOrder.relation_facts`, `_relation_builder`),
+so a cold query builds only the relations it names.  Compiles are byte-reproducible.
 """
 
 from __future__ import annotations
@@ -347,7 +355,8 @@ class MvIndex:
                  source_digest: str, complete: frozenset):
         """*constituents* are in rank order, the empty ones first, and
         their non-empty rank ranges disjoint (`_overlapping`).  *weights*
-        are the tuples' weights in rank order, each finite and not -1.
+        are the tuples' weights in rank order, each finite and not -1, else
+        this raises `IndexFormatError` (a compile's weights always are).
         *complete* names the relations of the order that it holds
         completely: none of their facts in the translated database is
         deterministic, so `held_facts` can stand in for their TSVs.  The
@@ -361,8 +370,16 @@ class MvIndex:
         query (`entry_masses`)."""
         self.order = order
         self.weights = array("d", weights)
-        # Lists while the pass reads them, arrays once it is done.
-        probs = [w / (1.0 + w) for w in self.weights]
+        # Lists while the pass reads them, arrays once it is done.  A
+        # weight of -1 divides by zero, a NaN or infinite one makes its p
+        # NaN, and any other gives |p| <= 2^53, so the sum of p is finite
+        # exactly when every weight has a probability.
+        try:
+            probs = [w / (1.0 + w) for w in self.weights]
+        except ZeroDivisionError:
+            probs = [math.nan]
+        if not math.isfinite(sum(probs)):
+            raise IndexFormatError("a tuple weight is NaN, infinite or -1")
         qs = [1.0 / (1.0 + w) for w in self.weights]
         self.constituents: list[Constituent] = list(constituents)
         by_shape: dict[Shape, list] = {}
@@ -969,56 +986,120 @@ def _check_layout(rank, lo, hi, n_ranks: int):
             f"{n - 1 - len(children)} position(s) are no edge's child")
 
 
-def _decode_order(columns: dict) -> tuple[VariableOrder, list, frozenset]:
-    """The tuple order, the domain and the relations the order holds
-    completely, from their columns, each checked by its length and its
-    bounds.  No fact is built here: the order builds each relation on its
-    first use (`_relation_builder`).  Duplicate tuples are rejected here
-    all the same, on ids: the domain's values must be distinct, and so must
-    each relation's id tuples."""
+def _decode_domain(columns: dict) -> tuple[list, list]:
+    """The relation names and the domain, from their columns; the domain's
+    values must be distinct."""
     names = _untext(columns["names"], columns["name_ends"])
     try:
         ints = list(map(int, columns["ints"].tobytes().split()))
     except ValueError:
         raise IndexFormatError("bad index metadata layout") from None
     domain = ints + _untext(columns["strings"], columns["string_ends"])
-    arity, flags = columns["arity"].tolist(), columns["complete"].tolist()
-    relation, ids = columns["relation"], columns["values"]
-    if (len(arity) != len(names) or min(arity, default=1) < 1
-            or len(flags) != len(names) or max(flags, default=0) > 1):
-        raise IndexFormatError("bad index metadata layout")
-    if relation and not 0 <= min(relation) <= max(relation) < len(names):
-        raise IndexFormatError("fact names an unknown relation")
-    counts = list(map(relation.count, range(len(names))))
-    starts = list(accumulate(map(mul, counts, arity), initial=0))
-    if starts[-1] != len(ids) or (
-            ids and not 0 <= min(ids) <= max(ids) < len(domain)):
-        raise IndexFormatError("bad index metadata layout")
     if len(set(domain)) != len(domain):
         raise IndexFormatError("duplicate value in the index domain")
-    unbuilt = {}
-    for rid, name, k, a, b in zip(count(), names, arity, starts,
-                                  starts[1:]):
-        run = ids[a:b]
-        if len(set(zip(*[iter(run)] * k))) != counts[rid]:
+    return names, domain
+
+
+def _relation_column(relation: array, n_relations: int):
+    """The relation column as the loader scans it: its bytes where each id
+    is one unsigned byte and every relation id fits one, so `bytes.count`
+    counts a relation and `bytes.translate` marks its ranks
+    (`_relation_ranks`), else the array itself."""
+    if relation.typecode == "B" and n_relations <= 256:
+        return relation.tobytes()
+    return relation
+
+
+def _relation_ranks(column, rid: int) -> Iterable:
+    """The ranks of relation *rid*: its positions in *column*, a column of
+    `_relation_column`."""
+    if type(column) is bytes:
+        marks = column.translate(bytes(rid) + b"\1" + bytes(255 - rid))
+        return compress(range(len(column)), marks)
+    return compress(range(len(column)), map(eq, column, repeat(rid)))
+
+
+# The unsigned typecode of each record size that is one machine int.
+_RECORD_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _distinct_tuples(run: array, k: int, n: int) -> int:
+    """How many distinct tuples *run* holds, as *n* arity-*k* tuples of ids.
+    Where a tuple's k ids take 1, 2, 4 or 8 bytes, each record's bytes are
+    read as one unsigned int, whose value stands for the tuple: byte order
+    does not matter for distinctness.  Otherwise the tuples go into a
+    set."""
+    if not k:
+        return min(n, 1)
+    code = _RECORD_CODES.get(k * run.itemsize)
+    if code is not None:
+        return len(set(memoryview(run).cast("B").cast(code)))
+    return len(set(zip(*[iter(run)] * k)))
+
+
+def _order_runs(columns: dict, n_relations: int,
+                n_domain: int) -> tuple[object, list, list]:
+    """The relation column as `_relation_column` scans it, each relation's
+    tuple count and its run of the values column, checked: the arities and
+    flags by
+    their length and bounds, every relation id by the counts (an id outside
+    the relations is counted by none, so the counts fall short of the
+    column), every value id against the domain, and each relation's id
+    tuples distinct (`_distinct_tuples`)."""
+    arity, flags = columns["arity"].tolist(), columns["complete"].tolist()
+    relation, ids = columns["relation"], columns["values"]
+    if (len(arity) != n_relations or min(arity, default=0) < 0
+            or len(flags) != n_relations or max(flags, default=0) > 1):
+        raise IndexFormatError("bad index metadata layout")
+    column = _relation_column(relation, n_relations)
+    counts = list(map(column.count, range(n_relations)))
+    if sum(counts) != len(relation):
+        raise IndexFormatError("fact names an unknown relation")
+    starts = list(accumulate(map(mul, counts, arity), initial=0))
+    # an unsigned column holds no id below 0
+    if starts[-1] != len(ids) or ids and (
+            max(ids) >= n_domain or ids.typecode in "bhiq" and min(ids) < 0):
+        raise IndexFormatError("bad index metadata layout")
+    runs = list(map(ids.__getitem__, map(slice, starts, starts[1:])))
+    for run, k, n in zip(runs, arity, counts):
+        if _distinct_tuples(run, k, n) != n:
             raise IndexFormatError("duplicate tuple in variable order")
-        unbuilt[name] = _relation_builder(name, k, run, domain, relation,
-                                          rid)
-    order = VariableOrder(size=len(relation), unbuilt=unbuilt)
-    return order, domain, frozenset(compress(names, flags))
+    return column, counts, runs
 
 
-def _relation_builder(name: str, k: int, run: array, domain: list,
-                      relation: array, rid: int):
+def _decode_order(columns: dict) -> tuple[VariableOrder, list, frozenset]:
+    """The tuple order, the domain and the relations the order holds
+    completely, from their columns, each checked by its length and its
+    bounds.  No fact is built here: the order builds each relation on its
+    first use (`_relation_builder`).  Duplicate tuples are rejected here
+    all the same, on ids: the domain's values must be distinct
+    (`_decode_domain`), and so must each relation's id tuples.  The checks
+    of the tuple order run as column passes (`_order_runs`): a one-byte
+    relation column is counted relation by relation with `bytes.count`,
+    the value ids are bounded by one `max` (and one `min` where their
+    typecode is signed), and each relation's tuples are counted distinct
+    record by record."""
+    names, domain = _decode_domain(columns)
+    column, counts, runs = _order_runs(columns, len(names), len(domain))
+    unbuilt = {name: _relation_builder(name, k, n, run, domain, column, rid)
+               for rid, name, k, n, run in zip(count(), names,
+                                               columns["arity"], counts, runs)}
+    order = VariableOrder(size=len(column), unbuilt=unbuilt)
+    return order, domain, frozenset(compress(names, columns["complete"]))
+
+
+def _relation_builder(name: str, k: int, n: int, run: array, domain: list,
+                      column, rid: int):
     """The builder of relation *name* for `VariableOrder`: its facts from
-    *run*, its arity-*k* tuples' domain ids in rank order, and their ranks,
-    the positions of *rid* in the relation column."""
+    *run*, its *n* arity-*k* tuples' domain ids in rank order (a nullary
+    relation's tuples are empty), and their ranks, the positions of *rid*
+    in *column* (`_relation_ranks`)."""
     def build() -> tuple[list, Iterable]:
         values = map(domain.__getitem__, run)
+        rows = zip(*[values] * k) if k else repeat((), n)
         facts = list(map(tuple.__new__, repeat(Fact),
-                         zip(repeat(name), zip(*[values] * k))))
-        return facts, compress(range(len(relation)),
-                               map(eq, relation, repeat(rid)))
+                         zip(repeat(name), rows)))
+        return facts, _relation_ranks(column, rid)
     return build
 
 
@@ -1056,8 +1137,6 @@ def deserialize(buf: bytes) -> MvIndex:
     if len(weights) != n_order or any(len(column) != sum(counts)
                                       for column in nodes):
         raise IndexFormatError("index blocks do not match their counts")
-    if not all(map(math.isfinite, weights)) or -1.0 in weights:
-        raise IndexFormatError("a tuple weight is NaN, infinite or -1")
     shapes = []
     at = 0
     for n in counts:

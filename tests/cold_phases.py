@@ -37,6 +37,11 @@ phase:
   them (`mvindex._read_columns`, then `mvindex._decode_order`): in format
   8 the domain, the column checks and the duplicate checks on ids, with no
   fact built;
+* ``domain`` and ``order_checks``, the two parts of ``meta`` after the
+  columns are read: the relation names, the domain's ints and strings and
+  the check that its values are distinct (`mvindex._decode_domain`), then
+  the relation counts, the id bounds and the duplicate-tuple checks
+  (`mvindex._order_runs`);
 * ``annotations``: `Constituent.compute_annotations`, once per shape of
   the loaded index at its constituents' offsets in lane order, as
   `MvIndex` calls it, returning the shape's array; a shape of two
@@ -108,7 +113,8 @@ same pair, and wins counts the pairs ROOT was faster in.  Separate
 processes on a busy host can differ by more than the change being
 measured; pairs taken side by side in one process share its state.  A
 phase OTHER_ROOT does not have (``decode`` against format 7, ``blocks``
-against a checkout without `mvindex._compile_blocks`) prints
+against a checkout without `mvindex._compile_blocks`, ``domain`` and
+``order_checks`` against one without `mvindex._order_runs`) prints
 ROOT's median and ``-``; ``cold_total`` and ``load`` pair across
 formats.  A non-timed value prints both and, for a number, their ratio (the peak and
 the loaded bytes the median of three interleaved runs each).  This form
@@ -304,6 +310,14 @@ def _query_phases(pkg, project: Path, query: str,
     def meta():
         return mvindex._decode_order(mvindex._read_columns(body))[0]
 
+    split = {}
+    if hasattr(mvindex, "_order_runs"):  # `meta`'s two parts
+        columns = mvindex._read_columns(body)
+        names, domain = mvindex._decode_domain(columns)
+        split = {"domain": lambda: mvindex._decode_domain(columns),
+                 "order_checks": lambda: mvindex._order_runs(
+                     columns, len(names), len(domain))}
+
     lazy = hasattr(mvindex.MvIndex, "entry_masses")
     if lazy:  # format 8: relations and entry tables built on first use
         def decode(order):
@@ -346,6 +360,7 @@ def _query_phases(pkg, project: Path, query: str,
         "read": phases["read"],
         "parse": phases["parse"],
         "meta": meta,
+        **split,
         "annotations": annotations,
         **({"decode": phases["decode"]} if lazy else {}),
         "entry": entry,

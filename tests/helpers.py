@@ -776,6 +776,49 @@ def read_columns(blob: bytes) -> dict:
     return mvindex._read_columns(memoryview(blob)[:-4])
 
 
+def order_scan_defects(columns: dict) -> list[str]:
+    """The item-by-item scans the loader once made of the tuple order's
+    columns and the weights, as predicates over *columns* as
+    `read_columns` returns them: the names of those that fail, each a
+    defect `deserialize` must reject.  ``relation ids``: an id outside
+    ``0 <= id < len(names)``; ``value ids``: an id outside the domain;
+    ``duplicates``: a relation whose id tuples repeat (checked where the
+    ids and the arities fit the values column); ``weights``: a weight that
+    is NaN, infinite or -1.  Names or a domain that do not decode fail
+    ``layout``."""
+    from mvdb import IndexFormatError, mvindex
+    failed = []
+    weights = columns["weight"]
+    if not all(map(math.isfinite, weights)) or -1.0 in weights:
+        failed.append("weights")
+    try:
+        names = mvindex._untext(columns["names"], columns["name_ends"])
+        domain = (list(map(int, columns["ints"].tobytes().split()))
+                  + mvindex._untext(columns["strings"],
+                                    columns["string_ends"]))
+    except (IndexFormatError, ValueError):
+        return failed + ["layout"]
+    relation, ids = columns["relation"], columns["values"]
+    if relation and not 0 <= min(relation) <= max(relation) < len(names):
+        failed.append("relation ids")
+    if ids and not 0 <= min(ids) <= max(ids) < len(domain):
+        failed.append("value ids")
+    arity = columns["arity"].tolist()
+    if "relation ids" in failed or len(arity) != len(names) or min(
+            arity, default=0) < 0:
+        return failed
+    counts = list(map(relation.count, range(len(names))))
+    starts = list(itertools.accumulate(map(int.__mul__, counts, arity),
+                                       initial=0))
+    if starts[-1] != len(ids):
+        return failed
+    for n, k, a in zip(counts, arity, starts):
+        if len({tuple(ids[a + i * k:a + i * k + k]) for i in range(n)}) != n:
+            failed.append("duplicates")
+            break
+    return failed
+
+
 def with_columns(blob: bytes, edit) -> bytes:
     """The ``.mvx`` *blob* with *edit* applied to its columns, decoded by
     name into lists, and re-encoded with a valid checksum: each int column

@@ -688,6 +688,34 @@ def test_int_constants_beyond_64_bits(tmp_path):
             assert float(got[1]) == pytest.approx(float(want[1]), abs=1e-9)
 
 
+def test_boolean_markoview_compiles_and_answers(tmp_path):
+    # A view with an empty head and a non-zero weight: its auxiliary
+    # relation is nullary.  Both index engines and the oracle answer a
+    # Boolean and an answer query, within 1e-9 of the MLN's probability.
+    from mvdb import mln_probability, parse_query, substitute
+    from mvdb.cli import _load_project
+    proj = tmp_path / "boolean"
+    (proj / "data").mkdir(parents=True)
+    (proj / "schema.txt").write_text(
+        "relation R(x:int) key(x) probabilistic\n"
+        "relation S(x:int) key(x) probabilistic\n")
+    (proj / "views.txt").write_text("V() [0.5] :- R(x), S(x)\n")
+    (proj / "data" / "R.tsv").write_text("1\t2.0\n2\t1.0\n3\t3.0\n")
+    (proj / "data" / "S.tsv").write_text("1\t1.5\n2\t0.5\n")
+    assert run(["compile", "--project", str(proj)])[0] == EXIT_OK
+    db = _load_project(str(proj))
+    for text, answers in (("Q() :- R(x), S(x)", [()]),
+                          ("Q(x) :- R(x)", [(1,), (2,), (3,)])):
+        q = parse_query(text, db.schema)
+        want = [mln_probability(db, substitute(q, a)) for a in answers]
+        for engine in ("ccmv", "mv", "oracle"):
+            rc, text_out = run(["query", "--project", str(proj), "--engine",
+                                engine, "--tsv", text])
+            assert rc == EXIT_OK
+            got = [float(row[-1]) for row in _rows(text_out)]
+            assert got == pytest.approx(want, abs=1e-9)
+
+
 def test_python_dash_m_mvdb_runs_the_cli(project):
     run(["compile", "--project", str(project)])
     index = str(project / "index.mvx")

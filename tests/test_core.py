@@ -177,6 +177,20 @@ def test_schema_parse_and_validation():
                      "relation R(y:int) key(y) probabilistic")
 
 
+def test_schema_takes_an_empty_key_only_without_attributes():
+    # A Boolean MarkoView's auxiliary relation has no attributes, so its
+    # key is empty; a relation with attributes still needs a key.
+    from mvdb import Attribute, Relation
+    from mvdb.core import VIEW_AUX
+    schema = Schema([Relation("NV", (), (), VIEW_AUX)])
+    assert schema.relation("NV").arity == 0
+    with pytest.raises(SchemaError, match="^relation 'R' has an empty key$"):
+        Schema([Relation("R", (Attribute("x", "int"),), (), "probabilistic")])
+    # a schema file declares no nullary relation
+    with pytest.raises(SchemaError, match="bad attribute ''"):
+        parse_schema("relation R() key() probabilistic")
+
+
 def test_duplicate_tuple_rejected():
     with pytest.raises(DataError):
         Mvdb(EX1_SCHEMA, [(Fact("R", ("a",)), 1.0),

@@ -8,16 +8,20 @@ import struct
 import sys
 import zlib
 from array import array
+from collections import Counter
+from itertools import compress, repeat
+from operator import eq
 
 import pytest
 
-from mvdb import (EnumerationEvaluator, Fact, IndexEvaluator, IndexFormatError,
-                  IntersectStats, Lineage, Mvdb, MvdbError, OrderMismatchError,
+from mvdb import (DegenerateWeightError, EnumerationEvaluator, Fact,
+                  IndexEvaluator, IndexFormatError, IntersectStats, Lineage,
+                  Mvdb, MvdbError, OrderMismatchError,
                   UnrepresentableError, build_indb, build_index,
                   cc_mv_intersect, deserialize, from_lineage, lineage,
                   mv_intersect, parse_query, parse_schema, parse_view,
                   query_probability, rank_span, serialize)
-from mvdb import mvindex, weight_to_probability
+from mvdb import mln_probability, mvindex, weight_to_probability
 from mvdb.cli import _load_project, main
 from mvdb.gendata import generate_project
 from mvdb.mvindex import SINK0, SINK1, Constituent, MvIndex
@@ -28,6 +32,7 @@ from helpers import (EX1_SCHEMA, RAND_SCHEMA, TWO_TABLE_SCHEMA, annotated,
                      chain_mvdb, chain_window, column_spans, constituents_of,
                      cut_ranks, entry_masses, entry_tables,
                      entry_tables_rescan, example1, intersect_memo,
+                     order_scan_defects,
                      derive_lanes, lone_lanes, prob_under, prob_unders,
                      random_boolean_query,
                      random_mvdb, ranks, read_columns, root_code,
@@ -1121,6 +1126,109 @@ def test_deserialize_fuzz_raises_only_index_format_errors():
     assert outcomes["rejected"] > 0 and outcomes["loaded"] > 0, outcomes
 
 
+def test_deserialize_rejects_every_mutation_an_item_scan_flags():
+    # The loader checks the tuple order's columns and the weights in column
+    # passes; each mutation of the fuzz test above that fails one of the
+    # item-by-item scans they replace must still be rejected.
+    rng = random.Random(20120801)  # the fuzz test's mutations
+    flagged = Counter()
+    for index in (_denial_index(), _ex1_index()[2],
+                  build_index(build_indb(chain_mvdb(3)))):
+        for mutated in _mutations(serialize(index), rng, 400):
+            try:
+                columns = read_columns(mutated)
+            except IndexFormatError:
+                continue  # the column reader rejects it before any scan
+            failed = order_scan_defects(columns)
+            flagged.update(failed)
+            if failed:
+                with pytest.raises(IndexFormatError):
+                    deserialize(mutated)
+    assert all(flagged[name] for name in ("relation ids", "value ids",
+                                          "duplicates", "weights")), flagged
+
+
+def _typecode_range(code: str) -> tuple[int, int]:
+    bits = 8 * array(code).itemsize
+    return ((-2 ** (bits - 1), 2 ** (bits - 1) - 1) if code.islower()
+            else (0, 2 ** bits - 1))
+
+
+@pytest.mark.parametrize("code", mvindex._INT_CODES)
+@pytest.mark.parametrize("k", range(5))
+def test_distinct_tuples_counts_the_tuple_set(code, k):
+    # Ids drawn from a few values at both ends of the typecode's range, so
+    # tuples repeat by chance; one draw of each size repeats its first
+    # tuple last.  Swapping the bytes of every item changes no count.
+    lo, hi = _typecode_range(code)
+    pool = sorted({lo, lo + 1, -1 if lo else 0, 0, 1, hi - 1, hi})
+    rng = random.Random(f"{code}{k}")
+    for n in (0, 1, 2, 5, 40):
+        for repeat_first in (False, True):
+            items = [rng.choice(pool) for _ in range(n * k)]
+            if repeat_first and n > 1:
+                items[-k or len(items):] = items[:k]
+            run = array(code, items)
+            swapped = array(code, items)
+            swapped.byteswap()
+            for ids in (run, swapped):
+                want = len({tuple(ids[i * k:i * k + k]) for i in range(n)})
+                assert mvindex._distinct_tuples(ids, k, n) == want
+
+
+@pytest.mark.parametrize("code", mvindex._INT_CODES)
+def test_relation_column_counts_and_ranks_match_the_array_scans(code):
+    # In the first column relations 1 and 4 hold no tuple; a one-byte
+    # unsigned column is scanned as bytes, every other as the array.
+    for ids, n_relations in (([0, 2, 0, 3, 2, 0, 3, 3], 5), ([], 2),
+                             ([0, 127, 127, 5], 128)):
+        relation = array(code, ids)
+        column = mvindex._relation_column(relation, n_relations)
+        assert (type(column) is bytes) == (code == "B")
+        for rid in range(n_relations):
+            assert column.count(rid) == relation.count(rid)
+            assert list(mvindex._relation_ranks(column, rid)) == list(
+                compress(range(len(relation)),
+                         map(eq, relation, repeat(rid))))
+
+
+def test_relation_column_of_bytes_ranks_every_byte_value():
+    relation = array("B", [255, 0, 128, 255, 1])
+    column = mvindex._relation_column(relation, 256)
+    assert type(column) is bytes
+    for rid in range(256):
+        assert column.count(rid) == relation.count(rid)
+        assert list(mvindex._relation_ranks(column, rid)) == [
+            r for r, x in enumerate(relation) if x == rid]
+    # past 256 relations the ids are scanned as the array
+    assert mvindex._relation_column(relation, 257) is relation
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf, -1.0])
+def test_weight_without_a_probability_is_rejected_at_any_rank(weight, where):
+    blob = serialize(_denial_index())
+    n = len(read_columns(blob)["weight"])
+    at = {"first": 0, "middle": n // 2, "last": n - 1}[where]
+    with pytest.raises(IndexFormatError,
+                       match=r"^a tuple weight is NaN, infinite or -1$"):
+        deserialize(with_columns(blob, _set(("weight", at), weight)))
+
+
+@pytest.mark.parametrize("weight", [
+    math.nextafter(-1.0, -math.inf), math.nextafter(-1.0, math.inf), 0.0,
+    -0.0, 1e300, 1e-300, -1e300, 1e20])
+def test_weights_beside_the_rejected_ones_load_bit_exact(weight):
+    # Next to -1, p is near -2^53 and +2^52; the sum of p stays finite.
+    blob = serialize(_denial_index())
+    n = len(read_columns(blob)["weight"])
+    for at in (0, n // 2, n - 1):
+        loaded = deserialize(with_columns(blob, _set(("weight", at), weight)))
+        assert loaded.weights[at].hex() == weight.hex()
+        assert loaded.probs[at].hex() == weight_to_probability(weight).hex()
+        assert loaded.qs[at].hex() == (1.0 / (1.0 + weight)).hex()
+
+
 def test_deserialized_index_answers_queries():
     db, tr, idx = _ex1_index()
     idx2 = deserialize(serialize(idx))
@@ -1404,6 +1512,70 @@ def test_point_query_cost_independent_of_position(blocks_1e3):
             counts.append(stats.memo_entries)
             assert stats.visited <= rank_span(gq) * idx.max_width()
         assert counts[0] == counts[1] == counts[2], fn.__name__
+
+
+# -- Boolean MarkoViews -----------------------------------------------------------
+
+def _boolean_view_db(w, head=""):
+    """R(0..2) and S(0..2) under the Boolean view ``V() [w] :- R(x), S(x)``
+    (with *head*, ``V(head)``): its auxiliary relation NV is nullary, and
+    NV() is W's one shared tuple."""
+    facts = [(Fact(rel, (i,)), weight) for i in range(3)
+             for rel, weight in (("R", 0.5 + i), ("S", 2.0 - 0.5 * i))]
+    return Mvdb(BLOCK_SCHEMA, facts, [parse_view(
+        f"V({head}) [{w!r}] :- R(x), S(x)", BLOCK_SCHEMA)])
+
+
+@pytest.mark.parametrize("w", [0.5, 1e-20, 1e15])
+def test_boolean_markoview_round_trips_against_the_mln(w):
+    db = _boolean_view_db(w)
+    tr = build_indb(db)
+    built = build_index(tr)
+    assert Fact("NV", ()) in built.order.facts
+    loaded = deserialize(serialize(built))
+    assert loaded.order.facts == built.order.facts
+    assert serialize(loaded) == serialize(built)
+    for text in ("Q() :- R(1)", "Q() :- S(2)", "Q() :- R(x), S(x)",
+                 "Q() :- R(0) ; S(1)"):
+        q = parse_query(text, BLOCK_SCHEMA)
+        want = mln_probability(db, q)
+        for index in (built, loaded):
+            for mode in ("mv", "cc"):
+                ev = IndexEvaluator(index, tr.indb.possible_instance(), mode)
+                assert ev.probability(q) == pytest.approx(want, abs=1e-9)
+
+
+def test_boolean_markoview_past_2_to_53_is_degenerate_like_any_view():
+    # The translated weight (1 - w) / w rounds to -1 once w passes 2^53,
+    # with a head or without.
+    for head in ("", "x"):
+        with pytest.raises(DegenerateWeightError, match="weight -1"):
+            build_indb(_boolean_view_db(1e20, head))
+
+
+def test_deserialize_rejects_two_tuples_of_a_nullary_relation():
+    idx = build_index(build_indb(_boolean_view_db(0.5)))
+    blob = serialize(idx)
+    columns = read_columns(blob)
+    names = mvindex._untext(columns["names"], columns["name_ends"])
+    arity = columns["arity"].tolist()
+    relation = columns["relation"].tolist()
+    nv, r = names.index("NV"), names.index("R")
+    assert arity[nv] == 0 and arity[r] == 1 and relation.count(nv) == 1
+
+    def second_nv(cols):
+        # R's last tuple in rank order becomes NV(): its id leaves the end
+        # of R's run of the values column
+        cols["relation"][max(i for i, x in enumerate(relation)
+                             if x == r)] = nv
+        end = sum(arity[x] * relation.count(x) for x in range(r + 1))
+        del cols["values"][end - 1]
+        return cols
+    assert deserialize(with_columns(blob, lambda cols: cols)).order == \
+        idx.order
+    with pytest.raises(IndexFormatError,
+                       match="duplicate tuple in variable order"):
+        deserialize(with_columns(blob, second_nv))
 
 
 # -- the forward sweep against the memo reference --------------------------------

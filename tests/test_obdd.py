@@ -1,7 +1,6 @@
 """OBDD kernel: ordering, synthesis, concatenation, compilation, Shannon."""
 
 import random
-from types import SimpleNamespace
 
 import pytest
 
@@ -72,10 +71,8 @@ def test_tuple_order_rejects_a_value_outside_the_domain():
 def test_tuple_order_keeps_the_facts_of_a_nullary_relation():
     # A nullary relation has no columns to rank; its fact keys on the
     # empty rank tuple and leads the order, as in the grouped reference.
-    # `Schema` refuses an empty key, so a stand-in carries the relation.
     db = two_table_db()
-    nullary = Relation("N", (), (), VIEW_AUX)
-    schema = SimpleNamespace(relations=db.schema.relations + (nullary,))
+    schema = db.schema.extended([Relation("N", (), (), VIEW_AUX)])
     facts = db.probabilistic_facts() + [Fact("N", ())]
     for pi in ({}, {"S": (1, 0)}):
         order = _assert_grouped(pi, facts, db.domain, schema)
